@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"abyss1000/internal/core"
 	"abyss1000/internal/index"
@@ -194,8 +193,8 @@ type DB struct {
 	logSink    LogSink
 	lastScheme Scheme
 
-	// stop is the cooperative interruption flag wired into every Run as
-	// core.Config.Stop; Interrupt sets it. Workers poll it at transaction
+	// stop is the cooperative interruption flag wired into every Run
+	// (Config.WithStop); Interrupt sets it. Workers poll it at transaction
 	// boundaries only, so an idle flag costs one nil-check per txn.
 	stop atomic.Bool
 }
@@ -385,98 +384,15 @@ func (db *DB) Go(body func(p Proc)) error {
 	return nil
 }
 
-// RunConfig sizes one measurement. Cycles are simulated cycles under
-// RuntimeSim (1 GHz: 1 cycle = 1 ns of simulated time) and wall-clock
-// nanoseconds under RuntimeNative.
-type RunConfig struct {
-	// WarmupCycles is discarded ramp-up time before counters reset.
-	WarmupCycles uint64
-
-	// MeasureCycles is the measurement window; must be positive.
-	MeasureCycles uint64
-
-	// AbortBackoff is the mean randomized restart penalty after a
-	// concurrency-control abort, in cycles. Zero disables backoff.
-	AbortBackoff uint64
-
-	// SampleEvery divides the measurement window into intervals of this
-	// many cycles; one Sample per interval is delivered to Observer (or
-	// the RunStream channel) while the run is in flight. Sampling is
-	// accounting-only — the final Result, and on the simulated runtime
-	// every simulated outcome, are byte-identical with and without it.
-	// Zero disables sampling; positive values require a sink (an
-	// Observer for Run, or using RunStream).
-	SampleEvery uint64
-
-	// Observer receives the interval Samples during Run. OnSample runs
-	// on worker threads and must return promptly (under the simulator a
-	// blocked observer blocks the whole simulation); use RunStream for
-	// a buffered channel instead of implementing an Observer. Setting
-	// an Observer requires a positive SampleEvery.
-	Observer Observer
-
-	// LogGroupTxns overrides the write-ahead log's group-commit size for
-	// this run (records per modeled fsync in accounting-only mode). Zero
-	// keeps the Durability setting. Ignored without Options.Durability.
-	LogGroupTxns int
-
-	// LogGroupTimeout overrides the async group-commit window for this
-	// run. Zero keeps the Durability setting. Ignored without
-	// Options.Durability.
-	LogGroupTimeout time.Duration
-
-	// Check records every committed transaction's read and write
-	// versions during the run for the serializability checker: after Run
-	// returns, DB.CheckSerializability verifies the captured history and
-	// DB.History exposes it. Accounting-only, like SampleEvery — the
-	// Result is identical with it on or off. See check.go.
-	Check bool
-
-	// Arrivals switches the run from the paper's closed loop (one
-	// outstanding transaction per worker) to open-loop offered load: a
-	// seed-deterministic Poisson or bursty MMPP arrival process feeding
-	// per-worker admission queues. The zero value keeps the closed loop.
-	// See overload.go for the overload tier's semantics.
-	Arrivals Arrivals
-
-	// QueueDepth bounds each worker's admission queue in open-loop runs;
-	// arrivals past the bound are shed (Result.Shed). Zero means
-	// unbounded — admission control off. Requires Arrivals.
-	QueueDepth int
-
-	// ShedTypes lists transaction type names (comma-separated) to shed
-	// preferentially once a queue passes its high-water mark. Requires
-	// Arrivals and a workload that declares its types (Mix does).
-	ShedTypes string
-
-	// Deadline abandons a transaction not committed within this many
-	// cycles of its arrival (open loop) or first attempt (closed loop):
-	// it fails as ErrDeadline instead of retrying forever, counted in
-	// Result.Deadlined. Zero disables deadlines.
-	Deadline uint64
-
-	// RetryLimit abandons a transaction after this many failed attempts
-	// (1 means no retries); abandoned transactions count in
-	// Result.Deadlined. Zero means unlimited retries.
-	RetryLimit int
-
-	// BackoffCap turns the fixed AbortBackoff restart penalty into
-	// capped exponential backoff: the mean doubles per consecutive
-	// failure up to this cap, with jitter drawn deterministically from
-	// the worker's seeded RNG. Zero keeps the fixed mean.
-	BackoffCap uint64
-
-	// Fault, when non-nil, injects stalls at transaction boundaries —
-	// see StalledWorkerFault, SlowPartitionFault, LatencySpikeFault and
-	// ComposeFaults. Billed to the Idle breakdown component.
-	Fault FaultInjector
-
-	// source, when non-nil, switches the run to remote request dispatch
-	// (workers pull externally submitted requests instead of drawing
-	// work). Set only by DB.Serve — sessions own the admission queues,
-	// arrival stamping and completion plumbing around it.
-	source core.RequestSource
-}
+// RunConfig sizes one measurement: the window (WarmupCycles,
+// MeasureCycles, AbortBackoff), observation (SampleEvery, Observer,
+// Check) and the overload tier (Arrivals, QueueDepth, ShedTypes,
+// Deadline, RetryLimit, BackoffCap, Fault). It is the engine's own run
+// configuration, not a copy of it — see the field documentation there.
+// Cycles are simulated cycles under RuntimeSim (1 GHz: 1 cycle = 1 ns of
+// simulated time) and wall-clock nanoseconds under RuntimeNative.
+// RunConfig.Validate reports what Run would reject.
+type RunConfig = core.Config
 
 // DefaultRunConfig returns a window sized for quick experiments on this
 // DB's runtime: ~0.4 ms simulated (sim) or ~50 ms wall-clock (native)
@@ -485,8 +401,7 @@ func (db *DB) DefaultRunConfig() RunConfig {
 	if db.opts.Runtime == RuntimeNative {
 		return RunConfig{WarmupCycles: 5_000_000, MeasureCycles: 50_000_000, AbortBackoff: 1000}
 	}
-	c := core.DefaultConfig()
-	return RunConfig{WarmupCycles: c.WarmupCycles, MeasureCycles: c.MeasureCycles, AbortBackoff: c.AbortBackoff}
+	return core.DefaultConfig()
 }
 
 // prepareRun validates one measurement's arguments and claims the DB's
@@ -499,25 +414,8 @@ func (db *DB) prepareRun(scheme Scheme, wl Workload, cfg RunConfig) error {
 	if wl == nil {
 		return fmt.Errorf("abyss: Run needs a Workload (see BuildWorkload)")
 	}
-	if cfg.MeasureCycles == 0 {
-		return fmt.Errorf("abyss: RunConfig.MeasureCycles must be positive (a zero window has no throughput)")
-	}
-	if cfg.Observer != nil && cfg.SampleEvery == 0 {
-		return fmt.Errorf("abyss: RunConfig.Observer is set but SampleEvery is 0; set SampleEvery to the sampling interval in cycles")
-	}
-	if cfg.SampleEvery > 0 && cfg.Observer == nil {
-		return fmt.Errorf("abyss: RunConfig.SampleEvery is set but there is no sample sink; set RunConfig.Observer or use RunStream")
-	}
-	if cfg.SampleEvery > cfg.MeasureCycles {
-		return fmt.Errorf("abyss: RunConfig.SampleEvery (%d) must not exceed MeasureCycles (%d); a window shorter than one interval produces no samples", cfg.SampleEvery, cfg.MeasureCycles)
-	}
-	if cfg.SampleEvery > 0 {
-		if n := (cfg.MeasureCycles + cfg.SampleEvery - 1) / cfg.SampleEvery; n > core.MaxSampleIntervals {
-			return fmt.Errorf("abyss: RunConfig.SampleEvery (%d) yields %d sample intervals over MeasureCycles (%d); at most %d are allowed — use a coarser sampling period", cfg.SampleEvery, n, cfg.MeasureCycles, core.MaxSampleIntervals)
-		}
-	}
-	if err := validateOverload(cfg); err != nil {
-		return err
+	if err := cfg.Validate(); err != nil {
+		return fmt.Errorf("abyss: %w", err)
 	}
 	if db.ran {
 		return fmt.Errorf("abyss: this DB already ran an experiment; Open a fresh DB per Run/Go")
@@ -538,27 +436,8 @@ func (db *DB) runMeasured(scheme Scheme, wl Workload, cfg RunConfig) (res Result
 			err = fmt.Errorf("abyss: run failed: %v", r)
 		}
 	}()
-	if db.wal != nil {
-		db.wal.SetGrouping(cfg.LogGroupTxns, cfg.LogGroupTimeout)
-	}
 	db.lastScheme = scheme
-	res = core.RunObserved(db.inner, scheme, wl, core.Config{
-		WarmupCycles:  cfg.WarmupCycles,
-		MeasureCycles: cfg.MeasureCycles,
-		AbortBackoff:  cfg.AbortBackoff,
-		SampleEvery:   cfg.SampleEvery,
-		Capture:       cfg.Check,
-		Arrivals:      cfg.Arrivals,
-		QueueDepth:    cfg.QueueDepth,
-		ShedTypes:     cfg.ShedTypes,
-		Deadline:      cfg.Deadline,
-		RetryLimit:    cfg.RetryLimit,
-		BackoffCap:    cfg.BackoffCap,
-		Fault:         cfg.Fault,
-		Stop:          &db.stop,
-		Source:        cfg.source,
-	}, cfg.Observer)
-	return res, nil
+	return core.Run(db.inner, scheme, wl, cfg.WithStop(&db.stop)), nil
 }
 
 // Run executes wl under scheme for cfg's measurement window and returns
@@ -579,10 +458,10 @@ func (db *DB) Run(scheme Scheme, wl Workload, cfg RunConfig) (Result, error) {
 
 // chanObserver forwards samples into a channel buffered for every
 // interval of the run, so sends never block the measurement.
-type chanObserver chan<- Sample
+type chanObserver struct{ ch chan Sample }
 
 // OnSample implements Observer.
-func (c chanObserver) OnSample(s Sample) { c <- s }
+func (c *chanObserver) OnSample(s Sample) { c.ch <- s }
 
 // RunStream is Run with a streaming surface: it starts the measurement in
 // the background and returns immediately with a channel of in-flight
@@ -608,21 +487,13 @@ func (db *DB) RunStream(scheme Scheme, wl Workload, cfg RunConfig) (<-chan Sampl
 	if cfg.Observer != nil {
 		return fail(fmt.Errorf("abyss: RunStream installs its own Observer; RunConfig.Observer must be nil"))
 	}
-	if cfg.SampleEvery == 0 {
-		return fail(fmt.Errorf("abyss: RunStream needs a positive RunConfig.SampleEvery (the sampling interval in cycles)"))
-	}
-	if cfg.MeasureCycles == 0 {
-		return fail(fmt.Errorf("abyss: RunConfig.MeasureCycles must be positive (a zero window has no throughput)"))
-	}
-	intervals := (cfg.MeasureCycles + cfg.SampleEvery - 1) / cfg.SampleEvery
-	if intervals > core.MaxSampleIntervals {
-		return fail(fmt.Errorf("abyss: RunConfig.SampleEvery (%d) yields %d sample intervals over MeasureCycles (%d); at most %d are allowed — use a coarser sampling period", cfg.SampleEvery, intervals, cfg.MeasureCycles, core.MaxSampleIntervals))
-	}
-	ch := make(chan Sample, intervals+1)
-	cfg.Observer = chanObserver(ch)
+	obs := new(chanObserver)
+	cfg.Observer = obs
 	if err := db.prepareRun(scheme, wl, cfg); err != nil {
 		return fail(err)
 	}
+	// Validated: SampleEvery is positive and the interval count is capped.
+	obs.ch = make(chan Sample, (cfg.MeasureCycles+cfg.SampleEvery-1)/cfg.SampleEvery+1)
 	done := make(chan struct{})
 	var (
 		res    Result
@@ -630,10 +501,10 @@ func (db *DB) RunStream(scheme Scheme, wl Workload, cfg RunConfig) (<-chan Sampl
 	)
 	go func() {
 		defer close(done)
-		defer close(ch)
+		defer close(obs.ch)
 		res, runErr = db.runMeasured(scheme, wl, cfg)
 	}()
-	return ch, func() (Result, error) {
+	return obs.ch, func() (Result, error) {
 		<-done
 		return res, runErr
 	}

@@ -23,6 +23,12 @@
 // invalid configurations (zero measurement windows, out-of-range
 // probabilities) are rejected before they can produce NaN throughputs.
 //
+// RunConfig is the engine's run configuration itself — an alias, like
+// Result, Sample and Arrivals, so there is no second copy of its knobs to
+// keep in step — and RunConfig.Validate is the one statement of what
+// makes it meaningful: Run, RunStream and Serve return its error, and the
+// engine refuses the same configuration with the same text.
+//
 // Custom workloads implement the Workload and Txn interfaces against the
 // declarative surface on DB: CreateTable builds fixed-width tables,
 // CreateIndex hashes them, and NewMix turns a set of weighted
@@ -64,7 +70,17 @@
 // from goodput (OfferedTPS, GoodputTPS, Shed, QueueDepth), Interrupt
 // ends an in-flight run gracefully with a partial Result, and with
 // every knob at zero the closed loop is byte-identical to previous
-// releases.
+// releases. The arrival model has one definition for every consumer:
+// ParseArrivals reads the command-line grammar (poisson:RATE or
+// mmpp:CALM:BURST[:CALMDWELL:BURSTDWELL], calm first, dwells in cycles
+// or as durations), and NewArrivalStream is the generator both the
+// engine's workers and the remote load generator (abyss1000/serve/client,
+// whose LoadConfig.Arrival is an Arrivals) draw from.
+//
+// Durability is configured once, at Open: Options.Durability names the
+// sink and the group-commit parameters (GroupTxns, GroupTimeout,
+// GroupBytes). A DB runs once, so neither RunConfig nor ServeConfig
+// carries a log-grouping override.
 //
 // Correctness is checkable, not assumed: set RunConfig.Check and the run
 // captures every committed transaction's reads and writes as versions

@@ -9,6 +9,9 @@ package abyss
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
+	"time"
 
 	"abyss1000/internal/core"
 	"abyss1000/internal/faultinject"
@@ -24,6 +27,11 @@ type (
 	// ArrivalProcess selects the arrival generator; see ArrivalClosed,
 	// ArrivalPoisson and ArrivalMMPP.
 	ArrivalProcess = core.ArrivalProcess
+
+	// ArrivalStream is one seed-deterministic stream of arrival times
+	// drawn from an Arrivals process: Peek returns the next arrival, Take
+	// consumes it. See NewArrivalStream.
+	ArrivalStream = core.ArrivalStream
 
 	// FaultInjector maps (worker, now) to extra stall cycles injected at
 	// transaction boundaries; see StalledWorkerFault, SlowPartitionFault,
@@ -93,42 +101,72 @@ func ComposeFaults(faults ...FaultInjector) FaultInjector {
 	return m
 }
 
-// validateOverload rejects overload configurations at the public
-// boundary with abyss-phrased errors; the engine re-validates (and would
-// panic) behind it.
-func validateOverload(cfg RunConfig) error {
-	switch cfg.Arrivals.Process {
-	case ArrivalClosed:
-		if cfg.Arrivals.RateTPS != 0 || cfg.Arrivals.BurstRateTPS != 0 {
-			return fmt.Errorf("abyss: RunConfig.Arrivals.RateTPS is set but Process is the closed loop; set Arrivals.Process to ArrivalPoisson or ArrivalMMPP")
+// NewArrivalStream builds stream number stream of streams, which
+// together offer a's aggregate rate on a clock of ticksPerSec ticks per
+// second. It is the generator the engine's open-loop workers draw from
+// (one stream per worker, on the runtime's clock); a load driver outside
+// the engine — serve/client, one stream per connection on a nanosecond
+// clock — offers the identical sequence for the same Arrivals. a must be
+// valid (Arrivals.Validate) and open.
+func NewArrivalStream(a Arrivals, stream, streams int, ticksPerSec float64) *ArrivalStream {
+	return core.NewArrivalStream(a, stream, streams, ticksPerSec)
+}
+
+// ParseArrivals parses the -arrivals grammar shared by the command-line
+// tools into a validated open-loop Arrivals seeded with seed:
+//
+//	poisson:RATE
+//	mmpp:CALMRATE:BURSTRATE[:CALMDWELL:BURSTDWELL]
+//
+// Rates are aggregate transactions per second. Each dwell is the state's
+// mean duration, written as a bare cycle count or as a Go duration
+// ("200ms") — one cycle is one nanosecond on both runtimes' clocks and on
+// the load generator's. Calm comes first throughout, like the rates. The
+// three-part form defaults the dwells to 500 000 and 50 000 cycles:
+// bursts one tenth as long as calm stretches.
+func ParseArrivals(spec string, seed int64) (Arrivals, error) {
+	parts := strings.Split(spec, ":")
+	a := Arrivals{Seed: seed}
+	var err error
+	switch {
+	case parts[0] == "poisson" && len(parts) == 2:
+		a.Process = ArrivalPoisson
+		a.RateTPS, err = strconv.ParseFloat(parts[1], 64)
+	case parts[0] == "mmpp" && (len(parts) == 3 || len(parts) == 5):
+		a.Process = ArrivalMMPP
+		a.CalmCycles, a.BurstCycles = 500_000, 50_000
+		if a.RateTPS, err = strconv.ParseFloat(parts[1], 64); err == nil {
+			a.BurstRateTPS, err = strconv.ParseFloat(parts[2], 64)
 		}
-	case ArrivalPoisson:
-		if cfg.Arrivals.RateTPS <= 0 {
-			return fmt.Errorf("abyss: ArrivalPoisson needs Arrivals.RateTPS > 0 (offered load in txn/s)")
-		}
-	case ArrivalMMPP:
-		if cfg.Arrivals.RateTPS <= 0 || cfg.Arrivals.BurstRateTPS <= 0 {
-			return fmt.Errorf("abyss: ArrivalMMPP needs Arrivals.RateTPS and BurstRateTPS > 0 (calm and burst offered load in txn/s)")
-		}
-		if cfg.Arrivals.BurstCycles == 0 || cfg.Arrivals.CalmCycles == 0 {
-			return fmt.Errorf("abyss: ArrivalMMPP needs nonzero Arrivals.BurstCycles and CalmCycles (mean dwell times)")
+		if err == nil && len(parts) == 5 {
+			if a.CalmCycles, err = parseDwell(parts[3]); err == nil {
+				a.BurstCycles, err = parseDwell(parts[4])
+			}
 		}
 	default:
-		return fmt.Errorf("abyss: unknown Arrivals.Process %d", int(cfg.Arrivals.Process))
+		return Arrivals{}, fmt.Errorf("abyss: arrivals %q: want poisson:RATE or mmpp:CALMRATE:BURSTRATE[:CALMDWELL:BURSTDWELL]", spec)
 	}
-	if cfg.QueueDepth < 0 {
-		return fmt.Errorf("abyss: RunConfig.QueueDepth must not be negative, got %d", cfg.QueueDepth)
+	if err == nil {
+		err = a.Validate()
 	}
-	if cfg.RetryLimit < 0 {
-		return fmt.Errorf("abyss: RunConfig.RetryLimit must not be negative, got %d", cfg.RetryLimit)
+	if err != nil {
+		return Arrivals{}, fmt.Errorf("abyss: arrivals %q: %w", spec, err)
 	}
-	if cfg.Arrivals.Process == ArrivalClosed {
-		if cfg.QueueDepth > 0 {
-			return fmt.Errorf("abyss: RunConfig.QueueDepth needs an open-loop arrival process; set RunConfig.Arrivals")
-		}
-		if cfg.ShedTypes != "" {
-			return fmt.Errorf("abyss: RunConfig.ShedTypes needs an open-loop arrival process; set RunConfig.Arrivals")
-		}
+	return a, nil
+}
+
+// parseDwell reads one dwell time: a bare cycle count, or a Go duration
+// converted at one cycle per nanosecond.
+func parseDwell(s string) (uint64, error) {
+	if n, err := strconv.ParseUint(s, 10, 64); err == nil {
+		return n, nil
 	}
-	return nil
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return 0, fmt.Errorf("dwell %q is neither a cycle count nor a duration", s)
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("dwell %q must not be negative", s)
+	}
+	return uint64(d), nil
 }

@@ -29,9 +29,11 @@ func overloadRunConfig() abyss.RunConfig {
 	}
 }
 
-// TestOverloadValidation pins the abyss-phrased rejection of every
-// inconsistent overload configuration, and that failed validations do not
-// consume the DB's single measurement.
+// TestOverloadValidation pins the rejection of every inconsistent
+// overload configuration at the abyss boundary — the error is
+// RunConfig.Validate's, the same rule text the engine itself refuses the
+// config with — and that failed validations do not consume the DB's
+// single measurement.
 func TestOverloadValidation(t *testing.T) {
 	db, wl, scheme := openYCSB(t)
 	base := ycsbRunConfig()
@@ -61,8 +63,11 @@ func TestOverloadValidation(t *testing.T) {
 	for _, c := range cases {
 		cfg := base
 		c.mut(&cfg)
-		if _, err := db.Run(scheme, wl, cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+		_, err := db.Run(scheme, wl, cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: want error mentioning %q, got %v", c.name, c.want, err)
+		} else if rule := cfg.Validate(); rule == nil || err.Error() != "abyss: "+rule.Error() {
+			t.Errorf("%s: Run said %q, Validate says %v", c.name, err, rule)
 		}
 	}
 

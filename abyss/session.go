@@ -73,12 +73,6 @@ type ServeConfig struct {
 	// doubling the mean per consecutive failure up to this cap. Zero
 	// keeps the fixed mean.
 	BackoffCap time.Duration
-
-	// LogGroupTxns / LogGroupTimeout override the write-ahead log's
-	// group-commit parameters for the session, like their RunConfig
-	// counterparts. Ignored without Options.Durability.
-	LogGroupTxns    int
-	LogGroupTimeout time.Duration
 }
 
 // Outcome classifies a completed invocation.
@@ -227,9 +221,6 @@ func (db *DB) Serve(scheme Scheme, wl Workload, cfg ServeConfig) (*Session, erro
 	if cfg.Deadline < 0 || cfg.AbortBackoff < 0 || cfg.BackoffCap < 0 {
 		return nil, fmt.Errorf("abyss: ServeConfig durations must not be negative")
 	}
-	if cfg.RetryLimit < 0 {
-		return nil, fmt.Errorf("abyss: ServeConfig.RetryLimit must not be negative, got %d", cfg.RetryLimit)
-	}
 	depth := cfg.QueueDepth
 	if depth == 0 {
 		depth = DefaultServeQueueDepth
@@ -254,14 +245,11 @@ func (db *DB) Serve(scheme Scheme, wl Workload, cfg ServeConfig) (*Session, erro
 		}
 	}
 	rc := RunConfig{
-		MeasureCycles:   serveWindow,
-		AbortBackoff:    uint64(cfg.AbortBackoff),
-		RetryLimit:      cfg.RetryLimit,
-		BackoffCap:      uint64(cfg.BackoffCap),
-		LogGroupTxns:    cfg.LogGroupTxns,
-		LogGroupTimeout: cfg.LogGroupTimeout,
-		source:          sessionSource{s},
-	}
+		MeasureCycles: serveWindow,
+		AbortBackoff:  uint64(cfg.AbortBackoff),
+		RetryLimit:    cfg.RetryLimit,
+		BackoffCap:    uint64(cfg.BackoffCap),
+	}.WithSource(sessionSource{s})
 	if err := db.prepareRun(scheme, wl, rc); err != nil {
 		return nil, err
 	}

@@ -14,59 +14,31 @@ import (
 	"abyss1000/internal/workload/ycsb"
 )
 
-// GoldenSignature runs a fixed small YCSB and TPC-C mix on the simulator and
-// returns the complete deterministic signature of the results: commits,
-// aborts, tuples and every raw breakdown bucket, one line per scheme. Two
-// properties are load-bearing:
-//
-//   - It is byte-identical across runs of the same binary (simulator
-//     determinism), which determinism_test.go asserts.
-//   - It is byte-identical across engine rewrites that claim to preserve
-//     scheduling semantics, which testdata/golden_sim.txt pins. If a PR
-//     intentionally changes the timing model, regenerate the file with
-//     `go run ./cmd/goldencheck > testdata/golden_sim.txt` and say so in
-//     the PR; an unexplained diff is a scheduling regression.
-func GoldenSignature() string {
-	return GoldenSignatureObserved(0, nil)
-}
+// GoldenFeatures selects opt-in engine features to attach to every run of
+// the golden signature. Each is accounting-only or disengaged, so any
+// combination must leave the signature byte-identical to the zero value's
+// — the inert-feature matrix in determinism_test.go pins each alone and
+// all together.
+type GoldenFeatures struct {
+	// SampleEvery and Observer enable interval sampling (both or neither).
+	SampleEvery uint64
+	Observer    core.Observer
 
-// GoldenSignatureObserved is GoldenSignature with interval sampling
-// enabled on every run (every > 0 and obs non-nil). Because sampling is
-// accounting-only, the returned signature must be byte-identical to
-// GoldenSignature() — the observer-determinism regression test pins
-// exactly that.
-func GoldenSignatureObserved(every uint64, obs core.Observer) string {
-	return goldenSignature(every, obs, false, false)
-}
+	// Durable attaches an accounting-only write-ahead log (in-memory
+	// sink, synchronous group commit). The sim WAL path never advances
+	// the simulated clock — it only bills the Log breakdown bucket, which
+	// the signature excludes.
+	Durable bool
 
-// GoldenSignatureDurable is GoldenSignature with an accounting-only
-// write-ahead log (in-memory sink, synchronous group commit) attached to
-// every run. The sim WAL path never advances the simulated clock — it
-// only bills the Log breakdown bucket, which the signature excludes — so
-// the returned string must be byte-identical to GoldenSignature(); the
-// walprop durability tests pin exactly that.
-func GoldenSignatureDurable() string {
-	return goldenSignature(0, nil, true, false)
-}
+	// Check enables serializability history capture (Config.Check),
+	// which never ticks, syncs or latches.
+	Check bool
 
-// GoldenSignatureCaptured is GoldenSignature with serializability history
-// capture (core.Config.Capture) enabled on every run. Capture is
-// accounting-only like the WAL — it never ticks, syncs or latches — so
-// the returned string must be byte-identical to GoldenSignature(); the
-// capture determinism test pins exactly that.
-func GoldenSignatureCaptured() string {
-	return goldenSignature(0, nil, false, true)
-}
-
-// GoldenSignatureOverloadOff is GoldenSignature with the overload tier's
-// plumbing attached but every knob at zero: a live (never-set) Stop flag
-// and a fault injector that always returns zero delay, with the closed
-// loop, no queue bound, no deadline and no retry budget. The overload
-// tier promises that disengaged knobs leave the paper's closed-loop
-// schedule untouched — the returned string must be byte-identical to
-// GoldenSignature(), which the overload golden test pins.
-func GoldenSignatureOverloadOff() string {
-	return goldenSignature(0, nil, false, false, overloadOff)
+	// OverloadOff attaches the overload tier's plumbing with every knob
+	// at zero: a live (never-set) stop flag and a fault injector that
+	// always returns zero delay, with the closed loop, no queue bound, no
+	// deadline and no retry budget.
+	OverloadOff bool
 }
 
 // zeroFault is a fault injector that never injects: the worker loop sees
@@ -76,20 +48,31 @@ type zeroFault struct{}
 // Delay implements core.FaultInjector.
 func (zeroFault) Delay(int, uint64) uint64 { return 0 }
 
-// overloadOff wires the overload tier into a config without engaging it.
-func overloadOff(cfg *core.Config) {
-	cfg.Stop = new(atomic.Bool)
-	cfg.Fault = zeroFault{}
-}
-
-func goldenSignature(every uint64, obs core.Observer, durable, captured bool, mutate ...func(*core.Config)) string {
+// GoldenSignature runs a fixed small YCSB and TPC-C mix on the simulator and
+// returns the complete deterministic signature of the results: commits,
+// aborts, tuples and every raw breakdown bucket, one line per scheme. Two
+// properties are load-bearing:
+//
+//   - It is byte-identical across runs of the same binary (simulator
+//     determinism) and across every GoldenFeatures combination, which
+//     determinism_test.go asserts.
+//   - It is byte-identical across engine rewrites that claim to preserve
+//     scheduling semantics, which testdata/golden_sim.txt pins. If a PR
+//     intentionally changes the timing model, regenerate the file with
+//     `go run ./cmd/goldencheck > testdata/golden_sim.txt` and say so in
+//     the PR; an unexplained diff is a scheduling regression.
+func GoldenSignature(f GoldenFeatures) string {
 	var b strings.Builder
-	cfg := core.Config{WarmupCycles: 50_000, MeasureCycles: 200_000, AbortBackoff: 1000, SampleEvery: every, Capture: captured}
-	for _, m := range mutate {
-		m(&cfg)
+	cfg := core.Config{
+		WarmupCycles: 50_000, MeasureCycles: 200_000, AbortBackoff: 1000,
+		SampleEvery: f.SampleEvery, Observer: f.Observer, Check: f.Check,
+	}
+	if f.OverloadOff {
+		cfg = cfg.WithStop(new(atomic.Bool))
+		cfg.Fault = zeroFault{}
 	}
 	attach := func(db *core.DB) {
-		if durable {
+		if f.Durable {
 			db.Wal = wal.NewWriter(wal.NewMemSink(), wal.Config{})
 		}
 	}
@@ -106,14 +89,14 @@ func goldenSignature(every uint64, obs core.Observer, durable, captured bool, mu
 			ycfg.MPParts = 2
 		}
 		wl := ycsb.Build(db, ycfg)
-		writeSig(&b, "ycsb/"+scheme, core.RunObserved(db, MakeScheme(scheme, tsalloc.Atomic), wl, cfg, obs))
+		writeSig(&b, "ycsb/"+scheme, core.Run(db, MakeScheme(scheme, tsalloc.Atomic), wl, cfg))
 	}
 	for _, scheme := range []string{"DL_DETECT", "NO_WAIT", "TIMESTAMP", "MVCC"} {
 		eng := sim.New(8, 7)
 		db := core.NewDB(eng)
 		attach(db)
 		wl := tpcc.Build(db, tpcc.DefaultConfig(4))
-		writeSig(&b, "tpcc/"+scheme, core.RunObserved(db, MakeScheme(scheme, tsalloc.Atomic), wl, cfg, obs))
+		writeSig(&b, "tpcc/"+scheme, core.Run(db, MakeScheme(scheme, tsalloc.Atomic), wl, cfg))
 	}
 	return b.String()
 }
@@ -123,7 +106,7 @@ func writeSig(b *strings.Builder, label string, r core.Result) {
 	// Only the paper's six components are part of the signature: the Log
 	// extension is accounting-only by construction (it never advances the
 	// simulated clock), so the signature must stay byte-identical whether
-	// durability logging is off or on — walprop tests pin exactly that.
+	// durability logging is off or on — the golden matrix pins that.
 	for c := stats.Component(0); c < stats.NumPaperComponents; c++ {
 		fmt.Fprintf(b, " %s=%d", c, r.Breakdown.Get(c))
 	}

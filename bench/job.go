@@ -123,45 +123,39 @@ func (j Job) Run() core.Result {
 
 // RunSampled is Run with interval sampling enabled for the engine-backed
 // job kinds: every `every` cycles of the measurement window one
-// core.Sample is delivered to obs. Sampling is accounting-only, so the
-// returned Result is identical to Run's — the property the CI smoke step
-// pins by comparing sampled and unsampled report JSON. JobTsAlloc drives
-// its own measurement loop and ignores sampling.
+// core.Sample is delivered to obs (both set, or neither). Sampling is
+// accounting-only, so the returned Result is identical to Run's — the
+// property the CI smoke step pins by comparing sampled and unsampled
+// report JSON. JobTsAlloc drives its own measurement loop and ignores
+// sampling. The observer rides a local copy of Cfg, so the Job itself
+// stays comparable.
 func (j Job) RunSampled(every uint64, obs core.Observer) core.Result {
 	cfg := j.Cfg
-	cfg.SampleEvery = every
+	cfg.SampleEvery, cfg.Observer = every, obs
+	var db *core.DB
+	var wl core.Workload
 	switch j.Kind {
 	case JobTsAlloc:
 		return j.runTsAlloc()
 	case JobNativeYCSB:
-		eng := native.New(j.Cores, j.Seed)
-		db := core.NewDB(eng)
-		j.attachLog(db)
-		wl := ycsb.Build(db, j.YCSB)
-		return core.RunObserved(db, j.scheme(), wl, cfg, obs)
+		db = core.NewDB(native.New(j.Cores, j.Seed))
+		wl = ycsb.Build(db, j.YCSB)
 	case JobTPCC:
-		eng := sim.New(j.Cores, j.Seed)
-		db := core.NewDB(eng)
-		j.attachLog(db)
-		wl := tpcc.Build(db, j.TPCC)
-		return core.RunObserved(db, j.scheme(), wl, cfg, obs)
+		db = core.NewDB(sim.New(j.Cores, j.Seed))
+		wl = tpcc.Build(db, j.TPCC)
 	default: // JobYCSB
 		eng := sim.New(j.Cores, j.Seed)
-		db := core.NewDB(eng)
-		j.attachLog(db)
+		db = core.NewDB(eng)
 		if j.GlobalMalloc {
 			db.GlobalAlloc = mem.NewGlobalPool(eng)
 		}
-		wl := ycsb.Build(db, j.YCSB)
-		return core.RunObserved(db, j.scheme(), wl, cfg, obs)
+		wl = ycsb.Build(db, j.YCSB)
 	}
-}
-
-// attachLog hangs the accounting-only WAL on db when the job asks for it.
-func (j Job) attachLog(db *core.DB) {
 	if j.LogAccounting {
+		// Accounting-only WAL: in-memory sink, synchronous group commit.
 		db.Wal = wal.NewWriter(wal.NewMemSink(), wal.Config{})
 	}
+	return core.Run(db, j.scheme(), wl, cfg)
 }
 
 // runTsAlloc is the Fig. 6 micro-benchmark: timestamps drawn back-to-back

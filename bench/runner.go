@@ -99,6 +99,21 @@ func sampleSink(every uint64) core.Observer {
 	return discardSamples{}
 }
 
+// ValidateSampling reports whether every data point at scale p can run
+// with Runner.SampleEvery set to every: the period must suit both the
+// simulated window and the native Fig. 3 window (wall-clock nanoseconds).
+// Run it before building figures — an unsuitable period would otherwise
+// surface as the engine's invalid-config panic on a pool worker.
+func (p Params) ValidateSampling(every uint64) error {
+	for _, window := range []uint64{p.MeasureCycles, p.NativeMeasureNS} {
+		cfg := core.Config{MeasureCycles: window, SampleEvery: every, Observer: sampleSink(every)}
+		if err := cfg.Validate(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Progress reports worker-pool completion to Runner.OnProgress.
 type Progress struct {
 	// Done and Total count completed and enumerated jobs.

@@ -113,6 +113,23 @@ func TestSampledUnsampledEquivalence(t *testing.T) {
 	}
 }
 
+// TestValidateSampling pins abyss-bench's -sample gate: the period must
+// suit both windows of the scale, and zero (sampling off) always does.
+func TestValidateSampling(t *testing.T) {
+	p := Quick()
+	for _, ok := range []uint64{0, p.MeasureCycles / 8, p.MeasureCycles} {
+		if err := p.ValidateSampling(ok); err != nil {
+			t.Errorf("ValidateSampling(%d) = %v, want nil", ok, err)
+		}
+	}
+	if err := p.ValidateSampling(p.MeasureCycles + 1); err == nil || !strings.Contains(err.Error(), "MeasureCycles") {
+		t.Errorf("a period longer than the simulated window: got %v", err)
+	}
+	if err := p.ValidateSampling(1); err == nil || !strings.Contains(err.Error(), "coarser") {
+		t.Errorf("a period beyond the interval cap: got %v", err)
+	}
+}
+
 // TestJobsEnumerate checks that every registered experiment enumerates a
 // non-empty, fully-described job list without running any simulation.
 func TestJobsEnumerate(t *testing.T) {

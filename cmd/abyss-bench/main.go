@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"abyss1000/abyss"
 	"abyss1000/bench"
 	"abyss1000/cmd/internal/cli"
 )
@@ -83,19 +82,9 @@ func main() {
 		params.MaxCores = *cores
 		scale = "custom"
 	}
-	if *sample > 0 {
-		// The sampler preallocates per-interval state; reject periods
-		// that would explode against the widest window of this scale
-		// (native Fig. 3 windows are wall-clock nanoseconds).
-		widest := params.MeasureCycles
-		if params.NativeMeasureNS > widest {
-			widest = params.NativeMeasureNS
-		}
-		if n := (widest + *sample - 1) / *sample; n > abyss.MaxSampleIntervals {
-			fmt.Fprintf(os.Stderr, "abyss-bench: -sample %d yields %d intervals over the %d-cycle window; at most %d are allowed — use a coarser period\n",
-				*sample, n, widest, abyss.MaxSampleIntervals)
-			os.Exit(2)
-		}
+	if err := params.ValidateSampling(*sample); err != nil {
+		fmt.Fprintf(os.Stderr, "abyss-bench: -sample %d: %v\n", *sample, err)
+		os.Exit(2)
 	}
 
 	switch {

@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 
+	"abyss1000/abyss"
 	"abyss1000/serve/client"
 )
 
@@ -34,7 +35,7 @@ func main() {
 		proto      = flag.String("proto", "binary", "transport: binary|http")
 		conns      = flag.Int("conns", 8, "connection count (arrival rate splits evenly)")
 		window     = flag.Int("window", 0, "per-connection client window; arrivals past it are shed_client (0 = default)")
-		arrivals   = flag.String("arrivals", "poisson:10000", "offered load: poisson:RATE or mmpp:CALMRATE:BURSTRATE:CALMDWELL:BURSTDWELL")
+		arrivals   = flag.String("arrivals", "poisson:10000", "offered load: poisson:RATE or mmpp:CALMRATE:BURSTRATE[:CALMDWELL:BURSTDWELL], dwells as durations like 200ms or in nanoseconds")
 		duration   = flag.Duration("duration", 5e9, "how long to offer arrivals")
 		proc       = flag.String("proc", "", "procedure to invoke (empty = anonymous workload draw)")
 		args       = flag.String("args", "", "comma-separated int64 procedure arguments")
@@ -44,7 +45,7 @@ func main() {
 	)
 	flag.Parse()
 
-	spec, err := client.ParseArrivalSpec(*arrivals)
+	spec, err := abyss.ParseArrivals(*arrivals, *seed)
 	if err != nil {
 		fail(err)
 	}
@@ -70,7 +71,6 @@ func main() {
 		Args:       argv,
 		Partitions: *partitions,
 		Deadline:   *deadline,
-		Seed:       *seed,
 	})
 	if err != nil {
 		fail(err)

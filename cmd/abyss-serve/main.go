@@ -13,7 +13,7 @@
 //
 //	abyss-serve -scheme NO_WAIT -cores 8
 //	abyss-serve -scheme HSTORE -cores 4 -qdepth 256 -deadline 5ms
-//	abyss-serve -scheme MVCC -cores 8 -wal /tmp/abyss.wal -wal-group 64
+//	abyss-serve -scheme MVCC -cores 8 -wal /tmp/abyss.wal
 package main
 
 import (
@@ -55,9 +55,8 @@ func main() {
 		bcap     = flag.Duration("backoff-cap", 0, "cap for exponential abort backoff (0 = fixed mean)")
 		window   = flag.Int("window", 0, "per-connection inflight window (0 = default)")
 
-		// Durability knobs.
-		walPath  = flag.String("wal", "", "write-ahead log file (empty disables durability)")
-		walGroup = flag.Int("wal-group", 0, "group-commit size in records per fsync (0 = default)")
+		// Durability knob.
+		walPath = flag.String("wal", "", "write-ahead log file (empty disables durability)")
 	)
 	flag.Parse()
 
@@ -103,7 +102,6 @@ func main() {
 			RetryLimit:   *retry,
 			AbortBackoff: *backoff,
 			BackoffCap:   *bcap,
-			LogGroupTxns: *walGroup,
 		},
 		Window:     *window,
 		Durability: dur,

@@ -76,7 +76,7 @@ func main() {
 
 		// Overload knobs (open-loop arrivals, admission control, deadlines,
 		// retry budgets, fault injection).
-		arrivals   = flag.String("arrivals", "", "open-loop arrival process: poisson:<tps> or mmpp:<calm_tps>:<burst_tps>[:<burst_cycles>:<calm_cycles>] (empty keeps the paper's closed loop)")
+		arrivals   = flag.String("arrivals", "", "open-loop arrival process: poisson:<tps> or mmpp:<calm_tps>:<burst_tps>[:<calm_dwell>:<burst_dwell>], dwells in cycles or as durations like 200us (empty keeps the paper's closed loop)")
 		qdepth     = flag.Int("qdepth", 0, "bound each worker's admission queue at this depth; arrivals past the bound are shed (0 = unbounded; needs -arrivals)")
 		shedTypes  = flag.String("shed-types", "", "comma-separated transaction type names to shed first when an admission queue passes its high-water mark (needs -arrivals)")
 		deadline   = flag.Uint64("deadline", 0, "abandon a transaction not committed within this many cycles of its arrival (0 disables)")
@@ -202,18 +202,8 @@ func main() {
 		params.InsertsPerWorker = int(*measure/1000) + 1024
 	}
 
-	// The native auto-window adjustment above may have grown *measure, so
-	// validate -interval against the final window.
 	if flagGiven("interval") && *interval == 0 {
 		fail(fmt.Errorf("abyss-sim: -interval must be a positive cycle count (omit the flag to disable sampling)"))
-	}
-	if *interval > *measure {
-		fail(fmt.Errorf("abyss-sim: -interval must be in (0, measure=%d] cycles, got %d (a window shorter than one interval produces no samples)", *measure, *interval))
-	}
-	if *interval > 0 {
-		if n := (*measure + *interval - 1) / *interval; n > abyss.MaxSampleIntervals {
-			fail(fmt.Errorf("abyss-sim: -interval %d yields %d intervals over measure=%d; at most %d are allowed — use a coarser interval", *interval, n, *measure, abyss.MaxSampleIntervals))
-		}
 	}
 
 	wl, err := db.BuildWorkload(*workload, params)
@@ -224,9 +214,13 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	arr, err := parseArrivals(*arrivals, *seed)
-	if err != nil {
-		fail(err)
+	// The arrival stream reuses the run seed; no -arrivals keeps the
+	// closed loop.
+	var arr abyss.Arrivals
+	if *arrivals != "" {
+		if arr, err = abyss.ParseArrivals(*arrivals, *seed); err != nil {
+			fail(err)
+		}
 	}
 	fault, err := parseFaults(*faultSpec)
 	if err != nil {
@@ -246,8 +240,6 @@ func main() {
 		BackoffCap:    *backoffCap,
 		Fault:         fault,
 	}
-
-	rc.LogGroupTxns = *walGroup
 
 	var res abyss.Result
 	if *interval > 0 {
@@ -439,55 +431,6 @@ func printHistogram(res *abyss.Result) {
 		t := &res.PerTxn[i]
 		fmt.Printf("%-18s %10d %10d %8d %8d %10d\n",
 			t.Name, t.Commits, t.Aborts, t.Latency.P50(), t.Latency.P99(), t.Latency.Max())
-	}
-}
-
-// parseArrivals parses the -arrivals flag: poisson:<tps> or
-// mmpp:<calm_tps>:<burst_tps>[:<burst_cycles>:<calm_cycles>]. The empty
-// string keeps the closed loop. The arrival stream reuses the run seed.
-func parseArrivals(spec string, seed int64) (abyss.Arrivals, error) {
-	if spec == "" {
-		return abyss.Arrivals{}, nil
-	}
-	parts := strings.Split(spec, ":")
-	switch parts[0] {
-	case "poisson":
-		if len(parts) != 2 {
-			return abyss.Arrivals{}, fmt.Errorf("abyss-sim: -arrivals poisson:<tps>, got %q", spec)
-		}
-		tps, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil {
-			return abyss.Arrivals{}, fmt.Errorf("abyss-sim: -arrivals rate %q: %v", parts[1], err)
-		}
-		return abyss.Arrivals{Process: abyss.ArrivalPoisson, RateTPS: tps, Seed: seed}, nil
-	case "mmpp":
-		if len(parts) != 3 && len(parts) != 5 {
-			return abyss.Arrivals{}, fmt.Errorf("abyss-sim: -arrivals mmpp:<calm_tps>:<burst_tps>[:<burst_cycles>:<calm_cycles>], got %q", spec)
-		}
-		calm, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil {
-			return abyss.Arrivals{}, fmt.Errorf("abyss-sim: -arrivals calm rate %q: %v", parts[1], err)
-		}
-		burst, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil {
-			return abyss.Arrivals{}, fmt.Errorf("abyss-sim: -arrivals burst rate %q: %v", parts[2], err)
-		}
-		// Default dwell times: bursts one tenth as long as calm stretches.
-		burstCyc, calmCyc := uint64(50_000), uint64(500_000)
-		if len(parts) == 5 {
-			if burstCyc, err = strconv.ParseUint(parts[3], 10, 64); err != nil {
-				return abyss.Arrivals{}, fmt.Errorf("abyss-sim: -arrivals burst dwell %q: %v", parts[3], err)
-			}
-			if calmCyc, err = strconv.ParseUint(parts[4], 10, 64); err != nil {
-				return abyss.Arrivals{}, fmt.Errorf("abyss-sim: -arrivals calm dwell %q: %v", parts[4], err)
-			}
-		}
-		return abyss.Arrivals{
-			Process: abyss.ArrivalMMPP, RateTPS: calm, BurstRateTPS: burst,
-			BurstCycles: burstCyc, CalmCycles: calmCyc, Seed: seed,
-		}, nil
-	default:
-		return abyss.Arrivals{}, fmt.Errorf("abyss-sim: unknown arrival process %q (poisson or mmpp)", parts[0])
 	}
 }
 

@@ -62,7 +62,7 @@ func TestOverloadFlagsDeterministic(t *testing.T) {
 	args := []string{
 		"-scheme", "NO_WAIT", "-cores", "8", "-seed", "5", "-rows", "4096",
 		"-warmup", "50000", "-measure", "400000",
-		"-arrivals", "mmpp:500000:4000000:50000:200000",
+		"-arrivals", "mmpp:500000:4000000:200000:50000",
 		"-qdepth", "8", "-deadline", "60000", "-retry", "4", "-backoff-cap", "8000",
 		"-fault", "spike:100000:5000,stall:1:100000:200000",
 	}

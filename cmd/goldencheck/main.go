@@ -15,5 +15,5 @@ import (
 )
 
 func main() {
-	fmt.Print(bench.GoldenSignature())
+	fmt.Print(bench.GoldenSignature(bench.GoldenFeatures{}))
 }

@@ -16,7 +16,13 @@
 // DB, schemes and workloads resolve by name through registries
 // (abyss.NewScheme, DB.BuildWorkload), custom workloads build on
 // DB.CreateTable/CreateIndex/NewMix, and DB.Run validates configuration
-// at the boundary. cmd/, examples/ and workloads/ consume only that
+// at the boundary. Every concept on the path into a run has one
+// definition: abyss.RunConfig is the engine's core.Config itself (an
+// alias, with one Validate holding every rule), one arrival generator
+// and one -arrivals grammar (abyss.NewArrivalStream, abyss.ParseArrivals)
+// serve the engine's open loop and the remote load generator alike, and
+// log grouping is set in one place (abyss.Durability). cmd/, examples/
+// and workloads/ consume only that
 // API — enforced by importpurity_test.go — and workloads/smallbank (a
 // SmallBank benchmark beyond the paper's two) is the reference external
 // client.
@@ -35,8 +41,9 @@
 // a workload's TxnTyper), and runs can be watched in flight via
 // RunConfig.SampleEvery with an Observer or DB.RunStream's buffered
 // sample channel — on both runtimes. All of it is accounting-only:
-// observability_test.go pins that an observed, sampled run reproduces
-// the golden signature and final Result byte-for-byte.
+// observability_test.go and the golden matrix pin that an observed,
+// sampled run reproduces the final Result and the golden signature
+// byte-for-byte.
 //
 // The DBMS access path is closure-free and steady-state allocation-free
 // (the paper's §4.1 malloc wall): schemes expose a buffer-returning
@@ -51,5 +58,7 @@
 // benchmarks in bench_test.go exercise one experiment per paper
 // table/figure at a reduced scale suitable for `go test -bench=.`;
 // determinism_test.go pins the simulator's byte-identical-results
-// guarantee against testdata/golden_sim.txt.
+// guarantee against testdata/golden_sim.txt — base run twice, then with
+// every opt-in accounting-only feature attached alone and all together
+// (bench.GoldenSignature(bench.GoldenFeatures{...})).
 package abyss1000

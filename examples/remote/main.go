@@ -69,9 +69,8 @@ func main() {
 			Addr:     srv.TCPAddr(),
 			Proto:    "binary",
 			Conns:    4,
-			Arrival:  client.ArrivalSpec{Process: client.Poisson, RateTPS: rate},
+			Arrival:  abyss.Arrivals{Process: abyss.ArrivalPoisson, RateTPS: rate, Seed: 7},
 			Duration: time.Second,
-			Seed:     7,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -90,7 +90,7 @@ func runCaptureVerify(t *testing.T, r rt.Runtime, scheme core.Scheme, cfg core.C
 	const rows = 8 // tiny: force write-write and read-write conflicts
 	db, _ := cctest.NewCounterDB(r, rows)
 	wl := newRMWWorkload(db, rows)
-	cfg.Capture = true
+	cfg.Check = true
 	res := core.Run(db, scheme, wl, cfg)
 	if got := db.Cap.Committed(); got == 0 {
 		t.Fatalf("capture recorded no transactions (result: %s)", res)

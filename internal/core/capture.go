@@ -7,7 +7,7 @@ import (
 
 // Capture records the history of committed transactions — which row
 // versions each one read and which it wrote — for the serializability
-// checker in internal/sercheck. It is attached to a DB by Config.Capture
+// checker in internal/sercheck. It is attached to a DB by Config.Check
 // exactly like the WAL: a nil DB.Cap is the only cost when it is off,
 // and when it is on every operation is accounting-only (no Tick, Sync,
 // latch or billed memory traffic), so the schedule and the Result are
@@ -204,7 +204,7 @@ func (c *Capture) Committed() int {
 func BuildHistory(db *DB, scheme Scheme) *sercheck.History {
 	c := db.Cap
 	if c == nil {
-		panic("core: BuildHistory without Config.Capture")
+		panic("core: BuildHistory without Config.Check")
 	}
 	var cr CommittedRower
 	if scheme != nil {

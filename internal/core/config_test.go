@@ -2,22 +2,91 @@ package core
 
 import (
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
+
+	"abyss1000/internal/rt"
 )
 
-// TestConfigValidate pins the window validation: a zero measurement
-// window is the one configuration that can make every per-second rate
-// divide by zero.
+// drainedSource is a RequestSource with nothing to serve.
+type drainedSource struct{}
+
+func (drainedSource) Next(rt.Proc) (Request, bool) { return Request{}, false }
+
+// TestConfigValidate drives every rule of the one validator: each row
+// breaks a valid configuration in one way and names the keyword the
+// rejection must carry (the public abyss entry points return the same
+// text, which abyss's tests match on).
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{}).Validate(); err == nil {
-		t.Fatal("zero MeasureCycles should be invalid")
+	base := Config{WarmupCycles: 1000, MeasureCycles: 300_000, AbortBackoff: 1000}
+	obs := ObserverFunc(func(Sample) {})
+	poisson := Arrivals{Process: ArrivalPoisson, RateTPS: 1000}
+
+	bad := []struct {
+		name string
+		mut  func(*Config)
+		want string
+	}{
+		{"zero window", func(c *Config) { c.MeasureCycles = 0 }, "MeasureCycles"},
+		{"observer without interval", func(c *Config) { c.Observer = obs }, "SampleEvery"},
+		{"interval without sink", func(c *Config) { c.SampleEvery = 50_000 }, "sink"},
+		{"interval longer than window", func(c *Config) { c.Observer, c.SampleEvery = obs, c.MeasureCycles+1 }, "MeasureCycles"},
+		{"interval beyond the cap", func(c *Config) { c.Observer, c.SampleEvery = obs, 1 }, "coarser"},
+		{"rate on closed loop", func(c *Config) { c.Arrivals.RateTPS = 100 }, "closed loop"},
+		{"poisson without rate", func(c *Config) { c.Arrivals.Process = ArrivalPoisson }, "RateTPS"},
+		{"poisson NaN rate", func(c *Config) { c.Arrivals = Arrivals{Process: ArrivalPoisson, RateTPS: math.NaN()} }, "RateTPS"},
+		{"mmpp without burst rate", func(c *Config) { c.Arrivals = Arrivals{Process: ArrivalMMPP, RateTPS: 100} }, "BurstRateTPS"},
+		{"mmpp without dwell", func(c *Config) {
+			c.Arrivals = Arrivals{Process: ArrivalMMPP, RateTPS: 100, BurstRateTPS: 200, CalmCycles: 10}
+		}, "dwell"},
+		{"unknown process", func(c *Config) { c.Arrivals = Arrivals{Process: ArrivalProcess(9), RateTPS: 1} }, "Process"},
+		{"negative queue depth", func(c *Config) { c.Arrivals, c.QueueDepth = poisson, -1 }, "QueueDepth"},
+		{"negative retry limit", func(c *Config) { c.RetryLimit = -1 }, "RetryLimit"},
+		{"queue depth without arrivals", func(c *Config) { c.QueueDepth = 4 }, "QueueDepth"},
+		{"shed types without arrivals", func(c *Config) { c.ShedTypes = "ycsb" }, "ShedTypes"},
+		{"source with arrivals", func(c *Config) { *c = c.WithSource(drainedSource{}); c.Arrivals = poisson }, "serving run"},
+		{"source with queue depth", func(c *Config) { *c = c.WithSource(drainedSource{}); c.QueueDepth = 4 }, "serving run"},
 	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("DefaultConfig should validate, got %v", err)
+	for _, tc := range bad {
+		cfg := base
+		tc.mut(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want error mentioning %q, got %v", tc.name, tc.want, err)
+		}
 	}
-	if err := (Config{MeasureCycles: 1}).Validate(); err != nil {
-		t.Fatalf("minimal window should validate, got %v", err)
+
+	good := map[string]Config{
+		"default":        DefaultConfig(),
+		"minimal window": {MeasureCycles: 1},
+		"sampled":        {MeasureCycles: 300_000, SampleEvery: 50_000, Observer: obs},
+		"at the cap":     {MeasureCycles: MaxSampleIntervals, SampleEvery: 1, Observer: obs},
+		"serving":        base.WithSource(drainedSource{}).WithStop(new(atomic.Bool)),
 	}
+	for name, cfg := range good {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: valid config rejected: %v", name, err)
+		}
+	}
+}
+
+// TestRunPanicsWithValidateText pins the engine side of the validator's
+// contract: Run refuses an invalid config by panicking with exactly the
+// error Validate returns (abyss's TestOverloadValidation pins the same
+// for db.Run).
+func TestRunPanicsWithValidateText(t *testing.T) {
+	cfg := Config{MeasureCycles: 1000, QueueDepth: 4}
+	want := cfg.Validate()
+	if want == nil {
+		t.Fatal("config should be invalid")
+	}
+	defer func() {
+		if err, _ := recover().(error); err == nil || err.Error() != "core: "+want.Error() {
+			t.Fatalf("Run panicked with %v, want the Validate error %q", err, want)
+		}
+	}()
+	Run(nil, nil, nil, cfg)
+	t.Fatal("Run accepted an invalid config")
 }
 
 // TestResultRateGuards pins that the derived rates of a zero-value (or

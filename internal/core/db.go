@@ -69,7 +69,7 @@ type DB struct {
 	walEpoch uint64
 
 	// Cap, when non-nil, records committed read/write versions for the
-	// serializability checker (set per run by Config.Capture). Like the
+	// serializability checker (set per run by Config.Check). Like the
 	// WAL it is accounting-only: nil checks are the only overhead when
 	// off, and the schedule is unchanged when on.
 	Cap *Capture

@@ -6,7 +6,7 @@
 // worker-private counters — so enabling any of it cannot perturb a
 // simulated schedule: a run with observers, histograms and per-type
 // attribution produces bit-identical commits, aborts and breakdowns to a
-// run without (pinned by TestObserverDoesNotPerturbGolden). On the native
+// run without (pinned by the inert-feature golden matrix). On the native
 // runtime the per-commit cost is a few array increments; cross-worker
 // aggregation happens at most once per sample interval per worker.
 package core
@@ -131,12 +131,12 @@ type ObserverFunc func(Sample)
 // OnSample implements Observer.
 func (f ObserverFunc) OnSample(s Sample) { f(s) }
 
-// MaxSampleIntervals bounds MeasureCycles / SampleEvery. The sampler
-// preallocates one interval aggregate (~0.5 KB: a latency histogram plus
-// counters) per interval, and RunStream buffers one Sample per interval,
-// so an unbounded ratio would let a tiny sampling period allocate
-// gigabytes before the run starts. 100k intervals (~50 MB) is far beyond
-// any useful sampling resolution.
+// MaxSampleIntervals bounds MeasureCycles / SampleEvery; Config.Validate
+// enforces it. The sampler preallocates one interval aggregate (~0.5 KB:
+// a latency histogram plus counters) per interval, and RunStream buffers
+// one Sample per interval, so an unbounded ratio would let a tiny
+// sampling period allocate gigabytes before the run starts. 100k
+// intervals (~50 MB) is far beyond any useful sampling resolution.
 const MaxSampleIntervals = 100_000
 
 // intervalAgg accumulates one interval's contribution (per worker while
@@ -183,14 +183,14 @@ type sampler struct {
 
 // newSampler sizes the interval table for cfg's window. All allocation
 // happens here, before workers start.
-func newSampler(cfg Config, workers int, freq float64, obs Observer) *sampler {
-	n := int64((cfg.MeasureCycles + cfg.SampleEvery - 1) / cfg.SampleEvery)
+func newSampler(cfg Config, workers int, freq float64) *sampler {
+	n := int64(cfg.sampleIntervals())
 	s := &sampler{
 		every:      cfg.SampleEvery,
 		warmEnd:    cfg.WarmupCycles,
 		measure:    cfg.MeasureCycles,
 		freq:       freq,
-		obs:        obs,
+		obs:        cfg.Observer,
 		nIntervals: n,
 		flushed:    make([]int64, workers),
 		emitted:    -1,

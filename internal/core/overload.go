@@ -96,30 +96,30 @@ type Arrivals struct {
 // Open reports whether an open-loop process is configured.
 func (a Arrivals) Open() bool { return a.Process != ArrivalClosed }
 
-// validate rejects generator parameters that cannot produce arrivals.
-func (a Arrivals) validate() error {
+// Validate rejects generator parameters that cannot produce arrivals.
+// The zero value (closed loop) is valid; callers that need offered load
+// check Open as well.
+func (a Arrivals) Validate() error {
 	switch a.Process {
 	case ArrivalClosed:
 		if a.RateTPS != 0 || a.BurstRateTPS != 0 {
-			return errors.New("core: Arrivals rate set without an arrival process (set Process to ArrivalPoisson or ArrivalMMPP)")
+			return errors.New("Arrivals.RateTPS is set but Process is the closed loop; set Arrivals.Process to ArrivalPoisson or ArrivalMMPP")
 		}
-		return nil
 	case ArrivalPoisson:
-		if a.RateTPS <= 0 {
-			return errors.New("core: ArrivalPoisson requires Arrivals.RateTPS > 0")
+		if !(a.RateTPS > 0) {
+			return fmt.Errorf("ArrivalPoisson needs Arrivals.RateTPS > 0 (offered load in txn/s), got %g", a.RateTPS)
 		}
-		return nil
 	case ArrivalMMPP:
-		if a.RateTPS <= 0 || a.BurstRateTPS <= 0 {
-			return errors.New("core: ArrivalMMPP requires Arrivals.RateTPS and BurstRateTPS > 0")
+		if !(a.RateTPS > 0 && a.BurstRateTPS > 0) {
+			return fmt.Errorf("ArrivalMMPP needs Arrivals.RateTPS and BurstRateTPS > 0 (calm and burst offered load in txn/s), got %g and %g", a.RateTPS, a.BurstRateTPS)
 		}
-		if a.BurstCycles == 0 || a.CalmCycles == 0 {
-			return errors.New("core: ArrivalMMPP requires nonzero BurstCycles and CalmCycles dwell times")
+		if a.CalmCycles == 0 || a.BurstCycles == 0 {
+			return errors.New("ArrivalMMPP needs nonzero Arrivals.CalmCycles and BurstCycles (mean dwell times)")
 		}
-		return nil
 	default:
-		return fmt.Errorf("core: unknown ArrivalProcess %d", int(a.Process))
+		return fmt.Errorf("unknown Arrivals.Process %d", int(a.Process))
 	}
+	return nil
 }
 
 // FaultInjector injects failures at transaction boundaries. Before
@@ -160,31 +160,36 @@ func backoffMean(base, cap uint64, attempt int) uint64 {
 	return m
 }
 
-// arrivalGen produces one worker's share of the arrival stream. Each
-// worker owns an independent generator seeded from Arrivals.Seed and its
-// worker index, so the offered sequence is identical across runtimes and
-// schedules.
-type arrivalGen struct {
+// ArrivalStream produces one stream's share of an arrival process: the
+// engine gives each worker one, the remote load generator each
+// connection. A stream is seeded from Arrivals.Seed and its index only,
+// so the offered sequence is identical across runtimes and schedules.
+// Times are in ticks of whatever clock the caller runs on (engine
+// cycles; wall nanoseconds for the load generator).
+type ArrivalStream struct {
 	rng        *rand.Rand
-	calmMean   float64 // mean interarrival, calm state (cycles)
-	burstMean  float64 // mean interarrival, burst state (cycles)
-	calmDwell  float64 // mean dwell, calm state (cycles)
+	calmMean   float64 // mean interarrival, calm state (ticks)
+	burstMean  float64 // mean interarrival, burst state (ticks)
+	calmDwell  float64 // mean dwell, calm state (ticks)
 	burstDwell float64
 	mmpp       bool
 	inBurst    bool
-	stateEnd   float64 // cycle at which the current MMPP state ends
+	stateEnd   float64 // tick at which the current MMPP state ends
 	clock      float64 // time of the last generated arrival
 	next       float64 // time of the next arrival
 }
 
-func newArrivalGen(a Arrivals, worker, nworkers int, freq float64) *arrivalGen {
-	g := &arrivalGen{
-		rng:      rand.New(rand.NewSource(a.Seed + int64(worker)*0x9E3779B97F4A7C + 1)),
-		calmMean: freq / (a.RateTPS / float64(nworkers)),
+// NewArrivalStream builds stream number stream of streams, which
+// together offer a's aggregate rate on a clock of ticksPerSec ticks per
+// second. a must be valid and open.
+func NewArrivalStream(a Arrivals, stream, streams int, ticksPerSec float64) *ArrivalStream {
+	g := &ArrivalStream{
+		rng:      rand.New(rand.NewSource(a.Seed + int64(stream)*0x9E3779B97F4A7C + 1)),
+		calmMean: ticksPerSec / (a.RateTPS / float64(streams)),
 		mmpp:     a.Process == ArrivalMMPP,
 	}
 	if g.mmpp {
-		g.burstMean = freq / (a.BurstRateTPS / float64(nworkers))
+		g.burstMean = ticksPerSec / (a.BurstRateTPS / float64(streams))
 		g.calmDwell = float64(a.CalmCycles)
 		g.burstDwell = float64(a.BurstCycles)
 		g.stateEnd = g.rng.ExpFloat64() * g.calmDwell
@@ -197,7 +202,7 @@ func newArrivalGen(a Arrivals, worker, nworkers int, freq float64) *arrivalGen {
 // of the exponential: a gap that would cross the state boundary is
 // discarded and redrawn at the boundary under the new state's rate, which
 // is the exact simulation of the modulated process.
-func (g *arrivalGen) step() {
+func (g *ArrivalStream) step() {
 	for {
 		mean := g.calmMean
 		if g.inBurst {
@@ -219,11 +224,11 @@ func (g *arrivalGen) step() {
 	}
 }
 
-// peek returns the next arrival time without consuming it.
-func (g *arrivalGen) peek() uint64 { return uint64(g.next) }
+// Peek returns the next arrival time without consuming it.
+func (g *ArrivalStream) Peek() uint64 { return uint64(g.next) }
 
-// take consumes and returns the next arrival time.
-func (g *arrivalGen) take() uint64 {
+// Take consumes and returns the next arrival time.
+func (g *ArrivalStream) Take() uint64 {
 	t := uint64(g.next)
 	g.step()
 	return t
@@ -315,37 +320,21 @@ func shedMaskFor(typer TxnTyper, spec string) uint64 {
 // latency origin, and park idle until the next arrival.
 func (w *Worker) serveOpen(wl Workload, cfg Config, shedMask uint64, warmEnd, end uint64, nworkers int) {
 	p := w.P
-	gen := newArrivalGen(cfg.Arrivals, p.ID(), nworkers, w.DB.RT.Frequency())
+	gen := NewArrivalStream(cfg.Arrivals, p.ID(), nworkers, w.DB.RT.Frequency())
 	q := newAdmitQueue(cfg.QueueDepth)
 	high := highWater(cfg.QueueDepth)
-	stop, fault := cfg.Stop, cfg.Fault
-	resetDone := false
 	for {
-		now := p.Now()
-		if now >= end {
+		now, ok := w.atBoundary(&cfg, warmEnd, end)
+		if !ok {
 			break
-		}
-		if stop != nil && stop.Load() {
-			break
-		}
-		if !resetDone && now >= warmEnd {
-			p.Stats().Reset()
-			w.resetWindow()
-			resetDone = true
-		}
-		if fault != nil {
-			if d := fault.Delay(p.ID(), now); d > 0 {
-				p.Tick(stats.Idle, d)
-				continue
-			}
 		}
 		inWin := now >= warmEnd && now < end
 		// Ingest every arrival due by now. Offered counts by arrival
 		// time (the stream is window-independent); shed and queue-depth
 		// observations are stamped at discovery so the sampler's
 		// intervals stay monotone per worker.
-		for gen.peek() <= now {
-			t := gen.take()
+		for gen.Peek() <= now {
+			t := gen.Take()
 			if t >= warmEnd && t < end {
 				w.Count.Offered++
 			}
@@ -361,7 +350,7 @@ func (w *Worker) serveOpen(wl Workload, cfg Config, shedMask uint64, warmEnd, en
 		}
 		t, ok := q.pop()
 		if !ok {
-			next := gen.peek()
+			next := gen.Peek()
 			if next > end {
 				next = end
 			}

@@ -34,10 +34,10 @@ func TestArrivalGenDeterministicAndRateAccurate(t *testing.T) {
 	a := Arrivals{Process: ArrivalPoisson, RateTPS: 1e6, Seed: 123}
 	const freq = 1e9
 	gen := func() []uint64 {
-		g := newArrivalGen(a, 3, 4, freq)
+		g := NewArrivalStream(a, 3, 4, freq)
 		out := make([]uint64, 2000)
 		for i := range out {
-			out[i] = g.take()
+			out[i] = g.Take()
 		}
 		return out
 	}
@@ -60,8 +60,8 @@ func TestArrivalGenDeterministicAndRateAccurate(t *testing.T) {
 		t.Fatalf("per-worker mean interarrival = %.0f cycles, want ~4000", mean)
 	}
 	// Workers draw independent streams.
-	other := newArrivalGen(a, 0, 4, freq)
-	if other.take() == first[0] {
+	other := NewArrivalStream(a, 0, 4, freq)
+	if other.Take() == first[0] {
 		t.Fatal("different workers should not share an arrival stream")
 	}
 }

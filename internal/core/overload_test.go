@@ -134,13 +134,14 @@ func TestOverloadSampleSumsMatchResult(t *testing.T) {
 	cfg.RetryLimit = 4
 
 	var sums struct{ commits, aborts, shed, deadlined, qdepth uint64 }
-	res := core.RunObserved(db, noWait(), wl, cfg, core.ObserverFunc(func(s core.Sample) {
+	cfg.Observer = core.ObserverFunc(func(s core.Sample) {
 		sums.commits += s.Commits
 		sums.aborts += s.Aborts
 		sums.shed += s.Shed
 		sums.deadlined += s.Deadlined
 		sums.qdepth += s.QueueDepth.Count()
-	}))
+	})
+	res := core.Run(db, noWait(), wl, cfg)
 
 	if sums.commits != res.Commits || sums.aborts != res.Aborts {
 		t.Fatalf("sample sums diverge from result: commits %d/%d aborts %d/%d",
@@ -339,7 +340,7 @@ func TestFaultInjectionStallsWorker(t *testing.T) {
 	}
 }
 
-// TestStopFlagEndsRunEarly sets Config.Stop from an observer mid-run;
+// TestStopFlagEndsRunEarly sets the WithStop flag from an observer mid-run;
 // workers drain their in-flight transaction and exit, so the stopped run
 // completes a fraction of the full run's work.
 func TestStopFlagEndsRunEarly(t *testing.T) {
@@ -352,13 +353,13 @@ func TestStopFlagEndsRunEarly(t *testing.T) {
 			MeasureCycles: 400_000,
 			AbortBackoff:  1000,
 			SampleEvery:   20_000,
-			Stop:          &stop,
+			Observer: core.ObserverFunc(func(s core.Sample) {
+				if stopAt >= 0 && s.Interval >= stopAt {
+					stop.Store(true)
+				}
+			}),
 		}
-		return core.RunObserved(db, noWait(), wl, cfg, core.ObserverFunc(func(s core.Sample) {
-			if stopAt >= 0 && s.Interval >= stopAt {
-				stop.Store(true)
-			}
-		}))
+		return core.Run(db, noWait(), wl, cfg.WithStop(&stop))
 	}
 	full := run(-1)
 	stopped := run(2)
@@ -411,42 +412,16 @@ func TestMMPPBurstsOfferMoreThanCalm(t *testing.T) {
 	}
 }
 
+// TestOverloadConfigValidation pins that a configuration with every
+// overload knob engaged validates (the rejections are rows of
+// TestConfigValidate's table).
 func TestOverloadConfigValidation(t *testing.T) {
-	base := core.Config{MeasureCycles: 1000}
-	bad := []core.Config{
-		func() core.Config { c := base; c.QueueDepth = 4; return c }(),     // queue without open loop
-		func() core.Config { c := base; c.ShedTypes = "ycsb"; return c }(), // shed without open loop
-		func() core.Config { c := base; c.QueueDepth = -1; return c }(),
-		func() core.Config { c := base; c.RetryLimit = -1; return c }(),
-		func() core.Config { c := base; c.Arrivals.RateTPS = 100; return c }(), // rate without process
-		func() core.Config {
-			c := base
-			c.Arrivals = core.Arrivals{Process: core.ArrivalPoisson}
-			return c
-		}(), // process without rate
-		func() core.Config {
-			c := base
-			c.Arrivals = core.Arrivals{Process: core.ArrivalMMPP, RateTPS: 100, BurstRateTPS: 200}
-			return c
-		}(), // MMPP without dwell times
-		func() core.Config {
-			c := base
-			c.Arrivals = core.Arrivals{Process: core.ArrivalProcess(9), RateTPS: 1}
-			return c
-		}(), // unknown process
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("config %d should have been rejected: %+v", i, c)
-		}
-	}
-	good := base
-	good.Arrivals = core.Arrivals{Process: core.ArrivalPoisson, RateTPS: 1000}
-	good.QueueDepth = 8
+	good := openConfig(1000, 8)
 	good.ShedTypes = "ycsb"
 	good.Deadline = 500
 	good.RetryLimit = 2
 	good.BackoffCap = 4000
+	good.Fault = faultinject.LatencySpike{Period: 1000, Duration: 10}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid overload config rejected: %v", err)
 	}

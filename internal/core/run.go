@@ -10,35 +10,49 @@ import (
 	"abyss1000/internal/wal"
 )
 
-// Config controls one experiment run.
+// Config controls one experiment run. It is the single definition of a
+// run's knobs: the public abyss.RunConfig is an alias of this type, so
+// every exported field is part of the public API. Cycles are simulated
+// cycles under the simulator (1 GHz: 1 cycle = 1 ns of simulated time)
+// and wall-clock nanoseconds under the native runtime. Config is
+// comparable (bench.Job relies on it): interfaces and a pointer, no
+// slices or maps.
 type Config struct {
 	// WarmupCycles is discarded ramp-up time: statistics and counters
 	// reset once a worker's clock passes it (§3.2: statistics "are
 	// collected after a warm-up period").
 	WarmupCycles uint64
 
-	// MeasureCycles is the measurement window after warmup. Throughput
-	// is commits / (MeasureCycles / frequency).
+	// MeasureCycles is the measurement window after warmup; must be
+	// positive. Throughput is commits / (MeasureCycles / frequency).
 	MeasureCycles uint64
 
 	// AbortBackoff is the mean randomized restart penalty after a CC
 	// abort, in cycles. Zero disables backoff.
 	AbortBackoff uint64
 
-	// SampleEvery, when positive and an Observer is passed to
-	// RunObserved, divides the measurement window into intervals of this
-	// many cycles and emits one Sample per interval. Sampling is
-	// accounting-only: it never perturbs the schedule or the final
-	// Result. Zero disables sampling.
+	// SampleEvery divides the measurement window into intervals of this
+	// many cycles; one Sample per interval is delivered to Observer (or
+	// the abyss.DB.RunStream channel) while the run is in flight.
+	// Sampling is accounting-only: it never perturbs the schedule or the
+	// final Result. Zero disables sampling; a positive value requires a
+	// sink (an Observer, or RunStream, which installs its own).
 	SampleEvery uint64
 
-	// Capture, when true, attaches a history capture (DB.Cap) recording
-	// every committed transaction's read and write versions for the
-	// serializability checker (VerifyCapture). Accounting-only, like the
-	// WAL: the schedule and the Result are identical either way. Capture
-	// expects a freshly populated database, where version 0 uniformly
-	// means "untouched since load".
-	Capture bool
+	// Observer receives the interval Samples during the run. OnSample
+	// runs on worker threads and must return promptly (under the
+	// simulator a blocked observer blocks the whole simulation). Setting
+	// an Observer requires a positive SampleEvery.
+	Observer Observer
+
+	// Check attaches a history capture (DB.Cap) recording every
+	// committed transaction's read and write versions for the
+	// serializability checker (VerifyCapture; abyss.DB.History and
+	// CheckSerializability). Accounting-only, like the WAL: the schedule
+	// and the Result are identical either way. It expects a freshly
+	// populated database, where version 0 uniformly means "untouched
+	// since load".
+	Check bool
 
 	// Arrivals switches the run from the paper's closed loop to an
 	// open-loop arrival process (see Arrivals). The zero value keeps the
@@ -46,24 +60,28 @@ type Config struct {
 	Arrivals Arrivals
 
 	// QueueDepth bounds each worker's admission queue in open-loop runs.
-	// Arrivals that find the queue full are shed (counted, never
-	// executed). Zero means unbounded — admission control off.
+	// Arrivals that find the queue full are shed (counted in
+	// Result.Shed, never executed). Zero means unbounded — admission
+	// control off. Requires Arrivals.
 	QueueDepth int
 
 	// ShedTypes lists transaction type names (comma-separated, resolved
 	// against the workload's TxnTyper) to shed preferentially once a
 	// worker's queue passes its high-water mark. Empty disables priority
-	// shedding. A string rather than a slice so Config stays comparable.
+	// shedding. Requires Arrivals. A string rather than a slice so
+	// Config stays comparable.
 	ShedTypes string
 
 	// Deadline abandons a transaction that has not committed within this
 	// many cycles of its latency origin (arrival time in open loop,
 	// first-attempt start in closed loop): it aborts as ErrDeadline
-	// instead of retrying forever. Zero disables deadlines.
+	// instead of retrying forever, counted in Result.Deadlined. Zero
+	// disables deadlines.
 	Deadline uint64
 
 	// RetryLimit abandons a transaction after this many failed attempts
-	// (RetryLimit 1 means no retries). Zero means unlimited retries.
+	// (RetryLimit 1 means no retries); abandoned transactions count in
+	// Result.Deadlined. Zero means unlimited retries.
 	RetryLimit int
 
 	// BackoffCap, when positive, turns the fixed mean-AbortBackoff
@@ -76,19 +94,30 @@ type Config struct {
 	// FaultInjector). Billed to the Idle component.
 	Fault FaultInjector
 
-	// Stop, when non-nil, is polled at transaction boundaries: once set,
-	// workers finish their in-flight transaction and exit the run early.
-	// The Result covers the window served so far. This is the engine end
-	// of graceful SIGINT handling.
-	Stop *atomic.Bool
+	// stop and source are engine plumbing rather than knobs; see
+	// WithStop and WithSource.
+	stop   *atomic.Bool
+	source RequestSource
+}
 
-	// Source, when non-nil, switches the run to remote request dispatch:
-	// workers pull externally submitted Requests from the source instead
-	// of drawing work themselves (see serve.go). Mutually exclusive with
-	// Arrivals — admission queues and shedding live upstream in the
-	// session that owns the source, so QueueDepth/ShedTypes do not apply
-	// either. An interface, so Config stays comparable when unset.
-	Source RequestSource
+// WithStop returns c with a stop flag attached: workers poll it at
+// transaction boundaries and, once it is set, finish their in-flight
+// transaction and exit the run early. The Result covers the window
+// served so far. This is the engine end of graceful SIGINT handling
+// (abyss.DB.Interrupt).
+func (c Config) WithStop(stop *atomic.Bool) Config {
+	c.stop = stop
+	return c
+}
+
+// WithSource returns c switched to remote request dispatch: workers pull
+// externally submitted Requests from src instead of drawing work
+// themselves (see serve.go). Mutually exclusive with Arrivals — admission
+// queues and shedding live upstream in the session that owns the source,
+// so QueueDepth and ShedTypes do not apply either.
+func (c Config) WithSource(src RequestSource) Config {
+	c.source = src
+	return c
 }
 
 // DefaultConfig returns a window sized for quick experiments: 0.4 ms of
@@ -101,46 +130,56 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate rejects configurations that cannot produce a meaningful
-// measurement. A zero MeasureCycles window would end the run before any
-// transaction commits and make every per-second rate divide by zero, and
-// a sampling period yielding more than MaxSampleIntervals intervals
-// would make the sampler's preallocation unbounded.
+// Validate is the one statement of what makes a run configuration
+// meaningful. The public abyss entry points return its error (prefixed
+// "abyss: "); inside the engine an invalid Config is a programming error
+// and Run panics with the same text. Messages name the field as callers
+// spell it — Config and abyss.RunConfig are one type.
 func (c Config) Validate() error {
 	if c.MeasureCycles == 0 {
-		return errors.New("core: Config.MeasureCycles must be positive")
+		return errors.New("MeasureCycles must be positive (a zero window has no throughput)")
+	}
+	if c.Observer != nil && c.SampleEvery == 0 {
+		return errors.New("Observer is set but SampleEvery is 0; set SampleEvery to the sampling interval in cycles")
 	}
 	if c.SampleEvery > 0 {
-		if n := (c.MeasureCycles + c.SampleEvery - 1) / c.SampleEvery; n > MaxSampleIntervals {
-			return fmt.Errorf("core: Config.SampleEvery %d yields %d sample intervals over MeasureCycles %d; at most %d are allowed — use a coarser sampling period", c.SampleEvery, n, c.MeasureCycles, MaxSampleIntervals)
+		if c.Observer == nil {
+			return errors.New("SampleEvery is set but there is no sample sink; set Observer or use RunStream")
+		}
+		if c.SampleEvery > c.MeasureCycles {
+			return fmt.Errorf("SampleEvery (%d) must not exceed MeasureCycles (%d); a window shorter than one interval produces no samples", c.SampleEvery, c.MeasureCycles)
+		}
+		if n := c.sampleIntervals(); n > MaxSampleIntervals {
+			return fmt.Errorf("SampleEvery (%d) yields %d sample intervals over MeasureCycles (%d); at most %d are allowed — use a coarser sampling period", c.SampleEvery, n, c.MeasureCycles, MaxSampleIntervals)
 		}
 	}
-	if err := c.Arrivals.validate(); err != nil {
+	if err := c.Arrivals.Validate(); err != nil {
 		return err
 	}
 	if c.QueueDepth < 0 {
-		return errors.New("core: Config.QueueDepth must not be negative")
+		return fmt.Errorf("QueueDepth must not be negative, got %d", c.QueueDepth)
 	}
 	if c.RetryLimit < 0 {
-		return errors.New("core: Config.RetryLimit must not be negative")
+		return fmt.Errorf("RetryLimit must not be negative, got %d", c.RetryLimit)
+	}
+	if c.source != nil && (c.Arrivals.Open() || c.QueueDepth > 0 || c.ShedTypes != "") {
+		return errors.New("Arrivals, QueueDepth and ShedTypes do not apply to a serving run — requests arrive from the session, which owns the admission queues")
 	}
 	if !c.Arrivals.Open() {
-		if c.QueueDepth > 0 && c.Source == nil {
-			return errors.New("core: Config.QueueDepth requires an open-loop arrival process (set Arrivals)")
+		if c.QueueDepth > 0 {
+			return errors.New("QueueDepth needs an open-loop arrival process; set Arrivals")
 		}
 		if c.ShedTypes != "" {
-			return errors.New("core: Config.ShedTypes requires an open-loop arrival process (set Arrivals)")
-		}
-	}
-	if c.Source != nil {
-		if c.Arrivals.Open() {
-			return errors.New("core: Config.Source and Config.Arrivals are mutually exclusive — remote requests arrive from the source, not a synthetic process")
-		}
-		if c.QueueDepth > 0 {
-			return errors.New("core: Config.QueueDepth does not apply with Config.Source — admission queues live in the serving session")
+			return errors.New("ShedTypes needs an open-loop arrival process; set Arrivals")
 		}
 	}
 	return nil
+}
+
+// sampleIntervals is the number of SampleEvery-wide intervals (the last
+// possibly partial) that tile the measurement window.
+func (c Config) sampleIntervals() uint64 {
+	return (c.MeasureCycles + c.SampleEvery - 1) / c.SampleEvery
 }
 
 // Result aggregates one run. The json tags define the stable
@@ -252,25 +291,18 @@ func (r Result) String() string {
 // and returns the aggregated result. The database must already be
 // populated; Run calls scheme.Setup, spawns one worker per core, and drives
 // each worker's transaction stream until the simulated (or wall-clock)
-// deadline passes.
+// deadline passes. With cfg.SampleEvery and cfg.Observer set, one Sample
+// per interval of the measurement window is delivered during the run;
+// sampling is accounting-only — the returned Result, and under the
+// simulator the entire schedule, are identical to an unobserved Run.
 func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
-	return RunObserved(db, scheme, wl, cfg, nil)
-}
-
-// RunObserved is Run with in-flight interval sampling: when obs is
-// non-nil and cfg.SampleEvery is positive, one Sample per interval of the
-// measurement window is delivered to obs during the run (see Observer for
-// the calling contract). Sampling is accounting-only — the returned
-// Result, and under the simulator the entire schedule, are identical to
-// an unobserved Run.
-func RunObserved(db *DB, scheme Scheme, wl Workload, cfg Config, obs Observer) Result {
 	if err := cfg.Validate(); err != nil {
-		// Inside the engine an invalid window is a programming error;
+		// Inside the engine an invalid config is a programming error;
 		// the public abyss API validates and returns errors instead.
-		panic(err)
+		panic(fmt.Errorf("core: %w", err))
 	}
 	scheme.Setup(db)
-	if cfg.Capture {
+	if cfg.Check {
 		// Snapshot the post-population state as version 0 of every slot.
 		db.Cap = newCapture(db)
 	} else {
@@ -285,8 +317,8 @@ func RunObserved(db *DB, scheme Scheme, wl Workload, cfg Config, obs Observer) R
 	}
 	n := db.RT.NumProcs()
 	var smp *sampler
-	if obs != nil && cfg.SampleEvery > 0 {
-		smp = newSampler(cfg, n, db.RT.Frequency(), obs)
+	if cfg.Observer != nil {
+		smp = newSampler(cfg, n, db.RT.Frequency())
 	}
 	typer, _ := wl.(TxnTyper)
 	open := cfg.Arrivals.Open()
@@ -306,8 +338,8 @@ func RunObserved(db *DB, scheme Scheme, wl Workload, cfg Config, obs Observer) R
 		warmEnd := cfg.WarmupCycles
 		end := warmEnd + cfg.MeasureCycles
 		switch {
-		case cfg.Source != nil:
-			w.serveRemote(wl, cfg.Source, cfg, warmEnd, end)
+		case cfg.source != nil:
+			w.serveRemote(wl, cfg, warmEnd, end)
 		case open:
 			w.serveOpen(wl, cfg, shedMask, warmEnd, end, n)
 		default:

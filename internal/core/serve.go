@@ -4,14 +4,14 @@
 // the next transaction the moment the previous one finishes, open-loop
 // workers synthesize arrivals from a seeded stochastic process. A
 // network front door inverts that: work originates outside the engine,
-// one request at a time, and each request wants an answer. Config.Source
+// one request at a time, and each request wants an answer. Config.WithSource
 // is that inversion point. When set, every worker turns into a dispatch
 // loop pulling Requests from the source, executing them through the
 // same runTxn retry machinery as the synthetic loops (so deadlines,
 // retry budgets and capped backoff behave identically), and reporting
 // each outcome through the request's completion callback.
 //
-// Like the overload tier, all of this is gated: with Source nil none of
+// Like the overload tier, all of this is gated: without a source none of
 // this code runs and the closed-loop schedule stays byte-identical to
 // previous releases.
 package core
@@ -79,24 +79,14 @@ var ErrSourceClosed = errors.New("core: request source closed before execution")
 // arrival time as the latency origin. The blocking pull replaces the
 // open-loop tier's synthetic arrival generator; admission control and
 // shedding live upstream in the session that owns the source.
-func (w *Worker) serveRemote(wl Workload, src RequestSource, cfg Config, warmEnd, end uint64) {
+func (w *Worker) serveRemote(wl Workload, cfg Config, warmEnd, end uint64) {
 	p := w.P
-	stop := cfg.Stop
-	resetDone := false
 	for {
-		now := p.Now()
-		if now >= end {
+		now, ok := w.atBoundary(&cfg, warmEnd, end)
+		if !ok {
 			break
 		}
-		if stop != nil && stop.Load() {
-			break
-		}
-		if !resetDone && now >= warmEnd {
-			p.Stats().Reset()
-			w.resetWindow()
-			resetDone = true
-		}
-		req, ok := src.Next(p)
+		req, ok := cfg.source.Next(p)
 		waited := p.Now()
 		if d := waited - now; d > 0 {
 			p.Tick(stats.Idle, d)

@@ -36,6 +36,10 @@ type Worker struct {
 	retryLimit int
 	backoffCap uint64
 
+	// warmed records that the run loop has passed the warmup boundary
+	// and reset the statistics (see atBoundary).
+	warmed bool
+
 	// typer/perTxn hold the per-transaction-type attribution when the
 	// bound workload implements TxnTyper (Names stay empty here; Run
 	// fills them when merging workers into the Result).
@@ -235,32 +239,44 @@ func (w *Worker) finishDurable() {
 	w.P.Stats().Add(stats.Log, w.P.Now()-t0)
 }
 
-// serveClosed is the paper's closed-loop worker body: draw a transaction,
-// run it to completion, draw the next. Stop and Fault are nil-checked
-// only in legacy configurations, so the schedule is byte-identical to the
-// pre-overload engine (the golden signature pins that).
-func (w *Worker) serveClosed(wl Workload, cfg Config, warmEnd, end uint64) {
+// atBoundary is the transaction-boundary preamble shared by the three
+// worker bodies (closed loop, open loop, remote dispatch): it reports
+// false once the window has ended or the run's stop flag is set, resets
+// the statistics the first time the clock passes warmEnd, and serves
+// injected fault stalls — billed to Idle, with the checks re-run after
+// each. In legacy configurations stop and Fault are nil and only
+// nil-checked, so the schedule is byte-identical to the pre-overload
+// engine (the golden signature pins that).
+func (w *Worker) atBoundary(cfg *Config, warmEnd, end uint64) (now uint64, ok bool) {
 	p := w.P
-	stop, fault := cfg.Stop, cfg.Fault
-	resetDone := false
 	for {
-		now := p.Now()
-		if now >= end {
-			break
+		now = p.Now()
+		if now >= end || (cfg.stop != nil && cfg.stop.Load()) {
+			return now, false
 		}
-		if stop != nil && stop.Load() {
-			break
-		}
-		if !resetDone && now >= warmEnd {
+		if !w.warmed && now >= warmEnd {
 			p.Stats().Reset()
 			w.resetWindow()
-			resetDone = true
+			w.warmed = true
 		}
-		if fault != nil {
-			if d := fault.Delay(p.ID(), now); d > 0 {
-				p.Tick(stats.Idle, d)
-				continue
-			}
+		if cfg.Fault == nil {
+			return now, true
+		}
+		d := cfg.Fault.Delay(p.ID(), now)
+		if d == 0 {
+			return now, true
+		}
+		p.Tick(stats.Idle, d)
+	}
+}
+
+// serveClosed is the paper's closed-loop worker body: draw a transaction,
+// run it to completion, draw the next.
+func (w *Worker) serveClosed(wl Workload, cfg Config, warmEnd, end uint64) {
+	p := w.P
+	for {
+		if _, ok := w.atBoundary(&cfg, warmEnd, end); !ok {
+			break
 		}
 		txn := wl.Next(p)
 		w.runTxn(txn, p.Now(), warmEnd, end, cfg.AbortBackoff)

@@ -92,27 +92,6 @@ func NewWriter(sink Sink, cfg Config) *Writer {
 // Async reports whether the writer runs real (background) group commit.
 func (w *Writer) Async() bool { return w.cfg.Async }
 
-// Config returns the writer's effective configuration (defaults applied).
-func (w *Writer) Config() Config {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.cfg
-}
-
-// SetGrouping adjusts the group-commit parameters on a live writer (the
-// run configuration can override the open-time defaults). Non-positive
-// values leave the corresponding parameter unchanged.
-func (w *Writer) SetGrouping(groupTxns int, groupTimeout time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if groupTxns > 0 {
-		w.cfg.GroupTxns = groupTxns
-	}
-	if groupTimeout > 0 {
-		w.cfg.GroupTimeout = groupTimeout
-	}
-}
-
 // Append adds one fully-framed record (from AppendCommit et al.) to the
 // log and returns its LSN, plus whether this append sealed a modeled
 // group (synchronous mode only — the caller bills the fsync cost to the

@@ -3,8 +3,9 @@ package abyss1000_test
 // Observability regression tests: latency histograms, per-transaction-
 // type attribution and interval sampling are accounting-only, so enabling
 // any of them must not move a single simulated cycle. These tests pin
-// that from three angles: the golden signature, the full Result, and the
-// internal consistency of the samples themselves.
+// that on the full Result and on the internal consistency of the samples
+// themselves; the golden matrix (determinism_test.go) pins it on the
+// signature.
 
 import (
 	"reflect"
@@ -32,38 +33,16 @@ func (c *collectObserver) OnSample(s core.Sample) {
 	c.mu.Unlock()
 }
 
-// TestObserverDoesNotPerturbGolden is the observer-determinism test: the
-// full golden mix (seven schemes on YCSB, four on TPC-C) run with
-// interval sampling and an observer attached must produce the exact
-// golden signature — byte-identical commits, aborts, tuples and raw
-// breakdown buckets — that the unobserved run pins in
-// testdata/golden_sim.txt.
-func TestObserverDoesNotPerturbGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs ~22 full simulations")
-	}
-	base := bench.GoldenSignature()
-	obs := &collectObserver{}
-	sampled := bench.GoldenSignatureObserved(25_000, obs)
-	if sampled != base {
-		t.Fatalf("sampling perturbed the simulated schedule:\nunobserved:\n%s\nobserved:\n%s", base, sampled)
-	}
-	// 200k-cycle window at 25k per interval = 8 samples per run, 11 runs.
-	if want := 8 * 11; len(obs.samples) != want {
-		t.Fatalf("observer received %d samples, want %d", len(obs.samples), want)
-	}
-}
-
 // ycsbRun executes one small simulated YCSB measurement, optionally
 // observed, and returns the result.
-func ycsbRun(scheme string, cfg core.Config, obs core.Observer) core.Result {
+func ycsbRun(scheme string, cfg core.Config) core.Result {
 	eng := sim.New(8, 42)
 	db := core.NewDB(eng)
 	ycfg := ycsb.DefaultConfig()
 	ycfg.Rows = 4096
 	ycfg.ReqPerTxn = 8
 	wl := ycsb.Build(db, ycfg)
-	return core.RunObserved(db, bench.MakeScheme(scheme, tsalloc.Atomic), wl, cfg, obs)
+	return core.Run(db, bench.MakeScheme(scheme, tsalloc.Atomic), wl, cfg)
 }
 
 // TestRunObservedResultIdentical pins that the complete Result — the
@@ -71,9 +50,9 @@ func ycsbRun(scheme string, cfg core.Config, obs core.Observer) core.Result {
 // sub-results — is deep-equal with and without an observer attached.
 func TestRunObservedResultIdentical(t *testing.T) {
 	cfg := core.Config{WarmupCycles: 50_000, MeasureCycles: 200_000, AbortBackoff: 1000}
-	plain := ycsbRun("NO_WAIT", cfg, nil)
-	cfg.SampleEvery = 30_000
-	observed := ycsbRun("NO_WAIT", cfg, &collectObserver{})
+	plain := ycsbRun("NO_WAIT", cfg)
+	cfg.SampleEvery, cfg.Observer = 30_000, &collectObserver{}
+	observed := ycsbRun("NO_WAIT", cfg)
 	if !reflect.DeepEqual(plain, observed) {
 		t.Fatalf("observer changed the result:\nplain    %+v\nobserved %+v", plain, observed)
 	}
@@ -88,9 +67,9 @@ func TestSamplesPartitionWindow(t *testing.T) {
 		measure = 200_000
 		every   = 30_000 // deliberately not a divisor: the last interval is partial
 	)
-	cfg := core.Config{WarmupCycles: 50_000, MeasureCycles: measure, AbortBackoff: 1000, SampleEvery: every}
 	obs := &collectObserver{}
-	res := ycsbRun("NO_WAIT", cfg, obs)
+	cfg := core.Config{WarmupCycles: 50_000, MeasureCycles: measure, AbortBackoff: 1000, SampleEvery: every, Observer: obs}
+	res := ycsbRun("NO_WAIT", cfg)
 
 	wantIntervals := (measure + every - 1) / every
 	if len(obs.samples) != wantIntervals {
@@ -152,7 +131,7 @@ func TestPerTxnAttribution(t *testing.T) {
 	})
 
 	t.Run("ycsb", func(t *testing.T) {
-		res := ycsbRun("MVCC", cfg, nil)
+		res := ycsbRun("MVCC", cfg)
 		assertPerTxnSums(t, res, []string{"ycsb"})
 	})
 }

@@ -34,8 +34,13 @@ type LoadConfig struct {
 	// serve.DefaultWindow.
 	Window int
 
-	// Arrival is the offered-load process, aggregate across connections.
-	Arrival ArrivalSpec
+	// Arrival is the offered-load process, aggregate across connections:
+	// the engine's own Arrivals (see abyss.ParseArrivals), on a
+	// nanosecond clock — MMPP dwell "cycles" are nanoseconds here. It
+	// must be open loop. Connection i draws stream i of Conns from
+	// abyss.NewArrivalStream, so Arrival.Seed makes the offered sequence
+	// reproducible.
+	Arrival abyss.Arrivals
 
 	// Duration is how long arrivals are offered; the run then waits for
 	// outstanding replies.
@@ -52,9 +57,6 @@ type LoadConfig struct {
 
 	// Deadline rides each request (zero = server default).
 	Deadline time.Duration
-
-	// Seed makes the arrival streams reproducible.
-	Seed int64
 }
 
 func (c LoadConfig) validate() error {
@@ -73,7 +75,13 @@ func (c LoadConfig) validate() error {
 	if c.Duration <= 0 {
 		return fmt.Errorf("client: LoadConfig.Duration must be positive, got %v", c.Duration)
 	}
-	return c.Arrival.Validate()
+	if !c.Arrival.Open() {
+		return fmt.Errorf("client: LoadConfig.Arrival must be an open-loop process (ArrivalPoisson or ArrivalMMPP)")
+	}
+	if err := c.Arrival.Validate(); err != nil {
+		return fmt.Errorf("client: LoadConfig.Arrival: %w", err)
+	}
+	return nil
 }
 
 // Report is one load run's ledger. Offered = Sent + ShedClient, and every
@@ -202,7 +210,7 @@ func Run(cfg LoadConfig) (Report, error) {
 // the arrival client-side instead of queueing it.
 func driveConn(cfg LoadConfig, conn Conn, idx, window int, start time.Time) connReport {
 	var rep connReport
-	gen := newArrivalGen(cfg.Arrival, idx, cfg.Conns, cfg.Seed)
+	gen := abyss.NewArrivalStream(cfg.Arrival, idx, cfg.Conns, float64(time.Second))
 	sem := make(chan struct{}, window)
 	var (
 		mu      sync.Mutex // guards the reply counters and histogram
@@ -210,7 +218,7 @@ func driveConn(cfg LoadConfig, conn Conn, idx, window int, start time.Time) conn
 	)
 	seq := 0
 	for {
-		at := gen.take()
+		at := time.Duration(gen.Take())
 		if at > cfg.Duration {
 			break
 		}

@@ -9,35 +9,63 @@ import (
 	"abyss1000/serve"
 )
 
+// TestParseArrivalSpec pins the one -arrivals grammar from the load
+// generator's side (abyss-load and abyss-sim share abyss.ParseArrivals):
+// calm before burst in rates and dwells alike, each dwell a duration or
+// a bare cycle count — a nanosecond on this package's clock — and the
+// three-part form's default dwells.
 func TestParseArrivalSpec(t *testing.T) {
-	spec, err := ParseArrivalSpec("poisson:5000")
-	if err != nil || spec.Process != Poisson || spec.RateTPS != 5000 {
+	spec, err := abyss.ParseArrivals("poisson:5000", 9)
+	if want := (abyss.Arrivals{Process: abyss.ArrivalPoisson, RateTPS: 5000, Seed: 9}); err != nil || spec != want {
 		t.Fatalf("poisson spec = %+v, %v", spec, err)
 	}
-	spec, err = ParseArrivalSpec("mmpp:1000:8000:200ms:50ms")
-	if err != nil || spec.Process != MMPP || spec.BurstRateTPS != 8000 ||
-		spec.CalmDwell != 200*time.Millisecond || spec.BurstDwell != 50*time.Millisecond {
-		t.Fatalf("mmpp spec = %+v, %v", spec, err)
+	want := abyss.Arrivals{
+		Process: abyss.ArrivalMMPP, RateTPS: 1000, BurstRateTPS: 8000,
+		CalmCycles: uint64(200 * time.Millisecond), BurstCycles: uint64(50 * time.Millisecond), Seed: 9,
 	}
-	for _, bad := range []string{"", "uniform:5", "poisson", "poisson:x", "poisson:-3", "mmpp:1:2:3", "mmpp:0:8:1s:1s"} {
-		if _, err := ParseArrivalSpec(bad); err == nil {
-			t.Fatalf("ParseArrivalSpec(%q) accepted", bad)
+	// abyss-load's spelling, abyss-sim's, and a mix of the two.
+	for _, s := range []string{"mmpp:1000:8000:200ms:50ms", "mmpp:1000:8000:200000000:50000000", "mmpp:1000:8000:200ms:50000000"} {
+		if spec, err = abyss.ParseArrivals(s, 9); err != nil || spec != want {
+			t.Fatalf("ParseArrivals(%q) = %+v, %v; want %+v", s, spec, err, want)
+		}
+	}
+	spec, err = abyss.ParseArrivals("mmpp:1000:8000", 9)
+	if err != nil || spec.CalmCycles != 500_000 || spec.BurstCycles != 50_000 {
+		t.Fatalf("three-part mmpp = %+v, %v; want the 500000/50000-cycle default dwells", spec, err)
+	}
+	for _, bad := range []string{
+		"", "uniform:5", "poisson", "poisson:x", "poisson:-3", "poisson:1:2",
+		"mmpp:1:2:3", "mmpp:0:8:1s:1s", "mmpp:1:8:0:1s", "mmpp:1:8:-1s:1s", "mmpp:1:8:soon:1s",
+	} {
+		if _, err := abyss.ParseArrivals(bad, 9); err == nil {
+			t.Fatalf("ParseArrivals(%q) accepted", bad)
 		}
 	}
 }
 
+// TestArrivalGenDeterminism pins a connection's arrival stream: equal
+// (Arrival, connection, Conns) offer the identical monotone sequence, and
+// the sequence is the one this package's own generator produced before
+// the engine's replaced it.
 func TestArrivalGenDeterminism(t *testing.T) {
-	spec := ArrivalSpec{Process: MMPP, RateTPS: 1000, BurstRateTPS: 8000, CalmDwell: 10 * time.Millisecond, BurstDwell: 5 * time.Millisecond}
-	a := newArrivalGen(spec, 1, 4, 42)
-	b := newArrivalGen(spec, 1, 4, 42)
-	last := time.Duration(-1)
+	spec := abyss.Arrivals{
+		Process: abyss.ArrivalMMPP, RateTPS: 1000, BurstRateTPS: 8000,
+		CalmCycles: uint64(10 * time.Millisecond), BurstCycles: uint64(5 * time.Millisecond), Seed: 42,
+	}
+	a := abyss.NewArrivalStream(spec, 1, 4, float64(time.Second))
+	b := abyss.NewArrivalStream(spec, 1, 4, float64(time.Second))
+	pinned := []uint64{629001, 683449, 869936, 1063995, 2292860, 2646292, 3285627, 4348656}
+	var last uint64
 	for i := 0; i < 1000; i++ {
-		x, y := a.take(), b.take()
+		x, y := a.Take(), b.Take()
 		if x != y {
 			t.Fatalf("arrival %d diverged: %v vs %v", i, x, y)
 		}
 		if x < last {
 			t.Fatalf("arrival %d moved backwards: %v after %v", i, x, last)
+		}
+		if i < len(pinned) && x != pinned[i] {
+			t.Fatalf("arrival %d = %d ns, pinned %d", i, x, pinned[i])
 		}
 		last = x
 	}
@@ -63,9 +91,8 @@ func TestLoadRunLedger(t *testing.T) {
 		Proto:    "binary",
 		Conns:    2,
 		Window:   32,
-		Arrival:  ArrivalSpec{Process: Poisson, RateTPS: 2000},
+		Arrival:  abyss.Arrivals{Process: abyss.ArrivalPoisson, RateTPS: 2000, Seed: 7},
 		Duration: 300 * time.Millisecond,
-		Seed:     7,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -109,12 +136,14 @@ func TestLoadRunLedger(t *testing.T) {
 }
 
 func TestLoadRunValidation(t *testing.T) {
+	poisson := abyss.Arrivals{Process: abyss.ArrivalPoisson, RateTPS: 1}
 	bad := []LoadConfig{
 		{},
-		{Addr: "x", Proto: "udp", Conns: 1, Duration: time.Second, Arrival: ArrivalSpec{Process: Poisson, RateTPS: 1}},
-		{Addr: "x", Proto: "http", Conns: 0, Duration: time.Second, Arrival: ArrivalSpec{Process: Poisson, RateTPS: 1}},
-		{Addr: "x", Proto: "http", Conns: 1, Duration: 0, Arrival: ArrivalSpec{Process: Poisson, RateTPS: 1}},
-		{Addr: "x", Proto: "http", Conns: 1, Duration: time.Second, Arrival: ArrivalSpec{Process: Poisson}},
+		{Addr: "x", Proto: "udp", Conns: 1, Duration: time.Second, Arrival: poisson},
+		{Addr: "x", Proto: "http", Conns: 0, Duration: time.Second, Arrival: poisson},
+		{Addr: "x", Proto: "http", Conns: 1, Duration: 0, Arrival: poisson},
+		{Addr: "x", Proto: "http", Conns: 1, Duration: time.Second, Arrival: abyss.Arrivals{Process: abyss.ArrivalPoisson}},
+		{Addr: "x", Proto: "http", Conns: 1, Duration: time.Second}, // closed loop offers nothing
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

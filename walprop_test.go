@@ -13,12 +13,9 @@ package abyss1000_test
 
 import (
 	"errors"
-	"fmt"
-	"os"
 	"testing"
 
 	"abyss1000/abyss"
-	"abyss1000/bench"
 	"abyss1000/internal/wal"
 	"abyss1000/workloads/smallbank"
 )
@@ -464,13 +461,13 @@ func TestCheckpointedRecovery(t *testing.T) {
 	}
 }
 
-// TestLogGroupingKnob pins that RunConfig.LogGroupTxns reaches the
-// writer: halving the group size roughly doubles the modeled sync count.
+// TestLogGroupingKnob pins that Durability.GroupTxns reaches the writer:
+// finer groups mean more modeled syncs.
 func TestLogGroupingKnob(t *testing.T) {
 	syncsWith := func(group int) uint64 {
 		db, err := abyss.Open(abyss.Options{
 			Runtime: abyss.RuntimeSim, Cores: 4, Seed: 42,
-			Durability: &abyss.Durability{Sink: abyss.NewMemLogSink()},
+			Durability: &abyss.Durability{Sink: abyss.NewMemLogSink(), GroupTxns: group},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -483,7 +480,7 @@ func TestLogGroupingKnob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc := abyss.RunConfig{WarmupCycles: 20_000, MeasureCycles: 150_000, AbortBackoff: 500, LogGroupTxns: group}
+		rc := abyss.RunConfig{WarmupCycles: 20_000, MeasureCycles: 150_000, AbortBackoff: 500}
 		if _, err := db.Run(s, wl, rc); err != nil {
 			t.Fatal(err)
 		}
@@ -492,52 +489,6 @@ func TestLogGroupingKnob(t *testing.T) {
 	}
 	coarse, fine := syncsWith(16), syncsWith(2)
 	if fine <= coarse {
-		t.Fatalf("LogGroupTxns=2 should sync more than =16: %d <= %d", fine, coarse)
+		t.Fatalf("GroupTxns=2 should sync more than =16: %d <= %d", fine, coarse)
 	}
-}
-
-// TestGoldenSignatureWithLogging pins the accounting-only guarantee at
-// full strength: the simulator's golden signature — commits, aborts,
-// tuples and all six paper breakdown components across eleven runs — is
-// byte-identical with durability logging attached.
-func TestGoldenSignatureWithLogging(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs ~11 full simulations")
-	}
-	want, err := os.ReadFile("testdata/golden_sim.txt")
-	if err != nil {
-		t.Fatalf("missing pinned signature: %v", err)
-	}
-	got := bench.GoldenSignatureDurable()
-	if got != string(want) {
-		t.Errorf("accounting-only logging perturbed the simulated schedule:\n%s",
-			diffLines(string(want), got))
-	}
-}
-
-// diffLines renders a compact first-difference report for two
-// line-oriented strings.
-func diffLines(want, got string) string {
-	w, g := []byte(want), []byte(got)
-	n := len(w)
-	if len(g) < n {
-		n = len(g)
-	}
-	for i := 0; i < n; i++ {
-		if w[i] != g[i] {
-			lo := i - 60
-			if lo < 0 {
-				lo = 0
-			}
-			return fmt.Sprintf("first diff at byte %d:\nwant ...%q\ngot  ...%q", i, want[lo:i+20], got[lo:min(i+20, len(got))])
-		}
-	}
-	return fmt.Sprintf("length mismatch: want %d bytes, got %d", len(want), len(got))
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
