@@ -2,7 +2,6 @@ package abyss
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -172,19 +171,17 @@ type Options struct {
 	Durability *Durability
 }
 
-// DB is an embeddable database instance: a runtime, a catalog of tables
-// and indexes, and the Run entry point. One DB supports one experiment
-// Run; open a fresh DB per measurement so warmup windows and clocks start
-// from zero.
+// DB is an embeddable database instance: a runtime, the engine's one
+// catalogue of tables and indexes (Table, Index and OrderedIndex see what
+// BuildWorkload built as well as what the Create calls made; indexes of
+// both kinds share a namespace), and the Run entry point. One DB supports
+// one experiment Run; open a fresh DB per measurement so warmup windows
+// and clocks start from zero.
 type DB struct {
 	opts  Options
 	rt    rt.Runtime
 	inner *core.DB
-
-	tables     map[string]*Table
-	indexes    map[string]*Index
-	ordIndexes map[string]*OrderedIndex
-	ran        bool
+	ran   bool
 
 	// Durability state: the log writer and its sink (nil without
 	// Options.Durability), and the scheme of the DB's Run, kept so
@@ -217,14 +214,7 @@ func Open(opts Options) (*DB, error) {
 	default:
 		return nil, fmt.Errorf("abyss: unknown runtime %q (valid: %s)", opts.Runtime, joinNames(Runtimes()))
 	}
-	db := &DB{
-		opts:       opts,
-		rt:         r,
-		inner:      core.NewDB(r),
-		tables:     make(map[string]*Table),
-		indexes:    make(map[string]*Index),
-		ordIndexes: make(map[string]*OrderedIndex),
-	}
+	db := &DB{opts: opts, rt: r, inner: core.NewDB(r)}
 	if opts.Durability != nil {
 		db.attachWAL(opts.Durability)
 	}
@@ -266,7 +256,7 @@ func (db *DB) CreateTable(spec TableSpec) (*Table, error) {
 	if spec.Name == "" {
 		return nil, fmt.Errorf("abyss: TableSpec.Name must not be empty")
 	}
-	if _, ok := db.tables[spec.Name]; ok {
+	if _, ok := db.inner.Catalog.Lookup(spec.Name); ok {
 		return nil, fmt.Errorf("abyss: table %q already exists", spec.Name)
 	}
 	if len(spec.Cols) == 0 {
@@ -284,29 +274,30 @@ func (db *DB) CreateTable(spec TableSpec) (*Table, error) {
 		return nil, fmt.Errorf("abyss: table %q loaded rows %d out of range [0, capacity %d]", spec.Name, spec.Loaded, spec.Capacity)
 	}
 	schema := storage.NewSchema(spec.Name, spec.Cols...)
-	t := db.inner.Catalog.Add(schema, spec.Capacity, spec.Loaded, db.Cores())
-	db.tables[spec.Name] = t
-	return t, nil
+	return db.inner.Catalog.Add(schema, spec.Capacity, spec.Loaded, db.Cores()), nil
+}
+
+// newIndexName validates the name and table of an index to be created.
+func (db *DB) newIndexName(name string, t *Table) error {
+	if name == "" {
+		return fmt.Errorf("abyss: index name must not be empty")
+	}
+	if x, ok := db.inner.LookupIndex(name); ok {
+		return fmt.Errorf("abyss: index %q already exists (%s)", name, indexKind(x))
+	}
+	if t == nil {
+		return fmt.Errorf("abyss: index %q needs a table", name)
+	}
+	return nil
 }
 
 // CreateIndex builds a hash index named name over t, sized for at least
 // minKeys keys. Populate setup-time entries with Index.LoadInsert.
 func (db *DB) CreateIndex(name string, t *Table, minKeys int) (*Index, error) {
-	if name == "" {
-		return nil, fmt.Errorf("abyss: index name must not be empty")
+	if err := db.newIndexName(name, t); err != nil {
+		return nil, err
 	}
-	if _, ok := db.indexes[name]; ok {
-		return nil, fmt.Errorf("abyss: index %q already exists", name)
-	}
-	if t == nil {
-		return nil, fmt.Errorf("abyss: index %q needs a table", name)
-	}
-	if minKeys < 1 {
-		minKeys = 1
-	}
-	h := db.inner.AddIndex(name, t, minKeys)
-	db.indexes[name] = h
-	return h, nil
+	return db.inner.AddIndex(name, t, max(minKeys, 1)), nil
 }
 
 // CreateOrderedIndex builds an ordered secondary index named name over t.
@@ -314,45 +305,54 @@ func (db *DB) CreateIndex(name string, t *Table, minKeys int) (*Index, error) {
 // their maintenance and scans are billed to the INDEX component like hash
 // probes. Populate setup-time entries with OrderedIndex.LoadInsert.
 func (db *DB) CreateOrderedIndex(name string, t *Table) (*OrderedIndex, error) {
-	if name == "" {
-		return nil, fmt.Errorf("abyss: ordered index name must not be empty")
+	if err := db.newIndexName(name, t); err != nil {
+		return nil, err
 	}
-	if _, ok := db.ordIndexes[name]; ok {
-		return nil, fmt.Errorf("abyss: ordered index %q already exists", name)
-	}
-	if t == nil {
-		return nil, fmt.Errorf("abyss: ordered index %q needs a table", name)
-	}
-	o := db.inner.AddOrderedIndex(name, t)
-	db.ordIndexes[name] = o
-	return o, nil
+	return db.inner.AddOrderedIndex(name, t), nil
 }
 
 // Table returns the named table.
 func (db *DB) Table(name string) (*Table, error) {
-	t, ok := db.tables[name]
+	t, ok := db.inner.Catalog.Lookup(name)
 	if !ok {
-		return nil, fmt.Errorf("abyss: no table %q (have: %s)", name, joinNames(sortedKeys(db.tables)))
+		var have []string // in creation order
+		for _, t := range db.inner.Catalog.Tables() {
+			have = append(have, t.Schema.Name)
+		}
+		return nil, fmt.Errorf("abyss: no table %q (have: %s)", name, joinNames(have))
 	}
 	return t, nil
 }
 
-// Index returns the named index.
-func (db *DB) Index(name string) (*Index, error) {
-	h, ok := db.indexes[name]
-	if !ok {
-		return nil, fmt.Errorf("abyss: no index %q (have: %s)", name, joinNames(sortedKeys(db.indexes)))
-	}
-	return h, nil
-}
+// Index returns the named hash index.
+func (db *DB) Index(name string) (*Index, error) { return lookupIndex[*Index](db, name) }
 
 // OrderedIndex returns the named ordered index.
 func (db *DB) OrderedIndex(name string) (*OrderedIndex, error) {
-	o, ok := db.ordIndexes[name]
+	return lookupIndex[*OrderedIndex](db, name)
+}
+
+// lookupIndex returns the named index as the kind the caller asked for,
+// or says which kind it is instead.
+func lookupIndex[T index.Index](db *DB, name string) (T, error) {
+	var want T
+	x, ok := db.inner.LookupIndex(name)
 	if !ok {
-		return nil, fmt.Errorf("abyss: no ordered index %q (have: %s)", name, joinNames(sortedKeys(db.ordIndexes)))
+		return want, fmt.Errorf("abyss: no index %q (have: %s)", name, joinNames(db.inner.IndexNames()))
 	}
-	return o, nil
+	got, ok := x.(T)
+	if !ok {
+		return want, fmt.Errorf("abyss: index %q is %s, not %s", name, indexKind(x), indexKind(want))
+	}
+	return got, nil
+}
+
+// indexKind names an index's kind for error messages.
+func indexKind(x index.Index) string {
+	if _, ok := x.(*OrderedIndex); ok {
+		return "an ordered index"
+	}
+	return "a hash index"
 }
 
 // CompositeKey packs up to four 16-bit ids into one uint64 index key,
@@ -508,15 +508,6 @@ func (db *DB) RunStream(scheme Scheme, wl Workload, cfg RunConfig) (<-chan Sampl
 		<-done
 		return res, runErr
 	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func joinNames(names []string) string {

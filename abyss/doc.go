@@ -37,10 +37,20 @@
 // access path is steady-state allocation-free regardless of which scheme
 // is plugged in.
 //
+// A DB has one catalogue, the engine's own: DB.Table, DB.Index and
+// DB.OrderedIndex see the tables and indexes BuildWorkload built as well
+// as the ones CreateTable, CreateIndex and CreateOrderedIndex made. Tables
+// share one namespace and indexes of both kinds another; a name already
+// taken is rejected, never overwritten.
+//
 // Beyond point accesses, CreateOrderedIndex builds a latched B+tree
 // secondary index whose TxnCtx.RangeScan returns the entries in [lo, hi]
 // in key order, and TxnCtx.InsertRowOrdered stages a row into a hash
-// index and an ordered index atomically at commit. CompositeKey packs
+// index and an ordered index atomically at commit (a nil ordered index
+// stages the hash entry alone). Underneath those typed entry points an
+// index is one concept: both kinds are registered, published into, logged
+// (format ABYWAL03, one ordinal space), checkpointed and recovered through
+// the same interface and code path. CompositeKey packs
 // multi-column keys. The abyss1000/query package layers composable
 // iterator-model operators (scan, index range, filter, project, join,
 // group, order, limit) on top of exactly this surface; the full

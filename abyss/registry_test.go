@@ -348,3 +348,78 @@ func TestCreateTableValidation(t *testing.T) {
 		t.Fatal("missing index lookup should error")
 	}
 }
+
+// TestOneCatalogue pins that the public lookups and the duplicate-name
+// checks answer from the engine's own catalogue: what BuildWorkload built
+// is as visible — and as protected from being overwritten — as what
+// CreateTable/CreateIndex/CreateOrderedIndex made.
+func TestOneCatalogue(t *testing.T) {
+	params := func(workload string) abyss.WorkloadParams {
+		t.Helper()
+		p, err := abyss.DefaultWorkloadParams(workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Rows, p.Warehouses, p.Mix, p.InsertsPerWorker = 256, 1, "full", 64
+		return p
+	}
+	open := func(workload string) *abyss.DB {
+		t.Helper()
+		db, err := abyss.Open(abyss.Options{Cores: 2, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.BuildWorkload(workload, params(workload)); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	cols := []abyss.Col{{Name: "K", Width: 8}}
+
+	ycsb := open("ycsb")
+	ut, err := ycsb.Table("USERTABLE")
+	if err != nil {
+		t.Fatalf("built-in workload's table invisible: %v", err)
+	}
+	if _, err := ycsb.Index("USERTABLE_PK"); err != nil {
+		t.Fatalf("built-in workload's index invisible: %v", err)
+	}
+	if _, err := ycsb.CreateTable(abyss.TableSpec{Name: "USERTABLE", Cols: cols, Capacity: 8}); err == nil {
+		t.Error("CreateTable reused a built-in workload's table name")
+	}
+	if _, err := ycsb.CreateIndex("USERTABLE_PK", ut, 8); err == nil {
+		t.Error("CreateIndex reused a built-in workload's index name")
+	}
+	if _, err := ycsb.CreateOrderedIndex("USERTABLE_PK", ut); err == nil || !strings.Contains(err.Error(), "hash index") {
+		t.Errorf("CreateOrderedIndex reused a hash index's name: %v", err)
+	}
+	if _, err := ycsb.BuildWorkload("ycsb", params("ycsb")); err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Errorf("building the same workload twice on one DB: %v", err)
+	}
+
+	tpcc := open("tpcc")
+	no, err := tpcc.Table("NEW_ORDER")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tpcc.OrderedIndex("NEW_ORDER_ORD"); err != nil {
+		t.Fatalf("built-in workload's ordered index invisible: %v", err)
+	}
+	if _, err := tpcc.CreateIndex("NEW_ORDER_ORD", no, 8); err == nil || !strings.Contains(err.Error(), "ordered index") {
+		t.Errorf("CreateIndex reused an ordered index's name: %v", err)
+	}
+	if _, err := tpcc.CreateOrderedIndex("NEW_ORDER_ORD", no); err == nil {
+		t.Error("CreateOrderedIndex reused a built-in workload's ordered index name")
+	}
+	// One namespace, two typed views: asking for the other kind says which
+	// kind the name is.
+	if _, err := tpcc.Index("NEW_ORDER_ORD"); err == nil || !strings.Contains(err.Error(), "is an ordered index") {
+		t.Errorf("Index on an ordered index's name: %v", err)
+	}
+	if _, err := tpcc.OrderedIndex("NEW_ORDER_PK"); err == nil || !strings.Contains(err.Error(), "is a hash index") {
+		t.Errorf("OrderedIndex on a hash index's name: %v", err)
+	}
+	if _, err := tpcc.Index("NO_SUCH"); err == nil || !strings.Contains(err.Error(), "NEW_ORDER_ORD") || !strings.Contains(err.Error(), "NEW_ORDER_PK") {
+		t.Errorf("missing index error should list both kinds' names: %v", err)
+	}
+}

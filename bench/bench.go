@@ -12,9 +12,10 @@
 // Execution is two-phase (see runner.go): figure functions enumerate
 // self-describing Jobs — one per data point — through a Plan, a Runner
 // executes the flat job list across a worker pool, and the figure is
-// reassembled from the completed results. Serial (-parallel 1) and
-// parallel builds are byte-identical because every Job carries its own
-// seed and constructs all its state itself. Build, BuildAll and
+// reassembled from the completed results. A serial build (-parallel 1)
+// is the same two phases over a pool of one, and is byte-identical to a
+// parallel build because every Job carries its own seed and constructs
+// all its state itself. Build, BuildAll and
 // Experiment.Build are the entry points; output.go adds the JSON/CSV
 // serializations behind `abyss-bench -json`/`-csv`.
 //

@@ -158,31 +158,38 @@ func TestRunnerStopDrains(t *testing.T) {
 	}
 }
 
-// TestSerialStopSkipsRemainingPoints pins the same contract on the serial
-// (direct) path: a stop raised mid-figure zeroes the remaining points
-// without derailing figure assembly.
+// TestSerialStopSkipsRemainingPoints pins the same contract through Build
+// on a pool of one (the serial build): a stop raised after the first point
+// completes zeroes the undispatched points without derailing the replay
+// that assembles the figure.
 func TestSerialStopSkipsRemainingPoints(t *testing.T) {
 	p := tinyParams()
-	var stop atomic.Bool
 	fn := func(p Params, pl *Plan) *Figure {
 		fig := &Figure{ID: "stoptest"}
 		s := Series{Name: "n"}
 		for i := 0; i < 4; i++ {
 			r := pl.Run(p.tsallocJob(tsalloc.Atomic, 1))
 			s.addPoint(float64(i), r, func(r core.Result) float64 { return float64(r.Commits) })
-			if i == 0 {
-				stop.Store(true)
-			}
 		}
 		fig.Series = append(fig.Series, s)
 		return fig
 	}
-	fig := Build(fn, p, &Runner{Workers: 1, Stop: &stop})
+	var stop atomic.Bool
+	fig := Build(fn, p, &Runner{Workers: 1, Stop: &stop, OnProgress: func(pr Progress) {
+		if pr.Done == 1 {
+			stop.Store(true)
+		}
+	}})
 	pts := fig.Series[0].Points
+	if len(pts) != 4 {
+		t.Fatalf("figure has %d points, want 4", len(pts))
+	}
 	if pts[0].Res.Commits == 0 {
 		t.Fatal("first point should have run")
 	}
-	for i := 1; i < len(pts); i++ {
+	// As in TestRunnerStopDrains, point 1 may already have been handed to
+	// the worker when the stop landed.
+	for i := 2; i < len(pts); i++ {
 		if pts[i].Res.Commits != 0 {
 			t.Errorf("point %d ran after the stop", i)
 		}

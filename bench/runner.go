@@ -1,11 +1,9 @@
 // Two-phase experiment execution.
 //
-// Every figure function is written against a *Plan: wherever the serial
+// Every figure function is written against a *Plan: wherever a one-pass
 // harness would run a simulation inline, the figure calls Plan.Run with a
-// self-describing Job. The same figure function then serves three modes:
+// self-describing Job. The same figure function then serves two modes:
 //
-//   - direct: Plan.Run executes the job inline (the serial path; exactly
-//     the behavior of the original one-pass harness).
 //   - collect: Plan.Run records the job and returns a zero Result; one
 //     pass over the figure function yields its flat job list without
 //     simulating anything.
@@ -13,16 +11,19 @@
 //     recorded job; a second pass over the figure function reassembles
 //     the Figure from results the Runner produced on a worker pool.
 //
+// A serial build (-parallel 1, or a nil Runner) is the same two passes
+// over a pool of one.
+//
 // This works because figure functions are pure sweeps: their control flow
 // never depends on a Result's values, only on Params. The replay pass
 // verifies this invariant — each incoming job must equal the recorded one
 // — and panics on divergence, so a result-dependent figure fails loudly
 // instead of silently misassigning points.
 //
-// Determinism: a Job is executed by Job.Run regardless of mode or worker,
-// and Job.Run constructs everything it touches from the job's own fields
-// (including its seed). Serial and parallel builds therefore produce
-// byte-identical figures, which TestSerialParallelEquivalence pins.
+// Determinism: a Job is executed by Job.Run regardless of pool width or
+// worker, and Job.Run constructs everything it touches from the job's own
+// fields (including its seed). Serial and parallel builds therefore
+// produce byte-identical figures, which TestSerialParallelEquivalence pins.
 package bench
 
 import (
@@ -35,51 +36,34 @@ import (
 	"abyss1000/internal/core"
 )
 
-type planMode int
-
-const (
-	planDirect planMode = iota
-	planCollect
-	planReplay
-)
-
 // Plan threads the execution mode through a figure function. Figure code
 // only ever calls Run; everything else is driven by Build/BuildAll.
 type Plan struct {
-	mode        planMode
-	experiment  string
-	sampleEvery uint64       // direct mode: interval sampling period (0 = off)
-	stop        *atomic.Bool // direct mode: skip remaining jobs once set
-	jobs        []Job
-	results     []core.Result
-	next        int
+	replaying  bool
+	experiment string
+	jobs       []Job
+	results    []core.Result
+	next       int
 }
 
-// Run executes, records, or replays one job depending on the plan mode.
+// Run records or replays one job depending on the plan mode.
 func (pl *Plan) Run(j Job) core.Result {
 	if j.Experiment == "" {
 		j.Experiment = pl.experiment
 	}
-	switch pl.mode {
-	case planCollect:
+	if !pl.replaying {
 		pl.jobs = append(pl.jobs, j)
 		return core.Result{}
-	case planReplay:
-		if pl.next >= len(pl.jobs) {
-			panic(fmt.Sprintf("bench: experiment %q enumerated %d jobs but asked for more on replay; figure control flow must not depend on results", pl.experiment, len(pl.jobs)))
-		}
-		if pl.jobs[pl.next] != j {
-			panic(fmt.Sprintf("bench: experiment %q replay mismatch at job %d: enumerated %+v, replayed %+v; figure control flow must not depend on results", pl.experiment, pl.next, pl.jobs[pl.next], j))
-		}
-		r := pl.results[pl.next]
-		pl.next++
-		return r
-	default:
-		if pl.stop != nil && pl.stop.Load() {
-			return core.Result{}
-		}
-		return j.RunSampled(pl.sampleEvery, sampleSink(pl.sampleEvery))
 	}
+	if pl.next >= len(pl.jobs) {
+		panic(fmt.Sprintf("bench: experiment %q enumerated %d jobs but asked for more on replay; figure control flow must not depend on results", pl.experiment, len(pl.jobs)))
+	}
+	if pl.jobs[pl.next] != j {
+		panic(fmt.Sprintf("bench: experiment %q replay mismatch at job %d: enumerated %+v, replayed %+v; figure control flow must not depend on results", pl.experiment, pl.next, pl.jobs[pl.next], j))
+	}
+	r := pl.results[pl.next]
+	pl.next++
+	return r
 }
 
 // discardSamples is the sink for harness-level sampling: the smoke runs
@@ -126,12 +110,14 @@ type Progress struct {
 }
 
 // Runner executes a flat job list across a worker pool. The zero value
-// runs GOMAXPROCS-wide with no progress reporting.
+// runs GOMAXPROCS-wide with no progress reporting; a nil *Runner is a pool
+// of one (the serial build).
 type Runner struct {
 	// Workers is the pool width; <= 0 means runtime.GOMAXPROCS(0).
 	// Each job occupies roughly one OS thread (the simulator's cores
 	// are cooperatively scheduled), so GOMAXPROCS-wide pools scale the
-	// suite near-linearly.
+	// suite near-linearly. 1 runs the points one at a time, in
+	// enumeration order.
 	Workers int
 
 	// OnProgress, when non-nil, is called after every job completes.
@@ -149,39 +135,27 @@ type Runner struct {
 	// jobs: in-flight jobs drain normally and every undispatched job
 	// yields a zero Result, so a figure can still be assembled from the
 	// points completed so far. abyss-bench sets it from its SIGINT
-	// handler. Serial builds honor it too, between points.
+	// handler.
 	Stop *atomic.Bool
 }
 
 // stopped reports whether the runner's stop flag has been raised.
-func (r *Runner) stopped() bool { return r != nil && r.Stop != nil && r.Stop.Load() }
-
-// stopFlag hands the stop flag to serial plans.
-func (r *Runner) stopFlag() *atomic.Bool {
-	if r == nil {
-		return nil
-	}
-	return r.Stop
-}
+func (r *Runner) stopped() bool { return r.Stop != nil && r.Stop.Load() }
 
 func (r *Runner) workers() int {
-	if r == nil || r.Workers <= 0 {
+	if r.Workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return r.Workers
-}
-
-func (r *Runner) sampleEvery() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.SampleEvery
 }
 
 // Execute runs every job and returns results in job order. Jobs marked
 // Exclusive (native wall-clock runs) execute one at a time after the
 // parallel jobs drain, so pool contention cannot distort their timing.
 func (r *Runner) Execute(jobs []Job) []core.Result {
+	if r == nil {
+		r = &Runner{Workers: 1}
+	}
 	results := make([]core.Result, len(jobs))
 	var pool, exclusive []int
 	for i, j := range jobs {
@@ -196,7 +170,7 @@ func (r *Runner) Execute(jobs []Job) []core.Result {
 	var mu sync.Mutex
 	done := 0
 	complete := func(i int) {
-		if r == nil || r.OnProgress == nil {
+		if r.OnProgress == nil {
 			return
 		}
 		mu.Lock()
@@ -210,7 +184,7 @@ func (r *Runner) Execute(jobs []Job) []core.Result {
 		r.OnProgress(Progress{Done: done, Total: len(jobs), Elapsed: elapsed, Remaining: remaining, Last: jobs[i]})
 	}
 
-	every := r.sampleEvery()
+	every := r.SampleEvery
 	ch := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < r.workers(); w++ {
@@ -242,34 +216,23 @@ func (r *Runner) Execute(jobs []Job) []core.Result {
 	return results
 }
 
-// Build runs one figure function. With r nil or Workers == 1 the points
-// execute inline in enumeration order (the serial path); otherwise the
-// figure is enumerated, its jobs run on the pool, and the figure is
-// reassembled by replay.
+// Build runs one figure function: the figure is enumerated, its jobs run
+// on r's pool, and the figure is reassembled by replay.
 func Build(fn FigureFunc, p Params, r *Runner) *Figure {
-	return buildOne(Experiment{Run: fn}, p, r)
+	return Experiment{Run: fn}.Build(p, r)
 }
 
 // Build runs the registered experiment at scale p under runner r.
 func (e Experiment) Build(p Params, r *Runner) *Figure {
-	return buildOne(e, p, r)
+	return BuildAll([]Experiment{e}, p, r)[0]
 }
 
 // Jobs enumerates the experiment's full job list at scale p without
 // executing anything.
 func (e Experiment) Jobs(p Params) []Job {
-	pl := &Plan{mode: planCollect, experiment: e.ID}
+	pl := &Plan{experiment: e.ID}
 	e.Run(p, pl)
 	return pl.jobs
-}
-
-func serial(r *Runner) bool { return r == nil || r.Workers == 1 }
-
-func buildOne(e Experiment, p Params, r *Runner) *Figure {
-	if serial(r) {
-		return e.Run(p, &Plan{mode: planDirect, experiment: e.ID, sampleEvery: r.sampleEvery(), stop: r.stopFlag()})
-	}
-	return BuildAll([]Experiment{e}, p, r)[0]
 }
 
 // BuildAll runs several experiments as one flat job list: every
@@ -278,17 +241,10 @@ func buildOne(e Experiment, p Params, r *Runner) *Figure {
 // figure is then reassembled from its slice of the results.
 func BuildAll(es []Experiment, p Params, r *Runner) []*Figure {
 	figs := make([]*Figure, len(es))
-	if serial(r) {
-		for i, e := range es {
-			figs[i] = e.Run(p, &Plan{mode: planDirect, experiment: e.ID, sampleEvery: r.sampleEvery(), stop: r.stopFlag()})
-		}
-		return figs
-	}
-
 	plans := make([]*Plan, len(es))
 	var all []Job
 	for i, e := range es {
-		plans[i] = &Plan{mode: planCollect, experiment: e.ID}
+		plans[i] = &Plan{experiment: e.ID}
 		e.Run(p, plans[i])
 		all = append(all, plans[i].jobs...)
 	}
@@ -298,7 +254,7 @@ func BuildAll(es []Experiment, p Params, r *Runner) []*Figure {
 	off := 0
 	for i, e := range es {
 		pl := plans[i]
-		pl.mode = planReplay
+		pl.replaying = true
 		pl.results = results[off : off+len(pl.jobs)]
 		off += len(pl.jobs)
 		figs[i] = e.Run(p, pl)

@@ -41,9 +41,8 @@ func equivalenceExperiments(t *testing.T) []Experiment {
 }
 
 // TestSerialParallelEquivalence pins the central determinism contract of
-// the two-phase runner: -parallel 1 (direct inline execution) and
-// -parallel 8 (enumerate, pool, replay) produce byte-identical figure
-// text, JSON and CSV.
+// the two-phase runner: -parallel 1 (a pool of one, points in enumeration
+// order) and -parallel 8 produce byte-identical figure text, JSON and CSV.
 func TestSerialParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ~60 small simulations twice")
@@ -84,7 +83,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 // accounting-only: a run with interval sampling enabled produces
 // byte-identical figure text, JSON and CSV to a run without — the same
 // equivalence the CI smoke step checks end-to-end through abyss-bench
-// -sample. Both the pooled and the serial (direct) paths are covered.
+// -sample. Both a wide pool and the serial pool of one are covered.
 func TestSampledUnsampledEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ~40 small simulations twice")
@@ -183,15 +182,15 @@ func TestJobsOneJobPerPoint(t *testing.T) {
 // results.
 func TestReplayMismatchPanics(t *testing.T) {
 	pl := &Plan{
-		mode:    planReplay,
-		jobs:    []Job{{Kind: JobTsAlloc, Cores: 1, TsMethod: tsalloc.Atomic}},
-		results: make([]core.Result, 1),
+		replaying: true,
+		jobs:      []Job{{Kind: JobTsAlloc, Cores: 1, TsMethod: tsalloc.Atomic}},
+		results:   make([]core.Result, 1),
 	}
 	mustPanic(t, "mismatched job", func() {
 		pl.Run(Job{Kind: JobTsAlloc, Cores: 2, TsMethod: tsalloc.Atomic})
 	})
 
-	pl2 := &Plan{mode: planReplay}
+	pl2 := &Plan{replaying: true}
 	mustPanic(t, "exhausted job list", func() {
 		pl2.Run(Job{Kind: JobTsAlloc, Cores: 1})
 	})
@@ -256,8 +255,8 @@ func TestRunnerExclusiveOrdering(t *testing.T) {
 	}
 }
 
-// TestBuildSerialEqualsDirectCall ensures Build with a nil runner is the
-// plain one-pass serial path (labels, breakdowns and all).
+// TestBuildSerialEqualsDirectCall ensures Build with a nil runner — a pool
+// of one — yields the complete figure (labels, breakdowns and all).
 func TestBuildSerialEqualsDirectCall(t *testing.T) {
 	p := tinyParams()
 	fig := Build(Fig6, p, nil)

@@ -17,8 +17,6 @@
 package twopl
 
 import (
-	"sort"
-
 	"abyss1000/internal/core"
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
@@ -638,9 +636,5 @@ func (s *TwoPL) Abort(tx *core.TxnCtx) {
 // InitTuple implements core.Scheme: fresh tuples start unlocked; the
 // zero-value lockEntry (with its pre-built latch) is already correct.
 func (s *TwoPL) InitTuple(tx *core.TxnCtx, t *storage.Table, slot int) {}
-
-// SortSlots orders slot ids ascending — used by the Fig. 4 thrashing
-// workload variant that acquires locks in primary-key order.
-func SortSlots(slots []int) { sort.Ints(slots) }
 
 var _ core.Scheme = (*TwoPL)(nil)

@@ -100,7 +100,7 @@ func TestOrderedScanConformance(t *testing.T) {
 				// (b) A staged ordered insert is invisible to the
 				// transaction's own scan (the deferred-insert protocol
 				// publishes at commit) and visible to the next one.
-				idx := db.Index("C_PK")
+				idx := db.Index("C_PK").(*index.Hash)
 				if err := exec(func(tx *core.TxnCtx) error {
 					row := tx.InsertRowOrdered(idx, 100, ord, 100)
 					sc.PutU64(row, 0, 100)

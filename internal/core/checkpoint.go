@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
+	"abyss1000/internal/index"
 	"abyss1000/internal/wal"
 )
 
@@ -35,13 +38,10 @@ func Checkpoint(db *DB, scheme Scheme) error {
 	if w == nil {
 		return ErrNoWAL
 	}
-	var cr CommittedRower
-	if scheme != nil {
-		cr, _ = scheme.(CommittedRower)
-	}
+	cr, _ := scheme.(CommittedRower) // nil for a nil scheme too
 	db.walEpoch++
 	id := db.walEpoch
-	w.Append(wal.AppendCkptBegin(nil, id))
+	w.Append(wal.AppendMarker(nil, wal.TypeCkptBegin, id))
 	var buf, rowBuf []byte
 	for _, t := range db.Catalog.Tables() {
 		rs := t.Schema.RowSize()
@@ -81,35 +81,32 @@ func Checkpoint(db *DB, scheme Scheme) error {
 		buf = wal.AppendCkptAlloc(buf[:0], &alloc)
 		w.Append(buf)
 	}
-	emitIndex := func(ord int, loaded int, ordered bool, ranger func(func(key uint64, slot int))) {
-		var entries []wal.CkptIndexEntry
-		flush := func() {
-			if len(entries) == 0 {
-				return
-			}
-			buf = wal.AppendCkptIndex(buf[:0], &wal.CkptIndex{Index: ord, Ordered: ordered, Entries: entries})
+	for ord, x := range db.indexes {
+		for entries := runtimeEntries(x); len(entries) > 0; {
+			n := min(len(entries), ckptIndexChunk)
+			buf = wal.AppendCkptIndex(buf[:0], &wal.CkptIndex{Index: ord, Entries: entries[:n]})
 			w.Append(buf)
-			entries = entries[:0]
+			entries = entries[n:]
 		}
-		ranger(func(key uint64, slot int) {
-			// Setup-time entries are rebuilt by workload setup before
-			// recovery; only runtime inserts (slots past the loaded
-			// prefix) need to be in the log.
-			if slot >= loaded {
-				entries = append(entries, wal.CkptIndexEntry{Key: key, Slot: slot})
-				if len(entries) >= ckptIndexChunk {
-					flush()
-				}
-			}
-		})
-		flush()
 	}
-	for ord, h := range db.indexOrder {
-		emitIndex(ord, h.Table().Loaded(), false, h.Range)
-	}
-	for ord, o := range db.ordOrder {
-		emitIndex(ord, o.Table().Loaded(), true, o.Range)
-	}
-	w.Append(wal.AppendCkptEnd(nil, id))
+	w.Append(wal.AppendMarker(nil, wal.TypeCkptEnd, id))
 	return w.Flush()
+}
+
+// runtimeEntries returns x's entries for runtime-inserted rows (slots past
+// the loaded prefix; setup rebuilds the rest before recovery), sorted:
+// live insertion order and replay order arrange equal entry sets
+// differently, and checkpoints and state dumps must depend only on the set.
+func runtimeEntries(x index.Index) []wal.CkptIndexEntry {
+	loaded := x.Table().Loaded()
+	var entries []wal.CkptIndexEntry
+	x.Range(func(key uint64, slot int) {
+		if slot >= loaded {
+			entries = append(entries, wal.CkptIndexEntry{Key: key, Slot: slot})
+		}
+	})
+	slices.SortFunc(entries, func(a, b wal.CkptIndexEntry) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Slot, b.Slot))
+	})
+	return entries
 }

@@ -7,6 +7,7 @@ import (
 	"abyss1000/internal/cc/twopl"
 	"abyss1000/internal/cctest"
 	"abyss1000/internal/core"
+	"abyss1000/internal/index"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/stats"
 )
@@ -70,7 +71,7 @@ func TestDeferredInsertVisibility(t *testing.T) {
 	f := cctest.NewFixture(1, 4, 1)
 	scheme := twopl.New(twopl.NoWait, twopl.Options{})
 	scheme.Setup(f.DB)
-	idx := f.DB.Index("C_PK")
+	idx := f.DB.Index("C_PK").(*index.Hash)
 	f.Engine.Run(func(p rt.Proc) {
 		w := core.NewWorker(p, f.DB, scheme)
 		err := w.ExecOnce(&cctest.Txn{Body: func(tx *core.TxnCtx) error {
@@ -111,7 +112,7 @@ func TestAbortedInsertNeverMaterializes(t *testing.T) {
 	f := cctest.NewFixture(1, 4, 1)
 	scheme := twopl.New(twopl.NoWait, twopl.Options{})
 	scheme.Setup(f.DB)
-	idx := f.DB.Index("C_PK")
+	idx := f.DB.Index("C_PK").(*index.Hash)
 	f.Engine.Run(func(p rt.Proc) {
 		w := core.NewWorker(p, f.DB, scheme)
 		_ = w.ExecOnce(&cctest.Txn{Body: func(tx *core.TxnCtx) error {

@@ -1,7 +1,8 @@
 // Package core implements the lightweight main-memory DBMS of §3.2: a
-// row-store with hash indexes, a pluggable concurrency-control interface,
-// one worker thread per core pulling transactions from a per-worker queue,
-// and time-breakdown accounting over the six components the paper reports.
+// row-store with hash (and ordered) indexes behind one index interface, a
+// pluggable concurrency-control interface, one worker thread per core
+// pulling transactions from a per-worker queue, and time-breakdown
+// accounting over the six components the paper reports.
 //
 // The engine deliberately contains only what the experiments need — the
 // paper's own justification: "we can ensure that no other bottlenecks
@@ -10,6 +11,8 @@ package core
 
 import (
 	"errors"
+	"maps"
+	"slices"
 
 	"abyss1000/internal/index"
 	"abyss1000/internal/mem"
@@ -29,25 +32,19 @@ var ErrAbort = errors.New("core: transaction aborted by concurrency control")
 // completed work: the engine rolls back but does not restart.
 var ErrUserAbort = errors.New("core: transaction aborted by program logic")
 
-// DB is a database instance bound to a runtime: catalog, indexes and
-// configuration shared by all workers.
+// DB is a database instance bound to a runtime: the one catalogue of
+// tables and indexes, and the configuration shared by all workers.
 type DB struct {
 	RT      rt.Runtime
 	Catalog *storage.Catalog
-	indexes map[string]*index.Hash
 
-	// indexOrder holds the indexes in registration order; the position is
-	// the ordinal WAL records use, so recovery maps ordinals back to
-	// indexes as long as setup registers them in the same order (it does:
-	// workload setup is deterministic).
-	indexOrder []*index.Hash
-	indexOrd   map[*index.Hash]int
-
-	// Ordered secondary indexes keep their own ordinal space, mirroring
-	// the hash registry (commit records carry both ordinals).
-	ordIndexes map[string]*index.Ordered
-	ordOrder   []*index.Ordered
-	ordOrd     map[*index.Ordered]int
+	// indexes holds every index, hash and ordered alike, in registration
+	// order; the position is the ordinal WAL records use (each index also
+	// carries it), so recovery maps ordinals back to indexes as long as
+	// setup registers them in the same order (it does: workload setup is
+	// deterministic). indexByName is the same set: one namespace.
+	indexes     []index.Index
+	indexByName map[string]index.Index
 
 	// NParts is the number of H-STORE partitions (always the worker
 	// count, as in the paper's experiments).
@@ -78,61 +75,57 @@ type DB struct {
 // NewDB creates an empty database on r.
 func NewDB(r rt.Runtime) *DB {
 	return &DB{
-		RT:         r,
-		Catalog:    storage.NewCatalog(),
-		indexes:    make(map[string]*index.Hash),
-		indexOrd:   make(map[*index.Hash]int),
-		ordIndexes: make(map[string]*index.Ordered),
-		ordOrd:     make(map[*index.Ordered]int),
-		NParts:     r.NumProcs(),
+		RT:          r,
+		Catalog:     storage.NewCatalog(),
+		indexByName: make(map[string]index.Index),
+		NParts:      r.NumProcs(),
 	}
+}
+
+// register enters x into the catalogue under name and assigns its WAL
+// ordinal; a taken name panics, like a duplicate table name.
+func (db *DB) register(name string, x index.Index) {
+	if _, dup := db.indexByName[name]; dup {
+		panic("core: index " + name + " already exists")
+	}
+	x.SetOrdinal(len(db.indexes))
+	db.indexes = append(db.indexes, x)
+	db.indexByName[name] = x
 }
 
 // AddIndex builds and registers a hash index named name over t.
 func (db *DB) AddIndex(name string, t *storage.Table, minBuckets int) *index.Hash {
 	h := index.New(db.RT, t, minBuckets)
-	db.indexes[name] = h
-	db.indexOrd[h] = len(db.indexOrder)
-	db.indexOrder = append(db.indexOrder, h)
-	return h
-}
-
-// Indexes returns the registered indexes in ordinal (registration) order.
-func (db *DB) Indexes() []*index.Hash { return db.indexOrder }
-
-// Index returns the named index, or panics (missing indexes are
-// programming errors in workload definitions).
-func (db *DB) Index(name string) *index.Hash {
-	h, ok := db.indexes[name]
-	if !ok {
-		panic("core: no index " + name)
-	}
+	db.register(name, h)
 	return h
 }
 
 // AddOrderedIndex builds and registers an ordered secondary index named
-// name over t. Like hash indexes, registration order is the ordinal WAL
-// records and checkpoints use, so deterministic setup must register
-// ordered indexes in a fixed order.
+// name over t.
 func (db *DB) AddOrderedIndex(name string, t *storage.Table) *index.Ordered {
 	o := index.NewOrdered(db.RT, t)
-	db.ordIndexes[name] = o
-	db.ordOrd[o] = len(db.ordOrder)
-	db.ordOrder = append(db.ordOrder, o)
+	db.register(name, o)
 	return o
 }
 
-// OrderedIndexes returns the registered ordered indexes in ordinal order.
-func (db *DB) OrderedIndexes() []*index.Ordered { return db.ordOrder }
+// LookupIndex returns the named index and whether it exists.
+func (db *DB) LookupIndex(name string) (index.Index, bool) {
+	x, ok := db.indexByName[name]
+	return x, ok
+}
 
-// OrderedIndex returns the named ordered index, or panics.
-func (db *DB) OrderedIndex(name string) *index.Ordered {
-	o, ok := db.ordIndexes[name]
+// Index returns the named index, or panics (missing indexes are
+// programming errors in workload definitions).
+func (db *DB) Index(name string) index.Index {
+	x, ok := db.indexByName[name]
 	if !ok {
-		panic("core: no ordered index " + name)
+		panic("core: no index " + name)
 	}
-	return o
+	return x
 }
+
+// IndexNames returns every registered index name, sorted.
+func (db *DB) IndexNames() []string { return slices.Sorted(maps.Keys(db.indexByName)) }
 
 // Txn is one transaction: program logic intermixed with query invocations
 // (§3.2), executed serially by its worker.

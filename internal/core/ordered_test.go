@@ -29,7 +29,7 @@ func TestOrderedInsertDeferredUntilCommit(t *testing.T) {
 	eng, db, tab, ord := orderedFixture(64)
 	scheme := twopl.New(twopl.NoWait, twopl.Options{})
 	scheme.Setup(db)
-	idx := db.Index("C_PK")
+	idx := db.Index("C_PK").(*index.Hash)
 	eng.Run(func(p rt.Proc) {
 		if p.ID() != 0 {
 			return
@@ -59,8 +59,8 @@ func TestOrderedInsertDeferredUntilCommit(t *testing.T) {
 				t.Errorf("scan after commit = %v, want one entry with key 500", got)
 				return nil
 			}
-			if slot, ok := tx.OrderedLookup(ord, 500); !ok || slot != int(got[0].Slot) {
-				t.Errorf("OrderedLookup(500) = %d, %v", slot, ok)
+			if slot, ok := ord.Lookup(tx.P, 500); !ok || slot != int(got[0].Slot) {
+				t.Errorf("ord.Lookup(500) = %d, %v", slot, ok)
 			}
 			row, err := tx.Read(tab, int(got[0].Slot))
 			if err != nil {
@@ -78,7 +78,7 @@ func TestOrderedInsertDeferredUntilCommit(t *testing.T) {
 }
 
 // TestOrderedInsertRecovery round-trips ordered-index inserts through the
-// WAL: commit records carry the ordered ordinal and key, replay rebuilds
+// WAL: commit records carry both entries' ordinals and keys, replay rebuilds
 // the entries, replaying twice changes nothing, and a checkpoint carries
 // the entries forward on its own.
 func TestOrderedInsertRecovery(t *testing.T) {
@@ -87,7 +87,7 @@ func TestOrderedInsertRecovery(t *testing.T) {
 	db.Wal = wal.NewWriter(sink, wal.Config{})
 	scheme := twopl.New(twopl.NoWait, twopl.Options{})
 	scheme.Setup(db)
-	idx := db.Index("C_PK")
+	idx := db.Index("C_PK").(*index.Hash)
 	eng.Run(func(p rt.Proc) {
 		if p.ID() != 0 {
 			return

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"abyss1000/internal/index"
 	"abyss1000/internal/storage"
 	"abyss1000/internal/wal"
 )
@@ -119,37 +120,34 @@ func applyCkptRecord(db *DB, tables []*storage.Table, r *wal.Record) error {
 			t.RestoreSegNext(w, next)
 		}
 	case wal.TypeCkptIndex:
-		x := r.Index
-		if x.Index < 0 || x.Index >= len(db.indexOrder) {
-			return fmt.Errorf("core: recover: checkpoint entries for unknown index %d", x.Index)
+		if r.Index.Index < 0 || r.Index.Index >= len(db.indexes) {
+			return fmt.Errorf("core: recover: checkpoint entries for unknown index %d", r.Index.Index)
 		}
-		h := db.indexOrder[x.Index]
-		tcap := h.Table().Capacity()
-		for _, e := range x.Entries {
+		x := db.indexes[r.Index.Index]
+		tcap := x.Table().Capacity()
+		for _, e := range r.Index.Entries {
 			if e.Slot < 0 || e.Slot >= tcap {
-				return fmt.Errorf("core: recover: checkpoint index %d maps key %d to slot %d outside table capacity %d", x.Index, e.Key, e.Slot, tcap)
+				return fmt.Errorf("core: recover: checkpoint index %d maps key %d to slot %d outside table capacity %d", r.Index.Index, e.Key, e.Slot, tcap)
 			}
-			if _, ok := h.LoadLookup(e.Key); !ok {
-				h.LoadInsert(e.Key, e.Slot)
-			}
-		}
-	case wal.TypeCkptOIndex:
-		x := r.Index
-		if x.Index < 0 || x.Index >= len(db.ordOrder) {
-			return fmt.Errorf("core: recover: checkpoint entries for unknown ordered index %d", x.Index)
-		}
-		o := db.ordOrder[x.Index]
-		tcap := o.Table().Capacity()
-		for _, e := range x.Entries {
-			if e.Slot < 0 || e.Slot >= tcap {
-				return fmt.Errorf("core: recover: checkpoint ordered index %d maps key %d to slot %d outside table capacity %d", x.Index, e.Key, e.Slot, tcap)
-			}
-			if s, ok := o.LoadLookup(e.Key); !ok || s != e.Slot {
-				o.LoadInsert(e.Key, e.Slot)
-			}
+			restoreEntry(x, e.Key, e.Slot)
 		}
 	}
 	return nil
+}
+
+// restoreEntry publishes key→slot into x unless x already maps key: the
+// one idempotence rule for every index entry recovery restores, of either
+// kind, from a checkpoint or a commit record. A present key can stand for
+// "this very entry" because keys are unique per index and replay reproduces
+// the live slot assignment. Only recovering a stream onto a state that
+// already holds its effects reaches the skip — replaying twice, or
+// restoring a checkpoint over a recovered catalogue — and there it decides
+// as both guards it replaced did (hash: key absent; ordered: key absent or
+// mapped to another slot, which no such log produces).
+func restoreEntry(x index.Index, key uint64, slot int) {
+	if _, ok := x.LoadLookup(key); !ok {
+		x.LoadInsert(key, slot)
+	}
 }
 
 // applyCommit replays one committed transaction.
@@ -182,38 +180,30 @@ func applyCommit(db *DB, tables []*storage.Table, floors [][]uint64, c *wal.Comm
 	}
 	for i := range c.Inserts {
 		in := &c.Inserts[i]
-		if in.Index < 0 || in.Index >= len(db.indexOrder) {
-			return fmt.Errorf("core: recover: insert into unknown index %d", in.Index)
-		}
-		h := db.indexOrder[in.Index]
-		t := h.Table()
-		if in.Table != t.ID || len(in.Image) != t.Schema.RowSize() {
-			return fmt.Errorf("core: recover: insert record (table %d, %d bytes) does not match index %d over table %d", in.Table, len(in.Image), in.Index, t.ID)
-		}
-		if in.OIndex < 0 || in.OIndex > len(db.ordOrder) {
-			return fmt.Errorf("core: recover: insert names unknown ordered index %d", in.OIndex-1)
-		}
-		if slot, ok := h.LoadLookup(in.Key); ok {
-			// Replaying over an already-recovered (or checkpointed)
-			// state: the key exists, so overwrite in place — this is
-			// what makes recovery idempotent.
-			copy(t.Row(slot), in.Image)
-			if in.OIndex > 0 {
-				o := db.ordOrder[in.OIndex-1]
-				if s, ok := o.LoadLookup(in.OKey); !ok || s != slot {
-					o.LoadInsert(in.OKey, slot)
-				}
+		var ent [wal.MaxInsertEntries]index.Index
+		for j, e := range in.Entries[:in.N] {
+			if e.Index < 0 || e.Index >= len(db.indexes) || db.indexes[e.Index].Table().ID != in.Table {
+				return fmt.Errorf("core: recover: insert into table %d names index %d, which is unknown or over another table", in.Table, e.Index)
 			}
-		} else {
-			slot := t.AllocSlot(c.Worker)
-			if slot < 0 {
+			ent[j] = db.indexes[e.Index]
+		}
+		t := ent[0].Table()
+		if len(in.Image) != t.Schema.RowSize() {
+			return fmt.Errorf("core: recover: insert into table %d carries a %d-byte image, rows are %d", t.ID, len(in.Image), t.Schema.RowSize())
+		}
+		// The first entry decides where the row lives: over an already-
+		// recovered (or checkpointed) state its key is found and the row
+		// overwritten in place, which is what makes recovery idempotent;
+		// otherwise the committing worker's segment yields the live slot.
+		slot, ok := ent[0].LoadLookup(in.Entries[0].Key)
+		if !ok {
+			if slot = t.AllocSlot(c.Worker); slot < 0 {
 				return fmt.Errorf("core: recover: insert segment of table %d worker %d exhausted", t.ID, c.Worker)
 			}
-			copy(t.Row(slot), in.Image)
-			h.LoadInsert(in.Key, slot)
-			if in.OIndex > 0 {
-				db.ordOrder[in.OIndex-1].LoadInsert(in.OKey, slot)
-			}
+		}
+		copy(t.Row(slot), in.Image)
+		for j, e := range in.Entries[:in.N] {
+			restoreEntry(ent[j], e.Key, slot)
 		}
 		ri.Inserts++
 	}

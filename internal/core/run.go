@@ -28,7 +28,8 @@ type Config struct {
 	MeasureCycles uint64
 
 	// AbortBackoff is the mean randomized restart penalty after a CC
-	// abort, in cycles. Zero disables backoff.
+	// abort, in cycles (natively: billed, plus one yield of the worker's
+	// OS thread). Zero disables backoff.
 	AbortBackoff uint64
 
 	// SampleEvery divides the measurement window into intervals of this
@@ -313,7 +314,7 @@ func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
 		// floors at the epoch boundary, because this run's transactions
 		// draw from a fresh timestamp allocator.
 		db.walEpoch++
-		db.Wal.Append(wal.AppendEpoch(nil, db.walEpoch))
+		db.Wal.Append(wal.AppendMarker(nil, wal.TypeEpoch, db.walEpoch))
 	}
 	n := db.RT.NumProcs()
 	var smp *sampler
@@ -328,7 +329,7 @@ func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
 	}
 	workers := make([]*Worker, n)
 	db.RT.Run(func(p rt.Proc) {
-		w := newWorker(p, db, scheme)
+		w := NewWorker(p, db, scheme)
 		w.BindWorkload(wl)
 		w.smp = smp
 		w.deadline = cfg.Deadline

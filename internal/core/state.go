@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"abyss1000/internal/storage"
@@ -26,10 +25,7 @@ type CommittedRower interface {
 //
 // Quiesced use only: it reads rows and walks indexes with no latches.
 func DumpState(db *DB, scheme Scheme) string {
-	var cr CommittedRower
-	if scheme != nil {
-		cr, _ = scheme.(CommittedRower)
-	}
+	cr, _ := scheme.(CommittedRower) // nil for a nil scheme too
 	row := func(t *storage.Table, slot int) []byte {
 		if cr != nil {
 			if img := cr.LatestCommitted(t, slot); img != nil {
@@ -55,32 +51,11 @@ func DumpState(db *DB, scheme Scheme) string {
 			}
 		}
 	}
-	dumpIndex := func(label string, ord, loaded int, ranger func(func(key uint64, slot int))) {
-		var entries []struct{ key, slot uint64 }
-		ranger(func(key uint64, slot int) {
-			if slot >= loaded {
-				entries = append(entries, struct{ key, slot uint64 }{key, uint64(slot)})
-			}
-		})
-		// Live insertion order (worker interleaving) and replay order
-		// (log order) place equal entry sets in different buckets slots;
-		// sort so the dump depends only on the set.
-		sort.Slice(entries, func(i, j int) bool {
-			if entries[i].key != entries[j].key {
-				return entries[i].key < entries[j].key
-			}
-			return entries[i].slot < entries[j].slot
-		})
-		fmt.Fprintf(&b, "%s %d\n", label, ord)
-		for _, e := range entries {
-			fmt.Fprintf(&b, "  %d -> %d\n", e.key, e.slot)
+	for ord, x := range db.indexes {
+		fmt.Fprintf(&b, "index %d\n", ord)
+		for _, e := range runtimeEntries(x) {
+			fmt.Fprintf(&b, "  %d -> %d\n", e.Key, e.Slot)
 		}
-	}
-	for ord, h := range db.indexOrder {
-		dumpIndex("index", ord, h.Table().Loaded(), h.Range)
-	}
-	for ord, o := range db.ordOrder {
-		dumpIndex("oindex", ord, o.Table().Loaded(), o.Range)
 	}
 	return b.String()
 }

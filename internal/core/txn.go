@@ -61,16 +61,17 @@ type Scheme interface {
 // insertRec is a staged insert: the row image is buffered privately and
 // applied at commit, so uncommitted inserts are never visible and aborts
 // simply drop the staging (the engine's deferred-insert protocol).
+// ent[:n] are the index entries it is published under, in order; ent[0]'s
+// index names the table. Nothing past staging asks an entry's index kind.
 type insertRec struct {
-	idx  *index.Hash
-	key  uint64
-	buf  []byte
-	part int
+	buf []byte
+	n   int
+	ent [wal.MaxInsertEntries]indexKey
+}
 
-	// oidx, when non-nil, is an ordered secondary index the row is also
-	// published into (under okey) at commit.
-	oidx *index.Ordered
-	okey uint64
+type indexKey struct {
+	idx index.Index
+	key uint64
 }
 
 // walWrite is one captured write target for the commit record: buf is the
@@ -156,11 +157,6 @@ func (tx *TxnCtx) Lookup(idx *index.Hash, key uint64) (int, bool) {
 	return idx.Lookup(tx.P, key)
 }
 
-// OrderedLookup probes the ordered index for the first entry with key.
-func (tx *TxnCtx) OrderedLookup(o *index.Ordered, key uint64) (int, bool) {
-	return o.Lookup(tx.P, key)
-}
-
 // RangeScan collects every ordered-index entry with lo <= key <= hi, in
 // ascending key order, billing the INDEX component for the traversal. The
 // returned slice is valid for the rest of the transaction (nested scans
@@ -171,16 +167,12 @@ func (tx *TxnCtx) OrderedLookup(o *index.Ordered, key uint64) (int, bool) {
 // scan's latch window is invisible, so range predicates can observe
 // phantoms under every scheme (see workloads/chaos).
 func (tx *TxnCtx) RangeScan(o *index.Ordered, lo, hi uint64) []index.Entry {
-	return tx.rangeScan(o, lo, hi, -1)
+	return tx.RangeScanLimit(o, lo, hi, -1)
 }
 
 // RangeScanLimit is RangeScan capped at max entries (the lowest-keyed
 // matches); max < 0 means unlimited.
 func (tx *TxnCtx) RangeScanLimit(o *index.Ordered, lo, hi uint64, max int) []index.Entry {
-	return tx.rangeScan(o, lo, hi, max)
-}
-
-func (tx *TxnCtx) rangeScan(o *index.Ordered, lo, hi uint64, max int) []index.Entry {
 	start := len(tx.scanBuf)
 	tx.scanBuf = o.RangeScanLimit(tx.P, lo, hi, max, tx.scanBuf)
 	end := len(tx.scanBuf)
@@ -274,15 +266,9 @@ func (tx *TxnCtx) LogCommit() {
 	c.Inserts = c.Inserts[:0]
 	for i := range tx.inserts {
 		in := &tx.inserts[i]
-		rec := wal.Insert{
-			Table: in.idx.Table().ID,
-			Index: tx.DB.indexOrd[in.idx],
-			Key:   in.key,
-			Image: in.buf,
-		}
-		if in.oidx != nil {
-			rec.OIndex = tx.DB.ordOrd[in.oidx] + 1
-			rec.OKey = in.okey
+		rec := wal.Insert{Table: in.ent[0].idx.Table().ID, Image: in.buf, N: in.n}
+		for j, e := range in.ent[:in.n] {
+			rec.Entries[j] = wal.InsertEntry{Index: e.idx.Ordinal(), Key: e.key}
 		}
 		c.Inserts = append(c.Inserts, rec)
 	}
@@ -297,40 +283,38 @@ func (tx *TxnCtx) LogCommit() {
 }
 
 // InsertRow stages a new row for idx's table under key and returns the
-// private staging buffer for the caller to populate (contents are
-// unspecified until written). The row becomes visible atomically at
-// commit (deferred-insert protocol).
+// private, zeroed staging buffer for the caller to populate. The row
+// becomes visible atomically at commit (deferred-insert protocol).
 func (tx *TxnCtx) InsertRow(idx *index.Hash, key uint64) []byte {
-	tx.tuples++
-	t := idx.Table()
-	buf := tx.Alloc.Alloc(tx.P, stats.Useful, t.Schema.RowSize())
-	// The arena recycles memory across transactions; a fresh row must not
-	// inherit a predecessor's bytes in columns the caller leaves unset.
-	// The copy cost billed below covers the initialization.
-	clear(buf)
-	tx.P.Tick(stats.Useful, costs.UsefulPerRow+costs.CopyCost(uint64(len(buf))))
-	tx.inserts = append(tx.inserts, insertRec{idx: idx, key: key, buf: buf})
-	return buf
+	return tx.InsertRowOrdered(idx, key, nil, 0)
 }
 
 // InsertRowOrdered is InsertRow for a row that is additionally published
 // into the ordered secondary index oidx under okey at commit (after the
-// hash entry, same deferred-insert protocol).
+// hash entry, same deferred-insert protocol). A nil oidx stages the hash
+// entry alone, so workloads whose ordered indexes are optional make one
+// call either way.
 func (tx *TxnCtx) InsertRowOrdered(idx *index.Hash, key uint64, oidx *index.Ordered, okey uint64) []byte {
+	rec := insertRec{n: 1, ent: [wal.MaxInsertEntries]indexKey{{idx, key}}}
+	if oidx != nil { // tested here: a nil *Ordered in an index.Index is non-nil
+		rec.n, rec.ent[1] = 2, indexKey{oidx, okey}
+	}
 	tx.tuples++
-	t := idx.Table()
-	buf := tx.Alloc.Alloc(tx.P, stats.Useful, t.Schema.RowSize())
-	clear(buf)
-	tx.P.Tick(stats.Useful, costs.UsefulPerRow+costs.CopyCost(uint64(len(buf))))
-	tx.inserts = append(tx.inserts, insertRec{idx: idx, key: key, buf: buf, oidx: oidx, okey: okey})
-	return buf
+	rec.buf = tx.Alloc.Alloc(tx.P, stats.Useful, idx.Table().Schema.RowSize())
+	// The arena recycles memory across transactions; a fresh row must not
+	// inherit a predecessor's bytes in columns the caller leaves unset.
+	// The copy cost billed below covers the initialization.
+	clear(rec.buf)
+	tx.P.Tick(stats.Useful, costs.UsefulPerRow+costs.CopyCost(uint64(len(rec.buf))))
+	tx.inserts = append(tx.inserts, rec)
+	return rec.buf
 }
 
 // applyInserts materializes staged inserts after a successful Commit.
 func (tx *TxnCtx) applyInserts() {
 	for i := range tx.inserts {
 		rec := &tx.inserts[i]
-		t := rec.idx.Table()
+		t := rec.ent[0].idx.Table()
 		slot := t.AllocSlot(tx.P.ID())
 		if slot < 0 {
 			panic("core: table " + t.Schema.Name + " insert segment exhausted; raise capacity")
@@ -341,9 +325,8 @@ func (tx *TxnCtx) applyInserts() {
 		if c := tx.DB.Cap; c != nil {
 			c.captureInsert(tx, t, slot, rec.buf)
 		}
-		rec.idx.Insert(tx.P, rec.key, slot)
-		if rec.oidx != nil {
-			rec.oidx.Insert(tx.P, rec.okey, slot)
+		for _, e := range rec.ent[:rec.n] {
+			e.idx.Insert(tx.P, e.key, slot)
 		}
 	}
 }

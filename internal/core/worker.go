@@ -64,13 +64,6 @@ type Worker struct {
 	tsOrdered bool
 }
 
-// NewWorker constructs a worker bound to proc p, for callers that drive
-// transactions themselves (scheme unit tests, external harnesses). The
-// engine's Run builds its own workers.
-func NewWorker(p rt.Proc, db *DB, scheme Scheme) *Worker {
-	return newWorker(p, db, scheme)
-}
-
 // BindWorkload attaches per-transaction-type attribution to the worker
 // when wl implements TxnTyper. The engine's Run binds automatically;
 // hand-built workers (scheme tests, benchmarks) call it themselves when
@@ -92,21 +85,13 @@ func (w *Worker) ExecOnce(txn Txn) error {
 	start := w.P.Now()
 	w.Ctx.reset()
 	w.Ctx.Txn = txn
-	w.Scheme.Begin(&w.Ctx)
-	err := txn.Run(&w.Ctx)
+	err := w.attempt(txn)
 	if err == nil {
-		err = w.Scheme.Commit(&w.Ctx)
-		if err == nil {
-			w.Ctx.LogCommit()
-			w.Ctx.applyInserts()
-			w.finishDurable()
-			w.Ctx.captureFinish()
-			if h, ok := txn.(CommitHook); ok {
-				h.Committed()
-			}
-			w.observeCommit(txn, w.P.Now(), start)
-			return nil
+		if h, ok := txn.(CommitHook); ok {
+			h.Committed()
 		}
+		w.observeCommit(txn, w.P.Now(), start)
+		return nil
 	}
 	w.Scheme.Abort(&w.Ctx)
 	if err == ErrUserAbort {
@@ -114,6 +99,25 @@ func (w *Worker) ExecOnce(txn Txn) error {
 		w.observeCommit(txn, w.P.Now(), start)
 	} else {
 		w.observeAbort(txn, w.P.Now())
+	}
+	return err
+}
+
+// attempt is the one attempt body ExecOnce and the retry loop share:
+// Begin, the transaction's logic, Commit and, once that succeeded, the
+// commit record, insert publication, durability wait and capture record.
+// The caller has reset the context; on error it rolls back.
+func (w *Worker) attempt(txn Txn) error {
+	w.Scheme.Begin(&w.Ctx)
+	err := txn.Run(&w.Ctx)
+	if err == nil {
+		err = w.Scheme.Commit(&w.Ctx)
+	}
+	if err == nil {
+		w.Ctx.LogCommit()
+		w.Ctx.applyInserts()
+		w.finishDurable()
+		w.Ctx.captureFinish()
 	}
 	return err
 }
@@ -206,7 +210,10 @@ func (w *Worker) resetWindow() {
 	w.spend = intervalAgg{}
 }
 
-func newWorker(p rt.Proc, db *DB, scheme Scheme) *Worker {
+// NewWorker constructs a worker bound to proc p. The engine's Run builds
+// its own; scheme unit tests and external harnesses that drive
+// transactions themselves call it directly.
+func NewWorker(p rt.Proc, db *DB, scheme Scheme) *Worker {
 	w := &Worker{P: p, DB: db, Scheme: scheme}
 	var alloc mem.Allocator
 	if db.GlobalAlloc != nil {
@@ -311,18 +318,7 @@ func (w *Worker) runTxn(txn Txn, start, warmEnd, end uint64, backoff uint64) err
 		w.Ctx.reset()
 		w.Ctx.Txn = txn
 		p.Tick(stats.Useful, costs.TxnSetup)
-		w.Scheme.Begin(&w.Ctx)
-
-		err := txn.Run(&w.Ctx)
-		if err == nil {
-			err = w.Scheme.Commit(&w.Ctx)
-			if err == nil {
-				w.Ctx.LogCommit()
-				w.Ctx.applyInserts()
-				w.finishDurable()
-				w.Ctx.captureFinish()
-			}
-		}
+		err := w.attempt(txn)
 
 		now = p.Now()
 		inWindow := now >= warmEnd && now < end
@@ -373,7 +369,7 @@ func (w *Worker) runTxn(txn Txn, start, warmEnd, end uint64, backoff uint64) err
 				if w.backoffCap > 0 {
 					mean = backoffMean(backoff, w.backoffCap, attempt)
 				}
-				p.Tick(stats.Abort, uint64(p.Rand().Int63n(int64(2*mean)))+1)
+				p.Backoff(stats.Abort, uint64(p.Rand().Int63n(int64(2*mean)))+1)
 			}
 			// Restart the same transaction.
 		default:

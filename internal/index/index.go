@@ -1,8 +1,9 @@
-// Package index implements the DBMS's hash indexes (§3.2: "the system
-// supports basic hash table indexes"). Buckets carry low-level latches
-// whose cost — like the paper's — is billed to the INDEX component, and
-// bucket cache lines are placed across the chip's L2 slices so probes pay
-// realistic NUCA latency under simulation.
+// Package index implements the DBMS's indexes: the paper's hash index
+// (§3.2: "the system supports basic hash table indexes") and an ordered
+// B+tree, both behind the Index interface. Their latches' cost — like the
+// paper's — is billed to the INDEX component, and their cache lines are
+// placed across the chip's L2 slices so probes pay realistic NUCA latency
+// under simulation.
 package index
 
 import (
@@ -11,6 +12,39 @@ import (
 	"abyss1000/internal/stats"
 	"abyss1000/internal/storage"
 )
+
+// Index is what the engine registers, publishes inserts into, logs,
+// checkpoints and recovers through, whichever structure is behind it. The
+// transactional reads (Hash.Lookup, Ordered.RangeScan) stay on the
+// concrete types, so they pay no dynamic dispatch.
+type Index interface {
+	Table() *storage.Table
+
+	// Ordinal is the position in the DB's registration order that WAL
+	// records name the index by; the catalogue sets it at registration.
+	Ordinal() int
+	SetOrdinal(ord int)
+
+	// Insert publishes key→slot under the index's latches, billed to INDEX.
+	Insert(p rt.Proc, key uint64, slot int)
+
+	// LoadInsert and LoadLookup are the latch- and cost-free forms for
+	// single-threaded setup and recovery; Range, likewise quiesced-only,
+	// visits every mapping (checkpointing, state dumps).
+	LoadInsert(key uint64, slot int)
+	LoadLookup(key uint64) (int, bool)
+	Range(f func(key uint64, slot int))
+}
+
+// meta is the part of Index both kinds implement the same way.
+type meta struct {
+	table *storage.Table
+	ord   int
+}
+
+func (m *meta) Table() *storage.Table { return m.table }
+func (m *meta) Ordinal() int          { return m.ord }
+func (m *meta) SetOrdinal(ord int)    { m.ord = ord }
 
 // entry is one key→slot mapping.
 type entry struct {
@@ -62,7 +96,7 @@ func (b *bucket) push(e entry) {
 // All mutation happens under per-bucket latches, so the index is safe on
 // both the simulated and native runtimes.
 type Hash struct {
-	table   *storage.Table
+	meta
 	buckets []bucket
 	mask    uint64
 }
@@ -74,15 +108,12 @@ func New(r rt.Runtime, table *storage.Table, minBuckets int) *Hash {
 	for n < minBuckets {
 		n <<= 1
 	}
-	h := &Hash{table: table, buckets: make([]bucket, n), mask: uint64(n - 1)}
+	h := &Hash{meta: meta{table: table}, buckets: make([]bucket, n), mask: uint64(n - 1)}
 	for i := range h.buckets {
 		h.buckets[i].latch = r.NewLatch(uint64(table.ID)<<48 | 0xB0<<40 | uint64(i))
 	}
 	return h
 }
-
-// Table returns the indexed table.
-func (h *Hash) Table() *storage.Table { return h.table }
 
 func (h *Hash) bucketOf(key uint64) (*bucket, uint64) {
 	z := key + 0x9e3779b97f4a7c15
@@ -171,8 +202,7 @@ func (h *Hash) LoadLookup(key uint64) (int, bool) {
 	return -1, false
 }
 
-// Range calls f for every key→slot mapping, in bucket order. Quiesced use
-// only (checkpointing, state dumps): it takes no latches.
+// Range implements Index, in bucket order.
 func (h *Hash) Range(f func(key uint64, slot int)) {
 	for i := range h.buckets {
 		b := &h.buckets[i]

@@ -41,7 +41,7 @@ type onode struct {
 // Duplicate keys are allowed (entries with equal keys have no defined
 // relative order); the workloads use unique keys.
 type Ordered struct {
-	table  *storage.Table
+	meta
 	latch  rt.Latch
 	root   *onode
 	count  int
@@ -50,14 +50,11 @@ type Ordered struct {
 
 // NewOrdered creates an empty ordered index over table.
 func NewOrdered(r rt.Runtime, table *storage.Table) *Ordered {
-	o := &Ordered{table: table}
+	o := &Ordered{meta: meta{table: table}}
 	o.latch = r.NewLatch(uint64(table.ID)<<48 | 0xB3<<40)
 	o.root = o.newNode(true)
 	return o
 }
-
-// Table returns the indexed table.
-func (o *Ordered) Table() *storage.Table { return o.table }
 
 // Len returns the number of entries.
 func (o *Ordered) Len() int { return o.count }
@@ -73,10 +70,11 @@ func (o *Ordered) memKey(id uint64) uint64 {
 	return uint64(o.table.ID)<<48 | 0xB2<<40 | id
 }
 
-// childOf returns the descent position for key in an inner node: the
-// number of separators <= key (inserts of a duplicate key go right of its
-// separator, so a split never splits a duplicate run leftwards again).
-func childOf(n *onode, key uint64) int {
+// upperBound returns the number of keys in n that are <= key. It is the
+// descent position of an insert in an inner node (a duplicate key goes
+// right of its separator, so a split never splits a duplicate run
+// leftwards again) and its position in a leaf (past all equal entries).
+func upperBound(n *onode, key uint64) int {
 	lo, hi := 0, len(n.keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -89,10 +87,11 @@ func childOf(n *onode, key uint64) int {
 	return lo
 }
 
-// childOfLow is the descent position for the FIRST entry with the given
-// key: the number of separators strictly below it. Scans and removes use
-// it so a duplicate run straddling a node split is found from its start.
-func childOfLow(n *onode, key uint64) int {
+// lowerBound returns the number of keys in n that are < key: the descent
+// position for the FIRST entry with that key in an inner node (scans and
+// removes use it so a duplicate run straddling a split is found from its
+// start) and the first position with an entry >= key in a leaf.
+func lowerBound(n *onode, key uint64) int {
 	lo, hi := 0, len(n.keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -105,39 +104,11 @@ func childOfLow(n *onode, key uint64) int {
 	return lo
 }
 
-// leafPos returns the insert position in a leaf: past all entries <= key.
-func leafPos(n *onode, key uint64) int {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.keys[mid] <= key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// lowerBound returns the first position in a leaf with key >= target.
-func lowerBound(n *onode, target uint64) int {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.keys[mid] < target {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // insert descends from n, inserting key→slot. It returns the new right
 // sibling and its separator key when n split, or (nil, 0).
 func (o *Ordered) insert(n *onode, key uint64, slot int32) (*onode, uint64) {
 	if n.leaf {
-		pos := leafPos(n, key)
+		pos := upperBound(n, key)
 		n.keys = append(n.keys, 0)
 		n.slots = append(n.slots, 0)
 		copy(n.keys[pos+1:], n.keys[pos:])
@@ -157,7 +128,7 @@ func (o *Ordered) insert(n *onode, key uint64, slot int32) (*onode, uint64) {
 		n.next = right
 		return right, right.keys[0]
 	}
-	ci := childOf(n, key)
+	ci := upperBound(n, key)
 	split, sep := o.insert(n.kids[ci], key, slot)
 	if split == nil {
 		return nil, 0
@@ -207,7 +178,7 @@ func (o *Ordered) depth() uint64 {
 func (o *Ordered) findLeaf(key uint64) *onode {
 	n := o.root
 	for !n.leaf {
-		n = n.kids[childOf(n, key)]
+		n = n.kids[upperBound(n, key)]
 	}
 	return n
 }
@@ -217,7 +188,7 @@ func (o *Ordered) findLeaf(key uint64) *onode {
 func (o *Ordered) findLeafLow(key uint64) *onode {
 	n := o.root
 	for !n.leaf {
-		n = n.kids[childOfLow(n, key)]
+		n = n.kids[lowerBound(n, key)]
 	}
 	return n
 }
@@ -263,16 +234,28 @@ func (o *Ordered) remove(key uint64, slot int32) bool {
 	return false
 }
 
+// find returns the slot of the first entry with the given key. The low
+// descent lands left of a separator equal to key, while the entry itself —
+// the first of the right sibling a split produced — lives one leaf on, so
+// an exhausted leaf hands over to the chain (RangeScan does the same).
+func (o *Ordered) find(key uint64) (*onode, int, bool) {
+	n := o.findLeafLow(key)
+	i := lowerBound(n, key)
+	for i == len(n.keys) && n.next != nil {
+		n, i = n.next, 0
+	}
+	if i < len(n.keys) && n.keys[i] == key {
+		return n, int(n.slots[i]), true
+	}
+	return n, -1, false
+}
+
 // Lookup probes for the first entry with the given key.
 func (o *Ordered) Lookup(p rt.Proc, key uint64) (int, bool) {
 	o.latch.Acquire(p, stats.Index)
 	p.Tick(stats.Index, costs.IndexProbe+o.depth())
-	n := o.findLeafLow(key)
+	n, slot, ok := o.find(key)
 	p.MemRead(stats.Index, o.memKey(n.id), 16)
-	slot, ok := -1, false
-	if i := lowerBound(n, key); i < len(n.keys) && n.keys[i] == key {
-		slot, ok = int(n.slots[i]), true
-	}
 	o.latch.Release(p, stats.Index)
 	return slot, ok
 }
@@ -289,16 +272,12 @@ func (o *Ordered) Lookup(p rt.Proc, key uint64) (int, bool) {
 // scheme (none of the seven implement next-key locking or predicate
 // validation; see the chaos workload's documentation).
 func (o *Ordered) RangeScan(p rt.Proc, lo, hi uint64, out []Entry) []Entry {
-	return o.rangeScan(p, lo, hi, -1, out)
+	return o.RangeScanLimit(p, lo, hi, -1, out)
 }
 
 // RangeScanLimit is RangeScan capped at max entries (the max lowest-keyed
 // matches); max < 0 means unlimited.
 func (o *Ordered) RangeScanLimit(p rt.Proc, lo, hi uint64, max int, out []Entry) []Entry {
-	return o.rangeScan(p, lo, hi, max, out)
-}
-
-func (o *Ordered) rangeScan(p rt.Proc, lo, hi uint64, max int, out []Entry) []Entry {
 	if max == 0 || hi < lo {
 		return out
 	}
@@ -333,15 +312,11 @@ func (o *Ordered) LoadInsert(key uint64, slot int) {
 // LoadLookup probes for key during single-threaded setup or recovery, with
 // no latching or cost accounting.
 func (o *Ordered) LoadLookup(key uint64) (int, bool) {
-	n := o.findLeafLow(key)
-	if i := lowerBound(n, key); i < len(n.keys) && n.keys[i] == key {
-		return int(n.slots[i]), true
-	}
-	return -1, false
+	_, slot, ok := o.find(key)
+	return slot, ok
 }
 
-// Range calls f for every entry in ascending key order. Quiesced use only
-// (checkpointing, state dumps): it takes no latches.
+// Range implements Index, in ascending key order.
 func (o *Ordered) Range(f func(key uint64, slot int)) {
 	n := o.root
 	for !n.leaf {

@@ -171,3 +171,35 @@ func TestOrderedScanBilledToIndexComponent(t *testing.T) {
 		}
 	})
 }
+
+// TestOrderedLookupFindsSeparatorKeys: a key equal to an inner-node
+// separator is the first entry of the right sibling a split produced, one
+// leaf past where the low descent lands. Point probes must follow the
+// chain there like scans do — recovery's idempotence rule ("publish unless
+// the key is already present") depends on it.
+func TestOrderedLookupFindsSeparatorKeys(t *testing.T) {
+	const n = 4096 // several levels at fanout 32, so hundreds of separators
+	eng, idx := buildOrdered(n)
+	for k := 0; k < n; k++ {
+		idx.LoadInsert(uint64(k)*3, k)
+	}
+	for k := 0; k < n; k++ {
+		if slot, ok := idx.LoadLookup(uint64(k) * 3); !ok || slot != k {
+			t.Fatalf("LoadLookup(%d) = %d, %v; want %d", k*3, slot, ok, k)
+		}
+		if _, ok := idx.LoadLookup(uint64(k)*3 + 1); ok {
+			t.Fatalf("LoadLookup(%d) found an absent key", k*3+1)
+		}
+	}
+	eng.Run(func(p rt.Proc) {
+		if p.ID() != 0 {
+			return
+		}
+		for k := 0; k < n; k++ {
+			if slot, ok := idx.Lookup(p, uint64(k)*3); !ok || slot != k {
+				t.Errorf("Lookup(%d) = %d, %v; want %d", k*3, slot, ok, k)
+				return
+			}
+		}
+	})
+}

@@ -55,8 +55,8 @@ type Chip struct {
 
 	// tileX/tileY are precomputed per-tile coordinates. Hops sits on the
 	// simulator's per-event path (every wakeup, line transfer and NUCA
-	// access computes one or more distances), so the div/mod of TileOf is
-	// replaced with two table lookups.
+	// access computes one or more distances), so the div/mod that maps a
+	// tile id to its coordinates is replaced with two table lookups.
 	tileX, tileY []int16
 }
 
@@ -83,12 +83,6 @@ func NewChip(n int) *Chip {
 		c.tileY[id] = int16(id / w)
 	}
 	return c
-}
-
-// TileOf returns the (x, y) coordinate of tile id. Like Hops, it accepts
-// only ids on the grid (0 <= id < W*H).
-func (c *Chip) TileOf(id int) (x, y int) {
-	return int(c.tileX[id]), int(c.tileY[id])
 }
 
 // Hops returns the Manhattan distance in mesh hops between two tiles.

@@ -5,15 +5,17 @@
 // unmodified on both substrates.
 //
 // Under the native runtime, Tick/Sync/MemRead/MemWrite only account modeled
-// cycles into the stats breakdown (they do not delay execution); Now()
-// returns real elapsed nanoseconds, so with the nominal 1 GHz target clock
-// one "cycle" is one nanosecond and throughput figures are real wall-clock
-// transactions per second. Parking uses per-proc permit channels; latches
-// are sync.Mutex; counters are atomic fetch-adds.
+// cycles into the stats breakdown (they do not delay execution; Backoff
+// additionally yields the processor); Now() returns real elapsed
+// nanoseconds, so with the nominal 1 GHz target clock one "cycle" is one
+// nanosecond and throughput figures are real wall-clock transactions per
+// second. Parking uses per-proc permit channels; latches are sync.Mutex;
+// counters are atomic fetch-adds.
 package native
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,6 +129,12 @@ func (p *Proc) Stats() *stats.Breakdown {
 
 // Tick implements rt.Proc: account modeled cycles only.
 func (p *Proc) Tick(c stats.Component, cycles uint64) { p.pend[c] += cycles }
+
+// Backoff implements rt.Proc: bill the penalty and yield the OS thread.
+func (p *Proc) Backoff(c stats.Component, cycles uint64) {
+	p.pend[c] += cycles
+	runtime.Gosched()
+}
 
 // Sync implements rt.Proc: on real hardware ordering comes from the real
 // primitives, so Sync is just accounting.

@@ -43,6 +43,14 @@ type Proc interface {
 	// Tick advances the local clock by cycles, billing them to c.
 	Tick(c stats.Component, cycles uint64)
 
+	// Backoff is Tick for the restart penalty after a CC abort, which must
+	// be served, not merely billed, so that the conflicting transaction
+	// runs meanwhile. Advancing the simulated clock does that; the native
+	// Tick is accounting only, so there the Proc also yields its OS thread
+	// — or a transaction dying against an older lock holder restarts in a
+	// loop that never blocks and, on a busy host, starves that holder.
+	Backoff(c stats.Component, cycles uint64)
+
 	// Sync is Tick plus a global ordering point (see type comment).
 	//
 	// Implementations may elide the yield when no other Proc could

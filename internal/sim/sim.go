@@ -223,6 +223,9 @@ func (p *Proc) Tick(c stats.Component, cycles uint64) {
 	p.pend[c] += cycles
 }
 
+// Backoff implements rt.Proc: simulated time passing is the whole penalty.
+func (p *Proc) Backoff(c stats.Component, cycles uint64) { p.Tick(c, cycles) }
+
 // Sync implements rt.Proc: advance the clock and yield so that the engine
 // can run any core whose clock is behind ours. Code performing an access to
 // shared simulation state calls Sync first; the access then occurs in

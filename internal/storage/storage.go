@@ -210,8 +210,12 @@ func NewCatalog() *Catalog {
 	return &Catalog{byName: make(map[string]*Table)}
 }
 
-// Add registers a table built from schema and returns it.
+// Add registers a table built from schema and returns it; a name already
+// in the catalog panics rather than being overwritten.
 func (c *Catalog) Add(schema *Schema, capacity, loaded, nworkers int) *Table {
+	if _, dup := c.byName[schema.Name]; dup {
+		panic(fmt.Sprintf("storage: table %q already exists", schema.Name))
+	}
 	t := NewTable(len(c.tables), schema, capacity, loaded, nworkers)
 	c.tables = append(c.tables, t)
 	c.byName[schema.Name] = t
@@ -221,10 +225,16 @@ func (c *Catalog) Add(schema *Schema, capacity, loaded, nworkers int) *Table {
 // Tables returns all tables in id order.
 func (c *Catalog) Tables() []*Table { return c.tables }
 
+// Lookup returns the named table and whether it exists.
+func (c *Catalog) Lookup(name string) (*Table, bool) {
+	t, ok := c.byName[name]
+	return t, ok
+}
+
 // Table looks a table up by name, or panics (schema mismatches are
 // programming errors).
 func (c *Catalog) Table(name string) *Table {
-	t, ok := c.byName[name]
+	t, ok := c.Lookup(name)
 	if !ok {
 		panic(fmt.Sprintf("storage: no table %q", name))
 	}

@@ -66,7 +66,11 @@ func FuzzCommitRoundTrip(f *testing.F) {
 			if blob[i+1]%2 == 0 {
 				c.Updates = append(c.Updates, Update{Table: int(blob[i] % 4), Slot: int(blob[i+1]), Image: blob[:n]})
 			} else {
-				c.Inserts = append(c.Inserts, Insert{Table: int(blob[i] % 4), Index: int(blob[i+1] % 3), Key: uint64(blob[i]) << i, Image: blob[:n]})
+				in := Insert{Table: int(blob[i] % 4), Image: blob[:n], N: 1 + int(blob[i+1]/2%2)}
+				for j := 0; j < in.N; j++ {
+					in.Entries[j] = InsertEntry{Index: int(blob[i+1] % 3), Key: uint64(blob[i]) << (i + j)}
+				}
+				c.Inserts = append(c.Inserts, in)
 			}
 		}
 		stream := AppendCommit(append([]byte(nil), Magic[:]...), c)

@@ -42,20 +42,18 @@ const (
 	TypeCkptAlloc byte = 5
 
 	// TypeCkptIndex carries runtime-inserted index entries (key → slot)
-	// of one index; setup-time entries are rebuilt by workload setup.
+	// of one index, hash or ordered; setup-time entries are rebuilt by
+	// workload setup.
 	TypeCkptIndex byte = 6
 
 	// TypeCkptEnd closes the checkpoint with the matching ID.
 	TypeCkptEnd byte = 7
-
-	// TypeCkptOIndex carries runtime-inserted ordered-index entries
-	// (key → slot) of one ordered index, mirroring TypeCkptIndex.
-	TypeCkptOIndex byte = 8
 )
 
 // Magic is the 8-byte stream header identifying a WAL and its format
-// version.
-var Magic = [8]byte{'A', 'B', 'Y', 'W', 'A', 'L', '0', '2'}
+// version. 03 put hash and ordered indexes into one ordinal space, so an
+// older stream is refused with ErrNotWAL rather than misread.
+var Magic = [8]byte{'A', 'B', 'Y', 'W', 'A', 'L', '0', '3'}
 
 // Frame layout: u32 body length | body (type byte + payload) | u32 CRC32
 // (IEEE) over the body. A record is complete only when all length+8 bytes
@@ -78,21 +76,29 @@ type Update struct {
 	Image []byte // full row image after the transaction
 }
 
+// MaxInsertEntries is the most index entries one insert publishes: the
+// row's primary index plus one secondary.
+const MaxInsertEntries = 2
+
+// InsertEntry is one index entry of an insert: the index by ordinal (its
+// registration order in the DB, whatever its kind) and the key.
+type InsertEntry struct {
+	Index int
+	Key   uint64
+}
+
 // Insert is one deferred insert: replay allocates the slot from the
 // recorded worker's insert segment (reproducing the live allocation
-// order) unless Key is already present, in which case the existing slot
-// is overwritten — which makes replay idempotent.
+// order) unless the first entry's key is already present, in which case
+// the existing slot is overwritten — which makes replay idempotent.
 type Insert struct {
 	Table int    // storage table ordinal
-	Index int    // index ordinal (registration order in the DB)
-	Key   uint64 // index key
 	Image []byte // full row image
 
-	// OIndex is 1 + the ordered-index ordinal when the insert also
-	// publishes an ordered-index entry under OKey; 0 (the zero value)
-	// means the insert targets the hash index only.
-	OIndex int
-	OKey   uint64
+	// Entries[:N] are the index entries the row is published under, in
+	// publication order; N is in [1, MaxInsertEntries].
+	N       int
+	Entries [MaxInsertEntries]InsertEntry
 }
 
 // Commit is one committed transaction's log record.
@@ -138,12 +144,9 @@ type CkptIndexEntry struct {
 	Slot int
 }
 
-// CkptIndex is a chunk of one index's runtime-inserted entries. With
-// Ordered set it describes an ordered index (TypeCkptOIndex) and Index is
-// the ordered-index ordinal.
+// CkptIndex is a chunk of one index's runtime-inserted entries.
 type CkptIndex struct {
 	Index   int
-	Ordered bool
 	Entries []CkptIndexEntry
 }
 
@@ -203,29 +206,21 @@ func encodeCommitBody(body []byte, c *Commit) []byte {
 	for i := range c.Inserts {
 		in := &c.Inserts[i]
 		body = appendU32(body, uint32(in.Table))
-		body = appendU32(body, uint32(in.Index))
-		body = appendU64(body, in.Key)
-		body = appendU32(body, uint32(in.OIndex))
-		body = appendU64(body, in.OKey)
+		body = appendU32(body, uint32(in.N))
+		for _, e := range in.Entries[:in.N] {
+			body = appendU32(body, uint32(e.Index))
+			body = appendU64(body, e.Key)
+		}
 		body = appendU32(body, uint32(len(in.Image)))
 		body = append(body, in.Image...)
 	}
 	return body
 }
 
-// AppendEpoch encodes an epoch marker.
-func AppendEpoch(dst []byte, id uint64) []byte {
-	return appendFrame(dst, appendU64([]byte{TypeEpoch}, id))
-}
-
-// AppendCkptBegin encodes a checkpoint-begin delimiter.
-func AppendCkptBegin(dst []byte, id uint64) []byte {
-	return appendFrame(dst, appendU64([]byte{TypeCkptBegin}, id))
-}
-
-// AppendCkptEnd encodes a checkpoint-end delimiter.
-func AppendCkptEnd(dst []byte, id uint64) []byte {
-	return appendFrame(dst, appendU64([]byte{TypeCkptEnd}, id))
+// AppendMarker encodes a record that carries only an ID: typ is TypeEpoch,
+// TypeCkptBegin or TypeCkptEnd.
+func AppendMarker(dst []byte, typ byte, id uint64) []byte {
+	return appendFrame(dst, appendU64([]byte{typ}, id))
 }
 
 // AppendCkptRows encodes a row-chunk record.
@@ -250,14 +245,9 @@ func AppendCkptAlloc(dst []byte, a *CkptAlloc) []byte {
 	return appendFrame(dst, body)
 }
 
-// AppendCkptIndex encodes an index-entry chunk (hash or ordered, by
-// x.Ordered).
+// AppendCkptIndex encodes an index-entry chunk.
 func AppendCkptIndex(dst []byte, x *CkptIndex) []byte {
-	typ := TypeCkptIndex
-	if x.Ordered {
-		typ = TypeCkptOIndex
-	}
-	body := []byte{typ}
+	body := []byte{TypeCkptIndex}
 	body = appendU32(body, uint32(x.Index))
 	body = appendU32(body, uint32(len(x.Entries)))
 	for _, e := range x.Entries {
@@ -353,10 +343,13 @@ func decodeBody(body []byte, rec *Record) bool {
 		for i := uint32(0); i < ni; i++ {
 			var in Insert
 			in.Table = int(r.u32())
-			in.Index = int(r.u32())
-			in.Key = r.u64()
-			in.OIndex = int(r.u32())
-			in.OKey = r.u64()
+			in.N = int(r.u32())
+			if r.bad || in.N < 1 || in.N > MaxInsertEntries {
+				return false
+			}
+			for j := 0; j < in.N; j++ {
+				in.Entries[j] = InsertEntry{Index: int(r.u32()), Key: r.u64()}
+			}
 			in.Image = r.bytes(int(r.u32()))
 			if r.bad {
 				return false
@@ -410,9 +403,8 @@ func decodeBody(body []byte, rec *Record) bool {
 		rec.Alloc = a
 		return true
 
-	case TypeCkptIndex, TypeCkptOIndex:
+	case TypeCkptIndex:
 		x := &CkptIndex{}
-		x.Ordered = rec.Type == TypeCkptOIndex
 		x.Index = int(r.u32())
 		n := r.u32()
 		if r.bad || n > uint32(len(body)) {

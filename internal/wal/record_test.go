@@ -15,19 +15,19 @@ func sampleStream() ([]byte, []Commit) {
 			{Table: 1, Slot: 2, Image: bytes.Repeat([]byte{0xab}, 100)},
 		}},
 		{Worker: 0, Ver: 42, Inserts: []Insert{
-			{Table: 2, Index: 1, Key: 0xdeadbeef, Image: []byte("inserted row")},
-			{Table: 2, Index: 1, Key: 7, OIndex: 2, OKey: 0xfeedface, Image: []byte("ordered row")},
+			{Table: 2, Image: []byte("inserted row"), N: 1, Entries: [2]InsertEntry{{Index: 1, Key: 0xdeadbeef}}},
+			{Table: 2, Image: []byte("ordered row"), N: 2, Entries: [2]InsertEntry{{Index: 1, Key: 7}, {Index: 11, Key: 0xfeedface}}},
 		}},
 		{Worker: 7, Ver: 9, Updates: []Update{{Table: 0, Slot: 0, Image: nil}}},
 	}
 	s := append([]byte(nil), Magic[:]...)
-	s = AppendEpoch(s, 1)
-	s = AppendCkptBegin(s, 5)
+	s = AppendMarker(s, TypeEpoch, 1)
+	s = AppendMarker(s, TypeCkptBegin, 5)
 	s = AppendCkptRows(s, &CkptRows{Table: 0, Start: 8, Count: 3, RowSize: 4, Rows: []byte("aaaabbbbcccc")})
 	s = AppendCkptAlloc(s, &CkptAlloc{Table: 0, Next: []int{10, 20, 30}})
 	s = AppendCkptIndex(s, &CkptIndex{Index: 2, Entries: []CkptIndexEntry{{Key: 9, Slot: 4}, {Key: 11, Slot: 5}}})
-	s = AppendCkptIndex(s, &CkptIndex{Index: 0, Ordered: true, Entries: []CkptIndexEntry{{Key: 3, Slot: 6}}})
-	s = AppendCkptEnd(s, 5)
+	s = AppendCkptIndex(s, &CkptIndex{Index: 11, Entries: []CkptIndexEntry{{Key: 3, Slot: 6}}})
+	s = AppendMarker(s, TypeCkptEnd, 5)
 	for i := range commits {
 		s = AppendCommit(s, &commits[i])
 	}
@@ -43,7 +43,7 @@ func TestRoundTrip(t *testing.T) {
 	if info.TornBytes != 0 || info.Complete != int64(len(stream)) {
 		t.Fatalf("clean stream reported torn: %+v", info)
 	}
-	wantTypes := []byte{TypeEpoch, TypeCkptBegin, TypeCkptRows, TypeCkptAlloc, TypeCkptIndex, TypeCkptOIndex, TypeCkptEnd, TypeCommit, TypeCommit, TypeCommit}
+	wantTypes := []byte{TypeEpoch, TypeCkptBegin, TypeCkptRows, TypeCkptAlloc, TypeCkptIndex, TypeCkptIndex, TypeCkptEnd, TypeCommit, TypeCommit, TypeCommit}
 	if len(recs) != len(wantTypes) {
 		t.Fatalf("got %d records, want %d", len(recs), len(wantTypes))
 	}
@@ -65,8 +65,8 @@ func TestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(recs[4].Index, &CkptIndex{Index: 2, Entries: []CkptIndexEntry{{Key: 9, Slot: 4}, {Key: 11, Slot: 5}}}) {
 		t.Fatalf("ckpt index mismatch: %+v", recs[4].Index)
 	}
-	if !reflect.DeepEqual(recs[5].Index, &CkptIndex{Index: 0, Ordered: true, Entries: []CkptIndexEntry{{Key: 3, Slot: 6}}}) {
-		t.Fatalf("ckpt ordered index mismatch: %+v", recs[5].Index)
+	if !reflect.DeepEqual(recs[5].Index, &CkptIndex{Index: 11, Entries: []CkptIndexEntry{{Key: 3, Slot: 6}}}) {
+		t.Fatalf("second ckpt index mismatch: %+v", recs[5].Index)
 	}
 	for i, want := range commits {
 		got := recs[7+i].Commit
@@ -84,7 +84,9 @@ func TestRoundTrip(t *testing.T) {
 		}
 		for j := range want.Inserts {
 			g, w := got.Inserts[j], want.Inserts[j]
-			if g.Table != w.Table || g.Index != w.Index || g.Key != w.Key || g.OIndex != w.OIndex || g.OKey != w.OKey || !bytes.Equal(g.Image, w.Image) {
+			// One- and two-entry inserts name their indexes in the single
+			// ordinal space; slots of Entries past N stay zero.
+			if g.Table != w.Table || g.N != w.N || g.Entries != w.Entries || !bytes.Equal(g.Image, w.Image) {
 				t.Fatalf("commit %d insert %d mismatch", i, j)
 			}
 		}
@@ -140,6 +142,37 @@ func TestScanRejectsBadMagic(t *testing.T) {
 	}
 	if _, _, err := Scan(nil); err != ErrNotWAL {
 		t.Fatalf("nil stream: err = %v, want ErrNotWAL", err)
+	}
+	// The previous format version kept ordered indexes in their own ordinal
+	// space: reading it as 03 would misattribute entries, so it is refused.
+	stream, _ := sampleStream()
+	old := append([]byte("ABYWAL02"), stream[len(Magic):]...)
+	if _, _, err := Scan(old); err != ErrNotWAL {
+		t.Fatalf("ABYWAL02 stream: err = %v, want ErrNotWAL", err)
+	}
+}
+
+// TestInsertEntryCountBounds: an insert must name one or two entries; a
+// frame claiming otherwise fails decode and ends the clean prefix, like any
+// corrupt record.
+func TestInsertEntryCountBounds(t *testing.T) {
+	head := append([]byte(nil), Magic[:]...)
+	for _, n := range []uint32{0, MaxInsertEntries + 1} {
+		body := []byte{TypeCommit}
+		body = appendU32(body, 0) // worker
+		body = appendU64(body, 0) // ver
+		body = appendU32(body, 0) // updates
+		body = appendU32(body, 1) // inserts
+		body = appendU32(body, 2) // table
+		body = appendU32(body, n) // entry count
+		for i := uint32(0); i < n; i++ {
+			body = appendU64(appendU32(body, i), 7)
+		}
+		body = appendU32(body, 0) // empty image
+		recs, info, err := Scan(appendFrame(head, body))
+		if err != nil || len(recs) != 0 || info.Complete != int64(len(Magic)) {
+			t.Fatalf("insert with %d entries: %d records, %+v, %v", n, len(recs), info, err)
+		}
 	}
 }
 

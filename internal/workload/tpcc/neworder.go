@@ -188,12 +188,8 @@ func (t *newOrderTxn) Run(tx *core.TxnCtx) error {
 		total += amount
 		olNum := uint64(i) + 1
 		olKey := orderLineKey(t.wid, t.did, oid, olNum)
-		var olrow []byte
-		if w.full {
-			olrow = tx.InsertRowOrdered(w.idxOrderLine, olKey, w.ordOrderLine, olKey)
-		} else {
-			olrow = tx.InsertRow(w.idxOrderLine, olKey)
-		}
+		// Under the paper mix the ordered indexes are nil: hash entry only.
+		olrow := tx.InsertRowOrdered(w.idxOrderLine, olKey, w.ordLines, olKey)
 		olsc.PutU64(olrow, OLOID, oid)
 		olsc.PutU64(olrow, OLDID, t.did)
 		olsc.PutU64(olrow, OLWID, t.wid)
@@ -217,12 +213,7 @@ func (t *newOrderTxn) Run(tx *core.TxnCtx) error {
 	}
 	nItems := uint64(len(t.items))
 	oKey := orderKey(t.wid, t.did, oid)
-	var orow []byte
-	if w.full {
-		orow = tx.InsertRowOrdered(w.idxOrders, oKey, w.ordOrdersCust, custOrderKey(t.wid, t.did, t.cid, oid))
-	} else {
-		orow = tx.InsertRow(w.idxOrders, oKey)
-	}
+	orow := tx.InsertRowOrdered(w.idxOrders, oKey, w.ordCustOrders, custOrderKey(t.wid, t.did, t.cid, oid))
 	osc.PutU64(orow, OID, oid)
 	osc.PutU64(orow, OCID, t.cid)
 	osc.PutU64(orow, ODID, t.did)
@@ -235,12 +226,7 @@ func (t *newOrderTxn) Run(tx *core.TxnCtx) error {
 	// probes for, and the deferred-insert protocol publishes entries in
 	// stage order — so when a scan finds an order's NEW_ORDER entry, the
 	// order's ORDERS and ORDER_LINE entries are already published.
-	var norow []byte
-	if w.full {
-		norow = tx.InsertRowOrdered(w.idxNewOrder, oKey, w.ordNewOrder, oKey)
-	} else {
-		norow = tx.InsertRow(w.idxNewOrder, oKey)
-	}
+	norow := tx.InsertRowOrdered(w.idxNewOrder, oKey, w.ordNewOrder, oKey)
 	nosc.PutU64(norow, NOOID, oid)
 	nosc.PutU64(norow, NODID, t.did)
 	nosc.PutU64(norow, NOWID, t.wid)

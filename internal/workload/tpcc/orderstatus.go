@@ -44,7 +44,7 @@ func (t *orderStatusTxn) Run(tx *core.TxnCtx) error {
 	}
 
 	// The customer's orders, ascending by oid; the last is the newest.
-	orders := tx.RangeScan(w.ordOrdersCust,
+	orders := tx.RangeScan(w.ordCustOrders,
 		custOrderKey(t.wid, t.did, t.cid, 0),
 		custOrderKey(t.wid, t.did, t.cid, 0xffff))
 	if len(orders) == 0 {
@@ -60,7 +60,7 @@ func (t *orderStatusTxn) Run(tx *core.TxnCtx) error {
 	olCnt := osc.GetU64(orow, OOLCnt)
 
 	// The order's lines, via the ORDER_LINE ordered index.
-	lines := tx.RangeScan(w.ordOrderLine,
+	lines := tx.RangeScan(w.ordLines,
 		orderLineKey(t.wid, t.did, oid, 1),
 		orderLineKey(t.wid, t.did, oid, olCnt))
 	for _, e := range lines {

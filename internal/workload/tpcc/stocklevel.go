@@ -55,7 +55,7 @@ func (t *stockLevelTxn) Run(tx *core.TxnCtx) error {
 
 	// All lines of the last 20 orders in one scan (order line numbers
 	// occupy the key's low 16 bits, so the oid range is contiguous).
-	lines := tx.RangeScan(w.ordOrderLine,
+	lines := tx.RangeScan(w.ordLines,
 		orderLineKey(t.wid, t.did, lo, 0),
 		orderLineKey(t.wid, t.did, next-1, 0xffff))
 

@@ -102,8 +102,8 @@ type Workload struct {
 	// these ordered secondary indexes (nil under MixPaper).
 	full          bool
 	ordNewOrder   *index.Ordered // NEW_ORDER by orderKey: Delivery's oldest-undelivered probe
-	ordOrdersCust *index.Ordered // ORDERS by (wid, did, cid, oid): OrderStatus's last-order scan
-	ordOrderLine  *index.Ordered // ORDER_LINE by orderLineKey: StockLevel's recent-lines scan
+	ordCustOrders *index.Ordered // ORDERS by (wid, did, cid, oid): OrderStatus's last-order scan
+	ordLines      *index.Ordered // ORDER_LINE by orderLineKey: StockLevel's recent-lines scan
 
 	payments      []paymentTxn
 	neworders     []newOrderTxn
@@ -161,8 +161,8 @@ func Build(db *core.DB, cfg Config) *Workload {
 	// build stays byte-identical to the two-transaction engine.
 	if w.full {
 		w.ordNewOrder = db.AddOrderedIndex("NEW_ORDER_ORD", w.neworder)
-		w.ordOrdersCust = db.AddOrderedIndex("ORDERS_CUST", w.orders)
-		w.ordOrderLine = db.AddOrderedIndex("ORDER_LINE_ORD", w.orderline)
+		w.ordCustOrders = db.AddOrderedIndex("ORDERS_CUST", w.orders)
+		w.ordLines = db.AddOrderedIndex("ORDER_LINE_ORD", w.orderline)
 	}
 
 	w.populate()

@@ -9,6 +9,7 @@ import (
 	"abyss1000/internal/cc/to"
 	"abyss1000/internal/cc/twopl"
 	"abyss1000/internal/core"
+	"abyss1000/internal/index"
 	"abyss1000/internal/sim"
 	"abyss1000/internal/tsalloc"
 	"abyss1000/internal/workload/tpcc"
@@ -290,7 +291,7 @@ func TestTPCCFullMixDeliveryConsistency(t *testing.T) {
 	}
 
 	// Every committed order's NEW_ORDER ordered entry was published.
-	ord := db.OrderedIndex("NEW_ORDER_ORD")
+	ord := db.Index("NEW_ORDER_ORD").(*index.Ordered)
 	var committedOrders int
 	for i := orders.Loaded(); i < orders.Capacity(); i++ {
 		if orders.Schema.GetU64(orders.Row(i), tpcc.OWID) != 0 {

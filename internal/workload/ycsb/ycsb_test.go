@@ -5,6 +5,7 @@ import (
 
 	"abyss1000/internal/cc/twopl"
 	"abyss1000/internal/core"
+	"abyss1000/internal/index"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/sim"
 	"abyss1000/internal/workload/ycsb"
@@ -34,7 +35,7 @@ func TestBuildPopulatesTableAndIndex(t *testing.T) {
 			t.Fatalf("row %d key = %d", i, got)
 		}
 	}
-	idx := db.Index("USERTABLE_PK")
+	idx := db.Index("USERTABLE_PK").(*index.Hash)
 	eng.Run(func(p rt.Proc) {
 		if p.ID() != 0 {
 			return

@@ -13,6 +13,7 @@ package abyss1000_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"abyss1000/abyss"
@@ -20,13 +21,27 @@ import (
 	"abyss1000/workloads/smallbank"
 )
 
-// ycsbParams returns a small YCSB configuration that still produces a
-// few hundred logged commits, partitioned when the scheme needs it.
-func ycsbParams(t *testing.T, scheme string) abyss.WorkloadParams {
+// recoveryWorkloads are the workloads the recovery properties run over:
+// YCSB logs updates only; the full TPC-C mix also logs inserts, into hash
+// indexes alone (HISTORY) and into a hash plus an ordered index (ORDERS,
+// NEW_ORDER, ORDER_LINE), so insert replay, checkpointed index entries and
+// replay idempotence are exercised through both index kinds.
+var recoveryWorkloads = []string{"ycsb", "tpcc"}
+
+// recoveryParams returns a small configuration of the named workload that
+// still produces a few hundred logged commits: YCSB partitioned when the
+// scheme needs it, TPC-C as the full mix on two warehouses.
+func recoveryParams(t *testing.T, workload, scheme string) abyss.WorkloadParams {
 	t.Helper()
-	p, err := abyss.DefaultWorkloadParams("ycsb")
+	p, err := abyss.DefaultWorkloadParams(workload)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if workload == "tpcc" {
+		p.Warehouses = 2
+		p.Mix = "full"
+		p.InsertsPerWorker = 512
+		return p
 	}
 	p.Rows = 512
 	p.ReqPerTxn = 4
@@ -40,11 +55,11 @@ func ycsbParams(t *testing.T, scheme string) abyss.WorkloadParams {
 	return p
 }
 
-// durableRun executes one YCSB measurement with a WAL attached (async
-// group commit on the native runtime, accounting-only sync mode on the
-// simulator), flushes the log and returns the live DB plus the captured
-// stream.
-func durableRun(t *testing.T, runtime, scheme string) (*abyss.DB, []byte, abyss.Result) {
+// durableRun executes one measurement of workload with a WAL attached
+// (async group commit on the native runtime, accounting-only sync mode on
+// the simulator), flushes the log and returns the live DB plus the
+// captured stream.
+func durableRun(t *testing.T, workload, runtime, scheme string) (*abyss.DB, []byte, abyss.Result) {
 	t.Helper()
 	sink := abyss.NewMemLogSink()
 	db, err := abyss.Open(abyss.Options{
@@ -56,8 +71,7 @@ func durableRun(t *testing.T, runtime, scheme string) (*abyss.DB, []byte, abyss.
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := ycsbParams(t, scheme)
-	wl, err := db.BuildWorkload("ycsb", params)
+	wl, err := db.BuildWorkload(workload, recoveryParams(t, workload, scheme))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,13 +82,18 @@ func durableRun(t *testing.T, runtime, scheme string) (*abyss.DB, []byte, abyss.
 	rc := abyss.RunConfig{WarmupCycles: 20_000, MeasureCycles: 150_000, AbortBackoff: 500}
 	if runtime == abyss.RuntimeNative {
 		rc = abyss.RunConfig{WarmupCycles: 1_000_000, MeasureCycles: 10_000_000, AbortBackoff: 500} // ns
+		if workload == "tpcc" {
+			// Full-mix transactions are ~50x a YCSB one under the race
+			// detector; give the window room to commit some.
+			rc.MeasureCycles = 40_000_000
+		}
 	}
 	res, err := db.Run(s, wl, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Commits == 0 {
-		t.Fatalf("%s/%s committed nothing", runtime, scheme)
+		t.Fatalf("%s/%s/%s committed nothing", workload, runtime, scheme)
 	}
 	if err := db.FlushLog(); err != nil {
 		t.Fatal(err)
@@ -82,15 +101,15 @@ func durableRun(t *testing.T, runtime, scheme string) (*abyss.DB, []byte, abyss.
 	return db, sink.Bytes(), res
 }
 
-// recoverYCSB replays stream onto a freshly built copy of the YCSB
+// recoverFresh replays stream onto a freshly built copy of workload's
 // catalog and returns the recovered DB and replay info.
-func recoverYCSB(t *testing.T, scheme string, stream []byte) (*abyss.DB, abyss.RecoverInfo) {
+func recoverFresh(t *testing.T, workload, scheme string, stream []byte) (*abyss.DB, abyss.RecoverInfo) {
 	t.Helper()
 	db, err := abyss.Open(abyss.Options{Runtime: abyss.RuntimeSim, Cores: 4, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.BuildWorkload("ycsb", ycsbParams(t, scheme)); err != nil {
+	if _, err := db.BuildWorkload(workload, recoveryParams(t, workload, scheme)); err != nil {
 		t.Fatal(err)
 	}
 	info, err := db.Recover(stream)
@@ -125,27 +144,46 @@ func cutPoints(t *testing.T, stream []byte) []int {
 	return cuts
 }
 
+// subtestName keeps the YCSB rows' historical names (runtime/scheme) and
+// prefixes every other workload's rows with the workload.
+func subtestName(workload string, parts ...string) string {
+	if workload != "ycsb" {
+		parts = append([]string{workload}, parts...)
+	}
+	return strings.Join(parts, "/")
+}
+
 // TestCrashRecoveryAllSchemes is the tier's headline property: on every
 // paper scheme and both runtimes, replaying the full log onto a fresh
-// copy of the catalog reproduces the live DB's committed state exactly.
+// copy of the catalog reproduces the live DB's committed state exactly —
+// for an update-only log (YCSB) and for one that inserts through hash
+// and ordered indexes (full-mix TPC-C).
 func TestCrashRecoveryAllSchemes(t *testing.T) {
-	for _, runtime := range []string{abyss.RuntimeSim, abyss.RuntimeNative} {
-		for _, scheme := range abyss.PaperSchemes() {
-			t.Run(runtime+"/"+scheme, func(t *testing.T) {
-				live, stream, res := durableRun(t, runtime, scheme)
-				rec, info := recoverYCSB(t, scheme, stream)
-				if info.TornBytes != 0 {
-					t.Fatalf("flushed stream should have no torn tail: %+v", info)
-				}
-				// Warmup commits are logged too, so the log holds at
-				// least the measurement window's commits.
-				if uint64(info.Commits) < res.Commits {
-					t.Fatalf("log has %d commits, run reported %d in the measurement window alone", info.Commits, res.Commits)
-				}
-				if rec.StateDump() != live.StateDump() {
-					t.Fatalf("recovered state diverges from live committed state (%d commits)", res.Commits)
-				}
-			})
+	for _, workload := range recoveryWorkloads {
+		for _, runtime := range []string{abyss.RuntimeSim, abyss.RuntimeNative} {
+			for _, scheme := range abyss.PaperSchemes() {
+				t.Run(subtestName(workload, runtime, scheme), func(t *testing.T) {
+					live, stream, res := durableRun(t, workload, runtime, scheme)
+					rec, info := recoverFresh(t, workload, scheme, stream)
+					if info.TornBytes != 0 {
+						t.Fatalf("flushed stream should have no torn tail: %+v", info)
+					}
+					// Warmup commits are logged too, so the YCSB log holds at
+					// least the measurement window's commits. The full mix
+					// commits transactions that log nothing (OrderStatus,
+					// StockLevel, NewOrder's user aborts); its log must carry
+					// inserts instead.
+					if workload == "ycsb" && uint64(info.Commits) < res.Commits {
+						t.Fatalf("log has %d commits, run reported %d in the measurement window alone", info.Commits, res.Commits)
+					}
+					if workload == "tpcc" && info.Inserts == 0 {
+						t.Fatal("full-mix TPC-C log replayed no inserts")
+					}
+					if rec.StateDump() != live.StateDump() {
+						t.Fatalf("recovered state diverges from live committed state (%d commits)", res.Commits)
+					}
+				})
+			}
 		}
 	}
 }
@@ -157,48 +195,56 @@ func TestCrashRecoveryAllSchemes(t *testing.T) {
 // monotonically with the cut.
 func TestRecoveryTruncationSweep(t *testing.T) {
 	const scheme = "NO_WAIT"
-	_, stream, _ := durableRun(t, abyss.RuntimeSim, scheme)
-	// The prefix dump at each complete boundary, computed once per
-	// boundary: torn cuts must reduce to one of these.
-	prefixDump := map[int]string{}
-	dumpAt := func(boundary int) string {
-		if d, ok := prefixDump[boundary]; ok {
-			return d
-		}
-		db, info := recoverYCSB(t, scheme, stream[:boundary])
-		if info.TornBytes != 0 {
-			t.Fatalf("cut %d claimed to be a boundary but has %d torn bytes", boundary, info.TornBytes)
-		}
-		d := db.StateDump()
-		prefixDump[boundary] = d
-		return d
-	}
-	cuts := cutPoints(t, stream)
-	if testing.Short() && len(cuts) > 64 {
-		// The full sweep recovers at every enumerated offset; the race-
-		// detector CI smoke keeps a strided sample plus both ends.
-		sampled := cuts[:0]
-		for i, c := range cuts {
-			if i%(len(cuts)/64+1) == 0 || i >= len(cuts)-2 {
-				sampled = append(sampled, c)
+	for _, workload := range recoveryWorkloads {
+		t.Run(workload, func(t *testing.T) {
+			_, stream, _ := durableRun(t, workload, abyss.RuntimeSim, scheme)
+			// The prefix dump at each complete boundary, computed once per
+			// boundary: torn cuts must reduce to one of these.
+			prefixDump := map[int]string{}
+			dumpAt := func(boundary int) string {
+				if d, ok := prefixDump[boundary]; ok {
+					return d
+				}
+				db, info := recoverFresh(t, workload, scheme, stream[:boundary])
+				if info.TornBytes != 0 {
+					t.Fatalf("cut %d claimed to be a boundary but has %d torn bytes", boundary, info.TornBytes)
+				}
+				d := db.StateDump()
+				prefixDump[boundary] = d
+				return d
 			}
-		}
-		cuts = sampled
-	}
-	lastCommits := uint64(0)
-	for _, cut := range cuts {
-		db, info := recoverYCSB(t, scheme, stream[:cut])
-		if got := cut - int(info.TornBytes); got < 0 || got > cut {
-			t.Fatalf("cut %d: implausible torn-byte count %d", cut, info.TornBytes)
-		}
-		boundary := cut - int(info.TornBytes)
-		if db.StateDump() != dumpAt(boundary) {
-			t.Fatalf("cut %d: torn recovery differs from its complete prefix at %d", cut, boundary)
-		}
-		if uint64(info.Commits) < lastCommits {
-			t.Fatalf("cut %d: commits went backwards (%d < %d)", cut, info.Commits, lastCommits)
-		}
-		lastCommits = uint64(info.Commits)
+			cuts := cutPoints(t, stream)
+			// The full sweep recovers at every enumerated offset; the race-
+			// detector CI smoke keeps a strided sample plus both ends, and
+			// so does TPC-C, whose catalog is ~50x YCSB's to rebuild and
+			// dump per cut. The stride is odd so the sample cycles through
+			// all four cut kinds (frame start, +1, midpoint, last byte).
+			if keep := 64; (testing.Short() || workload == "tpcc") && len(cuts) > keep {
+				stride := (len(cuts)/keep + 1) | 1
+				sampled := cuts[:0]
+				for i, c := range cuts {
+					if i%stride == 0 || i >= len(cuts)-2 {
+						sampled = append(sampled, c)
+					}
+				}
+				cuts = sampled
+			}
+			lastCommits := uint64(0)
+			for _, cut := range cuts {
+				db, info := recoverFresh(t, workload, scheme, stream[:cut])
+				if got := cut - int(info.TornBytes); got < 0 || got > cut {
+					t.Fatalf("cut %d: implausible torn-byte count %d", cut, info.TornBytes)
+				}
+				boundary := cut - int(info.TornBytes)
+				if db.StateDump() != dumpAt(boundary) {
+					t.Fatalf("cut %d: torn recovery differs from its complete prefix at %d", cut, boundary)
+				}
+				if uint64(info.Commits) < lastCommits {
+					t.Fatalf("cut %d: commits went backwards (%d < %d)", cut, info.Commits, lastCommits)
+				}
+				lastCommits = uint64(info.Commits)
+			}
+		})
 	}
 }
 
@@ -321,8 +367,7 @@ func TestLiveCrashInjection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			params := ycsbParams(t, "NO_WAIT")
-			wl, err := db.BuildWorkload("ycsb", params)
+			wl, err := db.BuildWorkload("ycsb", recoveryParams(t, "ycsb", "NO_WAIT"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,7 +395,7 @@ func TestLiveCrashInjection(t *testing.T) {
 			if got := len(mem.Bytes()); got > 8+20_000 {
 				t.Fatalf("fault sink let %d bytes through past the %d-byte fault point", got, 20_000)
 			}
-			_, info := recoverYCSB(t, "NO_WAIT", mem.Bytes())
+			_, info := recoverFresh(t, "ycsb", "NO_WAIT", mem.Bytes())
 			if info.Commits == 0 {
 				t.Fatal("nothing recovered from the durable prefix before the fault point")
 			}
@@ -362,9 +407,9 @@ func TestLiveCrashInjection(t *testing.T) {
 // checkpoint-only cases: recovery is a pure function of (catalog,
 // stream) and applying it again changes nothing.
 func TestRecoveryIdempotence(t *testing.T) {
-	t.Run("replay-twice", func(t *testing.T) {
-		live, stream, _ := durableRun(t, abyss.RuntimeSim, "TIMESTAMP")
-		rec, _ := recoverYCSB(t, "TIMESTAMP", stream)
+	replayTwice := func(t *testing.T, workload, scheme string) {
+		live, stream, _ := durableRun(t, workload, abyss.RuntimeSim, scheme)
+		rec, _ := recoverFresh(t, workload, scheme, stream)
 		first := rec.StateDump()
 		if _, err := rec.Recover(stream); err != nil {
 			t.Fatalf("second recover: %v", err)
@@ -375,10 +420,23 @@ func TestRecoveryIdempotence(t *testing.T) {
 		if first != live.StateDump() {
 			t.Fatal("recovered state diverges from live state")
 		}
+	}
+	t.Run("replay-twice", func(t *testing.T) {
+		replayTwice(t, "ycsb", "TIMESTAMP")
+	})
+	// Insert replay is where idempotence is not free: the second pass must
+	// find every key already published — in the hash and in the ordered
+	// index — and overwrite in place instead of allocating again.
+	t.Run("replay-twice-tpcc", func(t *testing.T) {
+		for _, scheme := range abyss.PaperSchemes() {
+			t.Run(scheme, func(t *testing.T) {
+				replayTwice(t, "tpcc", scheme)
+			})
+		}
 	})
 	t.Run("empty-log", func(t *testing.T) {
 		stream := abyss.NewMemLogSink().Bytes() // magic only
-		rec, info := recoverYCSB(t, "NO_WAIT", stream)
+		rec, info := recoverFresh(t, "ycsb", "NO_WAIT", stream)
 		if info.Records != 0 || info.Commits != 0 {
 			t.Fatalf("empty log replayed something: %+v", info)
 		}
@@ -386,7 +444,7 @@ func TestRecoveryIdempotence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pristine.BuildWorkload("ycsb", ycsbParams(t, "NO_WAIT")); err != nil {
+		if _, err := pristine.BuildWorkload("ycsb", recoveryParams(t, "ycsb", "NO_WAIT")); err != nil {
 			t.Fatal(err)
 		}
 		if rec.StateDump() != pristine.StateDump() {
@@ -402,13 +460,13 @@ func TestRecoveryIdempotence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.BuildWorkload("ycsb", ycsbParams(t, "NO_WAIT")); err != nil {
+		if _, err := db.BuildWorkload("ycsb", recoveryParams(t, "ycsb", "NO_WAIT")); err != nil {
 			t.Fatal(err)
 		}
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		rec, info := recoverYCSB(t, "NO_WAIT", sink.Bytes())
+		rec, info := recoverFresh(t, "ycsb", "NO_WAIT", sink.Bytes())
 		if info.Checkpoint == 0 {
 			t.Fatalf("recovery did not use the checkpoint: %+v", info)
 		}
@@ -422,9 +480,18 @@ func TestRecoveryIdempotence(t *testing.T) {
 // whose replay region is empty (everything is in the checkpoint): the
 // recovered state must still equal the live state, including for MVCC,
 // whose committed images live in version chains rather than the slab.
+// The TPC-C rows checkpoint runtime-inserted rows, allocation cursors and
+// both kinds of index entries, on every paper scheme, and recover a
+// second time over the restored state (checkpoint-then-replay).
 func TestCheckpointedRecovery(t *testing.T) {
-	for _, scheme := range []string{"NO_WAIT", "MVCC", "TIMESTAMP"} {
-		t.Run(scheme, func(t *testing.T) {
+	type row struct{ workload, scheme string }
+	rows := []row{{"ycsb", "NO_WAIT"}, {"ycsb", "MVCC"}, {"ycsb", "TIMESTAMP"}}
+	for _, scheme := range abyss.PaperSchemes() {
+		rows = append(rows, row{"tpcc", scheme})
+	}
+	for _, row := range rows {
+		workload, scheme := row.workload, row.scheme
+		t.Run(subtestName(workload, scheme), func(t *testing.T) {
 			sink := abyss.NewMemLogSink()
 			db, err := abyss.Open(abyss.Options{
 				Runtime: abyss.RuntimeSim, Cores: 4, Seed: 42,
@@ -433,7 +500,7 @@ func TestCheckpointedRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wl, err := db.BuildWorkload("ycsb", ycsbParams(t, scheme))
+			wl, err := db.BuildWorkload(workload, recoveryParams(t, workload, scheme))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -447,15 +514,22 @@ func TestCheckpointedRecovery(t *testing.T) {
 			if err := db.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			rec, info := recoverYCSB(t, scheme, sink.Bytes())
+			rec, info := recoverFresh(t, workload, scheme, sink.Bytes())
 			if info.Checkpoint == 0 {
 				t.Fatalf("recovery ignored the checkpoint: %+v", info)
 			}
 			if info.Commits != 0 {
 				t.Fatalf("post-checkpoint replay region should be empty, applied %d commits", info.Commits)
 			}
-			if rec.StateDump() != db.StateDump() {
+			live := db.StateDump()
+			if rec.StateDump() != live {
 				t.Fatal("checkpointed recovery diverges from live committed state")
+			}
+			if _, err := rec.Recover(sink.Bytes()); err != nil {
+				t.Fatalf("second recover: %v", err)
+			}
+			if rec.StateDump() != live {
+				t.Fatal("restoring the checkpoint a second time changed the state")
 			}
 		})
 	}
@@ -472,7 +546,7 @@ func TestLogGroupingKnob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wl, err := db.BuildWorkload("ycsb", ycsbParams(t, "NO_WAIT"))
+		wl, err := db.BuildWorkload("ycsb", recoveryParams(t, "ycsb", "NO_WAIT"))
 		if err != nil {
 			t.Fatal(err)
 		}
