@@ -46,11 +46,14 @@ type version struct {
 	owner   *txnState
 }
 
-// entry is a tuple's chain plus its latch. The base (load-time) version is
-// implicit until the first write materializes it: data in the table slab,
-// write timestamp baseWTS, read timestamp baseRTS.
+// entry is a tuple's version chain; its latch is element slot of the
+// table's slab. The base (load-time) version is implicit until the first
+// write materializes it: data in the table slab, write timestamp baseWTS,
+// read timestamp baseRTS. A tuple nobody has written has no chain at all —
+// versions stays nil until the first WriteRow carves one from the writer's
+// pool — so a table costs 64 bytes per slot (72 with the latch) plus chains
+// for the tuples actually written.
 type entry struct {
-	latch    rt.Latch
 	baseWTS  uint64
 	baseRTS  uint64
 	versions []version
@@ -58,6 +61,13 @@ type entry struct {
 	// waiters are parked readers/writers blocked on a pending version;
 	// resolution wakes them all and they re-check.
 	waiters []rt.Proc
+}
+
+// tableVersions is one table's MVCC state: the entry and the latch of slot
+// i at index i of two parallel slabs.
+type tableVersions struct {
+	entries []entry
+	latches rt.Latches
 }
 
 // pendingRec tracks a pending version for commit/abort.
@@ -78,8 +88,8 @@ type MVCC struct {
 	method tsalloc.Method
 	db     *core.DB
 	alloc  tsalloc.Allocator
-	meta   [][]entry
-	active []rt.Counter // per-worker active transaction timestamp
+	meta   []tableVersions // [table id]
+	active []rt.Counter    // per-worker active transaction timestamp
 
 	// free recycles version data buffers, one stack per (worker, table)
 	// at index worker*ntables+table: a worker pushes buffers it unlinks
@@ -96,14 +106,24 @@ type MVCC struct {
 	ntables int
 }
 
-// chunk is one worker's bump allocator for fresh version buffers.
+// chunk is one worker's bump allocator for fresh version buffers and for
+// the initial chains of tuples it is first to write.
 type chunk struct {
-	buf []byte
-	off int
+	buf    []byte
+	off    int
+	chains []version
 }
 
 // chunkSize is each refill of a worker's version-buffer pool.
 const chunkSize = 1 << 18
+
+// initialChain is the capacity a tuple's chain starts with (commit-time
+// pruning keeps steady-state chains short, so it rarely grows), and
+// chainsPerRefill how many of them one refill of a worker's pool holds.
+const (
+	initialChain    = 2
+	chainsPerRefill = 1 << 10
+)
 
 // New creates an MVCC scheme drawing timestamps via method m.
 func New(m tsalloc.Method) *MVCC { return &MVCC{method: m} }
@@ -116,17 +136,12 @@ func (s *MVCC) Setup(db *core.DB) {
 	s.db = db
 	s.alloc = tsalloc.New(s.method, db.RT)
 	tables := db.Catalog.Tables()
-	s.meta = make([][]entry, len(tables))
+	s.meta = make([]tableVersions, len(tables))
 	for _, t := range tables {
-		entries := make([]entry, t.Capacity())
-		for i := range entries {
-			entries[i].latch = db.RT.NewLatch(uint64(t.ID)<<44 | 0x33<<36 | uint64(i))
-			// Pre-size the chain so a tuple's first versions never
-			// allocate on the write path (commit-time pruning keeps
-			// steady-state chains short, so capacity 2 rarely grows).
-			entries[i].versions = make([]version, 0, 2)
+		s.meta[t.ID] = tableVersions{
+			entries: make([]entry, t.Capacity()),
+			latches: db.RT.NewLatches(uint64(t.ID)<<44|0x33<<36, t.Capacity()),
 		}
-		s.meta[t.ID] = entries
 	}
 	n := db.RT.NumProcs()
 	s.active = make([]rt.Counter, n)
@@ -161,6 +176,18 @@ func (s *MVCC) getBuf(wid, tid, n int) []byte {
 	buf := c.buf[c.off : c.off+n : c.off+n]
 	c.off += n
 	return buf
+}
+
+// newChain carves an empty chain of capacity initialChain from worker wid's
+// pool, so a tuple's first versions do not allocate on the write path.
+func (s *MVCC) newChain(wid int) []version {
+	c := &s.chunks[wid]
+	if len(c.chains) < initialChain {
+		c.chains = make([]version, initialChain*chainsPerRefill)
+	}
+	chain := c.chains[:0:initialChain]
+	c.chains = c.chains[initialChain:]
+	return chain
 }
 
 // putBuf recycles an unlinked version buffer onto worker wid's stack.
@@ -202,10 +229,6 @@ func (s *MVCC) watermark(p rt.Proc) uint64 {
 	return min
 }
 
-func (s *MVCC) entryOf(t *storage.Table, slot int) *entry {
-	return &s.meta[t.ID][slot]
-}
-
 // visible returns the index into e.versions of the newest version with
 // wts <= ts, or -1 for the implicit base version, or -2 if even the base
 // version is too new (an inserted tuple read at an earlier timestamp).
@@ -221,7 +244,7 @@ func (e *entry) visible(ts uint64) int {
 	return -2
 }
 
-// wakeAll unparks every waiter on e. Caller holds e.latch.
+// wakeAll unparks every waiter on e. Caller holds the tuple latch.
 func (s *MVCC) wakeAll(p rt.Proc, e *entry) {
 	for _, w := range e.waiters {
 		s.db.RT.Unpark(p, w)
@@ -232,13 +255,14 @@ func (s *MVCC) wakeAll(p rt.Proc, e *entry) {
 // Read implements core.Scheme.
 func (s *MVCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 	st := tx.State.(*txnState)
-	e := s.entryOf(t, slot)
+	tl := &s.meta[t.ID]
+	e := &tl.entries[slot]
 	for {
-		e.latch.Acquire(tx.P, stats.Manager)
+		tl.latches.Acquire(tx.P, stats.Manager, slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
 		i := e.visible(tx.TS)
 		if i == -2 {
-			e.latch.Release(tx.P, stats.Manager)
+			tl.latches.Release(tx.P, stats.Manager, slot)
 			return nil, core.ErrAbort
 		}
 		if i == -1 {
@@ -250,19 +274,19 @@ func (s *MVCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error)
 			tx.CaptureReadVer(t, slot, e.baseWTS)
 			tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(t.Schema.RowSize()))
 			row := t.Row(slot)
-			e.latch.Release(tx.P, stats.Manager)
+			tl.latches.Release(tx.P, stats.Manager, slot)
 			return row, nil
 		}
 		v := &e.versions[i]
 		if v.pending {
 			if v.owner == st {
 				data := v.data
-				e.latch.Release(tx.P, stats.Manager)
+				tl.latches.Release(tx.P, stats.Manager, slot)
 				return data, nil // read own pending write
 			}
 			// The value at our timestamp is not ready yet: wait.
 			e.waiters = append(e.waiters, tx.P)
-			e.latch.Release(tx.P, stats.Manager)
+			tl.latches.Release(tx.P, stats.Manager, slot)
 			tx.P.ParkTimeout(stats.Wait, costs.WaitCheckInterval)
 			continue
 		}
@@ -274,7 +298,7 @@ func (s *MVCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error)
 		tx.CaptureReadVer(t, slot, v.wts)
 		tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(t.Schema.RowSize()))
 		data := v.data
-		e.latch.Release(tx.P, stats.Manager)
+		tl.latches.Release(tx.P, stats.Manager, slot)
 		return data, nil
 	}
 }
@@ -287,14 +311,15 @@ func (s *MVCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error)
 // isolated.
 func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 	st := tx.State.(*txnState)
-	e := s.entryOf(t, slot)
+	tl := &s.meta[t.ID]
+	e := &tl.entries[slot]
 	n := t.Schema.RowSize()
 	for {
-		e.latch.Acquire(tx.P, stats.Manager)
+		tl.latches.Acquire(tx.P, stats.Manager, slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
 		i := e.visible(tx.TS)
 		if i == -2 {
-			e.latch.Release(tx.P, stats.Manager)
+			tl.latches.Release(tx.P, stats.Manager, slot)
 			return nil, core.ErrAbort
 		}
 
@@ -312,13 +337,13 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 					// hand back the pending version again.
 					data := v.data
 					tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(n))
-					e.latch.Release(tx.P, stats.Manager)
+					tl.latches.Release(tx.P, stats.Manager, slot)
 					return data, nil
 				}
 				// A concurrent writer precedes us; its outcome
 				// decides our fate. Wait for resolution.
 				e.waiters = append(e.waiters, tx.P)
-				e.latch.Release(tx.P, stats.Manager)
+				tl.latches.Release(tx.P, stats.Manager, slot)
 				tx.P.ParkTimeout(stats.Wait, costs.WaitCheckInterval)
 				continue
 			}
@@ -330,7 +355,7 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 		// MVTO write rule: a transaction later than ts already read
 		// the preceding version — writing at ts would invalidate it.
 		if prevRTS > tx.TS {
-			e.latch.Release(tx.P, stats.Manager)
+			tl.latches.Release(tx.P, stats.Manager, slot)
 			return nil, core.ErrAbort
 		}
 
@@ -359,6 +384,9 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 		tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(n))
 		nv := version{wts: tx.TS, data: buf, pending: true, owner: st}
 		pos := i + 1
+		if e.versions == nil {
+			e.versions = s.newChain(tx.P.ID())
+		}
 		e.versions = append(e.versions, version{})
 		copy(e.versions[pos+1:], e.versions[pos:])
 		e.versions[pos] = nv
@@ -366,7 +394,7 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 		if len(e.versions) > maxChain {
 			s.prune(e, st.minTS, tx.P.ID(), t.ID)
 		}
-		e.latch.Release(tx.P, stats.Manager)
+		tl.latches.Release(tx.P, stats.Manager, slot)
 		st.pending = append(st.pending, pendingRec{t: t, slot: slot})
 		return buf, nil
 	}
@@ -376,7 +404,7 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 // version strictly older than the newest version with wts <= watermark.
 // Dropped buffers are recycled onto the pruning worker's stack — the
 // watermark proves no active transaction can still be served from them.
-// Caller holds e.latch.
+// Caller holds the tuple latch.
 func (s *MVCC) prune(e *entry, watermark uint64, wid, tid int) {
 	keepFrom := -1
 	for i := len(e.versions) - 1; i >= 0; i-- {
@@ -404,8 +432,9 @@ func (s *MVCC) Commit(tx *core.TxnCtx) error {
 	// order, carried in the record's replay version.
 	tx.LogCommit()
 	for _, pr := range st.pending {
-		e := s.entryOf(pr.t, pr.slot)
-		e.latch.Acquire(tx.P, stats.Manager)
+		tl := &s.meta[pr.t.ID]
+		e := &tl.entries[pr.slot]
+		tl.latches.Acquire(tx.P, stats.Manager, pr.slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
 		for i := range e.versions {
 			if e.versions[i].pending && e.versions[i].owner == st {
@@ -422,7 +451,7 @@ func (s *MVCC) Commit(tx *core.TxnCtx) error {
 			s.prune(e, st.minTS, tx.P.ID(), pr.t.ID)
 		}
 		s.wakeAll(tx.P, e)
-		e.latch.Release(tx.P, stats.Manager)
+		tl.latches.Release(tx.P, stats.Manager, pr.slot)
 	}
 	st.pending = st.pending[:0]
 	s.active[tx.P.ID()].Store(tx.P, stats.Manager, idleTS)
@@ -435,8 +464,9 @@ func (s *MVCC) Commit(tx *core.TxnCtx) error {
 func (s *MVCC) Abort(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
 	for _, pr := range st.pending {
-		e := s.entryOf(pr.t, pr.slot)
-		e.latch.Acquire(tx.P, stats.Abort)
+		tl := &s.meta[pr.t.ID]
+		e := &tl.entries[pr.slot]
+		tl.latches.Acquire(tx.P, stats.Abort, pr.slot)
 		tx.P.Tick(stats.Abort, costs.ManagerOp)
 		for i := 0; i < len(e.versions); {
 			if e.versions[i].pending && e.versions[i].owner == st {
@@ -447,7 +477,7 @@ func (s *MVCC) Abort(tx *core.TxnCtx) {
 			i++
 		}
 		s.wakeAll(tx.P, e)
-		e.latch.Release(tx.P, stats.Abort)
+		tl.latches.Release(tx.P, stats.Abort, pr.slot)
 	}
 	st.pending = st.pending[:0]
 	s.active[tx.P.ID()].Store(tx.P, stats.Abort, idleTS)
@@ -456,8 +486,7 @@ func (s *MVCC) Abort(tx *core.TxnCtx) {
 // InitTuple implements core.Scheme: the inserted tuple's base version is
 // stamped with the inserting transaction's timestamp.
 func (s *MVCC) InitTuple(tx *core.TxnCtx, t *storage.Table, slot int) {
-	e := s.entryOf(t, slot)
-	e.baseWTS = tx.TS
+	s.meta[t.ID].entries[slot].baseWTS = tx.TS
 }
 
 // LatestCommitted returns the newest committed version's data for (t,
@@ -465,7 +494,7 @@ func (s *MVCC) InitTuple(tx *core.TxnCtx, t *storage.Table, slot int) {
 // quiescent database (under MVCC the table slab holds only the base
 // version; current state lives in the version chains).
 func (s *MVCC) LatestCommitted(t *storage.Table, slot int) []byte {
-	e := s.entryOf(t, slot)
+	e := &s.meta[t.ID].entries[slot]
 	for i := len(e.versions) - 1; i >= 0; i-- {
 		if !e.versions[i].pending {
 			return e.versions[i].data

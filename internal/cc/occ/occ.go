@@ -33,10 +33,11 @@ import (
 	"abyss1000/internal/tsalloc"
 )
 
-// entry is per-tuple metadata: the writer latch and the version word.
-type entry struct {
-	latch rt.Latch
-	word  rt.Counter // wts<<1 | lockbit
+// tableWords is one table's per-tuple metadata, which is nothing but two
+// slabs: slot i's writer latch and its version word (wts<<1 | lockbit).
+type tableWords struct {
+	latches rt.Latches
+	words   rt.Counters
 }
 
 // readRec records one read-set element.
@@ -65,7 +66,7 @@ type OCC struct {
 	method tsalloc.Method
 	db     *core.DB
 	alloc  tsalloc.Allocator
-	meta   [][]entry
+	meta   []tableWords // [table id]
 
 	// centralWanted selects the ablation mode; central is the latch,
 	// created at Setup. When set, the whole validation phase serializes
@@ -102,15 +103,13 @@ func (s *OCC) Setup(db *core.DB) {
 		s.central = db.RT.NewLatch(0x0CC_CE117A1)
 	}
 	tables := db.Catalog.Tables()
-	s.meta = make([][]entry, len(tables))
+	s.meta = make([]tableWords, len(tables))
 	for _, t := range tables {
-		entries := make([]entry, t.Capacity())
-		for i := range entries {
-			key := uint64(t.ID)<<44 | 0x0C<<36 | uint64(i)
-			entries[i].latch = db.RT.NewLatch(key)
-			entries[i].word = db.RT.NewCounter(key | 1<<35)
+		base := uint64(t.ID)<<44 | 0x0C<<36
+		s.meta[t.ID] = tableWords{
+			latches: db.RT.NewLatches(base, t.Capacity()),
+			words:   db.RT.NewCounters(base|1<<35, t.Capacity()),
 		}
-		s.meta[t.ID] = entries
 	}
 }
 
@@ -125,10 +124,6 @@ func (s *OCC) Begin(tx *core.TxnCtx) {
 	st.writes = st.writes[:0]
 	tx.TS = s.alloc.Next(tx.P)
 	tx.P.Tick(stats.Manager, costs.ManagerOp)
-}
-
-func (s *OCC) entryOf(t *storage.Table, slot int) *entry {
-	return &s.meta[t.ID][slot]
 }
 
 // sortWrites orders the write set by canonical (table, slot), the global
@@ -165,11 +160,11 @@ func (st *txnState) findRead(t *storage.Table, slot int) *readRec {
 // snapshot copies (t, slot) into a private buffer under the tuple latch
 // and records the version word observed.
 func (s *OCC) snapshot(tx *core.TxnCtx, t *storage.Table, slot int) readRec {
-	e := s.entryOf(t, slot)
+	m := &s.meta[t.ID]
 	n := t.Schema.RowSize()
 	buf := tx.Alloc.Alloc(tx.P, stats.Manager, n)
-	e.latch.Acquire(tx.P, stats.Manager)
-	word := e.word.Load(tx.P, stats.Manager)
+	m.latches.Acquire(tx.P, stats.Manager, slot)
+	word := m.words.Load(tx.P, stats.Manager, slot)
 	// History capture: the latch orders this sample against any
 	// committer's version bump; if the version later changes, validation
 	// fails and the captured read dies with the aborted transaction.
@@ -177,7 +172,7 @@ func (s *OCC) snapshot(tx *core.TxnCtx, t *storage.Table, slot int) readRec {
 	tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(n))
 	copy(buf, t.Row(slot))
 	tx.P.Tick(stats.Manager, costs.CopyCost(uint64(n)))
-	e.latch.Release(tx.P, stats.Manager)
+	m.latches.Release(tx.P, stats.Manager, slot)
 	return readRec{t: t, slot: slot, word: word, buf: buf}
 }
 
@@ -235,18 +230,17 @@ func (s *OCC) Commit(tx *core.TxnCtx) error {
 	sortWrites(st.writes)
 	for i := range st.writes {
 		w := &st.writes[i]
-		e := s.entryOf(w.t, w.slot)
-		e.latch.Acquire(tx.P, stats.Manager)
-		word := e.word.Load(tx.P, stats.Manager)
-		e.word.Store(tx.P, stats.Manager, word|1)
+		m := &s.meta[w.t.ID]
+		m.latches.Acquire(tx.P, stats.Manager, w.slot)
+		word := m.words.Load(tx.P, stats.Manager, w.slot)
+		m.words.Store(tx.P, stats.Manager, w.slot, word|1)
 	}
 
 	// Phase 2: validate the read set against current version words.
 	ok := true
 	for i := range st.reads {
 		r := &st.reads[i]
-		e := s.entryOf(r.t, r.slot)
-		cur := e.word.Load(tx.P, stats.Manager)
+		cur := s.meta[r.t.ID].words.Load(tx.P, stats.Manager, r.slot)
 		if st.findWrite(r.t, r.slot) != nil {
 			// We hold this tuple's latch; valid iff unchanged since
 			// our read (modulo our own lock bit).
@@ -266,10 +260,10 @@ func (s *OCC) Commit(tx *core.TxnCtx) error {
 		// Unlock and fail; Abort discards the workspace.
 		for i := range st.writes {
 			w := &st.writes[i]
-			e := s.entryOf(w.t, w.slot)
-			word := e.word.Load(tx.P, stats.Abort)
-			e.word.Store(tx.P, stats.Abort, word&^1)
-			e.latch.Release(tx.P, stats.Abort)
+			m := &s.meta[w.t.ID]
+			word := m.words.Load(tx.P, stats.Abort, w.slot)
+			m.words.Store(tx.P, stats.Abort, w.slot, word&^1)
+			m.latches.Release(tx.P, stats.Abort, w.slot)
 		}
 		return core.ErrAbort
 	}
@@ -283,11 +277,11 @@ func (s *OCC) Commit(tx *core.TxnCtx) error {
 	commitTS := s.alloc.Next(tx.P)
 	for i := range st.writes {
 		w := &st.writes[i]
-		e := s.entryOf(w.t, w.slot)
+		m := &s.meta[w.t.ID]
 		copy(w.t.Row(w.slot), w.buf)
 		tx.P.MemWrite(stats.Useful, w.t.MemKey(w.slot), uint64(len(w.buf)))
-		e.word.Store(tx.P, stats.Manager, commitTS<<1)
-		e.latch.Release(tx.P, stats.Manager)
+		m.words.Store(tx.P, stats.Manager, w.slot, commitTS<<1)
+		m.latches.Release(tx.P, stats.Manager, w.slot)
 	}
 	return nil
 }

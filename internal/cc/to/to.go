@@ -31,18 +31,91 @@ import (
 
 // pend is a pending prewrite: a reservation of the tuple at ts.
 type pend struct {
-	ts  uint64
-	st  *txnState
-	buf []byte
+	ts uint64
+	st *txnState
 }
 
-// tupleTS is the per-tuple timestamp metadata.
+// tupleTS is the per-tuple timestamp metadata: 40 bytes, plus the 8 of the
+// tuple's latch in its table's slab. One outstanding prewrite and nobody
+// waiting — every tuple of an uncontended workload — lives entirely in the
+// entry; the prewrite list and the waiters exist only behind spill, attached
+// the first time the tuple has a second concurrent prewrite or a waiter and
+// kept from then on, so that memory is bounded by the set of tuples that
+// have ever been contended, not by the table.
 type tupleTS struct {
-	latch   rt.Latch
-	wts     uint64 // timestamp of the last installed write
-	rts     uint64 // timestamp of the last read
-	pends   []pend // outstanding prewrites, ascending ts
+	wts   uint64  // timestamp of the last installed write
+	rts   uint64  // timestamp of the last read
+	first [1]pend // the outstanding prewrite, while spill == nil; st == nil is none
+	spill *tsSpill
+}
+
+// tsSpill is a contended tuple's outstanding prewrites (ascending ts) and
+// the workers parked on them. Both start in the inline arrays, so attaching
+// a spill is one allocation.
+type tsSpill struct {
+	pends   []pend
 	waiters []rt.Proc
+	pbuf    [1]pend
+	wbuf    [2]rt.Proc
+}
+
+// pends returns the outstanding prewrites, ascending by ts.
+func (e *tupleTS) pends() []pend {
+	if e.spill != nil {
+		return e.spill.pends
+	}
+	if e.first[0].st == nil {
+		return nil
+	}
+	return e.first[:]
+}
+
+// spilled returns e's spill, attaching it (and moving the inline prewrite
+// into it) on first use.
+func (e *tupleTS) spilled() *tsSpill {
+	if e.spill == nil {
+		sp := &tsSpill{}
+		sp.pends = append(sp.pbuf[:0], e.pends()...)
+		sp.waiters = sp.wbuf[:0]
+		e.first[0] = pend{}
+		e.spill = sp
+	}
+	return e.spill
+}
+
+// addPend appends a prewrite (the caller's ts is the largest outstanding).
+func (e *tupleTS) addPend(pd pend) {
+	if e.spill == nil && e.first[0].st == nil {
+		e.first[0] = pd
+		return
+	}
+	sp := e.spilled()
+	sp.pends = append(sp.pends, pd)
+}
+
+// removePend deletes st's prewrite from e, keeping the others' order.
+// Caller holds the tuple latch.
+func (e *tupleTS) removePend(st *txnState) {
+	if e.spill == nil {
+		if e.first[0].st == st {
+			e.first[0] = pend{}
+		}
+		return
+	}
+	ps := e.spill.pends
+	for i := range ps {
+		if ps[i].st == st {
+			e.spill.pends = append(ps[:i], ps[i+1:]...)
+			return
+		}
+	}
+}
+
+// tableTS is one table's timestamp state: the entry and the latch of slot i
+// at index i of two parallel slabs.
+type tableTS struct {
+	entries []tupleTS
+	latches rt.Latches
 }
 
 // writeRec tracks one of the transaction's prewrites.
@@ -62,7 +135,7 @@ type TO struct {
 	method tsalloc.Method
 	db     *core.DB
 	alloc  tsalloc.Allocator
-	meta   [][]tupleTS
+	meta   []tableTS // [table id]
 }
 
 // New creates a TIMESTAMP scheme drawing timestamps via method m.
@@ -76,16 +149,12 @@ func (s *TO) Setup(db *core.DB) {
 	s.db = db
 	s.alloc = tsalloc.New(s.method, db.RT)
 	tables := db.Catalog.Tables()
-	s.meta = make([][]tupleTS, len(tables))
+	s.meta = make([]tableTS, len(tables))
 	for _, t := range tables {
-		entries := make([]tupleTS, t.Capacity())
-		for i := range entries {
-			entries[i].latch = db.RT.NewLatch(uint64(t.ID)<<44 | 0x70<<36 | uint64(i))
-			// Pre-size the prewrite list so a tuple's first reservation
-			// never allocates on the access path.
-			entries[i].pends = make([]pend, 0, 1)
+		s.meta[t.ID] = tableTS{
+			entries: make([]tupleTS, t.Capacity()),
+			latches: db.RT.NewLatches(uint64(t.ID)<<44|0x70<<36, t.Capacity()),
 		}
-		s.meta[t.ID] = entries
 	}
 }
 
@@ -100,10 +169,6 @@ func (s *TO) Begin(tx *core.TxnCtx) {
 	tx.P.Tick(stats.Manager, costs.ManagerOp)
 }
 
-func (s *TO) entry(t *storage.Table, slot int) *tupleTS {
-	return &s.meta[t.ID][slot]
-}
-
 // findWrite returns the transaction's own prewrite buffer, if any.
 func (st *txnState) findWrite(t *storage.Table, slot int) *writeRec {
 	for i := range st.writes {
@@ -116,23 +181,31 @@ func (st *txnState) findWrite(t *storage.Table, slot int) *writeRec {
 
 // blockedBy reports whether e has a pending prewrite from another
 // transaction that precedes ts in the serialization order. Caller holds
-// e.latch.
+// the tuple latch.
 func blockedBy(e *tupleTS, ts uint64) bool {
-	for i := range e.pends {
-		if e.pends[i].ts < ts {
-			return true
-		}
-		break // ascending: first entry is the minimum
-	}
-	return false
+	ps := e.pends()
+	return len(ps) > 0 && ps[0].ts < ts // ascending: the first is the minimum
 }
 
-// wakeAll unparks every waiter. Caller holds e.latch.
+// awaitPends parks tx behind e's earlier prewrites: it enqueues the worker,
+// releases the tuple latch (held by the caller) and sleeps until a
+// resolution wakes it or the re-check interval passes.
+func (tl *tableTS) awaitPends(tx *core.TxnCtx, slot int) {
+	sp := tl.entries[slot].spilled()
+	sp.waiters = append(sp.waiters, tx.P)
+	tl.latches.Release(tx.P, stats.Manager, slot)
+	tx.P.ParkTimeout(stats.Wait, costs.WaitCheckInterval)
+}
+
+// wakeAll unparks every waiter. Caller holds the tuple latch.
 func (s *TO) wakeAll(p rt.Proc, e *tupleTS) {
-	for _, w := range e.waiters {
+	if e.spill == nil {
+		return // never contended: nobody is parked
+	}
+	for _, w := range e.spill.waiters {
 		s.db.RT.Unpark(p, w)
 	}
-	e.waiters = e.waiters[:0]
+	e.spill.waiters = e.spill.waiters[:0]
 }
 
 // Read implements core.Scheme. Basic T/O read rule: reject if ts < wts;
@@ -142,18 +215,17 @@ func (s *TO) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 	if w := st.findWrite(t, slot); w != nil {
 		return w.buf, nil // read own prewrite
 	}
-	e := s.entry(t, slot)
+	tl := &s.meta[t.ID]
+	e := &tl.entries[slot]
 	for {
-		e.latch.Acquire(tx.P, stats.Manager)
+		tl.latches.Acquire(tx.P, stats.Manager, slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
 		if tx.TS < e.wts {
-			e.latch.Release(tx.P, stats.Manager)
+			tl.latches.Release(tx.P, stats.Manager, slot)
 			return nil, core.ErrAbort
 		}
 		if blockedBy(e, tx.TS) {
-			e.waiters = append(e.waiters, tx.P)
-			e.latch.Release(tx.P, stats.Manager)
-			tx.P.ParkTimeout(stats.Wait, costs.WaitCheckInterval)
+			tl.awaitPends(tx, slot)
 			continue
 		}
 		if e.rts < tx.TS {
@@ -167,7 +239,7 @@ func (s *TO) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 		tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(n))
 		copy(buf, t.Row(slot))
 		tx.P.Tick(stats.Manager, costs.CopyCost(uint64(n)))
-		e.latch.Release(tx.P, stats.Manager)
+		tl.latches.Release(tx.P, stats.Manager, slot)
 		return buf, nil
 	}
 }
@@ -185,19 +257,18 @@ func (s *TO) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, erro
 		tx.P.Tick(stats.Useful, costs.CopyCost(uint64(len(w.buf))))
 		return w.buf, nil
 	}
-	e := s.entry(t, slot)
+	tl := &s.meta[t.ID]
+	e := &tl.entries[slot]
 	for {
-		e.latch.Acquire(tx.P, stats.Manager)
+		tl.latches.Acquire(tx.P, stats.Manager, slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
 		if tx.TS < e.wts || tx.TS < e.rts {
-			e.latch.Release(tx.P, stats.Manager)
+			tl.latches.Release(tx.P, stats.Manager, slot)
 			return nil, core.ErrAbort
 		}
 		if blockedBy(e, tx.TS) {
 			// Our RMW must observe the earlier pending write.
-			e.waiters = append(e.waiters, tx.P)
-			e.latch.Release(tx.P, stats.Manager)
-			tx.P.ParkTimeout(stats.Wait, costs.WaitCheckInterval)
+			tl.awaitPends(tx, slot)
 			continue
 		}
 		// Reserve: no later reader or writer can now invalidate us.
@@ -216,8 +287,8 @@ func (s *TO) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, erro
 		// anything larger would have waited on us... but an earlier
 		// prewrite may still arrive only if its ts > rts — impossible
 		// now that rts >= tx.TS — so appending keeps order).
-		e.pends = append(e.pends, pend{ts: tx.TS, st: st, buf: buf})
-		e.latch.Release(tx.P, stats.Manager)
+		e.addPend(pend{ts: tx.TS, st: st})
+		tl.latches.Release(tx.P, stats.Manager, slot)
 		st.writes = append(st.writes, writeRec{t: t, slot: slot, buf: buf})
 		return buf, nil
 	}
@@ -235,14 +306,13 @@ func (s *TO) Commit(tx *core.TxnCtx) error {
 	tx.LogCommit()
 	for i := range st.writes {
 		w := &st.writes[i]
-		e := s.entry(w.t, w.slot)
+		tl := &s.meta[w.t.ID]
+		e := &tl.entries[w.slot]
 		for {
-			e.latch.Acquire(tx.P, stats.Manager)
+			tl.latches.Acquire(tx.P, stats.Manager, w.slot)
 			tx.P.Tick(stats.Manager, costs.ManagerOp)
 			if blockedBy(e, tx.TS) {
-				e.waiters = append(e.waiters, tx.P)
-				e.latch.Release(tx.P, stats.Manager)
-				tx.P.ParkTimeout(stats.Wait, costs.WaitCheckInterval)
+				tl.awaitPends(tx, w.slot)
 				continue
 			}
 			copy(w.t.Row(w.slot), w.buf)
@@ -250,9 +320,9 @@ func (s *TO) Commit(tx *core.TxnCtx) error {
 			if e.wts < tx.TS {
 				e.wts = tx.TS
 			}
-			s.removePend(e, st)
+			e.removePend(st)
 			s.wakeAll(tx.P, e)
-			e.latch.Release(tx.P, stats.Manager)
+			tl.latches.Release(tx.P, stats.Manager, w.slot)
 			break
 		}
 	}
@@ -260,27 +330,18 @@ func (s *TO) Commit(tx *core.TxnCtx) error {
 	return nil
 }
 
-// removePend deletes st's prewrite from e. Caller holds e.latch.
-func (s *TO) removePend(e *tupleTS, st *txnState) {
-	for i := range e.pends {
-		if e.pends[i].st == st {
-			e.pends = append(e.pends[:i], e.pends[i+1:]...)
-			return
-		}
-	}
-}
-
 // Abort implements core.Scheme: withdraw prewrites, wake waiters.
 func (s *TO) Abort(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
 	for i := range st.writes {
 		w := &st.writes[i]
-		e := s.entry(w.t, w.slot)
-		e.latch.Acquire(tx.P, stats.Abort)
+		tl := &s.meta[w.t.ID]
+		e := &tl.entries[w.slot]
+		tl.latches.Acquire(tx.P, stats.Abort, w.slot)
 		tx.P.Tick(stats.Abort, costs.ManagerOp)
-		s.removePend(e, st)
+		e.removePend(st)
 		s.wakeAll(tx.P, e)
-		e.latch.Release(tx.P, stats.Abort)
+		tl.latches.Release(tx.P, stats.Abort, w.slot)
 	}
 	st.writes = st.writes[:0]
 }
@@ -288,8 +349,7 @@ func (s *TO) Abort(tx *core.TxnCtx) {
 // InitTuple implements core.Scheme: a fresh tuple is born with the
 // inserting transaction's write timestamp.
 func (s *TO) InitTuple(tx *core.TxnCtx, t *storage.Table, slot int) {
-	e := s.entry(t, slot)
-	e.wts = tx.TS
+	s.meta[t.ID].entries[slot].wts = tx.TS
 }
 
 // TSOrderedCommits marks T/O for the WAL: same-slot outcomes follow

@@ -92,11 +92,6 @@ const (
 	modeExcl
 )
 
-// holder is one transaction holding the lock.
-type holder struct {
-	st *txnState
-}
-
 // waiter is one queued request.
 type waiter struct {
 	st      *txnState
@@ -104,19 +99,108 @@ type waiter struct {
 	upgrade bool
 }
 
-// lockEntry is the per-tuple lock word plus sharer/waiter metadata — the
-// "several bytes" of per-tuple overhead the paper trades for scalability.
+// lockEntry is the per-tuple lock word — the "several bytes" of per-tuple
+// overhead the paper trades for scalability: 24 bytes here, plus the 8 of
+// the tuple's latch in its table's slab. A lock with a single holder and no
+// queue, which is every lock an uncontended workload ever takes, lives
+// entirely in the entry. The sharer list and the wait queue exist only
+// behind spill, attached the first time the tuple gets a second holder or
+// a waiter and kept from then on, so that memory is bounded by the set of
+// tuples that have ever been contended, not by the table.
 type lockEntry struct {
-	latch   rt.Latch
-	mode    lockMode
-	holders []holder
+	mode  lockMode
+	first [1]*txnState // the holder, while spill == nil; a nil element is none
+	spill *lockSpill
+}
+
+// lockSpill is a contended tuple's holder list (grant order) and wait queue
+// (grant order from the head). Both start in the inline arrays, so
+// attaching a spill is one allocation and a tuple shared or queued two deep
+// never makes another.
+type lockSpill struct {
+	holders []*txnState
 	waiters []waiter
+	hbuf    [2]*txnState
+	wbuf    [2]waiter
+}
+
+// holders returns the transactions holding the lock, in grant order.
+func (e *lockEntry) holders() []*txnState {
+	if e.spill != nil {
+		return e.spill.holders
+	}
+	if e.first[0] == nil {
+		return nil
+	}
+	return e.first[:]
+}
+
+// waiters returns the wait queue, head first.
+func (e *lockEntry) waiters() []waiter {
+	if e.spill == nil {
+		return nil
+	}
+	return e.spill.waiters
+}
+
+// spilled returns e's spill, attaching it (and moving the inline holder
+// into it) on first use.
+func (e *lockEntry) spilled() *lockSpill {
+	if e.spill == nil {
+		sp := &lockSpill{}
+		sp.holders = append(sp.hbuf[:0], e.holders()...)
+		sp.waiters = sp.wbuf[:0]
+		e.first[0] = nil
+		e.spill = sp
+	}
+	return e.spill
+}
+
+// addHolder appends st to the holder list.
+func (e *lockEntry) addHolder(st *txnState) {
+	if e.spill == nil && e.first[0] == nil {
+		e.first[0] = st
+		return
+	}
+	sp := e.spilled()
+	sp.holders = append(sp.holders, st)
+}
+
+// dropHolder removes st from the holder list, keeping the others' order.
+func (e *lockEntry) dropHolder(st *txnState) {
+	if e.spill == nil {
+		if e.first[0] == st {
+			e.first[0] = nil
+		}
+		return
+	}
+	h := e.spill.holders
+	for j := range h {
+		if h[j] == st {
+			e.spill.holders = append(h[:j], h[j+1:]...)
+			return
+		}
+	}
+}
+
+// soleHolder reports whether st holds the lock alone.
+func (e *lockEntry) soleHolder(st *txnState) bool {
+	h := e.holders()
+	return len(h) == 1 && h[0] == st
+}
+
+// tableLocks is one table's lock state: the entry and the latch of slot i
+// at index i of two parallel slabs.
+type tableLocks struct {
+	entries []lockEntry
+	latches rt.Latches
 }
 
 // heldLock records a lock for release at transaction end.
 type heldLock struct {
-	e    *lockEntry
-	mode lockMode
+	table int32
+	slot  int32
+	mode  lockMode
 }
 
 // undoRec is a before-image for in-place writes.
@@ -148,8 +232,8 @@ type TwoPL struct {
 	db      *core.DB
 	alloc   tsalloc.Allocator
 	graph   *waitgraph.Graph
-	meta    [][]lockEntry // [table id][slot]
-	adapt   []adaptState  // per-worker controllers (Adaptive variant)
+	meta    []tableLocks // [table id]
+	adapt   []adaptState // per-worker controllers (Adaptive variant)
 }
 
 // New creates a 2PL scheme.
@@ -178,16 +262,12 @@ func (s *TwoPL) Name() string { return s.variant.String() }
 func (s *TwoPL) Setup(db *core.DB) {
 	s.db = db
 	tables := db.Catalog.Tables()
-	s.meta = make([][]lockEntry, len(tables))
+	s.meta = make([]tableLocks, len(tables))
 	for _, t := range tables {
-		entries := make([]lockEntry, t.Capacity())
-		for i := range entries {
-			entries[i].latch = db.RT.NewLatch(uint64(t.ID)<<44 | 0x2B<<36 | uint64(i))
-			// Pre-size the holder list so a tuple's first lock grant
-			// never allocates on the access path.
-			entries[i].holders = make([]holder, 0, 2)
+		s.meta[t.ID] = tableLocks{
+			entries: make([]lockEntry, t.Capacity()),
+			latches: db.RT.NewLatches(uint64(t.ID)<<44|0x2B<<36, t.Capacity()),
 		}
-		s.meta[t.ID] = entries
 	}
 	if (s.variant == DLDetect || s.variant == Adaptive) && !s.opts.DisableDetection {
 		s.graph = waitgraph.New(db.RT)
@@ -224,27 +304,33 @@ func (s *TwoPL) Begin(tx *core.TxnCtx) {
 	tx.P.Tick(stats.Manager, costs.ManagerOp)
 }
 
-func (s *TwoPL) entry(t *storage.Table, slot int) *lockEntry {
-	return &s.meta[t.ID][slot]
+// find returns st's record of its lock on (table, slot), or nil.
+func (st *txnState) find(table, slot int) *heldLock {
+	for i := range st.held {
+		if h := &st.held[i]; int(h.table) == table && int(h.slot) == slot {
+			return h
+		}
+	}
+	return nil
 }
 
-// heldMode returns the mode st already holds on e, or modeFree.
-func (st *txnState) heldMode(e *lockEntry) lockMode {
-	for i := range st.held {
-		if st.held[i].e == e {
-			return st.held[i].mode
-		}
+// heldMode returns the mode st already holds on (table, slot), or modeFree.
+func (st *txnState) heldMode(table, slot int) lockMode {
+	if h := st.find(table, slot); h != nil {
+		return h.mode
 	}
 	return modeFree
 }
 
-func (st *txnState) promote(e *lockEntry) {
-	for i := range st.held {
-		if st.held[i].e == e {
-			st.held[i].mode = modeExcl
-			return
-		}
+func (st *txnState) promote(table, slot int) {
+	if h := st.find(table, slot); h != nil {
+		h.mode = modeExcl
 	}
+}
+
+// hold records a granted lock for release at transaction end.
+func (st *txnState) hold(table, slot int, mode lockMode) {
+	st.held = append(st.held, heldLock{table: int32(table), slot: int32(slot), mode: mode})
 }
 
 // Read implements core.Scheme: acquire a shared lock and read in place.
@@ -294,47 +380,49 @@ func (s *TwoPL) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, e
 // lock acquires (or upgrades to) the requested mode on (t, slot).
 func (s *TwoPL) lock(tx *core.TxnCtx, t *storage.Table, slot int, want lockMode) error {
 	st := tx.State.(*txnState)
-	e := s.entry(t, slot)
-
-	switch st.heldMode(e) {
+	switch st.heldMode(t.ID, slot) {
 	case modeExcl:
 		return nil // X covers everything
 	case modeShared:
 		if want == modeShared {
 			return nil
 		}
-		return s.upgrade(tx, st, e)
+		return s.upgrade(tx, st, t.ID, slot)
 	}
 
-	e.latch.Acquire(tx.P, stats.Manager)
+	tl := &s.meta[t.ID]
+	e := &tl.entries[slot]
+	tl.latches.Acquire(tx.P, stats.Manager, slot)
 	tx.P.Tick(stats.Manager, costs.ManagerOp)
 	if compatible(e, want) {
-		e.holders = append(e.holders, holder{st: st})
+		e.addHolder(st)
 		e.mode = want
-		st.held = append(st.held, heldLock{e: e, mode: want})
-		e.latch.Release(tx.P, stats.Manager)
+		st.hold(t.ID, slot, want)
+		tl.latches.Release(tx.P, stats.Manager, slot)
 		return nil
 	}
-	return s.conflict(tx, st, e, want, false)
+	return s.conflict(tx, st, t.ID, slot, want, false)
 }
 
 // upgrade promotes st's shared lock to exclusive.
-func (s *TwoPL) upgrade(tx *core.TxnCtx, st *txnState, e *lockEntry) error {
-	e.latch.Acquire(tx.P, stats.Manager)
+func (s *TwoPL) upgrade(tx *core.TxnCtx, st *txnState, table, slot int) error {
+	tl := &s.meta[table]
+	e := &tl.entries[slot]
+	tl.latches.Acquire(tx.P, stats.Manager, slot)
 	tx.P.Tick(stats.Manager, costs.ManagerOp)
-	if len(e.holders) == 1 && e.holders[0].st == st {
+	if e.soleHolder(st) {
 		e.mode = modeExcl
-		st.promote(e)
-		e.latch.Release(tx.P, stats.Manager)
+		st.promote(table, slot)
+		tl.latches.Release(tx.P, stats.Manager, slot)
 		return nil
 	}
-	return s.conflict(tx, st, e, modeExcl, true)
+	return s.conflict(tx, st, table, slot, modeExcl, true)
 }
 
 // compatible reports whether a new request of mode `want` can be granted
 // immediately (FIFO fairness: not if anyone is already queued).
 func compatible(e *lockEntry, want lockMode) bool {
-	if len(e.waiters) > 0 {
+	if len(e.waiters()) > 0 {
 		return false
 	}
 	switch e.mode {
@@ -349,7 +437,7 @@ func compatible(e *lockEntry, want lockMode) bool {
 
 // conflict handles a denied request per the variant's policy. Called with
 // the tuple latch held; always releases it.
-func (s *TwoPL) conflict(tx *core.TxnCtx, st *txnState, e *lockEntry, want lockMode, upgrade bool) error {
+func (s *TwoPL) conflict(tx *core.TxnCtx, st *txnState, table, slot int, want lockMode, upgrade bool) error {
 	variant := s.variant
 	if variant == Adaptive {
 		// §6.1 hybrid: behave as NO_WAIT while this worker observes
@@ -360,9 +448,10 @@ func (s *TwoPL) conflict(tx *core.TxnCtx, st *txnState, e *lockEntry, want lockM
 			variant = DLDetect
 		}
 	}
+	tl := &s.meta[table]
 	switch variant {
 	case NoWait:
-		e.latch.Release(tx.P, stats.Manager)
+		tl.latches.Release(tx.P, stats.Manager, slot)
 		return core.ErrAbort
 
 	case WaitDie:
@@ -370,35 +459,37 @@ func (s *TwoPL) conflict(tx *core.TxnCtx, st *txnState, e *lockEntry, want lockM
 		// wait would break the old-waits-for-young invariant that
 		// makes WAIT_DIE deadlock-free.
 		if upgrade {
-			e.latch.Release(tx.P, stats.Manager)
+			tl.latches.Release(tx.P, stats.Manager, slot)
 			return core.ErrAbort
 		}
 		// Wait only if strictly older (smaller timestamp) than every
 		// conflicting holder; otherwise die. Holder timestamps are
 		// read through their txnState, which is stable for the
 		// holder's lifetime and ordered by the tuple latch.
-		for i := range e.holders {
-			h := e.holders[i].st
+		for _, h := range tl.entries[slot].holders() {
 			if tx.TS >= h.ts {
-				e.latch.Release(tx.P, stats.Manager)
+				tl.latches.Release(tx.P, stats.Manager, slot)
 				return core.ErrAbort
 			}
 		}
-		return s.wait(tx, st, e, want, upgrade, NoTimeout)
+		return s.wait(tx, st, table, slot, want, upgrade, NoTimeout)
 
 	default: // DLDetect
 		if s.opts.Timeout == 0 {
-			e.latch.Release(tx.P, stats.Manager)
+			tl.latches.Release(tx.P, stats.Manager, slot)
 			return core.ErrAbort
 		}
-		return s.wait(tx, st, e, want, upgrade, s.opts.Timeout)
+		return s.wait(tx, st, table, slot, want, upgrade, s.opts.Timeout)
 	}
 }
 
 // wait enqueues st and blocks until granted, a deadlock is found, or the
 // timeout expires. Called with the tuple latch held; releases it.
-func (s *TwoPL) wait(tx *core.TxnCtx, st *txnState, e *lockEntry, want lockMode, upgrade bool, timeout uint64) error {
+func (s *TwoPL) wait(tx *core.TxnCtx, st *txnState, table, slot int, want lockMode, upgrade bool, timeout uint64) error {
 	p := tx.P
+	tl := &s.meta[table]
+	e := &tl.entries[slot]
+	sp := e.spilled()
 	st.granted = false
 	w := waiter{st: st, mode: want, upgrade: upgrade}
 	switch {
@@ -408,53 +499,52 @@ func (s *TwoPL) wait(tx *core.TxnCtx, st *txnState, e *lockEntry, want lockMode,
 		// younger holders, preserving WAIT_DIE's old-waits-for-young
 		// invariant across grants — the property that guarantees
 		// freedom from deadlock.
-		pos := len(e.waiters)
-		for i := range e.waiters {
-			if st.ts > e.waiters[i].st.ts {
+		pos := len(sp.waiters)
+		for i := range sp.waiters {
+			if st.ts > sp.waiters[i].st.ts {
 				pos = i
 				break
 			}
 		}
-		e.waiters = append(e.waiters, waiter{})
-		copy(e.waiters[pos+1:], e.waiters[pos:])
-		e.waiters[pos] = w
+		sp.waiters = append(sp.waiters, waiter{})
+		copy(sp.waiters[pos+1:], sp.waiters[pos:])
+		sp.waiters[pos] = w
 	case upgrade:
 		// Upgrades go to the head so a sole-holder promotion is never
 		// starved behind incompatible requests. Shift in place rather
 		// than rebuilding the slice, keeping the wait path allocation-
 		// free once the queue's capacity has grown.
-		e.waiters = append(e.waiters, waiter{})
-		copy(e.waiters[1:], e.waiters)
-		e.waiters[0] = w
+		sp.waiters = append(sp.waiters, waiter{})
+		copy(sp.waiters[1:], sp.waiters)
+		sp.waiters[0] = w
 	default:
-		e.waiters = append(e.waiters, w)
+		sp.waiters = append(sp.waiters, w)
 	}
 
 	// Publish waits-for edges for the deadlock detector.
 	if s.graph != nil {
 		st.edgeBuf = st.edgeBuf[:0]
-		for i := range e.holders {
-			h := e.holders[i].st
+		for _, h := range sp.holders {
 			if h == st {
 				continue
 			}
 			st.edgeBuf = append(st.edgeBuf, waitgraph.Edge{Worker: h.w.P.ID(), Seq: h.seq})
 		}
 		// Other queued waiters may hold the lock before we do.
-		for i := range e.waiters {
-			wt := e.waiters[i].st
+		for i := range sp.waiters {
+			wt := sp.waiters[i].st
 			if wt == st {
 				continue
 			}
 			st.edgeBuf = append(st.edgeBuf, waitgraph.Edge{Worker: wt.w.P.ID(), Seq: wt.seq})
 		}
 	}
-	e.latch.Release(p, stats.Manager)
+	tl.latches.Release(p, stats.Manager, slot)
 
 	if s.graph != nil {
 		s.graph.SetEdges(p, st.edgeBuf)
 		if s.deadlockVictim(tx) {
-			return s.cancelWait(tx, st, e)
+			return s.cancelWait(tx, st, table, slot)
 		}
 	}
 
@@ -467,7 +557,7 @@ func (s *TwoPL) wait(tx *core.TxnCtx, st *txnState, e *lockEntry, want lockMode,
 		if deadline != NoTimeout {
 			now := p.Now()
 			if now >= deadline {
-				return s.cancelWait(tx, st, e)
+				return s.cancelWait(tx, st, table, slot)
 			}
 			if r := deadline - now; r < interval {
 				interval = r
@@ -475,21 +565,21 @@ func (s *TwoPL) wait(tx *core.TxnCtx, st *txnState, e *lockEntry, want lockMode,
 		}
 		p.ParkTimeout(stats.Wait, interval)
 
-		e.latch.Acquire(p, stats.Manager)
+		tl.latches.Acquire(p, stats.Manager, slot)
 		if st.granted {
-			e.latch.Release(p, stats.Manager)
+			tl.latches.Release(p, stats.Manager, slot)
 			if s.graph != nil {
 				s.graph.ClearEdges(p)
 			}
 			return nil
 		}
-		e.latch.Release(p, stats.Manager)
+		tl.latches.Release(p, stats.Manager, slot)
 
 		// Re-run detection: a cycle may have formed after we started
 		// waiting (the paper: a deadlock missed by one pass "is
 		// guaranteed to be found on subsequent passes").
 		if s.graph != nil && s.deadlockVictim(tx) {
-			return s.cancelWait(tx, st, e)
+			return s.cancelWait(tx, st, table, slot)
 		}
 	}
 }
@@ -513,21 +603,24 @@ func (s *TwoPL) deadlockVictim(tx *core.TxnCtx) bool {
 	return victim == tx.P.ID()
 }
 
-// cancelWait removes st from e's wait queue and aborts. If the grant
-// raced ahead of the cancellation, the lock is accepted and released by
-// the abort path.
-func (s *TwoPL) cancelWait(tx *core.TxnCtx, st *txnState, e *lockEntry) error {
+// cancelWait removes st from the tuple's wait queue and aborts. If the
+// grant raced ahead of the cancellation, the lock is accepted and released
+// by the abort path.
+func (s *TwoPL) cancelWait(tx *core.TxnCtx, st *txnState, table, slot int) error {
 	p := tx.P
-	e.latch.Acquire(p, stats.Manager)
+	tl := &s.meta[table]
+	e := &tl.entries[slot]
+	tl.latches.Acquire(p, stats.Manager, slot)
 	if !st.granted {
-		for i := range e.waiters {
-			if e.waiters[i].st == st {
-				e.waiters = append(e.waiters[:i], e.waiters[i+1:]...)
+		q := e.spill.waiters // st queued here, so the spill exists
+		for i := range q {
+			if q[i].st == st {
+				e.spill.waiters = append(q[:i], q[i+1:]...)
 				break
 			}
 		}
 	}
-	e.latch.Release(p, stats.Manager)
+	tl.latches.Release(p, stats.Manager, slot)
 	if s.graph != nil {
 		s.graph.ClearEdges(p)
 	}
@@ -538,24 +631,28 @@ func (s *TwoPL) cancelWait(tx *core.TxnCtx, st *txnState, e *lockEntry) error {
 		// grantLocked already appended to holders and set the entry
 		// mode; mirror it in our held list unless it is an upgrade
 		// (already present).
-		if st.heldMode(e) == modeFree {
-			st.held = append(st.held, heldLock{e: e, mode: e.mode})
+		if st.heldMode(table, slot) == modeFree {
+			st.hold(table, slot, e.mode)
 		}
 	}
 	return core.ErrAbort
 }
 
 // grantLocked grants as many queued requests as compatibility allows.
-// Caller holds e.latch.
-func (s *TwoPL) grantLocked(p rt.Proc, e *lockEntry) {
-	for len(e.waiters) > 0 {
-		w := e.waiters[0]
+// Caller holds the tuple latch.
+func (s *TwoPL) grantLocked(p rt.Proc, e *lockEntry, table, slot int) {
+	sp := e.spill
+	if sp == nil {
+		return // never contended: nobody is queued
+	}
+	for len(sp.waiters) > 0 {
+		w := sp.waiters[0]
 		if w.upgrade {
 			// Grantable only when w's transaction is the sole holder.
-			if len(e.holders) == 1 && e.holders[0].st == w.st {
+			if e.soleHolder(w.st) {
 				e.mode = modeExcl
-				w.st.promote(e)
-				e.waiters = append(e.waiters[:0], e.waiters[1:]...)
+				w.st.promote(table, slot)
+				sp.waiters = append(sp.waiters[:0], sp.waiters[1:]...)
 				w.st.granted = true
 				s.db.RT.Unpark(p, w.st.w.P)
 				continue
@@ -568,14 +665,14 @@ func (s *TwoPL) grantLocked(p rt.Proc, e *lockEntry) {
 				return
 			}
 		case modeExcl:
-			if len(e.holders) > 0 {
+			if len(sp.holders) > 0 {
 				return
 			}
 		}
-		e.holders = append(e.holders, holder{st: w.st})
+		sp.holders = append(sp.holders, w.st)
 		e.mode = w.mode
-		w.st.held = append(w.st.held, heldLock{e: e, mode: w.mode})
-		e.waiters = append(e.waiters[:0], e.waiters[1:]...)
+		w.st.hold(table, slot, w.mode)
+		sp.waiters = append(sp.waiters[:0], sp.waiters[1:]...)
 		w.st.granted = true
 		s.db.RT.Unpark(p, w.st.w.P)
 		if w.mode == modeExcl {
@@ -588,23 +685,19 @@ func (s *TwoPL) grantLocked(p rt.Proc, e *lockEntry) {
 func (s *TwoPL) releaseAll(tx *core.TxnCtx, st *txnState) {
 	p := tx.P
 	for i := range st.held {
-		h := st.held[i]
-		e := h.e
-		e.latch.Acquire(p, stats.Manager)
+		table, slot := int(st.held[i].table), int(st.held[i].slot)
+		tl := &s.meta[table]
+		e := &tl.entries[slot]
+		tl.latches.Acquire(p, stats.Manager, slot)
 		p.Tick(stats.Manager, costs.ManagerOp)
-		for j := range e.holders {
-			if e.holders[j].st == st {
-				e.holders = append(e.holders[:j], e.holders[j+1:]...)
-				break
-			}
-		}
-		if len(e.holders) == 0 {
+		e.dropHolder(st)
+		if len(e.holders()) == 0 {
 			e.mode = modeFree
 		} else {
 			e.mode = modeShared
 		}
-		s.grantLocked(p, e)
-		e.latch.Release(p, stats.Manager)
+		s.grantLocked(p, e, table, slot)
+		tl.latches.Release(p, stats.Manager, slot)
 	}
 	st.held = st.held[:0]
 }
@@ -633,8 +726,8 @@ func (s *TwoPL) Abort(tx *core.TxnCtx) {
 	s.releaseAll(tx, st)
 }
 
-// InitTuple implements core.Scheme: fresh tuples start unlocked; the
-// zero-value lockEntry (with its pre-built latch) is already correct.
+// InitTuple implements core.Scheme: fresh tuples start unlocked, which is
+// the zero lockEntry.
 func (s *TwoPL) InitTuple(tx *core.TxnCtx, t *storage.Table, slot int) {}
 
 var _ core.Scheme = (*TwoPL)(nil)

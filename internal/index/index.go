@@ -46,50 +46,77 @@ func (m *meta) Table() *storage.Table { return m.table }
 func (m *meta) Ordinal() int          { return m.ord }
 func (m *meta) SetOrdinal(ord int)    { m.ord = ord }
 
-// entry is one key→slot mapping.
+// entry is one key→slot mapping of a bucket's overflow chain.
 type entry struct {
 	key  uint64
 	slot int32
 }
 
-// bucket is one hash bucket: a latch plus an open chain of entries. The
-// first inlineEntries mappings live directly in the bucket, so inserting
-// into a fresh bucket — the common case when the bucket count is sized to
-// the key count — touches no allocator at all; only collision chains
-// longer than the inline space spill into the overflow slice. This keeps
-// the runtime insert path (TPC-C's ORDERS/ORDER_LINE/HISTORY appends)
-// steady-state allocation-free.
+// bucket is one hash bucket: an open chain of key→slot mappings. The first
+// inlineEntries live directly in the bucket — keys and slots in parallel
+// arrays, so the count fits in what would be padding and the bucket is 40
+// bytes — and inserting into a fresh bucket, the common case when the
+// bucket count is sized to the key count, touches no allocator at all; only
+// collision chains longer than the inline space spill into the overflow
+// list, behind one pointer. This keeps the runtime insert path (TPC-C's
+// ORDERS/ORDER_LINE/HISTORY appends) steady-state allocation-free. The
+// bucket's latch is element i of the index's latch slab.
 type bucket struct {
-	latch    rt.Latch
+	keys     [inlineEntries]uint64
+	slots    [inlineEntries]int32
 	n        int32 // total entries (inline + overflow)
-	inline   [inlineEntries]entry
-	overflow []entry
+	overflow *overflow
+}
+
+// overflow is the tail of a chain longer than inlineEntries. The list starts
+// in buf, so the first spill is one allocation that a hot bucket settles in.
+type overflow struct {
+	entries []entry
+	buf     [4]entry
 }
 
 // inlineEntries is the per-bucket inline capacity.
 const inlineEntries = 2
 
 // at returns entry i of the bucket's logical chain.
-func (b *bucket) at(i int32) *entry {
+func (b *bucket) at(i int32) (key uint64, slot int) {
 	if i < inlineEntries {
-		return &b.inline[i]
+		return b.keys[i], int(b.slots[i])
 	}
-	return &b.overflow[i-inlineEntries]
+	e := b.overflow.entries[i-inlineEntries]
+	return e.key, int(e.slot)
+}
+
+// set overwrites entry i of the chain.
+func (b *bucket) set(i int32, key uint64, slot int) {
+	if i < inlineEntries {
+		b.keys[i], b.slots[i] = key, int32(slot)
+	} else {
+		b.overflow.entries[i-inlineEntries] = entry{key: key, slot: int32(slot)}
+	}
 }
 
 // push appends a mapping to the chain.
-func (b *bucket) push(e entry) {
-	if b.n < inlineEntries {
-		b.inline[b.n] = e
-	} else {
+func (b *bucket) push(key uint64, slot int) {
+	if b.n >= inlineEntries {
 		if b.overflow == nil {
-			// First spill: reserve enough that a hot bucket settles
-			// after one allocation.
-			b.overflow = make([]entry, 0, 4)
+			b.overflow = new(overflow)
+			b.overflow.entries = b.overflow.buf[:0]
 		}
-		b.overflow = append(b.overflow, e)
+		b.overflow.entries = append(b.overflow.entries, entry{})
 	}
 	b.n++
+	b.set(b.n-1, key, slot)
+}
+
+// find returns the slot of the chain's first mapping of key.
+func (b *bucket) find(key uint64) (int, bool) {
+	for j := int32(0); j < b.n; j++ {
+		if k, slot := b.at(j); k == key {
+			return slot, true
+		}
+	}
+	return -1, false
 }
 
 // Hash is a fixed-bucket-count hash index from uint64 keys to row slots.
@@ -98,6 +125,7 @@ func (b *bucket) push(e entry) {
 type Hash struct {
 	meta
 	buckets []bucket
+	latches rt.Latches // latch i guards buckets[i]
 	mask    uint64
 }
 
@@ -108,42 +136,37 @@ func New(r rt.Runtime, table *storage.Table, minBuckets int) *Hash {
 	for n < minBuckets {
 		n <<= 1
 	}
-	h := &Hash{meta: meta{table: table}, buckets: make([]bucket, n), mask: uint64(n - 1)}
-	for i := range h.buckets {
-		h.buckets[i].latch = r.NewLatch(uint64(table.ID)<<48 | 0xB0<<40 | uint64(i))
+	return &Hash{
+		meta:    meta{table: table},
+		buckets: make([]bucket, n),
+		latches: r.NewLatches(uint64(table.ID)<<48|0xB0<<40, n),
+		mask:    uint64(n - 1),
 	}
-	return h
 }
 
-func (h *Hash) bucketOf(key uint64) (*bucket, uint64) {
+func (h *Hash) bucketOf(key uint64) (*bucket, int) {
 	z := key + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	i := z & h.mask
+	i := int(z & h.mask)
 	return &h.buckets[i], i
 }
 
 // memKey identifies the bucket's cache line for NUCA placement.
-func (h *Hash) memKey(i uint64) uint64 {
-	return uint64(h.table.ID)<<48 | 0xB1<<40 | i
+func (h *Hash) memKey(i int) uint64 {
+	return uint64(h.table.ID)<<48 | 0xB1<<40 | uint64(i)
 }
 
 // Lookup probes for key, returning the row slot and whether it was found.
 // The probe latches the bucket (the paper bills bucket latching to INDEX).
 func (h *Hash) Lookup(p rt.Proc, key uint64) (int, bool) {
 	b, i := h.bucketOf(key)
-	b.latch.Acquire(p, stats.Index)
+	h.latches.Acquire(p, stats.Index, i)
 	p.MemRead(stats.Index, h.memKey(i), 16)
 	p.Tick(stats.Index, costs.IndexProbe+uint64(b.n))
-	slot, ok := -1, false
-	for j := int32(0); j < b.n; j++ {
-		if e := b.at(j); e.key == key {
-			slot, ok = int(e.slot), true
-			break
-		}
-	}
-	b.latch.Release(p, stats.Index)
+	slot, ok := b.find(key)
+	h.latches.Release(p, stats.Index, i)
 	return slot, ok
 }
 
@@ -152,11 +175,11 @@ func (h *Hash) Lookup(p rt.Proc, key uint64) (int, bool) {
 // guarantees a slot becomes visible exactly once).
 func (h *Hash) Insert(p rt.Proc, key uint64, slot int) {
 	b, i := h.bucketOf(key)
-	b.latch.Acquire(p, stats.Index)
+	h.latches.Acquire(p, stats.Index, i)
 	p.MemWrite(stats.Index, h.memKey(i), 16)
 	p.Tick(stats.Index, costs.IndexInsert)
-	b.push(entry{key: key, slot: int32(slot)})
-	b.latch.Release(p, stats.Index)
+	b.push(key, slot)
+	h.latches.Release(p, stats.Index, i)
 }
 
 // Remove deletes the key→slot mapping if present (used when rolling back a
@@ -164,22 +187,23 @@ func (h *Hash) Insert(p rt.Proc, key uint64, slot int) {
 // reports whether it removed anything.
 func (h *Hash) Remove(p rt.Proc, key uint64, slot int) bool {
 	b, i := h.bucketOf(key)
-	b.latch.Acquire(p, stats.Index)
+	h.latches.Acquire(p, stats.Index, i)
 	p.MemWrite(stats.Index, h.memKey(i), 16)
 	p.Tick(stats.Index, costs.IndexProbe+uint64(b.n))
 	removed := false
 	for j := int32(0); j < b.n; j++ {
-		if e := b.at(j); e.key == key && int(e.slot) == slot {
-			*e = *b.at(b.n - 1) // swap-delete with the chain's last entry
+		if k, s := b.at(j); k == key && s == slot {
+			lk, ls := b.at(b.n - 1)
+			b.set(j, lk, ls) // swap-delete with the chain's last entry
 			if b.n > inlineEntries {
-				b.overflow = b.overflow[:len(b.overflow)-1]
+				b.overflow.entries = b.overflow.entries[:len(b.overflow.entries)-1]
 			}
 			b.n--
 			removed = true
 			break
 		}
 	}
-	b.latch.Release(p, stats.Index)
+	h.latches.Release(p, stats.Index, i)
 	return removed
 }
 
@@ -187,19 +211,14 @@ func (h *Hash) Remove(p rt.Proc, key uint64, slot int) bool {
 // or cost accounting.
 func (h *Hash) LoadInsert(key uint64, slot int) {
 	b, _ := h.bucketOf(key)
-	b.push(entry{key: key, slot: int32(slot)})
+	b.push(key, slot)
 }
 
 // LoadLookup probes for key during single-threaded setup or recovery, with
 // no latching or cost accounting.
 func (h *Hash) LoadLookup(key uint64) (int, bool) {
 	b, _ := h.bucketOf(key)
-	for j := int32(0); j < b.n; j++ {
-		if e := b.at(j); e.key == key {
-			return int(e.slot), true
-		}
-	}
-	return -1, false
+	return b.find(key)
 }
 
 // Range implements Index, in bucket order.
@@ -207,8 +226,7 @@ func (h *Hash) Range(f func(key uint64, slot int)) {
 	for i := range h.buckets {
 		b := &h.buckets[i]
 		for j := int32(0); j < b.n; j++ {
-			e := b.at(j)
-			f(e.key, int(e.slot))
+			f(b.at(j))
 		}
 	}
 }

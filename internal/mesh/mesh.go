@@ -159,34 +159,36 @@ func (c *Chip) TransferCost(home, owner, to int) uint64 {
 // atomic timestamp allocation.
 //
 // Line is not itself synchronized; the simulator's cooperative scheduler
-// guarantees at most one core manipulates it at a time.
+// guarantees at most one core manipulates it at a time. It is 16 bytes and
+// holds no pointer — the simulator keeps one per latch and per counter, by
+// value, in slabs as large as the tables — so every operation takes the
+// chip the line sits on.
 type Line struct {
-	chip      *Chip
-	home      int    // directory tile for this line
-	owner     int    // tile currently owning the line exclusively
+	home      int32  // directory tile for this line
+	owner     int32  // tile currently owning the line exclusively
 	busyUntil uint64 // simulated time the line next becomes free
 }
 
 // NewLine creates a line homed (by address hash) and initially owned at
 // its directory tile for key.
-func NewLine(chip *Chip, key uint64) *Line {
-	home := chip.HomeTile(key)
-	return &Line{chip: chip, home: home, owner: home}
+func NewLine(chip *Chip, key uint64) Line {
+	home := int32(chip.HomeTile(key))
+	return Line{home: home, owner: home}
 }
 
 // Owner returns the current owning tile (for tests).
-func (l *Line) Owner() int { return l.owner }
+func (l *Line) Owner() int { return int(l.owner) }
 
 // Exclusive performs an exclusive (write/RMW) access by `tile` issued at
 // local time `now`, returning the completion time. It serializes with other
 // exclusive accesses and migrates ownership.
-func (l *Line) Exclusive(tile int, now uint64) uint64 {
+func (l *Line) Exclusive(chip *Chip, tile int, now uint64) uint64 {
 	start := now
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
-	done := start + l.chip.TransferCost(l.home, l.owner, tile)
-	l.owner = tile
+	done := start + chip.TransferCost(int(l.home), int(l.owner), tile)
+	l.owner = int32(tile)
 	l.busyUntil = done
 	return done
 }
@@ -197,15 +199,15 @@ func (l *Line) Exclusive(tile int, now uint64) uint64 {
 // readers do not serialize behind one another beyond the owner's current
 // occupancy (a pending exclusive op must complete before its value is
 // visible).
-func (l *Line) Read(tile int, now uint64) uint64 {
+func (l *Line) Read(chip *Chip, tile int, now uint64) uint64 {
 	start := now
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
-	if l.owner == tile {
+	if int(l.owner) == tile {
 		return start + L1Cycles
 	}
-	return start + uint64(L2BaseCycles+2*HopCycles*l.chip.Hops(l.owner, tile))
+	return start + uint64(L2BaseCycles+2*HopCycles*chip.Hops(int(l.owner), tile))
 }
 
 // CenterService models the hardware counter's serialization point: requests

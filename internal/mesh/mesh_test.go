@@ -99,11 +99,11 @@ func TestLineSerializesExclusiveOps(t *testing.T) {
 	l := NewLine(chip, 7)
 	// Two cores issue at the same instant: the second must start after the
 	// first completes.
-	d0 := l.Exclusive(0, 100)
+	d0 := l.Exclusive(chip, 0, 100)
 	if d0 < 100 {
 		t.Fatalf("completion %d before issue", d0)
 	}
-	d1 := l.Exclusive(1, 100)
+	d1 := l.Exclusive(chip, 1, 100)
 	if d1 <= d0 {
 		t.Fatalf("second op completed at %d, not after first at %d", d1, d0)
 	}
@@ -115,8 +115,8 @@ func TestLineSerializesExclusiveOps(t *testing.T) {
 func TestLineLocalReuseIsCheap(t *testing.T) {
 	chip := NewChip(64)
 	l := NewLine(chip, 9)
-	d1 := l.Exclusive(5, 0)
-	d2 := l.Exclusive(5, d1)
+	d1 := l.Exclusive(chip, 5, 0)
+	d2 := l.Exclusive(chip, 5, d1)
 	if d2-d1 != L1Cycles {
 		t.Fatalf("local re-acquire cost %d, want %d", d2-d1, uint64(L1Cycles))
 	}

@@ -9,8 +9,9 @@
 // additionally yields the processor); Now() returns real elapsed
 // nanoseconds, so with the nominal 1 GHz target clock one "cycle" is one
 // nanosecond and throughput figures are real wall-clock transactions per
-// second. Parking uses per-proc permit channels; latches are sync.Mutex;
-// counters are atomic fetch-adds.
+// second. Parking uses per-proc permit channels; a latch is a sync.Mutex and
+// a counter an atomic word, eight bytes each, and table-sized sets of them
+// are slabs ([]latch, []counter) indexed in place.
 package native
 
 import (
@@ -88,6 +89,12 @@ func (r *Runtime) NewLatch(key uint64) rt.Latch { return &latch{} }
 // NewCounter implements rt.Runtime.
 func (r *Runtime) NewCounter(key uint64) rt.Counter { return &counter{} }
 
+// NewLatches implements rt.Runtime.
+func (r *Runtime) NewLatches(base uint64, n int) rt.Latches { return make(latches, n) }
+
+// NewCounters implements rt.Runtime.
+func (r *Runtime) NewCounters(base uint64, n int) rt.Counters { return make(counters, n) }
+
 // NewHardwareCounter implements rt.Runtime. Real CPUs have no center-of-chip
 // fetch-add unit (the paper's point); the closest native equivalent is the
 // same atomic counter.
@@ -100,6 +107,7 @@ type Proc struct {
 	rng    *rand.Rand
 	bd     stats.Breakdown
 	permit chan struct{}
+	timer  *time.Timer // ParkTimeout's deadline, made on first use and reused
 
 	// pend batches cycles billed by Tick/Sync/Mem*/Park, mirroring the
 	// simulator's accounting fast path: the hot path increments one flat
@@ -160,16 +168,23 @@ func (p *Proc) Park(c stats.Component) {
 // ParkTimeout implements rt.Proc.
 func (p *Proc) ParkTimeout(c stats.Component, cycles uint64) bool {
 	t0 := time.Now()
-	timer := time.NewTimer(time.Duration(cycles) * time.Nanosecond)
-	defer timer.Stop()
+	d := time.Duration(cycles) * time.Nanosecond
+	if p.timer == nil {
+		p.timer = time.NewTimer(d)
+	} else {
+		// No drain: since go 1.23 a stopped or reset timer's channel
+		// never delivers a stale tick.
+		p.timer.Reset(d)
+	}
+	var woken bool
 	select {
 	case <-p.permit:
-		p.pend[c] += uint64(time.Since(t0))
-		return true
-	case <-timer.C:
-		p.pend[c] += uint64(time.Since(t0))
-		return false
+		p.timer.Stop()
+		woken = true
+	case <-p.timer.C:
 	}
+	p.pend[c] += uint64(time.Since(t0))
+	return woken
 }
 
 type latch struct{ mu sync.Mutex }
@@ -196,5 +211,29 @@ func (c *counter) Load(p rt.Proc, comp stats.Component) uint64 {
 func (c *counter) Store(p rt.Proc, comp stats.Component, v uint64) {
 	c.v.Store(v)
 }
+
+// latches and counters are the slab forms: element i is the same latch or
+// counter value the singular constructors return a pointer to.
+type (
+	latches  []latch
+	counters []counter
+)
+
+// Acquire implements rt.Latches.
+func (s latches) Acquire(p rt.Proc, c stats.Component, i int) { s[i].Acquire(p, c) }
+
+// Release implements rt.Latches.
+func (s latches) Release(p rt.Proc, c stats.Component, i int) { s[i].Release(p, c) }
+
+// Add implements rt.Counters.
+func (s counters) Add(p rt.Proc, c stats.Component, i int, delta uint64) uint64 {
+	return s[i].Add(p, c, delta)
+}
+
+// Load implements rt.Counters.
+func (s counters) Load(p rt.Proc, c stats.Component, i int) uint64 { return s[i].Load(p, c) }
+
+// Store implements rt.Counters.
+func (s counters) Store(p rt.Proc, c stats.Component, i int, v uint64) { s[i].Store(p, c, v) }
 
 var _ rt.Runtime = (*Runtime)(nil)

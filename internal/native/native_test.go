@@ -110,6 +110,35 @@ func TestParkTimeout(t *testing.T) {
 	})
 }
 
+// TestParkTimeoutDoesNotAllocate: a wait costs no heap object, whether it
+// times out or is woken (a worker's one timer is made by its first wait,
+// which AllocsPerRun's warm-up call absorbs).
+func TestParkTimeoutDoesNotAllocate(t *testing.T) {
+	r := native.New(1, 1)
+	p := r.Proc(0)
+	if n := testing.AllocsPerRun(20, func() {
+		if p.ParkTimeout(stats.Wait, 1000) {
+			t.Error("ParkTimeout reported wake with no waker")
+		}
+	}); n != 0 {
+		t.Errorf("timed-out ParkTimeout: %v allocs per wait, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		r.Unpark(nil, p)
+		if !p.ParkTimeout(stats.Wait, 1_000_000_000) {
+			t.Error("ParkTimeout timed out with a permit pending")
+		}
+	}); n != 0 {
+		t.Errorf("unparked ParkTimeout: %v allocs per wait, want 0", n)
+	}
+	// A wake that arrives after the deadline is still there for the next Park.
+	if p.ParkTimeout(stats.Wait, 1000) {
+		t.Error("ParkTimeout reported wake with no waker")
+	}
+	r.Unpark(nil, p)
+	p.Park(stats.Wait)
+}
+
 func TestDoubleUnparkSinglePermit(t *testing.T) {
 	r := native.New(1, 1)
 	r.Run(func(p rt.Proc) {

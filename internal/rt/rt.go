@@ -120,6 +120,24 @@ type Counter interface {
 	Store(p Proc, c stats.Component, v uint64)
 }
 
+// Latches is a slab of latches made by one Runtime.NewLatches call and
+// addressed by index: what a table-sized structure (per-tuple CC metadata,
+// hash buckets) uses in place of one Latch object per element, so that its
+// resident cost is a few bytes per element and one allocation per table.
+// Latch i behaves exactly as a Latch created with key base|i.
+type Latches interface {
+	Acquire(p Proc, c stats.Component, i int)
+	Release(p Proc, c stats.Component, i int)
+}
+
+// Counters is the slab form of Counter; counter i behaves exactly as a
+// Counter created with key base|i.
+type Counters interface {
+	Add(p Proc, c stats.Component, i int, delta uint64) uint64
+	Load(p Proc, c stats.Component, i int) uint64
+	Store(p Proc, c stats.Component, i int, v uint64)
+}
+
 // Runtime creates Procs and shared primitives and executes worker bodies.
 type Runtime interface {
 	// NumProcs returns the number of logical cores.
@@ -132,6 +150,12 @@ type Runtime interface {
 
 	// NewCounter allocates a shared counter placed by key.
 	NewCounter(key uint64) Counter
+
+	// NewLatches and NewCounters allocate n latches or counters as one
+	// slab; element i is placed by key base|i (base must leave the bits
+	// of i clear).
+	NewLatches(base uint64, n int) Latches
+	NewCounters(base uint64, n int) Counters
 
 	// NewHardwareCounter allocates the paper's proposed center-of-chip
 	// hardware counter: a fetch-add that serializes for a single cycle at

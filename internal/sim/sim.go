@@ -332,23 +332,24 @@ func (e *Engine) Unpark(waker rt.Proc, target rt.Proc) {
 // latch is the simulated rt.Latch: a test-and-set word on a shared cache
 // line with a FIFO waiter queue. Contended acquisition parks the caller;
 // release hands the latch directly to the head waiter (no thundering herd).
+// It is 48 bytes with its line inside it and names no engine — the calling
+// Proc knows its own — so a table's worth is one slab (latches).
 type latch struct {
-	eng     *Engine
-	line    *mesh.Line
+	line    mesh.Line
 	holder  *Proc
 	waiters []*Proc
 }
 
 // NewLatch implements rt.Runtime.
 func (e *Engine) NewLatch(key uint64) rt.Latch {
-	return &latch{eng: e, line: mesh.NewLine(e.chip, key)}
+	return &latch{line: mesh.NewLine(e.chip, key)}
 }
 
 // Acquire implements rt.Latch.
 func (l *latch) Acquire(p rt.Proc, c stats.Component) {
 	sp := p.(*Proc)
 	sp.Sync(c, 0) // ordering point: run any core whose clock is behind
-	done := l.line.Exclusive(sp.id, sp.now)
+	done := l.line.Exclusive(sp.eng.chip, sp.id, sp.now)
 	sp.Tick(c, done-sp.now)
 	if l.holder == nil {
 		l.holder = sp
@@ -368,7 +369,7 @@ func (l *latch) Release(p rt.Proc, c stats.Component) {
 	if l.holder != sp {
 		panic("sim: latch released by non-holder")
 	}
-	done := l.line.Exclusive(sp.id, sp.now)
+	done := l.line.Exclusive(sp.eng.chip, sp.id, sp.now)
 	sp.Tick(c, done-sp.now)
 	if len(l.waiters) == 0 {
 		l.holder = nil
@@ -378,7 +379,7 @@ func (l *latch) Release(p rt.Proc, c stats.Component) {
 	copy(l.waiters, l.waiters[1:])
 	l.waiters = l.waiters[:len(l.waiters)-1]
 	l.holder = next
-	l.eng.Unpark(sp, next)
+	sp.eng.Unpark(sp, next)
 }
 
 // counter is the simulated rt.Counter: an atomic fetch-add word on a shared
@@ -387,7 +388,7 @@ func (l *latch) Release(p rt.Proc, c stats.Component) {
 // the cross-chip round trip caps throughput near 10M ops/s at 1 GHz,
 // reproducing the paper's Fig. 6 arithmetic.
 type counter struct {
-	line  *mesh.Line
+	line  mesh.Line
 	value uint64
 }
 
@@ -400,7 +401,7 @@ func (e *Engine) NewCounter(key uint64) rt.Counter {
 func (c *counter) Add(p rt.Proc, comp stats.Component, delta uint64) uint64 {
 	sp := p.(*Proc)
 	sp.Sync(comp, 0)
-	done := c.line.Exclusive(sp.id, sp.now)
+	done := c.line.Exclusive(sp.eng.chip, sp.id, sp.now)
 	sp.Tick(comp, done-sp.now)
 	c.value += delta
 	return c.value
@@ -410,7 +411,7 @@ func (c *counter) Add(p rt.Proc, comp stats.Component, delta uint64) uint64 {
 func (c *counter) Load(p rt.Proc, comp stats.Component) uint64 {
 	sp := p.(*Proc)
 	sp.Sync(comp, 0)
-	done := c.line.Read(sp.id, sp.now)
+	done := c.line.Read(sp.eng.chip, sp.id, sp.now)
 	sp.Tick(comp, done-sp.now)
 	return c.value
 }
@@ -419,10 +420,53 @@ func (c *counter) Load(p rt.Proc, comp stats.Component) uint64 {
 func (c *counter) Store(p rt.Proc, comp stats.Component, v uint64) {
 	sp := p.(*Proc)
 	sp.Sync(comp, 0)
-	done := c.line.Exclusive(sp.id, sp.now)
+	done := c.line.Exclusive(sp.eng.chip, sp.id, sp.now)
 	sp.Tick(comp, done-sp.now)
 	c.value = v
 }
+
+// latches and counters are the slab forms: element i is the same latch or
+// counter value the singular constructors return a pointer to, on the line
+// key base|i places.
+type (
+	latches  []latch
+	counters []counter
+)
+
+// NewLatches implements rt.Runtime.
+func (e *Engine) NewLatches(base uint64, n int) rt.Latches {
+	s := make(latches, n)
+	for i := range s {
+		s[i].line = mesh.NewLine(e.chip, base|uint64(i))
+	}
+	return s
+}
+
+// NewCounters implements rt.Runtime.
+func (e *Engine) NewCounters(base uint64, n int) rt.Counters {
+	s := make(counters, n)
+	for i := range s {
+		s[i].line = mesh.NewLine(e.chip, base|uint64(i))
+	}
+	return s
+}
+
+// Acquire implements rt.Latches.
+func (s latches) Acquire(p rt.Proc, c stats.Component, i int) { s[i].Acquire(p, c) }
+
+// Release implements rt.Latches.
+func (s latches) Release(p rt.Proc, c stats.Component, i int) { s[i].Release(p, c) }
+
+// Add implements rt.Counters.
+func (s counters) Add(p rt.Proc, c stats.Component, i int, delta uint64) uint64 {
+	return s[i].Add(p, c, delta)
+}
+
+// Load implements rt.Counters.
+func (s counters) Load(p rt.Proc, c stats.Component, i int) uint64 { return s[i].Load(p, c) }
+
+// Store implements rt.Counters.
+func (s counters) Store(p rt.Proc, c stats.Component, i int, v uint64) { s[i].Store(p, c, v) }
 
 // hwCounter is the paper's proposed hardware fetch-add unit at the chip
 // center (§4.3): requests travel the mesh, are serviced in one cycle, and

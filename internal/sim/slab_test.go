@@ -1,0 +1,84 @@
+package sim
+
+import (
+	"slices"
+	"testing"
+	"unsafe"
+
+	"abyss1000/internal/rt"
+	"abyss1000/internal/stats"
+)
+
+// A simulated latch is 48 bytes and a counter 24, cache-line model included;
+// a stray field shows up here as a one-line diff.
+func TestLatchAndCounterSize(t *testing.T) {
+	if got := unsafe.Sizeof(latch{}); got != 48 {
+		t.Errorf("latch is %d bytes, want 48", got)
+	}
+	if got := unsafe.Sizeof(counter{}); got != 24 {
+		t.Errorf("counter is %d bytes, want 24", got)
+	}
+}
+
+// TestSlabElementIsTheSingularPrimitive: element i of a latch or counter
+// slab and a singular latch or counter created with key base|i are the same
+// thing — same home tile, same billed cycles, same FIFO hand-off — so a
+// scheme that moved from one object per tuple to one slab per table cannot
+// have moved the model. The workload is contended on purpose: 16 cores on
+// one latch and one counter, so waiter order and line ownership matter.
+func TestSlabElementIsTheSingularPrimitive(t *testing.T) {
+	const (
+		base  = uint64(3)<<44 | 0x2B<<36
+		elem  = 5
+		cores = 16
+	)
+	type trace struct {
+		grants []int    // latch acquisition order
+		values []uint64 // counter values in that order
+		ends   []uint64 // every core's final clock
+		wait   []uint64 // every core's cycles billed to MANAGER
+	}
+	run := func(mk func(e *Engine) (acquire, release func(rt.Proc), add func(rt.Proc) uint64)) trace {
+		e := New(cores, 9)
+		acquire, release, add := mk(e)
+		tr := trace{ends: make([]uint64, cores), wait: make([]uint64, cores)}
+		e.Run(func(p rt.Proc) {
+			for i := 0; i < 10; i++ {
+				p.Tick(stats.Useful, uint64(p.Rand().Intn(40)))
+				acquire(p)
+				tr.grants = append(tr.grants, p.ID())
+				tr.values = append(tr.values, add(p))
+				p.Sync(stats.Useful, 25) // hold across a yield so waiters queue
+				release(p)
+			}
+			tr.ends[p.ID()] = p.Now()
+			tr.wait[p.ID()] = p.Stats().Get(stats.Manager)
+		})
+		return tr
+	}
+	singular := run(func(e *Engine) (func(rt.Proc), func(rt.Proc), func(rt.Proc) uint64) {
+		l, c := e.NewLatch(base|elem), e.NewCounter(base|1<<35|elem)
+		return func(p rt.Proc) { l.Acquire(p, stats.Manager) },
+			func(p rt.Proc) { l.Release(p, stats.Manager) },
+			func(p rt.Proc) uint64 { return c.Add(p, stats.Manager, 1) }
+	})
+	slab := run(func(e *Engine) (func(rt.Proc), func(rt.Proc), func(rt.Proc) uint64) {
+		ls, cs := e.NewLatches(base, 8), e.NewCounters(base|1<<35, 8)
+		return func(p rt.Proc) { ls.Acquire(p, stats.Manager, elem) },
+			func(p rt.Proc) { ls.Release(p, stats.Manager, elem) },
+			func(p rt.Proc) uint64 { return cs.Add(p, stats.Manager, elem, 1) }
+	})
+	if !slices.Equal(singular.grants, slab.grants) {
+		t.Errorf("hand-off order differs:\nsingular %v\nslab     %v", singular.grants, slab.grants)
+	}
+	if !slices.Equal(singular.values, slab.values) {
+		t.Errorf("counter values differ:\nsingular %v\nslab     %v", singular.values, slab.values)
+	}
+	if !slices.Equal(singular.ends, slab.ends) || !slices.Equal(singular.wait, slab.wait) {
+		t.Errorf("billed cycles differ:\nsingular ends %v manager %v\nslab     ends %v manager %v",
+			singular.ends, singular.wait, slab.ends, slab.wait)
+	}
+	if len(slab.grants) != cores*10 {
+		t.Fatalf("%d grants, want %d", len(slab.grants), cores*10)
+	}
+}

@@ -2,7 +2,8 @@
 // bed DBMS (§3.2): fixed-width schemas, slab row storage, per-worker insert
 // segments (so inserts never contend on a global allocator), and the
 // catalog. Per-tuple concurrency-control metadata is owned by the CC scheme
-// (attached by slot index), keeping the storage layer scheme-agnostic.
+// (per-table slabs indexed by slot), keeping the storage layer
+// scheme-agnostic.
 package storage
 
 import (

@@ -87,11 +87,12 @@ func (g *Graph) ClearEdges(p rt.Proc) {
 	s.latch.Release(p, stats.Manager)
 }
 
-// readEdges snapshots worker w's live edges and sequence.
+// readEdges appends a snapshot of worker w's live edges to into and returns
+// it with w's sequence.
 func (g *Graph) readEdges(p rt.Proc, w int, into []Edge) ([]Edge, uint64) {
 	s := &g.slots[w]
 	s.latch.Acquire(p, stats.Manager)
-	into = append(into[:0], s.edges...)
+	into = append(into, s.edges...)
 	seq := s.seq
 	s.latch.Release(p, stats.Manager)
 	return into, seq
@@ -127,24 +128,25 @@ func (g *Graph) dfs(p rt.Proc, id int, stamp uint64, visited []uint64,
 		return false
 	}
 	visited[worker] = stamp
-	edges, liveSeq := g.readEdges(p, worker, g.buf[id])
-	g.buf[id] = edges[:0]
-	if liveSeq != seq {
-		return false // that txn has finished; its edges are stale
-	}
-	p.Tick(stats.Manager, uint64(len(edges))*costs.DeadlockSearchPerEdge)
-	// Copy: deeper recursion reuses the shared read buffer.
-	local := make([]Edge, len(edges))
-	copy(local, edges)
-	for _, e := range local {
-		if e.Worker == self && e.Seq == selfSeq {
-			*path = append(*path, worker)
-			return true
+	// The searcher's buffer is a stack: this frame's snapshot sits above
+	// its callers' and is popped on return. Deeper frames only append, so
+	// edges stays intact even if they make the buffer grow and move.
+	base := len(g.buf[id])
+	all, liveSeq := g.readEdges(p, worker, g.buf[id])
+	edges := all[base:]
+	g.buf[id] = all
+	found := false
+	if liveSeq == seq { // otherwise that txn has finished; its edges are stale
+		p.Tick(stats.Manager, uint64(len(edges))*costs.DeadlockSearchPerEdge)
+		for _, e := range edges {
+			if (e.Worker == self && e.Seq == selfSeq) ||
+				g.dfs(p, id, stamp, visited, e.Worker, e.Seq, self, selfSeq, path) {
+				*path = append(*path, worker)
+				found = true
+				break
+			}
 		}
-		if g.dfs(p, id, stamp, visited, e.Worker, e.Seq, self, selfSeq, path) {
-			*path = append(*path, worker)
-			return true
-		}
 	}
-	return false
+	g.buf[id] = g.buf[id][:base]
+	return found
 }
