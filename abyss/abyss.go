@@ -83,7 +83,10 @@ type (
 	// Col is one fixed-width column of a TableSpec.
 	Col = storage.Col
 
-	// Index is a hash index created by CreateIndex.
+	// Index is a hash index created by CreateIndex. It stores a mapping at
+	// its row slot, so a slot of the table can be mapped at most once per
+	// Index at a time (a row has one key per index); an insert of a slot
+	// that is already mapped, or that lies outside the table, panics.
 	Index = index.Hash
 
 	// OrderedIndex is an ordered (range-scannable) secondary index
@@ -292,7 +295,9 @@ func (db *DB) newIndexName(name string, t *Table) error {
 }
 
 // CreateIndex builds a hash index named name over t, sized for at least
-// minKeys keys. Populate setup-time entries with Index.LoadInsert.
+// minKeys keys. Populate setup-time entries with Index.LoadInsert. The index
+// maps each slot of t at most once (see Index): several keys for one row
+// need several indexes.
 func (db *DB) CreateIndex(name string, t *Table, minKeys int) (*Index, error) {
 	if err := db.newIndexName(name, t); err != nil {
 		return nil, err

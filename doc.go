@@ -48,13 +48,14 @@
 // The DBMS access path is closure-free and steady-state allocation-free
 // (the paper's §4.1 malloc wall): schemes expose a buffer-returning
 // WriteRow instead of a callback-taking Write, transient buffers come
-// from per-worker arenas and recycle pools, and index buckets inline
-// their first entries. BenchmarkTxnYCSB/BenchmarkTxnTPCC in
-// bench_txn_test.go pin ~0 allocs per committed transaction, enforced by
-// CI against a small fixed budget.
+// from per-worker arenas and recycle pools, and the indexes keep their
+// entries in storage allocated ahead of the insert (hash chains in
+// per-slot arrays, B+tree nodes of fixed capacity).
+// BenchmarkTxnYCSB/BenchmarkTxnTPCC in bench_txn_test.go pin ~0 allocs
+// per committed transaction, enforced by CI against a small fixed budget.
 //
 // See README.md for a tour of the packages and commands, and
-// BENCH_sim.json for the simulator engine's benchmark trajectory. The
+// BENCH_index.json for the index layer's benchmark trajectory. The
 // benchmarks in bench_test.go exercise one experiment per paper
 // table/figure at a reduced scale suitable for `go test -bench=.`;
 // determinism_test.go pins the simulator's byte-identical-results

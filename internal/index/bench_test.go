@@ -1,0 +1,106 @@
+package index_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"abyss1000/internal/index"
+	"abyss1000/internal/native"
+	"abyss1000/internal/storage"
+)
+
+// Index-layer microbenchmarks: one operation per iteration on the native
+// runtime (a latch is a mutex, Tick a counter bump), one worker, so the
+// numbers are the structure's own cost. Run with -benchmem: B/op and
+// allocs/op are exact and are the gated part — the hash index must read 0
+// allocs/op and an ordered insert must stay far below one allocation (a leaf
+// chunk per 64 leaf splits, an inner node per inner split); ns/op on a shared
+// host is advisory. BENCH_index.json records the trajectory.
+
+var benchSink int
+
+func benchTable(capacity int) (*native.Runtime, *storage.Table) {
+	schema := storage.NewSchema("T", storage.Col{Name: "K", Width: 8})
+	return native.New(1, 1), storage.NewTable(0, schema, capacity, capacity, 1)
+}
+
+// benchKey spreads slot numbers over the key space like the workloads'
+// composite keys do, so chains are not artificially perfect.
+func benchKey(slot int) uint64 { return uint64(slot) * 0x9e3779b1 }
+
+// BenchmarkHashLookup probes a 64 Ki-row index sized like the workloads
+// size theirs (one bucket per key), hits only.
+func BenchmarkHashLookup(b *testing.B) {
+	const rows = 1 << 16
+	run, tab := benchTable(rows)
+	idx := index.New(run, tab, rows)
+	for s := 0; s < rows; s++ {
+		idx.LoadInsert(benchKey(s), s)
+	}
+	p := run.Proc(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot, _ := idx.Lookup(p, benchKey(i&(rows-1)))
+		benchSink += slot
+	}
+}
+
+// BenchmarkHashInsert publishes b.N fresh slots into an index with one
+// bucket per slot: the runtime insert path of TPC-C's ORDERS, ORDER_LINE and
+// HISTORY appends, chains of three and more included.
+func BenchmarkHashInsert(b *testing.B) {
+	run, tab := benchTable(b.N)
+	idx := index.New(run, tab, b.N)
+	p := run.Proc(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		idx.Insert(p, benchKey(i), i)
+	}
+}
+
+// BenchmarkOrderedInsert grows a B+tree from empty by b.N inserts, in key
+// order (every split is of the rightmost leaf — TPC-C's order ids) and in
+// random order.
+func BenchmarkOrderedInsert(b *testing.B) {
+	for _, order := range []string{"ascending", "random"} {
+		b.Run(order, func(b *testing.B) {
+			run, tab := benchTable(1)
+			idx := index.NewOrdered(run, tab)
+			keys := make([]uint64, b.N)
+			for i := range keys {
+				keys[i] = uint64(i)
+			}
+			if order == "random" {
+				rand.New(rand.NewSource(1)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+			}
+			p := run.Proc(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, k := range keys {
+				idx.Insert(p, k, i)
+			}
+		})
+	}
+}
+
+// BenchmarkOrderedRangeScan scans 100 consecutive entries of a 64 Ki-entry
+// tree into a reused buffer (a StockLevel- or Delivery-sized scan).
+func BenchmarkOrderedRangeScan(b *testing.B) {
+	const rows, span = 1 << 16, 100
+	run, tab := benchTable(1)
+	idx := index.NewOrdered(run, tab)
+	for _, k := range rand.New(rand.NewSource(1)).Perm(rows) {
+		idx.LoadInsert(uint64(k), k)
+	}
+	p := run.Proc(0)
+	out := make([]index.Entry, 0, span)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := uint64(i*7919) & (rows - 1)
+		out = idx.RangeScan(p, lo, lo+span-1, out[:0])
+		benchSink += len(out)
+	}
+}

@@ -4,9 +4,17 @@
 // paper's — is billed to the INDEX component, and their cache lines are
 // placed across the chip's L2 slices so probes pay realistic NUCA latency
 // under simulation.
+//
+// Neither structure calls the allocator per insert or holds a pointer per
+// key. A hash index threads its chains through two arrays indexed by table
+// slot, allocated once in New, which is why it maps a slot at most once
+// (see Hash); a B+tree node owns fixed-capacity arrays and leaves come 64
+// to an allocation, so only a split can allocate.
 package index
 
 import (
+	"fmt"
+
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/stats"
@@ -46,88 +54,38 @@ func (m *meta) Table() *storage.Table { return m.table }
 func (m *meta) Ordinal() int          { return m.ord }
 func (m *meta) SetOrdinal(ord int)    { m.ord = ord }
 
-// entry is one key→slot mapping of a bucket's overflow chain.
-type entry struct {
-	key  uint64
-	slot int32
-}
-
-// bucket is one hash bucket: an open chain of key→slot mappings. The first
-// inlineEntries live directly in the bucket — keys and slots in parallel
-// arrays, so the count fits in what would be padding and the bucket is 40
-// bytes — and inserting into a fresh bucket, the common case when the
-// bucket count is sized to the key count, touches no allocator at all; only
-// collision chains longer than the inline space spill into the overflow
-// list, behind one pointer. This keeps the runtime insert path (TPC-C's
-// ORDERS/ORDER_LINE/HISTORY appends) steady-state allocation-free. The
-// bucket's latch is element i of the index's latch slab.
-type bucket struct {
-	keys     [inlineEntries]uint64
-	slots    [inlineEntries]int32
-	n        int32 // total entries (inline + overflow)
-	overflow *overflow
-}
-
-// overflow is the tail of a chain longer than inlineEntries. The list starts
-// in buf, so the first spill is one allocation that a hot bucket settles in.
-type overflow struct {
-	entries []entry
-	buf     [4]entry
-}
-
-// inlineEntries is the per-bucket inline capacity.
-const inlineEntries = 2
-
-// at returns entry i of the bucket's logical chain.
-func (b *bucket) at(i int32) (key uint64, slot int) {
-	if i < inlineEntries {
-		return b.keys[i], int(b.slots[i])
-	}
-	e := b.overflow.entries[i-inlineEntries]
-	return e.key, int(e.slot)
-}
-
-// set overwrites entry i of the chain.
-func (b *bucket) set(i int32, key uint64, slot int) {
-	if i < inlineEntries {
-		b.keys[i], b.slots[i] = key, int32(slot)
-	} else {
-		b.overflow.entries[i-inlineEntries] = entry{key: key, slot: int32(slot)}
-	}
-}
-
-// push appends a mapping to the chain.
-func (b *bucket) push(key uint64, slot int) {
-	if b.n >= inlineEntries {
-		if b.overflow == nil {
-			b.overflow = new(overflow)
-			b.overflow.entries = b.overflow.buf[:0]
-		}
-		b.overflow.entries = append(b.overflow.entries, entry{})
-	}
-	b.n++
-	b.set(b.n-1, key, slot)
-}
-
-// find returns the slot of the chain's first mapping of key.
-func (b *bucket) find(key uint64) (int, bool) {
-	for j := int32(0); j < b.n; j++ {
-		if k, slot := b.at(j); k == key {
-			return slot, true
-		}
-	}
-	return -1, false
+// head is one hash bucket: the table slot its chain starts at and the
+// chain's length. The chain itself is threaded through the index's per-slot
+// arrays, so a bucket is 8 bytes (plus element i of the latch slab) and an
+// insert touches no allocator, however long the chain grows.
+type head struct {
+	first, n int32
 }
 
 // Hash is a fixed-bucket-count hash index from uint64 keys to row slots.
 // All mutation happens under per-bucket latches, so the index is safe on
 // both the simulated and native runtimes.
+//
+// A mapping is stored at its slot: keys[s] is the key slot s is mapped
+// under and next[s] links s into its bucket's chain. That is the contract a
+// hash index places on its callers — a slot lies in [0, table.Capacity())
+// and is mapped at most once per hash index at a time (a row has one key
+// per index); a violation is a bug in the caller and panics naming the
+// index's table. Both arrays are allocated once, pointer-free, in New.
 type Hash struct {
 	meta
-	buckets []bucket
-	latches rt.Latches // latch i guards buckets[i]
+	heads   []head
+	latches rt.Latches // latch i guards heads[i] and the slots chained from it
 	mask    uint64
+	keys    []uint64
+	// next[s] is the slot after s in its chain, or unmapped. A chain is
+	// heads[i].n slots long and walked by count, so the link of its last
+	// slot is never followed (it holds a stale slot, never unmapped).
+	next []int32
 }
+
+// unmapped is next[s] of a slot the index holds no mapping for.
+const unmapped = -1
 
 // New creates an index over table with at least minBuckets buckets
 // (rounded up to a power of two).
@@ -136,26 +94,55 @@ func New(r rt.Runtime, table *storage.Table, minBuckets int) *Hash {
 	for n < minBuckets {
 		n <<= 1
 	}
-	return &Hash{
+	h := &Hash{
 		meta:    meta{table: table},
-		buckets: make([]bucket, n),
+		heads:   make([]head, n),
 		latches: r.NewLatches(uint64(table.ID)<<48|0xB0<<40, n),
 		mask:    uint64(n - 1),
+		keys:    make([]uint64, table.Capacity()),
+		next:    make([]int32, table.Capacity()),
 	}
+	for s := range h.next {
+		h.next[s] = unmapped
+	}
+	return h
 }
 
-func (h *Hash) bucketOf(key uint64) (*bucket, int) {
+func (h *Hash) bucketOf(key uint64) (*head, int) {
 	z := key + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	i := int(z & h.mask)
-	return &h.buckets[i], i
+	return &h.heads[i], i
 }
 
 // memKey identifies the bucket's cache line for NUCA placement.
 func (h *Hash) memKey(i int) uint64 {
 	return uint64(h.table.ID)<<48 | 0xB1<<40 | uint64(i)
+}
+
+// push links key→slot in at the front of b's chain.
+func (h *Hash) push(b *head, key uint64, slot int) {
+	if slot < 0 || slot >= len(h.next) {
+		panic(fmt.Sprintf("index: hash index over %s: slot %d outside table capacity %d", h.table.Schema.Name, slot, len(h.next)))
+	}
+	if h.next[slot] != unmapped {
+		panic(fmt.Sprintf("index: hash index over %s: slot %d is already mapped (under key %d)", h.table.Schema.Name, slot, h.keys[slot]))
+	}
+	h.keys[slot], h.next[slot] = key, b.first
+	b.first = int32(slot)
+	b.n++
+}
+
+// find returns the slot of a mapping of key in b's chain.
+func (h *Hash) find(b *head, key uint64) (int, bool) {
+	for s, j := b.first, int32(0); j < b.n; s, j = h.next[s], j+1 {
+		if h.keys[s] == key {
+			return int(s), true
+		}
+	}
+	return -1, false
 }
 
 // Lookup probes for key, returning the row slot and whether it was found.
@@ -165,43 +152,44 @@ func (h *Hash) Lookup(p rt.Proc, key uint64) (int, bool) {
 	h.latches.Acquire(p, stats.Index, i)
 	p.MemRead(stats.Index, h.memKey(i), 16)
 	p.Tick(stats.Index, costs.IndexProbe+uint64(b.n))
-	slot, ok := b.find(key)
+	slot, ok := h.find(b, key)
 	h.latches.Release(p, stats.Index, i)
 	return slot, ok
 }
 
-// Insert adds a key→slot mapping. Duplicate keys are allowed at this layer
-// (the workloads use unique keys; the engine's deferred-insert protocol
-// guarantees a slot becomes visible exactly once).
+// Insert adds a key→slot mapping. Duplicate keys (on distinct slots) are
+// allowed at this layer, and which of them a probe finds is unspecified:
+// chain order is not part of the contract. The workloads use unique keys;
+// the engine's deferred-insert protocol guarantees a slot becomes visible
+// exactly once.
 func (h *Hash) Insert(p rt.Proc, key uint64, slot int) {
 	b, i := h.bucketOf(key)
 	h.latches.Acquire(p, stats.Index, i)
 	p.MemWrite(stats.Index, h.memKey(i), 16)
 	p.Tick(stats.Index, costs.IndexInsert)
-	b.push(key, slot)
+	h.push(b, key, slot)
 	h.latches.Release(p, stats.Index, i)
 }
 
 // Remove deletes the key→slot mapping if present (used when rolling back a
 // committed-insert is required, e.g. TPC-C NewOrder user aborts), and
-// reports whether it removed anything.
+// reports whether it removed anything. The slot may be inserted again.
 func (h *Hash) Remove(p rt.Proc, key uint64, slot int) bool {
 	b, i := h.bucketOf(key)
 	h.latches.Acquire(p, stats.Index, i)
 	p.MemWrite(stats.Index, h.memKey(i), 16)
 	p.Tick(stats.Index, costs.IndexProbe+uint64(b.n))
 	removed := false
-	for j := int32(0); j < b.n; j++ {
-		if k, s := b.at(j); k == key && s == slot {
-			lk, ls := b.at(b.n - 1)
-			b.set(j, lk, ls) // swap-delete with the chain's last entry
-			if b.n > inlineEntries {
-				b.overflow.entries = b.overflow.entries[:len(b.overflow.entries)-1]
-			}
+	link := &b.first // what points at s: the head, then the slot before it
+	for s, j := b.first, int32(0); j < b.n; s, j = h.next[s], j+1 {
+		if int(s) == slot && h.keys[s] == key {
+			*link = h.next[s]
+			h.next[s] = unmapped
 			b.n--
 			removed = true
 			break
 		}
+		link = &h.next[s]
 	}
 	h.latches.Release(p, stats.Index, i)
 	return removed
@@ -211,22 +199,22 @@ func (h *Hash) Remove(p rt.Proc, key uint64, slot int) bool {
 // or cost accounting.
 func (h *Hash) LoadInsert(key uint64, slot int) {
 	b, _ := h.bucketOf(key)
-	b.push(key, slot)
+	h.push(b, key, slot)
 }
 
 // LoadLookup probes for key during single-threaded setup or recovery, with
 // no latching or cost accounting.
 func (h *Hash) LoadLookup(key uint64) (int, bool) {
 	b, _ := h.bucketOf(key)
-	return b.find(key)
+	return h.find(b, key)
 }
 
 // Range implements Index, in bucket order.
 func (h *Hash) Range(f func(key uint64, slot int)) {
-	for i := range h.buckets {
-		b := &h.buckets[i]
-		for j := int32(0); j < b.n; j++ {
-			f(b.at(j))
+	for i := range h.heads {
+		b := &h.heads[i]
+		for s, j := b.first, int32(0); j < b.n; s, j = h.next[s], j+1 {
+			f(h.keys[s], int(s))
 		}
 	}
 }

@@ -1,10 +1,13 @@
 package index_test
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"abyss1000/internal/index"
+	"abyss1000/internal/native"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/sim"
 	"abyss1000/internal/stats"
@@ -140,4 +143,143 @@ func TestBucketCountRoundsUp(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestHashAgainstMapModel drives a seeded interleaving of inserts, removes,
+// re-inserts of freed slots, lookups and full ranges against a map from slot
+// to key (a slot is mapped at most once, so the slot is the model's key).
+// Keys come from a small space, so distinct slots share keys and chains
+// share buckets; the shapes put the table on either side of the bucket count.
+func TestHashAgainstMapModel(t *testing.T) {
+	shapes := []struct {
+		name            string
+		slots, buckets  int
+		keySpace, steps int
+	}{
+		{"table-smaller-than-buckets", 48, 256, 64, 4000},
+		{"table-larger-than-buckets", 600, 8, 200, 6000},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			run := native.New(1, 1)
+			p := run.Proc(0)
+			schema := storage.NewSchema("T", storage.Col{Name: "K", Width: 8})
+			idx := index.New(run, storage.NewTable(0, schema, sh.slots, sh.slots, 1), sh.buckets)
+			model := map[int]uint64{}
+			rng := rand.New(rand.NewSource(int64(sh.slots)))
+			check := func(key uint64) {
+				t.Helper()
+				slot, ok := idx.Lookup(p, key)
+				if ok && model[slot] != key {
+					t.Fatalf("Lookup(%d) = slot %d, which the model maps under %d", key, slot, model[slot])
+				}
+				if _, mapped := model[slot]; ok && !mapped {
+					t.Fatalf("Lookup(%d) = slot %d, which is not mapped", key, slot)
+				}
+				present := false
+				for _, k := range model {
+					present = present || k == key
+				}
+				if ok != present {
+					t.Fatalf("Lookup(%d) found = %v, model says %v", key, ok, present)
+				}
+			}
+			for step := 0; step < sh.steps; step++ {
+				slot, key := rng.Intn(sh.slots), uint64(rng.Intn(sh.keySpace))
+				switch k, mapped := model[slot]; {
+				case !mapped && step%2 == 0:
+					idx.Insert(p, key, slot)
+					model[slot] = key
+				case !mapped:
+					idx.LoadInsert(key, slot)
+					model[slot] = key
+				case rng.Intn(3) == 0:
+					if idx.Remove(p, k+1, slot) {
+						t.Fatalf("Remove(%d, %d) removed a mapping held under key %d", k+1, slot, k)
+					}
+				default:
+					if !idx.Remove(p, k, slot) {
+						t.Fatalf("Remove(%d, %d) found nothing", k, slot)
+					}
+					delete(model, slot)
+					key = k
+				}
+				check(key)
+				if step%500 == 0 {
+					seen := map[int]uint64{}
+					idx.Range(func(key uint64, slot int) {
+						if _, dup := seen[slot]; dup {
+							t.Fatalf("Range visited slot %d twice", slot)
+						}
+						seen[slot] = key
+					})
+					if len(seen) != len(model) {
+						t.Fatalf("Range visited %d mappings, model holds %d", len(seen), len(model))
+					}
+					for slot, key := range model {
+						if seen[slot] != key {
+							t.Fatalf("Range gave slot %d key %d, model says %d", slot, seen[slot], key)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestHashSlotContractPanics: a slot outside the table and a slot mapped
+// twice are caller bugs, reported by a panic that names the index's table.
+func TestHashSlotContractPanics(t *testing.T) {
+	run := native.New(1, 1)
+	schema := storage.NewSchema("ACCOUNTS", storage.Col{Name: "K", Width: 8})
+	idx := index.New(run, storage.NewTable(0, schema, 10, 10, 1), 4)
+	idx.LoadInsert(7, 3)
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "ACCOUNTS") {
+				t.Errorf("%s: panic %q does not name the table", name, msg)
+			}
+		}()
+		f()
+	}
+	mustPanic("double mapping", func() { idx.LoadInsert(8, 3) })
+	mustPanic("double mapping, same key", func() { idx.Insert(run.Proc(0), 7, 3) })
+	mustPanic("slot past capacity", func() { idx.LoadInsert(9, 10) })
+	mustPanic("negative slot", func() { idx.LoadInsert(9, -1) })
+	if slot, ok := idx.LoadLookup(7); !ok || slot != 3 {
+		t.Fatalf("refused inserts disturbed the index: LoadLookup(7) = %d, %v", slot, ok)
+	}
+}
+
+// TestHashConcurrentInsertsNative is TestConcurrentInsertsAllVisible on real
+// goroutines, for the race detector: four workers insert disjoint slots whose
+// keys share eight buckets, so neighbouring elements of the per-slot arrays
+// are written under different latches at the same time.
+func TestHashConcurrentInsertsNative(t *testing.T) {
+	const workers, perWorker = 4, 500
+	run := native.New(workers, 1)
+	schema := storage.NewSchema("T", storage.Col{Name: "K", Width: 8})
+	idx := index.New(run, storage.NewTable(0, schema, workers*perWorker, 0, workers), 8)
+	run.Run(func(p rt.Proc) {
+		for i := 0; i < perWorker; i++ {
+			slot := i*workers + p.ID() // interleaved: adjacent slots belong to different workers
+			idx.Insert(p, uint64(slot)*31, slot)
+			if got, ok := idx.Lookup(p, uint64(slot)*31); !ok || got != slot {
+				t.Errorf("worker %d: Lookup after Insert = %d, %v; want %d", p.ID(), got, ok, slot)
+				return
+			}
+		}
+	})
+	n := 0
+	idx.Range(func(key uint64, slot int) {
+		if key != uint64(slot)*31 {
+			t.Fatalf("slot %d mapped under %d", slot, key)
+		}
+		n++
+	})
+	if n != workers*perWorker {
+		t.Fatalf("%d mappings after the run, want %d", n, workers*perWorker)
+	}
 }

@@ -20,7 +20,9 @@ const ordFanout = 32
 
 // onode is one B+tree node. Leaves chain through next for range scans;
 // inner nodes hold len(kids)-1 separator keys (child i covers keys below
-// keys[i]; the last child covers the rest).
+// keys[i]; the last child covers the rest). The slices are views of the
+// fixed arrays of the leafNode or innerNode the onode is embedded in, so
+// they never reallocate: an insert that does not split allocates nothing.
 type onode struct {
 	leaf  bool
 	keys  []uint64
@@ -29,6 +31,24 @@ type onode struct {
 	next  *onode   // leaf chain
 	id    uint64   // node id for NUCA cache-line placement
 }
+
+// leafNode and innerNode are a node with its storage, one allocation each,
+// sized for the one entry (or child) past ordFanout a node holds between
+// the insert that overfills it and the split that follows.
+type leafNode struct {
+	onode
+	keyStore  [ordFanout + 1]uint64
+	slotStore [ordFanout + 1]int32
+}
+
+type innerNode struct {
+	onode
+	keyStore [ordFanout]uint64
+	kidStore [ordFanout + 1]*onode
+}
+
+// leafChunk is how many leaves an index allocates at a time.
+const leafChunk = 64
 
 // Ordered is an ordered secondary index from uint64 keys to row slots: a
 // B+tree guarded by one coarse latch per index. Like the hash index, all
@@ -46,6 +66,7 @@ type Ordered struct {
 	root   *onode
 	count  int
 	nextID uint64
+	spare  []leafNode // rest of the current chunk, carved under the latch
 }
 
 // NewOrdered creates an empty ordered index over table.
@@ -60,7 +81,21 @@ func NewOrdered(r rt.Runtime, table *storage.Table) *Ordered {
 func (o *Ordered) Len() int { return o.count }
 
 func (o *Ordered) newNode(leaf bool) *onode {
-	n := &onode{leaf: leaf, id: o.nextID}
+	var n *onode
+	if leaf {
+		if len(o.spare) == 0 {
+			o.spare = make([]leafNode, leafChunk)
+		}
+		l := &o.spare[0]
+		o.spare = o.spare[1:]
+		n = &l.onode
+		n.keys, n.slots = l.keyStore[:0], l.slotStore[:0]
+	} else {
+		in := new(innerNode)
+		n = &in.onode
+		n.keys, n.kids = in.keyStore[:0], in.kidStore[:0]
+	}
+	n.leaf, n.id = leaf, o.nextID
 	o.nextID++
 	return n
 }

@@ -11,8 +11,7 @@ import (
 // hot paths in isolation from any DBMS logic: ordering points that stay on
 // the running core (the Sync fast path), ordering points that hand off to
 // another core, contended latch convoys (Park/Unpark traffic), and contended
-// atomic counters (line-occupancy serialization). BENCH_sim.json at the repo
-// root records their before/after trajectory.
+// atomic counters (line-occupancy serialization).
 
 const benchOpsPerProc = 2_000
 

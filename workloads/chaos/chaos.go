@@ -94,6 +94,7 @@ type Workload struct {
 	cfg    Config
 	mix    *abyss.Mix
 	tables []chaosTable
+	rows   int // loaded rows over all tables: the distinct (table, slot) pairs a transaction can draw
 	nparts int
 	names  []string // active procedure names, mix order
 }
@@ -145,6 +146,7 @@ func Build(db *abyss.DB, cfg Config) (*Workload, error) {
 			ord.LoadInsert(uint64(s), s)
 		}
 		hotN := 1 + rng.Intn(rows)
+		w.rows += rows
 		w.tables = append(w.tables, chaosTable{
 			tab: tab, idx: idx, ord: ord, rows: rows,
 			hotN:   hotN,
@@ -271,7 +273,9 @@ func (t *chaosTxn) Generate(p abyss.Proc) {
 		return
 	}
 
-	n := 1 + rng.Intn(t.wl.cfg.Ops)
+	// Accesses are distinct, so a seed whose tables hold fewer rows than
+	// the draw gets a shorter transaction instead of redrawing forever.
+	n := min(1+rng.Intn(t.wl.cfg.Ops), t.wl.rows)
 	for len(t.ops) < n {
 		o := op{table: rng.Intn(len(t.wl.tables))}
 		o.slot = t.drawSlot(p, o.table)

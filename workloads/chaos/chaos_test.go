@@ -102,6 +102,7 @@ func FuzzSerializability(f *testing.F) {
 	f.Add(int64(42), uint8(0))
 	f.Add(int64(7), uint8(3))
 	f.Add(int64(1000), uint8(5))
+	f.Add(int64(955), uint8('\\')) // one 3-row table: Generate once spun drawing a 4th distinct access
 	f.Fuzz(func(t *testing.T, seed int64, schemeIdx uint8) {
 		scheme := schemes[int(schemeIdx)%len(schemes)]
 		const cores = 4
