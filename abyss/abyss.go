@@ -433,9 +433,12 @@ func (db *DB) prepareRun(scheme Scheme, wl Workload, cfg RunConfig) error {
 // RunStream can validate synchronously and measure on its own goroutine.
 func (db *DB) runMeasured(scheme Scheme, wl Workload, cfg RunConfig) (res Result, err error) {
 	// The engine reports misconfiguration (exhausted insert segments,
-	// missing indexes) by panicking; at the public boundary those become
-	// errors. Panics on worker goroutines still crash — they indicate
-	// bugs in transaction bodies, not configuration.
+	// missing indexes) by panicking, and a buggy transaction body may
+	// panic too. Under RuntimeSim the workers are coroutines of this
+	// goroutine, so either becomes an error at the public boundary. Under
+	// RuntimeNative only a panic raised before the workers start does; one
+	// raised on a worker still crashes the process, because sibling workers
+	// may be blocked on the dead worker's locks.
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("abyss: run failed: %v", r)

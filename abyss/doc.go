@@ -103,4 +103,12 @@
 // Every run on the simulated runtime is deterministic in (Options.Seed,
 // configuration): same inputs, byte-identical Result. The native runtime
 // trades determinism for real wall-clock measurements on host cores.
+//
+// A panic raised while a run is in flight — the engine reporting a
+// misconfiguration (an exhausted insert segment, a missing index) or a bug
+// in a transaction body — is returned as the error of Run, or of
+// RunStream's wait function, on the simulated runtime, whose cores are
+// coroutines of the goroutine that measures. On the native runtime it
+// still crashes the process, because sibling workers may be blocked on the
+// dead worker's locks.
 package abyss

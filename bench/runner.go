@@ -114,10 +114,10 @@ type Progress struct {
 // of one (the serial build).
 type Runner struct {
 	// Workers is the pool width; <= 0 means runtime.GOMAXPROCS(0).
-	// Each job occupies roughly one OS thread (the simulator's cores
-	// are cooperatively scheduled), so GOMAXPROCS-wide pools scale the
-	// suite near-linearly. 1 runs the points one at a time, in
-	// enumeration order.
+	// Each simulated job is one thread of control (the simulator's
+	// cores are coroutines of the goroutine that runs the job), so
+	// GOMAXPROCS-wide pools scale the suite near-linearly. 1 runs the
+	// points one at a time, in enumeration order.
 	Workers int
 
 	// OnProgress, when non-nil, is called after every job completes.

@@ -13,7 +13,7 @@ import (
 // transaction-path allocation budget. BenchmarkTxn* runs one worker, which
 // never conflicts, so it cannot see what a wait costs; here two native
 // workers fight over 16 hot SmallBank customers under every scheme that
-// waits, which is where the spilled lock/prewrite lists and ParkTimeout's
+// waits, which is where the spilled lock and waiter lists and ParkTimeout's
 // timer are live. Once the hot tuples have spilled and the lists have grown
 // (the first interval is the warm-up), a completed transaction must allocate
 // nothing but MVCC's amortized version-pool refills and chain growth — the

@@ -36,79 +36,17 @@ type pend struct {
 }
 
 // tupleTS is the per-tuple timestamp metadata: 40 bytes, plus the 8 of the
-// tuple's latch in its table's slab. One outstanding prewrite and nobody
-// waiting — every tuple of an uncontended workload — lives entirely in the
-// entry; the prewrite list and the waiters exist only behind spill, attached
-// the first time the tuple has a second concurrent prewrite or a waiter and
-// kept from then on, so that memory is bounded by the set of tuples that
-// have ever been contended, not by the table.
+// tuple's latch in its table's slab. A tuple has at most one outstanding
+// prewrite: installing one raises rts to the writer's timestamp, so an older
+// writer is rejected by rts and a younger one waits for it to resolve. The
+// waiter list is attached the first time somebody waits and kept from then
+// on, so that memory is bounded by the set of tuples that have ever been
+// contended, not by the table.
 type tupleTS struct {
-	wts   uint64  // timestamp of the last installed write
-	rts   uint64  // timestamp of the last read
-	first [1]pend // the outstanding prewrite, while spill == nil; st == nil is none
-	spill *tsSpill
-}
-
-// tsSpill is a contended tuple's outstanding prewrites (ascending ts) and
-// the workers parked on them. Both start in the inline arrays, so attaching
-// a spill is one allocation.
-type tsSpill struct {
-	pends   []pend
-	waiters []rt.Proc
-	pbuf    [1]pend
-	wbuf    [2]rt.Proc
-}
-
-// pends returns the outstanding prewrites, ascending by ts.
-func (e *tupleTS) pends() []pend {
-	if e.spill != nil {
-		return e.spill.pends
-	}
-	if e.first[0].st == nil {
-		return nil
-	}
-	return e.first[:]
-}
-
-// spilled returns e's spill, attaching it (and moving the inline prewrite
-// into it) on first use.
-func (e *tupleTS) spilled() *tsSpill {
-	if e.spill == nil {
-		sp := &tsSpill{}
-		sp.pends = append(sp.pbuf[:0], e.pends()...)
-		sp.waiters = sp.wbuf[:0]
-		e.first[0] = pend{}
-		e.spill = sp
-	}
-	return e.spill
-}
-
-// addPend appends a prewrite (the caller's ts is the largest outstanding).
-func (e *tupleTS) addPend(pd pend) {
-	if e.spill == nil && e.first[0].st == nil {
-		e.first[0] = pd
-		return
-	}
-	sp := e.spilled()
-	sp.pends = append(sp.pends, pd)
-}
-
-// removePend deletes st's prewrite from e, keeping the others' order.
-// Caller holds the tuple latch.
-func (e *tupleTS) removePend(st *txnState) {
-	if e.spill == nil {
-		if e.first[0].st == st {
-			e.first[0] = pend{}
-		}
-		return
-	}
-	ps := e.spill.pends
-	for i := range ps {
-		if ps[i].st == st {
-			e.spill.pends = append(ps[:i], ps[i+1:]...)
-			return
-		}
-	}
+	wts     uint64 // timestamp of the last installed write
+	rts     uint64 // timestamp of the last read
+	pend    pend   // the outstanding prewrite; st == nil is none
+	waiters *[]rt.Proc
 }
 
 // tableTS is one table's timestamp state: the entry and the latch of slot i
@@ -183,29 +121,31 @@ func (st *txnState) findWrite(t *storage.Table, slot int) *writeRec {
 // transaction that precedes ts in the serialization order. Caller holds
 // the tuple latch.
 func blockedBy(e *tupleTS, ts uint64) bool {
-	ps := e.pends()
-	return len(ps) > 0 && ps[0].ts < ts // ascending: the first is the minimum
+	return e.pend.st != nil && e.pend.ts < ts
 }
 
-// awaitPends parks tx behind e's earlier prewrites: it enqueues the worker,
-// releases the tuple latch (held by the caller) and sleeps until a
+// awaitPend parks tx behind e's earlier prewrite: it enqueues the worker,
+// releases the tuple latch (held by the caller) and sleeps until the
 // resolution wakes it or the re-check interval passes.
-func (tl *tableTS) awaitPends(tx *core.TxnCtx, slot int) {
-	sp := tl.entries[slot].spilled()
-	sp.waiters = append(sp.waiters, tx.P)
+func (tl *tableTS) awaitPend(tx *core.TxnCtx, slot int) {
+	e := &tl.entries[slot]
+	if e.waiters == nil {
+		e.waiters = new([]rt.Proc)
+	}
+	*e.waiters = append(*e.waiters, tx.P)
 	tl.latches.Release(tx.P, stats.Manager, slot)
 	tx.P.ParkTimeout(stats.Wait, costs.WaitCheckInterval)
 }
 
 // wakeAll unparks every waiter. Caller holds the tuple latch.
 func (s *TO) wakeAll(p rt.Proc, e *tupleTS) {
-	if e.spill == nil {
+	if e.waiters == nil {
 		return // never contended: nobody is parked
 	}
-	for _, w := range e.spill.waiters {
+	for _, w := range *e.waiters {
 		s.db.RT.Unpark(p, w)
 	}
-	e.spill.waiters = e.spill.waiters[:0]
+	*e.waiters = (*e.waiters)[:0]
 }
 
 // Read implements core.Scheme. Basic T/O read rule: reject if ts < wts;
@@ -225,7 +165,7 @@ func (s *TO) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 			return nil, core.ErrAbort
 		}
 		if blockedBy(e, tx.TS) {
-			tl.awaitPends(tx, slot)
+			tl.awaitPend(tx, slot)
 			continue
 		}
 		if e.rts < tx.TS {
@@ -268,7 +208,7 @@ func (s *TO) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, erro
 		}
 		if blockedBy(e, tx.TS) {
 			// Our RMW must observe the earlier pending write.
-			tl.awaitPends(tx, slot)
+			tl.awaitPend(tx, slot)
 			continue
 		}
 		// Reserve: no later reader or writer can now invalidate us.
@@ -283,20 +223,19 @@ func (s *TO) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, erro
 		tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(n))
 		copy(buf, t.Row(slot))
 		tx.P.Tick(stats.Manager, costs.CopyCost(uint64(n)))
-		// Insert in ascending ts order (ours is the max outstanding:
-		// anything larger would have waited on us... but an earlier
-		// prewrite may still arrive only if its ts > rts — impossible
-		// now that rts >= tx.TS — so appending keeps order).
-		e.addPend(pend{ts: tx.TS, st: st})
+		if e.pend.st != nil {
+			panic("to: second prewrite on a tuple: rts must reject a writer older than the outstanding prewrite and a younger one must wait for it")
+		}
+		e.pend = pend{ts: tx.TS, st: st}
 		tl.latches.Release(tx.P, stats.Manager, slot)
 		st.writes = append(st.writes, writeRec{t: t, slot: slot, buf: buf})
 		return buf, nil
 	}
 }
 
-// Commit implements core.Scheme: install prewrites in timestamp order.
-// Installation cannot fail — prewrites reserved their place — but it may
-// wait for earlier pending writers on the same tuples.
+// Commit implements core.Scheme: install the prewrites. Installation can
+// neither fail nor wait — each prewrite reserved its tuple, and is the only
+// one outstanding on it.
 func (s *TO) Commit(tx *core.TxnCtx) error {
 	st := tx.State.(*txnState)
 	// Commit point: under T/O the serialization order IS the timestamp
@@ -308,23 +247,16 @@ func (s *TO) Commit(tx *core.TxnCtx) error {
 		w := &st.writes[i]
 		tl := &s.meta[w.t.ID]
 		e := &tl.entries[w.slot]
-		for {
-			tl.latches.Acquire(tx.P, stats.Manager, w.slot)
-			tx.P.Tick(stats.Manager, costs.ManagerOp)
-			if blockedBy(e, tx.TS) {
-				tl.awaitPends(tx, w.slot)
-				continue
-			}
-			copy(w.t.Row(w.slot), w.buf)
-			tx.P.MemWrite(stats.Useful, w.t.MemKey(w.slot), uint64(len(w.buf)))
-			if e.wts < tx.TS {
-				e.wts = tx.TS
-			}
-			e.removePend(st)
-			s.wakeAll(tx.P, e)
-			tl.latches.Release(tx.P, stats.Manager, w.slot)
-			break
+		tl.latches.Acquire(tx.P, stats.Manager, w.slot)
+		tx.P.Tick(stats.Manager, costs.ManagerOp)
+		copy(w.t.Row(w.slot), w.buf)
+		tx.P.MemWrite(stats.Useful, w.t.MemKey(w.slot), uint64(len(w.buf)))
+		if e.wts < tx.TS {
+			e.wts = tx.TS
 		}
+		e.pend = pend{}
+		s.wakeAll(tx.P, e)
+		tl.latches.Release(tx.P, stats.Manager, w.slot)
 	}
 	st.writes = st.writes[:0]
 	return nil
@@ -339,7 +271,7 @@ func (s *TO) Abort(tx *core.TxnCtx) {
 		e := &tl.entries[w.slot]
 		tl.latches.Acquire(tx.P, stats.Abort, w.slot)
 		tx.P.Tick(stats.Abort, costs.ManagerOp)
-		e.removePend(st)
+		e.pend = pend{}
 		s.wakeAll(tx.P, e)
 		tl.latches.Release(tx.P, stats.Abort, w.slot)
 	}

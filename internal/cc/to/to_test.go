@@ -112,6 +112,79 @@ func TestReaderWaitsForPrewrite(t *testing.T) {
 	})
 }
 
+// TestOnePrewritePerTuple drives the rule the 40-byte entry rests on: while
+// T1's prewrite is outstanding no second one can join it. A writer older
+// than T1 is rejected by the rts T1's prewrite raised; a younger reader and
+// a younger writer park behind it and go on — against the committed value,
+// or the untouched one — once T1 commits or aborts.
+func TestOnePrewritePerTuple(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		t1         error // what T1's body returns after holding its prewrite
+		read, last uint64
+	}{
+		{name: "T1 commits", t1: nil, read: 7, last: 8},
+		{name: "T1 aborts", t1: core.ErrUserAbort, read: 0, last: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := cctest.NewFixture(4, 8, 1)
+			scheme := to.New(tsalloc.Atomic)
+			scheme.Setup(f.DB)
+			var held uint64 // T1's prewrite is outstanding at least until here
+			f.Engine.Run(func(p rt.Proc) {
+				w := core.NewWorker(p, f.DB, scheme)
+				switch p.ID() {
+				case 0: // older writer: oldest timestamp, arrives mid-prewrite
+					err := w.ExecOnce(&cctest.Txn{Body: func(tx *core.TxnCtx) error {
+						tx.P.Sync(stats.Useful, 20_000)
+						return f.Bump(tx, 0, 100)
+					}})
+					if err != core.ErrAbort {
+						t.Errorf("older writer got %v, want ErrAbort", err)
+					}
+				case 1: // T1
+					p.Tick(stats.Useful, 5_000)
+					err := w.ExecOnce(&cctest.Txn{Body: func(tx *core.TxnCtx) error {
+						if err := f.Bump(tx, 0, 7); err != nil {
+							return err
+						}
+						tx.P.Sync(stats.Useful, 40_000)
+						held = tx.P.Now()
+						return tc.t1
+					}})
+					if err != tc.t1 {
+						t.Errorf("T1 got %v, want %v", err, tc.t1)
+					}
+				case 2: // younger reader
+					p.Tick(stats.Useful, 10_000)
+					var v uint64
+					err := w.ExecOnce(&cctest.Txn{Body: func(tx *core.TxnCtx) (err error) {
+						v, err = f.ReadVal(tx, 0)
+						return err
+					}})
+					if err != nil || v != tc.read || p.Now() < held {
+						t.Errorf("younger reader: err %v, read %d at %d; want %d after %d", err, v, p.Now(), tc.read, held)
+					}
+				case 3: // younger writer, younger than the reader too
+					p.Tick(stats.Useful, 12_000)
+					err := w.ExecOnce(&cctest.Txn{Body: func(tx *core.TxnCtx) error {
+						return f.Bump(tx, 0, 1)
+					}})
+					if err != nil || p.Now() < held {
+						t.Errorf("younger writer: err %v at %d; want a commit after %d", err, p.Now(), held)
+					}
+				}
+			})
+			if held == 0 {
+				t.Fatal("T1 never held its prewrite")
+			}
+			if got := f.Get(0); got != tc.last {
+				t.Fatalf("slot 0 = %d, want %d", got, tc.last)
+			}
+		})
+	}
+}
+
 // TestReadOwnWrite: a transaction reads its own buffered write.
 func TestReadOwnWrite(t *testing.T) {
 	f := cctest.NewFixture(1, 8, 1)

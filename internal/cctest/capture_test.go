@@ -9,6 +9,7 @@ package cctest_test
 
 import (
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"abyss1000/internal/cctest"
@@ -26,6 +27,12 @@ type rmwWorkload struct {
 	rows   int
 	nparts int
 	txns   []rmwTxn
+
+	// A run bounded by work instead of by its window: once stopAfter
+	// (when positive) transactions have committed, stop is set.
+	stopAfter int64
+	commits   atomic.Int64
+	stop      atomic.Bool
 }
 
 type rmwTxn struct {
@@ -67,6 +74,13 @@ func (w *rmwWorkload) Next(p rt.Proc) core.Txn {
 
 func (t *rmwTxn) Partitions() []int { return t.parts }
 
+// Committed implements core.CommitHook.
+func (t *rmwTxn) Committed() {
+	if w := t.w; w.stopAfter > 0 && w.commits.Add(1) >= w.stopAfter {
+		w.stop.Store(true)
+	}
+}
+
 func (t *rmwTxn) Run(tx *core.TxnCtx) error {
 	tab := t.w.db.Catalog.Table("C")
 	sc := tab.Schema
@@ -84,14 +98,16 @@ func (t *rmwTxn) Run(tx *core.TxnCtx) error {
 }
 
 // runCaptureVerify populates a counter database on r, runs the RMW
-// workload with capture on, and checks the history.
-func runCaptureVerify(t *testing.T, r rt.Runtime, scheme core.Scheme, cfg core.Config) {
+// workload with capture on — to the end of cfg's window, or until
+// stopAfter commits when that is positive — and checks the history.
+func runCaptureVerify(t *testing.T, r rt.Runtime, scheme core.Scheme, cfg core.Config, stopAfter int64) {
 	t.Helper()
 	const rows = 8 // tiny: force write-write and read-write conflicts
 	db, _ := cctest.NewCounterDB(r, rows)
 	wl := newRMWWorkload(db, rows)
+	wl.stopAfter = stopAfter
 	cfg.Check = true
-	res := core.Run(db, scheme, wl, cfg)
+	res := core.Run(db, scheme, wl, cfg.WithStop(&wl.stop))
 	if got := db.Cap.Committed(); got == 0 {
 		t.Fatalf("capture recorded no transactions (result: %s)", res)
 	}
@@ -106,7 +122,7 @@ func TestCaptureVerifyConformanceSim(t *testing.T) {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
 			cfg := core.Config{WarmupCycles: 50_000, MeasureCycles: 250_000, AbortBackoff: 500}
-			runCaptureVerify(t, sim.New(4, 7), s.mk(), cfg)
+			runCaptureVerify(t, sim.New(4, 7), s.mk(), cfg, 0)
 		})
 	}
 }
@@ -115,9 +131,11 @@ func TestCaptureVerifyConformanceNative(t *testing.T) {
 	for _, s := range conformanceSchemes() {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
-			// Native windows are wall-clock cycles; keep the run short.
-			cfg := core.Config{WarmupCycles: 200_000, MeasureCycles: 2_000_000, AbortBackoff: 500}
-			runCaptureVerify(t, native.New(4, 7), s.mk(), cfg)
+			// Native windows are wall-clock nanoseconds, and a busy host
+			// can let a short one pass with nothing committed: bound the
+			// run by work, under a window it never reaches.
+			cfg := core.Config{WarmupCycles: 200_000, MeasureCycles: 30_000_000_000, AbortBackoff: 500}
+			runCaptureVerify(t, native.New(4, 7), s.mk(), cfg, 2000)
 		})
 	}
 }

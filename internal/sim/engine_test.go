@@ -1,0 +1,52 @@
+package sim
+
+import (
+	"runtime"
+	"testing"
+
+	"abyss1000/internal/rt"
+	"abyss1000/internal/stats"
+)
+
+// TestBodyPanicSurfacesInRun pins what running the cores as coroutines of
+// Run's caller gives for free: a panic on a simulated core unwinds through
+// Run with its value intact, where a goroutine per core would have killed
+// the process.
+func TestBodyPanicSurfacesInRun(t *testing.T) {
+	type boom struct{ core int }
+	e := New(8, 1)
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		e.Run(func(p rt.Proc) {
+			for k := 0; k < 10; k++ {
+				p.Sync(stats.Useful, 10) // every core is mid-body when 3 dies
+				if p.ID() == 3 && k == 5 {
+					panic(boom{core: p.ID()})
+				}
+			}
+		})
+	}()
+	if got != (boom{core: 3}) {
+		t.Fatalf("recovered %#v from Run, want %#v", got, boom{core: 3})
+	}
+}
+
+// TestRunLeavesNoGoroutine checks that a completed Run ends every core's
+// coroutine: the simulation owns nothing once Run returns.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := New(64, 1)
+	l := e.NewLatch(1)
+	e.Run(func(p rt.Proc) {
+		for k := 0; k < 20; k++ {
+			l.Acquire(p, stats.Manager)
+			p.Sync(stats.Useful, 10)
+			l.Release(p, stats.Manager)
+			p.ParkTimeout(stats.Wait, 5)
+		}
+	})
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines before Run, %d after", before, after)
+	}
+}

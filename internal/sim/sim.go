@@ -1,14 +1,16 @@
 // Package sim implements the many-core machine simulator that substitutes
 // for Graphite (§3.1 of the paper). It executes up to 1024 logical cores as
-// cooperatively scheduled goroutines over a deterministic discrete-event
-// engine: exactly one core's goroutine runs at any moment, and the engine
-// always resumes the runnable core with the smallest (cycle, id) pair, so
-// every access to shared DBMS state happens in simulated-time order.
+// coroutines (iter.Pull) of Run's caller over a deterministic discrete-event
+// engine: one loop in Run resumes the runnable core with the smallest
+// (cycle, id) pair and gets control back when that core yields, so exactly
+// one core runs at any moment by construction and every access to shared
+// DBMS state happens in simulated-time order. The whole simulation is one
+// thread of control: this file has no goroutine, channel or lock.
 //
 // Consequences of this design:
 //
 //   - No Go-level data races: the DBMS's shared structures are mutated by
-//     one goroutine at a time, always between ordering points.
+//     one core at a time, always between ordering points.
 //   - Determinism: given a seed, a run produces bit-identical results —
 //     Go's garbage collector and scheduler cannot perturb simulated time,
 //     which is exactly the distortion the reproduction banding warned about.
@@ -21,13 +23,14 @@
 // intrusive indexed heap (eventQueue) whose minimum is always live, so an
 // ordering point where the running core still owns the smallest (cycle, id)
 // pair — the common case — costs one comparison against the queue head
-// instead of a push + park + resume round trip through the Go scheduler.
+// instead of a push + yield + resume round trip through Run's loop.
 // Scheduling order is identical to the naive push-then-pop engine: the fast
 // path fires exactly when popping would have returned the pushing core.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 
 	"abyss1000/internal/mesh"
@@ -47,17 +50,14 @@ type Engine struct {
 	seed  int64
 
 	doneCount int
-	doneCh    chan struct{}
 	started   bool
-	stalled   bool
 }
 
 // New creates an engine simulating n cores with the given RNG seed.
 func New(n int, seed int64) *Engine {
 	e := &Engine{
-		chip:   mesh.NewChip(n),
-		doneCh: make(chan struct{}),
-		seed:   seed,
+		chip: mesh.NewChip(n),
+		seed: seed,
 	}
 	e.queue.h = make([]*Proc, 0, n)
 	e.procs = make([]*Proc, n)
@@ -66,7 +66,6 @@ func New(n int, seed int64) *Engine {
 			id:      i,
 			eng:     e,
 			heapIdx: -1,
-			resume:  make(chan struct{}, 1),
 			rng:     rand.New(rand.NewSource(seed + int64(i)*0x9e3779b9)),
 		}
 	}
@@ -86,51 +85,26 @@ func (e *Engine) Frequency() float64 { return mesh.Frequency }
 // Proc returns simulated core i (useful in tests).
 func (e *Engine) Proc(i int) *Proc { return e.procs[i] }
 
-// schedule pops the next pending event and prepares its proc for
-// resumption, returning nil when every proc has finished or when the
-// simulation has globally stalled (live procs exist but none is scheduled —
-// a protocol bug such as a lost wakeup or an undetected deadlock; Run
-// panics in that case, on its caller's goroutine).
-func (e *Engine) schedule() *Proc {
-	if e.queue.len() > 0 {
-		p := e.queue.popMin()
-		p.resumeAt = p.eventAt
-		return p
-	}
-	if e.doneCount != len(e.procs) {
-		e.stalled = true
-	}
-	return nil
-}
-
-// handoff transfers the baton from p to the next scheduled proc. p must
-// have already scheduled its own next event if it expects to run again.
+// handoff gives up the core until p's next event is the earliest one
+// pending. p must have already scheduled that event if it expects to run
+// again on its own. When p is still the queue's minimum nothing else may
+// run first, so it pops itself and continues; otherwise it yields to Run's
+// loop, which sets p.now before resuming it.
 func (e *Engine) handoff(p *Proc) {
-	next := e.schedule()
-	if next == p {
-		p.now = p.resumeAt
+	if e.queue.len() > 0 && e.queue.min() == p {
+		e.queue.popMin()
+		p.now = p.eventAt
 		return
 	}
-	if next != nil {
-		next.resume <- struct{}{}
-	} else {
-		close(e.doneCh)
-		if e.stalled {
-			// The simulation is wedged; this goroutine represents a
-			// proc parked forever. Run's caller will panic with the
-			// diagnostic. Block here (the test/process is aborting).
-			select {}
-		}
-	}
-	if p.done {
-		return
-	}
-	<-p.resume
-	p.now = p.resumeAt
+	p.yield(struct{}{})
 }
 
 // Run implements rt.Runtime: it executes body on every simulated core and
 // returns when all cores have finished. Run may be called once per Engine.
+// The cores are coroutines of the calling goroutine, so a panic in body
+// unwinds into Run's caller. A global stall (live cores exist but none is
+// scheduled — a protocol bug such as a lost wakeup or an undetected
+// deadlock) panics here too; either way the unfinished cores stay suspended.
 func (e *Engine) Run(body func(p rt.Proc)) {
 	if e.started {
 		panic("sim: Engine.Run called twice")
@@ -138,28 +112,19 @@ func (e *Engine) Run(body func(p rt.Proc)) {
 	e.started = true
 	for _, p := range e.procs {
 		e.queue.schedule(p, p.now)
-	}
-	for _, p := range e.procs {
-		p := p
-		go func() {
-			<-p.resume
-			p.now = p.resumeAt
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			body(p)
-			p.done = true
 			e.queue.remove(p) // drop any leftover deadline entry
 			e.doneCount++
-			e.handoff(p)
-		}()
+		})
 	}
-	// Kick off the first core from the caller's goroutine, then wait.
-	first := e.schedule()
-	if first == nil {
-		close(e.doneCh)
-	} else {
-		first.resume <- struct{}{}
+	for e.queue.len() > 0 {
+		p := e.queue.popMin()
+		p.now = p.eventAt
+		p.next()
 	}
-	<-e.doneCh
-	if e.stalled {
+	if e.doneCount != len(e.procs) {
 		panic(fmt.Sprintf("sim: global stall: %d/%d procs finished, remainder parked forever (lost wakeup or undetected deadlock)", e.doneCount, len(e.procs)))
 	}
 }
@@ -181,14 +146,15 @@ type Proc struct {
 	// to unbatched accounting.
 	pend [stats.NumComponents]uint64
 
-	resume   chan struct{}
-	resumeAt uint64
+	// next resumes the core's coroutine from Run's loop; yield suspends it
+	// from inside the body.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// eventAt/heapIdx are the proc's intrusive slot in the engine's
 	// eventQueue; heapIdx is -1 while the proc has no pending event.
 	eventAt uint64
 	heapIdx int32
-	done    bool
 
 	// Parking state (permit semantics, see rt.Proc).
 	parked      bool
@@ -277,7 +243,7 @@ func (p *Proc) Park(c stats.Component) {
 	p.wakePending = false
 	p.eng.queue.remove(p) // no deadline: only an Unpark may reschedule us
 	p.eng.handoff(p)
-	// Resumed by an Unpark: resumeAt was set by schedule().
+	// Resumed by an Unpark, at the time it scheduled.
 	p.parked = false
 	p.wakePending = false
 	p.pend[c] += p.now - p.parkedAt
