@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"abyss1000/internal/core"
+	"abyss1000/internal/rt"
 	"abyss1000/internal/sim"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/tsalloc"
@@ -39,6 +40,13 @@ type GoldenFeatures struct {
 	// always returns zero delay, with the closed loop, no queue bound, no
 	// deadline and no retry budget.
 	OverloadOff bool
+
+	// QuietLatches has every core sweep a shared latch slab through the
+	// unmodelled pair (rt.Latches.TryAcquireQuiet/ReleaseQuiet — what
+	// MVCC's garbage collector takes tuple latches with) at every
+	// transaction boundary. The pair bills nothing and is no ordering
+	// point, so the schedule cannot tell.
+	QuietLatches bool
 }
 
 // zeroFault is a fault injector that never injects: the worker loop sees
@@ -47,6 +55,28 @@ type zeroFault struct{}
 
 // Delay implements core.FaultInjector.
 func (zeroFault) Delay(int, uint64) uint64 { return 0 }
+
+// quietFault never injects either; it uses the transaction boundary to take
+// and give back every latch of a slab all cores share, quietly. A quiet
+// holder may not yield, so no core ever finds one of them held.
+type quietFault struct {
+	eng     *sim.Engine
+	latches rt.Latches
+}
+
+const quietSlab = 8
+
+// Delay implements core.FaultInjector.
+func (q quietFault) Delay(worker int, _ uint64) uint64 {
+	p := q.eng.Proc(worker)
+	for i := 0; i < quietSlab; i++ {
+		if !q.latches.TryAcquireQuiet(p, i) {
+			panic("bench: a quietly held latch was visible to another core")
+		}
+		q.latches.ReleaseQuiet(p, i)
+	}
+	return 0
+}
 
 // GoldenSignature runs a fixed small YCSB and TPC-C mix on the simulator and
 // returns the complete deterministic signature of the results: commits,
@@ -71,15 +101,20 @@ func GoldenSignature(f GoldenFeatures) string {
 		cfg = cfg.WithStop(new(atomic.Bool))
 		cfg.Fault = zeroFault{}
 	}
-	attach := func(db *core.DB) {
+	attach := func(eng *sim.Engine, db *core.DB) core.Config {
 		if f.Durable {
 			db.Wal = wal.NewWriter(wal.NewMemSink(), wal.Config{})
 		}
+		cfg := cfg
+		if f.QuietLatches {
+			cfg.Fault = quietFault{eng, eng.NewLatches(0x51<<40, quietSlab)}
+		}
+		return cfg
 	}
 	for _, scheme := range []string{"DL_DETECT", "NO_WAIT", "WAIT_DIE", "TIMESTAMP", "MVCC", "OCC", "HSTORE"} {
 		eng := sim.New(16, 42)
 		db := core.NewDB(eng)
-		attach(db)
+		cfg := attach(eng, db)
 		ycfg := ycsb.DefaultConfig()
 		ycfg.Rows = 4096
 		ycfg.ReqPerTxn = 8
@@ -94,7 +129,7 @@ func GoldenSignature(f GoldenFeatures) string {
 	for _, scheme := range []string{"DL_DETECT", "NO_WAIT", "TIMESTAMP", "MVCC"} {
 		eng := sim.New(8, 7)
 		db := core.NewDB(eng)
-		attach(db)
+		cfg := attach(eng, db)
 		wl := tpcc.Build(db, tpcc.DefaultConfig(4))
 		writeSig(&b, "tpcc/"+scheme, core.Run(db, MakeScheme(scheme, tsalloc.Atomic), wl, cfg))
 	}

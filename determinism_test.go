@@ -27,11 +27,12 @@ import (
 // feature is accounting-only or disengaged: interval sampling reads
 // clocks and bumps private counters, the accounting-only WAL bills only
 // the Log bucket the signature excludes, history capture never ticks,
-// syncs or latches, and the overload tier's plumbing with every knob at
-// zero leaves the paper's closed loop untouched.
+// syncs or latches, the overload tier's plumbing with every knob at zero
+// leaves the paper's closed loop untouched, and quiet latch traffic (how
+// MVCC's garbage collector reaches cold tuples) is outside the model.
 func TestSimDeterminismGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 7 x 11 full simulations")
+		t.Skip("runs 8 x 11 full simulations")
 	}
 	pinned, err := os.ReadFile("testdata/golden_sim.txt")
 	if err != nil {
@@ -51,7 +52,8 @@ func TestSimDeterminismGolden(t *testing.T) {
 		{"durable", bench.GoldenFeatures{Durable: true}},
 		{"check", bench.GoldenFeatures{Check: true}},
 		{"overload-off", bench.GoldenFeatures{OverloadOff: true}},
-		{"all", bench.GoldenFeatures{SampleEvery: sampleEvery, Observer: &collectObserver{}, Durable: true, Check: true, OverloadOff: true}},
+		{"quiet-latches", bench.GoldenFeatures{QuietLatches: true}},
+		{"all", bench.GoldenFeatures{SampleEvery: sampleEvery, Observer: &collectObserver{}, Durable: true, Check: true, OverloadOff: true, QuietLatches: true}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -12,10 +12,35 @@
 // rule is classic MVTO: writing at ts aborts iff the preceding version has
 // been read by a transaction later than ts (prev.rts > ts).
 //
-// Old versions are pruned using a watermark of the minimum active
-// transaction timestamp, published per-worker through runtime counters.
-// Each read request appending version history is also why the paper notes
-// MVCC "increases memory traffic" (Fig. 17 discussion).
+// Each read request appending version history is why the paper notes MVCC
+// "increases memory traffic" (Fig. 17 discussion) — traffic, not memory
+// held. At rest a tuple is one row buffer: its entry is the *floor* version,
+// the oldest one any transaction may still be served, and versions above
+// the floor live in a pooled hot part that exists only from a tuple's first
+// uncollected write until the watermark — the minimum active transaction
+// timestamp, published per worker through runtime counters — passes its
+// newest committed version. Then fold makes that version the floor and
+// unlinks everything beneath it, the previous floor included: the dead
+// load-time row in the table slab becomes an ordinary version buffer. So
+// resident state grows with the tuples being written now, not with the
+// tuples ever written.
+//
+// Two rules make reclaiming safe against a transaction the watermark did
+// not bound — one that publishes its timestamp after a scan with a smaller
+// value than the scan returned (every batch allocator by design; natively
+// also the window between drawing a timestamp and publishing it in Begin):
+//
+//   - fold never passes a pending version, and a transaction older than a
+//     tuple's floor aborts (visible reports -2) instead of being served;
+//   - an unlinked buffer waits in its worker's limbo, stamped with the new
+//     floor's write timestamp, until a scan taken after the unlink reads a
+//     watermark at or above the stamp. Whoever was handed the buffer had
+//     published a timestamp below the stamp before the unlink, so that scan
+//     sees it for as long as it runs.
+//
+// Garbage collection is not part of the paper's cost model: fold, the limbo
+// and the quiet latch the collector takes bill nothing and leave the
+// simulated schedule untouched.
 package mvcc
 
 import (
@@ -31,36 +56,60 @@ import (
 const idleTS = ^uint64(0)
 
 // gcEvery is how many transactions a worker runs between watermark
-// refreshes; pruning itself happens opportunistically during writes.
+// refreshes, each followed by a pass over its limbo and retire queue; folds
+// also happen opportunistically at commit and on long chains, against the
+// cached watermark.
 const gcEvery = 64
 
-// maxChain is the version-chain length that triggers opportunistic pruning.
+// maxChain is the number of versions above the floor that triggers a fold
+// on the write path.
 const maxChain = 8
 
-// version is one entry of a tuple's version chain, ordered by wts.
+// version is one version of a tuple: its writer's timestamp, the latest
+// timestamp it was read at, and its row. Only a floor version can have nil
+// data: its row is then the tuple's row in the table slab (the load-time
+// row, or the inserted row stamped by InitTuple).
 type version struct {
-	wts     uint64
-	rts     uint64
-	data    []byte
-	pending bool
-	owner   *txnState
+	wts  uint64
+	rts  uint64
+	data []byte
 }
 
-// entry is a tuple's version chain; its latch is element slot of the
-// table's slab. The base (load-time) version is implicit until the first
-// write materializes it: data in the table slab, write timestamp baseWTS,
-// read timestamp baseRTS. A tuple nobody has written has no chain at all —
-// versions stays nil until the first WriteRow carves one from the writer's
-// pool — so a table costs 64 bytes per slot (72 with the latch) plus chains
-// for the tuples actually written.
-type entry struct {
-	baseWTS  uint64
-	baseRTS  uint64
-	versions []version
+// row returns the version's bytes, v being a version of (t, slot).
+func (v *version) row(t *storage.Table, slot int) []byte {
+	if v.data != nil {
+		return v.data
+	}
+	return t.Row(slot)
+}
 
-	// waiters are parked readers/writers blocked on a pending version;
-	// resolution wakes them all and they re-check.
-	waiters []rt.Proc
+// entry is a tuple at rest: its floor version and nothing else, so a table
+// costs 48 bytes per slot (56 with the latch, element slot of the table's
+// slab) whatever has been written to it. The floor's row is a plain slice
+// rather than a bare pointer sized by the schema, which would save 16 of
+// those bytes at the price of unsafe on the read path.
+type entry struct {
+	floor version
+	hot   *hot
+}
+
+// hot is the part of a tuple that exists only while it is being written:
+// the versions above the floor, ordered by wts, and the parked readers and
+// writers blocked on a pending one (resolution wakes them all and they
+// re-check). It comes from the first writer's pool and goes back to the
+// pool of whoever folds or withdraws the last version; the slices keep what
+// they grew to.
+type hot struct {
+	versions []hotVersion
+	waiters  []rt.Proc
+}
+
+// hotVersion is a version above the floor. It is pending — installed, not
+// yet committed, its data private to its writer — exactly while owner is
+// set.
+type hotVersion struct {
+	version
+	owner *txnState
 }
 
 // tableVersions is one table's MVCC state: the entry and the latch of slot
@@ -70,18 +119,68 @@ type tableVersions struct {
 	latches rt.Latches
 }
 
-// pendingRec tracks a pending version for commit/abort.
-type pendingRec struct {
+// tupleRef names a tuple, and for a retire queue the version of it to fold:
+// a transaction's pending writes carry wts 0, a worker's retire queue the
+// timestamp it committed them at.
+type tupleRef struct {
 	t    *storage.Table
 	slot int
+	wts  uint64
+}
+
+// limboBuf is an unlinked version buffer of table tid waiting for the
+// watermark to reach stamp, the write timestamp of the floor that replaced
+// it.
+type limboBuf struct {
+	buf   []byte
+	tid   int
+	stamp uint64
 }
 
 // txnState is the reusable per-worker transaction state.
 type txnState struct {
-	pending []pendingRec
+	pending []tupleRef
 	ntxn    uint64
 	minTS   uint64 // cached GC watermark
 }
+
+// pool is one worker's private memory (the paper's per-thread memory
+// pools) and its share of the collector's work. Only the worker touches it,
+// so the steady-state write path performs no heap allocation: buffers and
+// hot parts circulate between the tuples and these stacks.
+type pool struct {
+	// free recycles version buffers, one stack per table. A buffer gets
+	// here once nothing can reach it: an aborted pending version was
+	// private to its writer; a folded one has served its time in limbo.
+	free [][][]byte
+	// chunk is the grow-only bump allocator fresh buffers are carved from
+	// when a stack is empty, and off the carved prefix.
+	chunk []byte
+	off   int
+	// hots are the idle hot parts.
+	hots []*hot
+	// limbo holds the buffers this worker's folds unlinked, and retire the
+	// versions it committed that are not a floor yet: cold tuples are never
+	// latched again, so the committer comes back for them.
+	limbo  []limboBuf
+	retire []tupleRef
+}
+
+// chunkSize caps each refill of a worker's version-buffer chunk. Refills
+// start at rowsPerRefill rows of the table that ran dry and double from
+// there, so a worker that writes little holds little.
+const (
+	chunkSize     = 1 << 18
+	rowsPerRefill = 64
+)
+
+// hotsPerRefill is how many hot parts one refill of a worker's pool carves,
+// each with room for hotVersions versions (folds keep chains short, so they
+// rarely grow).
+const (
+	hotsPerRefill = 64
+	hotVersions   = 2
+)
 
 // MVCC is the multi-version T/O scheme.
 type MVCC struct {
@@ -90,40 +189,8 @@ type MVCC struct {
 	alloc  tsalloc.Allocator
 	meta   []tableVersions // [table id]
 	active []rt.Counter    // per-worker active transaction timestamp
-
-	// free recycles version data buffers, one stack per (worker, table)
-	// at index worker*ntables+table: a worker pushes buffers it unlinks
-	// (abort withdrawals, pruned old versions) and pops them for new
-	// versions. When a stack is empty, buffers are carved from the
-	// worker's grow-only chunk (the paper's per-thread memory pools), so
-	// the steady-state write path performs no per-version heap
-	// allocation. Only worker w touches w's stacks and chunk; a buffer
-	// is recycled only once no active transaction can reach its version
-	// (abort: the version was pending and private; prune: the watermark
-	// proves unreachability), so reuse can never be observed.
-	free    [][][]byte
-	chunks  []chunk
-	ntables int
+	pools  []pool          // [worker id]
 }
-
-// chunk is one worker's bump allocator for fresh version buffers and for
-// the initial chains of tuples it is first to write.
-type chunk struct {
-	buf    []byte
-	off    int
-	chains []version
-}
-
-// chunkSize is each refill of a worker's version-buffer pool.
-const chunkSize = 1 << 18
-
-// initialChain is the capacity a tuple's chain starts with (commit-time
-// pruning keeps steady-state chains short, so it rarely grows), and
-// chainsPerRefill how many of them one refill of a worker's pool holds.
-const (
-	initialChain    = 2
-	chainsPerRefill = 1 << 10
-)
 
 // New creates an MVCC scheme drawing timestamps via method m.
 func New(m tsalloc.Method) *MVCC { return &MVCC{method: m} }
@@ -148,52 +215,60 @@ func (s *MVCC) Setup(db *core.DB) {
 	for i := range s.active {
 		s.active[i] = db.RT.NewCounter(0xAC<<40 | uint64(i))
 	}
-	s.ntables = len(tables)
-	s.free = make([][][]byte, n*s.ntables)
-	s.chunks = make([]chunk, n)
+	s.pools = make([]pool, n)
+	stacks := make([][][]byte, n*len(tables))
+	for i := range s.pools {
+		s.pools[i].free = stacks[i*len(tables) : (i+1)*len(tables)]
+	}
 }
 
-// getBuf pops a recycled version buffer for worker wid and table tid, or
-// carves a fresh one from the worker's chunk. The caller overwrites the
-// full buffer.
-func (s *MVCC) getBuf(wid, tid, n int) []byte {
-	k := wid*s.ntables + tid
-	stack := s.free[k]
-	if len(stack) > 0 {
+// getBuf pops a recycled version buffer of table tid, or carves a fresh one
+// of n bytes from the chunk. The caller overwrites the full buffer.
+func (p *pool) getBuf(tid, n int) []byte {
+	if stack := p.free[tid]; len(stack) > 0 {
 		buf := stack[len(stack)-1]
-		s.free[k] = stack[:len(stack)-1]
+		p.free[tid] = stack[:len(stack)-1]
 		return buf
 	}
-	c := &s.chunks[wid]
-	if c.off+n > len(c.buf) {
-		size := chunkSize
-		if size < n {
-			size = n
-		}
-		c.buf = make([]byte, size)
-		c.off = 0
+	if p.off+n > len(p.chunk) {
+		size := min(max(2*len(p.chunk), rowsPerRefill*n), chunkSize)
+		p.chunk = make([]byte, max(size, n))
+		p.off = 0
 	}
-	buf := c.buf[c.off : c.off+n : c.off+n]
-	c.off += n
+	buf := p.chunk[p.off : p.off+n : p.off+n]
+	p.off += n
 	return buf
 }
 
-// newChain carves an empty chain of capacity initialChain from worker wid's
-// pool, so a tuple's first versions do not allocate on the write path.
-func (s *MVCC) newChain(wid int) []version {
-	c := &s.chunks[wid]
-	if len(c.chains) < initialChain {
-		c.chains = make([]version, initialChain*chainsPerRefill)
-	}
-	chain := c.chains[:0:initialChain]
-	c.chains = c.chains[initialChain:]
-	return chain
+// putBuf recycles an unreachable version buffer of table tid.
+func (p *pool) putBuf(tid int, buf []byte) {
+	p.free[tid] = append(p.free[tid], buf)
 }
 
-// putBuf recycles an unlinked version buffer onto worker wid's stack.
-func (s *MVCC) putBuf(wid, tid int, buf []byte) {
-	k := wid*s.ntables + tid
-	s.free[k] = append(s.free[k], buf)
+// getHot pops an idle hot part, carving hotsPerRefill of them (and their
+// version arrays, as one allocation each) when there is none, so a tuple's
+// first write does not allocate.
+func (p *pool) getHot() *hot {
+	if len(p.hots) == 0 {
+		hs := make([]hot, hotsPerRefill)
+		vs := make([]hotVersion, hotsPerRefill*hotVersions)
+		for i := range hs {
+			hs[i].versions = vs[i*hotVersions : i*hotVersions : (i+1)*hotVersions]
+			p.hots = append(p.hots, &hs[i])
+		}
+	}
+	h := p.hots[len(p.hots)-1]
+	p.hots = p.hots[:len(p.hots)-1]
+	return h
+}
+
+// cool returns e's hot part to the pool once it holds neither a version nor
+// a waiter. Caller holds the tuple latch.
+func (p *pool) cool(e *entry) {
+	if h := e.hot; len(h.versions) == 0 && len(h.waiters) == 0 {
+		e.hot = nil
+		p.hots = append(p.hots, h)
+	}
 }
 
 // NewTxnState implements core.Scheme.
@@ -210,12 +285,17 @@ func (s *MVCC) Begin(tx *core.TxnCtx) {
 	st.ntxn++
 	if st.ntxn%gcEvery == 0 {
 		st.minTS = s.watermark(tx.P)
+		s.collect(tx.P, st.minTS)
 	}
 	tx.P.Tick(stats.Manager, costs.ManagerOp)
 }
 
 // watermark scans the active-transaction table for the minimum timestamp.
-// A stale (smaller) watermark only delays pruning, never unsafely prunes.
+// A stale (smaller) watermark only delays folding. A larger one than some
+// transaction's timestamp is possible — the scan cannot see a transaction
+// that has drawn its timestamp and not published it, nor one that will
+// draw a small timestamp later from a stale batch — and is what the package
+// comment's two rules are for.
 func (s *MVCC) watermark(p rt.Proc) uint64 {
 	min := idleTS
 	for _, c := range s.active {
@@ -229,27 +309,82 @@ func (s *MVCC) watermark(p rt.Proc) uint64 {
 	return min
 }
 
-// visible returns the index into e.versions of the newest version with
-// wts <= ts, or -1 for the implicit base version, or -2 if even the base
-// version is too new (an inserted tuple read at an earlier timestamp).
-func (e *entry) visible(ts uint64) int {
-	for i := len(e.versions) - 1; i >= 0; i-- {
-		if e.versions[i].wts <= ts {
-			return i
+// collect is the worker's garbage-collection pass, run on a watermark it has
+// just scanned. Everything in the limbo was unlinked before that scan, so
+// what the watermark has reached is free. Then the retire queue, which is in
+// commit and so in timestamp order: each version the watermark has passed is
+// folded into its tuple's floor under the quiet latch (a busy tuple keeps its
+// place in the queue), and leaves the queue once the floor is at or above it
+// — whatever the tuple still has above the floor then belongs to a later
+// committer's queue. The pass stops at the first version the watermark has
+// not passed, so a straggler holding the watermark back costs a growing
+// queue, not a growing scan.
+func (s *MVCC) collect(p rt.Proc, watermark uint64) {
+	pl := &s.pools[p.ID()]
+	limbo := pl.limbo[:0]
+	for _, l := range pl.limbo {
+		if l.stamp <= watermark {
+			pl.putBuf(l.tid, l.buf)
+		} else {
+			limbo = append(limbo, l)
 		}
 	}
-	if e.baseWTS <= ts {
+	pl.limbo = limbo
+
+	q, busy, i := pl.retire, 0, 0
+	for ; i < len(q) && q[i].wts <= watermark; i++ {
+		r := q[i]
+		tl := &s.meta[r.t.ID]
+		if tl.latches.TryAcquireQuiet(p, r.slot) {
+			e := &tl.entries[r.slot]
+			if e.hot != nil {
+				pl.fold(e, watermark, r.t, r.slot)
+			}
+			done := e.floor.wts >= r.wts
+			tl.latches.ReleaseQuiet(p, r.slot)
+			if done {
+				continue
+			}
+		}
+		q[busy] = r
+		busy++
+	}
+	pl.retire = append(q[:busy], q[i:]...)
+}
+
+// visible returns the index into e.hot.versions of the newest version with
+// wts <= ts, or -1 for the floor version, or -2 if even the floor is too
+// new: an inserted tuple read at an earlier timestamp, or a transaction the
+// watermark did not bound reaching a tuple folded past it.
+func (e *entry) visible(ts uint64) int {
+	if h := e.hot; h != nil {
+		for i := len(h.versions) - 1; i >= 0; i-- {
+			if h.versions[i].wts <= ts {
+				return i
+			}
+		}
+	}
+	if e.floor.wts <= ts {
 		return -1
 	}
 	return -2
 }
 
+// wait parks tx behind e's pending version. Caller holds the tuple latch,
+// which wait releases.
+func (s *MVCC) wait(tx *core.TxnCtx, tl *tableVersions, e *entry, slot int) {
+	e.hot.waiters = append(e.hot.waiters, tx.P)
+	tl.latches.Release(tx.P, stats.Manager, slot)
+	tx.P.ParkTimeout(stats.Wait, costs.WaitCheckInterval)
+}
+
 // wakeAll unparks every waiter on e. Caller holds the tuple latch.
 func (s *MVCC) wakeAll(p rt.Proc, e *entry) {
-	for _, w := range e.waiters {
+	h := e.hot
+	for _, w := range h.waiters {
 		s.db.RT.Unpark(p, w)
 	}
-	e.waiters = e.waiters[:0]
+	h.waiters = h.waiters[:0]
 }
 
 // Read implements core.Scheme.
@@ -265,39 +400,29 @@ func (s *MVCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error)
 			tl.latches.Release(tx.P, stats.Manager, slot)
 			return nil, core.ErrAbort
 		}
-		if i == -1 {
-			if e.baseRTS < tx.TS {
-				e.baseRTS = tx.TS
-			}
-			// History capture: the base version's write timestamp (0 for
-			// a loaded row, the inserter's TS for a runtime insert).
-			tx.CaptureReadVer(t, slot, e.baseWTS)
-			tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(t.Schema.RowSize()))
-			row := t.Row(slot)
-			tl.latches.Release(tx.P, stats.Manager, slot)
-			return row, nil
-		}
-		v := &e.versions[i]
-		if v.pending {
-			if v.owner == st {
-				data := v.data
+		v := &e.floor
+		if i >= 0 {
+			hv := &e.hot.versions[i]
+			if hv.owner == st {
+				data := hv.data
 				tl.latches.Release(tx.P, stats.Manager, slot)
 				return data, nil // read own pending write
 			}
-			// The value at our timestamp is not ready yet: wait.
-			e.waiters = append(e.waiters, tx.P)
-			tl.latches.Release(tx.P, stats.Manager, slot)
-			tx.P.ParkTimeout(stats.Wait, costs.WaitCheckInterval)
-			continue
+			if hv.owner != nil {
+				// The value at our timestamp is not ready yet: wait.
+				s.wait(tx, tl, e, slot)
+				continue
+			}
+			v = &hv.version
 		}
 		if v.rts < tx.TS {
 			v.rts = tx.TS
 		}
-		// History capture: this read observes the chain version stamped
-		// v.wts.
+		// History capture: this read observes the version stamped v.wts (0
+		// for a loaded row, the inserter's TS for a runtime insert).
 		tx.CaptureReadVer(t, slot, v.wts)
 		tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(t.Schema.RowSize()))
-		data := v.data
+		data := v.row(t, slot)
 		tl.latches.Release(tx.P, stats.Manager, slot)
 		return data, nil
 	}
@@ -311,6 +436,7 @@ func (s *MVCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error)
 // isolated.
 func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 	st := tx.State.(*txnState)
+	pl := &s.pools[tx.P.ID()]
 	tl := &s.meta[t.ID]
 	e := &tl.entries[slot]
 	n := t.Schema.RowSize()
@@ -323,38 +449,29 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 			return nil, core.ErrAbort
 		}
 
-		var prevRTS, prevWTS uint64
-		var prevData []byte
-		if i == -1 {
-			prevRTS = e.baseRTS
-			prevWTS = e.baseWTS
-			prevData = t.Row(slot)
-		} else {
-			v := &e.versions[i]
-			if v.pending {
-				if v.owner == st {
-					// Second write by the same transaction:
-					// hand back the pending version again.
-					data := v.data
-					tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(n))
-					tl.latches.Release(tx.P, stats.Manager, slot)
-					return data, nil
-				}
+		prev := &e.floor // the preceding version
+		if i >= 0 {
+			hv := &e.hot.versions[i]
+			if hv.owner == st {
+				// Second write by the same transaction:
+				// hand back the pending version again.
+				data := hv.data
+				tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(n))
+				tl.latches.Release(tx.P, stats.Manager, slot)
+				return data, nil
+			}
+			if hv.owner != nil {
 				// A concurrent writer precedes us; its outcome
 				// decides our fate. Wait for resolution.
-				e.waiters = append(e.waiters, tx.P)
-				tl.latches.Release(tx.P, stats.Manager, slot)
-				tx.P.ParkTimeout(stats.Wait, costs.WaitCheckInterval)
+				s.wait(tx, tl, e, slot)
 				continue
 			}
-			prevRTS = v.rts
-			prevWTS = v.wts
-			prevData = v.data
+			prev = &hv.version
 		}
 
 		// MVTO write rule: a transaction later than ts already read
 		// the preceding version — writing at ts would invalidate it.
-		if prevRTS > tx.TS {
+		if prev.rts > tx.TS {
 			tl.latches.Release(tx.P, stats.Manager, slot)
 			return nil, core.ErrAbort
 		}
@@ -363,71 +480,74 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 		// preceding version, so bump that version's read timestamp.
 		// Without this, an older RMW arriving later could slot its
 		// version underneath ours and our increment would be lost.
-		if i == -1 {
-			if e.baseRTS < tx.TS {
-				e.baseRTS = tx.TS
-			}
-		} else if v := &e.versions[i]; v.rts < tx.TS {
-			v.rts = tx.TS
+		if prev.rts < tx.TS {
+			prev.rts = tx.TS
 		}
 		// History capture: the RMW reads the preceding version before
 		// installing its own at tx.TS.
-		tx.CaptureReadVer(t, slot, prevWTS)
+		tx.CaptureReadVer(t, slot, prev.wts)
 
 		// Install the pending version (sorted position: after i).
 		// The buffer comes from the worker's recycle stack when one is
 		// available; the modeled allocation cost is charged either way
 		// (the paper's DBMS pays its pool allocator on every version).
-		buf := s.getBuf(tx.P.ID(), t.ID, n)
-		copy(buf, prevData)
+		buf := pl.getBuf(t.ID, n)
+		copy(buf, prev.row(t, slot))
 		tx.P.Tick(stats.Manager, costs.CopyCost(uint64(n))+costs.AllocBase)
 		tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(n))
-		nv := version{wts: tx.TS, data: buf, pending: true, owner: st}
-		pos := i + 1
-		if e.versions == nil {
-			e.versions = s.newChain(tx.P.ID())
+		h := e.hot
+		if h == nil {
+			h = pl.getHot()
+			e.hot = h
 		}
-		e.versions = append(e.versions, version{})
-		copy(e.versions[pos+1:], e.versions[pos:])
-		e.versions[pos] = nv
+		pos := i + 1
+		h.versions = append(h.versions, hotVersion{})
+		copy(h.versions[pos+1:], h.versions[pos:])
+		h.versions[pos] = hotVersion{version{wts: tx.TS, data: buf}, st}
 
-		if len(e.versions) > maxChain {
-			s.prune(e, st.minTS, tx.P.ID(), t.ID)
+		if len(h.versions) > maxChain {
+			pl.fold(e, st.minTS, t, slot)
 		}
 		tl.latches.Release(tx.P, stats.Manager, slot)
-		st.pending = append(st.pending, pendingRec{t: t, slot: slot})
+		st.pending = append(st.pending, tupleRef{t: t, slot: slot})
 		return buf, nil
 	}
 }
 
-// prune drops committed versions no active transaction can reach: every
-// version strictly older than the newest version with wts <= watermark.
-// Dropped buffers are recycled onto the pruning worker's stack — the
-// watermark proves no active transaction can still be served from them.
-// Caller holds the tuple latch.
-func (s *MVCC) prune(e *entry, watermark uint64, wid, tid int) {
-	keepFrom := -1
-	for i := len(e.versions) - 1; i >= 0; i-- {
-		if e.versions[i].wts <= watermark && !e.versions[i].pending {
-			keepFrom = i
+// fold makes the newest committed version at or below watermark e's floor
+// and unlinks everything older, the previous floor included, into the
+// limbo under the new floor's write timestamp; a slab row unlinked this way
+// is from then on a version buffer of its table like any other. It stops
+// below a pending version whatever the watermark says: the watermark may be
+// ahead of that version's writer (see watermark), and its write must not be
+// lost. A hot part left with nothing goes back to the pool. Caller holds
+// the tuple latch and e is hot.
+func (p *pool) fold(e *entry, watermark uint64, t *storage.Table, slot int) {
+	h := e.hot
+	top := -1 // the version to become the floor
+	for i := range h.versions {
+		if v := &h.versions[i]; v.owner != nil || v.wts > watermark {
 			break
 		}
+		top = i
 	}
-	if keepFrom <= 0 {
+	if top < 0 {
 		return
 	}
-	for i := 0; i < keepFrom; i++ {
-		s.putBuf(wid, tid, e.versions[i].data)
+	stamp := h.versions[top].wts
+	p.limbo = append(p.limbo, limboBuf{buf: e.floor.row(t, slot), tid: t.ID, stamp: stamp})
+	for _, v := range h.versions[:top] {
+		p.limbo = append(p.limbo, limboBuf{buf: v.data, tid: t.ID, stamp: stamp})
 	}
-	// The version at keepFrom becomes the new floor; absorb its
-	// predecessor's role by promoting it into the base.
-	e.baseWTS = e.versions[keepFrom].wts
-	e.versions = append(e.versions[:0], e.versions[keepFrom:]...)
+	e.floor = h.versions[top].version
+	h.versions = h.versions[:copy(h.versions, h.versions[top+1:])]
+	p.cool(e)
 }
 
 // Commit implements core.Scheme: finalize pending versions.
 func (s *MVCC) Commit(tx *core.TxnCtx) error {
 	st := tx.State.(*txnState)
+	pl := &s.pools[tx.P.ID()]
 	// Commit point: like TIMESTAMP, the version order is the timestamp
 	// order, carried in the record's replay version.
 	tx.LogCommit()
@@ -436,21 +556,21 @@ func (s *MVCC) Commit(tx *core.TxnCtx) error {
 		e := &tl.entries[pr.slot]
 		tl.latches.Acquire(tx.P, stats.Manager, pr.slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
-		for i := range e.versions {
-			if e.versions[i].pending && e.versions[i].owner == st {
-				e.versions[i].pending = false
-				e.versions[i].owner = nil
+		for i := range e.hot.versions {
+			if e.hot.versions[i].owner == st {
+				e.hot.versions[i].owner = nil
 			}
 		}
-		// Opportunistic pruning under the latch already held: commits
-		// are where versions become reclaimable, and pruning here (at
-		// zero modeled cost — garbage collection is not part of the
-		// paper's cost model) keeps chains short and recycles buffers
-		// instead of waiting for a chain to hit maxChain.
-		if len(e.versions) > 1 {
-			s.prune(e, st.minTS, tx.P.ID(), pr.t.ID)
-		}
 		s.wakeAll(tx.P, e)
+		// Opportunistic fold under the latch already held (at zero
+		// modeled cost — garbage collection is not part of the paper's
+		// cost model). The cached watermark is rarely past the version
+		// just committed; the worker's next collect pass comes back for
+		// it.
+		pl.fold(e, st.minTS, pr.t, pr.slot)
+		if e.floor.wts < tx.TS {
+			pl.retire = append(pl.retire, tupleRef{t: pr.t, slot: pr.slot, wts: tx.TS})
+		}
 		tl.latches.Release(tx.P, stats.Manager, pr.slot)
 	}
 	st.pending = st.pending[:0]
@@ -459,48 +579,54 @@ func (s *MVCC) Commit(tx *core.TxnCtx) error {
 }
 
 // Abort implements core.Scheme: unlink pending versions, recycling their
-// buffers (a pending version is private to its owner, so no other
+// buffers at once (a pending version is private to its owner, so no other
 // transaction can hold a reference).
 func (s *MVCC) Abort(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
+	pl := &s.pools[tx.P.ID()]
 	for _, pr := range st.pending {
 		tl := &s.meta[pr.t.ID]
 		e := &tl.entries[pr.slot]
 		tl.latches.Acquire(tx.P, stats.Abort, pr.slot)
 		tx.P.Tick(stats.Abort, costs.ManagerOp)
-		for i := 0; i < len(e.versions); {
-			if e.versions[i].pending && e.versions[i].owner == st {
-				s.putBuf(tx.P.ID(), pr.t.ID, e.versions[i].data)
-				e.versions = append(e.versions[:i], e.versions[i+1:]...)
+		h := e.hot
+		for i := 0; i < len(h.versions); {
+			if h.versions[i].owner == st {
+				pl.putBuf(pr.t.ID, h.versions[i].data)
+				h.versions = append(h.versions[:i], h.versions[i+1:]...)
 				continue
 			}
 			i++
 		}
 		s.wakeAll(tx.P, e)
+		pl.cool(e)
 		tl.latches.Release(tx.P, stats.Abort, pr.slot)
 	}
 	st.pending = st.pending[:0]
 	s.active[tx.P.ID()].Store(tx.P, stats.Abort, idleTS)
 }
 
-// InitTuple implements core.Scheme: the inserted tuple's base version is
-// stamped with the inserting transaction's timestamp.
+// InitTuple implements core.Scheme: the inserted tuple's floor version is
+// its slab row, stamped with the inserting transaction's timestamp.
 func (s *MVCC) InitTuple(tx *core.TxnCtx, t *storage.Table, slot int) {
-	s.meta[t.ID].entries[slot].baseWTS = tx.TS
+	s.meta[t.ID].entries[slot].floor.wts = tx.TS
 }
 
 // LatestCommitted returns the newest committed version's data for (t,
 // slot). It takes no latch and is intended for post-run verification on a
-// quiescent database (under MVCC the table slab holds only the base
-// version; current state lives in the version chains).
+// quiescent database (under MVCC a written tuple's current state is not in
+// the table slab, and its slab row may be serving as another tuple's
+// version).
 func (s *MVCC) LatestCommitted(t *storage.Table, slot int) []byte {
 	e := &s.meta[t.ID].entries[slot]
-	for i := len(e.versions) - 1; i >= 0; i-- {
-		if !e.versions[i].pending {
-			return e.versions[i].data
+	if h := e.hot; h != nil {
+		for i := len(h.versions) - 1; i >= 0; i-- {
+			if h.versions[i].owner == nil {
+				return h.versions[i].data
+			}
 		}
 	}
-	return t.Row(slot)
+	return e.floor.row(t, slot)
 }
 
 // TSOrderedCommits marks MVCC for the WAL: the newest committed version

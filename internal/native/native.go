@@ -225,6 +225,12 @@ func (s latches) Acquire(p rt.Proc, c stats.Component, i int) { s[i].Acquire(p, 
 // Release implements rt.Latches.
 func (s latches) Release(p rt.Proc, c stats.Component, i int) { s[i].Release(p, c) }
 
+// TryAcquireQuiet implements rt.Latches.
+func (s latches) TryAcquireQuiet(p rt.Proc, i int) bool { return s[i].mu.TryLock() }
+
+// ReleaseQuiet implements rt.Latches.
+func (s latches) ReleaseQuiet(p rt.Proc, i int) { s[i].mu.Unlock() }
+
 // Add implements rt.Counters.
 func (s counters) Add(p rt.Proc, c stats.Component, i int, delta uint64) uint64 {
 	return s[i].Add(p, c, delta)

@@ -1,6 +1,7 @@
 package native_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -50,6 +51,62 @@ func TestLatchMutualExclusion(t *testing.T) {
 	})
 	if counter != 8000 {
 		t.Fatalf("counter = %d, want 8000 (latch not mutually exclusive)", counter)
+	}
+}
+
+// TestQuietLatch: TryAcquireQuiet is false while another goroutine holds the
+// latch (by either kind of acquire), true when it is free, excludes Acquire
+// while it holds, and the pair bills nothing.
+func TestQuietLatch(t *testing.T) {
+	r := native.New(2, 1)
+	ls := r.NewLatches(0, 4)
+	held, checked := make(chan struct{}), make(chan struct{})
+	counter := 0
+	r.Run(func(p rt.Proc) {
+		if p.ID() == 0 {
+			ls.Acquire(p, stats.Manager, 2)
+			held <- struct{}{}
+			<-checked
+			ls.Release(p, stats.Manager, 2)
+			if !ls.TryAcquireQuiet(p, 2) {
+				t.Error("TryAcquireQuiet failed on a free latch")
+			}
+			held <- struct{}{}
+			<-checked
+			ls.ReleaseQuiet(p, 2)
+		} else {
+			for range 2 {
+				<-held
+				if ls.TryAcquireQuiet(p, 2) {
+					t.Error("TryAcquireQuiet took a latch another goroutine holds")
+				}
+				if !ls.TryAcquireQuiet(p, 3) {
+					t.Error("TryAcquireQuiet failed on the free neighbour of a held latch")
+				}
+				ls.ReleaseQuiet(p, 3)
+				checked <- struct{}{}
+			}
+		}
+		// Quiet holders and billed holders exclude each other.
+		for i := 0; i < 1000; i++ {
+			if i%2 == p.ID() {
+				ls.Acquire(p, stats.Manager, 1)
+				counter++
+				ls.Release(p, stats.Manager, 1)
+				continue
+			}
+			for !ls.TryAcquireQuiet(p, 1) {
+				runtime.Gosched()
+			}
+			counter++
+			ls.ReleaseQuiet(p, 1)
+		}
+		if b := p.Stats(); b.Total() != 0 {
+			t.Errorf("worker %d was billed %d cycles for latch traffic", p.ID(), b.Total())
+		}
+	})
+	if counter != 2000 {
+		t.Fatalf("counter = %d, want 2000 (quiet and billed holders overlapped)", counter)
 	}
 }
 

@@ -125,9 +125,21 @@ type Counter interface {
 // hash buckets) uses in place of one Latch object per element, so that its
 // resident cost is a few bytes per element and one allocation per table.
 // Latch i behaves exactly as a Latch created with key base|i.
+//
+// TryAcquireQuiet and ReleaseQuiet are the unmodelled pair, for housekeeping
+// that is not part of the paper's cost model (MVCC's garbage collection):
+// the first takes latch i only if it is free, never waits and reports
+// whether it did; the second gives it back. Neither bills a component,
+// advances a clock, moves a simulated cache line or is an ordering point,
+// so a simulated schedule cannot tell that they ran. In exchange the holder
+// may call no Proc method — and so no other Latch, Counter or Unpark
+// operation either — before ReleaseQuiet: under simulation that is what
+// keeps every other core from ever seeing the latch held.
 type Latches interface {
 	Acquire(p Proc, c stats.Component, i int)
 	Release(p Proc, c stats.Component, i int)
+	TryAcquireQuiet(p Proc, i int) bool
+	ReleaseQuiet(p Proc, i int)
 }
 
 // Counters is the slab form of Counter; counter i behaves exactly as a

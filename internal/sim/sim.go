@@ -423,6 +423,20 @@ func (s latches) Acquire(p rt.Proc, c stats.Component, i int) { s[i].Acquire(p, 
 // Release implements rt.Latches.
 func (s latches) Release(p rt.Proc, c stats.Component, i int) { s[i].Release(p, c) }
 
+// TryAcquireQuiet implements rt.Latches: a latch is free exactly when it has
+// no holder, and taking it touches neither its line nor the caller's clock.
+func (s latches) TryAcquireQuiet(p rt.Proc, i int) bool {
+	if s[i].holder != nil {
+		return false
+	}
+	s[i].holder = p.(*Proc)
+	return true
+}
+
+// ReleaseQuiet implements rt.Latches. The holder has not yielded since it
+// took the latch, so nobody can be queued behind it.
+func (s latches) ReleaseQuiet(p rt.Proc, i int) { s[i].holder = nil }
+
 // Add implements rt.Counters.
 func (s counters) Add(p rt.Proc, c stats.Component, i int, delta uint64) uint64 {
 	return s[i].Add(p, c, delta)

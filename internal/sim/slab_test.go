@@ -82,3 +82,94 @@ func TestSlabElementIsTheSingularPrimitive(t *testing.T) {
 		t.Fatalf("%d grants, want %d", len(slab.grants), cores*10)
 	}
 }
+
+// TestQuietLatchIsInvisibleToTheModel: TryAcquireQuiet reports false while a
+// holder exists — which another core can only observe when the holder has
+// yielded with the latch held — and true when the latch is free; the pair
+// bills no component and moves neither the caller's clock nor the latch's
+// cache line. And a contended run in which every core also makes quiet
+// attempts on the contended latch is, grant for grant and cycle for cycle,
+// the run without them.
+func TestQuietLatchIsInvisibleToTheModel(t *testing.T) {
+	const base, elem = uint64(3)<<44 | 0x2B<<36, 5
+
+	e := New(2, 9)
+	ls := e.NewLatches(base, 8).(latches)
+	var seenHeld, seenFree int
+	e.Run(func(p rt.Proc) {
+		if p.ID() == 0 {
+			ls.Acquire(p, stats.Manager, elem)
+			p.Sync(stats.Useful, 1_000) // yield holding the latch
+			ls.Release(p, stats.Manager, elem)
+			return
+		}
+		p.Sync(stats.Useful, 500) // core 0 holds the latch now
+		for _, wantFree := range []bool{false, true} {
+			now, line, billed := p.Now(), ls[elem].line, *p.Stats()
+			got := ls.TryAcquireQuiet(p, elem)
+			if got {
+				if ls[elem].holder != p.(*Proc) {
+					t.Error("a successful quiet acquire left the latch without its holder")
+				}
+				ls.ReleaseQuiet(p, elem)
+				seenFree++
+			} else {
+				seenHeld++
+			}
+			if got != wantFree {
+				t.Errorf("TryAcquireQuiet = %v at cycle %d, want %v", got, now, wantFree)
+			}
+			if p.Now() != now || ls[elem].line != line || *p.Stats() != billed {
+				t.Errorf("a quiet attempt (taken: %v) moved the clock, the line or the bill: cycle %d -> %d, line %+v -> %+v",
+					got, now, p.Now(), line, ls[elem].line)
+			}
+			p.Sync(stats.Useful, 1_000) // core 0 has released by the second pass
+		}
+		if h := ls[elem].holder; h != nil {
+			t.Errorf("latch still held by core %d after every release", h.id)
+		}
+	})
+	if seenHeld != 1 || seenFree != 1 {
+		t.Fatalf("saw the latch held %d times and free %d times, want 1 and 1", seenHeld, seenFree)
+	}
+
+	type trace struct {
+		grants      []int
+		ends, bills []uint64
+		taken       int
+	}
+	run := func(quiet bool) trace {
+		const cores = 16
+		e := New(cores, 9)
+		ls := e.NewLatches(base, 8)
+		tr := trace{ends: make([]uint64, cores), bills: make([]uint64, cores)}
+		e.Run(func(p rt.Proc) {
+			attempt := func() {
+				if quiet && ls.TryAcquireQuiet(p, elem) {
+					tr.taken++
+					ls.ReleaseQuiet(p, elem)
+				}
+			}
+			for i := 0; i < 10; i++ {
+				p.Tick(stats.Useful, uint64(p.Rand().Intn(40)))
+				attempt()
+				ls.Acquire(p, stats.Manager, elem)
+				tr.grants = append(tr.grants, p.ID())
+				p.Sync(stats.Useful, 25) // hold across a yield so waiters queue
+				ls.Release(p, stats.Manager, elem)
+				attempt()
+			}
+			tr.ends[p.ID()] = p.Now()
+			tr.bills[p.ID()] = p.Stats().Get(stats.Manager)
+		})
+		return tr
+	}
+	plain, quiet := run(false), run(true)
+	if quiet.taken == 0 || quiet.taken == 2*len(quiet.grants) {
+		t.Errorf("%d of %d quiet attempts succeeded: the run exercises only one outcome", quiet.taken, 2*len(quiet.grants))
+	}
+	if !slices.Equal(plain.grants, quiet.grants) || !slices.Equal(plain.ends, quiet.ends) || !slices.Equal(plain.bills, quiet.bills) {
+		t.Errorf("quiet attempts changed the schedule:\nplain grants %v ends %v manager %v\nquiet grants %v ends %v manager %v",
+			plain.grants, plain.ends, plain.bills, quiet.grants, quiet.ends, quiet.bills)
+	}
+}
