@@ -243,8 +243,13 @@ type TableSpec struct {
 	// Cols are the fixed-width columns, in storage order.
 	Cols []Col
 
-	// Capacity is the total slot count. Slots beyond Loaded are divided
-	// into per-worker insert segments for runtime inserts.
+	// Capacity is the total slot count, at most math.MaxInt32. Slots
+	// beyond Loaded are divided into per-worker insert segments for
+	// runtime inserts. It is a ceiling, not a reservation: the loaded rows
+	// are allocated when the table is created, the insert region 4 096
+	// slots at a time as inserts reach it — rows, concurrency-control
+	// state and hash-index links alike — so headroom that is never
+	// inserted into costs nothing.
 	Capacity int
 
 	// Loaded is how many rows setup code will populate via Table.LoadRow
@@ -270,8 +275,8 @@ func (db *DB) CreateTable(spec TableSpec) (*Table, error) {
 			return nil, fmt.Errorf("abyss: table %q column %q must have a name and positive width, got width %d", spec.Name, c.Name, c.Width)
 		}
 	}
-	if spec.Capacity <= 0 {
-		return nil, fmt.Errorf("abyss: table %q capacity must be positive, got %d", spec.Name, spec.Capacity)
+	if spec.Capacity <= 0 || spec.Capacity > storage.MaxCapacity {
+		return nil, fmt.Errorf("abyss: table %q capacity must be in [1, %d] (hash indexes link slots through int32 words), got %d", spec.Name, storage.MaxCapacity, spec.Capacity)
 	}
 	if spec.Loaded < 0 || spec.Loaded > spec.Capacity {
 		return nil, fmt.Errorf("abyss: table %q loaded rows %d out of range [0, capacity %d]", spec.Name, spec.Loaded, spec.Capacity)

@@ -1,6 +1,7 @@
 package abyss_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -346,6 +347,26 @@ func TestCreateTableValidation(t *testing.T) {
 	}
 	if _, err := db.Index("U_PK"); err == nil {
 		t.Fatal("missing index lookup should error")
+	}
+}
+
+// TestCreateTableCapacityLimit: a hash index links slots through int32
+// words, so a table may have at most math.MaxInt32 slots. Beyond that
+// CreateTable refuses, naming the limit, instead of building a table whose
+// high slots an index would silently wrap. At the limit the table is
+// accepted — and, its insert region being paged in on use, cheap.
+func TestCreateTableCapacityLimit(t *testing.T) {
+	db, err := abyss.Open(abyss.Options{Cores: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []abyss.Col{{Name: "K", Width: 8}}
+	_, err = db.CreateTable(abyss.TableSpec{Name: "HUGE", Cols: cols, Capacity: math.MaxInt32 + 1, Loaded: 4})
+	if err == nil || !strings.Contains(err.Error(), "2147483647") {
+		t.Fatalf("capacity 2^31 accepted or refused without naming the limit: %v", err)
+	}
+	if _, err := db.CreateTable(abyss.TableSpec{Name: "HUGE", Cols: cols, Capacity: math.MaxInt32, Loaded: 4}); err != nil {
+		t.Fatalf("capacity at the limit refused: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"abyss1000/internal/core"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/sim"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/tsalloc"
 	"abyss1000/internal/wal"
@@ -107,7 +108,7 @@ func GoldenSignature(f GoldenFeatures) string {
 		}
 		cfg := cfg
 		if f.QuietLatches {
-			cfg.Fault = quietFault{eng, eng.NewLatches(0x51<<40, quietSlab)}
+			cfg.Fault = quietFault{eng, eng.NewLatches(0x51<<40, slot.Fixed(quietSlab))}
 		}
 		return cfg
 	}

@@ -1,6 +1,7 @@
 package abyss1000_test
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"abyss1000/internal/native"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/sim"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/storage"
 	"abyss1000/internal/tsalloc"
 )
@@ -24,37 +26,29 @@ func allocated(f func()) (bytes, objects uint64) {
 	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
-// TestResidentFootprint gates what a table costs before any transaction has
-// touched it: the bytes index.New allocates per hash bucket and the bytes
-// Scheme.Setup allocates per tuple slot, latch and counter words included,
-// and the number of heap objects either creates — which must not depend on
-// the table's size. The paper's §4.1 asks that per-tuple lock state cost
-// "several bytes"; these budgets are that remark made executable. The native
-// ones are the interesting ones (a latch is 8 bytes there); a simulated latch
-// carries its cache line's model and its FIFO (48 bytes), so the simulator's
-// budgets are the native entry plus that.
-//
-// The log lines are the source of the "resident bytes per tuple" tables in
-// README.md and EXPERIMENTS.md.
-func TestResidentFootprint(t *testing.T) {
-	const (
-		rows       = 16384
-		maxObjects = 64   // per index.New, per Setup: O(tables + workers), never O(rows)
-		fixedBytes = 4096 // likewise: allocator, waits-for graph, per-worker words
-	)
-	runtimes := []struct {
+const (
+	footprintRows = 16384
+	maxObjects    = 64   // per index.New, per Setup: O(tables + workers), never O(rows)
+	fixedBytes    = 4096 // likewise: allocator, waits-for graph, per-worker words
+)
+
+// The runtimes and the budgets in bytes per slot, [native, sim], of the two
+// footprint tests. The native budgets are the interesting ones (a latch is 8
+// bytes there); a simulated latch carries its cache line's model and its
+// FIFO (48 bytes), so the simulator's budgets are the native entry plus
+// that. The index is sized one bucket per row, so its budget is a bucket (an
+// 8-byte head plus its latch, 8 bytes native and 48 simulated) and a table
+// slot's share of the chain arrays (an 8-byte key and a 4-byte link).
+var (
+	footprintRuntimes = []struct {
 		name string
 		mk   func() rt.Runtime
 	}{
 		{"native", func() rt.Runtime { return native.New(2, 1) }},
 		{"sim", func() rt.Runtime { return sim.New(2, 1) }},
 	}
-	// Bytes per slot, [native, sim]. The index is sized one bucket per row,
-	// so its budget is a bucket (an 8-byte head plus its latch, 8 bytes
-	// native and 48 simulated) and a table slot's share of the chain arrays
-	// (an 8-byte key and a 4-byte link).
-	bucketBudget := [2]float64{16 + 12, 56 + 12}
-	schemes := []struct {
+	bucketBudget     = [2]float64{16 + 12, 56 + 12}
+	footprintSchemes = []struct {
 		name   string
 		budget [2]float64
 	}{
@@ -66,13 +60,29 @@ func TestResidentFootprint(t *testing.T) {
 		{"OCC", [2]float64{16, 80}},
 		{"HSTORE", [2]float64{1, 1}}, // partition locks only: nothing per tuple
 	}
-	for ri, r := range runtimes {
-		for _, s := range schemes {
+)
+
+func footprintSchema() *storage.Schema {
+	return storage.NewSchema("T", storage.Col{Name: "K", Width: 8}, storage.Col{Name: "V", Width: 8})
+}
+
+// TestResidentFootprint gates what a table costs before any transaction has
+// touched it: the bytes index.New allocates per hash bucket and the bytes
+// Scheme.Setup allocates per tuple slot, latch and counter words included,
+// and the number of heap objects either creates — which must not depend on
+// the table's size. The paper's §4.1 asks that per-tuple lock state cost
+// "several bytes"; these budgets are that remark made executable.
+//
+// The log lines are the source of the "resident bytes per tuple" tables in
+// README.md and EXPERIMENTS.md.
+func TestResidentFootprint(t *testing.T) {
+	const rows = footprintRows
+	for ri, r := range footprintRuntimes {
+		for _, s := range footprintSchemes {
 			t.Run(s.name+"/"+r.name, func(t *testing.T) {
 				run := r.mk()
 				db := core.NewDB(run)
-				schema := storage.NewSchema("T", storage.Col{Name: "K", Width: 8}, storage.Col{Name: "V", Width: 8})
-				tab := db.Catalog.Add(schema, rows, rows, run.NumProcs())
+				tab := db.Catalog.Add(footprintSchema(), rows, rows, run.NumProcs())
 
 				var idx *index.Hash
 				bytes, idxObjects := allocated(func() { idx = index.New(run, tab, rows) })
@@ -93,6 +103,124 @@ func TestResidentFootprint(t *testing.T) {
 				runtime.KeepAlive(scheme)
 				t.Logf("footprint %-9s %-6s  %6.1f B/tuple in %d objects  %5.1f B/bucket in %d objects",
 					s.name, r.name, perSlot, objects, perBucket, idxObjects)
+			})
+		}
+	}
+}
+
+// insertTxn inserts key and, from the second key on, reads back the row its
+// predecessor inserted, so every per-slot structure of a fresh slot — row,
+// chain links, and the scheme's entry and latch — is reached by the time
+// the next transaction commits.
+type insertTxn struct {
+	tab   *storage.Table
+	idx   *index.Hash
+	first uint64
+	key   uint64
+}
+
+var (
+	errLostInsert = errors.New("footprint: an inserted row is missing or wrong")
+	partitionZero = []int{0}
+)
+
+func (x *insertTxn) Partitions() []int { return partitionZero }
+
+func (x *insertTxn) Run(tx *core.TxnCtx) error {
+	if x.key > x.first {
+		s, ok := tx.Lookup(x.idx, x.key-1)
+		if !ok {
+			return errLostInsert
+		}
+		row, err := tx.Read(x.tab, s)
+		if err != nil {
+			return err
+		}
+		if x.tab.Schema.GetU64(row, 1) != x.key-1 {
+			return errLostInsert
+		}
+	}
+	row := tx.InsertRow(x.idx, x.key)
+	x.tab.Schema.PutU64(row, 0, x.key)
+	x.tab.Schema.PutU64(row, 1, x.key)
+	return nil
+}
+
+// TestReservedCapacityIsFree: capacity a table reserves for inserts costs
+// nothing until rows land in it. A table of 1<<20 slots with 16 384 loaded
+// rows costs its rows, its index and each scheme's Setup exactly
+// TestResidentFootprint's per-row budgets for the loaded rows, plus a page
+// directory (8 bytes per 4 096-slot page) per slot-indexed array. And
+// inserting grows the heap by at most the per-slot budgets — row, chain
+// links, CC entry and latch — times the inserted rows rounded up to whole
+// pages: 10 000 committed inserts, each read back by the next transaction,
+// page in at most three pages of every array and allocate nothing else.
+func TestReservedCapacityIsFree(t *testing.T) {
+	const (
+		rows, capacity = footprintRows, 1 << 20
+		warm, inserts  = 100, 10_000
+	)
+	schema := footprintSchema()
+	rowBytes := float64(schema.RowSize())
+	layout := slot.Layout{Dense: rows, Cap: capacity}
+	dir := float64(8 * layout.Pages()) // one page directory
+	pages := float64((inserts + slot.PageSlots - 1) / slot.PageSlots * slot.PageSlots)
+	for ri, r := range footprintRuntimes {
+		for _, s := range footprintSchemes {
+			t.Run(s.name+"/"+r.name, func(t *testing.T) {
+				run := r.mk()
+				db := core.NewDB(run)
+				var tab *storage.Table
+				check := func(what string, bytes, objects uint64, perRow, dirs float64) {
+					t.Helper()
+					if budget := perRow*rows + dirs*dir + fixedBytes; float64(bytes) > budget || objects > maxObjects {
+						t.Errorf("%s over %d reserved slots: %d B in %d objects, budget %.0f B in at most %d",
+							what, capacity-rows, bytes, objects, budget, maxObjects)
+					}
+				}
+				bytes, objects := allocated(func() { tab = db.Catalog.Add(schema, capacity, rows, run.NumProcs()) })
+				check("table", bytes, objects, rowBytes, 1)
+				var idx *index.Hash
+				bytes, objects = allocated(func() { idx = db.AddIndex("T_PK", tab, rows) })
+				check("index.New", bytes, objects, bucketBudget[ri], 2)
+				for k := 0; k < rows; k++ {
+					schema.PutU64(tab.LoadRow(k), 1, uint64(k))
+					idx.LoadInsert(uint64(k), k)
+				}
+				scheme := bench.MakeScheme(s.name, tsalloc.Atomic)
+				bytes, objects = allocated(func() { scheme.Setup(db) })
+				check(s.name+".Setup", bytes, objects, s.budget[ri], 2)
+				perTuple := float64(bytes) / rows
+
+				// Worker 0's insert segment starts on a page boundary: the
+				// warm-up pages in the first page, the measured inserts the
+				// next two.
+				var grown uint64
+				run.Run(func(p rt.Proc) {
+					if p.ID() != 0 {
+						return
+					}
+					w := core.NewWorker(p, db, scheme)
+					x := &insertTxn{tab: tab, idx: idx, first: rows, key: rows}
+					exec := func(n int) {
+						for i := 0; i < n; i, x.key = i+1, x.key+1 {
+							if err := w.ExecOnce(x); err != nil {
+								t.Errorf("insert of key %d: %v", x.key, err)
+								return
+							}
+						}
+					}
+					exec(warm)
+					grown, _ = allocated(func() { exec(inserts) })
+				})
+				budget := (s.budget[ri] + 12 + rowBytes) * pages
+				if float64(grown) > budget {
+					t.Errorf("%d inserts grew the heap by %d B, budget %.0f B (%.0f B per slot of %.0f)",
+						inserts, grown, budget, budget/pages, pages)
+				}
+				runtime.KeepAlive(scheme)
+				t.Logf("reserved %-9s %-6s  %6.1f B/tuple with %d slots reserved  %5.1f B/slot over %d inserts",
+					s.name, r.name, perTuple, capacity-rows, float64(grown)/inserts, inserts)
 			})
 		}
 	}

@@ -56,14 +56,14 @@ func harness(t *testing.T, rows int, body func(scheme *MVCC, f *cctest.Fixture, 
 func TestFirstWriteTakesHotPartFromPool(t *testing.T) {
 	scheme, f := harness(t, 8, func(scheme *MVCC, f *cctest.Fixture, p rt.Proc, bump, read func(int)) {
 		entries := scheme.meta[f.Table.ID].entries
-		for i := range entries {
-			if entries[i].hot != nil {
+		for i := 0; i < entries.Len(); i++ {
+			if entries.At(i).hot != nil {
 				t.Fatalf("slot %d has a hot part before any write", i)
 			}
 		}
 		bump(0)
 		bump(1)
-		a, b := entries[0].hot, entries[1].hot
+		a, b := entries.At(0).hot, entries.At(1).hot
 		if a == nil || b == nil {
 			t.Fatal("a written tuple the watermark has not passed has no hot part")
 		}
@@ -74,7 +74,7 @@ func TestFirstWriteTakesHotPartFromPool(t *testing.T) {
 		if uintptr(unsafe.Pointer(a))-uintptr(unsafe.Pointer(b)) != unsafe.Sizeof(hot{}) {
 			t.Fatalf("hot parts are not neighbouring pieces of the worker's pool: %p, %p", a, b)
 		}
-		if entries[2].hot != nil {
+		if entries.At(2).hot != nil {
 			t.Fatal("an unwritten tuple grew a hot part")
 		}
 		// Nothing folds while the watermark is stale (it refreshes every
@@ -84,26 +84,26 @@ func TestFirstWriteTakesHotPartFromPool(t *testing.T) {
 			bump(0)
 		}
 		p.Sync(stats.Useful, 0)
-		if got := a.versions; entries[0].hot != a || len(got) != hotVersions+1 || &got[0] == first {
+		if got := a.versions; entries.At(0).hot != a || len(got) != hotVersions+1 || &got[0] == first {
 			t.Fatalf("slot 0: chain of %d at %p, want %d moved off the pool piece at %p", len(got), &got[0], hotVersions+1, first)
 		}
-		if got := b.versions; entries[1].hot != b || len(got) != 1 || cap(got) != hotVersions || got[0].owner != nil || got[0].wts == 0 {
+		if got := b.versions; entries.At(1).hot != b || len(got) != 1 || cap(got) != hotVersions || got[0].owner != nil || got[0].wts == 0 {
 			t.Fatalf("slot 1's chain was disturbed by its neighbour's growth: %+v", got)
 		}
-		if entries[0].floor.data != nil || entries[0].floor.wts != 0 {
-			t.Fatalf("slot 0 folded under a watermark of 0: floor wts %d", entries[0].floor.wts)
+		if entries.At(0).floor.data != nil || entries.At(0).floor.wts != 0 {
+			t.Fatalf("slot 0 folded under a watermark of 0: floor wts %d", entries.At(0).floor.wts)
 		}
 		// The next refresh passes every version committed so far.
 		for i := 0; i < gcEvery; i++ {
 			read(2)
 		}
 		for slot := 0; slot < 2; slot++ {
-			if e := &entries[slot]; e.hot != nil || e.floor.data == nil || e.floor.wts == 0 {
+			if e := entries.At(slot); e.hot != nil || e.floor.data == nil || e.floor.wts == 0 {
 				t.Fatalf("slot %d after a watermark refresh: hot part %p, floor buffer %p, floor wts %d; want a cold tuple whose floor is its last version", slot, e.hot, e.floor.data, e.floor.wts)
 			}
 		}
 		bump(3)
-		if h := entries[3].hot; h != a && h != b {
+		if h := entries.At(3).hot; h != a && h != b {
 			t.Fatalf("the next first write carved a hot part at %p with %p and %p idle in the pool", h, a, b)
 		}
 	})
@@ -130,7 +130,7 @@ func TestTupleAtRestHasOneBuffer(t *testing.T) {
 				read(i % rows)
 			}
 			for slot := 0; slot < rows; slot++ {
-				if e := &entries[slot]; e.hot != nil || e.floor.data == nil {
+				if e := entries.At(slot); e.hot != nil || e.floor.data == nil {
 					t.Fatalf("%s: slot %d at rest has hot part %p and floor buffer %p, want none and one", when, slot, e.hot, e.floor.data)
 				}
 			}
@@ -180,7 +180,7 @@ func TestFoldStopsBelowPending(t *testing.T) {
 	scheme := New(tsalloc.Atomic)
 	scheme.Setup(f.DB)
 	pl := &scheme.pools[0]
-	e := &scheme.meta[f.Table.ID].entries[0]
+	e := scheme.meta[f.Table.ID].entries.At(0)
 	n := f.Table.Schema.RowSize()
 	owner := &txnState{}
 	v3, v5, v9 := pl.getBuf(f.Table.ID, n), pl.getBuf(f.Table.ID, n), pl.getBuf(f.Table.ID, n)

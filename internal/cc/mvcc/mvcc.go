@@ -47,6 +47,7 @@ import (
 	"abyss1000/internal/core"
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/storage"
 	"abyss1000/internal/tsalloc"
@@ -84,8 +85,8 @@ func (v *version) row(t *storage.Table, slot int) []byte {
 }
 
 // entry is a tuple at rest: its floor version and nothing else, so a table
-// costs 48 bytes per slot (56 with the latch, element slot of the table's
-// slab) whatever has been written to it. The floor's row is a plain slice
+// costs 48 bytes per loaded or inserted slot (56 with the latch, element slot
+// of the table's latch array) whatever has been written to it. The floor's row is a plain slice
 // rather than a bare pointer sized by the schema, which would save 16 of
 // those bytes at the price of unsafe on the read path.
 type entry struct {
@@ -113,9 +114,9 @@ type hotVersion struct {
 }
 
 // tableVersions is one table's MVCC state: the entry and the latch of slot
-// i at index i of two parallel slabs.
+// i at index i of two parallel slot arrays laid out like the table's rows.
 type tableVersions struct {
-	entries []entry
+	entries slot.Array[entry]
 	latches rt.Latches
 }
 
@@ -206,8 +207,8 @@ func (s *MVCC) Setup(db *core.DB) {
 	s.meta = make([]tableVersions, len(tables))
 	for _, t := range tables {
 		s.meta[t.ID] = tableVersions{
-			entries: make([]entry, t.Capacity()),
-			latches: db.RT.NewLatches(uint64(t.ID)<<44|0x33<<36, t.Capacity()),
+			entries: slot.Make[entry](t.Layout()),
+			latches: db.RT.NewLatches(uint64(t.ID)<<44|0x33<<36, t.Layout()),
 		}
 	}
 	n := db.RT.NumProcs()
@@ -336,7 +337,7 @@ func (s *MVCC) collect(p rt.Proc, watermark uint64) {
 		r := q[i]
 		tl := &s.meta[r.t.ID]
 		if tl.latches.TryAcquireQuiet(p, r.slot) {
-			e := &tl.entries[r.slot]
+			e := tl.entries.At(r.slot)
 			if e.hot != nil {
 				pl.fold(e, watermark, r.t, r.slot)
 			}
@@ -391,7 +392,7 @@ func (s *MVCC) wakeAll(p rt.Proc, e *entry) {
 func (s *MVCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 	st := tx.State.(*txnState)
 	tl := &s.meta[t.ID]
-	e := &tl.entries[slot]
+	e := tl.entries.At(slot)
 	for {
 		tl.latches.Acquire(tx.P, stats.Manager, slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
@@ -438,7 +439,7 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 	st := tx.State.(*txnState)
 	pl := &s.pools[tx.P.ID()]
 	tl := &s.meta[t.ID]
-	e := &tl.entries[slot]
+	e := tl.entries.At(slot)
 	n := t.Schema.RowSize()
 	for {
 		tl.latches.Acquire(tx.P, stats.Manager, slot)
@@ -553,7 +554,7 @@ func (s *MVCC) Commit(tx *core.TxnCtx) error {
 	tx.LogCommit()
 	for _, pr := range st.pending {
 		tl := &s.meta[pr.t.ID]
-		e := &tl.entries[pr.slot]
+		e := tl.entries.At(pr.slot)
 		tl.latches.Acquire(tx.P, stats.Manager, pr.slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
 		for i := range e.hot.versions {
@@ -586,7 +587,7 @@ func (s *MVCC) Abort(tx *core.TxnCtx) {
 	pl := &s.pools[tx.P.ID()]
 	for _, pr := range st.pending {
 		tl := &s.meta[pr.t.ID]
-		e := &tl.entries[pr.slot]
+		e := tl.entries.At(pr.slot)
 		tl.latches.Acquire(tx.P, stats.Abort, pr.slot)
 		tx.P.Tick(stats.Abort, costs.ManagerOp)
 		h := e.hot
@@ -609,7 +610,7 @@ func (s *MVCC) Abort(tx *core.TxnCtx) {
 // InitTuple implements core.Scheme: the inserted tuple's floor version is
 // its slab row, stamped with the inserting transaction's timestamp.
 func (s *MVCC) InitTuple(tx *core.TxnCtx, t *storage.Table, slot int) {
-	s.meta[t.ID].entries[slot].floor.wts = tx.TS
+	s.meta[t.ID].entries.At(slot).floor.wts = tx.TS
 }
 
 // LatestCommitted returns the newest committed version's data for (t,
@@ -618,7 +619,7 @@ func (s *MVCC) InitTuple(tx *core.TxnCtx, t *storage.Table, slot int) {
 // the table slab, and its slab row may be serving as another tuple's
 // version).
 func (s *MVCC) LatestCommitted(t *storage.Table, slot int) []byte {
-	e := &s.meta[t.ID].entries[slot]
+	e := s.meta[t.ID].entries.At(slot)
 	if h := e.hot; h != nil {
 		for i := len(h.versions) - 1; i >= 0; i-- {
 			if h.versions[i].owner == nil {

@@ -107,8 +107,8 @@ func (s *OCC) Setup(db *core.DB) {
 	for _, t := range tables {
 		base := uint64(t.ID)<<44 | 0x0C<<36
 		s.meta[t.ID] = tableWords{
-			latches: db.RT.NewLatches(base, t.Capacity()),
-			words:   db.RT.NewCounters(base|1<<35, t.Capacity()),
+			latches: db.RT.NewLatches(base, t.Layout()),
+			words:   db.RT.NewCounters(base|1<<35, t.Layout()),
 		}
 	}
 }

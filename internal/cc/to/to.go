@@ -24,6 +24,7 @@ import (
 	"abyss1000/internal/core"
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/storage"
 	"abyss1000/internal/tsalloc"
@@ -50,9 +51,9 @@ type tupleTS struct {
 }
 
 // tableTS is one table's timestamp state: the entry and the latch of slot i
-// at index i of two parallel slabs.
+// at index i of two parallel slot arrays laid out like the table's rows.
 type tableTS struct {
-	entries []tupleTS
+	entries slot.Array[tupleTS]
 	latches rt.Latches
 }
 
@@ -90,8 +91,8 @@ func (s *TO) Setup(db *core.DB) {
 	s.meta = make([]tableTS, len(tables))
 	for _, t := range tables {
 		s.meta[t.ID] = tableTS{
-			entries: make([]tupleTS, t.Capacity()),
-			latches: db.RT.NewLatches(uint64(t.ID)<<44|0x70<<36, t.Capacity()),
+			entries: slot.Make[tupleTS](t.Layout()),
+			latches: db.RT.NewLatches(uint64(t.ID)<<44|0x70<<36, t.Layout()),
 		}
 	}
 }
@@ -128,7 +129,7 @@ func blockedBy(e *tupleTS, ts uint64) bool {
 // releases the tuple latch (held by the caller) and sleeps until the
 // resolution wakes it or the re-check interval passes.
 func (tl *tableTS) awaitPend(tx *core.TxnCtx, slot int) {
-	e := &tl.entries[slot]
+	e := tl.entries.At(slot)
 	if e.waiters == nil {
 		e.waiters = new([]rt.Proc)
 	}
@@ -156,7 +157,7 @@ func (s *TO) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 		return w.buf, nil // read own prewrite
 	}
 	tl := &s.meta[t.ID]
-	e := &tl.entries[slot]
+	e := tl.entries.At(slot)
 	for {
 		tl.latches.Acquire(tx.P, stats.Manager, slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
@@ -198,7 +199,7 @@ func (s *TO) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, erro
 		return w.buf, nil
 	}
 	tl := &s.meta[t.ID]
-	e := &tl.entries[slot]
+	e := tl.entries.At(slot)
 	for {
 		tl.latches.Acquire(tx.P, stats.Manager, slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
@@ -246,7 +247,7 @@ func (s *TO) Commit(tx *core.TxnCtx) error {
 	for i := range st.writes {
 		w := &st.writes[i]
 		tl := &s.meta[w.t.ID]
-		e := &tl.entries[w.slot]
+		e := tl.entries.At(w.slot)
 		tl.latches.Acquire(tx.P, stats.Manager, w.slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
 		copy(w.t.Row(w.slot), w.buf)
@@ -268,7 +269,7 @@ func (s *TO) Abort(tx *core.TxnCtx) {
 	for i := range st.writes {
 		w := &st.writes[i]
 		tl := &s.meta[w.t.ID]
-		e := &tl.entries[w.slot]
+		e := tl.entries.At(w.slot)
 		tl.latches.Acquire(tx.P, stats.Abort, w.slot)
 		tx.P.Tick(stats.Abort, costs.ManagerOp)
 		e.pend = pend{}
@@ -281,7 +282,7 @@ func (s *TO) Abort(tx *core.TxnCtx) {
 // InitTuple implements core.Scheme: a fresh tuple is born with the
 // inserting transaction's write timestamp.
 func (s *TO) InitTuple(tx *core.TxnCtx, t *storage.Table, slot int) {
-	s.meta[t.ID].entries[slot].wts = tx.TS
+	s.meta[t.ID].entries.At(slot).wts = tx.TS
 }
 
 // TSOrderedCommits marks T/O for the WAL: same-slot outcomes follow

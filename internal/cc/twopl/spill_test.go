@@ -84,7 +84,7 @@ func TestSpilledQueueOrder(t *testing.T) {
 		f := cctest.NewFixture(5, 8, 1)
 		scheme := NewWithTimeout(NoTimeout, true) // wait for the grant: no timeout, no detector
 		scheme.Setup(f.DB)
-		e := &scheme.meta[f.Table.ID].entries[0]
+		e := scheme.meta[f.Table.ID].entries.At(0)
 		releaseAt := map[int]uint64{firstOut: 30_000, 2 - firstOut: 40_000}
 		var sts [4]*txnState
 		errs := make([]error, 4)
@@ -164,7 +164,7 @@ func TestWaitDieQueueYoungestFirst(t *testing.T) {
 	f := cctest.NewFixture(5, 8, 1)
 	scheme := New(WaitDie, Options{})
 	scheme.Setup(f.DB)
-	e := &scheme.meta[f.Table.ID].entries[0]
+	e := scheme.meta[f.Table.ID].entries.At(0)
 	requestAt := [3]uint64{12_000, 10_000, 14_000}
 	var sts [4]*txnState
 	errs := make([]error, 4)

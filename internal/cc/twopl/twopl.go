@@ -20,6 +20,7 @@ import (
 	"abyss1000/internal/core"
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/storage"
 	"abyss1000/internal/tsalloc"
@@ -190,9 +191,9 @@ func (e *lockEntry) soleHolder(st *txnState) bool {
 }
 
 // tableLocks is one table's lock state: the entry and the latch of slot i
-// at index i of two parallel slabs.
+// at index i of two parallel slot arrays laid out like the table's rows.
 type tableLocks struct {
-	entries []lockEntry
+	entries slot.Array[lockEntry]
 	latches rt.Latches
 }
 
@@ -265,8 +266,8 @@ func (s *TwoPL) Setup(db *core.DB) {
 	s.meta = make([]tableLocks, len(tables))
 	for _, t := range tables {
 		s.meta[t.ID] = tableLocks{
-			entries: make([]lockEntry, t.Capacity()),
-			latches: db.RT.NewLatches(uint64(t.ID)<<44|0x2B<<36, t.Capacity()),
+			entries: slot.Make[lockEntry](t.Layout()),
+			latches: db.RT.NewLatches(uint64(t.ID)<<44|0x2B<<36, t.Layout()),
 		}
 	}
 	if (s.variant == DLDetect || s.variant == Adaptive) && !s.opts.DisableDetection {
@@ -391,7 +392,7 @@ func (s *TwoPL) lock(tx *core.TxnCtx, t *storage.Table, slot int, want lockMode)
 	}
 
 	tl := &s.meta[t.ID]
-	e := &tl.entries[slot]
+	e := tl.entries.At(slot)
 	tl.latches.Acquire(tx.P, stats.Manager, slot)
 	tx.P.Tick(stats.Manager, costs.ManagerOp)
 	if compatible(e, want) {
@@ -407,7 +408,7 @@ func (s *TwoPL) lock(tx *core.TxnCtx, t *storage.Table, slot int, want lockMode)
 // upgrade promotes st's shared lock to exclusive.
 func (s *TwoPL) upgrade(tx *core.TxnCtx, st *txnState, table, slot int) error {
 	tl := &s.meta[table]
-	e := &tl.entries[slot]
+	e := tl.entries.At(slot)
 	tl.latches.Acquire(tx.P, stats.Manager, slot)
 	tx.P.Tick(stats.Manager, costs.ManagerOp)
 	if e.soleHolder(st) {
@@ -466,7 +467,7 @@ func (s *TwoPL) conflict(tx *core.TxnCtx, st *txnState, table, slot int, want lo
 		// conflicting holder; otherwise die. Holder timestamps are
 		// read through their txnState, which is stable for the
 		// holder's lifetime and ordered by the tuple latch.
-		for _, h := range tl.entries[slot].holders() {
+		for _, h := range tl.entries.At(slot).holders() {
 			if tx.TS >= h.ts {
 				tl.latches.Release(tx.P, stats.Manager, slot)
 				return core.ErrAbort
@@ -488,7 +489,7 @@ func (s *TwoPL) conflict(tx *core.TxnCtx, st *txnState, table, slot int, want lo
 func (s *TwoPL) wait(tx *core.TxnCtx, st *txnState, table, slot int, want lockMode, upgrade bool, timeout uint64) error {
 	p := tx.P
 	tl := &s.meta[table]
-	e := &tl.entries[slot]
+	e := tl.entries.At(slot)
 	sp := e.spilled()
 	st.granted = false
 	w := waiter{st: st, mode: want, upgrade: upgrade}
@@ -609,7 +610,7 @@ func (s *TwoPL) deadlockVictim(tx *core.TxnCtx) bool {
 func (s *TwoPL) cancelWait(tx *core.TxnCtx, st *txnState, table, slot int) error {
 	p := tx.P
 	tl := &s.meta[table]
-	e := &tl.entries[slot]
+	e := tl.entries.At(slot)
 	tl.latches.Acquire(p, stats.Manager, slot)
 	if !st.granted {
 		q := e.spill.waiters // st queued here, so the spill exists
@@ -687,7 +688,7 @@ func (s *TwoPL) releaseAll(tx *core.TxnCtx, st *txnState) {
 	for i := range st.held {
 		table, slot := int(st.held[i].table), int(st.held[i].slot)
 		tl := &s.meta[table]
-		e := &tl.entries[slot]
+		e := tl.entries.At(slot)
 		tl.latches.Acquire(p, stats.Manager, slot)
 		p.Tick(stats.Manager, costs.ManagerOp)
 		e.dropHolder(st)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"abyss1000/internal/sercheck"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/storage"
 )
 
@@ -27,10 +28,11 @@ import (
 // the initial-state snapshot is taken when the run starts and version 0
 // must mean "untouched since load" for every slot.
 type Capture struct {
-	// vers[tableID][slot] is the committed-write counter; bumped and
-	// sampled only under the owning scheme's per-slot exclusion, so the
-	// plain (unbilled, non-atomic) slices are race-free on both runtimes.
-	vers [][]uint64
+	// vers[tableID] holds each slot's committed-write counter, laid out
+	// like the table's rows; bumped and sampled only under the owning
+	// scheme's per-slot exclusion, so the plain (unbilled, non-atomic)
+	// words are race-free on both runtimes.
+	vers []slot.Array[uint64]
 
 	// init[tableID][slot] holds the post-population row images.
 	init []map[int][]byte
@@ -66,12 +68,12 @@ type capTxn struct {
 func newCapture(db *DB) *Capture {
 	tables := db.Catalog.Tables()
 	c := &Capture{
-		vers: make([][]uint64, len(tables)),
+		vers: make([]slot.Array[uint64], len(tables)),
 		init: make([]map[int][]byte, len(tables)),
 		logs: make([][]capTxn, db.RT.NumProcs()),
 	}
 	for _, t := range tables {
-		c.vers[t.ID] = make([]uint64, t.Capacity())
+		c.vers[t.ID] = slot.Make[uint64](t.Layout())
 		m := make(map[int][]byte, t.Loaded())
 		snap := func(slot int) {
 			img := make([]byte, t.Schema.RowSize())
@@ -104,7 +106,7 @@ func (tx *TxnCtx) CaptureRead(t *storage.Table, slot int) {
 	if c == nil {
 		return
 	}
-	tx.captureRead(t, slot, c.vers[t.ID][slot])
+	tx.captureRead(t, slot, *c.vers[t.ID].At(slot))
 }
 
 // CaptureReadVer is CaptureRead for timestamp-ordered schemes
@@ -144,13 +146,20 @@ func (c *Capture) commitPoint(tx *TxnCtx) {
 		w := &tx.walWrites[i]
 		ver := tx.TS
 		if !tx.W.tsOrdered {
-			c.vers[w.t.ID][w.slot]++
-			ver = c.vers[w.t.ID][w.slot]
+			ver = c.bump(w.t, w.slot)
 		}
 		img := make([]byte, len(w.buf))
 		copy(img, w.buf)
 		tx.capWrites = append(tx.capWrites, capWrite{table: w.t.ID, slot: w.slot, ver: ver, image: img})
 	}
+}
+
+// bump advances (t, s)'s committed-write counter and returns the new
+// version.
+func (c *Capture) bump(t *storage.Table, s int) uint64 {
+	v := c.vers[t.ID].At(s)
+	*v++
+	return *v
 }
 
 // captureInsert records a committed insert's write. Called from
@@ -159,8 +168,7 @@ func (c *Capture) commitPoint(tx *TxnCtx) {
 func (c *Capture) captureInsert(tx *TxnCtx, t *storage.Table, slot int, buf []byte) {
 	ver := tx.TS
 	if !tx.W.tsOrdered {
-		c.vers[t.ID][slot]++
-		ver = c.vers[t.ID][slot]
+		ver = c.bump(t, slot)
 	}
 	img := make([]byte, len(buf))
 	copy(img, buf)

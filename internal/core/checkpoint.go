@@ -45,6 +45,9 @@ func Checkpoint(db *DB, scheme Scheme) error {
 	var buf, rowBuf []byte
 	for _, t := range db.Catalog.Tables() {
 		rs := t.Schema.RowSize()
+		// chunk returns the images of the slots [start, start+k) for some
+		// 0 < k <= n: the live rows a page at a time (see Table.Rows), or
+		// all n committed images.
 		chunk := func(start, n int) []byte {
 			if cr == nil {
 				return t.Rows(start, n)
@@ -60,15 +63,14 @@ func Checkpoint(db *DB, scheme Scheme) error {
 			return rowBuf
 		}
 		emit := func(start, end int) {
-			for s := start; s < end; s += ckptRowChunk {
-				n := end - s
-				if n > ckptRowChunk {
-					n = ckptRowChunk
-				}
+			for s := start; s < end; {
+				rows := chunk(s, min(end-s, ckptRowChunk))
+				n := len(rows) / rs
 				buf = wal.AppendCkptRows(buf[:0], &wal.CkptRows{
-					Table: t.ID, Start: s, Count: n, RowSize: rs, Rows: chunk(s, n),
+					Table: t.ID, Start: s, Count: n, RowSize: rs, Rows: rows,
 				})
 				w.Append(buf)
+				s += n
 			}
 		}
 		emit(0, t.Loaded())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"abyss1000/internal/index"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/storage"
 	"abyss1000/internal/wal"
 )
@@ -62,10 +63,10 @@ func Recover(db *DB, stream []byte) (RecoverInfo, error) {
 		}
 	}
 
-	// floors[t][slot] is the highest replay version applied to the slot;
+	// floors[t] holds the highest replay version applied to each slot;
 	// allocated lazily per table, only when versioned (T/O) records show
 	// up. An epoch record resets them: a new run draws fresh timestamps.
-	floors := make([][]uint64, len(tables))
+	floors := make([]*slot.Array[uint64], len(tables))
 
 	if end >= 0 {
 		for i := begin; i <= end; i++ {
@@ -106,7 +107,10 @@ func applyCkptRecord(db *DB, tables []*storage.Table, r *wal.Record) error {
 		if cr.RowSize != t.Schema.RowSize() || cr.Start < 0 || cr.Start+cr.Count > t.Capacity() {
 			return fmt.Errorf("core: recover: checkpoint rows of table %d do not fit its schema (start %d count %d rowsize %d)", cr.Table, cr.Start, cr.Count, cr.RowSize)
 		}
-		copy(t.Rows(cr.Start, cr.Count), cr.Rows)
+		for s, src := cr.Start, cr.Rows; len(src) > 0; { // len(src) is a multiple of the row size
+			n := copy(t.Rows(s, len(src)/cr.RowSize), src)
+			s, src = s+n/cr.RowSize, src[n:]
+		}
 	case wal.TypeCkptAlloc:
 		a := r.Alloc
 		if a.Table < 0 || a.Table >= len(tables) {
@@ -151,7 +155,7 @@ func restoreEntry(x index.Index, key uint64, slot int) {
 }
 
 // applyCommit replays one committed transaction.
-func applyCommit(db *DB, tables []*storage.Table, floors [][]uint64, c *wal.Commit, ri *RecoverInfo) error {
+func applyCommit(db *DB, tables []*storage.Table, floors []*slot.Array[uint64], c *wal.Commit, ri *RecoverInfo) error {
 	ri.Commits++
 	for i := range c.Updates {
 		u := &c.Updates[i]
@@ -165,15 +169,15 @@ func applyCommit(db *DB, tables []*storage.Table, floors [][]uint64, c *wal.Comm
 		if c.Ver > 0 {
 			// Timestamp-ordered commit: keep the highest version. Log
 			// order already equals commit-point order for Ver==0 records.
-			fl := floors[u.Table]
-			if fl == nil {
-				fl = make([]uint64, t.Capacity())
-				floors[u.Table] = fl
+			if floors[u.Table] == nil {
+				fl := slot.Make[uint64](t.Layout())
+				floors[u.Table] = &fl
 			}
-			if c.Ver < fl[u.Slot] {
+			fl := floors[u.Table].At(u.Slot)
+			if c.Ver < *fl {
 				continue
 			}
-			fl[u.Slot] = c.Ver
+			*fl = c.Ver
 		}
 		copy(t.Row(u.Slot), u.Image)
 		ri.Updates++

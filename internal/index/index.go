@@ -7,9 +7,10 @@
 //
 // Neither structure calls the allocator per insert or holds a pointer per
 // key. A hash index threads its chains through two arrays indexed by table
-// slot, allocated once in New, which is why it maps a slot at most once
-// (see Hash); a B+tree node owns fixed-capacity arrays and leaves come 64
-// to an allocation, so only a split can allocate.
+// slot, laid out like the table's rows (so an insert allocates only when it
+// is the first to reach a page of them), which is why it maps a slot at most
+// once (see Hash); a B+tree node owns fixed-capacity arrays and leaves come
+// 64 to an allocation, so only a split can allocate.
 package index
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/storage"
 )
@@ -71,21 +73,30 @@ type head struct {
 // hash index places on its callers — a slot lies in [0, table.Capacity())
 // and is mapped at most once per hash index at a time (a row has one key
 // per index); a violation is a bug in the caller and panics naming the
-// index's table. Both arrays are allocated once, pointer-free, in New.
+// index's table. Both arrays are pointer-free and follow the table's
+// Layout: the loaded rows' part is allocated in New, an insert page's when
+// the first insert reaches it.
 type Hash struct {
 	meta
 	heads   []head
 	latches rt.Latches // latch i guards heads[i] and the slots chained from it
 	mask    uint64
-	keys    []uint64
-	// next[s] is the slot after s in its chain, or unmapped. A chain is
+	keys    slot.Array[uint64]
+	// next[s] is link(the slot after s in its chain), or unmapped: zero, so
+	// that a fresh page is all unmapped without being written. A chain is
 	// heads[i].n slots long and walked by count, so the link of its last
 	// slot is never followed (it holds a stale slot, never unmapped).
-	next []int32
+	next slot.Array[int32]
 }
 
-// unmapped is next[s] of a slot the index holds no mapping for.
-const unmapped = -1
+// unmapped is next[s] of a slot the index holds no mapping for; a mapped
+// slot's next is link(s') >= 1 for some slot s'.
+const unmapped = 0
+
+// link encodes slot s as a chain word and unlink decodes it. Slots are at
+// most storage.MaxCapacity-1, so s+1 fits an int32.
+func link(s int32) int32   { return s + 1 }
+func unlink(l int32) int32 { return l - 1 }
 
 // New creates an index over table with at least minBuckets buckets
 // (rounded up to a power of two).
@@ -94,18 +105,14 @@ func New(r rt.Runtime, table *storage.Table, minBuckets int) *Hash {
 	for n < minBuckets {
 		n <<= 1
 	}
-	h := &Hash{
+	return &Hash{
 		meta:    meta{table: table},
 		heads:   make([]head, n),
-		latches: r.NewLatches(uint64(table.ID)<<48|0xB0<<40, n),
+		latches: r.NewLatches(uint64(table.ID)<<48|0xB0<<40, slot.Fixed(n)),
 		mask:    uint64(n - 1),
-		keys:    make([]uint64, table.Capacity()),
-		next:    make([]int32, table.Capacity()),
+		keys:    slot.Make[uint64](table.Layout()),
+		next:    slot.Make[int32](table.Layout()),
 	}
-	for s := range h.next {
-		h.next[s] = unmapped
-	}
-	return h
 }
 
 func (h *Hash) bucketOf(key uint64) (*head, int) {
@@ -122,23 +129,27 @@ func (h *Hash) memKey(i int) uint64 {
 	return uint64(h.table.ID)<<48 | 0xB1<<40 | uint64(i)
 }
 
-// push links key→slot in at the front of b's chain.
-func (h *Hash) push(b *head, key uint64, slot int) {
-	if slot < 0 || slot >= len(h.next) {
-		panic(fmt.Sprintf("index: hash index over %s: slot %d outside table capacity %d", h.table.Schema.Name, slot, len(h.next)))
+// push links key→s in at the front of b's chain.
+func (h *Hash) push(b *head, key uint64, s int) {
+	if s < 0 || s >= h.next.Len() {
+		panic(fmt.Sprintf("index: hash index over %s: slot %d outside table capacity %d", h.table.Schema.Name, s, h.next.Len()))
 	}
-	if h.next[slot] != unmapped {
-		panic(fmt.Sprintf("index: hash index over %s: slot %d is already mapped (under key %d)", h.table.Schema.Name, slot, h.keys[slot]))
+	nx := h.next.At(s)
+	if *nx != unmapped {
+		panic(fmt.Sprintf("index: hash index over %s: slot %d is already mapped (under key %d)", h.table.Schema.Name, s, *h.keys.At(s)))
 	}
-	h.keys[slot], h.next[slot] = key, b.first
-	b.first = int32(slot)
+	*h.keys.At(s), *nx = key, link(b.first)
+	b.first = int32(s)
 	b.n++
 }
 
+// after returns the slot after s in its chain.
+func (h *Hash) after(s int32) int32 { return unlink(*h.next.At(int(s))) }
+
 // find returns the slot of a mapping of key in b's chain.
 func (h *Hash) find(b *head, key uint64) (int, bool) {
-	for s, j := b.first, int32(0); j < b.n; s, j = h.next[s], j+1 {
-		if h.keys[s] == key {
+	for s, j := b.first, int32(0); j < b.n; s, j = h.after(s), j+1 {
+		if *h.keys.At(int(s)) == key {
 			return int(s), true
 		}
 	}
@@ -180,16 +191,21 @@ func (h *Hash) Remove(p rt.Proc, key uint64, slot int) bool {
 	p.MemWrite(stats.Index, h.memKey(i), 16)
 	p.Tick(stats.Index, costs.IndexProbe+uint64(b.n))
 	removed := false
-	link := &b.first // what points at s: the head, then the slot before it
-	for s, j := b.first, int32(0); j < b.n; s, j = h.next[s], j+1 {
-		if int(s) == slot && h.keys[s] == key {
-			*link = h.next[s]
-			h.next[s] = unmapped
+	var prev *int32 // next word of the slot before s; nil while s is the head's
+	for s, j := b.first, int32(0); j < b.n; s, j = h.after(s), j+1 {
+		nx := h.next.At(int(s))
+		if int(s) == slot && *h.keys.At(int(s)) == key {
+			if prev == nil {
+				b.first = unlink(*nx)
+			} else {
+				*prev = *nx
+			}
+			*nx = unmapped
 			b.n--
 			removed = true
 			break
 		}
-		link = &h.next[s]
+		prev = nx
 	}
 	h.latches.Release(p, stats.Index, i)
 	return removed
@@ -213,8 +229,8 @@ func (h *Hash) LoadLookup(key uint64) (int, bool) {
 func (h *Hash) Range(f func(key uint64, slot int)) {
 	for i := range h.heads {
 		b := &h.heads[i]
-		for s, j := b.first, int32(0); j < b.n; s, j = h.next[s], j+1 {
-			f(h.keys[s], int(s))
+		for s, j := b.first, int32(0); j < b.n; s, j = h.after(s), j+1 {
+			f(*h.keys.At(int(s)), int(s))
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"abyss1000/internal/native"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/sim"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/storage"
 )
@@ -152,19 +153,21 @@ func TestBucketCountRoundsUp(t *testing.T) {
 // share buckets; the shapes put the table on either side of the bucket count.
 func TestHashAgainstMapModel(t *testing.T) {
 	shapes := []struct {
-		name            string
-		slots, buckets  int
-		keySpace, steps int
+		name                   string
+		slots, loaded, buckets int
+		keySpace, steps        int
 	}{
-		{"table-smaller-than-buckets", 48, 256, 64, 4000},
-		{"table-larger-than-buckets", 600, 8, 200, 6000},
+		{"table-smaller-than-buckets", 48, 48, 256, 64, 4000},
+		{"table-larger-than-buckets", 600, 600, 8, 200, 6000},
+		// Chains run between loaded rows and three insert pages, the last short.
+		{"paged-insert-region", 3*slot.PageSlots - 7, 100, 64, 2000, 12000},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
 			run := native.New(1, 1)
 			p := run.Proc(0)
 			schema := storage.NewSchema("T", storage.Col{Name: "K", Width: 8})
-			idx := index.New(run, storage.NewTable(0, schema, sh.slots, sh.slots, 1), sh.buckets)
+			idx := index.New(run, storage.NewTable(0, schema, sh.slots, sh.loaded, 1), sh.buckets)
 			model := map[int]uint64{}
 			rng := rand.New(rand.NewSource(int64(sh.slots)))
 			check := func(key uint64) {
@@ -250,6 +253,34 @@ func TestHashSlotContractPanics(t *testing.T) {
 	mustPanic("negative slot", func() { idx.LoadInsert(9, -1) })
 	if slot, ok := idx.LoadLookup(7); !ok || slot != 3 {
 		t.Fatalf("refused inserts disturbed the index: LoadLookup(7) = %d, %v", slot, ok)
+	}
+}
+
+// TestHashAddressesTheLastSlot: chain links are slot+1 in an int32, so the
+// largest table a hash index accepts has its last slot reachable, at either
+// end of a chain, and removable.
+func TestHashAddressesTheLastSlot(t *testing.T) {
+	run := native.New(1, 1)
+	p := run.Proc(0)
+	schema := storage.NewSchema("T", storage.Col{Name: "K", Width: 8})
+	last := storage.MaxCapacity - 1
+	idx := index.New(run, storage.NewTable(0, schema, storage.MaxCapacity, 0, 1), 1) // one chain
+	idx.LoadInsert(1, last)
+	idx.Insert(p, 2, 0)
+	idx.Insert(p, 3, last-1)
+	for key, want := range map[uint64]int{1: last, 2: 0, 3: last - 1} {
+		if got, ok := idx.Lookup(p, key); !ok || got != want {
+			t.Fatalf("Lookup(%d) = %d, %v; want %d", key, got, ok, want)
+		}
+	}
+	if !idx.Remove(p, 1, last) || !idx.Remove(p, 3, last-1) {
+		t.Fatal("Remove missed a high slot")
+	}
+	if _, ok := idx.Lookup(p, 1); ok {
+		t.Fatal("removed high slot still found")
+	}
+	if got, ok := idx.Lookup(p, 2); !ok || got != 0 {
+		t.Fatalf("Lookup(2) = %d, %v after removing its neighbours", got, ok)
 	}
 }
 

@@ -11,7 +11,7 @@
 // nanosecond and throughput figures are real wall-clock transactions per
 // second. Parking uses per-proc permit channels; a latch is a sync.Mutex and
 // a counter an atomic word, eight bytes each, and table-sized sets of them
-// are slabs ([]latch, []counter) indexed in place.
+// are slot arrays of latch and counter values indexed in place.
 package native
 
 import (
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 )
 
@@ -90,10 +91,14 @@ func (r *Runtime) NewLatch(key uint64) rt.Latch { return &latch{} }
 func (r *Runtime) NewCounter(key uint64) rt.Counter { return &counter{} }
 
 // NewLatches implements rt.Runtime.
-func (r *Runtime) NewLatches(base uint64, n int) rt.Latches { return make(latches, n) }
+func (r *Runtime) NewLatches(base uint64, l slot.Layout) rt.Latches {
+	return &latches{slot.Make[latch](l)}
+}
 
 // NewCounters implements rt.Runtime.
-func (r *Runtime) NewCounters(base uint64, n int) rt.Counters { return make(counters, n) }
+func (r *Runtime) NewCounters(base uint64, l slot.Layout) rt.Counters {
+	return &counters{slot.Make[counter](l)}
+}
 
 // NewHardwareCounter implements rt.Runtime. Real CPUs have no center-of-chip
 // fetch-add unit (the paper's point); the closest native equivalent is the
@@ -215,31 +220,31 @@ func (c *counter) Store(p rt.Proc, comp stats.Component, v uint64) {
 // latches and counters are the slab forms: element i is the same latch or
 // counter value the singular constructors return a pointer to.
 type (
-	latches  []latch
-	counters []counter
+	latches  struct{ slot.Array[latch] }
+	counters struct{ slot.Array[counter] }
 )
 
 // Acquire implements rt.Latches.
-func (s latches) Acquire(p rt.Proc, c stats.Component, i int) { s[i].Acquire(p, c) }
+func (s *latches) Acquire(p rt.Proc, c stats.Component, i int) { s.At(i).Acquire(p, c) }
 
 // Release implements rt.Latches.
-func (s latches) Release(p rt.Proc, c stats.Component, i int) { s[i].Release(p, c) }
+func (s *latches) Release(p rt.Proc, c stats.Component, i int) { s.At(i).Release(p, c) }
 
 // TryAcquireQuiet implements rt.Latches.
-func (s latches) TryAcquireQuiet(p rt.Proc, i int) bool { return s[i].mu.TryLock() }
+func (s *latches) TryAcquireQuiet(p rt.Proc, i int) bool { return s.At(i).mu.TryLock() }
 
 // ReleaseQuiet implements rt.Latches.
-func (s latches) ReleaseQuiet(p rt.Proc, i int) { s[i].mu.Unlock() }
+func (s *latches) ReleaseQuiet(p rt.Proc, i int) { s.At(i).mu.Unlock() }
 
 // Add implements rt.Counters.
-func (s counters) Add(p rt.Proc, c stats.Component, i int, delta uint64) uint64 {
-	return s[i].Add(p, c, delta)
+func (s *counters) Add(p rt.Proc, c stats.Component, i int, delta uint64) uint64 {
+	return s.At(i).Add(p, c, delta)
 }
 
 // Load implements rt.Counters.
-func (s counters) Load(p rt.Proc, c stats.Component, i int) uint64 { return s[i].Load(p, c) }
+func (s *counters) Load(p rt.Proc, c stats.Component, i int) uint64 { return s.At(i).Load(p, c) }
 
 // Store implements rt.Counters.
-func (s counters) Store(p rt.Proc, c stats.Component, i int, v uint64) { s[i].Store(p, c, v) }
+func (s *counters) Store(p rt.Proc, c stats.Component, i int, v uint64) { s.At(i).Store(p, c, v) }
 
 var _ rt.Runtime = (*Runtime)(nil)

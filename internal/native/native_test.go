@@ -7,6 +7,7 @@ import (
 
 	"abyss1000/internal/native"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 )
 
@@ -59,7 +60,7 @@ func TestLatchMutualExclusion(t *testing.T) {
 // while it holds, and the pair bills nothing.
 func TestQuietLatch(t *testing.T) {
 	r := native.New(2, 1)
-	ls := r.NewLatches(0, 4)
+	ls := r.NewLatches(0, slot.Fixed(4))
 	held, checked := make(chan struct{}), make(chan struct{})
 	counter := 0
 	r.Run(func(p rt.Proc) {

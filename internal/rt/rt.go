@@ -19,6 +19,7 @@ package rt
 import (
 	"math/rand"
 
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 )
 
@@ -123,8 +124,9 @@ type Counter interface {
 // Latches is a slab of latches made by one Runtime.NewLatches call and
 // addressed by index: what a table-sized structure (per-tuple CC metadata,
 // hash buckets) uses in place of one Latch object per element, so that its
-// resident cost is a few bytes per element and one allocation per table.
-// Latch i behaves exactly as a Latch created with key base|i.
+// resident cost is a few bytes per element and one allocation per table
+// (plus one per insert page reached). Latch i behaves exactly as a Latch
+// created with key base|i.
 //
 // TryAcquireQuiet and ReleaseQuiet are the unmodelled pair, for housekeeping
 // that is not part of the paper's cost model (MVCC's garbage collection):
@@ -163,11 +165,12 @@ type Runtime interface {
 	// NewCounter allocates a shared counter placed by key.
 	NewCounter(key uint64) Counter
 
-	// NewLatches and NewCounters allocate n latches or counters as one
-	// slab; element i is placed by key base|i (base must leave the bits
-	// of i clear).
-	NewLatches(base uint64, n int) Latches
-	NewCounters(base uint64, n int) Counters
+	// NewLatches and NewCounters make l.Cap latches or counters laid out
+	// as a slot.Array: the first l.Dense as one slab, the rest a page at a
+	// time on first use. Element i is placed by key base|i (base must
+	// leave the bits of i clear), whenever it is allocated.
+	NewLatches(base uint64, l slot.Layout) Latches
+	NewCounters(base uint64, l slot.Layout) Counters
 
 	// NewHardwareCounter allocates the paper's proposed center-of-chip
 	// hardware counter: a fetch-add that serializes for a single cycle at

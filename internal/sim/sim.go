@@ -35,6 +35,7 @@ import (
 
 	"abyss1000/internal/mesh"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 )
 
@@ -393,60 +394,62 @@ func (c *counter) Store(p rt.Proc, comp stats.Component, v uint64) {
 
 // latches and counters are the slab forms: element i is the same latch or
 // counter value the singular constructors return a pointer to, on the line
-// key base|i places.
+// key base|i places. Placement is a pure function of the key, so an element
+// paged in mid-run is the element an up-front slab would have held.
 type (
-	latches  []latch
-	counters []counter
+	latches  struct{ slot.Array[latch] }
+	counters struct{ slot.Array[counter] }
 )
 
 // NewLatches implements rt.Runtime.
-func (e *Engine) NewLatches(base uint64, n int) rt.Latches {
-	s := make(latches, n)
-	for i := range s {
-		s[i].line = mesh.NewLine(e.chip, base|uint64(i))
-	}
-	return s
+func (e *Engine) NewLatches(base uint64, l slot.Layout) rt.Latches {
+	return &latches{slot.MakeWith(l, 1, func(s []latch, first int) {
+		for j := range s {
+			s[j].line = mesh.NewLine(e.chip, base|uint64(first+j))
+		}
+	})}
 }
 
 // NewCounters implements rt.Runtime.
-func (e *Engine) NewCounters(base uint64, n int) rt.Counters {
-	s := make(counters, n)
-	for i := range s {
-		s[i].line = mesh.NewLine(e.chip, base|uint64(i))
-	}
-	return s
+func (e *Engine) NewCounters(base uint64, l slot.Layout) rt.Counters {
+	return &counters{slot.MakeWith(l, 1, func(s []counter, first int) {
+		for j := range s {
+			s[j].line = mesh.NewLine(e.chip, base|uint64(first+j))
+		}
+	})}
 }
 
 // Acquire implements rt.Latches.
-func (s latches) Acquire(p rt.Proc, c stats.Component, i int) { s[i].Acquire(p, c) }
+func (s *latches) Acquire(p rt.Proc, c stats.Component, i int) { s.At(i).Acquire(p, c) }
 
 // Release implements rt.Latches.
-func (s latches) Release(p rt.Proc, c stats.Component, i int) { s[i].Release(p, c) }
+func (s *latches) Release(p rt.Proc, c stats.Component, i int) { s.At(i).Release(p, c) }
 
 // TryAcquireQuiet implements rt.Latches: a latch is free exactly when it has
 // no holder, and taking it touches neither its line nor the caller's clock.
-func (s latches) TryAcquireQuiet(p rt.Proc, i int) bool {
-	if s[i].holder != nil {
+func (s *latches) TryAcquireQuiet(p rt.Proc, i int) bool {
+	l := s.At(i)
+	if l.holder != nil {
 		return false
 	}
-	s[i].holder = p.(*Proc)
+	l.holder = p.(*Proc)
 	return true
 }
 
 // ReleaseQuiet implements rt.Latches. The holder has not yielded since it
 // took the latch, so nobody can be queued behind it.
-func (s latches) ReleaseQuiet(p rt.Proc, i int) { s[i].holder = nil }
+func (s *latches) ReleaseQuiet(p rt.Proc, i int) { s.At(i).holder = nil }
 
 // Add implements rt.Counters.
-func (s counters) Add(p rt.Proc, c stats.Component, i int, delta uint64) uint64 {
-	return s[i].Add(p, c, delta)
+func (s *counters) Add(p rt.Proc, c stats.Component, i int, delta uint64) uint64 {
+	return s.At(i).Add(p, c, delta)
 }
 
 // Load implements rt.Counters.
-func (s counters) Load(p rt.Proc, c stats.Component, i int) uint64 { return s[i].Load(p, c) }
+func (s *counters) Load(p rt.Proc, c stats.Component, i int) uint64 { return s.At(i).Load(p, c) }
 
 // Store implements rt.Counters.
-func (s counters) Store(p rt.Proc, c stats.Component, i int, v uint64) { s[i].Store(p, c, v) }
+func (s *counters) Store(p rt.Proc, c stats.Component, i int, v uint64) { s.At(i).Store(p, c, v) }
 
 // hwCounter is the paper's proposed hardware fetch-add unit at the chip
 // center (§4.3): requests travel the mesh, are serviced in one cycle, and

@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 )
 
@@ -63,7 +64,7 @@ func TestSlabElementIsTheSingularPrimitive(t *testing.T) {
 			func(p rt.Proc) uint64 { return c.Add(p, stats.Manager, 1) }
 	})
 	slab := run(func(e *Engine) (func(rt.Proc), func(rt.Proc), func(rt.Proc) uint64) {
-		ls, cs := e.NewLatches(base, 8), e.NewCounters(base|1<<35, 8)
+		ls, cs := e.NewLatches(base, slot.Fixed(8)), e.NewCounters(base|1<<35, slot.Fixed(8))
 		return func(p rt.Proc) { ls.Acquire(p, stats.Manager, elem) },
 			func(p rt.Proc) { ls.Release(p, stats.Manager, elem) },
 			func(p rt.Proc) uint64 { return cs.Add(p, stats.Manager, elem, 1) }
@@ -94,7 +95,7 @@ func TestQuietLatchIsInvisibleToTheModel(t *testing.T) {
 	const base, elem = uint64(3)<<44 | 0x2B<<36, 5
 
 	e := New(2, 9)
-	ls := e.NewLatches(base, 8).(latches)
+	ls := e.NewLatches(base, slot.Fixed(8)).(*latches)
 	var seenHeld, seenFree int
 	e.Run(func(p rt.Proc) {
 		if p.ID() == 0 {
@@ -105,10 +106,10 @@ func TestQuietLatchIsInvisibleToTheModel(t *testing.T) {
 		}
 		p.Sync(stats.Useful, 500) // core 0 holds the latch now
 		for _, wantFree := range []bool{false, true} {
-			now, line, billed := p.Now(), ls[elem].line, *p.Stats()
+			now, line, billed := p.Now(), ls.At(elem).line, *p.Stats()
 			got := ls.TryAcquireQuiet(p, elem)
 			if got {
-				if ls[elem].holder != p.(*Proc) {
+				if ls.At(elem).holder != p.(*Proc) {
 					t.Error("a successful quiet acquire left the latch without its holder")
 				}
 				ls.ReleaseQuiet(p, elem)
@@ -119,13 +120,13 @@ func TestQuietLatchIsInvisibleToTheModel(t *testing.T) {
 			if got != wantFree {
 				t.Errorf("TryAcquireQuiet = %v at cycle %d, want %v", got, now, wantFree)
 			}
-			if p.Now() != now || ls[elem].line != line || *p.Stats() != billed {
+			if p.Now() != now || ls.At(elem).line != line || *p.Stats() != billed {
 				t.Errorf("a quiet attempt (taken: %v) moved the clock, the line or the bill: cycle %d -> %d, line %+v -> %+v",
-					got, now, p.Now(), line, ls[elem].line)
+					got, now, p.Now(), line, ls.At(elem).line)
 			}
 			p.Sync(stats.Useful, 1_000) // core 0 has released by the second pass
 		}
-		if h := ls[elem].holder; h != nil {
+		if h := ls.At(elem).holder; h != nil {
 			t.Errorf("latch still held by core %d after every release", h.id)
 		}
 	})
@@ -141,7 +142,7 @@ func TestQuietLatchIsInvisibleToTheModel(t *testing.T) {
 	run := func(quiet bool) trace {
 		const cores = 16
 		e := New(cores, 9)
-		ls := e.NewLatches(base, 8)
+		ls := e.NewLatches(base, slot.Fixed(8))
 		tr := trace{ends: make([]uint64, cores), bills: make([]uint64, cores)}
 		e.Run(func(p rt.Proc) {
 			attempt := func() {

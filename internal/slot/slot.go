@@ -1,0 +1,143 @@
+// Package slot is the one array type every structure indexed by table slot
+// is built on: a table's rows, a scheme's per-tuple entries, latches and
+// version words, a hash index's chain links. It exists so that capacity a
+// table reserves for inserts costs nothing until rows land in it — the
+// paper's per-thread memory pools grow with the workload (§4.1), they are
+// not sized for the worst case up front.
+//
+// An Array follows a Layout. Slots [0, Dense) — a table's loaded rows — are
+// one allocation made by Make, exactly as a plain slice would be. Slots
+// [Dense, Cap) — its insert region — live in pages of PageSlots slots, each
+// allocated the first time any slot in it is reached. A page pointer is
+// published with a compare-and-swap, so on the native runtime two workers
+// touching a fresh page at once agree on one page without a latch, and a
+// reader that finds the pointer set sees the page's initialised contents.
+package slot
+
+import (
+	"fmt"
+	"sync/atomic"
+	"unsafe"
+)
+
+// PageSlots is the number of slots one page of an Array's paged region
+// holds (the last page holds only what is left of the region).
+const PageSlots = 1 << pageShift
+
+const pageShift = 12
+
+// Layout is the shape of a slot space: Cap slots, the first Dense of them
+// allocated up front and the rest a page at a time.
+type Layout struct {
+	Dense, Cap int
+}
+
+// Fixed is the layout of n slots all allocated up front.
+func Fixed(n int) Layout { return Layout{Dense: n, Cap: n} }
+
+// Pages returns the number of pages l's paged region spans.
+func (l Layout) Pages() int { return (l.Cap - l.Dense + PageSlots - 1) >> pageShift }
+
+// Array is a slot-indexed array of T with width elements per slot. The zero
+// Array has no slots.
+type Array[T any] struct {
+	dense []T
+	pages []atomic.Pointer[T] // first element of page k, nil until first use
+	n     int                 // Dense
+	cap   int
+	width int
+	init  func(s []T, first int)
+}
+
+// Make returns an array over l with one zero T per slot.
+func Make[T any](l Layout) Array[T] { return MakeWith[T](l, 1, nil) }
+
+// MakeWith returns an array over l with width elements per slot. A non-nil
+// init is called on every allocation before any element of it is handed
+// out — the dense region here, each page as it is paged in — with the
+// allocation and the number of its first slot. It must depend on nothing but
+// its arguments: two first touches of one page may both run it, and one
+// result is dropped.
+func MakeWith[T any](l Layout, width int, init func(s []T, first int)) Array[T] {
+	if l.Dense < 0 || l.Dense > l.Cap || width <= 0 {
+		panic(fmt.Sprintf("slot: bad layout %+v or width %d", l, width))
+	}
+	a := Array[T]{
+		dense: make([]T, l.Dense*width),
+		pages: make([]atomic.Pointer[T], l.Pages()),
+		n:     l.Dense,
+		cap:   l.Cap,
+		width: width,
+		init:  init,
+	}
+	if init != nil && l.Dense > 0 {
+		init(a.dense, 0)
+	}
+	return a
+}
+
+// Len returns the number of slots.
+func (a *Array[T]) Len() int { return a.cap }
+
+// At returns slot i's element; the array has one element per slot, so the
+// dense region is exactly len(a.dense) slots.
+func (a *Array[T]) At(i int) *T {
+	if uint(i) < uint(len(a.dense)) {
+		return &a.dense[i]
+	}
+	return a.paged(i)
+}
+
+// Span returns slot i's width elements.
+func (a *Array[T]) Span(i int) []T {
+	w := a.width
+	if i < a.n {
+		return a.dense[i*w : (i+1)*w : (i+1)*w]
+	}
+	return unsafe.Slice(a.paged(i), w)
+}
+
+// Chunk returns the elements of slots [i, i+k) for the largest k <= n whose
+// slots share one allocation: all n of them unless the run crosses the end
+// of the dense region or of a page. n must be positive.
+func (a *Array[T]) Chunk(i, n int) []T {
+	w := a.width
+	if i < a.n {
+		e := min(i+n, a.n) * w
+		return a.dense[i*w : e : e]
+	}
+	k := min(n, PageSlots-((i-a.n)&(PageSlots-1)), a.cap-i)
+	return unsafe.Slice(a.paged(i), k*w)
+}
+
+// paged returns the first element of slot i of the paged region: a load of
+// its page pointer and an offset. A page not yet allocated, and any slot
+// outside the region, go to pageIn, which keeps this path short.
+func (a *Array[T]) paged(i int) *T {
+	j := i - a.n
+	if k := j >> pageShift; uint(k) < uint(len(a.pages)) && i < a.cap {
+		if p := a.pages[k].Load(); p != nil {
+			return (*T)(unsafe.Add(unsafe.Pointer(p), uintptr((j&(PageSlots-1))*a.width)*unsafe.Sizeof(*p)))
+		}
+	}
+	return a.pageIn(i)
+}
+
+// pageIn allocates and publishes the page of slot i of the paged region,
+// or takes the page a concurrent first touch published before it, and
+// returns slot i's first element; a slot outside the paged region panics.
+func (a *Array[T]) pageIn(i int) *T {
+	if i < a.n || i >= a.cap {
+		panic(fmt.Sprintf("slot: slot %d outside [0, %d)", i, a.cap))
+	}
+	k := (i - a.n) >> pageShift
+	first := a.n + k<<pageShift
+	s := make([]T, min(PageSlots, a.cap-first)*a.width)
+	if a.init != nil {
+		a.init(s, first)
+	}
+	if !a.pages[k].CompareAndSwap(nil, &s[0]) {
+		s = unsafe.Slice(a.pages[k].Load(), len(s))
+	}
+	return &s[(i-first)*a.width]
+}

@@ -2,13 +2,24 @@
 // bed DBMS (§3.2): fixed-width schemas, slab row storage, per-worker insert
 // segments (so inserts never contend on a global allocator), and the
 // catalog. Per-tuple concurrency-control metadata is owned by the CC scheme
-// (per-table slabs indexed by slot), keeping the storage layer
+// (per-table arrays indexed by slot), keeping the storage layer
 // scheme-agnostic.
+//
+// Like the paper's per-thread memory pools (§4.1), a table's memory grows
+// with the workload rather than being sized for the worst case: its loaded
+// rows are one slab, and the capacity reserved for inserts is paged in 4 096
+// slots at a time as rows land in it (internal/slot). Every structure
+// indexed by slot — the scheme's entries and latches, the hash index's chain
+// links — follows the same Layout, so a reserved slot that is never inserted
+// costs nothing anywhere.
 package storage
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+
+	"abyss1000/internal/slot"
 )
 
 // Col describes one fixed-width column.
@@ -87,15 +98,20 @@ func (s *Schema) Bytes(row []byte, col int) []byte {
 	return row[off : off+s.Cols[col].Width]
 }
 
-// Table is a fixed-capacity slab of rows. Slots [0, Preloaded) are filled
-// during setup; the remaining capacity is divided into per-worker segments
-// for runtime inserts, so slot allocation is core-local (the paper's
-// per-thread memory pools, §4.1).
+// MaxCapacity is the largest slot count a table may have: hash indexes
+// link slots through int32 words.
+const MaxCapacity = math.MaxInt32
+
+// Table is a fixed-capacity array of rows. Slots [0, Loaded) are filled
+// during setup and allocated with the table; the remaining capacity is
+// divided into per-worker segments for runtime inserts, so slot allocation
+// is core-local (the paper's per-thread memory pools, §4.1), and is paged in
+// as inserts reach it.
 type Table struct {
 	ID     int
 	Schema *Schema
 
-	slab     []byte
+	rows     slot.Array[byte]
 	capacity int
 	loaded   int // rows populated during setup (single-threaded)
 
@@ -104,23 +120,22 @@ type Table struct {
 	segStart []int // per-worker segment start (initial segBase, for recovery)
 }
 
-// NewTable allocates a table with room for capacity rows, of which the
-// first `loaded` will be populated by setup code via LoadRow, and the
-// remainder is split into insert segments for nworkers workers.
+// NewTable creates a table with room for capacity rows, of which the first
+// `loaded` will be populated by setup code via LoadRow, and the remainder is
+// split into insert segments for nworkers workers. Only the loaded rows are
+// allocated here.
 func NewTable(id int, schema *Schema, capacity, loaded, nworkers int) *Table {
+	if capacity > MaxCapacity {
+		panic(fmt.Sprintf("storage: table %s capacity %d exceeds the limit of %d slots", schema.Name, capacity, MaxCapacity))
+	}
 	if loaded > capacity {
 		panic(fmt.Sprintf("storage: table %s loaded %d > capacity %d", schema.Name, loaded, capacity))
 	}
 	if nworkers <= 0 {
 		panic(fmt.Sprintf("storage: table %s needs at least one worker for its insert segments, got %d", schema.Name, nworkers))
 	}
-	t := &Table{
-		ID:       id,
-		Schema:   schema,
-		slab:     make([]byte, capacity*schema.RowSize()),
-		capacity: capacity,
-		loaded:   loaded,
-	}
+	t := &Table{ID: id, Schema: schema, capacity: capacity, loaded: loaded}
+	t.rows = slot.MakeWith[byte](t.Layout(), schema.RowSize(), nil)
 	spare := capacity - loaded
 	per := spare / nworkers
 	t.segBase = make([]int, nworkers)
@@ -135,28 +150,28 @@ func NewTable(id int, schema *Schema, capacity, loaded, nworkers int) *Table {
 	return t
 }
 
-// Capacity returns the total slot count (CC schemes size their per-tuple
-// metadata arrays from this).
+// Capacity returns the total slot count.
 func (t *Table) Capacity() int { return t.capacity }
 
 // Loaded returns the number of setup-time rows.
 func (t *Table) Loaded() int { return t.loaded }
 
-// Row returns the storage bytes of slot (shared, live row data).
-func (t *Table) Row(slot int) []byte {
-	rs := t.Schema.RowSize()
-	return t.slab[slot*rs : (slot+1)*rs : (slot+1)*rs]
-}
+// Layout is the slot layout of the table's rows, which every per-slot
+// structure over the table (CC metadata, hash chain links) shares: the
+// loaded rows up front, the insert region paged in on first use.
+func (t *Table) Layout() slot.Layout { return slot.Layout{Dense: t.loaded, Cap: t.capacity} }
+
+// Row returns the storage bytes of slot s (shared, live row data).
+func (t *Table) Row(s int) []byte { return t.rows.Span(s) }
 
 // LoadRow returns slot i's bytes for single-threaded population at setup.
 func (t *Table) LoadRow(i int) []byte { return t.Row(i) }
 
-// Rows returns the raw bytes of the contiguous slots [start, start+n)
-// (checkpointing reads row ranges straight out of the slab).
-func (t *Table) Rows(start, n int) []byte {
-	rs := t.Schema.RowSize()
-	return t.slab[start*rs : (start+n)*rs : (start+n)*rs]
-}
+// Rows returns the raw bytes of the slots [start, start+k) for the largest
+// k <= n that are contiguous in memory — all n unless the range crosses the
+// loaded rows' end or an insert page's — so checkpointing and recovery move
+// row ranges a piece at a time. n must be positive.
+func (t *Table) Rows(start, n int) []byte { return t.rows.Chunk(start, n) }
 
 // AllocSlot carves a fresh slot from worker w's insert segment. It returns
 // -1 when the segment is exhausted (the caller sizes capacity to make this

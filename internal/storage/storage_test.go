@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"abyss1000/internal/slot"
 )
 
 func testSchema() *Schema {
@@ -141,6 +143,55 @@ func TestNewTablePanicsWhenLoadedExceedsCapacity(t *testing.T) {
 		}
 	}()
 	NewTable(0, testSchema(), 5, 6, 1)
+}
+
+// A hash index links slots through int32 words: a table one slot past that
+// must be refused by name, not wrapped by the first index over it.
+func TestNewTablePanicsAboveMaxCapacity(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "2147483647") {
+			t.Fatalf("panic %q, want one naming the limit", msg)
+		}
+	}()
+	NewTable(0, testSchema(), MaxCapacity+1, 0, 1)
+}
+
+// Only the loaded rows are allocated with the table; the insert region
+// comes a page at a time, and Rows never hands out a range that spans two
+// allocations.
+func TestInsertRegionIsPaged(t *testing.T) {
+	const loaded, capacity = 10, 10 + 2*slot.PageSlots + 5
+	tab := NewTable(0, testSchema(), capacity, loaded, 3)
+	rs := tab.Schema.RowSize()
+	for s := 0; s < capacity; s++ {
+		tab.Schema.PutU64(tab.Row(s), 0, uint64(s))
+	}
+	for s := 0; s < capacity; s++ {
+		if got := tab.Schema.GetU64(tab.Row(s), 0); got != uint64(s) {
+			t.Fatalf("row %d = %d", s, got)
+		}
+	}
+	cases := []struct{ start, n, want int }{
+		{0, 4, 4},
+		{6, 8, 4},                             // stops at the loaded rows' end
+		{loaded, 3, 3},                        // inside the first page
+		{loaded + slot.PageSlots - 2, 8, 2},   // stops at a page's end
+		{loaded + 2*slot.PageSlots, 100, 5},   // the short last page
+		{loaded + 2*slot.PageSlots + 4, 1, 1}, // the very last slot
+		{loaded + slot.PageSlots, slot.PageSlots, slot.PageSlots}, // a whole page
+	}
+	for _, c := range cases {
+		rows := tab.Rows(c.start, c.n)
+		if len(rows) != c.want*rs || cap(rows) != len(rows) {
+			t.Fatalf("Rows(%d, %d): %d bytes (cap %d), want %d rows", c.start, c.n, len(rows), cap(rows), c.want)
+		}
+		for i := 0; i < c.want; i++ {
+			if got := tab.Schema.GetU64(rows[i*rs:], 0); got != uint64(c.start+i) {
+				t.Fatalf("Rows(%d, %d) row %d holds slot %d", c.start, c.n, i, got)
+			}
+		}
+	}
 }
 
 func TestNewTablePanicsOnZeroWorkers(t *testing.T) {

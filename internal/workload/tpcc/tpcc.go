@@ -45,8 +45,11 @@ type Config struct {
 	UserAbortPct float64
 
 	// InsertsPerWorker sizes the insert segments of HISTORY, ORDERS,
-	// NEW_ORDER and ORDER_LINE (ORDER_LINE gets 15x). Raise it for
-	// long measurement windows.
+	// NEW_ORDER and ORDER_LINE (ORDER_LINE gets 15x, room for the
+	// largest order on every one). Raise it for long measurement
+	// windows: reserved slots are paged in as inserts reach them, so the
+	// headroom — ORDER_LINE's 15x included, of which an average order
+	// fills 10 — costs nothing until it is used.
 	InsertsPerWorker int
 
 	// Mix selects the transaction mix. MixPaper (the default) is the
