@@ -8,8 +8,8 @@
 // main-memory DBMS (internal/core, internal/storage, internal/index),
 // the paper's seven concurrency-control schemes (internal/cc/...), the
 // six timestamp-allocation strategies (internal/tsalloc), both
-// benchmarks (internal/workload/{ycsb,tpcc}), serializability checkers
-// (internal/history), and a harness regenerating every table and figure
+// benchmarks (internal/workload/{ycsb,tpcc}), a serializability checker
+// (internal/sercheck), and a harness regenerating every table and figure
 // of the paper's evaluation (bench, cmd/abyss-bench).
 //
 // The public embedding API is the abyss package: abyss.Open returns a

@@ -25,6 +25,7 @@ package occ
 import (
 	"slices"
 
+	"abyss1000/internal/cc/kit"
 	"abyss1000/internal/core"
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
@@ -139,23 +140,8 @@ func sortWrites(w []writeRec) {
 	})
 }
 
-func (st *txnState) findWrite(t *storage.Table, slot int) *writeRec {
-	for i := range st.writes {
-		if st.writes[i].t == t && st.writes[i].slot == slot {
-			return &st.writes[i]
-		}
-	}
-	return nil
-}
-
-func (st *txnState) findRead(t *storage.Table, slot int) *readRec {
-	for i := range st.reads {
-		if st.reads[i].t == t && st.reads[i].slot == slot {
-			return &st.reads[i]
-		}
-	}
-	return nil
-}
+func writeKey(w *writeRec) (*storage.Table, int) { return w.t, w.slot }
+func readKey(r *readRec) (*storage.Table, int)   { return r.t, r.slot }
 
 // snapshot copies (t, slot) into a private buffer under the tuple latch
 // and records the version word observed.
@@ -181,10 +167,10 @@ func (s *OCC) snapshot(tx *core.TxnCtx, t *storage.Table, slot int) readRec {
 // validation.
 func (s *OCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 	st := tx.State.(*txnState)
-	if w := st.findWrite(t, slot); w != nil {
+	if w := kit.Find(st.writes, writeKey, t, slot); w != nil {
 		return w.buf, nil
 	}
-	if r := st.findRead(t, slot); r != nil {
+	if r := kit.Find(st.reads, readKey, t, slot); r != nil {
 		return r.buf, nil
 	}
 	rec := s.snapshot(tx, t, slot)
@@ -197,12 +183,12 @@ func (s *OCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) 
 // returned image) joins the read set so validation catches conflicts.
 func (s *OCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 	st := tx.State.(*txnState)
-	if w := st.findWrite(t, slot); w != nil {
+	if w := kit.Find(st.writes, writeKey, t, slot); w != nil {
 		tx.P.Tick(stats.Useful, costs.CopyCost(uint64(len(w.buf))))
 		return w.buf, nil
 	}
 	var buf []byte
-	if r := st.findRead(t, slot); r != nil {
+	if r := kit.Find(st.reads, readKey, t, slot); r != nil {
 		buf = r.buf // promote: the read copy becomes the write buffer
 	} else {
 		rec := s.snapshot(tx, t, slot)
@@ -241,7 +227,7 @@ func (s *OCC) Commit(tx *core.TxnCtx) error {
 	for i := range st.reads {
 		r := &st.reads[i]
 		cur := s.meta[r.t.ID].words.Load(tx.P, stats.Manager, r.slot)
-		if st.findWrite(r.t, r.slot) != nil {
+		if kit.Find(st.writes, writeKey, r.t, r.slot) != nil {
 			// We hold this tuple's latch; valid iff unchanged since
 			// our read (modulo our own lock bit).
 			if cur != r.word|1 {

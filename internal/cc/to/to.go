@@ -21,6 +21,7 @@
 package to
 
 import (
+	"abyss1000/internal/cc/kit"
 	"abyss1000/internal/core"
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
@@ -108,15 +109,7 @@ func (s *TO) Begin(tx *core.TxnCtx) {
 	tx.P.Tick(stats.Manager, costs.ManagerOp)
 }
 
-// findWrite returns the transaction's own prewrite buffer, if any.
-func (st *txnState) findWrite(t *storage.Table, slot int) *writeRec {
-	for i := range st.writes {
-		if st.writes[i].t == t && st.writes[i].slot == slot {
-			return &st.writes[i]
-		}
-	}
-	return nil
-}
+func writeKey(w *writeRec) (*storage.Table, int) { return w.t, w.slot }
 
 // blockedBy reports whether e has a pending prewrite from another
 // transaction that precedes ts in the serialization order. Caller holds
@@ -153,7 +146,7 @@ func (s *TO) wakeAll(p rt.Proc, e *tupleTS) {
 // wait behind earlier pending writes; otherwise bump rts and copy.
 func (s *TO) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 	st := tx.State.(*txnState)
-	if w := st.findWrite(t, slot); w != nil {
+	if w := kit.Find(st.writes, writeKey, t, slot); w != nil {
 		return w.buf, nil // read own prewrite
 	}
 	tl := &s.meta[t.ID]
@@ -194,7 +187,7 @@ func (s *TO) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 // this prewrite wait for its resolution, earlier ones read older state.
 func (s *TO) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 	st := tx.State.(*txnState)
-	if w := st.findWrite(t, slot); w != nil {
+	if w := kit.Find(st.writes, writeKey, t, slot); w != nil {
 		tx.P.Tick(stats.Useful, costs.CopyCost(uint64(len(w.buf))))
 		return w.buf, nil
 	}

@@ -29,16 +29,20 @@ type rmwWorkload struct {
 	txns   []rmwTxn
 
 	// A run bounded by work instead of by its window: once stopAfter
-	// (when positive) transactions have committed, stop is set.
+	// (when positive) transactions have committed, stop is set. The run is
+	// a closed loop with no RetryLimit or Deadline, so a worker asks for
+	// its next transaction only after the previous one committed: every
+	// Next after a worker's first counts one commit.
 	stopAfter int64
 	commits   atomic.Int64
 	stop      atomic.Bool
 }
 
 type rmwTxn struct {
-	w     *rmwWorkload
-	slots [3]int
-	parts []int
+	w      *rmwWorkload
+	slots  [3]int
+	parts  []int
+	issued bool // Next has handed this worker a transaction before
 }
 
 func newRMWWorkload(db *core.DB, rows int) *rmwWorkload {
@@ -52,6 +56,10 @@ func newRMWWorkload(db *core.DB, rows int) *rmwWorkload {
 
 func (w *rmwWorkload) Next(p rt.Proc) core.Txn {
 	t := &w.txns[p.ID()]
+	if t.issued && w.stopAfter > 0 && w.commits.Add(1) >= w.stopAfter {
+		w.stop.Store(true)
+	}
+	t.issued = true
 	r := p.Rand()
 	for i := range t.slots {
 		t.slots[i] = int(r.Int63n(int64(w.rows)))
@@ -73,13 +81,6 @@ func (w *rmwWorkload) Next(p rt.Proc) core.Txn {
 }
 
 func (t *rmwTxn) Partitions() []int { return t.parts }
-
-// Committed implements core.CommitHook.
-func (t *rmwTxn) Committed() {
-	if w := t.w; w.stopAfter > 0 && w.commits.Add(1) >= w.stopAfter {
-		w.stop.Store(true)
-	}
-}
 
 func (t *rmwTxn) Run(tx *core.TxnCtx) error {
 	tab := t.w.db.Catalog.Table("C")

@@ -208,7 +208,9 @@ func (c *Capture) Committed() int {
 // initial snapshot, every worker's committed transactions (IDs assigned
 // deterministically by worker then commit order), and the engine's
 // final committed state read the same way DumpState reads it (the live
-// row, or the scheme's LatestCommitted for MVCC). Quiesced use only.
+// row, or the scheme's LatestCommitted for MVCC). A TSOrderedScheme's
+// history is marked TSOrdered, so Check also holds every dependency to
+// timestamp order. Quiesced use only.
 func BuildHistory(db *DB, scheme Scheme) *sercheck.History {
 	c := db.Cap
 	if c == nil {
@@ -227,6 +229,7 @@ func BuildHistory(db *DB, scheme Scheme) *sercheck.History {
 		return t.Row(slot)
 	}
 	h := &sercheck.History{}
+	_, h.TSOrdered = scheme.(TSOrderedScheme)
 	for _, t := range db.Catalog.Tables() {
 		final := make(map[int][]byte, t.Loaded())
 		dump := func(slot int) {

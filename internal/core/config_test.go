@@ -36,7 +36,14 @@ func TestConfigValidate(t *testing.T) {
 		{"rate on closed loop", func(c *Config) { c.Arrivals.RateTPS = 100 }, "closed loop"},
 		{"poisson without rate", func(c *Config) { c.Arrivals.Process = ArrivalPoisson }, "RateTPS"},
 		{"poisson NaN rate", func(c *Config) { c.Arrivals = Arrivals{Process: ArrivalPoisson, RateTPS: math.NaN()} }, "RateTPS"},
+		{"poisson infinite rate", func(c *Config) { c.Arrivals = Arrivals{Process: ArrivalPoisson, RateTPS: math.Inf(1)} }, "RateTPS"},
 		{"mmpp without burst rate", func(c *Config) { c.Arrivals = Arrivals{Process: ArrivalMMPP, RateTPS: 100} }, "BurstRateTPS"},
+		{"mmpp infinite calm rate", func(c *Config) {
+			c.Arrivals = Arrivals{Process: ArrivalMMPP, RateTPS: math.Inf(1), BurstRateTPS: 200, CalmCycles: 10, BurstCycles: 10}
+		}, "RateTPS"},
+		{"mmpp infinite burst rate", func(c *Config) {
+			c.Arrivals = Arrivals{Process: ArrivalMMPP, RateTPS: 100, BurstRateTPS: math.Inf(1), CalmCycles: 10, BurstCycles: 10}
+		}, "BurstRateTPS"},
 		{"mmpp without dwell", func(c *Config) {
 			c.Arrivals = Arrivals{Process: ArrivalMMPP, RateTPS: 100, BurstRateTPS: 200, CalmCycles: 10}
 		}, "dwell"},

@@ -151,11 +151,3 @@ type Workload interface {
 	// one object per worker).
 	Next(p rt.Proc) Txn
 }
-
-// CommitHook is an optional interface for Txn: when implemented, the
-// engine invokes Committed exactly once after the transaction commits
-// (not after a program-logic rollback). The verification workloads in
-// internal/history use it to log precisely the committed histories.
-type CommitHook interface {
-	Committed()
-}

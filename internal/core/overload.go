@@ -21,6 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 
@@ -106,12 +107,12 @@ func (a Arrivals) Validate() error {
 			return errors.New("Arrivals.RateTPS is set but Process is the closed loop; set Arrivals.Process to ArrivalPoisson or ArrivalMMPP")
 		}
 	case ArrivalPoisson:
-		if !(a.RateTPS > 0) {
-			return fmt.Errorf("ArrivalPoisson needs Arrivals.RateTPS > 0 (offered load in txn/s), got %g", a.RateTPS)
+		if !finiteRate(a.RateTPS) {
+			return fmt.Errorf("ArrivalPoisson needs a finite Arrivals.RateTPS > 0 (offered load in txn/s), got %g", a.RateTPS)
 		}
 	case ArrivalMMPP:
-		if !(a.RateTPS > 0 && a.BurstRateTPS > 0) {
-			return fmt.Errorf("ArrivalMMPP needs Arrivals.RateTPS and BurstRateTPS > 0 (calm and burst offered load in txn/s), got %g and %g", a.RateTPS, a.BurstRateTPS)
+		if !finiteRate(a.RateTPS) || !finiteRate(a.BurstRateTPS) {
+			return fmt.Errorf("ArrivalMMPP needs finite Arrivals.RateTPS and BurstRateTPS > 0 (calm and burst offered load in txn/s), got %g and %g", a.RateTPS, a.BurstRateTPS)
 		}
 		if a.CalmCycles == 0 || a.BurstCycles == 0 {
 			return errors.New("ArrivalMMPP needs nonzero Arrivals.CalmCycles and BurstCycles (mean dwell times)")
@@ -121,6 +122,11 @@ func (a Arrivals) Validate() error {
 	}
 	return nil
 }
+
+// finiteRate reports whether x is a usable offered load: positive, and
+// neither NaN nor +Inf (an infinite rate has a zero mean gap, so the
+// ingest loop would never advance the clock).
+func finiteRate(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // FaultInjector injects failures at transaction boundaries. Before
 // drawing work, each worker asks the injector for an extra stall; nonzero

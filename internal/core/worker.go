@@ -87,9 +87,6 @@ func (w *Worker) ExecOnce(txn Txn) error {
 	w.Ctx.Txn = txn
 	err := w.attempt(txn)
 	if err == nil {
-		if h, ok := txn.(CommitHook); ok {
-			h.Committed()
-		}
 		w.observeCommit(txn, w.P.Now(), start)
 		return nil
 	}
@@ -329,9 +326,6 @@ func (w *Worker) runTxn(txn Txn, start, warmEnd, end uint64, backoff uint64) err
 				w.Count.Commits++
 				w.Count.Tuples += w.Ctx.tuples
 				w.observeCommit(txn, now, start)
-			}
-			if h, ok := txn.(CommitHook); ok {
-				h.Committed()
 			}
 			return nil
 		case ErrUserAbort:

@@ -24,6 +24,11 @@
 // in principle produce an acyclic history and still install the wrong
 // bytes, and the oracle catches that.
 //
+// When History.TSOrdered is set (TIMESTAMP, MVCC: schemes whose
+// serialization order is their timestamp order), every edge must also run
+// from a smaller Txn.TS to a larger one; an edge that does not is reported
+// as an anomaly even when the graph is acyclic.
+//
 // The package is pure: it imports nothing from the engine and can check
 // hand-constructed histories (see the negative tests for known
 // anomalies such as lost update, write skew, and fractured reads).
@@ -84,7 +89,7 @@ type Write struct {
 type Txn struct {
 	ID     int // unique per history; used in reports
 	Worker int
-	TS     uint64 // scheme timestamp if any (diagnostic only)
+	TS     uint64 // scheme timestamp if any; checked when History.TSOrdered
 	Reads  []Access
 	Writes []Write
 }
@@ -104,6 +109,10 @@ type Table struct {
 type History struct {
 	Tables []Table
 	Txns   []Txn
+
+	// TSOrdered says the scheme serializes in timestamp order (TIMESTAMP,
+	// MVCC): every dependency edge must then run to a larger TS.
+	TSOrdered bool
 }
 
 // Edge is one dependency in the graph; From/To are transaction IDs.
@@ -215,6 +224,11 @@ func Check(h *History) *Report {
 	addEdge := func(from, to int, kind EdgeKind, k slotKey) {
 		if from == to {
 			return
+		}
+		if src, dst := &h.Txns[from], &h.Txns[to]; h.TSOrdered && dst.TS <= src.TS {
+			r.Anomalies = append(r.Anomalies,
+				fmt.Sprintf("T%d (ts %d) -%s(t%d[%d])-> T%d (ts %d) runs against timestamp order",
+					src.ID, src.TS, kind, k.table, k.slot, dst.ID, dst.TS))
 		}
 		key := [2]int{from, to}
 		if seen[key] {

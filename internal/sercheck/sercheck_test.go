@@ -326,6 +326,34 @@ func TestMinimalCycleAmongThree(t *testing.T) {
 	wantEdges(t, r.Cycle, "1>2:RW", "2>3:RW", "3>1:RW")
 }
 
+// Timestamp order: T1 (ts 3) reads the version T2 (ts 5) wrote. The graph
+// is one WR edge and the final state replays, so the history is
+// serializable, but not in timestamp order: a timestamp-ordered scheme
+// must never let an older transaction see a younger one's write.
+func TestTimestampOrder(t *testing.T) {
+	h := &History{
+		Tables: []Table{tbl(
+			map[int][]byte{0: img(0)},
+			map[int][]byte{0: img(5)},
+		)},
+		Txns: []Txn{
+			{ID: 1, TS: 3, Reads: []Access{{Slot: 0, Ver: 5}}},
+			{ID: 2, TS: 5, Writes: []Write{{Slot: 0, Ver: 5, Image: img(5)}}},
+		},
+	}
+	if r := Check(h); !r.OK() {
+		t.Fatalf("history rejected without TSOrdered: %s", r)
+	}
+	h.TSOrdered = true
+	r := Check(h)
+	if r.OK() || !r.Serializable || !r.FinalStateOK {
+		t.Fatalf("want an acyclic, final-state-OK history with an anomaly, got: %s", r)
+	}
+	if len(r.Anomalies) != 1 || !strings.Contains(r.Anomalies[0], "T2 (ts 5)") || !strings.Contains(r.Anomalies[0], "T1 (ts 3)") {
+		t.Fatalf("expected one timestamp-order anomaly naming T2 and T1, got %v", r.Anomalies)
+	}
+}
+
 // Empty history is trivially serializable with a matching final state.
 func TestEmptyHistory(t *testing.T) {
 	h := &History{

@@ -34,8 +34,9 @@ func TestParseArrivalSpec(t *testing.T) {
 		t.Fatalf("three-part mmpp = %+v, %v; want the 500000/50000-cycle default dwells", spec, err)
 	}
 	for _, bad := range []string{
-		"", "uniform:5", "poisson", "poisson:x", "poisson:-3", "poisson:1:2",
+		"", "uniform:5", "poisson", "poisson:x", "poisson:-3", "poisson:1:2", "poisson:inf",
 		"mmpp:1:2:3", "mmpp:0:8:1s:1s", "mmpp:1:8:0:1s", "mmpp:1:8:-1s:1s", "mmpp:1:8:soon:1s",
+		"mmpp:1000:inf", "mmpp:inf:1000",
 	} {
 		if _, err := abyss.ParseArrivals(bad, 9); err == nil {
 			t.Fatalf("ParseArrivals(%q) accepted", bad)
