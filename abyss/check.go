@@ -88,7 +88,7 @@ func (db *DB) History() (*History, error) {
 // CheckSerializability verifies the history captured by this DB's Run
 // (which must have set RunConfig.Check): it returns the checker's
 // report, whose OK method is the pass/fail verdict. Call it after Run
-// returns, on a quiescent database.
+// (or a serving Session's Drain) returns, on a quiescent database.
 func (db *DB) CheckSerializability() (*CheckReport, error) {
 	h, err := db.History()
 	if err != nil {

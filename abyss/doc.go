@@ -89,8 +89,8 @@
 //
 // Durability is configured once, at Open: Options.Durability names the
 // sink and the group-commit parameters (GroupTxns, GroupTimeout,
-// GroupBytes). A DB runs once, so neither RunConfig nor ServeConfig
-// carries a log-grouping override.
+// GroupBytes). A DB runs once, so RunConfig carries no log-grouping
+// override.
 //
 // Correctness is checkable, not assumed: set RunConfig.Check and the run
 // captures every committed transaction's reads and writes as versions

@@ -5,12 +5,15 @@ package abyss
 // Run measures a workload the engine generates for itself; a Session
 // inverts the flow for serving — external callers submit invocations one
 // at a time and each gets an answer. Under the hood a Session is still
-// one measurement on the DB's native runtime: DB.Serve starts a Run
-// whose workers pull from per-worker bounded admission queues
-// (core.RequestSource), and Drain ends the measurement and returns the
-// same Result a Run would have, with the session-side admission
-// accounting (offered, shed, queue depths) merged in. The serve/ package
-// layers the network protocols on top of exactly this surface.
+// one measurement on the DB's native runtime: DB.Serve starts a Run,
+// configured by the same RunConfig, whose workers pull from per-worker
+// bounded admission queues (core.RequestSource), and Drain ends the
+// measurement and returns the same Result a Run would have, with the
+// session-side admission accounting (offered, shed, queue depths) merged
+// in. Invoke answers in the engine's vocabulary (nil, ErrUserAbort,
+// ErrDeadline) plus the session's own ErrShed and ErrSessionClosed. The
+// serve/ package layers the network protocols on top of exactly this
+// surface.
 
 import (
 	"errors"
@@ -36,74 +39,11 @@ var (
 	ErrSessionClosed = errors.New("abyss: session draining — invocation refused")
 )
 
-// DefaultServeQueueDepth bounds each worker's admission queue when
-// ServeConfig.QueueDepth is zero. A serving session always has admission
-// control: an unbounded queue under sustained overload is just a slower
-// crash.
+// DefaultServeQueueDepth bounds each worker's admission queue when a
+// serving run's RunConfig.QueueDepth is zero. A serving session always
+// has admission control: an unbounded queue under sustained overload is
+// just a slower crash.
 const DefaultServeQueueDepth = 1024
-
-// serveWindow is the nominal measurement window of a serving run —
-// effectively unbounded; Drain ends the run by closing the queues and
-// rewrites Result.MeasureCycles to the actual serving span.
-const serveWindow = uint64(1) << 62
-
-// ServeConfig tunes a serving session. Durations are wall-clock (the
-// native runtime's cycle is one nanosecond).
-type ServeConfig struct {
-	// QueueDepth bounds each worker's admission queue; an invocation
-	// routed to a full queue is shed (ErrShed). Zero means
-	// DefaultServeQueueDepth.
-	QueueDepth int
-
-	// Deadline is the default per-invocation deadline, applied when an
-	// Invocation carries none: an invocation not committed within this
-	// budget of its arrival — including time queued — is abandoned as
-	// OutcomeDeadlined. Zero means no default deadline.
-	Deadline time.Duration
-
-	// RetryLimit abandons an invocation after this many failed attempts
-	// (1 means no retries); zero means unlimited retries.
-	RetryLimit int
-
-	// AbortBackoff is the mean randomized restart penalty after a
-	// concurrency-control abort. Zero disables backoff.
-	AbortBackoff time.Duration
-
-	// BackoffCap turns AbortBackoff into capped exponential backoff,
-	// doubling the mean per consecutive failure up to this cap. Zero
-	// keeps the fixed mean.
-	BackoffCap time.Duration
-}
-
-// Outcome classifies a completed invocation.
-type Outcome int
-
-const (
-	// OutcomeCommitted: the transaction committed.
-	OutcomeCommitted Outcome = iota
-
-	// OutcomeUserAbort: the transaction rolled back by program logic
-	// (ErrUserAbort) — completed work, counted with commits.
-	OutcomeUserAbort
-
-	// OutcomeDeadlined: the invocation was abandoned past its deadline
-	// or retry budget, possibly without ever executing.
-	OutcomeDeadlined
-)
-
-// String names the outcome for wire encodings and logs.
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeCommitted:
-		return "committed"
-	case OutcomeUserAbort:
-		return "user_abort"
-	case OutcomeDeadlined:
-		return "deadlined"
-	default:
-		return fmt.Sprintf("Outcome(%d)", int(o))
-	}
-}
 
 // ArgBinder is an optional interface for Mix transactions invoked
 // through a Session: BindArgs receives the invocation's arguments after
@@ -131,19 +71,9 @@ type Invocation struct {
 	Routed    bool
 	Partition int
 
-	// Deadline is the per-invocation deadline; zero uses the session
-	// default.
+	// Deadline is the per-invocation deadline; zero uses the serving
+	// run's RunConfig.Deadline.
 	Deadline time.Duration
-}
-
-// Reply reports a completed invocation.
-type Reply struct {
-	// Outcome classifies the completion.
-	Outcome Outcome
-
-	// Elapsed is the server-side latency from arrival (submission) to
-	// completion, including queueing, retries and backoff.
-	Elapsed time.Duration
 }
 
 // ServeCounters is a snapshot of session-side admission accounting.
@@ -164,7 +94,6 @@ type Session struct {
 	wl      Workload
 	mix     *Mix
 	procs   map[string]int // Mix procedure name -> spec index
-	cfg     ServeConfig
 	workers int
 
 	qs      []chan core.Request
@@ -184,7 +113,6 @@ type Session struct {
 	done      chan struct{} // closed when the underlying run has returned
 	res       Result
 	runErr    error
-	drainOnce sync.Once
 	mergeOnce sync.Once
 	final     Result
 }
@@ -209,30 +137,31 @@ func (src sessionSource) Next(p Proc) (core.Request, bool) {
 // Serve starts a serving session: the DB's single measurement begins
 // immediately, with every worker blocked on its admission queue until
 // invocations arrive. Requires the native runtime — remote arrivals are
-// wall-clock events, which the simulator cannot admit. Like Run, Serve
-// consumes the DB's one measurement; Drain ends it.
-func (db *DB) Serve(scheme Scheme, wl Workload, cfg ServeConfig) (*Session, error) {
+// wall-clock events, which the simulator cannot admit. A serving run
+// honours cfg's QueueDepth, Deadline, RetryLimit, AbortBackoff,
+// BackoffCap, Fault and Check (cycles are nanoseconds natively); it
+// measures from Serve until Drain, and RunConfig.Validate rejects every
+// other field. Like Run, Serve consumes the DB's one measurement; Drain
+// ends it.
+func (db *DB) Serve(scheme Scheme, wl Workload, cfg RunConfig) (*Session, error) {
 	if db.opts.Runtime != RuntimeNative {
 		return nil, fmt.Errorf("abyss: Serve needs the native runtime (Options.Runtime = RuntimeNative); the simulator has no wall clock for remote arrivals")
-	}
-	if cfg.QueueDepth < 0 {
-		return nil, fmt.Errorf("abyss: ServeConfig.QueueDepth must not be negative, got %d", cfg.QueueDepth)
-	}
-	if cfg.Deadline < 0 || cfg.AbortBackoff < 0 || cfg.BackoffCap < 0 {
-		return nil, fmt.Errorf("abyss: ServeConfig durations must not be negative")
-	}
-	depth := cfg.QueueDepth
-	if depth == 0 {
-		depth = DefaultServeQueueDepth
 	}
 	s := &Session{
 		db:      db,
 		wl:      wl,
-		cfg:     cfg,
 		workers: db.Cores(),
 		qs:      make([]chan core.Request, db.Cores()),
 		ready:   make(chan struct{}),
 		done:    make(chan struct{}),
+	}
+	rc := cfg.WithSource(sessionSource{s})
+	if err := db.prepareRun(scheme, wl, rc); err != nil {
+		return nil, err
+	}
+	depth := cfg.QueueDepth
+	if depth == 0 {
+		depth = DefaultServeQueueDepth
 	}
 	for i := range s.qs {
 		s.qs[i] = make(chan core.Request, depth)
@@ -243,15 +172,6 @@ func (db *DB) Serve(scheme Scheme, wl Workload, cfg ServeConfig) (*Session, erro
 		for i, name := range m.names {
 			s.procs[name] = i
 		}
-	}
-	rc := RunConfig{
-		MeasureCycles: serveWindow,
-		AbortBackoff:  uint64(cfg.AbortBackoff),
-		RetryLimit:    cfg.RetryLimit,
-		BackoffCap:    uint64(cfg.BackoffCap),
-	}.WithSource(sessionSource{s})
-	if err := db.prepareRun(scheme, wl, rc); err != nil {
-		return nil, err
 	}
 	go func() {
 		res, err := db.runMeasured(scheme, wl, rc)
@@ -382,13 +302,9 @@ func (s *Session) submit(inv Invocation, done func(error)) (uint64, error) {
 		worker = inv.Partition % s.workers
 	}
 	arrival := s.nowCycles()
-	d := inv.Deadline
-	if d == 0 {
-		d = s.cfg.Deadline
-	}
-	var deadline uint64
-	if d > 0 {
-		deadline = arrival + uint64(d)
+	var deadline uint64 // zero: the engine applies RunConfig.Deadline
+	if inv.Deadline > 0 {
+		deadline = arrival + uint64(inv.Deadline)
 	}
 	req := core.Request{Prepare: prepare, Arrival: arrival, Deadline: deadline, Done: done}
 
@@ -414,28 +330,23 @@ func (s *Session) submit(inv Invocation, done func(error)) (uint64, error) {
 }
 
 // Invoke submits one invocation and blocks until it completes, sheds or
-// is refused. The returned error is ErrShed for admission rejection,
-// ErrSessionClosed once draining, or a validation/binding error; every
-// executed (or deadline-abandoned) invocation returns a Reply instead.
-func (s *Session) Invoke(inv Invocation) (Reply, error) {
+// is refused. An executed (or deadline-abandoned) invocation returns the
+// engine's outcome — nil for a commit, ErrUserAbort or ErrDeadline —
+// with elapsed, the server-side latency from submission to completion,
+// including queueing, retries and backoff. ErrShed, ErrSessionClosed
+// and validation or binding errors return no elapsed time.
+func (s *Session) Invoke(inv Invocation) (elapsed time.Duration, err error) {
 	ch := make(chan error, 1)
 	arrival, err := s.submit(inv, func(err error) { ch <- err })
 	if err != nil {
-		return Reply{}, err
+		return 0, err
 	}
-	err = <-ch
-	rep := Reply{Elapsed: time.Duration(s.nowCycles() - arrival)}
-	switch err {
-	case nil:
-		rep.Outcome = OutcomeCommitted
-	case ErrUserAbort:
-		rep.Outcome = OutcomeUserAbort
-	case ErrDeadline:
-		rep.Outcome = OutcomeDeadlined
+	switch err = <-ch; err {
+	case nil, ErrUserAbort, ErrDeadline:
+		return time.Duration(s.nowCycles() - arrival), err
 	default:
-		return Reply{}, err
+		return 0, err
 	}
-	return rep, nil
 }
 
 // Drain ends the session gracefully: new invocations are refused with
@@ -447,7 +358,7 @@ func (s *Session) Invoke(inv Invocation) (Reply, error) {
 // is idempotent; every call returns the same Result. The WAL, if any,
 // stays open — close it with DB.CloseLog after Drain returns.
 func (s *Session) Drain() (Result, error) {
-	s.drainOnce.Do(func() { s.closeQueues() })
+	s.closeQueues()
 	<-s.done
 	if s.runErr != nil {
 		return Result{}, s.runErr

@@ -40,7 +40,7 @@ func serveYCSB(t *testing.T, cores int) (*abyss.DB, abyss.Workload, abyss.Scheme
 // submitters.
 func TestSessionInvokeDrain(t *testing.T) {
 	db, wl, scheme := serveYCSB(t, 2)
-	s, err := db.Serve(scheme, wl, abyss.ServeConfig{AbortBackoff: time.Microsecond})
+	s, err := db.Serve(scheme, wl, abyss.RunConfig{AbortBackoff: uint64(time.Microsecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,19 +58,18 @@ func TestSessionInvokeDrain(t *testing.T) {
 					inv.Routed = true
 					inv.Partition = c % s.Workers()
 				}
-				rep, err := s.Invoke(inv)
-				if err != nil {
+				elapsed, err := s.Invoke(inv)
+				switch err {
+				case nil, abyss.ErrUserAbort:
+					committed.Add(1)
+				case abyss.ErrDeadline:
+					deadlined.Add(1)
+				default:
 					t.Errorf("Invoke: %v", err)
 					return
 				}
-				switch rep.Outcome {
-				case abyss.OutcomeCommitted, abyss.OutcomeUserAbort:
-					committed.Add(1)
-				case abyss.OutcomeDeadlined:
-					deadlined.Add(1)
-				}
-				if rep.Elapsed <= 0 {
-					t.Errorf("Elapsed = %v, want > 0", rep.Elapsed)
+				if elapsed <= 0 {
+					t.Errorf("elapsed = %v, want > 0", elapsed)
 				}
 			}
 		}(c)
@@ -216,7 +215,7 @@ func TestSessionProceduresAndArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := db.Serve(scheme, mix, abyss.ServeConfig{})
+	s, err := db.Serve(scheme, mix, abyss.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,9 +224,8 @@ func TestSessionProceduresAndArgs(t *testing.T) {
 	if got := s.Procedures(); len(got) != 2 || got[0] != "touch" {
 		t.Fatalf("Procedures = %v", got)
 	}
-	rep, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{5, 0}, Routed: true, Partition: 1})
-	if err != nil || rep.Outcome != abyss.OutcomeCommitted {
-		t.Fatalf("touch(5) = (%+v, %v), want committed", rep, err)
+	if elapsed, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{5, 0}, Routed: true, Partition: 1}); err != nil || elapsed <= 0 {
+		t.Fatalf("touch(5) = (%v, %v), want committed", elapsed, err)
 	}
 	if _, err := s.Invoke(abyss.Invocation{Proc: "nope"}); err == nil || !strings.Contains(err.Error(), "no procedure") {
 		t.Fatalf("unknown proc err = %v", err)
@@ -238,8 +236,8 @@ func TestSessionProceduresAndArgs(t *testing.T) {
 	if _, err := s.Invoke(abyss.Invocation{Proc: "plain", Args: []int64{1, 2}}); err == nil || !strings.Contains(err.Error(), "ArgBinder") {
 		t.Fatalf("no-binder err = %v", err)
 	}
-	if _, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{999, 0}}); err == nil || !strings.Contains(err.Error(), "rejected") {
-		t.Fatalf("bad-args err = %v", err)
+	if elapsed, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{999, 0}}); err == nil || !strings.Contains(err.Error(), "rejected") || elapsed != 0 {
+		t.Fatalf("bad-args = (%v, %v), want a rejection without elapsed time", elapsed, err)
 	}
 	if _, err := s.Invoke(abyss.Invocation{Routed: true, Partition: -1}); err == nil {
 		t.Fatal("negative partition accepted")
@@ -248,7 +246,7 @@ func TestSessionProceduresAndArgs(t *testing.T) {
 
 // TestSessionShedAndDeadline drives a session with one worker, a tiny
 // queue and a parked worker: admission overflow sheds with ErrShed, and
-// a queued invocation whose deadline lapses comes back OutcomeDeadlined
+// a queued invocation whose deadline lapses comes back ErrDeadline
 // without executing.
 func TestSessionShedAndDeadline(t *testing.T) {
 	db, mix := serveMix(t, 1)
@@ -256,7 +254,7 @@ func TestSessionShedAndDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := db.Serve(scheme, mix, abyss.ServeConfig{QueueDepth: 1})
+	s, err := db.Serve(scheme, mix, abyss.RunConfig{QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,26 +271,22 @@ func TestSessionShedAndDeadline(t *testing.T) {
 	time.Sleep(20 * time.Millisecond) // let the worker pick it up
 
 	// The queue holds one; a second concurrent submission must shed.
-	type outcome struct {
-		rep abyss.Reply
-		err error
-	}
-	done := make(chan outcome, 2)
+	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			rep, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{2, 0}, Deadline: time.Nanosecond})
-			done <- outcome{rep, err}
+			_, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{2, 0}, Deadline: time.Nanosecond})
+			done <- err
 		}()
 	}
 	var sheds, deadlined int
 	for i := 0; i < 2; i++ {
-		switch o := <-done; {
-		case errors.Is(o.err, abyss.ErrShed):
+		switch err := <-done; err {
+		case abyss.ErrShed:
 			sheds++
-		case o.err == nil && o.rep.Outcome == abyss.OutcomeDeadlined:
+		case abyss.ErrDeadline:
 			deadlined++
 		default:
-			t.Fatalf("unexpected outcome (%+v, %v)", o.rep, o.err)
+			t.Fatalf("unexpected outcome %v", err)
 		}
 	}
 	if sheds != 1 || deadlined != 1 {
@@ -316,6 +310,50 @@ func TestSessionShedAndDeadline(t *testing.T) {
 	}
 }
 
+// TestSessionDefaultDeadline pins that an invocation carrying no
+// deadline takes RunConfig.Deadline, counted from its arrival: queued
+// behind a parked worker past that budget, it comes back ErrDeadline
+// without executing.
+func TestSessionDefaultDeadline(t *testing.T) {
+	db, mix := serveMix(t, 1)
+	scheme, err := abyss.NewScheme("NO_WAIT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 10 * time.Millisecond
+	s, err := db.Serve(scheme, mix, abyss.RunConfig{QueueDepth: 1, Deadline: uint64(budget)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Park the single worker for 100 ms; its own generous deadline keeps
+	// it clear of the default.
+	parked := make(chan error, 1)
+	go func() {
+		_, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{1, int64(100 * time.Millisecond)}, Deadline: time.Hour})
+		parked <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the worker pick it up
+
+	elapsed, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{2, 0}})
+	if err != abyss.ErrDeadline {
+		t.Fatalf("queued invoke = %v, want ErrDeadline from RunConfig.Deadline", err)
+	}
+	if elapsed < budget {
+		t.Fatalf("elapsed = %v, want at least the %v budget spent queued", elapsed, budget)
+	}
+	if err := <-parked; err != nil {
+		t.Fatalf("parked invoke: %v", err)
+	}
+	res, err := s.Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Commits != 1 || res.Deadlined != 1 || res.Aborts != 0 {
+		t.Fatalf("commits/deadlined/aborts = %d/%d/%d, want 1/1/0 (the queued invocation never ran)", res.Commits, res.Deadlined, res.Aborts)
+	}
+}
+
 // TestServeValidation pins the front-door validation errors.
 func TestServeValidation(t *testing.T) {
 	simDB, err := abyss.Open(abyss.Options{Runtime: abyss.RuntimeSim, Cores: 2, Seed: 1})
@@ -329,25 +367,28 @@ func TestServeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	scheme, _ := abyss.NewScheme("NO_WAIT")
-	if _, err := simDB.Serve(scheme, wl, abyss.ServeConfig{}); err == nil || !strings.Contains(err.Error(), "native") {
+	if _, err := simDB.Serve(scheme, wl, abyss.RunConfig{}); err == nil || !strings.Contains(err.Error(), "native") {
 		t.Fatalf("sim Serve err = %v, want native-runtime requirement", err)
 	}
 
 	db, wl2, scheme2 := serveYCSB(t, 1)
-	if _, err := db.Serve(scheme2, wl2, abyss.ServeConfig{QueueDepth: -1}); err == nil {
+	if _, err := db.Serve(scheme2, wl2, abyss.RunConfig{QueueDepth: -1}); err == nil {
 		t.Fatal("negative QueueDepth accepted")
 	}
-	if _, err := db.Serve(scheme2, wl2, abyss.ServeConfig{RetryLimit: -1}); err == nil {
+	if _, err := db.Serve(scheme2, wl2, abyss.RunConfig{RetryLimit: -1}); err == nil {
 		t.Fatal("negative RetryLimit accepted")
+	}
+	if _, err := db.Serve(scheme2, wl2, abyss.RunConfig{MeasureCycles: 1_000_000}); err == nil || !strings.Contains(err.Error(), "serving run") {
+		t.Fatalf("Serve with a caller-set window err = %v, want a serving-run rejection", err)
 	}
 	// The DB's single measurement is still unclaimed after failed
 	// validation; a session claims it and a second Serve errors.
-	s, err := db.Serve(scheme2, wl2, abyss.ServeConfig{})
+	s, err := db.Serve(scheme2, wl2, abyss.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Drain()
-	if _, err := db.Serve(scheme2, wl2, abyss.ServeConfig{}); err == nil || !strings.Contains(err.Error(), "already ran") {
+	if _, err := db.Serve(scheme2, wl2, abyss.RunConfig{}); err == nil || !strings.Contains(err.Error(), "already ran") {
 		t.Fatalf("second Serve err = %v, want already-ran", err)
 	}
 }

@@ -96,12 +96,12 @@ func main() {
 		Params:   params,
 		Cores:    *cores,
 		Seed:     *seed,
-		Session: abyss.ServeConfig{
+		Session: abyss.RunConfig{
 			QueueDepth:   *qdepth,
-			Deadline:     *deadline,
+			Deadline:     cycles("deadline", *deadline),
 			RetryLimit:   *retry,
-			AbortBackoff: *backoff,
-			BackoffCap:   *bcap,
+			AbortBackoff: cycles("backoff", *backoff),
+			BackoffCap:   cycles("backoff-cap", *bcap),
 		},
 		Window:     *window,
 		Durability: dur,
@@ -152,6 +152,15 @@ func serveWindow(w int) int {
 		return serve.DefaultWindow
 	}
 	return w
+}
+
+// cycles converts a duration flag to native-runtime cycles (one per
+// nanosecond), refusing a negative value rather than wrapping it.
+func cycles(flagName string, d time.Duration) uint64 {
+	if d < 0 {
+		fail(fmt.Errorf("-%s must not be negative, got %v", flagName, d))
+	}
+	return uint64(d)
 }
 
 func fail(err error) {

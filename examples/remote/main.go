@@ -22,12 +22,14 @@ func main() {
 	// An engine on 2 native cores behind bounded admission queues. Every
 	// invocation that cannot commit within 50ms of arrival — including
 	// time spent queued — comes back "deadlined" instead of lingering.
+	// The session is a RunConfig; on the native runtime a cycle is a
+	// nanosecond.
 	srv, err := serve.New(serve.Config{
 		Scheme:   "NO_WAIT",
 		Workload: "ycsb",
 		Cores:    2,
 		Seed:     42,
-		Session:  abyss.ServeConfig{QueueDepth: 64, Deadline: 50 * time.Millisecond},
+		Session:  abyss.RunConfig{QueueDepth: 64, Deadline: uint64(50 * time.Millisecond)},
 		Window:   64,
 	})
 	if err != nil {

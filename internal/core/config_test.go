@@ -52,8 +52,15 @@ func TestConfigValidate(t *testing.T) {
 		{"negative retry limit", func(c *Config) { c.RetryLimit = -1 }, "RetryLimit"},
 		{"queue depth without arrivals", func(c *Config) { c.QueueDepth = 4 }, "QueueDepth"},
 		{"shed types without arrivals", func(c *Config) { c.ShedTypes = "ycsb" }, "ShedTypes"},
-		{"source with arrivals", func(c *Config) { *c = c.WithSource(drainedSource{}); c.Arrivals = poisson }, "serving run"},
-		{"source with queue depth", func(c *Config) { *c = c.WithSource(drainedSource{}); c.QueueDepth = 4 }, "serving run"},
+		{"source with a window", func(c *Config) { *c = c.WithSource(drainedSource{}) }, "serving run"},
+		{"source with warmup only", func(c *Config) { *c = Config{WarmupCycles: 1}.WithSource(drainedSource{}) }, "serving run"},
+		{"source with arrivals", func(c *Config) { *c = Config{Arrivals: poisson}.WithSource(drainedSource{}) }, "serving run"},
+		{"source with shed types", func(c *Config) { *c = Config{ShedTypes: "ycsb"}.WithSource(drainedSource{}) }, "serving run"},
+		{"source with sampling", func(c *Config) {
+			*c = Config{SampleEvery: 50_000, Observer: obs}.WithSource(drainedSource{})
+		}, "serving run"},
+		{"source with observer only", func(c *Config) { *c = Config{Observer: obs}.WithSource(drainedSource{}) }, "serving run"},
+		{"source with negative queue depth", func(c *Config) { *c = Config{QueueDepth: -1}.WithSource(drainedSource{}) }, "QueueDepth"},
 	}
 	for _, tc := range bad {
 		cfg := base
@@ -68,7 +75,8 @@ func TestConfigValidate(t *testing.T) {
 		"minimal window": {MeasureCycles: 1},
 		"sampled":        {MeasureCycles: 300_000, SampleEvery: 50_000, Observer: obs},
 		"at the cap":     {MeasureCycles: MaxSampleIntervals, SampleEvery: 1, Observer: obs},
-		"serving":        base.WithSource(drainedSource{}).WithStop(new(atomic.Bool)),
+		"serving":        Config{}.WithSource(drainedSource{}).WithStop(new(atomic.Bool)),
+		"serving, tuned": Config{QueueDepth: 4, Deadline: 1000, RetryLimit: 3, AbortBackoff: 100, BackoffCap: 800, Check: true}.WithSource(drainedSource{}),
 	}
 	for name, cfg := range good {
 		if err := cfg.Validate(); err != nil {

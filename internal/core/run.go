@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"abyss1000/internal/rt"
@@ -60,10 +61,11 @@ type Config struct {
 	// closed loop, byte-identical to previous releases.
 	Arrivals Arrivals
 
-	// QueueDepth bounds each worker's admission queue in open-loop runs.
-	// Arrivals that find the queue full are shed (counted in
-	// Result.Shed, never executed). Zero means unbounded — admission
-	// control off. Requires Arrivals.
+	// QueueDepth bounds each worker's admission queue. Arrivals that find
+	// the queue full are shed (counted in Result.Shed, never executed).
+	// In an open-loop run zero means unbounded — admission control off;
+	// in a serving run (abyss.DB.Serve) zero means
+	// abyss.DefaultServeQueueDepth. Requires Arrivals or a serving run.
 	QueueDepth int
 
 	// ShedTypes lists transaction type names (comma-separated, resolved
@@ -74,10 +76,11 @@ type Config struct {
 	ShedTypes string
 
 	// Deadline abandons a transaction that has not committed within this
-	// many cycles of its latency origin (arrival time in open loop,
-	// first-attempt start in closed loop): it aborts as ErrDeadline
-	// instead of retrying forever, counted in Result.Deadlined. Zero
-	// disables deadlines.
+	// many cycles of its latency origin (arrival time in open loop and in
+	// a serving run, first-attempt start in closed loop): it aborts as
+	// ErrDeadline instead of retrying forever, counted in
+	// Result.Deadlined. In a serving run it is the default for requests
+	// that carry no deadline of their own. Zero disables deadlines.
 	Deadline uint64
 
 	// RetryLimit abandons a transaction after this many failed attempts
@@ -113,9 +116,8 @@ func (c Config) WithStop(stop *atomic.Bool) Config {
 
 // WithSource returns c switched to remote request dispatch: workers pull
 // externally submitted Requests from src instead of drawing work
-// themselves (see serve.go). Mutually exclusive with Arrivals — admission
-// queues and shedding live upstream in the session that owns the source,
-// so QueueDepth and ShedTypes do not apply either.
+// themselves (see serve.go), and the run measures until src drains.
+// Validate states which fields such a serving run rejects.
 func (c Config) WithSource(src RequestSource) Config {
 	c.source = src
 	return c
@@ -137,7 +139,18 @@ func DefaultConfig() Config {
 // and Run panics with the same text. Messages name the field as callers
 // spell it — Config and abyss.RunConfig are one type.
 func (c Config) Validate() error {
-	if c.MeasureCycles == 0 {
+	if c.source != nil {
+		// A serving run: the session owns the window, the arrivals and
+		// the admission queues; no field is silently ignored.
+		switch {
+		case c.WarmupCycles != 0 || c.MeasureCycles != 0:
+			return errors.New("WarmupCycles and MeasureCycles do not apply to a serving run — it measures from Serve until Drain")
+		case c.Arrivals != (Arrivals{}) || c.ShedTypes != "":
+			return errors.New("Arrivals and ShedTypes do not apply to a serving run — requests arrive from the session, which owns the admission queues")
+		case c.SampleEvery != 0 || c.Observer != nil:
+			return errors.New("SampleEvery and Observer do not apply to a serving run — its window has no fixed length to divide into intervals")
+		}
+	} else if c.MeasureCycles == 0 {
 		return errors.New("MeasureCycles must be positive (a zero window has no throughput)")
 	}
 	if c.Observer != nil && c.SampleEvery == 0 {
@@ -163,10 +176,7 @@ func (c Config) Validate() error {
 	if c.RetryLimit < 0 {
 		return fmt.Errorf("RetryLimit must not be negative, got %d", c.RetryLimit)
 	}
-	if c.source != nil && (c.Arrivals.Open() || c.QueueDepth > 0 || c.ShedTypes != "") {
-		return errors.New("Arrivals, QueueDepth and ShedTypes do not apply to a serving run — requests arrive from the session, which owns the admission queues")
-	}
-	if !c.Arrivals.Open() {
+	if c.source == nil && !c.Arrivals.Open() {
 		if c.QueueDepth > 0 {
 			return errors.New("QueueDepth needs an open-loop arrival process; set Arrivals")
 		}
@@ -327,6 +337,11 @@ func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
 	if open {
 		shedMask = shedMaskFor(typer, cfg.ShedTypes)
 	}
+	warmEnd := cfg.WarmupCycles
+	end := warmEnd + cfg.MeasureCycles
+	if cfg.source != nil {
+		end = math.MaxUint64 // a serving run measures until its source drains
+	}
 	workers := make([]*Worker, n)
 	db.RT.Run(func(p rt.Proc) {
 		w := NewWorker(p, db, scheme)
@@ -336,8 +351,6 @@ func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
 		w.retryLimit = cfg.RetryLimit
 		w.backoffCap = cfg.BackoffCap
 		workers[p.ID()] = w
-		warmEnd := cfg.WarmupCycles
-		end := warmEnd + cfg.MeasureCycles
 		switch {
 		case cfg.source != nil:
 			w.serveRemote(wl, cfg, warmEnd, end)

@@ -17,8 +17,6 @@
 package core
 
 import (
-	"errors"
-
 	"abyss1000/internal/rt"
 	"abyss1000/internal/stats"
 )
@@ -41,7 +39,8 @@ type Request struct {
 	// Deadline is the absolute cycle past which the request is
 	// abandoned: expired-in-queue requests complete as ErrDeadline
 	// without executing, and admitted ones inherit the remaining budget
-	// as their runTxn deadline. Zero falls back to Config.Deadline.
+	// as their runTxn deadline. Zero falls back to Arrival +
+	// Config.Deadline (none when that is zero too).
 	Deadline uint64
 
 	// Done, when non-nil, is invoked exactly once on the worker
@@ -67,11 +66,6 @@ func (r *Request) finish(err error) {
 type RequestSource interface {
 	Next(p rt.Proc) (req Request, ok bool)
 }
-
-// ErrSourceClosed classifies a request that was still queued when its
-// source drained: the serving tier completes such requests with this
-// error instead of executing them.
-var ErrSourceClosed = errors.New("core: request source closed before execution")
 
 // serveRemote is the request-dispatch worker body: pull a request, drop
 // it if its deadline expired while queued, otherwise materialize the
@@ -101,6 +95,9 @@ func (w *Worker) serveRemote(wl Workload, cfg Config, warmEnd, end uint64) {
 			// arithmetic stays non-negative.
 			req.Arrival = now
 		}
+		if req.Deadline == 0 && cfg.Deadline > 0 {
+			req.Deadline = req.Arrival + cfg.Deadline
+		}
 		inWin := now >= warmEnd && now < end
 		if req.Deadline > 0 && now >= req.Deadline {
 			// Expired while queued: abandon without executing, exactly
@@ -113,8 +110,9 @@ func (w *Worker) serveRemote(wl Workload, cfg Config, warmEnd, end uint64) {
 			req.finish(ErrDeadline)
 			continue
 		}
-		w.deadline = cfg.Deadline
-		if req.Deadline > req.Arrival {
+		w.deadline = 0
+		if req.Deadline > 0 {
+			// Not expired, so the deadline lies past now >= Arrival.
 			w.deadline = req.Deadline - req.Arrival
 		}
 		var txn Txn

@@ -78,7 +78,7 @@ func TestLoadRunLedger(t *testing.T) {
 		Workload: "ycsb",
 		Cores:    2,
 		Seed:     11,
-		Session:  abyss.ServeConfig{QueueDepth: 256},
+		Session:  abyss.RunConfig{QueueDepth: 256},
 		Window:   64,
 	})
 	if err != nil {

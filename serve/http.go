@@ -12,10 +12,10 @@ package serve
 //	GET  /stats    — session-side admission counters and identity.
 //	GET  /healthz  — liveness (200 "ok", 503 once draining).
 //
-// Each connection gets its own inflight window via ConnContext; since
-// HTTP/1.1 serves one request per connection at a time this only bites
-// pathological pipelining, but it keeps the backpressure contract
-// uniform across transports.
+// There is no per-connection window here: net/http serves one request
+// per HTTP/1.1 connection at a time, pipelined requests included, so a
+// connection never has more than one request in flight and a Window of
+// at least one never binds. Admission queues and deadlines still apply.
 
 import (
 	"context"
@@ -24,8 +24,6 @@ import (
 	"net/http"
 	"time"
 )
-
-type connWindowKey struct{}
 
 func (s *Server) startHTTP(addr string) error {
 	ln, err := net.Listen("tcp", addr)
@@ -40,9 +38,6 @@ func (s *Server) startHTTP(addr string) error {
 	s.httpSrv = &http.Server{
 		Handler:           mux,
 		ReadHeaderTimeout: 10 * time.Second,
-		ConnContext: func(ctx context.Context, c net.Conn) context.Context {
-			return context.WithValue(ctx, connWindowKey{}, newWindow(s.window))
-		},
 	}
 	go s.httpSrv.Serve(ln)
 	return nil
@@ -83,15 +78,6 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeReply(w, InvokeReply{Outcome: WireClosed})
 		return
-	}
-	win, _ := r.Context().Value(connWindowKey{}).(*window)
-	if win != nil {
-		if !win.tryAcquire() {
-			s.session.NoteShed(1)
-			writeReply(w, InvokeReply{Outcome: WireShed})
-			return
-		}
-		defer win.release()
 	}
 	var body httpRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxFrame)).Decode(&body); err != nil {

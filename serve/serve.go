@@ -5,9 +5,10 @@
 //
 // Backpressure maps onto three nested bounds:
 //
-//   - per-connection inflight windows (Config.Window): a connection with
-//     Window requests outstanding has further requests answered SHED
-//     immediately, without touching the engine;
+//   - per-connection inflight windows (Config.Window): a binary
+//     connection with Window requests outstanding has further requests
+//     answered SHED immediately, without touching the engine (an HTTP
+//     connection never has more than one);
 //   - per-worker admission queues (Config.Session.QueueDepth): requests
 //     routed to a full queue are shed by the session (HTTP 429);
 //   - per-request deadlines, propagated from client headers/fields to
@@ -60,12 +61,13 @@ type Config struct {
 	// Seed drives the engine's deterministic streams.
 	Seed int64
 
-	// Session tunes admission control: queue depth, default deadline,
-	// retry budget, backoff.
-	Session abyss.ServeConfig
+	// Session configures the serving run; abyss.DB.Serve lists the
+	// fields it honours (queue depth, default deadline, retry budget,
+	// backoff, Check).
+	Session abyss.RunConfig
 
-	// Window bounds each connection's inflight requests; overflow is
-	// answered SHED without reaching the engine. Zero means
+	// Window bounds each binary connection's inflight requests;
+	// overflow is answered SHED without reaching the engine. Zero means
 	// DefaultWindow.
 	Window int
 
@@ -192,26 +194,19 @@ func (s *Server) TCPAddr() string {
 	return s.tcpLn.Addr().String()
 }
 
-// reply maps a session invocation outcome onto the wire.
-func reply(rep abyss.Reply, err error) InvokeReply {
-	switch {
-	case err == nil:
-		out := InvokeReply{Elapsed: rep.Elapsed}
-		switch rep.Outcome {
-		case abyss.OutcomeCommitted:
-			out.Outcome = WireCommitted
-		case abyss.OutcomeUserAbort:
-			out.Outcome = WireUserAbort
-		case abyss.OutcomeDeadlined:
-			out.Outcome = WireDeadlined
-		default:
-			out.Outcome = WireRejected
-			out.Err = fmt.Sprintf("unknown outcome %v", rep.Outcome)
-		}
-		return out
-	case err == abyss.ErrShed:
+// reply maps a session invocation's result onto the wire: the one
+// error-to-outcome-byte mapping.
+func reply(elapsed time.Duration, err error) InvokeReply {
+	switch err {
+	case nil:
+		return InvokeReply{Outcome: WireCommitted, Elapsed: elapsed}
+	case abyss.ErrUserAbort:
+		return InvokeReply{Outcome: WireUserAbort, Elapsed: elapsed}
+	case abyss.ErrDeadline:
+		return InvokeReply{Outcome: WireDeadlined, Elapsed: elapsed}
+	case abyss.ErrShed:
 		return InvokeReply{Outcome: WireShed}
-	case err == abyss.ErrSessionClosed:
+	case abyss.ErrSessionClosed:
 		return InvokeReply{Outcome: WireClosed}
 	default:
 		return InvokeReply{Outcome: WireRejected, Err: err.Error()}
@@ -259,23 +254,6 @@ func (s *Server) Shutdown() (abyss.Result, error) {
 	})
 	return s.result, s.shutdownErr
 }
-
-// window is a counting semaphore bounding a connection's inflight
-// requests.
-type window struct{ sem chan struct{} }
-
-func newWindow(n int) *window { return &window{sem: make(chan struct{}, n)} }
-
-func (w *window) tryAcquire() bool {
-	select {
-	case w.sem <- struct{}{}:
-		return true
-	default:
-		return false
-	}
-}
-
-func (w *window) release() { <-w.sem }
 
 // Elapsed-to-wall helpers shared by the transports.
 func elapsedNS(d time.Duration) int64 {

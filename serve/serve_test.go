@@ -6,9 +6,12 @@ package serve_test
 // Result.Commits + Shed + Deadlined. Run under -race in CI.
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +21,7 @@ import (
 	"abyss1000/serve/client"
 )
 
-func startServer(t *testing.T, scheme string, cores int, sc abyss.ServeConfig, window int) *serve.Server {
+func startServer(t *testing.T, scheme string, cores int, sc abyss.RunConfig, window int) *serve.Server {
 	t.Helper()
 	srv, err := serve.New(serve.Config{
 		Scheme:   scheme,
@@ -69,7 +72,7 @@ func TestMixedTransportsAllSchemes(t *testing.T) {
 	const conns, per = 4, 25
 	for _, scheme := range abyss.PaperSchemes() {
 		t.Run(scheme, func(t *testing.T) {
-			srv := startServer(t, scheme, 2, abyss.ServeConfig{QueueDepth: 256}, 32)
+			srv := startServer(t, scheme, 2, abyss.RunConfig{QueueDepth: 256}, 32)
 			var (
 				mu    sync.Mutex
 				total tally
@@ -153,7 +156,7 @@ func TestMixedTransportsAllSchemes(t *testing.T) {
 }
 
 func TestWireDeadlinePropagates(t *testing.T) {
-	srv := startServer(t, "NO_WAIT", 1, abyss.ServeConfig{QueueDepth: 16}, 8)
+	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16}, 8)
 	defer srv.Shutdown()
 	for _, proto := range []string{"http", "binary"} {
 		addr := srv.HTTPAddr()
@@ -175,8 +178,46 @@ func TestWireDeadlinePropagates(t *testing.T) {
 	}
 }
 
+// TestHTTPPipelinedOneConnection pins why the HTTP transport has no
+// per-connection window: net/http answers pipelined requests on one
+// connection one at a time, so even at Window 1 every request is served
+// and none is shed.
+func TestHTTPPipelinedOneConnection(t *testing.T) {
+	const n = 8
+	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16}, 1)
+	defer srv.Shutdown()
+	conn, err := net.Dial("tcp", srv.HTTPAddr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	const body = `{"partition":0}`
+	req := fmt.Sprintf("POST /invoke HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	if _, err := conn.Write([]byte(strings.Repeat(req, n))); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	r := bufio.NewReader(conn)
+	for i := 0; i < n; i++ {
+		resp, err := http.ReadResponse(r, nil)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		var rep struct {
+			Outcome string `json:"outcome"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&rep)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || rep.Outcome != "committed" {
+			t.Fatalf("reply %d = %d %q (%v), want 200 committed", i, resp.StatusCode, rep.Outcome, err)
+		}
+	}
+	if c := srv.Session().Counters(); c.Offered != n || c.Shed != 0 {
+		t.Fatalf("counters %+v, want %d offered and none shed", c, n)
+	}
+}
+
 func TestStatsAndHealth(t *testing.T) {
-	srv := startServer(t, "NO_WAIT", 1, abyss.ServeConfig{QueueDepth: 16}, 8)
+	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16}, 8)
 	defer srv.Shutdown()
 	c := client.DialHTTP(srv.HTTPAddr())
 	if rep, err := c.Invoke(serve.InvokeRequest{Partition: -1}); err != nil || rep.Outcome != serve.WireCommitted {
@@ -209,7 +250,7 @@ func TestStatsAndHealth(t *testing.T) {
 }
 
 func TestBadRequestsRejected(t *testing.T) {
-	srv := startServer(t, "NO_WAIT", 1, abyss.ServeConfig{QueueDepth: 16}, 8)
+	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16}, 8)
 	defer srv.Shutdown()
 	c, err := client.DialBinary(srv.TCPAddr())
 	if err != nil {

@@ -34,6 +34,23 @@ func (c *connState) writeReply(id uint64, rep InvokeReply) {
 	WriteFrame(c.conn, buf)
 }
 
+// window is a counting semaphore bounding a binary connection's
+// inflight requests.
+type window struct{ sem chan struct{} }
+
+func newWindow(n int) *window { return &window{sem: make(chan struct{}, n)} }
+
+func (w *window) tryAcquire() bool {
+	select {
+	case w.sem <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+func (w *window) release() { <-w.sem }
+
 func (s *Server) startTCP(addr string) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

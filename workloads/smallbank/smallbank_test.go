@@ -7,6 +7,7 @@ package smallbank_test
 // proof that an external workload needs nothing from internal/.
 
 import (
+	"sync"
 	"testing"
 
 	"abyss1000/abyss"
@@ -115,6 +116,64 @@ func TestSmallBankAllSchemesNative(t *testing.T) {
 				t.Fatalf("%s committed nothing natively", name)
 			}
 			assertPerTxnConformance(t, res)
+		})
+	}
+}
+
+// TestSmallBankServedSerializable puts the serving path under the
+// serializability checker: a Session with RunConfig.Check set, driven by
+// concurrent routed invocations, must leave a history whose dependency
+// graph is acyclic and whose oracle replay reproduces the final state,
+// under every paper scheme.
+func TestSmallBankServedSerializable(t *testing.T) {
+	const submitters, per = 4, 300
+	for _, name := range abyss.PaperSchemes() {
+		t.Run(name, func(t *testing.T) {
+			db, err := abyss.Open(abyss.Options{Runtime: abyss.RuntimeNative, Cores: 2, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl, err := smallbank.Build(db, smallConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			scheme, err := abyss.NewScheme(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := db.Serve(scheme, wl, abyss.RunConfig{Check: true, AbortBackoff: 500})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for c := 0; c < submitters; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					for i := 0; i < per; i++ {
+						inv := abyss.Invocation{Routed: true, Partition: (c + i) % s.Workers()}
+						if _, err := s.Invoke(inv); err != nil && err != abyss.ErrUserAbort {
+							t.Errorf("Invoke: %v", err)
+							return
+						}
+					}
+				}(c)
+			}
+			wg.Wait()
+			res, err := s.Drain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Commits != submitters*per {
+				t.Fatalf("Commits = %d, want %d", res.Commits, submitters*per)
+			}
+			rep, err := db.CheckSerializability()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Fatalf("served %s history not serializable: %v", name, rep)
+			}
 		})
 	}
 }
