@@ -84,6 +84,19 @@ func TestOverloadValidation(t *testing.T) {
 	}
 }
 
+// TestShedTypesUnknownName: a ShedTypes entry the workload does not
+// declare fails the run with an error that names the field and lists the
+// workload's types, instead of silently turning priority shedding off.
+func TestShedTypesUnknownName(t *testing.T) {
+	db, wl, scheme := openYCSB(t)
+	cfg := overloadRunConfig()
+	cfg.ShedTypes = "NoSuchTxn"
+	_, err := db.Run(scheme, wl, cfg)
+	if err == nil || !strings.Contains(err.Error(), "ShedTypes") || !strings.Contains(err.Error(), "ycsb") {
+		t.Fatalf("want an error naming ShedTypes and the valid type ycsb, got %v", err)
+	}
+}
+
 // TestOpenLoopRunDeterminism pins that an open-loop run with the full
 // knob set is deterministic on the simulator — two fresh DBs produce
 // deep-equal Results — and that its overload accounting is live: offered

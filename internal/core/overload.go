@@ -12,10 +12,12 @@
 // (or within its retry budget) is abandoned with ErrDeadline instead of
 // retrying forever.
 //
-// Everything here is gated on Config.Arrivals: with the process set to
-// ArrivalClosed (the zero value) none of this code runs and the engine's
-// closed-loop schedule is byte-identical to previous releases — the
-// golden signature pins that.
+// The open loop is one of the three sources that feed the one worker
+// loop (worker.go), so its transactions meet the same deadline rule,
+// retry budget and backoff as closed-loop and served ones. With
+// Config.Arrivals closed (the zero value) the open-loop source is never
+// built and the closed-loop schedule is unchanged — the golden signature
+// pins that.
 package core
 
 import (
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 
 	"abyss1000/internal/stats"
@@ -301,80 +304,85 @@ func highWater(bound int) int {
 
 // shedMaskFor resolves Config.ShedTypes (comma-separated transaction type
 // names) against the workload's declared types into a bitmask over type
-// indexes. Unknown names are ignored; workloads without a TxnTyper cannot
-// priority-shed.
-func shedMaskFor(typer TxnTyper, spec string) uint64 {
-	if spec == "" || typer == nil {
-		return 0
+// indexes. A name the workload does not declare, or ShedTypes on a
+// workload without a TxnTyper, is an error naming the field.
+func shedMaskFor(typer TxnTyper, spec string) (uint64, error) {
+	if spec == "" {
+		return 0, nil
+	}
+	if typer == nil {
+		return 0, errors.New("ShedTypes needs a workload that declares its transaction types (TxnTyper)")
 	}
 	names := typer.TxnTypes()
 	var mask uint64
 	for _, want := range strings.Split(spec, ",") {
 		want = strings.TrimSpace(want)
-		for i, name := range names {
-			if i < 64 && name == want {
-				mask |= 1 << uint(i)
-			}
+		i := slices.Index(names, want)
+		if i < 0 || i >= 64 {
+			return 0, fmt.Errorf("ShedTypes names %q, which is not one of the workload's transaction types (%s)", want, strings.Join(names, ", "))
 		}
+		mask |= 1 << uint(i)
 	}
-	return mask
+	return mask, nil
 }
 
-// serveOpen is the open-loop worker body: ingest arrivals due by the
-// worker's clock, shed on queue overflow (and, above the high-water mark,
-// by transaction type), serve queued work with the arrival time as the
-// latency origin, and park idle until the next arrival.
-func (w *Worker) serveOpen(wl Workload, cfg Config, shedMask uint64, warmEnd, end uint64, nworkers int) {
-	p := w.P
-	gen := NewArrivalStream(cfg.Arrivals, p.ID(), nworkers, w.DB.RT.Frequency())
-	q := newAdmitQueue(cfg.QueueDepth)
-	high := highWater(cfg.QueueDepth)
-	for {
-		now, ok := w.atBoundary(&cfg, warmEnd, end)
-		if !ok {
-			break
+// openLoop is the open-loop source. It ingests the arrivals due by the
+// worker's clock — shedding on queue overflow and, above the high-water
+// mark, by transaction type — hands out queued work with its arrival time
+// as origin, and parks idle until the next arrival. Offered counts every
+// in-window arrival once, as take consumes it; close takes those due
+// after the worker's last boundary. Shed and depth observations are
+// stamped at discovery so the sampler's intervals stay monotone.
+type openLoop struct {
+	w            *Worker
+	wl           Workload
+	gen          *ArrivalStream
+	q            *admitQueue
+	high         int
+	shedMask     uint64
+	warmEnd, end uint64
+}
+
+// take consumes the stream's next arrival, counting it if it is in-window.
+func (o *openLoop) take() uint64 {
+	t := o.gen.Take()
+	if t >= o.warmEnd && t < o.end {
+		o.w.Count.Offered++
+	}
+	return t
+}
+
+func (o *openLoop) next(now uint64) (work, bool) {
+	w, p := o.w, o.w.P
+	inWin := now >= o.warmEnd // and now < end: the loop has checked
+	for o.gen.Peek() <= now {
+		if !o.q.push(o.take()) && inWin {
+			w.observeShed(now)
 		}
-		inWin := now >= warmEnd && now < end
-		// Ingest every arrival due by now. Offered counts by arrival
-		// time (the stream is window-independent); shed and queue-depth
-		// observations are stamped at discovery so the sampler's
-		// intervals stay monotone per worker.
-		for gen.Peek() <= now {
-			t := gen.Take()
-			if t >= warmEnd && t < end {
-				w.Count.Offered++
-			}
-			if !q.push(t) {
-				if inWin {
-					w.Count.Shed++
-					w.observeShed(now)
-				}
-			}
-			if inWin {
-				w.observeDepth(now, q.depth())
-			}
+		if inWin {
+			w.observeDepth(now, o.q.depth())
 		}
-		t, ok := q.pop()
-		if !ok {
-			next := gen.Peek()
-			if next > end {
-				next = end
-			}
-			if next > now {
-				p.ParkTimeout(stats.Idle, next-now)
-			}
-			continue
+	}
+	t, ok := o.q.pop()
+	if !ok {
+		if next := min(o.gen.Peek(), o.end); next > now {
+			p.ParkTimeout(stats.Idle, next-now)
 		}
-		txn := wl.Next(p)
-		if shedMask != 0 && q.depth() >= high && w.typer != nil {
-			if k := w.typer.TxnTypeOf(txn); k >= 0 && k < 64 && shedMask&(1<<uint(k)) != 0 {
-				if inWin {
-					w.Count.Shed++
-					w.observeShed(now)
-				}
-				continue
-			}
+		return work{}, true
+	}
+	txn := o.wl.Next(p)
+	// TxnTypeOf's -1 for an undeclared type shifts past bit 63: no bit.
+	if o.shedMask != 0 && o.q.depth() >= o.high && o.shedMask&(1<<uint(w.typer.TxnTypeOf(txn))) != 0 {
+		if inWin {
+			w.observeShed(now)
 		}
-		w.runTxn(txn, t, warmEnd, end, cfg.AbortBackoff)
+		return work{}, true
+	}
+	return work{txn: txn, origin: t}, true
+}
+
+func (o *openLoop) close(now uint64) {
+	for t := o.gen.Peek(); t <= now && t < o.end; t = o.gen.Peek() {
+		o.take()
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -120,19 +121,26 @@ func (twoTypes) TxnTypes() []string { return []string{"alpha", "beta"} }
 func (twoTypes) TxnTypeOf(Txn) int  { return 0 }
 
 func TestShedMaskFor(t *testing.T) {
-	if shedMaskFor(nil, "alpha") != 0 {
-		t.Fatal("no typer means no mask")
-	}
-	if shedMaskFor(twoTypes{}, "") != 0 {
-		t.Fatal("empty spec means no mask")
-	}
-	if got := shedMaskFor(twoTypes{}, "beta"); got != 2 {
-		t.Fatalf("mask for beta = %b, want 10", got)
-	}
-	if got := shedMaskFor(twoTypes{}, "alpha, beta"); got != 3 {
-		t.Fatalf("mask for both = %b, want 11", got)
-	}
-	if got := shedMaskFor(twoTypes{}, "gamma"); got != 0 {
-		t.Fatalf("unknown names must be ignored, got %b", got)
+	for _, c := range []struct {
+		typer   TxnTyper
+		spec    string
+		want    uint64
+		wantErr string
+	}{
+		{nil, "", 0, ""},
+		{twoTypes{}, "", 0, ""},
+		{twoTypes{}, "beta", 2, ""},
+		{twoTypes{}, "alpha, beta", 3, ""},
+		{nil, "alpha", 0, "TxnTyper"},
+		{twoTypes{}, "gamma", 0, `ShedTypes names "gamma", which is not one of the workload's transaction types (alpha, beta)`},
+		{twoTypes{}, "alpha,", 0, `ShedTypes names ""`},
+	} {
+		got, err := shedMaskFor(c.typer, c.spec)
+		if c.wantErr == "" && (err != nil || got != c.want) {
+			t.Errorf("shedMaskFor(%v, %q) = %b, %v; want %b", c.typer, c.spec, got, err, c.want)
+		}
+		if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+			t.Errorf("shedMaskFor(%v, %q) error = %v, want one containing %q", c.typer, c.spec, err, c.wantErr)
+		}
 	}
 }

@@ -9,6 +9,7 @@ package core_test
 
 import (
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -409,6 +410,66 @@ func TestMMPPBurstsOfferMoreThanCalm(t *testing.T) {
 	bursty := run(core.ArrivalMMPP)
 	if bursty.Offered <= calm.Offered {
 		t.Fatalf("MMPP bursts should raise offered load: %d vs %d", bursty.Offered, calm.Offered)
+	}
+}
+
+// TestOfferedCountsEveryArrivalInWindow: Offered is the number of arrivals
+// the workers' streams place inside the measurement window, including
+// those due after a worker's last transaction boundary (a worker still
+// running a transaction at the window's end never ingests them).
+func TestOfferedCountsEveryArrivalInWindow(t *testing.T) {
+	sat := saturationTPS(t)
+	for _, load := range []float64{0.5, 2.5} {
+		eng := sim.New(overloadCores, 42)
+		db, wl := overloadWorkload(eng)
+		cfg := openConfig(load*sat, 16)
+		res := core.Run(db, noWait(), wl, cfg)
+
+		var want uint64
+		end := cfg.WarmupCycles + cfg.MeasureCycles
+		for i := 0; i < overloadCores; i++ {
+			g := core.NewArrivalStream(cfg.Arrivals, i, overloadCores, db.RT.Frequency())
+			for ; g.Peek() < end; g.Take() {
+				if g.Peek() >= cfg.WarmupCycles {
+					want++
+				}
+			}
+		}
+		if res.Offered != want {
+			t.Errorf("%.1fx saturation: Offered = %d, the arrival streams put %d in the window", load, res.Offered, want)
+		}
+	}
+}
+
+// TestShedTypesResolvedAgainstWorkload: Run refuses a ShedTypes entry the
+// workload does not declare, naming the field and the valid types, and
+// refuses ShedTypes on a workload that declares no types at all.
+func TestShedTypesResolvedAgainstWorkload(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		typed bool
+		shed  string
+		want  string
+	}{
+		{"unknown type", true, "ycsb, NoSuchTxn", `"NoSuchTxn"`},
+		{"untyped workload", false, "ycsb", "TxnTyper"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := sim.New(overloadCores, 42)
+			db, wl := overloadWorkload(eng)
+			if !c.typed {
+				wl = struct{ core.Workload }{wl}
+			}
+			cfg := openConfig(100_000, 16)
+			cfg.ShedTypes = c.shed
+			defer func() {
+				err, _ := recover().(error)
+				if err == nil || !strings.Contains(err.Error(), "ShedTypes") || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("Run with ShedTypes %q: want an error naming ShedTypes and %s, got %v", c.shed, c.want, err)
+				}
+			}()
+			core.Run(db, noWait(), wl, cfg)
+		})
 	}
 }
 

@@ -71,8 +71,9 @@ type Config struct {
 	// ShedTypes lists transaction type names (comma-separated, resolved
 	// against the workload's TxnTyper) to shed preferentially once a
 	// worker's queue passes its high-water mark. Empty disables priority
-	// shedding. Requires Arrivals. A string rather than a slice so
-	// Config stays comparable.
+	// shedding. Requires Arrivals, and Run refuses a name the workload
+	// does not declare. A string rather than a slice so Config stays
+	// comparable.
 	ShedTypes string
 
 	// Deadline abandons a transaction that has not committed within this
@@ -214,10 +215,12 @@ type Result struct {
 	// Commits.
 	Latency stats.Histogram `json:"latency"`
 
-	// Offered, Shed and Deadlined are the open-loop overload counters
-	// (always zero in closed-loop runs): arrivals offered inside the
-	// measurement window, arrivals rejected by admission control, and
-	// transactions abandoned past their deadline or retry budget.
+	// Offered, Shed and Deadlined are the overload counters: arrivals
+	// offered inside the measurement window (in the open loop, every one
+	// its streams place there, whether or not a worker reached it before
+	// the window closed; zero in closed-loop runs), arrivals rejected by
+	// admission control, and transactions abandoned past their deadline
+	// or retry budget.
 	Offered   uint64 `json:"offered"`
 	Shed      uint64 `json:"shed"`
 	Deadlined uint64 `json:"deadlined"`
@@ -312,6 +315,13 @@ func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
 		// the public abyss API validates and returns errors instead.
 		panic(fmt.Errorf("core: %w", err))
 	}
+	// ShedTypes resolves against the workload, so only Run can check it;
+	// the abyss API returns this panic as Run's error.
+	typer, _ := wl.(TxnTyper)
+	shedMask, err := shedMaskFor(typer, cfg.ShedTypes)
+	if err != nil {
+		panic(fmt.Errorf("core: %w", err))
+	}
 	scheme.Setup(db)
 	if cfg.Check {
 		// Snapshot the post-population state as version 0 of every slot.
@@ -331,12 +341,6 @@ func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
 	if cfg.Observer != nil {
 		smp = newSampler(cfg, n, db.RT.Frequency())
 	}
-	typer, _ := wl.(TxnTyper)
-	open := cfg.Arrivals.Open()
-	var shedMask uint64
-	if open {
-		shedMask = shedMaskFor(typer, cfg.ShedTypes)
-	}
 	warmEnd := cfg.WarmupCycles
 	end := warmEnd + cfg.MeasureCycles
 	if cfg.source != nil {
@@ -347,19 +351,16 @@ func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
 		w := NewWorker(p, db, scheme)
 		w.BindWorkload(wl)
 		w.smp = smp
-		w.deadline = cfg.Deadline
-		w.retryLimit = cfg.RetryLimit
-		w.backoffCap = cfg.BackoffCap
 		workers[p.ID()] = w
-		switch {
-		case cfg.source != nil:
-			w.serveRemote(wl, cfg, warmEnd, end)
-		case open:
-			w.serveOpen(wl, cfg, shedMask, warmEnd, end, n)
-		default:
-			w.serveClosed(wl, cfg, warmEnd, end)
+		var src source = closedLoop{p, wl}
+		if cfg.source != nil {
+			src = served{p, wl, cfg.source}
+		} else if cfg.Arrivals.Open() {
+			src = &openLoop{w: w, wl: wl, shedMask: shedMask, warmEnd: warmEnd, end: end,
+				gen: NewArrivalStream(cfg.Arrivals, p.ID(), n, db.RT.Frequency()),
+				q:   newAdmitQueue(cfg.QueueDepth), high: highWater(cfg.QueueDepth)}
 		}
-		w.finishSampling()
+		w.loop(src, &cfg, warmEnd, end)
 	})
 
 	res := Result{

@@ -1,19 +1,12 @@
 // Remote request dispatch: the engine end of the serving tier.
 //
-// The paper's loops generate their own work — closed-loop workers draw
-// the next transaction the moment the previous one finishes, open-loop
-// workers synthesize arrivals from a seeded stochastic process. A
-// network front door inverts that: work originates outside the engine,
-// one request at a time, and each request wants an answer. Config.WithSource
-// is that inversion point. When set, every worker turns into a dispatch
-// loop pulling Requests from the source, executing them through the
-// same runTxn retry machinery as the synthetic loops (so deadlines,
-// retry budgets and capped backoff behave identically), and reporting
-// each outcome through the request's completion callback.
-//
-// Like the overload tier, all of this is gated: without a source none of
-// this code runs and the closed-loop schedule stays byte-identical to
-// previous releases.
+// The closed and open loops generate their own work; a network front
+// door inverts that: work originates outside the engine, one request at
+// a time, and each request wants an answer. Config.WithSource is that
+// inversion point. It makes the worker loop's source a dispatch source
+// that pulls Requests from the RequestSource, and the loop runs each one
+// like any other work — one deadline rule, retry budget and backoff —
+// then reports the outcome through the request's Done.
 package core
 
 import (
@@ -37,9 +30,8 @@ type Request struct {
 	Arrival uint64
 
 	// Deadline is the absolute cycle past which the request is
-	// abandoned: expired-in-queue requests complete as ErrDeadline
-	// without executing, and admitted ones inherit the remaining budget
-	// as their runTxn deadline. Zero falls back to Arrival +
+	// abandoned as ErrDeadline: between attempts, or before the first if
+	// it expired while queued. Zero falls back to Arrival +
 	// Config.Deadline (none when that is zero too).
 	Deadline uint64
 
@@ -47,85 +39,52 @@ type Request struct {
 	// goroutine with the outcome: nil for a commit, ErrUserAbort for a
 	// program-logic rollback (completed work), ErrDeadline for an
 	// abandoned transaction, or the Prepare error for a rejection. It
-	// must return promptly — it runs inside the serving loop.
+	// must return promptly — it runs inside the worker loop.
 	Done func(err error)
-}
-
-// finish reports the request's outcome to its submitter.
-func (r *Request) finish(err error) {
-	if r.Done != nil {
-		r.Done(err)
-	}
 }
 
 // RequestSource feeds workers externally submitted requests. Next blocks
 // until a request is available or the source is drained; after it
-// reports ok == false the worker exits its serving loop. Next is called
+// reports ok == false the worker exits its loop. Next is called
 // concurrently from every worker goroutine and must be safe for that.
 // Time spent blocked in Next is billed to the Idle component.
 type RequestSource interface {
 	Next(p rt.Proc) (req Request, ok bool)
 }
 
-// serveRemote is the request-dispatch worker body: pull a request, drop
-// it if its deadline expired while queued, otherwise materialize the
-// transaction and run it through the standard retry loop with the
-// arrival time as the latency origin. The blocking pull replaces the
-// open-loop tier's synthetic arrival generator; admission control and
-// shedding live upstream in the session that owns the source.
-func (w *Worker) serveRemote(wl Workload, cfg Config, warmEnd, end uint64) {
-	p := w.P
-	for {
-		now, ok := w.atBoundary(&cfg, warmEnd, end)
-		if !ok {
-			break
-		}
-		req, ok := cfg.source.Next(p)
-		waited := p.Now()
-		if d := waited - now; d > 0 {
-			p.Tick(stats.Idle, d)
-		}
-		if !ok {
-			break
-		}
-		now = waited
-		if req.Arrival > now {
-			// Submitters stamp arrivals from their own reading of the
-			// runtime clock; clamp the sub-microsecond skew so latency
-			// arithmetic stays non-negative.
-			req.Arrival = now
-		}
-		if req.Deadline == 0 && cfg.Deadline > 0 {
-			req.Deadline = req.Arrival + cfg.Deadline
-		}
-		inWin := now >= warmEnd && now < end
-		if req.Deadline > 0 && now >= req.Deadline {
-			// Expired while queued: abandon without executing, exactly
-			// like an open-loop arrival whose deadline passes in the
-			// admission queue.
-			if inWin {
-				w.Count.Deadlined++
-				w.observeDeadlined(now)
-			}
-			req.finish(ErrDeadline)
-			continue
-		}
-		w.deadline = 0
-		if req.Deadline > 0 {
-			// Not expired, so the deadline lies past now >= Arrival.
-			w.deadline = req.Deadline - req.Arrival
-		}
-		var txn Txn
-		if req.Prepare == nil {
-			txn = wl.Next(p)
-		} else {
-			var err error
-			txn, err = req.Prepare(p)
-			if err != nil {
-				req.finish(err)
-				continue
-			}
-		}
-		req.finish(w.runTxn(txn, req.Arrival, warmEnd, end, cfg.AbortBackoff))
-	}
+// served is the dispatch source: a blocking pull from the RequestSource
+// replaces the open loop's synthetic arrivals, and admission control and
+// shedding live upstream in the session that owns it.
+type served struct {
+	p   rt.Proc
+	wl  Workload
+	src RequestSource
 }
+
+func (s served) next(now uint64) (work, bool) {
+	p := s.p
+	req, ok := s.src.Next(p)
+	waited := p.Now()
+	if d := waited - now; d > 0 {
+		p.Tick(stats.Idle, d)
+	}
+	if !ok {
+		return work{}, false
+	}
+	// Submitters stamp arrivals from their own reading of the runtime
+	// clock; clamp the skew so latency arithmetic stays non-negative.
+	req.Arrival = min(req.Arrival, waited)
+	var txn Txn
+	var err error
+	if req.Prepare == nil {
+		txn = s.wl.Next(p)
+	} else if txn, err = req.Prepare(p); err != nil {
+		if req.Done != nil {
+			req.Done(err)
+		}
+		return work{}, true
+	}
+	return work{txn: txn, origin: req.Arrival, deadline: req.Deadline, done: req.Done}, true
+}
+
+func (served) close(uint64) {}

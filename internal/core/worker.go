@@ -17,28 +17,16 @@ type Worker struct {
 	Ctx    TxnCtx
 	Count  stats.Counters
 
-	// Lat is the commit-latency histogram over the measurement window
-	// (first-attempt start to commit, so restarts and backoff count; in
-	// open-loop runs the origin is the arrival time, so queueing delay
-	// counts too).
+	// Lat is the commit-latency histogram over the measurement window,
+	// from the work's origin to commit: restarts and backoff count, and
+	// for open-loop and served work, whose origin is the arrival time, so
+	// does queueing delay.
 	Lat stats.Histogram
 
 	// QDepth is the admission-queue-depth histogram, recorded at every
-	// arrival ingested inside the measurement window. Always empty in
-	// closed-loop runs.
+	// arrival ingested inside the measurement window. Only the open loop
+	// records it.
 	QDepth stats.Histogram
-
-	// Overload knobs copied from Config by Run: the per-transaction
-	// deadline and retry budget enforced by runTxn, and the cap for
-	// exponential backoff growth. All zero in legacy configurations,
-	// where runTxn behaves exactly as before.
-	deadline   uint64
-	retryLimit int
-	backoffCap uint64
-
-	// warmed records that the run loop has passed the warmup boundary
-	// and reset the statistics (see atBoundary).
-	warmed bool
 
 	// typer/perTxn hold the per-transaction-type attribution when the
 	// bound workload implements TxnTyper (Names stay empty here; Run
@@ -79,20 +67,18 @@ func (w *Worker) BindWorkload(wl Workload) {
 // staged inserts) — and returns ErrAbort without retrying, rolling the
 // transaction back first. It gives tests and external drivers per-attempt
 // control that the engine's retry loop hides. Outcomes are recorded into
-// the worker's latency histogram and per-type counters (no measurement
-// window applies outside Run).
+// the worker's Count, latency histogram and per-type counters (no
+// measurement window applies outside Run).
 func (w *Worker) ExecOnce(txn Txn) error {
 	start := w.P.Now()
 	w.Ctx.reset()
 	w.Ctx.Txn = txn
 	err := w.attempt(txn)
-	if err == nil {
-		w.observeCommit(txn, w.P.Now(), start)
-		return nil
+	if err != nil {
+		w.Scheme.Abort(&w.Ctx)
 	}
-	w.Scheme.Abort(&w.Ctx)
-	if err == ErrUserAbort {
-		// Program-logic rollback: completed work, like the engine's loop.
+	if err == nil || err == ErrUserAbort {
+		// A program-logic rollback is completed work, as in the engine's loop.
 		w.observeCommit(txn, w.P.Now(), start)
 	} else {
 		w.observeAbort(txn, w.P.Now())
@@ -119,10 +105,12 @@ func (w *Worker) attempt(txn Txn) error {
 	return err
 }
 
-// observeCommit records a completed transaction (commit or program-logic
-// rollback) at time now for a transaction whose first attempt began at
-// start. Accounting only: no simulated time is billed.
+// observeCommit counts a completed transaction (commit or program-logic
+// rollback) at time now for a transaction whose latency runs from start.
+// Accounting only: no simulated time is billed.
 func (w *Worker) observeCommit(txn Txn, now, start uint64) {
+	w.Count.Commits++
+	w.Count.Tuples += w.Ctx.tuples
 	lat := now - start
 	w.Lat.Record(lat)
 	if w.typer != nil {
@@ -138,8 +126,9 @@ func (w *Worker) observeCommit(txn Txn, now, start uint64) {
 	}
 }
 
-// observeAbort records a concurrency-control abort at time now.
+// observeAbort counts a concurrency-control abort at time now.
 func (w *Worker) observeAbort(txn Txn, now uint64) {
+	w.Count.Aborts++
 	if w.typer != nil {
 		if k := w.typer.TxnTypeOf(txn); k >= 0 && k < len(w.perTxn) {
 			w.perTxn[k].Aborts++
@@ -151,18 +140,20 @@ func (w *Worker) observeAbort(txn Txn, now uint64) {
 	}
 }
 
-// observeShed records an arrival rejected by admission control at time
+// observeShed counts an arrival rejected by admission control at time
 // now (discovery time, which keeps per-worker sampling monotone).
 func (w *Worker) observeShed(now uint64) {
+	w.Count.Shed++
 	if w.smp != nil {
 		w.sampleRoll(now)
 		w.spend.shed++
 	}
 }
 
-// observeDeadlined records a transaction abandoned past its deadline or
+// observeDeadlined counts a transaction abandoned past its deadline or
 // retry budget at time now.
 func (w *Worker) observeDeadlined(now uint64) {
+	w.Count.Deadlined++
 	if w.smp != nil {
 		w.sampleRoll(now)
 		w.spend.deadlined++
@@ -185,26 +176,6 @@ func (w *Worker) sampleRoll(now uint64) {
 		w.smp.advance(w.P.ID(), w.scur, idx, &w.spend)
 		w.scur = idx
 	}
-}
-
-// finishSampling flushes the final pending interval; called when the
-// worker's run loop exits.
-func (w *Worker) finishSampling() {
-	if w.smp != nil {
-		w.smp.finish(w.P.ID(), w.scur, &w.spend)
-	}
-}
-
-// resetWindow discards observations accumulated before the measurement
-// window opens (the warmup reset).
-func (w *Worker) resetWindow() {
-	w.Count = stats.Counters{}
-	w.Lat.Reset()
-	w.QDepth.Reset()
-	for i := range w.perTxn {
-		w.perTxn[i] = TxnStats{}
-	}
-	w.spend = intervalAgg{}
 }
 
 // NewWorker constructs a worker bound to proc p. The engine's Run builds
@@ -243,129 +214,145 @@ func (w *Worker) finishDurable() {
 	w.P.Stats().Add(stats.Log, w.P.Now()-t0)
 }
 
-// atBoundary is the transaction-boundary preamble shared by the three
-// worker bodies (closed loop, open loop, remote dispatch): it reports
-// false once the window has ended or the run's stop flag is set, resets
-// the statistics the first time the clock passes warmEnd, and serves
-// injected fault stalls — billed to Idle, with the checks re-run after
-// each. In legacy configurations stop and Fault are nil and only
-// nil-checked, so the schedule is byte-identical to the pre-overload
-// engine (the golden signature pins that).
-func (w *Worker) atBoundary(cfg *Config, warmEnd, end uint64) (now uint64, ok bool) {
-	p := w.P
-	for {
-		now = p.Now()
-		if now >= end || (cfg.stop != nil && cfg.stop.Load()) {
-			return now, false
-		}
-		if !w.warmed && now >= warmEnd {
-			p.Stats().Reset()
-			w.resetWindow()
-			w.warmed = true
-		}
-		if cfg.Fault == nil {
-			return now, true
-		}
-		d := cfg.Fault.Delay(p.ID(), now)
-		if d == 0 {
-			return now, true
-		}
-		p.Tick(stats.Idle, d)
-	}
+// work is one transaction a source hands the worker loop: the
+// transaction, its latency origin, its absolute deadline (zero: origin +
+// Config.Deadline, or none) and, for a served request, the callback that
+// receives its outcome.
+type work struct {
+	txn      Txn
+	origin   uint64
+	deadline uint64
+	done     func(error)
 }
 
-// serveClosed is the paper's closed-loop worker body: draw a transaction,
-// run it to completion, draw the next.
-func (w *Worker) serveClosed(wl Workload, cfg Config, warmEnd, end uint64) {
+// A source feeds one worker's loop. next is called at a transaction
+// boundary at time now and returns the next work, a zero work when it has
+// none yet (it may have parked; the loop re-checks the boundary), or
+// ok == false once it is drained. close is called once, when the loop
+// exits at time now.
+type source interface {
+	next(now uint64) (wk work, ok bool)
+	close(now uint64)
+}
+
+// closedLoop is the paper's source: the next transaction is drawn the
+// moment the previous one finishes, with the draw's end as its origin.
+type closedLoop struct {
+	p  rt.Proc
+	wl Workload
+}
+
+func (c closedLoop) next(uint64) (work, bool) {
+	txn := c.wl.Next(c.p)
+	return work{txn: txn, origin: c.p.Now()}, true
+}
+
+func (closedLoop) close(uint64) {}
+
+// loop is the worker loop (§3.2: run one transaction to completion, then
+// take the next). At each transaction boundary it exits once the window
+// has ended or the stop flag is set, discards what was observed before
+// warmEnd when the clock first passes it, and serves injected fault
+// stalls (billed to Idle, re-checking after each); then it runs the next
+// work from src and hands the outcome to the work's done. With stop and
+// Fault nil both are only nil-checked, so the closed loop keeps the
+// paper's schedule (the golden signature pins that). On exit it closes
+// src and flushes the last sampling interval.
+func (w *Worker) loop(src source, cfg *Config, warmEnd, end uint64) {
 	p := w.P
-	for {
-		if _, ok := w.atBoundary(&cfg, warmEnd, end); !ok {
+	warmed := false
+	now := p.Now()
+	for ; now < end && (cfg.stop == nil || !cfg.stop.Load()); now = p.Now() {
+		if !warmed && now >= warmEnd {
+			p.Stats().Reset()
+			w.Count = stats.Counters{}
+			w.Lat.Reset()
+			w.QDepth.Reset()
+			clear(w.perTxn)
+			w.spend = intervalAgg{}
+			warmed = true
+		}
+		if cfg.Fault != nil {
+			if d := cfg.Fault.Delay(p.ID(), now); d > 0 {
+				p.Tick(stats.Idle, d)
+				continue
+			}
+		}
+		wk, ok := src.next(now)
+		if !ok {
 			break
 		}
-		txn := wl.Next(p)
-		w.runTxn(txn, p.Now(), warmEnd, end, cfg.AbortBackoff)
+		if wk.txn == nil {
+			continue
+		}
+		if wk.deadline == 0 && cfg.Deadline > 0 {
+			wk.deadline = wk.origin + cfg.Deadline
+		}
+		err := w.runTxn(&wk, cfg, warmEnd, end)
+		if wk.done != nil {
+			wk.done(err)
+		}
+	}
+	src.close(now)
+	if w.smp != nil {
+		w.smp.finish(p.ID(), w.scur, &w.spend)
 	}
 }
 
-// runTxn executes txn to commit or user-abort, restarting on CC aborts,
-// and updates counters for work completed inside [warmEnd, end). start is
-// the latency origin: the first-attempt start in the closed loop, the
-// arrival time in the open loop. When the worker has a deadline, a
-// transaction that has not committed by start+deadline is abandoned with
-// ErrDeadline instead of restarted (a commit already in flight still
-// counts — the deadline gates retries, not completion); a retry budget
-// abandons the same way after retryLimit failed attempts. Both outcomes
-// count in Deadlined, separately from CC aborts.
-func (w *Worker) runTxn(txn Txn, start, warmEnd, end uint64, backoff uint64) error {
+// runTxn runs wk's transaction to commit or user-abort, restarting on CC
+// aborts, and counts what completes inside [warmEnd, end), with latency
+// from wk.origin. Past wk.deadline — before the first attempt, for a
+// request that expired while queued — or after cfg.RetryLimit failed
+// attempts it abandons the transaction with ErrDeadline, counted in
+// Deadlined apart from CC aborts. A commit in flight at the deadline
+// still counts: the deadline gates retries, not completion.
+func (w *Worker) runTxn(wk *work, cfg *Config, warmEnd, end uint64) error {
 	p := w.P
-	attempt := 0
-	for {
+	for attempt := 1; ; attempt++ {
 		now := p.Now()
 		if now >= end {
 			return nil
 		}
-		if w.deadline > 0 && now >= start+w.deadline {
+		if wk.deadline > 0 && now >= wk.deadline {
 			if now >= warmEnd {
-				w.Count.Deadlined++
 				w.observeDeadlined(now)
 			}
 			return ErrDeadline
 		}
 		p.Stats().BeginAttempt()
 		w.Ctx.reset()
-		w.Ctx.Txn = txn
+		w.Ctx.Txn = wk.txn
 		p.Tick(stats.Useful, costs.TxnSetup)
-		err := w.attempt(txn)
+		err := w.attempt(wk.txn)
 
 		now = p.Now()
 		inWindow := now >= warmEnd && now < end
+		if err != nil {
+			w.Scheme.Abort(&w.Ctx)
+			p.Tick(stats.Abort, costs.AbortFixed)
+		}
 		switch err {
-		case nil:
+		case nil, ErrUserAbort:
+			// A program-logic rollback is completed work, per TPC-C.
 			p.Stats().CommitAttempt()
 			if inWindow {
-				w.Count.Commits++
-				w.Count.Tuples += w.Ctx.tuples
-				w.observeCommit(txn, now, start)
+				w.observeCommit(wk.txn, now, wk.origin)
 			}
-			return nil
-		case ErrUserAbort:
-			// Program-logic rollback: completed work per TPC-C.
-			w.Scheme.Abort(&w.Ctx)
-			p.Tick(stats.Abort, costs.AbortFixed)
-			p.Stats().CommitAttempt()
-			if inWindow {
-				w.Count.Commits++
-				w.Count.Tuples += w.Ctx.tuples
-				w.observeCommit(txn, now, start)
-			}
-			return ErrUserAbort
+			return err
 		case ErrAbort:
-			w.Scheme.Abort(&w.Ctx)
-			p.Tick(stats.Abort, costs.AbortFixed)
 			p.Stats().AbortAttempt()
 			if inWindow {
-				w.Count.Aborts++
-				w.observeAbort(txn, now)
+				w.observeAbort(wk.txn, now)
 			}
-			attempt++
-			if w.retryLimit > 0 && attempt >= w.retryLimit {
+			if cfg.RetryLimit > 0 && attempt >= cfg.RetryLimit {
 				if inWindow {
-					w.Count.Deadlined++
 					w.observeDeadlined(now)
 				}
 				return ErrDeadline
 			}
-			if backoff > 0 {
-				// With no cap the mean stays backoff for every attempt,
-				// so this draw is identical to the historical fixed-
-				// backoff loop and the golden schedule is preserved.
-				mean := backoff
-				if w.backoffCap > 0 {
-					mean = backoffMean(backoff, w.backoffCap, attempt)
-				}
+			if mean := backoffMean(cfg.AbortBackoff, cfg.BackoffCap, attempt); mean > 0 {
 				p.Backoff(stats.Abort, uint64(p.Rand().Int63n(int64(2*mean)))+1)
 			}
-			// Restart the same transaction.
 		default:
 			panic("core: transaction returned unexpected error: " + err.Error())
 		}

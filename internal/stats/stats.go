@@ -240,14 +240,11 @@ func (b *Breakdown) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Counters tracks transaction outcomes for a single worker. Offered, Shed
-// and Deadlined are only nonzero in open-loop (arrival-driven) runs:
-// Offered counts arrivals inside the measurement window, Shed counts
+// Counters tracks transaction outcomes for a single worker. Offered counts
+// every open-loop arrival inside the measurement window, Shed counts
 // arrivals rejected by admission control before execution, and Deadlined
-// counts transactions abandoned past their deadline or retry budget.
-// Closed-loop accounting satisfies Offered == Shed == Deadlined == 0;
-// open-loop accounting satisfies Offered == Commits + Shed + Deadlined +
-// still-queued-at-window-end.
+// counts transactions abandoned past their deadline or retry budget. A
+// closed-loop run has Offered == Shed == 0.
 type Counters struct {
 	Commits   uint64 // committed transactions inside the measurement window
 	Aborts    uint64 // aborted attempts inside the measurement window
