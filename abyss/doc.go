@@ -88,9 +88,10 @@
 // whose LoadConfig.Arrival is an Arrivals) draw from.
 //
 // Durability is configured once, at Open: Options.Durability names the
-// sink and the group-commit parameters (GroupTxns, GroupTimeout,
-// GroupBytes). A DB runs once, so RunConfig carries no log-grouping
-// override.
+// sink, the mode (Async: real group commit, each group being the commits
+// that arrived during the previous group's fsync) and the simulator's
+// modeled group size (GroupTxns). A DB runs once, so RunConfig carries
+// no log-grouping override.
 //
 // Correctness is checkable, not assumed: set RunConfig.Check and the run
 // captures every committed transaction's reads and writes as versions

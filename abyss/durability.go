@@ -2,7 +2,6 @@ package abyss
 
 import (
 	"fmt"
-	"time"
 
 	"abyss1000/internal/core"
 	"abyss1000/internal/wal"
@@ -60,10 +59,11 @@ type Durability struct {
 	Sink LogSink
 
 	// Async selects real group commit: commits buffer in memory and a
-	// background flusher writes+fsyncs them in groups; committing
-	// workers block until their record's group is durable. Meant for
-	// RuntimeNative. When false (the default, and the only sensible
-	// choice under RuntimeSim) the log is synchronous and
+	// background flusher writes+fsyncs them in groups, each group being
+	// the commits that arrived while the previous one was syncing;
+	// committing workers block until their record's group is durable.
+	// Meant for RuntimeNative. When false (the default, and the only
+	// sensible choice under RuntimeSim) the log is synchronous and
 	// accounting-only: every record reaches the sink at commit, the
 	// group fsync is charged to the LOG breakdown component every
 	// GroupTxns commits, and the simulated schedule is byte-identical
@@ -73,15 +73,6 @@ type Durability struct {
 	// GroupTxns is the synchronous mode's modeled group-commit size
 	// (records per fsync). Zero means the default (8).
 	GroupTxns int
-
-	// GroupTimeout is the async group-commit window: how long the
-	// flusher waits for followers after a group's first commit. Zero
-	// means the default (100µs).
-	GroupTimeout time.Duration
-
-	// GroupBytes flushes an async group early once this many bytes are
-	// pending. Zero means the default (64 KiB).
-	GroupBytes int
 }
 
 // attachWAL builds the writer from opts.Durability and hangs it on the
@@ -92,12 +83,7 @@ func (db *DB) attachWAL(d *Durability) {
 		sink = wal.NewMemSink()
 	}
 	db.logSink = sink
-	db.wal = wal.NewWriter(sink, wal.Config{
-		Async:        d.Async,
-		GroupTxns:    d.GroupTxns,
-		GroupTimeout: d.GroupTimeout,
-		GroupBytes:   d.GroupBytes,
-	})
+	db.wal = wal.NewWriter(sink, wal.Config{Async: d.Async, GroupTxns: d.GroupTxns})
 	db.inner.Wal = db.wal
 }
 

@@ -198,7 +198,8 @@ func NewWorker(p rt.Proc, db *DB, scheme Scheme) *Worker {
 // finishDurable blocks until the committed transaction's log record is
 // durable — the group-commit acknowledgement point. Only the native
 // runtime's async writer ever waits; the wait time is billed to the LOG
-// component. Accounting-only (sync) writers are durable at append.
+// component. Accounting-only (sync) writers are durable at append, so
+// WaitDurable returns at once and nothing is billed.
 func (w *Worker) finishDurable() {
 	lw := w.DB.Wal
 	if lw == nil || w.walLSN == 0 {
@@ -206,9 +207,6 @@ func (w *Worker) finishDurable() {
 	}
 	lsn := w.walLSN
 	w.walLSN = 0
-	if !lw.Async() {
-		return
-	}
 	t0 := w.P.Now()
 	lw.WaitDurable(lsn)
 	w.P.Stats().Add(stats.Log, w.P.Now()-t0)

@@ -1,40 +1,26 @@
 package wal
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Config tunes a Writer.
 type Config struct {
 	// Async selects real group commit: appends buffer in memory and a
 	// background flusher writes + fsyncs them in groups (the native
-	// runtime's mode). When false the writer is synchronous: every
-	// append reaches the sink immediately and "group commit" is only
-	// modeled, via the GroupTxns fsync cadence — the simulator's
-	// accounting-only mode, which keeps the log content deterministic.
+	// runtime's mode). A group is whatever was appended while the
+	// previous group's Sync ran, so there is no window to tune. When
+	// false the writer is synchronous: every append reaches the sink
+	// immediately and "group commit" is only modeled, via the GroupTxns
+	// fsync cadence — the simulator's accounting-only mode, which keeps
+	// the log content deterministic.
 	Async bool
-
-	// GroupTimeout is the async group-commit window: after the first
-	// append of a group the flusher waits this long for followers
-	// before writing and fsyncing the batch. Zero means DefaultGroupTimeout.
-	GroupTimeout time.Duration
-
-	// GroupBytes flushes an async group early once this many bytes are
-	// pending. Zero means DefaultGroupBytes.
-	GroupBytes int
 
 	// GroupTxns is the synchronous mode's modeled group size: one Sync
 	// per this many appended records. Zero means DefaultGroupTxns.
 	GroupTxns int
 }
 
-// Defaults for Config's zero values.
-const (
-	DefaultGroupTimeout = 100 * time.Microsecond
-	DefaultGroupBytes   = 64 << 10
-	DefaultGroupTxns    = 8
-)
+// DefaultGroupTxns is GroupTxns' zero value.
+const DefaultGroupTxns = 8
 
 // Writer appends framed records to a Sink with group commit. All methods
 // are safe for concurrent use. Errors are sticky: after a sink failure
@@ -69,12 +55,6 @@ type Writer struct {
 // NewWriter wraps sink. The sink must already contain the stream magic
 // (CreateFile and NewMemSink both prime it).
 func NewWriter(sink Sink, cfg Config) *Writer {
-	if cfg.GroupTimeout <= 0 {
-		cfg.GroupTimeout = DefaultGroupTimeout
-	}
-	if cfg.GroupBytes <= 0 {
-		cfg.GroupBytes = DefaultGroupBytes
-	}
 	if cfg.GroupTxns <= 0 {
 		cfg.GroupTxns = DefaultGroupTxns
 	}
@@ -88,9 +68,6 @@ func NewWriter(sink Sink, cfg Config) *Writer {
 	}
 	return w
 }
-
-// Async reports whether the writer runs real (background) group commit.
-func (w *Writer) Async() bool { return w.cfg.Async }
 
 // Append adds one fully-framed record (from AppendCommit et al.) to the
 // log and returns its LSN, plus whether this append sealed a modeled
@@ -106,15 +83,14 @@ func (w *Writer) Append(frame []byte) (lsn uint64, sealed bool) {
 		return lsn, false
 	}
 	if w.cfg.Async {
-		was := len(w.pending)
-		w.pending = append(w.pending, frame...)
-		w.bytes += uint64(len(frame))
-		if was == 0 || len(w.pending) >= w.cfg.GroupBytes {
+		if len(w.pending) == 0 { // a group's first record wakes the flusher
 			select {
 			case w.kick <- struct{}{}:
 			default:
 			}
 		}
+		w.pending = append(w.pending, frame...)
+		w.bytes += uint64(len(frame))
 		return lsn, false
 	}
 	if _, err := w.sink.Write(frame); err != nil {
@@ -205,12 +181,9 @@ func (w *Writer) Flush() error {
 		defer w.mu.Unlock()
 		return w.err
 	}
+	// Pending bytes always have a kick queued or a flush under way.
 	upto := w.seq
 	w.mu.Unlock()
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
 	w.WaitDurable(upto)
 	return w.Err()
 }
@@ -243,41 +216,22 @@ func (w *Writer) Close() error {
 	return cerr
 }
 
-// flushLoop is the async group-commit daemon: woken by the first append
-// of a group, it waits the group window (backing off to fully idle when
-// nothing is pending), then writes and fsyncs the whole batch and wakes
-// the committers waiting on it.
+// flushLoop is the async group-commit daemon (Aether's flush
+// pipelining): kicked by the first append to an empty buffer, it writes
+// and fsyncs everything pending and wakes the committers waiting on it.
+// Appends that arrive during that Sync find the buffer empty again and
+// re-arm the kick, so the next group is exactly what the previous flush
+// overlapped; an idle flusher blocks on the kick with nothing pending.
 func (w *Writer) flushLoop() {
 	defer close(w.done)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
 		select {
 		case <-w.kick:
+			w.flushOnce()
 		case <-w.stop:
 			w.flushOnce()
 			return
 		}
-		// Group window: let followers pile on before paying the fsync.
-		w.mu.Lock()
-		full := len(w.pending) >= w.cfg.GroupBytes
-		window := w.cfg.GroupTimeout
-		w.mu.Unlock()
-		if !full {
-			timer.Reset(window)
-			select {
-			case <-timer.C:
-			case <-w.stop:
-				if !timer.Stop() {
-					<-timer.C
-				}
-				w.flushOnce()
-				return
-			}
-		}
-		w.flushOnce()
 	}
 }
 

@@ -42,19 +42,38 @@ func TestSyncWriterGroupCadence(t *testing.T) {
 	}
 }
 
+// gatedSink is a MemSink whose Sync reports that it has started and
+// then blocks until release is closed.
+type gatedSink struct {
+	*MemSink
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *gatedSink) Sync() error {
+	s.entered <- struct{}{}
+	<-s.release
+	return s.MemSink.Sync()
+}
+
+// TestAsyncWriterGroupCommit pins the flush policy: a group is
+// exactly what was appended while the previous group's Sync ran.
 func TestAsyncWriterGroupCommit(t *testing.T) {
-	sink := NewMemSink()
-	w := NewWriter(sink, Config{Async: true, GroupTimeout: time.Millisecond})
 	const n = 50
-	lsns := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		lsns[i], _ = w.Append(commitFrame(1, i))
+	// entered holds as many Syncs as n appends could cause, so a wrong
+	// policy fails the count below instead of hanging.
+	sink := &gatedSink{MemSink: NewMemSink(), entered: make(chan struct{}, n), release: make(chan struct{})}
+	w := NewWriter(sink, Config{Async: true})
+	w.Append(commitFrame(1, 0))
+	<-sink.entered // the flusher is inside the first group's Sync
+	var last uint64
+	for i := 1; i < n; i++ {
+		last, _ = w.Append(commitFrame(1, i))
 	}
-	for _, lsn := range lsns {
-		w.WaitDurable(lsn)
-	}
-	if syncs := sink.Syncs(); syncs == 0 || syncs >= n {
-		t.Fatalf("sink syncs = %d, want batched (0 < syncs < %d)", syncs, n)
+	close(sink.release)
+	w.WaitDurable(last)
+	if syncs := sink.Syncs(); syncs != 2 {
+		t.Fatalf("sink syncs = %d, want 2: the first record alone, then the %d appended during its Sync", syncs, n-1)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -73,9 +92,23 @@ func TestAsyncWriterGroupCommit(t *testing.T) {
 	}
 }
 
+// TestAsyncWriterIdleIssuesNoSync pins that nothing but an append wakes
+// the flusher: once a group is durable, an idle writer stays silent.
+func TestAsyncWriterIdleIssuesNoSync(t *testing.T) {
+	w := NewWriter(NewMemSink(), Config{Async: true})
+	defer w.Close()
+	lsn, _ := w.Append(commitFrame(0, 0))
+	w.WaitDurable(lsn)
+	before := w.Syncs()
+	time.Sleep(5 * time.Millisecond)
+	if after := w.Syncs(); after != before {
+		t.Fatalf("an idle writer synced %d more times", after-before)
+	}
+}
+
 func TestAsyncWriterConcurrentAppend(t *testing.T) {
 	sink := NewMemSink()
-	w := NewWriter(sink, Config{Async: true, GroupTimeout: 200 * time.Microsecond})
+	w := NewWriter(sink, Config{Async: true})
 	const workers, per = 8, 40
 	done := make(chan struct{})
 	for g := 0; g < workers; g++ {
@@ -143,7 +176,7 @@ func TestWriterFaultIsSticky(t *testing.T) {
 func TestAsyncWriterFaultUnblocksWaiters(t *testing.T) {
 	mem := NewMemSink()
 	fault := NewFaultSink(mem, 10)
-	w := NewWriter(fault, Config{Async: true, GroupTimeout: 100 * time.Microsecond})
+	w := NewWriter(fault, Config{Async: true})
 	lsn, _ := w.Append(commitFrame(0, 0))
 	donec := make(chan struct{})
 	go func() {

@@ -55,23 +55,46 @@ func recoveryParams(t *testing.T, workload, scheme string) abyss.WorkloadParams 
 	return p
 }
 
-// durableRun executes one measurement of workload with a WAL attached
-// (async group commit on the native runtime, accounting-only sync mode on
-// the simulator), flushes the log and returns the live DB plus the
-// captured stream.
-func durableRun(t *testing.T, workload, runtime, scheme string) (*abyss.DB, []byte, abyss.Result) {
+// nativeDraws bounds a native durableRun by work: the first worker to
+// draw this many transactions interrupts the run. Its length then does
+// not depend on how fast commits are acknowledged, and 4 workers stay
+// well inside recoveryParams' 512 inserts per worker.
+const nativeDraws = 300
+
+// drawLimited interrupts db once any worker has drawn nativeDraws
+// transactions.
+type drawLimited struct {
+	abyss.Workload
+	db    *abyss.DB
+	drawn []int // by Proc.ID; each worker touches only its own
+}
+
+func (d *drawLimited) Next(p abyss.Proc) abyss.Txn {
+	if d.drawn[p.ID()]++; d.drawn[p.ID()] == nativeDraws {
+		d.db.Interrupt()
+	}
+	return d.Workload.Next(p)
+}
+
+// durableRun executes one captured measurement of workload built from p
+// with a WAL attached (async group commit on the native runtime,
+// accounting-only sync mode on the simulator), flushes the log and
+// returns the live DB plus the captured stream. DB.History holds the
+// run's committed transactions.
+func durableRun(t *testing.T, workload, runtime, scheme string, p abyss.WorkloadParams) (*abyss.DB, []byte, abyss.Result) {
 	t.Helper()
+	const cores = 4
 	sink := abyss.NewMemLogSink()
 	db, err := abyss.Open(abyss.Options{
 		Runtime:    runtime,
-		Cores:      4,
+		Cores:      cores,
 		Seed:       42,
 		Durability: &abyss.Durability{Sink: sink, Async: runtime == abyss.RuntimeNative},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl, err := db.BuildWorkload(workload, recoveryParams(t, workload, scheme))
+	wl, err := db.BuildWorkload(workload, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +102,17 @@ func durableRun(t *testing.T, workload, runtime, scheme string) (*abyss.DB, []by
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := abyss.RunConfig{WarmupCycles: 20_000, MeasureCycles: 150_000, AbortBackoff: 500}
+	rc := abyss.RunConfig{WarmupCycles: 20_000, MeasureCycles: 150_000, AbortBackoff: 500, Check: true}
 	if runtime == abyss.RuntimeNative {
-		rc = abyss.RunConfig{WarmupCycles: 1_000_000, MeasureCycles: 10_000_000, AbortBackoff: 500} // ns
+		// Bounded by nativeDraws; the window (ns) is only a backstop, and
+		// there is no warm-up, so an early interrupt still counts commits.
+		rc = abyss.RunConfig{MeasureCycles: 10_000_000, AbortBackoff: 500, Check: true}
 		if workload == "tpcc" {
 			// Full-mix transactions are ~50x a YCSB one under the race
 			// detector; give the window room to commit some.
 			rc.MeasureCycles = 40_000_000
 		}
+		wl = &drawLimited{Workload: wl, db: db, drawn: make([]int, cores)}
 	}
 	res, err := db.Run(s, wl, rc)
 	if err != nil {
@@ -163,18 +189,22 @@ func TestCrashRecoveryAllSchemes(t *testing.T) {
 		for _, runtime := range []string{abyss.RuntimeSim, abyss.RuntimeNative} {
 			for _, scheme := range abyss.PaperSchemes() {
 				t.Run(subtestName(workload, runtime, scheme), func(t *testing.T) {
-					live, stream, res := durableRun(t, workload, runtime, scheme)
+					live, stream, res := durableRun(t, workload, runtime, scheme, recoveryParams(t, workload, scheme))
 					rec, info := recoverFresh(t, workload, scheme, stream)
 					if info.TornBytes != 0 {
 						t.Fatalf("flushed stream should have no torn tail: %+v", info)
 					}
-					// Warmup commits are logged too, so the YCSB log holds at
-					// least the measurement window's commits. The full mix
-					// commits transactions that log nothing (OrderStatus,
-					// StockLevel, NewOrder's user aborts); its log must carry
-					// inserts instead.
-					if workload == "ycsb" && uint64(info.Commits) < res.Commits {
-						t.Fatalf("log has %d commits, run reported %d in the measurement window alone", info.Commits, res.Commits)
+					// Exactly the committed transactions that wrote are
+					// logged, warm-up included: read-only ones (YCSB's
+					// all-read draws, OrderStatus, StockLevel) and user
+					// aborts log nothing. The full mix's log must also carry
+					// inserts.
+					writers := 0
+					for _, q := range capturedWriters(t, live) {
+						writers += len(q)
+					}
+					if info.Commits != writers {
+						t.Fatalf("log has %d commits, the captured history %d transactions that wrote", info.Commits, writers)
 					}
 					if workload == "tpcc" && info.Inserts == 0 {
 						t.Fatal("full-mix TPC-C log replayed no inserts")
@@ -197,7 +227,7 @@ func TestRecoveryTruncationSweep(t *testing.T) {
 	const scheme = "NO_WAIT"
 	for _, workload := range recoveryWorkloads {
 		t.Run(workload, func(t *testing.T) {
-			_, stream, _ := durableRun(t, workload, abyss.RuntimeSim, scheme)
+			_, stream, _ := durableRun(t, workload, abyss.RuntimeSim, scheme, recoveryParams(t, workload, scheme))
 			// The prefix dump at each complete boundary, computed once per
 			// boundary: torn cuts must reduce to one of these.
 			prefixDump := map[int]string{}
@@ -408,7 +438,7 @@ func TestLiveCrashInjection(t *testing.T) {
 // stream) and applying it again changes nothing.
 func TestRecoveryIdempotence(t *testing.T) {
 	replayTwice := func(t *testing.T, workload, scheme string) {
-		live, stream, _ := durableRun(t, workload, abyss.RuntimeSim, scheme)
+		live, stream, _ := durableRun(t, workload, abyss.RuntimeSim, scheme, recoveryParams(t, workload, scheme))
 		rec, _ := recoverFresh(t, workload, scheme, stream)
 		first := rec.StateDump()
 		if _, err := rec.Recover(stream); err != nil {
