@@ -87,6 +87,10 @@ type (
 	// its row slot, so a slot of the table can be mapped at most once per
 	// Index at a time (a row has one key per index); an insert of a slot
 	// that is already mapped, or that lies outside the table, panics.
+	// Setup code loads a table's rows first and then each index's keys
+	// with LoadInsert in a pass of their own: a key lands on a random
+	// bucket, and rows written between two inserts evict the bucket array
+	// (interleaved, the inserts of a SmallBank build took twice as long).
 	Index = index.Hash
 
 	// OrderedIndex is an ordered (range-scannable) secondary index

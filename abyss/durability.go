@@ -13,7 +13,8 @@ import (
 type (
 	// LogSink is the byte-level destination of the write-ahead log:
 	// Write appends, Sync makes everything written so far durable.
-	// Errors are sticky — a failed log is a crashed log.
+	// Errors are sticky — a failed log is a crashed log. Write must not
+	// retain its argument: the log reuses the buffer for a later group.
 	LogSink = wal.Sink
 
 	// MemLogSink buffers the log in memory: the accounting-only backend

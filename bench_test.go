@@ -1,8 +1,10 @@
 package abyss1000_test
 
 import (
+	"runtime"
 	"testing"
 
+	"abyss1000/abyss"
 	"abyss1000/bench"
 )
 
@@ -95,3 +97,44 @@ func BenchmarkAblationMalloc(b *testing.B) { reportFigure(b, bench.AblationMallo
 // BenchmarkAblationValidation regenerates the §4.3 OCC validation
 // ablation (parallel per-tuple vs global critical section).
 func BenchmarkAblationValidation(b *testing.B) { reportFigure(b, bench.AblationValidation) }
+
+// BenchmarkBuild times one fresh database build (BuildWorkload, the
+// benchmark's setup.build_s) in the two shapes the repository benchmark
+// builds: sim-ycsb's 200 000 YCSB rows of 10 × 100 B on a 64-core simulated
+// chip, and serve-wire's 250 000 SmallBank accounts on two native workers.
+// Like benchmark/, it collects the previous build outside the timer, so
+// every build starts from the same heap.
+func BenchmarkBuild(b *testing.B) {
+	shapes := []struct {
+		name, workload string
+		opts           abyss.Options
+		set            func(*abyss.WorkloadParams)
+	}{
+		{"ycsb-sim64", "ycsb", abyss.Options{Runtime: abyss.RuntimeSim, Cores: 64, Seed: 42},
+			func(p *abyss.WorkloadParams) { p.Rows, p.Fields, p.FieldSize = 200_000, 10, 100 }},
+		{"smallbank-native2", "smallbank", abyss.Options{Runtime: abyss.RuntimeNative, Cores: 2, Seed: 42},
+			func(p *abyss.WorkloadParams) { p.Accounts = 250_000 }},
+	}
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			p, err := abyss.DefaultWorkloadParams(s.workload)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.set(&p)
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				db, err := abyss.Open(s.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := db.BuildWorkload(s.workload, p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/build")
+		})
+	}
+}

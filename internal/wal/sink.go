@@ -10,7 +10,8 @@ import (
 // Sync makes everything written so far durable. Implementations must
 // tolerate Write/Sync after a failure by keeping returning the error
 // (sticky), because group commit retries nothing — a failed log is a
-// crashed log.
+// crashed log. Write must not retain p: the writer reuses the buffer for
+// a later group once Write and Sync have returned.
 type Sink interface {
 	Write(p []byte) (int, error)
 	Sync() error

@@ -44,8 +44,11 @@ type Writer struct {
 	// Synchronous mode state.
 	sinceSync int
 
-	// Async mode state.
+	// Async mode state. pending collects the next group; spare is the
+	// buffer of the group last written, emptied, which the flusher swaps in
+	// for pending so a warm writer appends without allocating.
 	pending []byte
+	spare   []byte
 	kick    chan struct{}
 	stop    chan struct{}
 	done    chan struct{}
@@ -244,7 +247,7 @@ func (w *Writer) flushOnce() {
 	}
 	batch := w.pending
 	upto := w.seq
-	w.pending = nil
+	w.pending, w.spare = w.spare, nil
 	w.mu.Unlock()
 
 	_, werr := w.sink.Write(batch)
@@ -253,6 +256,7 @@ func (w *Writer) flushOnce() {
 	}
 
 	w.mu.Lock()
+	w.spare = batch[:0]
 	if werr != nil {
 		w.fail(werr)
 	} else {

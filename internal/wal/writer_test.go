@@ -208,3 +208,29 @@ func TestWriterFlushIdempotent(t *testing.T) {
 		t.Fatalf("double flush synced %d times, want 1", sink.Syncs())
 	}
 }
+
+// discardSink accepts every write and sync and keeps nothing.
+type discardSink struct{}
+
+func (discardSink) Write(p []byte) (int, error) { return len(p), nil }
+func (discardSink) Sync() error                 { return nil }
+func (discardSink) Close() error                { return nil }
+
+// TestAsyncDurableCommitAllocFree pins a durable commit on the async
+// writer at zero allocations once warm: the flusher hands each written
+// group's buffer back for the next group instead of growing a new one.
+func TestAsyncDurableCommitAllocFree(t *testing.T) {
+	w := NewWriter(discardSink{}, Config{Async: true})
+	defer w.Close()
+	frame := commitFrame(0, 1)
+	commit := func() {
+		lsn, _ := w.Append(frame)
+		w.WaitDurable(lsn)
+	}
+	for i := 0; i < 8; i++ { // both buffers reach their working size
+		commit()
+	}
+	if a := testing.AllocsPerRun(1000, commit); a != 0 {
+		t.Fatalf("%.3f allocs per durable commit, want 0", a)
+	}
+}

@@ -111,10 +111,14 @@ func (g *Generator) Next(rng *rand.Rand) uint64 {
 // matching YCSB's scrambled-zipfian behaviour. The mapping is a fixed
 // bijection-like hash reduced mod n (collisions merely relocate hot spots,
 // which is what YCSB's FNV scramble does too).
-func Scramble(rank, n uint64) uint64 {
-	z := rank + 0x9e3779b97f4a7c15
+func Scramble(rank, n uint64) uint64 { return Mix64(rank) % n }
+
+// Mix64 is SplitMix64's output for state x: x advanced by the golden
+// gamma, then put through its finalizer — a bijection that spreads every
+// input bit over the whole word.
+func Mix64(x uint64) uint64 {
+	z := x + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return z % n
+	return z ^ z>>31
 }

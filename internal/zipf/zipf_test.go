@@ -154,6 +154,17 @@ func TestScrambleSpreadsHotKeys(t *testing.T) {
 	}
 }
 
+// TestMix64IsSplitMix64 pins Mix64 to the reference SplitMix64 stream
+// seeded with 0: its k-th output is Mix64((k-1) × gamma).
+func TestMix64IsSplitMix64(t *testing.T) {
+	const gamma = 0x9e3779b97f4a7c15
+	for k, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := Mix64(uint64(k) * gamma); got != want {
+			t.Errorf("output %d: Mix64 = %#x, want %#x", k+1, got, want)
+		}
+	}
+}
+
 func TestGeneratorAccessors(t *testing.T) {
 	g := New(42, 0.6)
 	if g.N() != 42 || g.Theta() != 0.6 {

@@ -181,12 +181,16 @@ func Build(db *abyss.DB, cfg Config) (*Workload, error) {
 		srow := w.savings.LoadRow(i)
 		w.savings.Schema.PutU64(srow, colCustID, cust)
 		w.savings.Schema.PutI64(srow, colBalance, initSavings)
-		w.idxSavings.LoadInsert(cust, i)
 
 		crow := w.checking.LoadRow(i)
 		w.checking.Schema.PutU64(crow, colCustID, cust)
 		w.checking.Schema.PutI64(crow, colBalance, initChecking)
-		w.idxChecking.LoadInsert(cust, i)
+	}
+	// Rows first, then each index in a pass of its own (see abyss.Index).
+	for _, idx := range []*abyss.Index{w.idxSavings, w.idxChecking} {
+		for i := 0; i < n; i++ {
+			idx.LoadInsert(uint64(i), i)
+		}
 	}
 
 	specs := []abyss.TxnSpec{
