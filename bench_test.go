@@ -103,7 +103,9 @@ func BenchmarkAblationValidation(b *testing.B) { reportFigure(b, bench.AblationV
 // builds: sim-ycsb's 200 000 YCSB rows of 10 × 100 B on a 64-core simulated
 // chip, and serve-wire's 250 000 SmallBank accounts on two native workers.
 // Like benchmark/, it collects the previous build outside the timer, so
-// every build starts from the same heap.
+// every build starts from the same heap. Run it at -cpu 1,2: the YCSB rows
+// are zeroed on every core and its index pass runs beside the row pass, so
+// the one-core number is the one that must not lose.
 func BenchmarkBuild(b *testing.B) {
 	shapes := []struct {
 		name, workload string

@@ -30,7 +30,32 @@ const (
 	footprintRows = 16384
 	maxObjects    = 64   // per index.New, per Setup: O(tables + workers), never O(rows)
 	fixedBytes    = 4096 // likewise: allocator, waits-for graph, per-worker words
+
+	// splitRows is a table whose 16-byte rows, and every per-slot array of
+	// 16 bytes a slot or more, reach internal/slot's 16 MiB split size, so
+	// each is allocated in one extent per GOMAXPROCS. An array then costs at
+	// most 3 × GOMAXPROCS + 2 objects where it cost one (extents, their
+	// directory, the transient closures of the goroutines that zero them,
+	// and what the runtime allocates for those goroutines), whatever its
+	// size. The runtime's part is why splitFixedBytes replaces fixedBytes
+	// there: a goroutine that finds no dead g to reuse allocates one and
+	// grows the runtime's list of every g (8 bytes a g, doubling).
+	splitRows       = 1 << 20
+	splitFixedBytes = 64 << 10
 )
+
+// splitObjects is the object budget of a call that made small objects at
+// footprintRows, when made at splitRows.
+func splitObjects(small uint64) uint64 { return small * uint64(3*runtime.GOMAXPROCS(0)+2) }
+
+// fixedFor is the allowance in bytes, beside the per-slot budgets, of a
+// call over a table of rows loaded rows.
+func fixedFor(rows int) float64 {
+	if rows == splitRows {
+		return splitFixedBytes
+	}
+	return fixedBytes
+}
 
 // The runtimes and the budgets in bytes per slot, [native, sim], of the two
 // footprint tests. The native budgets are the interesting ones (a latch is 8
@@ -76,33 +101,46 @@ func footprintSchema() *storage.Schema {
 // The log lines are the source of the "resident bytes per tuple" tables in
 // README.md and EXPERIMENTS.md.
 func TestResidentFootprint(t *testing.T) {
-	const rows = footprintRows
 	for ri, r := range footprintRuntimes {
 		for _, s := range footprintSchemes {
 			t.Run(s.name+"/"+r.name, func(t *testing.T) {
-				run := r.mk()
-				db := core.NewDB(run)
-				tab := db.Catalog.Add(footprintSchema(), rows, rows, run.NumProcs())
+				var idxSmall, setupSmall uint64
+				for _, rows := range []int{footprintRows, splitRows} {
+					idxBudget, setupBudget := uint64(maxObjects), uint64(maxObjects)
+					if rows == splitRows {
+						idxBudget, setupBudget = splitObjects(idxSmall), splitObjects(setupSmall)
+						runtime.GC() // the footprintRows build's garbage
+					}
+					run := r.mk()
+					db := core.NewDB(run)
+					tab := db.Catalog.Add(footprintSchema(), rows, rows, run.NumProcs())
 
-				var idx *index.Hash
-				bytes, idxObjects := allocated(func() { idx = index.New(run, tab, rows) })
-				perBucket := float64(bytes) / rows
-				if float64(bytes) > bucketBudget[ri]*rows+fixedBytes || idxObjects > maxObjects {
-					t.Errorf("index.New: %.1f B/bucket in %d objects, budget %.0f B in at most %d",
-						perBucket, idxObjects, bucketBudget[ri], maxObjects)
-				}
-				runtime.KeepAlive(idx)
+					var idx *index.Hash
+					bytes, idxObjects := allocated(func() { idx = index.New(run, tab, rows) })
+					perBucket := float64(bytes) / float64(rows)
+					if perBucket > bucketBudget[ri]+fixedFor(rows)/float64(rows) || idxObjects > idxBudget {
+						t.Errorf("index.New over %d rows: %.1f B/bucket in %d objects, budget %.0f B in at most %d",
+							rows, perBucket, idxObjects, bucketBudget[ri], idxBudget)
+					}
+					runtime.KeepAlive(idx)
 
-				scheme := bench.MakeScheme(s.name, tsalloc.Atomic)
-				bytes, objects := allocated(func() { scheme.Setup(db) })
-				perSlot := float64(bytes) / rows
-				if float64(bytes) > s.budget[ri]*rows+fixedBytes || objects > maxObjects {
-					t.Errorf("%s.Setup: %.1f B/tuple in %d objects, budget %.0f B in at most %d",
-						s.name, perSlot, objects, s.budget[ri], maxObjects)
+					scheme := bench.MakeScheme(s.name, tsalloc.Atomic)
+					bytes, objects := allocated(func() { scheme.Setup(db) })
+					perSlot := float64(bytes) / float64(rows)
+					if perSlot > s.budget[ri]+fixedFor(rows)/float64(rows) || objects > setupBudget {
+						t.Errorf("%s.Setup over %d rows: %.1f B/tuple in %d objects, budget %.0f B in at most %d",
+							s.name, rows, perSlot, objects, s.budget[ri], setupBudget)
+					}
+					runtime.KeepAlive(scheme)
+					if rows == footprintRows {
+						idxSmall, setupSmall = idxObjects, objects
+						t.Logf("footprint %-9s %-6s  %6.1f B/tuple in %d objects  %5.1f B/bucket in %d objects",
+							s.name, r.name, perSlot, objects, perBucket, idxObjects)
+					} else {
+						t.Logf("split     %-9s %-6s  %6.1f B/tuple in %d objects  %5.1f B/bucket in %d objects over %d rows",
+							s.name, r.name, perSlot, objects, perBucket, idxObjects, rows)
+					}
 				}
-				runtime.KeepAlive(scheme)
-				t.Logf("footprint %-9s %-6s  %6.1f B/tuple in %d objects  %5.1f B/bucket in %d objects",
-					s.name, r.name, perSlot, objects, perBucket, idxObjects)
 			})
 		}
 	}
@@ -154,73 +192,83 @@ func (x *insertTxn) Run(tx *core.TxnCtx) error {
 // inserting grows the heap by at most the per-slot budgets — row, chain
 // links, CC entry and latch — times the inserted rows rounded up to whole
 // pages: 10 000 committed inserts, each read back by the next transaction,
-// page in at most three pages of every array and allocate nothing else.
+// page in at most three pages of every array and allocate nothing else. A
+// table of splitRows loaded rows and as many reserved holds the same
+// budgets, its loaded rows split into extents.
 func TestReservedCapacityIsFree(t *testing.T) {
-	const (
-		rows, capacity = footprintRows, 1 << 20
-		warm, inserts  = 100, 10_000
-	)
+	const warm, inserts = 100, 10_000
 	schema := footprintSchema()
 	rowBytes := float64(schema.RowSize())
-	layout := slot.Layout{Dense: rows, Cap: capacity}
-	dir := float64(8 * layout.Pages()) // one page directory
 	pages := float64((inserts + slot.PageSlots - 1) / slot.PageSlots * slot.PageSlots)
 	for ri, r := range footprintRuntimes {
 		for _, s := range footprintSchemes {
 			t.Run(s.name+"/"+r.name, func(t *testing.T) {
-				run := r.mk()
-				db := core.NewDB(run)
-				var tab *storage.Table
-				check := func(what string, bytes, objects uint64, perRow, dirs float64) {
-					t.Helper()
-					if budget := perRow*rows + dirs*dir + fixedBytes; float64(bytes) > budget || objects > maxObjects {
-						t.Errorf("%s over %d reserved slots: %d B in %d objects, budget %.0f B in at most %d",
-							what, capacity-rows, bytes, objects, budget, maxObjects)
+				small := map[string]uint64{} // objects per call at footprintRows
+				for _, l := range []slot.Layout{{Dense: footprintRows, Cap: 1 << 20}, {Dense: splitRows, Cap: 2 * splitRows}} {
+					if l.Dense == splitRows {
+						runtime.GC() // the footprintRows table's garbage
 					}
-				}
-				bytes, objects := allocated(func() { tab = db.Catalog.Add(schema, capacity, rows, run.NumProcs()) })
-				check("table", bytes, objects, rowBytes, 1)
-				var idx *index.Hash
-				bytes, objects = allocated(func() { idx = db.AddIndex("T_PK", tab, rows) })
-				check("index.New", bytes, objects, bucketBudget[ri], 2)
-				for k := 0; k < rows; k++ {
-					schema.PutU64(tab.LoadRow(k), 1, uint64(k))
-					idx.LoadInsert(uint64(k), k)
-				}
-				scheme := bench.MakeScheme(s.name, tsalloc.Atomic)
-				bytes, objects = allocated(func() { scheme.Setup(db) })
-				check(s.name+".Setup", bytes, objects, s.budget[ri], 2)
-				perTuple := float64(bytes) / rows
-
-				// Worker 0's insert segment starts on a page boundary: the
-				// warm-up pages in the first page, the measured inserts the
-				// next two.
-				var grown uint64
-				run.Run(func(p rt.Proc) {
-					if p.ID() != 0 {
-						return
-					}
-					w := core.NewWorker(p, db, scheme)
-					x := &insertTxn{tab: tab, idx: idx, first: rows, key: rows}
-					exec := func(n int) {
-						for i := 0; i < n; i, x.key = i+1, x.key+1 {
-							if err := w.ExecOnce(x); err != nil {
-								t.Errorf("insert of key %d: %v", x.key, err)
-								return
-							}
+					rows, dir := l.Dense, float64(8*l.Pages()) // one page directory
+					run := r.mk()
+					db := core.NewDB(run)
+					var tab *storage.Table
+					check := func(what string, bytes, objects uint64, perRow, dirs float64) {
+						t.Helper()
+						most := uint64(maxObjects)
+						if rows == splitRows {
+							most = splitObjects(small[what])
+						} else {
+							small[what] = objects
+						}
+						if budget := perRow*float64(rows) + dirs*dir + fixedFor(rows); float64(bytes) > budget || objects > most {
+							t.Errorf("%s over %d loaded and %d reserved slots: %d B in %d objects, budget %.0f B in at most %d",
+								what, rows, l.Cap-rows, bytes, objects, budget, most)
 						}
 					}
-					exec(warm)
-					grown, _ = allocated(func() { exec(inserts) })
-				})
-				budget := (s.budget[ri] + 12 + rowBytes) * pages
-				if float64(grown) > budget {
-					t.Errorf("%d inserts grew the heap by %d B, budget %.0f B (%.0f B per slot of %.0f)",
-						inserts, grown, budget, budget/pages, pages)
+					bytes, objects := allocated(func() { tab = db.Catalog.Add(schema, l.Cap, rows, run.NumProcs()) })
+					check("table", bytes, objects, rowBytes, 1)
+					var idx *index.Hash
+					bytes, objects = allocated(func() { idx = db.AddIndex("T_PK", tab, rows) })
+					check("index.New", bytes, objects, bucketBudget[ri], 2)
+					for k := 0; k < rows; k++ {
+						schema.PutU64(tab.LoadRow(k), 1, uint64(k))
+						idx.LoadInsert(uint64(k), k)
+					}
+					scheme := bench.MakeScheme(s.name, tsalloc.Atomic)
+					bytes, objects = allocated(func() { scheme.Setup(db) })
+					check("Setup", bytes, objects, s.budget[ri], 2)
+					perTuple := float64(bytes) / float64(rows)
+
+					// Worker 0's insert segment starts on a page boundary: the
+					// warm-up pages in the first page, the measured inserts the
+					// next two.
+					var grown uint64
+					run.Run(func(p rt.Proc) {
+						if p.ID() != 0 {
+							return
+						}
+						w := core.NewWorker(p, db, scheme)
+						x := &insertTxn{tab: tab, idx: idx, first: uint64(rows), key: uint64(rows)}
+						exec := func(n int) {
+							for i := 0; i < n; i, x.key = i+1, x.key+1 {
+								if err := w.ExecOnce(x); err != nil {
+									t.Errorf("insert of key %d: %v", x.key, err)
+									return
+								}
+							}
+						}
+						exec(warm)
+						grown, _ = allocated(func() { exec(inserts) })
+					})
+					budget := (s.budget[ri] + 12 + rowBytes) * pages
+					if float64(grown) > budget {
+						t.Errorf("%d inserts past %d loaded rows grew the heap by %d B, budget %.0f B (%.0f B per slot of %.0f)",
+							inserts, rows, grown, budget, budget/pages, pages)
+					}
+					runtime.KeepAlive(scheme)
+					t.Logf("reserved %-9s %-6s  %6.1f B/tuple with %d slots reserved  %5.1f B/slot over %d inserts",
+						s.name, r.name, perTuple, l.Cap-rows, float64(grown)/inserts, inserts)
 				}
-				runtime.KeepAlive(scheme)
-				t.Logf("reserved %-9s %-6s  %6.1f B/tuple with %d slots reserved  %5.1f B/slot over %d inserts",
-					s.name, r.name, perTuple, capacity-rows, float64(grown)/inserts, inserts)
 			})
 		}
 	}

@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -221,6 +223,78 @@ func TestCheckpointRecoverAcrossPages(t *testing.T) {
 			}
 			if got := core.DumpState(db2, nil); got != live {
 				t.Fatal("state recovered from the checkpoint differs from the live state")
+			}
+		})
+	}
+}
+
+// TestCheckpointRecoverAcrossExtents: a table whose loaded rows are large
+// enough to be allocated in one extent per GOMAXPROCS checkpoints in row
+// records cut at each extent's end, and recovers, into a table split at
+// other edges, exactly the live rows — among them rows written on both sides
+// of every edge.
+func TestCheckpointRecoverAcrossExtents(t *testing.T) {
+	const loaded = 16_500 // of 1 KiB: 16.9 MB, past slot's 16 MiB split size
+	schema := storage.NewSchema("X", storage.Col{Name: "KEY", Width: 8}, storage.Col{Name: "VAL", Width: 8},
+		storage.Col{Name: "PAD", Width: 1008})
+	open := func(procs int) (*core.DB, *storage.Table) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		db := core.NewDB(native.New(1, 1))
+		tab := db.Catalog.Add(schema, loaded, loaded, 1)
+		for i := 0; i < loaded; i++ {
+			schema.PutU64(tab.LoadRow(i), 0, uint64(i))
+		}
+		return db, tab
+	}
+	for _, scheme := range []core.Scheme{twopl.New(twopl.NoWait, twopl.Options{}), mvcc.New(tsalloc.Atomic)} {
+		t.Run(scheme.Name(), func(t *testing.T) {
+			db, tab := open(2)
+			if n := len(tab.Rows(0, loaded)) / schema.RowSize(); n == loaded {
+				t.Fatal("the loaded rows are one allocation: nothing to cut a checkpoint at")
+			}
+			sink := wal.NewMemSink()
+			db.Wal = wal.NewWriter(sink, wal.Config{})
+			scheme.Setup(db)
+			var written []int
+			for _, edge := range []int{0, loaded / 3, loaded / 2, 2 * loaded / 3, loaded} {
+				for s := max(edge-2, 0); s < min(edge+2, loaded); s++ {
+					written = append(written, s)
+				}
+			}
+			db.RT.Run(func(p rt.Proc) {
+				w := core.NewWorker(p, db, scheme)
+				for _, s := range written {
+					execRetry(t, w, func(tx *core.TxnCtx) error {
+						row, err := tx.UpdateRow(tab, s)
+						if err != nil {
+							return err
+						}
+						schema.PutU64(row, 1, uint64(s)*7+1)
+						row[len(row)-1] = byte(s)
+						return nil
+					})
+				}
+			})
+			if err := core.Checkpoint(db, scheme); err != nil {
+				t.Fatal(err)
+			}
+			db2, tab2 := open(3)
+			info, err := core.Recover(db2, sink.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Checkpoint == 0 || info.Commits != 0 {
+				t.Fatalf("recovery did not start from the checkpoint: %+v", info)
+			}
+			for s := 0; s < loaded; s++ {
+				if got, want := tab2.Row(s), committedRow(scheme, tab, s); !bytes.Equal(got, want) {
+					t.Fatalf("slot %d recovered as %x…, live %x…", s, got[:24], want[:24])
+				}
+			}
+			for _, s := range written {
+				if schema.GetU64(tab2.Row(s), 1) != uint64(s)*7+1 {
+					t.Fatalf("slot %d lost its update", s)
+				}
 			}
 		})
 	}

@@ -217,7 +217,9 @@ func (h *Hash) Remove(p rt.Proc, key uint64, slot int) bool {
 // rows written between two calls evict the bucket array. Interleaved with
 // the row writes, the inserts of a 250 000-account SmallBank build took
 // 25 ms and those of a 200 000-row YCSB build 11 ms; in passes of their
-// own, 12 ms and 4 ms (CPU profiles on a 2-vCPU Xeon VM).
+// own, 12 ms and 4 ms (CPU profiles on a 2-vCPU Xeon VM). A pass may run
+// on a goroutine of its own beside the row writes, as YCSB's does, so long
+// as one goroutine makes all of an index's calls.
 func (h *Hash) LoadInsert(key uint64, slot int) {
 	b, _ := h.bucketOf(key)
 	h.push(b, key, slot)

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
 
+	"abyss1000/internal/mesh"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
@@ -172,5 +174,32 @@ func TestQuietLatchIsInvisibleToTheModel(t *testing.T) {
 	if !slices.Equal(plain.grants, quiet.grants) || !slices.Equal(plain.ends, quiet.ends) || !slices.Equal(plain.bills, quiet.bills) {
 		t.Errorf("quiet attempts changed the schedule:\nplain grants %v ends %v manager %v\nquiet grants %v ends %v manager %v",
 			plain.grants, plain.ends, plain.bills, quiet.grants, quiet.ends, quiet.bills)
+	}
+}
+
+// TestSplitSlabIsTheSlab: latch and counter slabs large enough that their
+// dense region is split into one extent per GOMAXPROCS, each extent's init
+// running on a goroutine of its own, hold what a one-extent slab would:
+// element i on the line key base|i places. Under -race it is the check that
+// mesh.NewLine may run on several goroutines at once.
+func TestSplitSlabIsTheSlab(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const (
+		base = uint64(3)<<44 | 0x2B<<36
+		n    = 700_000 // 16.8 MB of counters, past slot's 16 MiB split size
+	)
+	e := New(4, 9)
+	ls := e.NewLatches(base, slot.Fixed(n)).(*latches)
+	cs := e.NewCounters(base|1<<35, slot.Fixed(n)).(*counters)
+	if len(ls.Chunk(0, n)) == n || len(cs.Chunk(0, n)) == n {
+		t.Fatal("the slabs were not split")
+	}
+	for i := 0; i < n; i++ {
+		if ls.At(i).line != mesh.NewLine(e.chip, base|uint64(i)) {
+			t.Fatalf("latch %d is on line %+v, want key %#x's", i, ls.At(i).line, base|uint64(i))
+		}
+		if cs.At(i).line != mesh.NewLine(e.chip, base|1<<35|uint64(i)) {
+			t.Fatalf("counter %d is on line %+v, want key %#x's", i, cs.At(i).line, base|1<<35|uint64(i))
+		}
 	}
 }

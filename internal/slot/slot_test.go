@@ -1,6 +1,9 @@
 package slot
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -101,6 +104,143 @@ func TestConcurrentFirstTouch(t *testing.T) {
 	for i := 0; i < l.Cap; i++ {
 		if got := *a.At(i); got != int64(i) {
 			t.Fatalf("slot %d = %d: a write went to a page that lost the race", i, got)
+		}
+	}
+}
+
+// withProcs runs f at GOMAXPROCS procs.
+func withProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// TestSplitDenseRegion: a dense region of splitBytes or more is one extent
+// per GOMAXPROCS, each init-ed once with its own first slot, and At, Span
+// and Chunk agree with a plain slice on both sides of every extent edge —
+// Chunk stopping at each edge — and across into the paged region.
+func TestSplitDenseRegion(t *testing.T) {
+	const w = 3
+	dense := splitBytes/w + 7 // 7 slots past the split size, so the last extent is short
+	l := Layout{Dense: dense, Cap: dense + PageSlots + 5}
+	ref := make([]byte, l.Cap*w) // slot i's elements are byte(i), byte(i>>8), byte(i>>16)
+	for i := 0; i < l.Cap; i++ {
+		ref[i*w], ref[i*w+1], ref[i*w+2] = byte(i), byte(i>>8), byte(i>>16)
+	}
+	for _, procs := range []int{2, 3} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			var (
+				mu     sync.Mutex
+				firsts []int
+			)
+			var a Array[byte]
+			withProcs(procs, func() {
+				a = MakeWith(l, w, func(s []byte, first int) {
+					copy(s, ref[first*w:])
+					mu.Lock()
+					firsts = append(firsts, first)
+					mu.Unlock()
+				})
+			})
+			per := (dense + procs - 1) / procs
+			var want []int
+			for first := 0; first < dense; first += per {
+				want = append(want, first)
+			}
+			slices.Sort(firsts)
+			if len(a.ext) != procs || !slices.Equal(firsts, want) {
+				t.Fatalf("%d extents with init at slots %v, want %d at %v", len(a.ext), firsts, procs, want)
+			}
+			ends := append(want[1:len(want):len(want)], dense) // where each extent stops
+			var probes []int
+			for _, e := range append(ends, dense+PageSlots) {
+				probes = append(probes, e-1, e)
+			}
+			for _, i := range append(probes, 0, l.Cap-1) {
+				if got := a.Span(i); !slices.Equal(got, ref[i*w:(i+1)*w]) || cap(got) != w {
+					t.Fatalf("Span(%d) = %v (cap %d), want %v", i, got, cap(got), ref[i*w:(i+1)*w])
+				}
+				end := min(dense+(i-dense)/PageSlots*PageSlots+PageSlots, l.Cap) // i's page's end
+				if k := slices.IndexFunc(ends, func(e int) bool { return i < e }); k >= 0 {
+					end = ends[k]
+				}
+				for _, n := range []int{1, 2, end - i, end - i + 1} {
+					k := min(n, end-i)
+					if got := a.Chunk(i, n); !slices.Equal(got, ref[i*w:(i+k)*w]) || cap(got) != len(got) {
+						t.Fatalf("Chunk(%d, %d) = %d bytes, want slots [%d, %d)", i, n, len(got), i, i+k)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSplitAtMatchesSlice: At, one element per slot, is each slot's element
+// on both sides of every extent edge.
+func TestSplitAtMatchesSlice(t *testing.T) {
+	dense := splitBytes/8 + 1
+	var a Array[int64]
+	withProcs(2, func() {
+		a = MakeWith(Fixed(dense), 1, func(s []int64, first int) {
+			for j := range s {
+				s[j] = int64(first + j)
+			}
+		})
+	})
+	if len(a.ext) != 2 {
+		t.Fatalf("%d extents, want 2", len(a.ext))
+	}
+	for _, i := range []int{0, a.n - 1, a.n, a.n + 1, dense - 1} {
+		if got := *a.At(i); got != int64(i) {
+			t.Fatalf("At(%d) = %d", i, got)
+		}
+	}
+	for _, i := range []int{-1, dense} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("At(%d) did not panic", i)
+				}
+			}()
+			a.At(i)
+		}()
+	}
+}
+
+// TestSplitAllocations: a dense region below splitBytes, or at any size under
+// GOMAXPROCS 1, is one allocation. A split one is GOMAXPROCS extents and
+// their directory, plus a goroutine's closure per extent beyond the first,
+// the shared fill closure and its WaitGroup, which are garbage once MakeWith
+// returns: 2 × GOMAXPROCS + 2 objects, however large the region. The
+// runtime may add its own for the goroutines — a g when none is free to
+// reuse, a sudog when the wait blocks after a collection emptied the cache —
+// so a count is the least of three and may exceed that by GOMAXPROCS.
+func TestSplitAllocations(t *testing.T) {
+	objects := func(procs, bytes int) uint64 {
+		least := uint64(1 << 63)
+		withProcs(procs, func() {
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.GC() // a GC starts a mark worker per P: let it happen here, not in the count
+				runtime.ReadMemStats(&before)
+				a := Make[byte](Fixed(bytes))
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(a)
+				least = min(least, after.Mallocs-before.Mallocs)
+			}
+		})
+		return least
+	}
+	for _, c := range []struct{ procs, bytes int }{{1, splitBytes}, {1, 2 * splitBytes}, {2, splitBytes - 1}} {
+		if got := objects(c.procs, c.bytes); got != 1 {
+			t.Errorf("%d B at GOMAXPROCS %d: %d allocations, want 1", c.bytes, c.procs, got)
+		}
+	}
+	for _, procs := range []int{2, 4} {
+		want := uint64(2*procs + 2)
+		for _, bytes := range []int{splitBytes, 2 * splitBytes} {
+			if got := objects(procs, bytes); got < want || got > want+uint64(procs) {
+				t.Errorf("%d B at GOMAXPROCS %d: %d allocations, want %d to %d", bytes, procs, got, want, want+uint64(procs))
+			}
 		}
 	}
 }

@@ -7,8 +7,9 @@
 //
 // Like the paper's per-thread memory pools (§4.1), a table's memory grows
 // with the workload rather than being sized for the worst case: its loaded
-// rows are one slab, and the capacity reserved for inserts is paged in 4 096
-// slots at a time as rows land in it (internal/slot). Every structure
+// rows are one slab — from 16 MiB up, one extent per GOMAXPROCS, zeroed in
+// parallel — and the capacity reserved for inserts is paged in 4 096 slots
+// at a time as rows land in it (internal/slot). Every structure
 // indexed by slot — the scheme's entries and latches, the hash index's chain
 // links — follows the same Layout, so a reserved slot that is never inserted
 // costs nothing anywhere.
@@ -123,7 +124,8 @@ type Table struct {
 // NewTable creates a table with room for capacity rows, of which the first
 // `loaded` will be populated by setup code via LoadRow, and the remainder is
 // split into insert segments for nworkers workers. Only the loaded rows are
-// allocated here.
+// allocated here: one slab, or one extent per GOMAXPROCS if they reach
+// internal/slot's split size, so that Rows stops at each extent's end.
 func NewTable(id int, schema *Schema, capacity, loaded, nworkers int) *Table {
 	if capacity > MaxCapacity {
 		panic(fmt.Sprintf("storage: table %s capacity %d exceeds the limit of %d slots", schema.Name, capacity, MaxCapacity))
@@ -169,8 +171,9 @@ func (t *Table) LoadRow(i int) []byte { return t.Row(i) }
 
 // Rows returns the raw bytes of the slots [start, start+k) for the largest
 // k <= n that are contiguous in memory — all n unless the range crosses the
-// loaded rows' end or an insert page's — so checkpointing and recovery move
-// row ranges a piece at a time. n must be positive.
+// end of an extent of the loaded rows or of an insert page — so
+// checkpointing and recovery move row ranges a piece at a time. n must be
+// positive.
 func (t *Table) Rows(start, n int) []byte { return t.rows.Chunk(start, n) }
 
 // AllocSlot carves a fresh slot from worker w's insert segment. It returns

@@ -8,6 +8,9 @@
 package ycsb
 
 import (
+	"encoding/binary"
+	"sync"
+
 	"abyss1000/internal/core"
 	"abyss1000/internal/index"
 	"abyss1000/internal/rt"
@@ -98,22 +101,30 @@ func Build(db *core.DB, cfg Config) *Workload {
 	table := db.Catalog.Add(schema, cfg.Rows, cfg.Rows, n)
 	idx := db.AddIndex("USERTABLE_PK", table, cfg.Rows)
 
-	// Rows first, then the index in a pass of its own (see
-	// index.Hash.LoadInsert). No transaction looks at field contents beyond
-	// reading row[8], so only each field's first byte is set, taken from
-	// one SplitMix64 word seeded by the row number: the content is a
-	// function of the row alone and costs one hash per row.
+	// The index in a pass of its own (see index.Hash.LoadInsert), on a
+	// goroutine beside the row pass: neither reads what the other writes,
+	// and each goes in slot order. No transaction looks at field contents
+	// beyond reading row[8], so a row's payload is one SplitMix64 word
+	// seeded by the row number, written little-endian as its first min(8,
+	// Fields × FieldSize) bytes and zero after: the content is a function of
+	// the row alone, and loading a row costs one hash and one cache line.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < cfg.Rows; i++ {
+			idx.LoadInsert(uint64(i), i)
+		}
+	}()
+	var word [8]byte
+	payload := word[:min(8, cfg.Fields*cfg.FieldSize)]
 	for i := 0; i < cfg.Rows; i++ {
 		row := table.LoadRow(i)
 		schema.PutU64(row, 0, uint64(i))
-		z := zipf.Mix64(uint64(i))
-		for f := 1; f <= cfg.Fields; f++ {
-			schema.Bytes(row, f)[0] = byte(z >> (8 * ((f - 1) % 8)))
-		}
+		binary.LittleEndian.PutUint64(word[:], zipf.Mix64(uint64(i)))
+		copy(row[8:], payload)
 	}
-	for i := 0; i < cfg.Rows; i++ {
-		idx.LoadInsert(uint64(i), i)
-	}
+	wg.Wait()
 
 	w := &Workload{cfg: cfg, db: db, table: table, idx: idx}
 	for f := 1; f <= cfg.Fields; f++ {

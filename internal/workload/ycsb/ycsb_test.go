@@ -1,6 +1,8 @@
 package ycsb_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"abyss1000/internal/cc/twopl"
@@ -9,6 +11,7 @@ import (
 	"abyss1000/internal/rt"
 	"abyss1000/internal/sim"
 	"abyss1000/internal/workload/ycsb"
+	"abyss1000/internal/zipf"
 )
 
 func build(cores int, mod func(*ycsb.Config)) (*sim.Engine, *core.DB, *ycsb.Workload) {
@@ -46,6 +49,26 @@ func TestBuildPopulatesTableAndIndex(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRowPayloadIsOneWord: a loaded row's payload is its SplitMix64 word,
+// little-endian, cut to the payload's size when that is under 8 bytes, and
+// zero after it.
+func TestRowPayloadIsOneWord(t *testing.T) {
+	for _, shape := range []struct{ fields, size int }{{10, 10}, {1, 4}, {2, 4}} {
+		_, _, wl := build(1, func(c *ycsb.Config) { c.Fields, c.FieldSize = shape.fields, shape.size })
+		tab := wl.Table()
+		for i := 0; i < tab.Loaded(); i++ {
+			payload := tab.Row(i)[8:]
+			want := make([]byte, len(payload))
+			var word [8]byte
+			binary.LittleEndian.PutUint64(word[:], zipf.Mix64(uint64(i)))
+			copy(want, word[:])
+			if !bytes.Equal(payload, want) {
+				t.Fatalf("%d × %d B fields: row %d payload %x, want %x", shape.fields, shape.size, i, payload, want)
+			}
+		}
+	}
 }
 
 func TestTxnKeysDistinctAndInRange(t *testing.T) {
