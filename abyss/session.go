@@ -10,10 +10,11 @@ package abyss
 // bounded admission queues (core.RequestSource), and Drain ends the
 // measurement and returns the same Result a Run would have, with the
 // session-side admission accounting (offered, shed, queue depths) merged
-// in. Invoke answers in the engine's vocabulary (nil, ErrUserAbort,
+// in. Submit queues an invocation, and the serving worker calls back
+// once it has finished (durably, with a log); Invoke is its blocking
+// form. Outcomes are the engine's vocabulary (nil, ErrUserAbort,
 // ErrDeadline) plus the session's own ErrShed and ErrSessionClosed. The
-// serve/ package layers the network protocols on top of exactly this
-// surface.
+// serve/ package layers the network protocols on exactly this surface.
 
 import (
 	"errors"
@@ -81,13 +82,12 @@ type ServeCounters struct {
 	// Offered counts every submitted invocation, admitted or not.
 	Offered uint64 `json:"offered"`
 
-	// Shed counts invocations rejected by admission control: full
-	// queues, plus any rejections the owning front end reports via
-	// NoteShed (per-connection window overflow).
+	// Shed counts invocations rejected by admission control: those
+	// routed to a full worker queue.
 	Shed uint64 `json:"shed"`
 }
 
-// Session is a live serving run: submit invocations with Invoke, end the
+// Session is a live serving run: submit with Submit or Invoke, end the
 // run with Drain. Safe for concurrent use by any number of goroutines.
 type Session struct {
 	db      *DB
@@ -184,7 +184,7 @@ func (db *DB) Serve(scheme Scheme, wl Workload, cfg RunConfig) (*Session, error)
 		for _, q := range s.qs {
 			for req := range q {
 				if req.Done != nil {
-					req.Done(ErrSessionClosed)
+					req.Done(0, ErrSessionClosed)
 				}
 			}
 		}
@@ -238,16 +238,6 @@ func (s *Session) Counters() ServeCounters {
 	return ServeCounters{Offered: s.offered.Load(), Shed: s.shed.Load()}
 }
 
-// NoteShed records n invocations rejected by the owning front end
-// before reaching the session — per-connection window overflow in the
-// serve package. They count as offered and shed, keeping the drained
-// Result's admission accounting complete across the whole serving
-// stack.
-func (s *Session) NoteShed(n uint64) {
-	s.offered.Add(n)
-	s.shed.Add(n)
-}
-
 // prepare builds the worker-side transaction constructor for inv, or
 // nil for the anonymous-draw fast path.
 func (s *Session) prepare(inv Invocation) (func(p Proc) (Txn, error), error) {
@@ -284,18 +274,24 @@ func (s *Session) prepare(inv Invocation) (func(p Proc) (Txn, error), error) {
 	}, nil
 }
 
-// submit routes one invocation into a worker queue and returns its
-// arrival stamp. done receives the engine outcome exactly once.
-func (s *Session) submit(inv Invocation, done func(error)) (uint64, error) {
+// Submit routes one invocation into its worker's admission queue and
+// returns at once. On a nil return, done is called exactly once, on the
+// serving worker, when the invocation finishes: with Invoke's outcomes
+// and elapsed times (a commit only once its log record is durable, when
+// the DB has a write-ahead log), or with ErrSessionClosed for one an
+// abnormal end of the run overtook. done runs inside the worker loop and
+// must never block. A non-nil return (ErrShed, ErrSessionClosed once
+// Drain has begun, a validation error) means done is never called.
+func (s *Session) Submit(inv Invocation, done func(elapsed time.Duration, err error)) error {
 	prepare, err := s.prepare(inv)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if inv.Routed && inv.Partition < 0 {
-		return 0, fmt.Errorf("abyss: Invocation.Partition must not be negative, got %d", inv.Partition)
+		return fmt.Errorf("abyss: Invocation.Partition must not be negative, got %d", inv.Partition)
 	}
 	if inv.Deadline < 0 {
-		return 0, fmt.Errorf("abyss: Invocation.Deadline must not be negative")
+		return fmt.Errorf("abyss: Invocation.Deadline must not be negative")
 	}
 	worker := int(s.rr.Add(1)-1) % s.workers
 	if inv.Routed {
@@ -311,7 +307,7 @@ func (s *Session) submit(inv Invocation, done func(error)) (uint64, error) {
 	s.qmu.RLock()
 	if s.qclosed {
 		s.qmu.RUnlock()
-		return 0, ErrSessionClosed
+		return ErrSessionClosed
 	}
 	s.offered.Add(1)
 	select {
@@ -321,11 +317,11 @@ func (s *Session) submit(inv Invocation, done func(error)) (uint64, error) {
 		s.hmu.Lock()
 		s.depth.Record(uint64(depth))
 		s.hmu.Unlock()
-		return arrival, nil
+		return nil
 	default:
 		s.qmu.RUnlock()
 		s.shed.Add(1)
-		return 0, ErrShed
+		return ErrShed
 	}
 }
 
@@ -337,16 +333,15 @@ func (s *Session) submit(inv Invocation, done func(error)) (uint64, error) {
 // and validation or binding errors return no elapsed time.
 func (s *Session) Invoke(inv Invocation) (elapsed time.Duration, err error) {
 	ch := make(chan error, 1)
-	arrival, err := s.submit(inv, func(err error) { ch <- err })
+	err = s.Submit(inv, func(d time.Duration, err error) {
+		elapsed = d // published to the caller by the channel send
+		ch <- err
+	})
 	if err != nil {
 		return 0, err
 	}
-	switch err = <-ch; err {
-	case nil, ErrUserAbort, ErrDeadline:
-		return time.Duration(s.nowCycles() - arrival), err
-	default:
-		return 0, err
-	}
+	err = <-ch
+	return elapsed, err
 }
 
 // Drain ends the session gracefully: new invocations are refused with

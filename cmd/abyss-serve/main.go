@@ -1,9 +1,9 @@
 // Command abyss-serve is the networked front door: it opens the engine on
 // the native runtime, starts a serving session, and exposes stored-
 // procedure invocation over HTTP/1.1 JSON and the compact binary TCP
-// protocol, with wire-level backpressure on top of the engine's admission
-// machinery (per-connection windows, bounded per-worker queues, request
-// deadlines).
+// protocol. Backpressure is the engine's admission machinery — bounded
+// per-worker queues and request deadlines — with TCP flow control on
+// each connection past a fixed number of unanswered requests.
 //
 // On SIGTERM or SIGINT it drains gracefully: stops accepting, refuses new
 // requests, finishes everything admitted, flushes the WAL if durability
@@ -53,7 +53,6 @@ func main() {
 		retry    = flag.Int("retry", 0, "abandon a request after this many failed attempts (0 = unlimited)")
 		backoff  = flag.Duration("backoff", 0, "mean randomized restart penalty after an abort (0 = none)")
 		bcap     = flag.Duration("backoff-cap", 0, "cap for exponential abort backoff (0 = fixed mean)")
-		window   = flag.Int("window", 0, "per-connection inflight window (0 = default)")
 
 		// Durability knob.
 		walPath = flag.String("wal", "", "write-ahead log file (empty disables durability)")
@@ -103,7 +102,6 @@ func main() {
 			AbortBackoff: cycles("backoff", *backoff),
 			BackoffCap:   cycles("backoff-cap", *bcap),
 		},
-		Window:     *window,
 		Durability: dur,
 	})
 	if err != nil {
@@ -118,8 +116,8 @@ func main() {
 	if a := srv.TCPAddr(); a != "" {
 		fmt.Printf("abyss-serve: binary on %s\n", a)
 	}
-	fmt.Printf("abyss-serve: scheme %s, workload %s, %d cores, window %d — SIGTERM drains\n",
-		*schemeName, *workload, *cores, serveWindow(*window))
+	fmt.Printf("abyss-serve: scheme %s, workload %s, %d cores — SIGTERM drains\n",
+		*schemeName, *workload, *cores)
 
 	// Block until the drain completes: the signal handler shuts the
 	// server down (graceful drain, WAL flush) and drained tells main the
@@ -145,13 +143,6 @@ func main() {
 	fmt.Printf("served offered=%d commits=%d shed=%d deadlined=%d span=%s goodput_tps=%.1f\n",
 		res.Offered, res.Commits, res.Shed, res.Deadlined,
 		time.Duration(res.MeasureCycles), res.GoodputTPS())
-}
-
-func serveWindow(w int) int {
-	if w == 0 {
-		return serve.DefaultWindow
-	}
-	return w
 }
 
 // cycles converts a duration flag to native-runtime cycles (one per

@@ -30,7 +30,6 @@ func main() {
 		Cores:    2,
 		Seed:     42,
 		Session:  abyss.RunConfig{QueueDepth: 64, Deadline: uint64(50 * time.Millisecond)},
-		Window:   64,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -64,7 +63,7 @@ func main() {
 
 	// The operator's view: open-loop load at two offered rates. Below
 	// the knee goodput tracks offered load; far past it the server sheds
-	// (bounded queues, bounded windows) and goodput plateaus at engine
+	// at its bounded admission queues and goodput plateaus at engine
 	// capacity instead of collapsing.
 	for _, rate := range []float64{2_000, 500_000} {
 		rep, err := client.Run(client.LoadConfig{

@@ -10,6 +10,8 @@
 package core
 
 import (
+	"time"
+
 	"abyss1000/internal/rt"
 	"abyss1000/internal/stats"
 )
@@ -38,9 +40,10 @@ type Request struct {
 	// Done, when non-nil, is invoked exactly once on the worker
 	// goroutine with the outcome: nil for a commit, ErrUserAbort for a
 	// program-logic rollback (completed work), ErrDeadline for an
-	// abandoned transaction, or the Prepare error for a rejection. It
-	// must return promptly — it runs inside the worker loop.
-	Done func(err error)
+	// abandoned transaction, or the Prepare error (elapsed zero) for a
+	// rejection; elapsed runs from Arrival on the runtime clock. Done
+	// must never block — it runs inside the worker loop.
+	Done func(elapsed time.Duration, err error)
 }
 
 // RequestSource feeds workers externally submitted requests. Next blocks
@@ -80,7 +83,7 @@ func (s served) next(now uint64) (work, bool) {
 		txn = s.wl.Next(p)
 	} else if txn, err = req.Prepare(p); err != nil {
 		if req.Done != nil {
-			req.Done(err)
+			req.Done(0, err)
 		}
 		return work{}, true
 	}

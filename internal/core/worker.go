@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"abyss1000/internal/costs"
 	"abyss1000/internal/mem"
 	"abyss1000/internal/rt"
@@ -220,7 +222,7 @@ type work struct {
 	txn      Txn
 	origin   uint64
 	deadline uint64
-	done     func(error)
+	done     func(elapsed time.Duration, err error)
 }
 
 // A source feeds one worker's loop. next is called at a transaction
@@ -252,10 +254,10 @@ func (closedLoop) close(uint64) {}
 // has ended or the stop flag is set, discards what was observed before
 // warmEnd when the clock first passes it, and serves injected fault
 // stalls (billed to Idle, re-checking after each); then it runs the next
-// work from src and hands the outcome to the work's done. With stop and
-// Fault nil both are only nil-checked, so the closed loop keeps the
-// paper's schedule (the golden signature pins that). On exit it closes
-// src and flushes the last sampling interval.
+// work from src and hands its outcome and latency to the work's done. With
+// stop and Fault nil both are only nil-checked, so the closed loop keeps
+// the paper's schedule (the golden signature pins that). On exit it
+// closes src and flushes the last sampling interval.
 func (w *Worker) loop(src source, cfg *Config, warmEnd, end uint64) {
 	p := w.P
 	warmed := false
@@ -288,7 +290,7 @@ func (w *Worker) loop(src source, cfg *Config, warmEnd, end uint64) {
 		}
 		err := w.runTxn(&wk, cfg, warmEnd, end)
 		if wk.done != nil {
-			wk.done(err)
+			wk.done(time.Duration(p.Now()-wk.origin), err)
 		}
 	}
 	src.close(now)

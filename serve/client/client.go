@@ -7,6 +7,7 @@ package client
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -45,7 +46,7 @@ func Dial(proto, addr string) (Conn, error) {
 
 // httpConn serves invocations over HTTP/1.1 JSON. Each httpConn owns its
 // transport, capped at one TCP connection, so N httpConns model N real
-// connections against the server's per-connection windows.
+// connections.
 type httpConn struct {
 	url    string
 	client *http.Client
@@ -91,7 +92,8 @@ func (c *httpConn) Close() error {
 // single reader goroutine demultiplexes replies to their waiters.
 type binConn struct {
 	conn   net.Conn
-	wmu    sync.Mutex // serializes request frames
+	wmu    sync.Mutex // serializes request frames and guards wbuf
+	wbuf   []byte     // the request being written, framed whole
 	nextID atomic.Uint64
 
 	mu      sync.Mutex
@@ -107,13 +109,17 @@ func DialBinary(addr string) (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newBinConn(conn), nil
+}
+
+func newBinConn(conn net.Conn) *binConn {
 	c := &binConn{
 		conn:    conn,
 		pending: make(map[uint64]chan serve.InvokeReply),
 		done:    make(chan struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // readLoop demultiplexes reply frames until the connection dies, then
@@ -172,12 +178,14 @@ func (c *binConn) Invoke(req serve.InvokeRequest) (serve.InvokeReply, error) {
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	payload, err := serve.AppendRequest(make([]byte, 0, 64), id, req)
-	if err == nil {
-		c.wmu.Lock()
-		err = serve.WriteFrame(c.conn, payload)
-		c.wmu.Unlock()
+	c.wmu.Lock()
+	frame, err := serve.AppendRequest(append(c.wbuf[:0], 0, 0, 0, 0), id, req)
+	if err == nil { // one Write for length prefix and payload
+		binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+		c.wbuf = frame
+		_, err = c.conn.Write(frame)
 	}
+	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)

@@ -3,10 +3,11 @@ package client
 // The remote load generator: N connections, each offering its share of an
 // open-loop arrival stream. Open loop means arrivals do not wait for
 // replies — a request fires at its arrival instant whether or not earlier
-// ones answered. The only client-side bound is the per-connection window
-// (mirroring the server's): an arrival finding the window full is counted
-// shed_client and never sent, so the client cannot itself queue unbounded
-// goroutines when the server saturates.
+// ones answered. The only client-side bound is the per-connection window:
+// an arrival finding the window full is counted shed_client and never
+// sent, so the client cannot itself queue unbounded goroutines when the
+// server saturates. (The server stops reading a connection with 64
+// requests unanswered, so a larger window queues the rest in TCP.)
 
 import (
 	"fmt"
@@ -17,6 +18,10 @@ import (
 	"abyss1000/abyss"
 	"abyss1000/serve"
 )
+
+// defaultWindow bounds each connection's unanswered requests when
+// LoadConfig.Window is zero.
+const defaultWindow = 64
 
 // LoadConfig configures one load run.
 type LoadConfig struct {
@@ -30,8 +35,7 @@ type LoadConfig struct {
 	Conns int
 
 	// Window bounds each connection's unanswered requests; arrivals past
-	// it are counted shed_client and not sent. Zero means
-	// serve.DefaultWindow.
+	// it are counted shed_client and not sent. Zero means 64.
 	Window int
 
 	// Arrival is the offered-load process, aggregate across connections:
@@ -95,7 +99,7 @@ type Report struct {
 	Committed  uint64 `json:"committed"`   // WireCommitted replies
 	UserAborts uint64 `json:"user_aborts"` // WireUserAbort replies
 	Deadlined  uint64 `json:"deadlined"`   // WireDeadlined replies
-	ShedServer uint64 `json:"shed_server"` // WireShed replies (server backpressure)
+	ShedServer uint64 `json:"shed_server"` // WireShed replies (a full admission queue)
 	ShedClient uint64 `json:"shed_client"` // arrivals dropped at a full client window
 	Rejected   uint64 `json:"rejected"`    // WireRejected replies
 	Closed     uint64 `json:"closed"`      // WireClosed replies (server draining)
@@ -155,7 +159,7 @@ func Run(cfg LoadConfig) (Report, error) {
 	}
 	window := cfg.Window
 	if window == 0 {
-		window = serve.DefaultWindow
+		window = defaultWindow
 	}
 
 	conns := make([]Conn, cfg.Conns)

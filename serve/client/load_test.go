@@ -79,7 +79,6 @@ func TestLoadRunLedger(t *testing.T) {
 		Cores:    2,
 		Seed:     11,
 		Session:  abyss.RunConfig{QueueDepth: 256},
-		Window:   64,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -114,7 +113,7 @@ func TestLoadRunLedger(t *testing.T) {
 		t.Fatalf("wire histogram count = %d, want %d", rep.Wire.Count(), rep.Committed+rep.UserAborts)
 	}
 	// And it agrees with the server's: every sent request is in the
-	// engine's offered count (queue sheds and window sheds included).
+	// engine's offered count (queue sheds included).
 	res, err := srv.Shutdown()
 	if err != nil {
 		t.Fatalf("Shutdown: %v", err)

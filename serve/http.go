@@ -12,10 +12,10 @@ package serve
 //	GET  /stats    — session-side admission counters and identity.
 //	GET  /healthz  — liveness (200 "ok", 503 once draining).
 //
-// There is no per-connection window here: net/http serves one request
-// per HTTP/1.1 connection at a time, pipelined requests included, so a
-// connection never has more than one request in flight and a Window of
-// at least one never binds. Admission queues and deadlines still apply.
+// net/http serves one request per HTTP/1.1 connection at a time,
+// pipelined requests included, so a connection never has more than one
+// request in flight; each handler blocks in Session.Invoke. Admission
+// queues and deadlines apply as on the binary transport.
 
 import (
 	"context"
@@ -69,16 +69,12 @@ func writeReply(w http.ResponseWriter, rep InvokeReply) {
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(httpReply{
 		Outcome:   OutcomeName(rep.Outcome),
-		ElapsedNS: elapsedNS(rep.Elapsed),
+		ElapsedNS: max(int64(rep.Elapsed), 0),
 		Error:     rep.Err,
 	})
 }
 
 func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		writeReply(w, InvokeReply{Outcome: WireClosed})
-		return
-	}
 	var body httpRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxFrame)).Decode(&body); err != nil {
 		writeReply(w, InvokeReply{Outcome: WireRejected, Err: "bad JSON body: " + err.Error()})
@@ -101,11 +97,12 @@ func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		}
 		req.Deadline = d
 	}
-	if req.Deadline < 0 || (req.Partition < -1) {
-		writeReply(w, InvokeReply{Outcome: WireRejected, Err: "deadline and partition must not be negative"})
+	inv, err := invocation(req)
+	if err != nil {
+		writeReply(w, reply(0, err))
 		return
 	}
-	writeReply(w, s.invoke(req))
+	writeReply(w, reply(s.session.Invoke(inv)))
 }
 
 // statsReply is the GET /stats body.
@@ -113,7 +110,6 @@ type statsReply struct {
 	Scheme   string `json:"scheme"`
 	Workload string `json:"workload"`
 	Cores    int    `json:"cores"`
-	Window   int    `json:"window"`
 	Offered  uint64 `json:"offered"`
 	Shed     uint64 `json:"shed"`
 	Draining bool   `json:"draining"`
@@ -126,7 +122,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Scheme:   s.cfg.Scheme,
 		Workload: s.cfg.Workload,
 		Cores:    s.cfg.Cores,
-		Window:   s.window,
 		Offered:  c.Offered,
 		Shed:     c.Shed,
 		Draining: s.draining.Load(),

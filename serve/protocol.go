@@ -17,8 +17,10 @@ package serve
 //	           | u16 procLen | proc bytes | u16 nargs | nargs × i64
 //	reply   := u64 id | u8 outcome | u64 elapsedNs
 //
-// A negative partition means "unrouted" (the server spreads the request
-// round-robin); a zero deadline means "server default".
+// Partition -1 means "unrouted" (the server spreads the request
+// round-robin) and any other negative partition is rejected; a zero
+// deadline means "server default". Each side sends a frame, length
+// prefix and payload, with one Write.
 
 import (
 	"encoding/binary"
@@ -46,8 +48,8 @@ const (
 	// WireDeadlined: abandoned past its deadline or retry budget.
 	WireDeadlined
 
-	// WireShed: rejected by backpressure — a full admission queue or a
-	// full per-connection inflight window. Never executed.
+	// WireShed: rejected by backpressure — a full admission queue.
+	// Never executed.
 	WireShed
 
 	// WireRejected: malformed request (unknown procedure, bad
@@ -109,8 +111,8 @@ const MaxArgs = 1024
 
 // InvokeRequest is the transport-independent request: invoke Proc (empty
 // = an anonymous workload draw) with Args, optionally routed to
-// Partition (negative = unrouted), abandoned after Deadline (zero =
-// server default).
+// Partition (-1 = unrouted), abandoned after Deadline (zero = server
+// default).
 type InvokeRequest struct {
 	Proc      string
 	Args      []int64
@@ -254,8 +256,8 @@ func AppendReply(buf []byte, id uint64, outcome byte, elapsed time.Duration) []b
 
 // ParseReply decodes a binary reply payload.
 func ParseReply(payload []byte) (id uint64, rep InvokeReply, err error) {
-	if len(payload) != 8+1+8 {
-		return 0, rep, fmt.Errorf("serve: reply payload is %d bytes, want 17", len(payload))
+	if len(payload) != replyLen {
+		return 0, rep, fmt.Errorf("serve: reply payload is %d bytes, want %d", len(payload), replyLen)
 	}
 	id = binary.BigEndian.Uint64(payload)
 	rep.Outcome = payload[8]
@@ -263,14 +265,20 @@ func ParseReply(payload []byte) (id uint64, rep InvokeReply, err error) {
 	return id, rep, nil
 }
 
+// replyLen is the length of every binary reply payload.
+const replyLen = 8 + 1 + 8
+
 // ReadFrame reads one length-prefixed frame into buf (grown as needed)
 // and returns the payload slice, valid until the next call.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 64)
+	}
+	hdr := buf[:4] // read into buf so that nothing escapes per frame
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, buf, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, buf, fmt.Errorf("serve: frame of %d bytes exceeds the %d-byte bound", n, MaxFrame)
 	}
@@ -282,19 +290,4 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, []byte, error) {
 		return nil, buf, err
 	}
 	return buf, buf, nil
-}
-
-// WriteFrame writes one length-prefixed frame. Callers serialize writes
-// per connection.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("serve: frame of %d bytes exceeds the %d-byte bound", len(payload), MaxFrame)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -82,17 +83,25 @@ func TestReplyRoundTrip(t *testing.T) {
 	}
 }
 
+// appendRequestFrame frames one request as a client sends it: the
+// length prefix, then the payload.
+func appendRequestFrame(buf []byte, id uint64, req InvokeRequest) ([]byte, error) {
+	start := len(buf)
+	buf, err := AppendRequest(append(buf, 0, 0, 0, 0), id, req)
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
+	return buf, err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	payloads := [][]byte{{1}, {}, bytes.Repeat([]byte{7}, 300)}
+	var stream []byte
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
+		stream = append(binary.BigEndian.AppendUint32(stream, uint32(len(p))), p...)
 	}
+	r := bytes.NewReader(stream)
 	var scratch []byte
 	for i, want := range payloads {
-		got, grown, err := ReadFrame(&buf, scratch)
+		got, grown, err := ReadFrame(r, scratch)
 		if err != nil {
 			t.Fatalf("ReadFrame %d: %v", i, err)
 		}
@@ -101,8 +110,9 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d = %v, want %v", i, got, want)
 		}
 	}
-	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); err == nil {
-		t.Fatal("WriteFrame accepted an oversized payload")
+	oversized := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
+	if _, _, err := ReadFrame(bytes.NewReader(oversized), nil); err == nil {
+		t.Fatal("ReadFrame accepted an oversized length prefix")
 	}
 }
 

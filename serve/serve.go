@@ -1,27 +1,26 @@
 // Package serve is the networked front door to the abyss engine: it
 // exposes a Session (stored-procedure invocation on the native runtime)
-// over HTTP/1.1 JSON and a compact binary TCP protocol, with wire-level
-// backpressure layered on the engine's admission machinery.
+// over HTTP/1.1 JSON and a compact binary TCP protocol.
 //
-// Backpressure maps onto three nested bounds:
+// Backpressure is the engine's own admission machinery, reached through
+// the network:
 //
-//   - per-connection inflight windows (Config.Window): a binary
-//     connection with Window requests outstanding has further requests
-//     answered SHED immediately, without touching the engine (an HTTP
-//     connection never has more than one);
 //   - per-worker admission queues (Config.Session.QueueDepth): requests
-//     routed to a full queue are shed by the session (HTTP 429);
+//     routed to a full queue are shed by the session (WireShed, HTTP
+//     429);
 //   - per-request deadlines, propagated from client headers/fields to
 //     the engine's deadline semantics — a request that cannot commit in
-//     budget comes back "deadlined", even if it never executed.
+//     budget comes back "deadlined", even if it never executed;
+//   - TCP flow control: a binary connection stops being read while it
+//     has a fixed number of requests unanswered or unflushed, and an
+//     HTTP connection serves one request at a time.
 //
-// Every shed, wherever it happens, is folded into the drained
-// Result.Shed, so offered = commits + shed + deadlined holds across the
-// whole serving stack.
+// Every shed is the session's, so the drained Result satisfies offered =
+// commits + shed + deadlined across the whole serving stack.
 //
 // Graceful drain: Shutdown (the SIGTERM path in cmd/abyss-serve) stops
 // accepting connections, refuses new requests with "closed", lets every
-// admitted request finish and flush its reply, drains the session, and
+// admitted request finish, flushes each connection's replies, and
 // returns the final Result. Construct with New, bind with Start.
 package serve
 
@@ -37,13 +36,8 @@ import (
 	"abyss1000/abyss"
 )
 
-// DefaultWindow bounds each connection's inflight requests when
-// Config.Window is zero.
-const DefaultWindow = 64
-
 // Config assembles a server: the engine (scheme, workload, cores, seed,
-// durability), the session's admission tuning, and the wire-level
-// window.
+// durability) and the session's admission tuning.
 type Config struct {
 	// Scheme names the concurrency-control scheme (abyss.SchemeNames).
 	Scheme string
@@ -66,11 +60,6 @@ type Config struct {
 	// backoff, Check).
 	Session abyss.RunConfig
 
-	// Window bounds each binary connection's inflight requests;
-	// overflow is answered SHED without reaching the engine. Zero means
-	// DefaultWindow.
-	Window int
-
 	// Durability, when non-nil, attaches a write-ahead log; Shutdown
 	// flushes and closes it after the drain.
 	Durability *abyss.Durability
@@ -80,7 +69,6 @@ type Config struct {
 // listeners (HTTP and binary TCP).
 type Server struct {
 	cfg     Config
-	window  int
 	db      *abyss.DB
 	session *abyss.Session
 
@@ -88,11 +76,10 @@ type Server struct {
 	tcpLn   net.Listener
 	httpSrv *http.Server
 
-	draining atomic.Bool
-	admit    sync.RWMutex   // orders admission against the drain flag flip
-	inflight sync.WaitGroup // admitted binary dispatches awaiting replies
-	conns    sync.Map       // open binary connections -> *connState
-	connWG   sync.WaitGroup // binary connection reader loops
+	draining  atomic.Bool
+	accepting chan struct{}  // closed when the binary accept loop returns
+	conns     sync.Map       // open binary connections -> *connState
+	connWG    sync.WaitGroup // binary connection readers and writers
 
 	shutdownOnce sync.Once
 	result       abyss.Result
@@ -102,12 +89,6 @@ type Server struct {
 // New opens the engine and starts the serving session; the server is not
 // reachable until Start binds listeners.
 func New(cfg Config) (*Server, error) {
-	if cfg.Cores <= 0 {
-		return nil, fmt.Errorf("serve: Config.Cores must be positive, got %d", cfg.Cores)
-	}
-	if cfg.Window < 0 {
-		return nil, fmt.Errorf("serve: Config.Window must not be negative, got %d", cfg.Window)
-	}
 	db, err := abyss.Open(abyss.Options{
 		Runtime:    abyss.RuntimeNative,
 		Cores:      cfg.Cores,
@@ -143,11 +124,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := cfg.Window
-	if w == 0 {
-		w = DefaultWindow
-	}
-	return &Server{cfg: cfg, window: w, db: db, session: session}, nil
+	return &Server{cfg: cfg, db: db, session: session}, nil
 }
 
 // Session exposes the underlying session (tests and embedders).
@@ -213,52 +190,48 @@ func reply(elapsed time.Duration, err error) InvokeReply {
 	}
 }
 
-// invoke routes one wire request through the session.
-func (s *Server) invoke(req InvokeRequest) InvokeReply {
+// invocation maps a wire request of either transport onto the session's
+// Invocation: partition -1 is unrouted, and one below it is refused.
+func invocation(req InvokeRequest) (abyss.Invocation, error) {
 	inv := abyss.Invocation{Proc: req.Proc, Args: req.Args, Deadline: req.Deadline}
-	if req.Partition >= 0 {
+	switch {
+	case req.Partition >= 0:
 		inv.Routed = true
 		inv.Partition = req.Partition
+	case req.Partition < -1:
+		return inv, fmt.Errorf("serve: partition must be -1 (unrouted) or a worker index, got %d", req.Partition)
 	}
-	return reply(s.session.Invoke(inv))
+	return inv, nil
 }
 
-// Shutdown drains gracefully: stop accepting, refuse new requests,
-// finish and flush everything admitted, drain the session, close the
-// WAL if one is attached, and return the final Result. Idempotent;
-// every call returns the same Result. This is the SIGTERM path.
+// Shutdown drains gracefully: stop accepting, drain the session (every
+// admitted request finishes and later ones are refused), flush each
+// connection's replies and close it, close the WAL if one is attached,
+// and return the final Result. A client that has stopped reading its
+// replies holds Shutdown up by two seconds at most. Idempotent; every
+// call returns the same Result. This is the SIGTERM path.
 func (s *Server) Shutdown() (abyss.Result, error) {
 	s.shutdownOnce.Do(func() {
-		// The admission lock orders the flag flip against inflight.Add:
-		// every admission either predates the flip (and is counted
-		// before Wait) or observes draining and refuses.
-		s.admit.Lock()
 		s.draining.Store(true)
-		s.admit.Unlock()
 		if s.tcpLn != nil {
 			s.tcpLn.Close()
+			<-s.accepting
 		}
-		// Admitted binary dispatches finish against the still-serving
-		// session and write their replies before connections close.
-		s.inflight.Wait()
+		// Drain returns once every admitted request's done has run, so
+		// every reply is framed into its connection's output buffer.
+		s.result, s.shutdownErr = s.session.Drain()
 		s.conns.Range(func(key, _ any) bool {
-			key.(*connState).close()
+			// Its reader stops and waits for the replies to be written.
+			conn := key.(*connState).conn
+			conn.SetReadDeadline(time.Now())
+			conn.SetWriteDeadline(time.Now().Add(flushGrace))
 			return true
 		})
 		s.connWG.Wait()
 		s.stopHTTP()
-		s.result, s.shutdownErr = s.session.Drain()
 		if s.shutdownErr == nil && s.db.Durable() {
 			s.shutdownErr = s.db.CloseLog()
 		}
 	})
 	return s.result, s.shutdownErr
-}
-
-// Elapsed-to-wall helpers shared by the transports.
-func elapsedNS(d time.Duration) int64 {
-	if d < 0 {
-		return 0
-	}
-	return int64(d)
 }

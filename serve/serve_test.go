@@ -21,7 +21,7 @@ import (
 	"abyss1000/serve/client"
 )
 
-func startServer(t *testing.T, scheme string, cores int, sc abyss.RunConfig, window int) *serve.Server {
+func startServer(t *testing.T, scheme string, cores int, sc abyss.RunConfig) *serve.Server {
 	t.Helper()
 	srv, err := serve.New(serve.Config{
 		Scheme:   scheme,
@@ -29,7 +29,6 @@ func startServer(t *testing.T, scheme string, cores int, sc abyss.RunConfig, win
 		Cores:    cores,
 		Seed:     11,
 		Session:  sc,
-		Window:   window,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -72,7 +71,7 @@ func TestMixedTransportsAllSchemes(t *testing.T) {
 	const conns, per = 4, 25
 	for _, scheme := range abyss.PaperSchemes() {
 		t.Run(scheme, func(t *testing.T) {
-			srv := startServer(t, scheme, 2, abyss.RunConfig{QueueDepth: 256}, 32)
+			srv := startServer(t, scheme, 2, abyss.RunConfig{QueueDepth: 256})
 			var (
 				mu    sync.Mutex
 				total tally
@@ -156,7 +155,7 @@ func TestMixedTransportsAllSchemes(t *testing.T) {
 }
 
 func TestWireDeadlinePropagates(t *testing.T) {
-	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16}, 8)
+	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16})
 	defer srv.Shutdown()
 	for _, proto := range []string{"http", "binary"} {
 		addr := srv.HTTPAddr()
@@ -178,13 +177,12 @@ func TestWireDeadlinePropagates(t *testing.T) {
 	}
 }
 
-// TestHTTPPipelinedOneConnection pins why the HTTP transport has no
-// per-connection window: net/http answers pipelined requests on one
-// connection one at a time, so even at Window 1 every request is served
-// and none is shed.
+// TestHTTPPipelinedOneConnection pins that net/http answers pipelined
+// requests on one connection one at a time: every request is served and
+// none is shed.
 func TestHTTPPipelinedOneConnection(t *testing.T) {
 	const n = 8
-	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16}, 1)
+	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16})
 	defer srv.Shutdown()
 	conn, err := net.Dial("tcp", srv.HTTPAddr())
 	if err != nil {
@@ -217,7 +215,7 @@ func TestHTTPPipelinedOneConnection(t *testing.T) {
 }
 
 func TestStatsAndHealth(t *testing.T) {
-	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16}, 8)
+	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16})
 	defer srv.Shutdown()
 	c := client.DialHTTP(srv.HTTPAddr())
 	if rep, err := c.Invoke(serve.InvokeRequest{Partition: -1}); err != nil || rep.Outcome != serve.WireCommitted {
@@ -250,7 +248,7 @@ func TestStatsAndHealth(t *testing.T) {
 }
 
 func TestBadRequestsRejected(t *testing.T) {
-	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16}, 8)
+	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16})
 	defer srv.Shutdown()
 	c, err := client.DialBinary(srv.TCPAddr())
 	if err != nil {

@@ -1,55 +1,70 @@
 package serve
 
 // The binary TCP transport: length-prefixed frames (see protocol.go),
-// pipelined — a client may keep many requests in flight per connection,
-// correlated by request id. The per-connection window is enforced here:
-// a request arriving with Window requests already outstanding is
-// answered WireShed immediately, the engine never sees it. Replies are
-// written as invocations complete, so they can arrive out of order
-// relative to requests; ids are the correlation.
+// pipelined and correlated by request id. A connection is two goroutines
+// whatever its load. The reader submits each frame straight into the
+// session; the serving worker, once the transaction has finished (its
+// record durable, with a log), frames the reply into the connection's
+// output buffer, and the writer sends everything pending with one Write,
+// in completion order. The reader stops reading while maxUnanswered
+// requests are unanswered or unflushed, so TCP flow control holds back a
+// client that floods or stops reading: nothing is shed at the wire.
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
+	"time"
+
+	"abyss1000/abyss"
+)
+
+const (
+	// maxUnanswered bounds a connection's requests read but not yet
+	// answered on the wire.
+	maxUnanswered = 64
+
+	// flushGrace bounds how long Shutdown lets a client that has stopped
+	// reading hold up its connection's last replies.
+	flushGrace = 2 * time.Second
 )
 
 // connState is one live binary connection.
 type connState struct {
 	conn net.Conn
-	wmu  sync.Mutex // serializes reply frames
-	once sync.Once
+
+	mu         sync.Mutex
+	credit     sync.Cond // the reader waits here for unanswered to fall
+	ready      sync.Cond // the writer waits here for replies or dead
+	out        []byte    // framed replies for the writer's next Write
+	unanswered int       // requests read whose replies are not yet written
+	dead       bool      // the connection is ending; later replies are dropped
 }
 
-func (c *connState) close() { c.once.Do(func() { c.conn.Close() }) }
-
-// writeReply frames one reply; write errors just poison the connection —
-// the reader loop notices on its next read.
-func (c *connState) writeReply(id uint64, rep InvokeReply) {
-	buf := make([]byte, 0, 17)
-	buf = AppendReply(buf, id, rep.Outcome, rep.Elapsed)
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	WriteFrame(c.conn, buf)
-}
-
-// window is a counting semaphore bounding a binary connection's
-// inflight requests.
-type window struct{ sem chan struct{} }
-
-func newWindow(n int) *window { return &window{sem: make(chan struct{}, n)} }
-
-func (w *window) tryAcquire() bool {
-	select {
-	case w.sem <- struct{}{}:
-		return true
-	default:
-		return false
+// admit counts a request just read, first waiting while maxUnanswered
+// are outstanding; false means a Write has failed.
+func (c *connState) admit() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.unanswered >= maxUnanswered && !c.dead {
+		c.credit.Wait()
 	}
+	c.unanswered++
+	return !c.dead
 }
 
-func (w *window) release() { <-w.sem }
+// reply frames one reply for the writer. Engine workers call it, so it
+// never touches the network.
+func (c *connState) reply(id uint64, rep InvokeReply) {
+	c.mu.Lock()
+	if !c.dead {
+		c.out = AppendReply(binary.BigEndian.AppendUint32(c.out, replyLen), id, rep.Outcome, rep.Elapsed)
+		c.ready.Signal()
+	}
+	c.mu.Unlock()
+}
 
 func (s *Server) startTCP(addr string) error {
 	ln, err := net.Listen("tcp", addr)
@@ -57,73 +72,94 @@ func (s *Server) startTCP(addr string) error {
 		return err
 	}
 	s.tcpLn = ln
-	s.connWG.Add(1)
-	go s.acceptLoop(ln)
+	s.accepting = make(chan struct{})
+	go func() {
+		defer close(s.accepting)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return // listener closed: draining
+			}
+			s.serveConn(conn)
+		}
+	}()
 	return nil
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.connWG.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed: draining
-		}
-		if s.draining.Load() {
-			conn.Close()
-			continue
-		}
-		c := &connState{conn: conn}
-		s.conns.Store(c, struct{}{})
-		s.connWG.Add(1)
-		go s.serveConn(c)
-	}
+// serveConn starts a connection's reader and writer.
+func (s *Server) serveConn(conn net.Conn) {
+	c := &connState{conn: conn}
+	c.credit.L, c.ready.L = &c.mu, &c.mu
+	s.conns.Store(c, struct{}{})
+	s.connWG.Add(2)
+	go s.readLoop(c)
+	go s.writeLoop(c)
 }
 
-// serveConn is one connection's reader loop: decode frames, enforce the
-// inflight window, dispatch admitted requests onto their own goroutine
-// (session.Invoke blocks until the engine answers), and frame replies.
-func (s *Server) serveConn(c *connState) {
+// readLoop decodes frames and submits each request. EOF, a read
+// deadline, a frame too short to carry an id, or an unframeable stream
+// ends it; it then waits for every reply to be written and closes the
+// connection.
+func (s *Server) readLoop(c *connState) {
 	defer s.connWG.Done()
-	defer s.conns.Delete(c)
-	defer c.close()
-	win := newWindow(s.window)
+	defer func() {
+		c.mu.Lock()
+		for c.unanswered > 0 && !c.dead {
+			c.credit.Wait()
+		}
+		c.dead = true
+		c.ready.Signal()
+		c.mu.Unlock()
+		c.conn.Close()
+		s.conns.Delete(c)
+	}()
 	r := bufio.NewReaderSize(c.conn, 32*1024)
 	var buf []byte
 	for {
 		payload, grown, err := ReadFrame(r, buf)
 		if err != nil {
-			return // EOF, connection reset, or an unframeable stream
+			return
 		}
 		buf = grown
 		id, req, err := ParseRequest(payload)
+		if errors.Is(err, errShortHeader) || !c.admit() {
+			return
+		}
+		var inv abyss.Invocation
+		if err == nil {
+			inv, err = invocation(req)
+		}
+		if err == nil {
+			err = s.session.Submit(inv, func(elapsed time.Duration, err error) {
+				c.reply(id, reply(elapsed, err))
+			})
+		}
 		if err != nil {
-			if errors.Is(err, errShortHeader) {
-				return // cannot even correlate a reply; drop the conn
-			}
-			c.writeReply(id, InvokeReply{Outcome: WireRejected, Err: err.Error()})
-			continue
+			c.reply(id, reply(0, err))
 		}
-		if !win.tryAcquire() {
-			// Wire-level backpressure: the window is the client's credit;
-			// exceeding it is shed before the engine is touched.
-			s.session.NoteShed(1)
-			c.writeReply(id, InvokeReply{Outcome: WireShed})
-			continue
+	}
+}
+
+// writeLoop sends everything framed since its last Write in one Write,
+// until the connection is dead or a Write fails.
+func (s *Server) writeLoop(c *connState) {
+	defer s.connWG.Done()
+	var buf []byte
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for {
+		for len(c.out) == 0 && !c.dead {
+			c.ready.Wait()
 		}
-		s.admit.RLock()
-		if s.draining.Load() {
-			s.admit.RUnlock()
-			win.release()
-			c.writeReply(id, InvokeReply{Outcome: WireClosed})
-			continue
+		if c.dead {
+			return
 		}
-		s.inflight.Add(1)
-		s.admit.RUnlock()
-		go func(id uint64, req InvokeRequest) {
-			defer s.inflight.Done()
-			defer win.release()
-			c.writeReply(id, s.invoke(req))
-		}(id, req)
+		buf, c.out = c.out, buf[:0] // two buffers, swapped each round
+		c.mu.Unlock()
+		_, err := c.conn.Write(buf)
+		c.mu.Lock()
+		c.unanswered -= len(buf) / (4 + replyLen) // out holds only replies
+		c.dead = err != nil
+		c.credit.Signal()
 	}
 }
