@@ -87,10 +87,12 @@ type (
 	// its row slot, so a slot of the table can be mapped at most once per
 	// Index at a time (a row has one key per index); an insert of a slot
 	// that is already mapped, or that lies outside the table, panics.
-	// Setup code loads a table's rows first and then each index's keys
-	// with LoadInsert in a pass of their own: a key lands on a random
-	// bucket, and rows written between two inserts evict the bucket array
-	// (interleaved, the inserts of a SmallBank build took twice as long).
+	// Setup code maps a table's loaded slots with LoadAll, which writes the
+	// bucket array a cache-sized partition at a time, and may call it on a
+	// goroutine of its own beside the one writing the rows, so long as one
+	// goroutine makes all of an index's load calls. LoadInsert maps one
+	// slot; a loop of them writes a random bucket per key, and rows written
+	// in between evict the bucket array.
 	Index = index.Hash
 
 	// OrderedIndex is an ordered (range-scannable) secondary index
@@ -304,9 +306,9 @@ func (db *DB) newIndexName(name string, t *Table) error {
 }
 
 // CreateIndex builds a hash index named name over t, sized for at least
-// minKeys keys. Populate setup-time entries with Index.LoadInsert. The index
-// maps each slot of t at most once (see Index): several keys for one row
-// need several indexes.
+// minKeys keys. Populate setup-time entries with Index.LoadAll (slots [0, n)
+// in one call) or Index.LoadInsert (one slot). The index maps each slot of t
+// at most once (see Index): several keys for one row need several indexes.
 func (db *DB) CreateIndex(name string, t *Table, minKeys int) (*Index, error) {
 	if err := db.newIndexName(name, t); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package index_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"abyss1000/internal/index"
@@ -57,6 +58,36 @@ func BenchmarkHashInsert(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.Insert(p, benchKey(i), i)
+	}
+}
+
+// BenchmarkLoadAll maps every slot of a fresh 250 000-slot index, one bucket
+// per key as the workloads size theirs (2 MiB of heads), by the LoadInsert
+// loop and by LoadAll. ns/key is per mapping. Making the index and
+// collecting the last one are outside the timer, so B/op and allocs/op are
+// LoadAll's scratch and partition counts alone.
+func BenchmarkLoadAll(b *testing.B) {
+	const rows = 250_000
+	for _, way := range []string{"LoadInsert", "LoadAll"} {
+		b.Run(way, func(b *testing.B) {
+			run, tab := benchTable(rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				idx := index.New(run, tab, rows)
+				runtime.GC()
+				b.StartTimer()
+				if way == "LoadAll" {
+					idx.LoadAll(rows, benchKey)
+				} else {
+					for s := 0; s < rows; s++ {
+						idx.LoadInsert(benchKey(s), s)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/key")
+		})
 	}
 }
 

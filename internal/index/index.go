@@ -39,8 +39,10 @@ type Index interface {
 	Insert(p rt.Proc, key uint64, slot int)
 
 	// LoadInsert and LoadLookup are the latch- and cost-free forms for
-	// single-threaded setup and recovery; Range, likewise quiesced-only,
-	// visits every mapping (checkpointing, state dumps).
+	// setup and recovery, where one goroutine makes all of an index's calls
+	// and no transaction runs (a loader may write rows on another goroutine
+	// meanwhile); Range, likewise quiesced-only, visits every mapping
+	// (checkpointing, state dumps).
 	LoadInsert(key uint64, slot int)
 	LoadLookup(key uint64) (int, bool)
 	Range(f func(key uint64, slot int))
@@ -211,18 +213,69 @@ func (h *Hash) Remove(p rt.Proc, key uint64, slot int) bool {
 	return removed
 }
 
-// LoadInsert adds a mapping during single-threaded setup with no latching
-// or cost accounting. Each call writes a random bucket head, so a loader
-// writes its rows first and then inserts the keys, one index per pass:
-// rows written between two calls evict the bucket array. Interleaved with
-// the row writes, the inserts of a 250 000-account SmallBank build took
-// 25 ms and those of a 200 000-row YCSB build 11 ms; in passes of their
-// own, 12 ms and 4 ms (CPU profiles on a 2-vCPU Xeon VM). A pass may run
-// on a goroutine of its own beside the row writes, as YCSB's does, so long
-// as one goroutine makes all of an index's calls.
+// LoadInsert adds one mapping during setup or recovery, with no latching or
+// cost accounting. Each call writes a random bucket head, so a loader maps
+// its loaded slots with LoadAll instead. One goroutine makes all of an
+// index's load calls; it may run beside the goroutine writing the rows.
 func (h *Hash) LoadInsert(key uint64, slot int) {
 	b, _ := h.bucketOf(key)
 	h.push(b, key, slot)
+}
+
+// partShift makes a LoadAll partition 1<<partShift buckets: 32 KiB of heads,
+// an L1 data cache's worth.
+const partShift = 12
+
+// LoadAll maps slots [0, n), slot s under key(s), and leaves the index
+// exactly as
+//
+//	for s := 0; s < n; s++ { h.LoadInsert(key(s), s) }
+//
+// would: the same words, the same chain order and, at a slot LoadInsert
+// refuses, the same panic once the slots before it are mapped. That loop
+// writes a random head of the whole bucket array per slot; LoadAll builds
+// the index radix-partitioned (Balkesen et al., "Main-memory hash joins on
+// multi-core CPUs", ICDE 2013), so its random writes stay in one partition
+// of 4 096 buckets at a time. It makes three passes: keys in slot order,
+// counting the slots of each partition (the high bits of the bucket number);
+// a stable scatter of (bucket, slot) pairs into a scratch slice, partition
+// after partition; and the links, partition by partition. The scratch, 8
+// bytes a slot, is garbage when LoadAll returns.
+func (h *Hash) LoadAll(n int, key func(slot int) uint64) {
+	parts := (len(h.heads) + 1<<partShift - 1) >> partShift
+	off := make([]int, parts+1) // slots per partition p at off[p+1], then partition p's first pair at off[p]
+	end := 0                    // slots [0, end) are LoadInsert's to map; end is the slot it would refuse, if any
+	for lim := min(n, h.next.Len()); end < lim && *h.next.At(end) == unmapped; end++ {
+		k := key(end)
+		*h.keys.At(end) = k
+		_, i := h.bucketOf(k)
+		off[i>>partShift+1]++
+	}
+	for p := 1; p <= parts; p++ {
+		off[p] += off[p-1]
+	}
+	pairs := make([]uint64, end)
+	for s := 0; s < end; s++ {
+		_, i := h.bucketOf(*h.keys.At(s))
+		p := i >> partShift
+		pairs[off[p]] = uint64(i&(1<<partShift-1))<<32 | uint64(s)
+		off[p]++
+	}
+	// Partition p's pairs now end at off[p].
+	first := 0
+	for p := 0; p < parts; p++ {
+		heads := h.heads[p<<partShift : min((p+1)<<partShift, len(h.heads))]
+		for _, pr := range pairs[first:off[p]] {
+			b, s := &heads[pr>>32], int32(pr)
+			*h.next.At(int(s)) = link(b.first)
+			b.first = s
+			b.n++
+		}
+		first = off[p]
+	}
+	if end < n {
+		h.LoadInsert(key(end), end) // panics, naming the slot
+	}
 }
 
 // LoadLookup probes for key during single-threaded setup or recovery, with

@@ -3,6 +3,7 @@ package sim
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"abyss1000/internal/rt"
 	"abyss1000/internal/stats"
@@ -35,7 +36,7 @@ func TestBodyPanicSurfacesInRun(t *testing.T) {
 // TestRunLeavesNoGoroutine checks that a completed Run ends every core's
 // coroutine: the simulation owns nothing once Run returns.
 func TestRunLeavesNoGoroutine(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	e := New(64, 1)
 	l := e.NewLatch(1)
 	e.Run(func(p rt.Proc) {
@@ -49,4 +50,22 @@ func TestRunLeavesNoGoroutine(t *testing.T) {
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("%d goroutines before Run, %d after", before, after)
 	}
+}
+
+// settledGoroutines returns runtime.NumGoroutine once the count has held
+// still through ten 1 ms sleeps in a row, so that an earlier test's
+// goroutine, still exiting, is not counted as this test's. (The previous
+// test's runner can sit runnable on another P's queue for a while on a
+// loaded host; a sleep idles this P so it can steal it, a Gosched does not.)
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 10; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
 }

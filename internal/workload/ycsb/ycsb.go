@@ -101,20 +101,18 @@ func Build(db *core.DB, cfg Config) *Workload {
 	table := db.Catalog.Add(schema, cfg.Rows, cfg.Rows, n)
 	idx := db.AddIndex("USERTABLE_PK", table, cfg.Rows)
 
-	// The index in a pass of its own (see index.Hash.LoadInsert), on a
-	// goroutine beside the row pass: neither reads what the other writes,
-	// and each goes in slot order. No transaction looks at field contents
-	// beyond reading row[8], so a row's payload is one SplitMix64 word
-	// seeded by the row number, written little-endian as its first min(8,
-	// Fields × FieldSize) bytes and zero after: the content is a function of
-	// the row alone, and loading a row costs one hash and one cache line.
+	// Index.LoadAll fills the index on a goroutine beside the row pass:
+	// neither reads what the other writes. No transaction looks at field
+	// contents beyond reading row[8], so a row's payload is one SplitMix64
+	// word seeded by the row number, written little-endian as its first
+	// min(8, Fields × FieldSize) bytes and zero after: the content is a
+	// function of the row alone, and loading a row costs one hash and one
+	// cache line.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < cfg.Rows; i++ {
-			idx.LoadInsert(uint64(i), i)
-		}
+		idx.LoadAll(cfg.Rows, func(i int) uint64 { return uint64(i) })
 	}()
 	var word [8]byte
 	payload := word[:min(8, cfg.Fields*cfg.FieldSize)]

@@ -16,9 +16,12 @@ import (
 // (every loaded row) followed by a walk of each named hash index in bucket
 // and chain order. A loader may reorder its work — rows first, then each
 // index in a pass of its own — but not what it loads, and not the order of
-// any bucket's chain. ycsb-split's 20 000 rows of 1 008 bytes are above the
-// size from which a table's loaded rows are allocated in one extent per
-// GOMAXPROCS, so it pins that the extents hold what one slab would.
+// any bucket's chain. smallbank-partitions' indexes have 32 768 buckets, the
+// eight partitions Index.LoadAll links one after another (4 096 accounts fit
+// in one), so it pins that they come out as LoadInsert's would. ycsb-split's
+// 20 000 rows of 1 008 bytes are above the size from which a table's loaded
+// rows are allocated in one extent per GOMAXPROCS, so it pins that the
+// extents hold what one slab would.
 var loadedDigests = []struct {
 	workload string
 	set      func(*abyss.WorkloadParams)
@@ -29,6 +32,11 @@ var loadedDigests = []struct {
 		"smallbank", func(p *abyss.WorkloadParams) { p.Accounts = 4096 },
 		[]string{"SB_SAVINGS_PK", "SB_CHECKING_PK"},
 		"45a90a7b6b466ba1804194b8c69dfaf88f97f3a72b706d2ddae054fd3b5e3628",
+	},
+	{
+		"smallbank-partitions", func(p *abyss.WorkloadParams) { p.Accounts = 20_000 },
+		[]string{"SB_SAVINGS_PK", "SB_CHECKING_PK"},
+		"d0979343de2d81d0829bc63b40b82e95ba92fb17aaffb278a2e7ae74ffb93d6a",
 	},
 	{
 		"tpcc", func(p *abyss.WorkloadParams) { p.Warehouses, p.Mix = 2, "full" },

@@ -23,6 +23,7 @@ package smallbank
 
 import (
 	"fmt"
+	"sync"
 
 	"abyss1000/abyss"
 )
@@ -166,16 +167,33 @@ func Build(db *abyss.DB, cfg Config) (*Workload, error) {
 		return nil, err
 	}
 
+	// Customer i is slot i of every table. Each index is filled on a
+	// goroutine of its own beside the row pass: an index pass reads no row,
+	// and one LoadAll takes longer than the row pass.
+	var wg sync.WaitGroup
+	for _, idx := range []*abyss.Index{w.idxSavings, w.idxChecking} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			idx.LoadAll(n, func(i int) uint64 { return uint64(i) })
+		}()
+	}
+	// A name is "cust" and the customer id in twelve decimal digits, kept
+	// as an odometer that counts up one row at a time.
+	name := []byte("cust000000000000")
+	asc := w.accounts.Schema
 	for i := 0; i < n; i++ {
 		cust := uint64(i)
 
 		arow := w.accounts.LoadRow(i)
-		asc := w.accounts.Schema
 		asc.PutU64(arow, colCustID, cust)
-		name := asc.Bytes(arow, colName)
-		copy(name, "cust")
-		for j, d := 15, cust; j >= 4; j, d = j-1, d/10 {
-			name[j] = byte('0' + d%10)
+		copy(asc.Bytes(arow, colName), name)
+		for j := len(name) - 1; j >= 4; j-- {
+			if name[j] != '9' {
+				name[j]++
+				break
+			}
+			name[j] = '0'
 		}
 
 		srow := w.savings.LoadRow(i)
@@ -186,12 +204,7 @@ func Build(db *abyss.DB, cfg Config) (*Workload, error) {
 		w.checking.Schema.PutU64(crow, colCustID, cust)
 		w.checking.Schema.PutI64(crow, colBalance, initChecking)
 	}
-	// Rows first, then each index in a pass of its own (see abyss.Index).
-	for _, idx := range []*abyss.Index{w.idxSavings, w.idxChecking} {
-		for i := 0; i < n; i++ {
-			idx.LoadInsert(uint64(i), i)
-		}
-	}
+	wg.Wait()
 
 	specs := []abyss.TxnSpec{
 		{Name: ProcBalance, Weight: cfg.Weights[0], New: func(int) abyss.Txn { return &balanceTxn{wl: w} }},
