@@ -4,20 +4,19 @@
 // public abyss registry (MakeScheme), but the job layer drives engine
 // internals the public API deliberately does not expose (the ablation
 // allocators, timeout-variant 2PL), which is why it lives alongside the
-// engine rather than behind the abyss facade. Each
-// figure function returns a Figure whose Format() prints aligned columns:
-// x-values down the side, one column per series, plus the time-breakdown
-// tables for the figures that include them.
+// engine rather than behind the abyss facade. Each experiment renders a
+// Figure whose Format() prints aligned columns: x-values down the side,
+// one column per series, plus the time-breakdown tables for the figures
+// that include them.
 //
-// Execution is two-phase (see runner.go): figure functions enumerate
-// self-describing Jobs — one per data point — through a Plan, a Runner
-// executes the flat job list across a worker pool, and the figure is
-// reassembled from the completed results. A serial build (-parallel 1)
-// is the same two phases over a pool of one, and is byte-identical to a
-// parallel build because every Job carries its own seed and constructs
-// all its state itself. Build, BuildAll and
-// Experiment.Build are the entry points; output.go adds the JSON/CSV
-// serializations behind `abyss-bench -json`/`-csv`.
+// Each experiment is a spec (see runner.go): the figure's header, the
+// self-describing Jobs it runs, and where each result lands. A
+// Runner executes the flat job list across a worker pool and the figure
+// is rendered from the results. A serial build (-parallel 1) is the same
+// job list over a pool of one, and is byte-identical to a parallel build
+// because every Job carries its own seed and constructs all its state
+// itself. BuildAll and Experiment.Build are the entry points; output.go
+// adds the JSON/CSV serializations behind `abyss-bench -json`/`-csv`.
 //
 // Experiments run at a configurable scale: Quick() keeps the full suite
 // in minutes on a laptop; Full() climbs to 1024 simulated cores with the
@@ -207,8 +206,7 @@ type Figure struct {
 	Notes      string      `json:"notes,omitempty"`
 }
 
-// value extracts the figure's y-value from a result; overridable per
-// figure via yExtract.
+// yExtract reads a series' y-value from a result.
 type yExtract func(core.Result) float64
 
 func throughputM(r core.Result) float64 { return r.Throughput() / 1e6 }
@@ -256,22 +254,4 @@ func (f *Figure) Format() string {
 		}
 	}
 	return b.String()
-}
-
-// addPoint appends a measured point with its display value.
-func (s *Series) addPoint(x float64, r core.Result, f yExtract) {
-	s.Points = append(s.Points, Point{X: x, Y: f(r), Res: r})
-}
-
-// breakdownRows collects the per-scheme breakdown at one data point.
-func breakdownRows(results map[string]core.Result, order []string) []BreakdownRow {
-	rows := make([]BreakdownRow, 0, len(order))
-	for _, name := range order {
-		r, ok := results[name]
-		if !ok {
-			continue
-		}
-		rows = append(rows, BreakdownRow{Scheme: name, Fractions: r.Breakdown.Fractions()})
-	}
-	return rows
 }

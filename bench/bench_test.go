@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"abyss1000/internal/core"
-	"abyss1000/internal/stats"
 	"abyss1000/internal/tsalloc"
 )
 
@@ -85,7 +84,7 @@ func TestFigureFormat(t *testing.T) {
 	}
 	s := Series{Name: "S1"}
 	res := core.Result{Commits: 1000, MeasureCycles: 1_000_000, Frequency: 1e9}
-	s.addPoint(4, res, throughputM)
+	s.Points = append(s.Points, Point{X: 4, Y: throughputM(res), Res: res})
 	fig.Series = append(fig.Series, s)
 	fig.Breakdowns = append(fig.Breakdowns, Breakdown{
 		Title: "bd",
@@ -108,19 +107,6 @@ func TestThroughputExtract(t *testing.T) {
 	}
 }
 
-func TestBreakdownRowsPreservesOrder(t *testing.T) {
-	var bd stats.Breakdown
-	bd.Add(stats.Useful, 10)
-	results := map[string]core.Result{
-		"B": {Breakdown: bd},
-		"A": {Breakdown: bd},
-	}
-	rows := breakdownRows(results, []string{"A", "B", "C"})
-	if len(rows) != 2 || rows[0].Scheme != "A" || rows[1].Scheme != "B" {
-		t.Fatalf("rows = %+v", rows)
-	}
-}
-
 // TestTinyEndToEndFigure runs the smallest real experiment end to end.
 func TestTinyEndToEndFigure(t *testing.T) {
 	p := Params{
@@ -131,7 +117,11 @@ func TestTinyEndToEndFigure(t *testing.T) {
 		FieldSize:     20,
 		Seed:          1,
 	}
-	fig := Build(Fig11, p, nil)
+	e, err := Lookup("11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig := e.Build(p, nil)
 	if len(fig.Series) != len(SchemeNames) {
 		t.Fatalf("series count %d", len(fig.Series))
 	}

@@ -10,147 +10,120 @@ import (
 	"abyss1000/internal/workload/ycsb"
 )
 
-// ycsbBase returns the standard YCSB configuration for params p.
-func (p Params) ycsbBase() ycsb.Config {
+// ycsb returns the standard YCSB configuration for params p at one
+// read fraction and skew.
+func (p Params) ycsb(readPct, theta float64) ycsb.Config {
 	cfg := ycsb.DefaultConfig()
 	cfg.Rows = p.Rows
 	cfg.FieldSize = p.FieldSize
+	cfg.ReadPct = readPct
+	cfg.Theta = theta
 	return cfg
 }
 
-// Fig3 reproduces "Simulator vs. Real Hardware": the same read-intensive
+// fig3 reproduces "Simulator vs. Real Hardware": the same read-intensive
 // medium-contention YCSB workload under every scheme, once on the
 // simulator and once on real goroutines, up to the host's core count. The
 // claim under test is trend agreement, not absolute speed. The native
 // points are wall-clock measurements, so their jobs are Exclusive (the
 // runner never overlaps them with other work) and their values vary
 // run-to-run even at a fixed seed.
-func Fig3(p Params, pl *Plan) *Figure {
-	ycfg := p.ycsbBase()
-	ycfg.ReadPct = 0.9
-	ycfg.Theta = 0.6
-
-	maxNative := runtime.GOMAXPROCS(0)
-	if maxNative > 32 {
-		maxNative = 32
+func fig3(p Params) *spec {
+	cfg := p.ycsb(0.9, 0.6)
+	var cores []float64
+	for c := 1; c <= min(runtime.GOMAXPROCS(0), 32); c *= 2 {
+		cores = append(cores, float64(c))
 	}
-	var cores []int
-	for c := 1; c <= maxNative; c *= 2 {
-		cores = append(cores, c)
-	}
-
-	fig := &Figure{
+	s := &spec{head: Figure{
 		ID:     "Fig 3",
 		Title:  "Simulator vs. Real Hardware (YCSB read-intensive, theta=0.6)",
 		XLabel: "cores",
 		YLabel: "Mtxn/s",
 		Notes:  fmt.Sprintf("native columns ran on this host (%d hardware threads); compare trends, not magnitudes", runtime.NumCPU()),
-	}
+	}}
 	for _, name := range SchemeNames {
-		simSeries := Series{Name: "sim:" + name}
-		natSeries := Series{Name: "native:" + name}
-		for _, c := range cores {
-			r := pl.Run(p.ycsbJob(name, tsalloc.Atomic, c, ycfg))
-			simSeries.addPoint(float64(c), r, throughputM)
-
-			nr := pl.Run(p.nativeJob(name, c, ycfg))
-			natSeries.addPoint(float64(c), nr, throughputM)
-		}
-		fig.Series = append(fig.Series, simSeries, natSeries)
+		s.sweep("sim:"+name, throughputM, cores, func(c float64) Job {
+			return p.ycsbJob(name, tsalloc.Atomic, int(c), cfg)
+		})
+		s.sweep("native:"+name, throughputM, cores, func(c float64) Job {
+			return p.nativeJob(name, int(c), cfg)
+		})
 	}
-	return fig
+	return s
 }
 
-// Fig4 reproduces "Lock Thrashing": DL_DETECT with detection disabled,
+// fig4 reproduces "Lock Thrashing": DL_DETECT with detection disabled,
 // transactions acquiring locks in primary-key order, under three
 // contention levels. Throughput climbs then collapses as core counts and
 // skew grow — the fundamental 2PL bottleneck.
-func Fig4(p Params, pl *Plan) *Figure {
-	fig := &Figure{
+func fig4(p Params) *spec {
+	s := &spec{head: Figure{
 		ID:     "Fig 4",
 		Title:  "Lock Thrashing (DL_DETECT, no detection, key-ordered acquisition, write-intensive YCSB)",
 		XLabel: "cores",
 		YLabel: "Mtxn/s",
-	}
+	}}
 	for _, theta := range []float64{0, 0.6, 0.8} {
-		ycfg := p.ycsbBase()
-		ycfg.ReadPct = 0.5
-		ycfg.Theta = theta
-		ycfg.Ordered = true
-		s := Series{Name: fmt.Sprintf("theta=%.1f", theta)}
-		for _, c := range p.Ladder() {
-			r := pl.Run(p.timeoutJob(twopl.NoTimeout, true, c, ycfg))
-			s.addPoint(float64(c), r, throughputM)
-		}
-		fig.Series = append(fig.Series, s)
+		cfg := p.ycsb(0.5, theta)
+		cfg.Ordered = true
+		s.sweep(fmt.Sprintf("theta=%.1f", theta), throughputM, floats(p.Ladder()), func(c float64) Job {
+			return p.timeoutJob(twopl.NoTimeout, true, int(c), cfg)
+		})
 	}
-	return fig
+	return s
 }
 
-// Fig5 reproduces "Waiting vs. Aborting": DL_DETECT under high contention
+// fig5 reproduces "Waiting vs. Aborting": DL_DETECT under high contention
 // at 64 cores, sweeping the wait timeout from 0 (equivalent to NO_WAIT)
 // upward. Short timeouts trade abort rate for throughput.
-func Fig5(p Params, pl *Plan) *Figure {
-	ycfg := p.ycsbBase()
-	ycfg.ReadPct = 0.5
-	ycfg.Theta = 0.8
-	cores := 64
-	if cores > p.MaxCores {
-		cores = p.MaxCores
-	}
-
-	fig := &Figure{
+func fig5(p Params) *spec {
+	cfg := p.ycsb(0.5, 0.8)
+	cores := p.capCores(64)
+	s := &spec{head: Figure{
 		ID:     "Fig 5",
 		Title:  fmt.Sprintf("Waiting vs. Aborting (DL_DETECT, theta=0.8, %d cores)", cores),
 		XLabel: "timeout(us)",
 		YLabel: "Mtxn/s / abort-fraction",
 		Notes:  "timeouts beyond the measurement window behave as infinite waiting",
-	}
-	thr := Series{Name: "throughput"}
-	abr := Series{Name: "abort-fraction"}
-	for _, timeout := range []uint64{0, 1_000, 10_000, 100_000, 1_000_000} {
-		r := pl.Run(p.timeoutJob(timeout, false, cores, ycfg))
-		x := float64(timeout) / 1000.0 // cycles -> µs at 1 GHz
-		thr.addPoint(x, r, throughputM)
-		abr.addPoint(x, r, func(r core.Result) float64 { return r.AbortFraction() })
-	}
-	fig.Series = append(fig.Series, thr, abr)
-	return fig
+	}}
+	timeouts := []float64{0, 1, 10, 100, 1000}
+	runs := s.sweep("throughput", throughputM, timeouts, func(us float64) Job {
+		return p.timeoutJob(uint64(us*1000), false, cores, cfg) // µs -> cycles at 1 GHz
+	})
+	s.series = append(s.series, seriesSpec{"abort-fraction", core.Result.AbortFraction, timeouts, runs})
+	return s
 }
 
-// Fig6 reproduces the timestamp-allocation micro-benchmark: every worker
+// fig6 reproduces the timestamp-allocation micro-benchmark: every worker
 // allocates timestamps back-to-back; throughput per method versus core
 // count. The atomic counter plateaus on coherence traffic, the hardware
 // counter reaches ~1 ts/cycle, the clock scales linearly.
-func Fig6(p Params, pl *Plan) *Figure {
-	fig := &Figure{
+func fig6(p Params) *spec {
+	s := &spec{head: Figure{
 		ID:     "Fig 6",
 		Title:  "Timestamp Allocation Micro-benchmark",
 		XLabel: "cores",
 		YLabel: "Mts/s",
-	}
+	}}
 	for _, m := range tsalloc.Methods {
-		s := Series{Name: m.String()}
-		for _, c := range p.Ladder() {
-			res := pl.Run(p.tsallocJob(m, c))
-			s.addPoint(float64(c), res, throughputM)
-		}
-		fig.Series = append(fig.Series, s)
+		s.sweep(m.String(), throughputM, floats(p.Ladder()), func(c float64) Job {
+			return p.tsallocJob(m, int(c))
+		})
 	}
-	return fig
+	return s
 }
 
-// Fig7 reproduces "Timestamp Allocation (in the DBMS)": the TIMESTAMP
+// fig7 reproduces "Timestamp Allocation (in the DBMS)": the TIMESTAMP
 // scheme on write-intensive YCSB with each allocation method, at zero and
 // medium contention. Batched allocation collapses under contention
 // because restarted transactions keep drawing stale-batch timestamps.
-func Fig7(p Params, pl *Plan) *Figure {
-	fig := &Figure{
+func fig7(p Params) *spec {
+	s := &spec{head: Figure{
 		ID:     "Fig 7",
 		Title:  "Timestamp Allocation in the DBMS (YCSB write-intensive, TIMESTAMP)",
 		XLabel: "cores",
 		YLabel: "Mtxn/s",
-	}
+	}}
 	for _, sub := range []struct {
 		label string
 		theta float64
@@ -158,17 +131,12 @@ func Fig7(p Params, pl *Plan) *Figure {
 		{"(a) no contention", 0},
 		{"(b) medium contention", 0.6},
 	} {
+		cfg := p.ycsb(0.5, sub.theta)
 		for _, m := range tsalloc.Methods {
-			ycfg := p.ycsbBase()
-			ycfg.ReadPct = 0.5
-			ycfg.Theta = sub.theta
-			s := Series{Name: fmt.Sprintf("%s %s", sub.label, m)}
-			for _, c := range p.Ladder() {
-				r := pl.Run(p.ycsbJob("TIMESTAMP", m, c, ycfg))
-				s.addPoint(float64(c), r, throughputM)
-			}
-			fig.Series = append(fig.Series, s)
+			s.sweep(fmt.Sprintf("%s %s", sub.label, m), throughputM, floats(p.Ladder()), func(c float64) Job {
+				return p.ycsbJob("TIMESTAMP", m, int(c), cfg)
+			})
 		}
 	}
-	return fig
+	return s
 }

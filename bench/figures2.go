@@ -2,161 +2,122 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"abyss1000/internal/core"
 	"abyss1000/internal/tsalloc"
 )
 
 // schemesAcrossLadder sweeps every tuple-level scheme across the core
-// ladder for one YCSB config, capturing the breakdown at breakdownCores.
-func (p Params) schemesAcrossLadder(pl *Plan, readPct, theta float64, breakdownCores int, bdTitle string) *Figure {
-	ycfg := p.ycsbBase()
-	ycfg.ReadPct = readPct
-	ycfg.Theta = theta
-
-	fig := &Figure{XLabel: "cores", YLabel: "Mtxn/s"}
-	at := map[string]core.Result{}
+// ladder for one YCSB config, capturing the breakdown at bdCores. Where
+// bdCores is not a rung of the ladder (512 under a 1024-core ladder), the
+// breakdown runs one job per scheme of its own.
+func (p Params) schemesAcrossLadder(id, title string, readPct, theta float64, bdCores int) *spec {
+	cfg := p.ycsb(readPct, theta)
+	s := &spec{head: Figure{ID: id, Title: title, XLabel: "cores", YLabel: "Mtxn/s"}}
+	ladder := p.Ladder()
+	rung := slices.Index(ladder, bdCores)
+	bd := breakdownSpec{title: fmt.Sprintf("(b) runtime breakdown @ %d cores", bdCores), schemes: SchemeNames}
 	for _, name := range SchemeNames {
-		s := Series{Name: name}
-		for _, c := range p.Ladder() {
-			r := pl.Run(p.ycsbJob(name, tsalloc.Atomic, c, ycfg))
-			s.addPoint(float64(c), r, throughputM)
-			if c == breakdownCores {
-				at[name] = r
-			}
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	if len(at) > 0 {
-		fig.Breakdowns = append(fig.Breakdowns, Breakdown{
-			Title: bdTitle,
-			Rows:  breakdownRows(at, SchemeNames),
+		runs := s.sweep(name, throughputM, floats(ladder), func(c float64) Job {
+			return p.ycsbJob(name, tsalloc.Atomic, int(c), cfg)
 		})
+		if rung >= 0 {
+			bd.jobs = append(bd.jobs, runs[rung])
+		}
 	}
-	return fig
+	if rung < 0 {
+		for _, name := range SchemeNames {
+			bd.jobs = append(bd.jobs, len(s.jobs))
+			s.jobs = append(s.jobs, p.ycsbJob(name, tsalloc.Atomic, bdCores, cfg))
+		}
+	}
+	s.breakdowns = append(s.breakdowns, bd)
+	return s
 }
 
 // capCores clamps a paper core count to this run's ladder top.
 func (p Params) capCores(want int) int {
-	if want > p.MaxCores {
-		return p.MaxCores
-	}
-	return want
+	return min(want, p.MaxCores)
 }
 
-// Fig8 reproduces "Read-only Workload": uniform accesses, 16 reads per
+// fig8 reproduces "Read-only Workload": uniform accesses, 16 reads per
 // transaction. T/O schemes flatline on timestamp allocation; TIMESTAMP
 // and OCC additionally pay for read copies.
-func Fig8(p Params, pl *Plan) *Figure {
-	bd := p.MaxCores
-	fig := p.schemesAcrossLadder(pl, 1.0, 0, bd, fmt.Sprintf("(b) runtime breakdown @ %d cores", bd))
-	fig.ID = "Fig 8"
-	fig.Title = "Read-only YCSB (uniform)"
-	return fig
+func fig8(p Params) *spec {
+	return p.schemesAcrossLadder("Fig 8", "Read-only YCSB (uniform)", 1.0, 0, p.MaxCores)
 }
 
-// Fig9 reproduces "Write-Intensive Workload (Medium Contention)".
-func Fig9(p Params, pl *Plan) *Figure {
-	bd := p.capCores(512)
-	fig := p.schemesAcrossLadder(pl, 0.5, 0.6, bd, fmt.Sprintf("(b) runtime breakdown @ %d cores", bd))
-	fig.ID = "Fig 9"
-	fig.Title = "Write-intensive YCSB, medium contention (theta=0.6)"
-	return fig
+// fig9 reproduces "Write-Intensive Workload (Medium Contention)".
+func fig9(p Params) *spec {
+	return p.schemesAcrossLadder("Fig 9", "Write-intensive YCSB, medium contention (theta=0.6)", 0.5, 0.6, p.capCores(512))
 }
 
-// Fig10 reproduces "Write-Intensive Workload (High Contention)".
-func Fig10(p Params, pl *Plan) *Figure {
-	bd := p.capCores(64)
-	fig := p.schemesAcrossLadder(pl, 0.5, 0.8, bd, fmt.Sprintf("(b) runtime breakdown @ %d cores", bd))
-	fig.ID = "Fig 10"
-	fig.Title = "Write-intensive YCSB, high contention (theta=0.8)"
-	return fig
+// fig10 reproduces "Write-Intensive Workload (High Contention)".
+func fig10(p Params) *spec {
+	return p.schemesAcrossLadder("Fig 10", "Write-intensive YCSB, high contention (theta=0.8)", 0.5, 0.8, p.capCores(64))
 }
 
-// Fig11 reproduces "Write-Intensive Workload (Variable Contention)": the
+// fig11 reproduces "Write-Intensive Workload (Variable Contention)": the
 // theta sweep at 64 cores. Throughput collapses past theta ~0.6-0.8 for
 // every scheme.
-func Fig11(p Params, pl *Plan) *Figure {
+func fig11(p Params) *spec {
 	cores := p.capCores(64)
-	fig := &Figure{
+	s := &spec{head: Figure{
 		ID:     "Fig 11",
 		Title:  fmt.Sprintf("Write-intensive YCSB, variable contention (%d cores)", cores),
 		XLabel: "theta",
 		YLabel: "Mtxn/s",
-	}
-	thetas := []float64{0, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}
+	}}
 	for _, name := range SchemeNames {
-		s := Series{Name: name}
-		for _, theta := range thetas {
-			ycfg := p.ycsbBase()
-			ycfg.ReadPct = 0.5
-			ycfg.Theta = theta
-			r := pl.Run(p.ycsbJob(name, tsalloc.Atomic, cores, ycfg))
-			s.addPoint(theta, r, throughputM)
-		}
-		fig.Series = append(fig.Series, s)
+		s.sweep(name, throughputM, []float64{0, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}, func(theta float64) Job {
+			return p.ycsbJob(name, tsalloc.Atomic, cores, p.ycsb(0.5, theta))
+		})
 	}
-	return fig
+	return s
 }
 
-// Fig12 reproduces "Working Set Size": tuples accessed per second as the
+// fig12 reproduces "Working Set Size": tuples accessed per second as the
 // per-transaction footprint grows from 1 to 16, at 512 cores, medium
 // skew. Short transactions expose the timestamp-allocation bottleneck;
 // long ones amortize it.
-func Fig12(p Params, pl *Plan) *Figure {
+func fig12(p Params) *spec {
 	cores := p.capCores(512)
-	fig := &Figure{
+	s := &spec{head: Figure{
 		ID:     "Fig 12",
 		Title:  fmt.Sprintf("Working Set Size (theta=0.6, %d cores)", cores),
 		XLabel: "rows/txn",
 		YLabel: "Mtuple/s",
-	}
-	lengths := []int{1, 2, 4, 8, 12, 16}
-	at := map[string]core.Result{}
+	}}
+	tuplesM := func(r core.Result) float64 { return r.TuplesPerSec() / 1e6 }
+	bd := breakdownSpec{title: "(b) runtime breakdown @ 1 row/txn", schemes: SchemeNames}
 	for _, name := range SchemeNames {
-		s := Series{Name: name}
-		for _, n := range lengths {
-			ycfg := p.ycsbBase()
-			ycfg.ReadPct = 0.5
-			ycfg.Theta = 0.6
-			ycfg.ReqPerTxn = n
-			r := pl.Run(p.ycsbJob(name, tsalloc.Atomic, cores, ycfg))
-			s.addPoint(float64(n), r, func(r core.Result) float64 { return r.TuplesPerSec() / 1e6 })
-			if n == 1 {
-				at[name] = r
-			}
-		}
-		fig.Series = append(fig.Series, s)
+		runs := s.sweep(name, tuplesM, []float64{1, 2, 4, 8, 12, 16}, func(n float64) Job {
+			cfg := p.ycsb(0.5, 0.6)
+			cfg.ReqPerTxn = int(n)
+			return p.ycsbJob(name, tsalloc.Atomic, cores, cfg)
+		})
+		bd.jobs = append(bd.jobs, runs[0])
 	}
-	fig.Breakdowns = append(fig.Breakdowns, Breakdown{
-		Title: "(b) runtime breakdown @ 1 row/txn",
-		Rows:  breakdownRows(at, SchemeNames),
-	})
-	return fig
+	s.breakdowns = append(s.breakdowns, bd)
+	return s
 }
 
-// Fig13 reproduces "Read/Write Mixture": the read-percentage sweep under
+// fig13 reproduces "Read/Write Mixture": the read-percentage sweep under
 // high skew at 64 cores. MVCC's non-blocking reads dominate once the mix
 // is read-heavy but not read-only.
-func Fig13(p Params, pl *Plan) *Figure {
+func fig13(p Params) *spec {
 	cores := p.capCores(64)
-	fig := &Figure{
+	s := &spec{head: Figure{
 		ID:     "Fig 13",
 		Title:  fmt.Sprintf("Read/Write Mixture (theta=0.8, %d cores)", cores),
 		XLabel: "read-fraction",
 		YLabel: "Mtxn/s",
-	}
-	mixes := []float64{0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0}
+	}}
 	for _, name := range SchemeNames {
-		s := Series{Name: name}
-		for _, mix := range mixes {
-			ycfg := p.ycsbBase()
-			ycfg.ReadPct = mix
-			ycfg.Theta = 0.8
-			r := pl.Run(p.ycsbJob(name, tsalloc.Atomic, cores, ycfg))
-			s.addPoint(mix, r, throughputM)
-		}
-		fig.Series = append(fig.Series, s)
+		s.sweep(name, throughputM, []float64{0, 0.2, 0.4, 0.6, 0.8, 0.9, 1.0}, func(mix float64) Job {
+			return p.ycsbJob(name, tsalloc.Atomic, cores, p.ycsb(mix, 0.8))
+		})
 	}
-	return fig
+	return s
 }

@@ -2,50 +2,46 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
 	"abyss1000/internal/tsalloc"
 	"abyss1000/internal/workload/tpcc"
 )
 
-// Fig14 reproduces "Database Partitioning": a partitioned YCSB database
+// fig14 reproduces "Database Partitioning": a partitioned YCSB database
 // with as many partitions as cores and single-partition transactions.
 // H-STORE's coarse locks make per-tuple CC overhead vanish, so it leads
 // until timestamp allocation catches it at high core counts.
-func Fig14(p Params, pl *Plan) *Figure {
-	fig := &Figure{
+func fig14(p Params) *spec {
+	s := &spec{head: Figure{
 		ID:     "Fig 14",
 		Title:  "Database Partitioning (partitioned YCSB, single-partition txns, uniform)",
 		XLabel: "cores",
 		YLabel: "Mtxn/s",
-	}
+	}}
+	cfg := p.ycsb(1.0, 0)
+	cfg.Partitioned = true
 	for _, name := range AllSchemeNames {
-		s := Series{Name: name}
-		for _, c := range p.Ladder() {
-			ycfg := p.ycsbBase()
-			ycfg.ReadPct = 1.0
-			ycfg.Theta = 0
-			ycfg.Partitioned = true
-			r := pl.Run(p.ycsbJob(name, tsalloc.Atomic, c, ycfg))
-			s.addPoint(float64(c), r, throughputM)
-		}
-		fig.Series = append(fig.Series, s)
+		s.sweep(name, throughputM, floats(p.Ladder()), func(c float64) Job {
+			return p.ycsbJob(name, tsalloc.Atomic, int(c), cfg)
+		})
 	}
-	return fig
+	return s
 }
 
-// Fig15 reproduces "Multi-Partition Transactions": (a) H-STORE's
+// fig15 reproduces "Multi-Partition Transactions": (a) H-STORE's
 // throughput versus the fraction of multi-partition transactions, for a
 // read-only and a read-write mix; (b) throughput versus partitions
 // accessed per multi-partition transaction across core counts.
-func Fig15(p Params, pl *Plan) *Figure {
+func fig15(p Params) *spec {
 	cores := p.capCores(64)
-	fig := &Figure{
+	s := &spec{head: Figure{
 		ID:     "Fig 15",
 		Title:  "Multi-Partition Transactions (H-STORE)",
 		XLabel: "mp-fraction",
 		YLabel: "Mtxn/s",
 		Notes:  fmt.Sprintf("(a) at %d cores; (b) series sweep partitions/txn with 10%% MP transactions", cores),
-	}
+	}}
 	for _, mix := range []struct {
 		name    string
 		readPct float64
@@ -53,43 +49,31 @@ func Fig15(p Params, pl *Plan) *Figure {
 		{"(a) readonly", 1.0},
 		{"(a) readwrite", 0.5},
 	} {
-		s := Series{Name: mix.name}
-		for _, mp := range []float64{0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0} {
-			ycfg := p.ycsbBase()
-			ycfg.ReadPct = mix.readPct
-			ycfg.Theta = 0
-			ycfg.Partitioned = true
-			ycfg.MPFraction = mp
-			ycfg.MPParts = 2
-			r := pl.Run(p.ycsbJob("HSTORE", tsalloc.Atomic, cores, ycfg))
-			s.addPoint(mp, r, throughputM)
-		}
-		fig.Series = append(fig.Series, s)
+		s.sweep(mix.name, throughputM, []float64{0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0}, func(mp float64) Job {
+			cfg := p.ycsb(mix.readPct, 0)
+			cfg.Partitioned = true
+			cfg.MPFraction = mp
+			cfg.MPParts = 2
+			return p.ycsbJob("HSTORE", tsalloc.Atomic, cores, cfg)
+		})
 	}
 
 	// (b): partitions-per-transaction sweep across the ladder.
 	for _, parts := range []int{1, 2, 4, 8, 16} {
-		s := Series{Name: fmt.Sprintf("(b) part=%d", parts)}
-		for _, c := range p.ladderFrom(16) {
-			ycfg := p.ycsbBase()
-			ycfg.ReadPct = 0.5
-			ycfg.Theta = 0
-			ycfg.Partitioned = true
-			if parts == 1 {
-				ycfg.MPFraction = 0
-			} else {
-				ycfg.MPFraction = 0.1
-				ycfg.MPParts = parts
-			}
-			r := pl.Run(p.ycsbJob("HSTORE", tsalloc.Atomic, c, ycfg))
-			s.addPoint(float64(c), r, throughputM)
+		cfg := p.ycsb(0.5, 0)
+		cfg.Partitioned = true
+		if parts > 1 {
+			cfg.MPFraction = 0.1
+			cfg.MPParts = parts
 		}
-		fig.Series = append(fig.Series, s)
+		s.sweep(fmt.Sprintf("(b) part=%d", parts), throughputM, floats(p.ladderFrom(16)), func(c float64) Job {
+			return p.ycsbJob("HSTORE", tsalloc.Atomic, int(c), cfg)
+		})
 	}
-	return fig
+	return s
 }
 
-// tpccParams scales the TPC-C database for a bench run.
+// tpccConfig scales the TPC-C database for a bench run.
 func (p Params) tpccConfig(warehouses int) tpcc.Config {
 	cfg := tpcc.DefaultConfig(warehouses)
 	if warehouses >= 256 {
@@ -102,88 +86,48 @@ func (p Params) tpccConfig(warehouses int) tpcc.Config {
 	return cfg
 }
 
-// tpccAcrossLadder sweeps all schemes for one TPC-C mix.
-func (p Params) tpccAcrossLadder(pl *Plan, id, title string, warehouses int, paymentPct float64, maxCores int) *Figure {
-	fig := &Figure{
-		ID:     id,
-		Title:  title,
-		XLabel: "cores",
-		YLabel: "Mtxn/s",
-	}
-	for _, name := range AllSchemeNames {
-		s := Series{Name: name}
-		for _, c := range p.Ladder() {
-			if c > maxCores {
-				break
-			}
-			tcfg := p.tpccConfig(warehouses)
-			tcfg.PaymentPct = paymentPct
-			r := pl.Run(p.tpccJob(name, c, tcfg))
-			s.addPoint(float64(c), r, throughputM)
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig
-}
-
-// Fig16 reproduces "TPC-C (4 warehouses)": more workers than warehouses,
-// so Payment's W_YTD update serializes everything.
-func Fig16(p Params, pl *Plan) *Figure {
-	max := p.capCores(256)
-	f := &Figure{ID: "Fig 16", Title: "TPC-C, 4 warehouses", XLabel: "cores", YLabel: "Mtxn/s"}
-	subs := []struct {
+// tpccAcrossLadder sweeps every scheme across the ladder, up to maxCores,
+// for each of the three TPC-C mixes.
+func (p Params) tpccAcrossLadder(id, title string, warehouses, maxCores int) *spec {
+	s := &spec{head: Figure{ID: id, Title: title, XLabel: "cores", YLabel: "Mtxn/s"}}
+	cores := floats(slices.DeleteFunc(p.Ladder(), func(c int) bool { return c > maxCores }))
+	for _, sub := range []struct {
 		title      string
 		paymentPct float64
 	}{
 		{"(a) Payment+NewOrder", 0.5},
 		{"(b) Payment only", 1.0},
 		{"(c) NewOrder only", 0.0},
-	}
-	for _, sub := range subs {
-		g := p.tpccAcrossLadder(pl, "", "", 4, sub.paymentPct, max)
-		for i := range g.Series {
-			g.Series[i].Name = sub.title + " " + g.Series[i].Name
-			f.Series = append(f.Series, g.Series[i])
+	} {
+		cfg := p.tpccConfig(warehouses)
+		cfg.PaymentPct = sub.paymentPct
+		for _, name := range AllSchemeNames {
+			s.sweep(sub.title+" "+name, throughputM, cores, func(c float64) Job {
+				return p.tpccJob(name, int(c), cfg)
+			})
 		}
 	}
-	return f
+	return s
 }
 
-// Fig17 reproduces "TPC-C (1024 warehouses)": warehouses >= workers
+// fig16 reproduces "TPC-C (4 warehouses)": more workers than warehouses,
+// so Payment's W_YTD update serializes everything.
+func fig16(p Params) *spec {
+	return p.tpccAcrossLadder("Fig 16", "TPC-C, 4 warehouses", 4, p.capCores(256))
+}
+
+// fig17 reproduces "TPC-C (1024 warehouses)": warehouses >= workers
 // removes the Payment hotspot; T/O schemes then hit timestamp allocation
 // and H-STORE leads on partitioning.
-func Fig17(p Params, pl *Plan) *Figure {
-	warehouses := p.MaxCores
-	if warehouses < 64 {
-		warehouses = 64
-	}
-	f := &Figure{
-		ID:     "Fig 17",
-		Title:  fmt.Sprintf("TPC-C, %d warehouses (>= workers, as the paper's 1024)", warehouses),
-		XLabel: "cores",
-		YLabel: "Mtxn/s",
-	}
-	subs := []struct {
-		title      string
-		paymentPct float64
-	}{
-		{"(a) Payment+NewOrder", 0.5},
-		{"(b) Payment only", 1.0},
-		{"(c) NewOrder only", 0.0},
-	}
-	for _, sub := range subs {
-		g := p.tpccAcrossLadder(pl, "", "", warehouses, sub.paymentPct, p.MaxCores)
-		for i := range g.Series {
-			g.Series[i].Name = sub.title + " " + g.Series[i].Name
-			f.Series = append(f.Series, g.Series[i])
-		}
-	}
-	return f
+func fig17(p Params) *spec {
+	warehouses := max(p.MaxCores, 64)
+	title := fmt.Sprintf("TPC-C, %d warehouses (>= workers, as the paper's 1024)", warehouses)
+	return p.tpccAcrossLadder("Fig 17", title, warehouses, p.MaxCores)
 }
 
 // Table2 renders the paper's bottleneck summary beside this
 // reproduction's measured evidence at the quick scale.
-func Table2(p Params) string {
+func Table2() string {
 	return `== Table 2: Bottleneck summary (paper's findings, reproduced) ==
  DL_DETECT   Scales under low contention. Suffers from lock thrashing.
              [evidence: Fig 4 collapse at theta>=0.6; Fig 9/10 WAIT share]
@@ -206,42 +150,37 @@ func Table2(p Params) string {
 `
 }
 
-// ExtensionAdaptive evaluates the §6.1 proposal ("switch between [scheme
+// extensionAdaptive evaluates the §6.1 proposal ("switch between [scheme
 // classes] based on the workload"): the ADAPTIVE hybrid against its two
 // ingredients across the contention sweep. The hybrid should track
 // DL_DETECT at low theta and NO_WAIT once thrashing sets in.
-func ExtensionAdaptive(p Params, pl *Plan) *Figure {
+func extensionAdaptive(p Params) *spec {
 	cores := p.capCores(64)
-	fig := &Figure{
+	s := &spec{head: Figure{
 		ID:     "Extension: adaptive",
 		Title:  fmt.Sprintf("§6.1 hybrid: ADAPTIVE vs DL_DETECT vs NO_WAIT (write-intensive, %d cores)", cores),
 		XLabel: "theta",
 		YLabel: "Mtxn/s",
-	}
+	}}
 	for _, name := range []string{"DL_DETECT", "NO_WAIT", "ADAPTIVE"} {
-		s := Series{Name: name}
-		for _, theta := range []float64{0, 0.4, 0.6, 0.7, 0.8} {
-			ycfg := p.ycsbBase()
-			ycfg.ReadPct = 0.5
-			ycfg.Theta = theta
-			r := pl.Run(p.ycsbJob(name, tsalloc.Atomic, cores, ycfg))
-			s.addPoint(theta, r, throughputM)
-		}
-		fig.Series = append(fig.Series, s)
+		s.sweep(name, throughputM, []float64{0, 0.4, 0.6, 0.7, 0.8}, func(theta float64) Job {
+			return p.ycsbJob(name, tsalloc.Atomic, cores, p.ycsb(0.5, theta))
+		})
 	}
-	return fig
+	return s
 }
 
-// AblationValidation reproduces the §4.3 "Distributed Validation" claim:
+// ablationValidation reproduces the §4.3 "Distributed Validation" claim:
 // the same OCC workload with parallelized per-tuple validation versus the
 // original algorithm's single global validation critical section.
-func AblationValidation(p Params, pl *Plan) *Figure {
-	fig := &Figure{
+func ablationValidation(p Params) *spec {
+	s := &spec{head: Figure{
 		ID:     "Ablation: occ-validation",
 		Title:  "OCC parallel validation vs global critical section (YCSB theta=0.6, write-intensive)",
 		XLabel: "cores",
 		YLabel: "Mtxn/s",
-	}
+	}}
+	cfg := p.ycsb(0.5, 0.6)
 	for _, mode := range []struct {
 		name   string
 		scheme string
@@ -249,42 +188,30 @@ func AblationValidation(p Params, pl *Plan) *Figure {
 		{"parallel", "OCC"},
 		{"central", "OCC_CENTRAL"},
 	} {
-		s := Series{Name: mode.name}
-		for _, c := range p.Ladder() {
-			ycfg := p.ycsbBase()
-			ycfg.ReadPct = 0.5
-			ycfg.Theta = 0.6
-			r := pl.Run(p.ycsbJob(mode.scheme, tsalloc.Atomic, c, ycfg))
-			s.addPoint(float64(c), r, throughputM)
-		}
-		fig.Series = append(fig.Series, s)
+		s.sweep(mode.name, throughputM, floats(p.Ladder()), func(c float64) Job {
+			return p.ycsbJob(mode.scheme, tsalloc.Atomic, int(c), cfg)
+		})
 	}
-	return fig
+	return s
 }
 
-// AblationMalloc reproduces the §4.1 memory-allocator finding: the same
+// ablationMalloc reproduces the §4.1 memory-allocator finding: the same
 // TIMESTAMP workload (whose reads allocate copies constantly) with
 // per-worker arenas versus one centralized allocator.
-func AblationMalloc(p Params, pl *Plan) *Figure {
-	cores := p.capCores(64)
-	fig := &Figure{
+func ablationMalloc(p Params) *spec {
+	s := &spec{head: Figure{
 		ID:     "Ablation: malloc",
-		Title:  fmt.Sprintf("Per-worker arenas vs centralized malloc (TIMESTAMP, read-only YCSB, %d cores ladder)", cores),
+		Title:  fmt.Sprintf("Per-worker arenas vs centralized malloc (TIMESTAMP, read-only YCSB, %d cores ladder)", p.capCores(64)),
 		XLabel: "cores",
 		YLabel: "Mtxn/s",
-	}
+	}}
+	cfg := p.ycsb(1.0, 0)
 	for _, mode := range []string{"arena", "global-malloc"} {
-		s := Series{Name: mode}
-		for _, c := range p.Ladder() {
-			ycfg := p.ycsbBase()
-			ycfg.ReadPct = 1.0
-			ycfg.Theta = 0
-			j := p.ycsbJob("TIMESTAMP", tsalloc.Atomic, c, ycfg)
+		s.sweep(mode, throughputM, floats(p.Ladder()), func(c float64) Job {
+			j := p.ycsbJob("TIMESTAMP", tsalloc.Atomic, int(c), cfg)
 			j.GlobalMalloc = mode == "global-malloc"
-			r := pl.Run(j)
-			s.addPoint(float64(c), r, throughputM)
-		}
-		fig.Series = append(fig.Series, s)
+			return j
+		})
 	}
-	return fig
+	return s
 }

@@ -37,14 +37,15 @@ const (
 // Job is one experiment data point, fully self-describing: everything
 // needed to execute the point — workload, scheme, core count, simulated
 // window and seed — lives in plain comparable fields, so a Job can be
-// shipped to any worker goroutine, executed via Run, and compared with ==
-// when a figure is reassembled. Jobs never share state: Run constructs a
+// shipped to any worker goroutine, executed via Run, and compared with
+// ==. Jobs never share state: Run constructs a
 // fresh engine, database, workload and scheme instance on every call,
 // which is what makes parallel execution and serial execution produce
 // bit-identical results.
 type Job struct {
 	// Experiment is the registry id of the experiment that enumerated
-	// this job ("9", "malloc", ...). Stamped by the Plan.
+	// this job ("9", "malloc", ...). Stamped by Experiment.Jobs and
+	// BuildAll.
 	Experiment string
 
 	// Kind selects the execution path.

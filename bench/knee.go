@@ -26,8 +26,8 @@ const kneeQueueDepth = 16
 // chosen to straddle every scheme's capacity at the experiment's core
 // count (16 simulated cores at 1 GHz serve roughly 2-8 Mtxn/s on this
 // workload depending on the scheme). The ladder is fixed — not derived
-// from measured capacity — because figure control flow must not depend
-// on results (see runner.go).
+// from measured capacity — because a spec never sees a result (see
+// runner.go).
 var kneeOffered = []float64{250_000, 500_000, 1e6, 2e6, 4e6, 8e6, 16e6}
 
 // kneeJob describes one open-loop point: the closed-loop YCSB job plus
@@ -35,9 +35,7 @@ var kneeOffered = []float64{250_000, 500_000, 1e6, 2e6, 4e6, 8e6, 16e6}
 // queue. The arrival stream reuses the run seed, so the whole figure
 // stays deterministic for a given -seed.
 func (p Params) kneeJob(scheme string, cores int, rate float64) Job {
-	j := p.ycsbJob(scheme, tsalloc.Atomic, cores, p.ycsbBase())
-	j.YCSB.ReadPct = 0.5
-	j.YCSB.Theta = 0.6
+	j := p.ycsbJob(scheme, tsalloc.Atomic, cores, p.ycsb(0.5, 0.6))
 	j.Cfg.Arrivals = core.Arrivals{Process: core.ArrivalPoisson, RateTPS: rate, Seed: p.Seed}
 	j.Cfg.QueueDepth = kneeQueueDepth
 	j.Cfg.BackoffCap = 8_000
@@ -49,44 +47,39 @@ func (p Params) kneeJob(scheme string, cores int, rate float64) Job {
 // The names are stable JSON/CSV keys — scripts select on them.
 var kneeLatencySuffixes = []string{":lat_p50", ":lat_p99"}
 
-// ExtensionKnee builds the offered-vs-goodput knee figure. The first
+// extensionKnee builds the offered-vs-goodput knee figure. The first
 // len(SchemeNames) series are goodput per scheme (x = offered ktxn/s,
 // y = goodput ktxn/s); they are followed by two commit-latency series per
 // scheme ("<scheme>:lat_p50", "<scheme>:lat_p99", in kcycles) taken from
 // the same runs' Latency histograms — engine-side arrival-to-commit
 // latency including queueing delay, independent of any wire transport.
-func ExtensionKnee(p Params, pl *Plan) *Figure {
+func extensionKnee(p Params) *spec {
 	cores := p.capCores(16)
-	fig := &Figure{
+	s := &spec{head: Figure{
 		ID:     "Knee",
 		Title:  fmt.Sprintf("Overload knee: offered load vs goodput (YCSB theta=0.6, %d cores, queue depth %d)", cores, kneeQueueDepth),
 		XLabel: "offered ktxn/s",
 		YLabel: "goodput ktxn/s",
 		Notes:  "open-loop Poisson arrivals with bounded admission queues; below the knee goodput tracks offered load, past it admission control sheds the excess; the :lat_p50/:lat_p99 series give commit latency per rung in kcycles (arrival to commit, queueing included)",
+	}}
+	offered := make([]float64, len(kneeOffered))
+	for i, rate := range kneeOffered {
+		offered[i] = rate / 1e3
 	}
-	// Each (scheme, rate) job runs exactly once; the goodput and latency
-	// series share the stored Results. Plan replay (runner.go) requires
-	// the pl.Run sequence to be identical across phases, so the latency
-	// series must not issue runs of their own.
-	results := make([][]core.Result, len(SchemeNames))
+	goodput := func(r core.Result) float64 { return r.GoodputTPS() / 1e3 }
+	p50 := func(r core.Result) float64 { return float64(r.Latency.P50()) / 1e3 }
+	p99 := func(r core.Result) float64 { return float64(r.Latency.P99()) / 1e3 }
+	runs := make([][]int, len(SchemeNames))
 	for i, name := range SchemeNames {
-		s := Series{Name: name}
-		for _, rate := range kneeOffered {
-			r := pl.Run(p.kneeJob(name, cores, rate))
-			results[i] = append(results[i], r)
-			s.addPoint(rate/1e3, r, func(r core.Result) float64 { return r.GoodputTPS() / 1e3 })
-		}
-		fig.Series = append(fig.Series, s)
+		runs[i] = s.sweep(name, goodput, offered, func(k float64) Job {
+			return p.kneeJob(name, cores, k*1e3)
+		})
 	}
+	// The latency series plot the goodput runs' results again.
 	for i, name := range SchemeNames {
-		p50 := Series{Name: name + kneeLatencySuffixes[0]}
-		p99 := Series{Name: name + kneeLatencySuffixes[1]}
-		for j, rate := range kneeOffered {
-			r := results[i][j]
-			p50.addPoint(rate/1e3, r, func(r core.Result) float64 { return float64(r.Latency.P50()) / 1e3 })
-			p99.addPoint(rate/1e3, r, func(r core.Result) float64 { return float64(r.Latency.P99()) / 1e3 })
-		}
-		fig.Series = append(fig.Series, p50, p99)
+		s.series = append(s.series,
+			seriesSpec{name + kneeLatencySuffixes[0], p50, offered, runs[i]},
+			seriesSpec{name + kneeLatencySuffixes[1], p99, offered, runs[i]})
 	}
-	return fig
+	return s
 }

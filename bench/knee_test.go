@@ -158,24 +158,22 @@ func TestRunnerStopDrains(t *testing.T) {
 	}
 }
 
-// TestSerialStopSkipsRemainingPoints pins the same contract through Build
-// on a pool of one (the serial build): a stop raised after the first point
-// completes zeroes the undispatched points without derailing the replay
-// that assembles the figure.
+// TestSerialStopSkipsRemainingPoints pins the same contract through
+// Experiment.Build on a pool of one (the serial build): a stop raised
+// after the first point completes zeroes the undispatched points, and the
+// figure is still rendered with every point.
 func TestSerialStopSkipsRemainingPoints(t *testing.T) {
 	p := tinyParams()
-	fn := func(p Params, pl *Plan) *Figure {
-		fig := &Figure{ID: "stoptest"}
-		s := Series{Name: "n"}
-		for i := 0; i < 4; i++ {
-			r := pl.Run(p.tsallocJob(tsalloc.Atomic, 1))
-			s.addPoint(float64(i), r, func(r core.Result) float64 { return float64(r.Commits) })
-		}
-		fig.Series = append(fig.Series, s)
-		return fig
-	}
+	e := Experiment{ID: "stoptest", spec: func(p Params) *spec {
+		s := &spec{head: Figure{ID: "stoptest"}}
+		commits := func(r core.Result) float64 { return float64(r.Commits) }
+		s.sweep("n", commits, []float64{0, 1, 2, 3}, func(float64) Job {
+			return p.tsallocJob(tsalloc.Atomic, 1)
+		})
+		return s
+	}}
 	var stop atomic.Bool
-	fig := Build(fn, p, &Runner{Workers: 1, Stop: &stop, OnProgress: func(pr Progress) {
+	fig := e.Build(p, &Runner{Workers: 1, Stop: &stop, OnProgress: func(pr Progress) {
 		if pr.Done == 1 {
 			stop.Store(true)
 		}

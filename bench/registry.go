@@ -5,16 +5,13 @@ import (
 	"strings"
 )
 
-// FigureFunc builds one experiment at the given scale, running (or
-// enumerating, or replaying — see Plan) each data point through pl.
-type FigureFunc func(p Params, pl *Plan) *Figure
-
 // Experiment is one registry entry: the id accepted by `abyss-bench
-// -fig`, a one-line description, and the figure function.
+// -fig`, a one-line description, and the spec that lays the experiment
+// out at a given scale.
 type Experiment struct {
 	ID   string
 	Desc string
-	Run  FigureFunc
+	spec func(Params) *spec
 }
 
 // Registry maps experiment ids (as passed to abyss-bench -fig) to their
@@ -22,25 +19,25 @@ type Experiment struct {
 // truth for every experiment enumeration: `abyss-bench -list`, the -fig
 // flag's help text, -all, and EXPERIMENTS.md all derive from it.
 var Registry = []Experiment{
-	{"3", "Simulator vs real hardware (YCSB, theta=0.6)", Fig3},
-	{"4", "Lock thrashing (DL_DETECT without detection)", Fig4},
-	{"5", "Waiting vs aborting (DL_DETECT timeout sweep)", Fig5},
-	{"6", "Timestamp allocation micro-benchmark", Fig6},
-	{"7", "Timestamp allocation in the DBMS", Fig7},
-	{"8", "Read-only YCSB", Fig8},
-	{"9", "Write-intensive YCSB, medium contention", Fig9},
-	{"10", "Write-intensive YCSB, high contention", Fig10},
-	{"11", "Contention (theta) sweep", Fig11},
-	{"12", "Working set size", Fig12},
-	{"13", "Read/write mixture", Fig13},
-	{"14", "Database partitioning (H-STORE)", Fig14},
-	{"15", "Multi-partition transactions", Fig15},
-	{"16", "TPC-C, 4 warehouses", Fig16},
-	{"17", "TPC-C, 1024 warehouses", Fig17},
-	{"malloc", "Ablation: per-worker arenas vs centralized malloc", AblationMalloc},
-	{"occ-validation", "Ablation: OCC parallel vs central validation", AblationValidation},
-	{"adaptive", "Extension: the §6.1 DL_DETECT/NO_WAIT hybrid", ExtensionAdaptive},
-	{"knee", "Extension: overload knee — open-loop offered load vs goodput", ExtensionKnee},
+	{"3", "Simulator vs real hardware (YCSB, theta=0.6)", fig3},
+	{"4", "Lock thrashing (DL_DETECT without detection)", fig4},
+	{"5", "Waiting vs aborting (DL_DETECT timeout sweep)", fig5},
+	{"6", "Timestamp allocation micro-benchmark", fig6},
+	{"7", "Timestamp allocation in the DBMS", fig7},
+	{"8", "Read-only YCSB", fig8},
+	{"9", "Write-intensive YCSB, medium contention", fig9},
+	{"10", "Write-intensive YCSB, high contention", fig10},
+	{"11", "Contention (theta) sweep", fig11},
+	{"12", "Working set size", fig12},
+	{"13", "Read/write mixture", fig13},
+	{"14", "Database partitioning (H-STORE)", fig14},
+	{"15", "Multi-partition transactions", fig15},
+	{"16", "TPC-C, 4 warehouses", fig16},
+	{"17", "TPC-C, 1024 warehouses", fig17},
+	{"malloc", "Ablation: per-worker arenas vs centralized malloc", ablationMalloc},
+	{"occ-validation", "Ablation: OCC parallel vs central validation", ablationValidation},
+	{"adaptive", "Extension: the §6.1 DL_DETECT/NO_WAIT hybrid", extensionAdaptive},
+	{"knee", "Extension: overload knee — open-loop offered load vs goodput", extensionKnee},
 }
 
 // IDs lists every registered experiment id in registry order. The -fig

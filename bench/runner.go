@@ -1,24 +1,15 @@
-// Two-phase experiment execution.
+// Experiment execution.
 //
-// Every figure function is written against a *Plan: wherever a one-pass
-// harness would run a simulation inline, the figure calls Plan.Run with a
-// self-describing Job. The same figure function then serves two modes:
+// Every experiment is a spec: its figure header, the flat list of
+// self-describing Jobs it runs, and, for every series point and
+// breakdown row, the index of the job whose result lands there. BuildAll
+// builds each experiment's spec once, a Runner executes the concatenated
+// job list across a worker pool, and each figure is rendered from its
+// slice of the results. A serial build (-parallel 1, or a nil Runner) is
+// the same job list over a pool of one.
 //
-//   - collect: Plan.Run records the job and returns a zero Result; one
-//     pass over the figure function yields its flat job list without
-//     simulating anything.
-//   - replay: Plan.Run hands back the precomputed result for the next
-//     recorded job; a second pass over the figure function reassembles
-//     the Figure from results the Runner produced on a worker pool.
-//
-// A serial build (-parallel 1, or a nil Runner) is the same two passes
-// over a pool of one.
-//
-// This works because figure functions are pure sweeps: their control flow
-// never depends on a Result's values, only on Params. The replay pass
-// verifies this invariant — each incoming job must equal the recorded one
-// — and panics on divergence, so a result-dependent figure fails loudly
-// instead of silently misassigning points.
+// A spec is built from Params alone and never sees a Result, so a
+// figure's shape cannot depend on measured values.
 //
 // Determinism: a Job is executed by Job.Run regardless of pool width or
 // worker, and Job.Run constructs everything it touches from the job's own
@@ -27,7 +18,6 @@
 package bench
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -36,34 +26,72 @@ import (
 	"abyss1000/internal/core"
 )
 
-// Plan threads the execution mode through a figure function. Figure code
-// only ever calls Run; everything else is driven by Build/BuildAll.
-type Plan struct {
-	replaying  bool
-	experiment string
+// spec lays out one experiment as data: the figure header, the jobs it
+// runs, and where each job's result lands. Several points or breakdown
+// rows may name the same job; it still runs once.
+type spec struct {
+	head       Figure
 	jobs       []Job
-	results    []core.Result
-	next       int
+	series     []seriesSpec
+	breakdowns []breakdownSpec
 }
 
-// Run records or replays one job depending on the plan mode.
-func (pl *Plan) Run(j Job) core.Result {
-	if j.Experiment == "" {
-		j.Experiment = pl.experiment
+// seriesSpec is one series: point i plots y of result jobs[i] at xs[i].
+type seriesSpec struct {
+	name string
+	y    yExtract
+	xs   []float64
+	jobs []int
+}
+
+// breakdownSpec is one breakdown table: row i is schemes[i]'s breakdown
+// in result jobs[i].
+type breakdownSpec struct {
+	title   string
+	schemes []string
+	jobs    []int
+}
+
+// sweep appends one job per x, plots them as the series name, and
+// returns the jobs' indexes for other series and breakdown rows to reuse.
+func (s *spec) sweep(name string, y yExtract, xs []float64, job func(x float64) Job) []int {
+	idx := make([]int, len(xs))
+	for i, x := range xs {
+		idx[i] = len(s.jobs)
+		s.jobs = append(s.jobs, job(x))
 	}
-	if !pl.replaying {
-		pl.jobs = append(pl.jobs, j)
-		return core.Result{}
+	s.series = append(s.series, seriesSpec{name, y, xs, idx})
+	return idx
+}
+
+// render draws the figure from results, indexed like s.jobs.
+func (s *spec) render(results []core.Result) *Figure {
+	fig := s.head
+	for _, ss := range s.series {
+		out := Series{Name: ss.name}
+		for i, x := range ss.xs {
+			r := results[ss.jobs[i]]
+			out.Points = append(out.Points, Point{X: x, Y: ss.y(r), Res: r})
+		}
+		fig.Series = append(fig.Series, out)
 	}
-	if pl.next >= len(pl.jobs) {
-		panic(fmt.Sprintf("bench: experiment %q enumerated %d jobs but asked for more on replay; figure control flow must not depend on results", pl.experiment, len(pl.jobs)))
+	for _, bs := range s.breakdowns {
+		bd := Breakdown{Title: bs.title}
+		for i, name := range bs.schemes {
+			bd.Rows = append(bd.Rows, BreakdownRow{Scheme: name, Fractions: results[bs.jobs[i]].Breakdown.Fractions()})
+		}
+		fig.Breakdowns = append(fig.Breakdowns, bd)
 	}
-	if pl.jobs[pl.next] != j {
-		panic(fmt.Sprintf("bench: experiment %q replay mismatch at job %d: enumerated %+v, replayed %+v; figure control flow must not depend on results", pl.experiment, pl.next, pl.jobs[pl.next], j))
+	return &fig
+}
+
+// floats converts core counts to x-values.
+func floats(ints []int) []float64 {
+	out := make([]float64, len(ints))
+	for i, n := range ints {
+		out[i] = float64(n)
 	}
-	r := pl.results[pl.next]
-	pl.next++
-	return r
+	return out
 }
 
 // discardSamples is the sink for harness-level sampling: the smoke runs
@@ -216,12 +244,6 @@ func (r *Runner) Execute(jobs []Job) []core.Result {
 	return results
 }
 
-// Build runs one figure function: the figure is enumerated, its jobs run
-// on r's pool, and the figure is reassembled by replay.
-func Build(fn FigureFunc, p Params, r *Runner) *Figure {
-	return Experiment{Run: fn}.Build(p, r)
-}
-
 // Build runs the registered experiment at scale p under runner r.
 func (e Experiment) Build(p Params, r *Runner) *Figure {
 	return BuildAll([]Experiment{e}, p, r)[0]
@@ -230,37 +252,36 @@ func (e Experiment) Build(p Params, r *Runner) *Figure {
 // Jobs enumerates the experiment's full job list at scale p without
 // executing anything.
 func (e Experiment) Jobs(p Params) []Job {
-	pl := &Plan{experiment: e.ID}
-	e.Run(p, pl)
-	return pl.jobs
+	return e.layout(p).jobs
 }
 
-// BuildAll runs several experiments as one flat job list: every
-// experiment is enumerated first, the combined list executes on the
-// worker pool (so small figures cannot leave the pool idle), and each
-// figure is then reassembled from its slice of the results.
+// layout builds e's spec at scale p and stamps every job with e's id.
+func (e Experiment) layout(p Params) *spec {
+	s := e.spec(p)
+	for i := range s.jobs {
+		s.jobs[i].Experiment = e.ID
+	}
+	return s
+}
+
+// BuildAll runs several experiments as one flat job list: every spec is
+// built first, the combined list executes on the worker pool (so small
+// figures cannot leave the pool idle), and each figure is then rendered
+// from its slice of the results.
 func BuildAll(es []Experiment, p Params, r *Runner) []*Figure {
-	figs := make([]*Figure, len(es))
-	plans := make([]*Plan, len(es))
+	specs := make([]*spec, len(es))
 	var all []Job
 	for i, e := range es {
-		plans[i] = &Plan{experiment: e.ID}
-		e.Run(p, plans[i])
-		all = append(all, plans[i].jobs...)
+		specs[i] = e.layout(p)
+		all = append(all, specs[i].jobs...)
 	}
 
 	results := r.Execute(all)
 
-	off := 0
-	for i, e := range es {
-		pl := plans[i]
-		pl.replaying = true
-		pl.results = results[off : off+len(pl.jobs)]
-		off += len(pl.jobs)
-		figs[i] = e.Run(p, pl)
-		if pl.next != len(pl.jobs) {
-			panic(fmt.Sprintf("bench: experiment %q enumerated %d jobs but replayed only %d; figure control flow must not depend on results", e.ID, len(pl.jobs), pl.next))
-		}
+	figs := make([]*Figure, len(es))
+	for i, s := range specs {
+		figs[i] = s.render(results[:len(s.jobs)])
+		results = results[len(s.jobs):]
 	}
 	return figs
 }

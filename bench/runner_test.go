@@ -41,8 +41,8 @@ func equivalenceExperiments(t *testing.T) []Experiment {
 }
 
 // TestSerialParallelEquivalence pins the central determinism contract of
-// the two-phase runner: -parallel 1 (a pool of one, points in enumeration
-// order) and -parallel 8 produce byte-identical figure text, JSON and CSV.
+// the runner: -parallel 1 (a pool of one, points in job-list order) and
+// -parallel 8 produce byte-identical figure text, JSON and CSV.
 func TestSerialParallelEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ~60 small simulations twice")
@@ -177,35 +177,6 @@ func TestJobsOneJobPerPoint(t *testing.T) {
 	}
 }
 
-// TestReplayMismatchPanics ensures a figure whose control flow diverges
-// between enumeration and replay fails loudly instead of misassigning
-// results.
-func TestReplayMismatchPanics(t *testing.T) {
-	pl := &Plan{
-		replaying: true,
-		jobs:      []Job{{Kind: JobTsAlloc, Cores: 1, TsMethod: tsalloc.Atomic}},
-		results:   make([]core.Result, 1),
-	}
-	mustPanic(t, "mismatched job", func() {
-		pl.Run(Job{Kind: JobTsAlloc, Cores: 2, TsMethod: tsalloc.Atomic})
-	})
-
-	pl2 := &Plan{replaying: true}
-	mustPanic(t, "exhausted job list", func() {
-		pl2.Run(Job{Kind: JobTsAlloc, Cores: 1})
-	})
-}
-
-func mustPanic(t *testing.T, what string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Errorf("expected panic on %s", what)
-		}
-	}()
-	fn()
-}
-
 // TestRunnerProgress checks completion counting and that results land at
 // their job's index regardless of execution order.
 func TestRunnerProgress(t *testing.T) {
@@ -255,11 +226,16 @@ func TestRunnerExclusiveOrdering(t *testing.T) {
 	}
 }
 
-// TestBuildSerialEqualsDirectCall ensures Build with a nil runner — a pool
-// of one — yields the complete figure (labels, breakdowns and all).
+// TestBuildSerialEqualsDirectCall ensures Experiment.Build with a nil
+// runner — a pool of one — yields the complete figure (labels, breakdowns
+// and all).
 func TestBuildSerialEqualsDirectCall(t *testing.T) {
 	p := tinyParams()
-	fig := Build(Fig6, p, nil)
+	e, err := Lookup("6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig := e.Build(p, nil)
 	if len(fig.Series) == 0 {
 		t.Fatal("no series")
 	}

@@ -25,15 +25,19 @@ func benchParams() bench.Params {
 	}
 }
 
-// reportFigure re-runs the figure b.N times (serially — parallel-runner
-// equivalence is pinned by the bench package's own tests) and reports the
-// last series' top-core throughput.
-func reportFigure(b *testing.B, run bench.FigureFunc) {
+// reportFigure re-runs registry experiment id b.N times (serially —
+// parallel-runner equivalence is pinned by the bench package's own tests)
+// and reports the first series' top-core throughput.
+func reportFigure(b *testing.B, id string) {
 	b.Helper()
+	e, err := bench.Lookup(id)
+	if err != nil {
+		b.Fatal(err)
+	}
 	p := benchParams()
 	var fig *bench.Figure
 	for i := 0; i < b.N; i++ {
-		fig = bench.Build(run, p, nil)
+		fig = e.Build(p, nil)
 	}
 	if fig == nil || len(fig.Series) == 0 {
 		b.Fatal("figure produced no series")
@@ -47,56 +51,56 @@ func reportFigure(b *testing.B, run bench.FigureFunc) {
 }
 
 // BenchmarkFig03 regenerates Fig. 3: simulator vs real hardware trends.
-func BenchmarkFig03(b *testing.B) { reportFigure(b, bench.Fig3) }
+func BenchmarkFig03(b *testing.B) { reportFigure(b, "3") }
 
 // BenchmarkFig04 regenerates Fig. 4: lock thrashing.
-func BenchmarkFig04(b *testing.B) { reportFigure(b, bench.Fig4) }
+func BenchmarkFig04(b *testing.B) { reportFigure(b, "4") }
 
 // BenchmarkFig05 regenerates Fig. 5: waiting vs aborting.
-func BenchmarkFig05(b *testing.B) { reportFigure(b, bench.Fig5) }
+func BenchmarkFig05(b *testing.B) { reportFigure(b, "5") }
 
 // BenchmarkFig06 regenerates Fig. 6: timestamp allocation methods.
-func BenchmarkFig06(b *testing.B) { reportFigure(b, bench.Fig6) }
+func BenchmarkFig06(b *testing.B) { reportFigure(b, "6") }
 
 // BenchmarkFig07 regenerates Fig. 7: timestamp allocation in the DBMS.
-func BenchmarkFig07(b *testing.B) { reportFigure(b, bench.Fig7) }
+func BenchmarkFig07(b *testing.B) { reportFigure(b, "7") }
 
 // BenchmarkFig08 regenerates Fig. 8: read-only YCSB.
-func BenchmarkFig08(b *testing.B) { reportFigure(b, bench.Fig8) }
+func BenchmarkFig08(b *testing.B) { reportFigure(b, "8") }
 
 // BenchmarkFig09 regenerates Fig. 9: write-intensive YCSB, theta=0.6.
-func BenchmarkFig09(b *testing.B) { reportFigure(b, bench.Fig9) }
+func BenchmarkFig09(b *testing.B) { reportFigure(b, "9") }
 
 // BenchmarkFig10 regenerates Fig. 10: write-intensive YCSB, theta=0.8.
-func BenchmarkFig10(b *testing.B) { reportFigure(b, bench.Fig10) }
+func BenchmarkFig10(b *testing.B) { reportFigure(b, "10") }
 
 // BenchmarkFig11 regenerates Fig. 11: the contention sweep.
-func BenchmarkFig11(b *testing.B) { reportFigure(b, bench.Fig11) }
+func BenchmarkFig11(b *testing.B) { reportFigure(b, "11") }
 
 // BenchmarkFig12 regenerates Fig. 12: working set size.
-func BenchmarkFig12(b *testing.B) { reportFigure(b, bench.Fig12) }
+func BenchmarkFig12(b *testing.B) { reportFigure(b, "12") }
 
 // BenchmarkFig13 regenerates Fig. 13: read/write mixture.
-func BenchmarkFig13(b *testing.B) { reportFigure(b, bench.Fig13) }
+func BenchmarkFig13(b *testing.B) { reportFigure(b, "13") }
 
 // BenchmarkFig14 regenerates Fig. 14: database partitioning.
-func BenchmarkFig14(b *testing.B) { reportFigure(b, bench.Fig14) }
+func BenchmarkFig14(b *testing.B) { reportFigure(b, "14") }
 
 // BenchmarkFig15 regenerates Fig. 15: multi-partition transactions.
-func BenchmarkFig15(b *testing.B) { reportFigure(b, bench.Fig15) }
+func BenchmarkFig15(b *testing.B) { reportFigure(b, "15") }
 
 // BenchmarkFig16 regenerates Fig. 16: TPC-C with 4 warehouses.
-func BenchmarkFig16(b *testing.B) { reportFigure(b, bench.Fig16) }
+func BenchmarkFig16(b *testing.B) { reportFigure(b, "16") }
 
 // BenchmarkFig17 regenerates Fig. 17: TPC-C with warehouses >= workers.
-func BenchmarkFig17(b *testing.B) { reportFigure(b, bench.Fig17) }
+func BenchmarkFig17(b *testing.B) { reportFigure(b, "17") }
 
 // BenchmarkAblationMalloc regenerates the §4.1 allocator ablation.
-func BenchmarkAblationMalloc(b *testing.B) { reportFigure(b, bench.AblationMalloc) }
+func BenchmarkAblationMalloc(b *testing.B) { reportFigure(b, "malloc") }
 
 // BenchmarkAblationValidation regenerates the §4.3 OCC validation
 // ablation (parallel per-tuple vs global critical section).
-func BenchmarkAblationValidation(b *testing.B) { reportFigure(b, bench.AblationValidation) }
+func BenchmarkAblationValidation(b *testing.B) { reportFigure(b, "occ-validation") }
 
 // BenchmarkBuild times one fresh database build (BuildWorkload, the
 // benchmark's setup.build_s) in the two shapes the repository benchmark

@@ -97,7 +97,7 @@ func main() {
 		fmt.Print(table1)
 		return
 	case *tableID == 2:
-		fmt.Print(bench.Table2(params))
+		fmt.Print(bench.Table2())
 		return
 	case *all || *figID != "":
 		var experiments []bench.Experiment
@@ -196,7 +196,7 @@ func runExperiments(experiments []bench.Experiment, params bench.Params, scale s
 	meta := bench.RunMeta{Paper: "Staring into the Abyss (VLDB 2014)", Scale: scale, Params: params}
 	rep := bench.NewReport(meta, experiments, figs)
 	if withTable2 {
-		rep.Table2 = bench.Table2(params)
+		rep.Table2 = bench.Table2()
 	}
 
 	switch {

@@ -27,10 +27,10 @@
 // SmallBank benchmark beyond the paper's two) is the reference external
 // client.
 //
-// The evaluation harness is two-phase: figures enumerate one
-// self-describing job per data point and a worker pool executes the flat
-// job list (-parallel), with -json/-csv emitting every point's full
-// result. Serial and parallel runs are byte-identical. EXPERIMENTS.md
+// The evaluation harness lays each figure out as a spec: its
+// self-describing jobs and where each result lands. A worker pool
+// executes the flat job list (-parallel), with -json/-csv emitting every
+// point's full result. Serial and parallel runs are byte-identical. EXPERIMENTS.md
 // documents, per paper figure, the expected curve shapes and the exact
 // command reproducing each.
 //

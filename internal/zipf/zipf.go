@@ -6,7 +6,10 @@
 // contention" (~60% of accesses).
 package zipf
 
-import "math/rand"
+import (
+	"math/rand"
+	"sync"
+)
 
 // Generator produces Zipf-distributed values in [0, n). It is not safe for
 // concurrent use; each worker owns one, seeded from its private RNG.
@@ -30,19 +33,30 @@ type zetaCacheKey struct {
 	theta float64
 }
 
-var zetaCache = map[zetaCacheKey]float64{}
+var (
+	zetaMu    sync.Mutex
+	zetaCache = map[zetaCacheKey]float64{}
+)
 
-// zeta computes sum_{i=1..n} 1/i^theta.
+// zeta computes sum_{i=1..n} 1/i^theta. It is safe for concurrent use:
+// the bench runner builds workloads on several goroutines at once. The
+// sum is computed outside the lock; two callers racing on one key store
+// the same value.
 func zeta(n uint64, theta float64) float64 {
 	key := zetaCacheKey{n, theta}
-	if v, ok := zetaCache[key]; ok {
+	zetaMu.Lock()
+	v, ok := zetaCache[key]
+	zetaMu.Unlock()
+	if ok {
 		return v
 	}
 	sum := 0.0
 	for i := uint64(1); i <= n; i++ {
 		sum += 1.0 / pow(float64(i), theta)
 	}
+	zetaMu.Lock()
 	zetaCache[key] = sum
+	zetaMu.Unlock()
 	return sum
 }
 
@@ -59,9 +73,8 @@ func pow(x, y float64) float64 {
 // [0, 1); theta=0 yields the uniform distribution.
 //
 // New precomputes zeta(n, theta), which costs O(n) on first use for a given
-// (n, theta) pair; subsequent generators reuse the memoized value. New is
-// not safe for concurrent use (construct generators before starting
-// workers, as the workload setup does).
+// (n, theta) pair; subsequent generators reuse the memoized value. New may
+// be called from several goroutines at once.
 func New(n uint64, theta float64) *Generator {
 	if n == 0 {
 		panic("zipf: empty domain")

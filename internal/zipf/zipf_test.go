@@ -3,6 +3,7 @@ package zipf
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -122,6 +123,28 @@ func TestZetaMemoized(t *testing.T) {
 	want := 1 + 1/math.Sqrt(2) + 1/math.Sqrt(3)
 	if got := zeta(3, 0.5); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("zeta(3, 0.5) = %v, want %v", got, want)
+	}
+}
+
+// TestNewConcurrent builds generators for fresh (n, theta) pairs on
+// several goroutines at once, as parallel bench jobs do; under -race it
+// fails if the zeta memo is shared without synchronization.
+func TestNewConcurrent(t *testing.T) {
+	const workers = 8
+	gens := make([]*Generator, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			gens[w] = New(uint64(1000+w%2), 0.31)
+		}()
+	}
+	wg.Wait()
+	for w, g := range gens {
+		if want := zeta(uint64(1000+w%2), 0.31); g.zetan != want {
+			t.Errorf("worker %d: zetan %v, want %v", w, g.zetan, want)
+		}
 	}
 }
 
