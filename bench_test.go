@@ -103,9 +103,11 @@ func BenchmarkAblationMalloc(b *testing.B) { reportFigure(b, "malloc") }
 func BenchmarkAblationValidation(b *testing.B) { reportFigure(b, "occ-validation") }
 
 // BenchmarkBuild times one fresh database build (BuildWorkload, the
-// benchmark's setup.build_s) in the two shapes the repository benchmark
+// benchmark's setup.build_s) in the three shapes the repository benchmark
 // builds: sim-ycsb's 200 000 YCSB rows of 10 × 100 B on a 64-core simulated
-// chip, and serve-wire's 250 000 SmallBank accounts on two native workers.
+// chip, serve-wire's 250 000 SmallBank accounts on two native workers, and
+// native-tpcc's full-mix TPC-C of one warehouse on one native worker, its
+// insert tables sized for 24 849 inserts (what one round reserves).
 // Like benchmark/, it collects the previous build outside the timer, so
 // every build starts from the same heap. Run it at -cpu 1,2: the YCSB rows
 // are zeroed on every core and its index pass runs beside the row pass, so
@@ -120,6 +122,8 @@ func BenchmarkBuild(b *testing.B) {
 			func(p *abyss.WorkloadParams) { p.Rows, p.Fields, p.FieldSize = 200_000, 10, 100 }},
 		{"smallbank-native2", "smallbank", abyss.Options{Runtime: abyss.RuntimeNative, Cores: 2, Seed: 42},
 			func(p *abyss.WorkloadParams) { p.Accounts = 250_000 }},
+		{"tpcc-native1", "tpcc", abyss.Options{Runtime: abyss.RuntimeNative, Cores: 1, Seed: 42},
+			func(p *abyss.WorkloadParams) { p.Warehouses, p.Mix, p.InsertsPerWorker = 1, "full", 24_849 }},
 	}
 	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"abyss1000/abyss"
 	"abyss1000/bench"
 	"abyss1000/internal/core"
 	"abyss1000/internal/index"
@@ -194,7 +195,8 @@ func (x *insertTxn) Run(tx *core.TxnCtx) error {
 // pages: 10 000 committed inserts, each read back by the next transaction,
 // page in at most three pages of every array and allocate nothing else. A
 // table of splitRows loaded rows and as many reserved holds the same
-// budgets, its loaded rows split into extents.
+// budgets, its loaded rows split into extents. A hash index over a table
+// with no loaded rows pages its buckets in too (see the last subtests).
 func TestReservedCapacityIsFree(t *testing.T) {
 	const warm, inserts = 100, 10_000
 	schema := footprintSchema()
@@ -271,5 +273,112 @@ func TestReservedCapacityIsFree(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	// A hash index over a table with no loaded rows, with one bucket per
+	// reserved slot (as TPC-C sizes ORDER_LINE_PK): index.New costs its four
+	// page directories (heads, latches, keys, next) and nothing per bucket,
+	// and inserts page in only the buckets they reach. The keys are aimed at
+	// the first three pages of buckets and land in slots [0, inserts), so
+	// they may grow the heap by three pages of buckets and three of chain
+	// links, bucketBudget per slot of each, beside fixedBytes.
+	for ri, r := range footprintRuntimes {
+		t.Run("insert-only-index/"+r.name, func(t *testing.T) {
+			const slots, aimed = 1 << 20, 3 * slot.PageSlots
+			l := slot.Layout{Dense: 0, Cap: slots}
+			run := r.mk()
+			db := core.NewDB(run)
+			tab := db.Catalog.Add(schema, l.Cap, 0, run.NumProcs())
+			var idx *index.Hash
+			bytes, objects := allocated(func() { idx = db.AddIndex("T_PK", tab, slots) })
+			if budget := 4*8*float64(l.Pages()) + fixedBytes; float64(bytes) > budget || objects > maxObjects {
+				t.Errorf("index.New over %d buckets and no loaded rows: %d B in %d objects, budget %.0f B in at most %d",
+					slots, bytes, objects, budget, maxObjects)
+			}
+			keys := make([]uint64, 0, inserts)
+			for k := uint64(0); len(keys) < inserts; k++ {
+				if index.Bucket(k, slots) < aimed {
+					keys = append(keys, k)
+				}
+			}
+			var grown uint64
+			run.Run(func(p rt.Proc) {
+				if p.ID() == 0 {
+					grown, _ = allocated(func() {
+						for s, k := range keys {
+							idx.Insert(p, k, s)
+						}
+					})
+				}
+			})
+			for s, k := range keys {
+				if got, ok := idx.LoadLookup(k); !ok || got != s {
+					t.Fatalf("key %d: found slot %d (%v), want %d", k, got, ok, s)
+				}
+			}
+			if budget := bucketBudget[ri]*aimed + fixedBytes; float64(grown) > budget {
+				t.Errorf("%d inserts into the first %d buckets grew the heap by %d B, budget %.0f B", inserts, aimed, grown, budget)
+			}
+			t.Logf("insert-only %-6s  index.New %d B over %d buckets  %5.1f B/slot over %d inserts",
+				r.name, bytes, slots, float64(grown)/inserts, inserts)
+		})
+	}
+}
+
+// discardSink is a log sink that keeps nothing, so a checkpoint's records
+// are not live heap.
+type discardSink struct{}
+
+func (discardSink) Write(p []byte) (int, error) { return len(p), nil }
+func (discardSink) Sync() error                 { return nil }
+func (discardSink) Close() error                { return nil }
+
+// liveHeap returns the live heap after two full collections (the second
+// frees what sync.Pools dropped in the first).
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestIdleWalksPageNothingIn: a checkpoint and a state dump of a freshly
+// built full-mix TPC-C database walk every hash index — HISTORY_PK,
+// ORDERS_PK, NEW_ORDER_PK and ORDER_LINE_PK over tables with no loaded rows
+// included — and page in none of the buckets no insert has reached: both
+// together grow the live heap by less than one page of bucket heads, where
+// paging in ORDER_LINE_PK's heads alone would take 32 pages here.
+func TestIdleWalksPageNothingIn(t *testing.T) {
+	const page = slot.PageSlots * 8 // one page of 8-byte heads
+	for _, rtName := range []string{abyss.RuntimeSim, abyss.RuntimeNative} {
+		t.Run(rtName, func(t *testing.T) {
+			db, err := abyss.Open(abyss.Options{Runtime: rtName, Cores: 2, Seed: 42,
+				Durability: &abyss.Durability{Sink: discardSink{}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := abyss.DefaultWorkloadParams("tpcc")
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Mix = "full"
+			if _, err := db.BuildWorkload("tpcc", p); err != nil {
+				t.Fatal(err)
+			}
+			before := liveHeap()
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if db.StateDump() == "" {
+				t.Fatal("empty state dump")
+			}
+			grown := int64(liveHeap()) - int64(before)
+			runtime.KeepAlive(db)
+			if grown >= page {
+				t.Errorf("Checkpoint and StateDump of an idle TPC-C database grew the live heap by %d B, want < %d B (one bucket page)", grown, page)
+			}
+			t.Logf("idle walks %-6s  live heap %+d B", rtName, grown)
+		})
 	}
 }

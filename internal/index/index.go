@@ -70,6 +70,14 @@ type head struct {
 // All mutation happens under per-bucket latches, so the index is safe on
 // both the simulated and native runtimes.
 //
+// The buckets and their latches are two slot arrays of one layout. Over a
+// table with loaded rows both are allocated in New; over an insert-only
+// table (no loaded rows, such as TPC-C's ORDER_LINE) each page of 4 096
+// buckets, heads and latches alike, is allocated when a probe or insert
+// first reaches it, so an index sized for the table's capacity costs only
+// its page directories until inserts arrive. The bucket count is the same
+// either way, and so are every bucket's chain and latch key.
+//
 // A mapping is stored at its slot: keys[s] is the key slot s is mapped
 // under and next[s] links s into its bucket's chain. That is the contract a
 // hash index places on its callers — a slot lies in [0, table.Capacity())
@@ -80,9 +88,8 @@ type head struct {
 // the first insert reaches it.
 type Hash struct {
 	meta
-	heads   []head
+	heads   slot.Array[head]
 	latches rt.Latches // latch i guards heads[i] and the slots chained from it
-	mask    uint64
 	keys    slot.Array[uint64]
 	// next[s] is link(the slot after s in its chain), or unmapped: zero, so
 	// that a fresh page is all unmapped without being written. A chain is
@@ -101,30 +108,39 @@ func link(s int32) int32   { return s + 1 }
 func unlink(l int32) int32 { return l - 1 }
 
 // New creates an index over table with at least minBuckets buckets
-// (rounded up to a power of two).
+// (rounded up to a power of two). Its buckets are allocated here if the
+// table has loaded rows and a page at a time on first use if it has none.
 func New(r rt.Runtime, table *storage.Table, minBuckets int) *Hash {
 	n := 1
 	for n < minBuckets {
 		n <<= 1
 	}
+	buckets := slot.Fixed(n)
+	if table.Layout().Dense == 0 {
+		buckets = slot.Layout{Dense: 0, Cap: n}
+	}
 	return &Hash{
 		meta:    meta{table: table},
-		heads:   make([]head, n),
-		latches: r.NewLatches(uint64(table.ID)<<48|0xB0<<40, slot.Fixed(n)),
-		mask:    uint64(n - 1),
+		heads:   slot.Make[head](buckets),
+		latches: r.NewLatches(uint64(table.ID)<<48|0xB0<<40, buckets),
 		keys:    slot.Make[uint64](table.Layout()),
 		next:    slot.Make[int32](table.Layout()),
 	}
 }
 
-func (h *Hash) bucketOf(key uint64) (*head, int) {
+// Bucket returns the bucket key hashes to in a hash index of n buckets, n
+// a power of two: the index's hash function, for callers that aim keys at
+// chosen buckets, as tests of bucket paging do.
+func Bucket(key uint64, n int) int {
 	z := key + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	i := int(z & h.mask)
-	return &h.heads[i], i
+	return int(z & uint64(n-1))
 }
+
+// bucket returns the bucket key hashes to.
+func (h *Hash) bucket(key uint64) int { return Bucket(key, h.heads.Len()) }
 
 // memKey identifies the bucket's cache line for NUCA placement.
 func (h *Hash) memKey(i int) uint64 {
@@ -161,7 +177,8 @@ func (h *Hash) find(b *head, key uint64) (int, bool) {
 // Lookup probes for key, returning the row slot and whether it was found.
 // The probe latches the bucket (the paper bills bucket latching to INDEX).
 func (h *Hash) Lookup(p rt.Proc, key uint64) (int, bool) {
-	b, i := h.bucketOf(key)
+	i := h.bucket(key)
+	b := h.heads.At(i)
 	h.latches.Acquire(p, stats.Index, i)
 	p.MemRead(stats.Index, h.memKey(i), 16)
 	p.Tick(stats.Index, costs.IndexProbe+uint64(b.n))
@@ -176,7 +193,8 @@ func (h *Hash) Lookup(p rt.Proc, key uint64) (int, bool) {
 // the engine's deferred-insert protocol guarantees a slot becomes visible
 // exactly once.
 func (h *Hash) Insert(p rt.Proc, key uint64, slot int) {
-	b, i := h.bucketOf(key)
+	i := h.bucket(key)
+	b := h.heads.At(i)
 	h.latches.Acquire(p, stats.Index, i)
 	p.MemWrite(stats.Index, h.memKey(i), 16)
 	p.Tick(stats.Index, costs.IndexInsert)
@@ -188,7 +206,8 @@ func (h *Hash) Insert(p rt.Proc, key uint64, slot int) {
 // committed-insert is required, e.g. TPC-C NewOrder user aborts), and
 // reports whether it removed anything. The slot may be inserted again.
 func (h *Hash) Remove(p rt.Proc, key uint64, slot int) bool {
-	b, i := h.bucketOf(key)
+	i := h.bucket(key)
+	b := h.heads.At(i)
 	h.latches.Acquire(p, stats.Index, i)
 	p.MemWrite(stats.Index, h.memKey(i), 16)
 	p.Tick(stats.Index, costs.IndexProbe+uint64(b.n))
@@ -218,7 +237,7 @@ func (h *Hash) Remove(p rt.Proc, key uint64, slot int) bool {
 // its loaded slots with LoadAll instead. One goroutine makes all of an
 // index's load calls; it may run beside the goroutine writing the rows.
 func (h *Hash) LoadInsert(key uint64, slot int) {
-	b, _ := h.bucketOf(key)
+	b := h.heads.At(h.bucket(key))
 	h.push(b, key, slot)
 }
 
@@ -240,38 +259,51 @@ const partShift = 12
 // counting the slots of each partition (the high bits of the bucket number);
 // a stable scatter of (bucket, slot) pairs into a scratch slice, partition
 // after partition; and the links, partition by partition. The scratch, 8
-// bytes a slot, is garbage when LoadAll returns.
+// bytes a slot, is garbage when LoadAll returns. Like the loop, it reaches
+// only the bucket pages its keys hash to.
 func (h *Hash) LoadAll(n int, key func(slot int) uint64) {
-	parts := (len(h.heads) + 1<<partShift - 1) >> partShift
+	parts := (h.heads.Len() + 1<<partShift - 1) >> partShift
 	off := make([]int, parts+1) // slots per partition p at off[p+1], then partition p's first pair at off[p]
 	end := 0                    // slots [0, end) are LoadInsert's to map; end is the slot it would refuse, if any
 	for lim := min(n, h.next.Len()); end < lim && *h.next.At(end) == unmapped; end++ {
 		k := key(end)
 		*h.keys.At(end) = k
-		_, i := h.bucketOf(k)
-		off[i>>partShift+1]++
+		off[h.bucket(k)>>partShift+1]++
 	}
 	for p := 1; p <= parts; p++ {
 		off[p] += off[p-1]
 	}
 	pairs := make([]uint64, end)
 	for s := 0; s < end; s++ {
-		_, i := h.bucketOf(*h.keys.At(s))
+		i := h.bucket(*h.keys.At(s))
 		p := i >> partShift
 		pairs[off[p]] = uint64(i&(1<<partShift-1))<<32 | uint64(s)
 		off[p]++
 	}
-	// Partition p's pairs now end at off[p].
+	// Partition p's pairs now end at off[p]. A partition is one page of
+	// heads, or a run of a dense region that is short only where it crosses
+	// an extent's end; a partition without pairs is not reached at all.
 	first := 0
 	for p := 0; p < parts; p++ {
-		heads := h.heads[p<<partShift : min((p+1)<<partShift, len(h.heads))]
-		for _, pr := range pairs[first:off[p]] {
-			b, s := &heads[pr>>32], int32(pr)
+		prs := pairs[first:off[p]]
+		first = off[p]
+		if len(prs) == 0 {
+			continue
+		}
+		base := p << partShift
+		heads := h.heads.Chunk(base, 1<<partShift)
+		for _, pr := range prs {
+			i, s := int(pr>>32), int32(pr)
+			var b *head
+			if i < len(heads) {
+				b = &heads[i]
+			} else {
+				b = h.heads.At(base + i)
+			}
 			*h.next.At(int(s)) = link(b.first)
 			b.first = s
 			b.n++
 		}
-		first = off[p]
 	}
 	if end < n {
 		h.LoadInsert(key(end), end) // panics, naming the slot
@@ -281,17 +313,29 @@ func (h *Hash) LoadAll(n int, key func(slot int) uint64) {
 // LoadLookup probes for key during single-threaded setup or recovery, with
 // no latching or cost accounting.
 func (h *Hash) LoadLookup(key uint64) (int, bool) {
-	b, _ := h.bucketOf(key)
+	b := h.heads.At(h.bucket(key))
 	return h.find(b, key)
 }
 
-// Range implements Index, in bucket order.
+// Range implements Index, in bucket order. It pages no bucket in: a page
+// no probe or insert has reached holds no chain, so a checkpoint or state
+// dump of an idle database allocates none of its insert-only tables'
+// buckets. Buckets are paged from bucket 0 when they are paged at all, so
+// a page never reached is the next PageSlots buckets.
 func (h *Hash) Range(f func(key uint64, slot int)) {
-	for i := range h.heads {
-		b := &h.heads[i]
-		for s, j := b.first, int32(0); j < b.n; s, j = h.after(s), j+1 {
-			f(*h.keys.At(int(s)), int(s))
+	for i := 0; i < h.heads.Len(); {
+		c := h.heads.Peek(i, slot.PageSlots)
+		if c == nil {
+			i += slot.PageSlots
+			continue
 		}
+		for k := range c {
+			b := &c[k]
+			for s, j := b.first, int32(0); j < b.n; s, j = h.after(s), j+1 {
+				f(*h.keys.At(int(s)), int(s))
+			}
+		}
+		i += len(c)
 	}
 }
 

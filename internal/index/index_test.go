@@ -2,6 +2,7 @@ package index_test
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -285,32 +286,62 @@ func TestHashAddressesTheLastSlot(t *testing.T) {
 }
 
 // TestHashConcurrentInsertsNative is TestConcurrentInsertsAllVisible on real
-// goroutines, for the race detector: four workers insert disjoint slots whose
-// keys share eight buckets, so neighbouring elements of the per-slot arrays
-// are written under different latches at the same time.
+// goroutines, for the race detector: four workers insert disjoint slots,
+// look each key up and probe for a key never inserted, so neighbouring
+// elements of the per-slot arrays are written under different latches at the
+// same time. The table has no loaded rows, so the buckets and their latches
+// are paged in on first use: with eight buckets all keys share one page;
+// with sixteen pages of buckets the keys are aimed at three shared pages and
+// the absent probes at a fourth, so the first touches of every page of heads
+// and latches race each other.
 func TestHashConcurrentInsertsNative(t *testing.T) {
 	const workers, perWorker = 4, 500
-	run := native.New(workers, 1)
-	schema := storage.NewSchema("T", storage.Col{Name: "K", Width: 8})
-	idx := index.New(run, storage.NewTable(0, schema, workers*perWorker, 0, workers), 8)
-	run.Run(func(p rt.Proc) {
-		for i := 0; i < perWorker; i++ {
-			slot := i*workers + p.ID() // interleaved: adjacent slots belong to different workers
-			idx.Insert(p, uint64(slot)*31, slot)
-			if got, ok := idx.Lookup(p, uint64(slot)*31); !ok || got != slot {
-				t.Errorf("worker %d: Lookup after Insert = %d, %v; want %d", p.ID(), got, ok, slot)
-				return
+	for _, c := range []struct {
+		name       string
+		buckets    int
+		pages      []int // the bucket pages the inserted keys hash to
+		absentPage int   // the bucket page the absent keys hash to
+	}{
+		{"buckets=8", 8, []int{0}, 0},
+		{"buckets=16-pages", 16 * slot.PageSlots, []int{0, 5, 9}, 12},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var keys, absent []uint64 // keys[s] is slot s's key
+			for k := uint64(0); len(keys) < workers*perWorker || len(absent) < perWorker; k++ {
+				switch pg := index.Bucket(k, c.buckets) / slot.PageSlots; {
+				case slices.Contains(c.pages, pg) && len(keys) < workers*perWorker:
+					keys = append(keys, k)
+				case pg == c.absentPage && len(absent) < perWorker:
+					absent = append(absent, k)
+				}
 			}
-		}
-	})
-	n := 0
-	idx.Range(func(key uint64, slot int) {
-		if key != uint64(slot)*31 {
-			t.Fatalf("slot %d mapped under %d", slot, key)
-		}
-		n++
-	})
-	if n != workers*perWorker {
-		t.Fatalf("%d mappings after the run, want %d", n, workers*perWorker)
+			run := native.New(workers, 1)
+			schema := storage.NewSchema("T", storage.Col{Name: "K", Width: 8})
+			idx := index.New(run, storage.NewTable(0, schema, workers*perWorker, 0, workers), c.buckets)
+			run.Run(func(p rt.Proc) {
+				for i := 0; i < perWorker; i++ {
+					s := i*workers + p.ID() // interleaved: adjacent slots belong to different workers
+					idx.Insert(p, keys[s], s)
+					if got, ok := idx.Lookup(p, keys[s]); !ok || got != s {
+						t.Errorf("worker %d: Lookup after Insert = %d, %v; want %d", p.ID(), got, ok, s)
+						return
+					}
+					if got, ok := idx.Lookup(p, absent[i]); ok {
+						t.Errorf("worker %d: found never-inserted key %d at slot %d", p.ID(), absent[i], got)
+						return
+					}
+				}
+			})
+			n := 0
+			idx.Range(func(key uint64, s int) {
+				if key != keys[s] {
+					t.Fatalf("slot %d mapped under %d, want %d", s, key, keys[s])
+				}
+				n++
+			})
+			if n != workers*perWorker {
+				t.Fatalf("%d mappings after the run, want %d", n, workers*perWorker)
+			}
+		})
 	}
 }

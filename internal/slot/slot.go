@@ -14,7 +14,8 @@
 // in it is reached. A page pointer is published with a compare-and-swap, so
 // on the native runtime two workers touching a fresh page at once agree on
 // one page without a latch, and a reader that finds the pointer set sees
-// the page's initialised contents.
+// the page's initialised contents. A walk over every slot reads through
+// Peek, which sees a page never reached as nil and never pages one in.
 package slot
 
 import (
@@ -159,6 +160,16 @@ func (a *Array[T]) Chunk(i, n int) []T {
 	}
 	k := min(n, PageSlots-((i-a.base)&(PageSlots-1)), a.cap-i)
 	return unsafe.Slice(a.paged(i), k*w)
+}
+
+// Peek is Chunk for a reader that must not page anything in: where slot i
+// lies in a page no slot of which has been reached it returns nil, and it
+// never allocates.
+func (a *Array[T]) Peek(i, n int) []T {
+	if j := i - a.base; j >= 0 && i < a.cap && a.pages[j>>pageShift].Load() == nil {
+		return nil
+	}
+	return a.Chunk(i, n)
 }
 
 // extent returns the extent of a split dense region that holds slot i, and

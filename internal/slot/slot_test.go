@@ -83,6 +83,31 @@ func TestSpanAndChunk(t *testing.T) {
 	}
 }
 
+// TestPeekNeverPagesIn: Peek is Chunk where the slot's allocation exists —
+// the dense region, a page some slot of which was reached — and nil, with
+// no allocation, in a page never reached.
+func TestPeekNeverPagesIn(t *testing.T) {
+	l := Layout{Dense: 5, Cap: 5 + 2*PageSlots}
+	a := Make[int](l)
+	*a.At(5 + PageSlots + 7) = 1 // reaches the second page only
+	for _, c := range []struct {
+		i, n, want int
+	}{
+		{0, 3, 3}, {4, 9, 1}, {5, 9, 0}, {5 + PageSlots - 1, 9, 0}, {5 + PageSlots, 9, 9}, {5 + 2*PageSlots - 2, 9, 2},
+	} {
+		var got []int
+		if allocs := testing.AllocsPerRun(10, func() { got = a.Peek(c.i, c.n) }); allocs != 0 {
+			t.Fatalf("Peek(%d, %d) allocated", c.i, c.n)
+		}
+		if len(got) != c.want || (got != nil && unsafe.SliceData(got) != a.At(c.i)) {
+			t.Fatalf("Peek(%d, %d) = %d slots, want %d of slot %d's memory", c.i, c.n, len(got), c.want, c.i)
+		}
+	}
+	if a.pages[0].Load() != nil {
+		t.Fatal("Peek paged in the first page")
+	}
+}
+
 // TestConcurrentFirstTouch: goroutines reaching the same fresh pages at
 // once agree on one page each — writes through any of them are seen
 // through all — which the race detector checks too.

@@ -218,7 +218,8 @@ func historyKey(worker int, seq uint64) uint64 {
 }
 
 // populate loads the initial database per the specification's cardinality
-// rules (scaled), single-threaded.
+// rules (scaled), single-threaded: each table's rows, then its index in one
+// LoadAll, slot s under the key of the row written at s.
 func (w *Workload) populate() {
 	cfg := &w.cfg
 	rng := rand.New(rand.NewSource(0x79CC))
@@ -230,9 +231,9 @@ func (w *Workload) populate() {
 		sc.PutU64(row, WID, uint64(wid))
 		sc.PutI64(row, WTax, int64(rng.Intn(2001))) // 0-20.00% in basis points
 		sc.PutI64(row, WYTD, 30000000)              // $300,000.00 in cents
-		w.idxWarehouse.LoadInsert(warehouseKey(uint64(wid)), slot)
 		slot++
 	}
+	w.idxWarehouse.LoadAll(slot, func(s int) uint64 { return warehouseKey(uint64(s) + 1) })
 
 	slot = 0
 	for wid := 1; wid <= cfg.Warehouses; wid++ {
@@ -244,10 +245,11 @@ func (w *Workload) populate() {
 			sc.PutI64(row, DTax, int64(rng.Intn(2001)))
 			sc.PutI64(row, DYTD, 3000000) // $30,000.00
 			sc.PutU64(row, DNextOID, 1)   // no pre-loaded orders
-			w.idxDistrict.LoadInsert(districtKey(uint64(wid), uint64(did)), slot)
 			slot++
 		}
 	}
+	dpw := cfg.DistrictsPerWarehouse
+	w.idxDistrict.LoadAll(slot, func(s int) uint64 { return districtKey(uint64(s/dpw)+1, uint64(s%dpw)+1) })
 
 	slot = 0
 	for wid := 1; wid <= cfg.Warehouses; wid++ {
@@ -266,11 +268,15 @@ func (w *Workload) populate() {
 				if rng.Intn(10) == 0 {
 					sc.PutU64(row, CCredit, 1) // BC: 10%
 				}
-				w.idxCustomer.LoadInsert(customerKey(uint64(wid), uint64(did), uint64(cid)), slot)
 				slot++
 			}
 		}
 	}
+	cpd := cfg.CustomersPerDistrict
+	w.idxCustomer.LoadAll(slot, func(s int) uint64 {
+		d := s / cpd
+		return customerKey(uint64(d/dpw)+1, uint64(d%dpw)+1, uint64(s%cpd)+1)
+	})
 
 	for iid := 1; iid <= cfg.Items; iid++ {
 		row := w.item.LoadRow(iid - 1)
@@ -278,8 +284,8 @@ func (w *Workload) populate() {
 		sc.PutU64(row, IID, uint64(iid))
 		sc.PutU64(row, IIMID, uint64(rng.Intn(10000)+1))
 		sc.PutI64(row, IPrice, int64(rng.Intn(9901)+100)) // $1.00-$100.00
-		w.idxItem.LoadInsert(itemKey(uint64(iid)), iid-1)
 	}
+	w.idxItem.LoadAll(cfg.Items, func(s int) uint64 { return itemKey(uint64(s) + 1) })
 
 	slot = 0
 	for wid := 1; wid <= cfg.Warehouses; wid++ {
@@ -289,10 +295,10 @@ func (w *Workload) populate() {
 			sc.PutU64(row, SIID, uint64(iid))
 			sc.PutU64(row, SWID, uint64(wid))
 			sc.PutI64(row, SQuantity, int64(rng.Intn(91)+10)) // 10-100
-			w.idxStock.LoadInsert(stockKey(uint64(wid), uint64(iid)), slot)
 			slot++
 		}
 	}
+	w.idxStock.LoadAll(slot, func(s int) uint64 { return stockKey(uint64(s/cfg.Items)+1, uint64(s%cfg.Items)+1) })
 }
 
 // homeWarehouse binds worker p to a warehouse, round-robin (paper §5.6:
