@@ -44,10 +44,12 @@
 // taken is rejected, never overwritten.
 //
 // Beyond point accesses, CreateOrderedIndex builds a latched B+tree
-// secondary index whose TxnCtx.RangeScan returns the entries in [lo, hi]
-// in key order, and TxnCtx.InsertRowOrdered stages a row into a hash
-// index and an ordered index atomically at commit (a nil ordered index
-// stages the hash entry alone). Underneath those typed entry points an
+// index whose TxnCtx.RangeScan returns the entries in [lo, hi] in key
+// order. TxnCtx.InsertRow stages a row into one index of either kind, so a
+// table whose only index is ordered needs no hash index, and
+// TxnCtx.InsertRowOrdered stages a row into a hash index and an ordered
+// index atomically at commit (a nil ordered index stages the hash entry
+// alone). Underneath those typed entry points an
 // index is one concept: both kinds are registered, published into, logged
 // (format ABYWAL03, one ordinal space), checkpointed and recovered through
 // the same interface and code path. CompositeKey packs

@@ -437,10 +437,10 @@ func TestOneCatalogue(t *testing.T) {
 	if _, err := tpcc.Index("NEW_ORDER_ORD"); err == nil || !strings.Contains(err.Error(), "is an ordered index") {
 		t.Errorf("Index on an ordered index's name: %v", err)
 	}
-	if _, err := tpcc.OrderedIndex("NEW_ORDER_PK"); err == nil || !strings.Contains(err.Error(), "is a hash index") {
+	if _, err := tpcc.OrderedIndex("ORDERS_PK"); err == nil || !strings.Contains(err.Error(), "is a hash index") {
 		t.Errorf("OrderedIndex on a hash index's name: %v", err)
 	}
-	if _, err := tpcc.Index("NO_SUCH"); err == nil || !strings.Contains(err.Error(), "NEW_ORDER_ORD") || !strings.Contains(err.Error(), "NEW_ORDER_PK") {
+	if _, err := tpcc.Index("NO_SUCH"); err == nil || !strings.Contains(err.Error(), "NEW_ORDER_ORD") || !strings.Contains(err.Error(), "ORDERS_PK") {
 		t.Errorf("missing index error should list both kinds' names: %v", err)
 	}
 }

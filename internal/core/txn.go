@@ -283,10 +283,20 @@ func (tx *TxnCtx) LogCommit() {
 }
 
 // InsertRow stages a new row for idx's table under key and returns the
-// private, zeroed staging buffer for the caller to populate. The row
-// becomes visible atomically at commit (deferred-insert protocol).
-func (tx *TxnCtx) InsertRow(idx *index.Hash, key uint64) []byte {
-	return tx.InsertRowOrdered(idx, key, nil, 0)
+// private, zeroed staging buffer for the caller to populate. idx may be of
+// either kind: a table whose one index is ordered stages its rows straight
+// into it. The row becomes visible atomically at commit (deferred-insert
+// protocol).
+func (tx *TxnCtx) InsertRow(idx index.Index, key uint64) []byte {
+	tx.tuples++
+	buf := tx.Alloc.Alloc(tx.P, stats.Useful, idx.Table().Schema.RowSize())
+	// The arena recycles memory across transactions; a fresh row must not
+	// inherit a predecessor's bytes in columns the caller leaves unset.
+	// The copy cost billed below covers the initialization.
+	clear(buf)
+	tx.P.Tick(stats.Useful, costs.UsefulPerRow+costs.CopyCost(uint64(len(buf))))
+	tx.inserts = append(tx.inserts, insertRec{buf: buf, n: 1, ent: [wal.MaxInsertEntries]indexKey{{idx, key}}})
+	return buf
 }
 
 // InsertRowOrdered is InsertRow for a row that is additionally published
@@ -295,19 +305,12 @@ func (tx *TxnCtx) InsertRow(idx *index.Hash, key uint64) []byte {
 // entry alone, so workloads whose ordered indexes are optional make one
 // call either way.
 func (tx *TxnCtx) InsertRowOrdered(idx *index.Hash, key uint64, oidx *index.Ordered, okey uint64) []byte {
-	rec := insertRec{n: 1, ent: [wal.MaxInsertEntries]indexKey{{idx, key}}}
+	buf := tx.InsertRow(idx, key)
 	if oidx != nil { // tested here: a nil *Ordered in an index.Index is non-nil
+		rec := &tx.inserts[len(tx.inserts)-1]
 		rec.n, rec.ent[1] = 2, indexKey{oidx, okey}
 	}
-	tx.tuples++
-	rec.buf = tx.Alloc.Alloc(tx.P, stats.Useful, idx.Table().Schema.RowSize())
-	// The arena recycles memory across transactions; a fresh row must not
-	// inherit a predecessor's bytes in columns the caller leaves unset.
-	// The copy cost billed below covers the initialization.
-	clear(rec.buf)
-	tx.P.Tick(stats.Useful, costs.UsefulPerRow+costs.CopyCost(uint64(len(rec.buf))))
-	tx.inserts = append(tx.inserts, rec)
-	return rec.buf
+	return buf
 }
 
 // applyInserts materializes staged inserts after a successful Commit.

@@ -199,12 +199,14 @@ func (t *Table) SegRange(w int) (start, next int) {
 	return t.segStart[w], t.segBase[w]
 }
 
-// RestoreSegNext rewinds or advances worker w's allocation cursor to next
-// (clamped to the segment). Recovery uses it to restore checkpointed
-// allocation state so replayed inserts land on their original slots.
+// RestoreSegNext advances worker w's allocation cursor to next (clamped to
+// the segment). Recovery uses it to restore checkpointed allocation state
+// so replayed inserts land on their original slots. It never rewinds: over
+// a state that already holds the rows inserted after the checkpoint (the
+// same stream replayed again), their slots stay allocated.
 func (t *Table) RestoreSegNext(w, next int) {
-	if next < t.segStart[w] {
-		next = t.segStart[w]
+	if next < t.segBase[w] {
+		next = t.segBase[w]
 	}
 	if next > t.segEnd[w] {
 		next = t.segEnd[w]

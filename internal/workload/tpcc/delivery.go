@@ -8,7 +8,9 @@ import (
 // deliveryTxn is the TPC-C Delivery transaction (full mix only): for each
 // district of the home warehouse, deliver the oldest undelivered order —
 // stamp the carrier on ORDERS, stamp the delivery date on its ORDER_LINE
-// rows, and credit the customer's balance with the order total.
+// rows, and credit the customer's balance with the order total. The
+// order's lines come from one range scan of ORDER_LINE_ORD, the table's
+// only index under the full mix, over line numbers 1 to O_OL_CNT.
 //
 // The spec's implementation deletes the NEW_ORDER row; this engine has no
 // index delete path, so DISTRICT carries a delivery cursor (DDelivOID)
@@ -82,13 +84,13 @@ func (t *deliveryTxn) Run(tx *core.TxnCtx) error {
 		cid := osc.GetU64(orow, OCID)
 		olCnt := osc.GetU64(orow, OOLCnt)
 
+		lines := tx.RangeScan(w.ordLines, orderLineKey(t.wid, did, oid, 1), orderLineKey(t.wid, did, oid, olCnt))
+		if uint64(len(lines)) < olCnt {
+			panic("tpcc: delivered order line missing")
+		}
 		var total int64
-		for ol := uint64(1); ol <= olCnt; ol++ {
-			olslot, ok := tx.Lookup(w.idxOrderLine, orderLineKey(t.wid, did, oid, ol))
-			if !ok {
-				panic("tpcc: delivered order line missing")
-			}
-			olrow, err := tx.UpdateRow(w.orderline, olslot)
+		for _, e := range lines {
+			olrow, err := tx.UpdateRow(w.orderline, int(e.Slot))
 			if err != nil {
 				return err
 			}

@@ -188,8 +188,7 @@ func (t *newOrderTxn) Run(tx *core.TxnCtx) error {
 		total += amount
 		olNum := uint64(i) + 1
 		olKey := orderLineKey(t.wid, t.did, oid, olNum)
-		// Under the paper mix the ordered indexes are nil: hash entry only.
-		olrow := tx.InsertRowOrdered(w.idxOrderLine, olKey, w.ordLines, olKey)
+		olrow := tx.InsertRow(w.idxOrderLine, olKey)
 		olsc.PutU64(olrow, OLOID, oid)
 		olsc.PutU64(olrow, OLDID, t.did)
 		olsc.PutU64(olrow, OLWID, t.wid)
@@ -226,7 +225,7 @@ func (t *newOrderTxn) Run(tx *core.TxnCtx) error {
 	// probes for, and the deferred-insert protocol publishes entries in
 	// stage order — so when a scan finds an order's NEW_ORDER entry, the
 	// order's ORDERS and ORDER_LINE entries are already published.
-	norow := tx.InsertRowOrdered(w.idxNewOrder, oKey, w.ordNewOrder, oKey)
+	norow := tx.InsertRow(w.idxNewOrder, oKey)
 	nosc.PutU64(norow, NOOID, oid)
 	nosc.PutU64(norow, NODID, t.did)
 	nosc.PutU64(norow, NOWID, t.wid)

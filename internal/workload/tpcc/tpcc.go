@@ -56,9 +56,12 @@ type Config struct {
 	// paper's two-transaction Payment/NewOrder mix drawn per PaymentPct;
 	// MixFull adds Delivery, OrderStatus and StockLevel at the
 	// specification's 45/43/4/4/4 weights, grows DISTRICT by a
-	// delivery-cursor column and builds three ordered secondary indexes
-	// for the range scans those transactions perform. MixPaper builds a
-	// byte-identical database to the pre-full-mix engine.
+	// delivery-cursor column and builds three ordered indexes for the
+	// range scans those transactions perform. Two of them, NEW_ORDER_ORD
+	// and ORDER_LINE_ORD, replace NEW_ORDER_PK and ORDER_LINE_PK as the
+	// only index of their table; ORDERS_CUST is a secondary index beside
+	// ORDERS_PK. MixPaper builds a byte-identical database to the
+	// pre-full-mix engine.
 	Mix string
 }
 
@@ -97,16 +100,20 @@ type Workload struct {
 	orderline, item, stock        *storage.Table
 
 	idxWarehouse, idxDistrict, idxCustomer *index.Hash
-	idxItem, idxStock                      *index.Hash
-	idxOrders, idxNewOrder, idxOrderLine   *index.Hash
+	idxItem, idxStock, idxOrders           *index.Hash
 	idxHistory                             *index.Hash
 
+	// NEW_ORDER and ORDER_LINE have one index each, the one their inserts
+	// are published into: a hash PK under MixPaper, and under MixFull the
+	// ordered index on the same key (ordNewOrder, ordLines).
+	idxNewOrder, idxOrderLine index.Index
+
 	// Full-mix state: the spec's three extra transactions range-scan
-	// these ordered secondary indexes (nil under MixPaper).
+	// these ordered indexes (nil under MixPaper).
 	full          bool
 	ordNewOrder   *index.Ordered // NEW_ORDER by orderKey: Delivery's oldest-undelivered probe
 	ordCustOrders *index.Ordered // ORDERS by (wid, did, cid, oid): OrderStatus's last-order scan
-	ordLines      *index.Ordered // ORDER_LINE by orderLineKey: StockLevel's recent-lines scan
+	ordLines      *index.Ordered // ORDER_LINE by orderLineKey: Delivery's per-order and StockLevel's recent-lines scans
 
 	payments      []paymentTxn
 	neworders     []newOrderTxn
@@ -157,8 +164,6 @@ func Build(db *core.DB, cfg Config) *Workload {
 	w.idxStock = db.AddIndex("STOCK_PK", w.stock, S)
 	w.idxHistory = db.AddIndex("HISTORY_PK", w.history, n*ins)
 	w.idxOrders = db.AddIndex("ORDERS_PK", w.orders, n*ins)
-	w.idxNewOrder = db.AddIndex("NEW_ORDER_PK", w.neworder, n*ins)
-	w.idxOrderLine = db.AddIndex("ORDER_LINE_PK", w.orderline, n*ins*15)
 
 	// Ordered indexes exist only under the full mix — the paper mix's
 	// build stays byte-identical to the two-transaction engine.
@@ -166,6 +171,10 @@ func Build(db *core.DB, cfg Config) *Workload {
 		w.ordNewOrder = db.AddOrderedIndex("NEW_ORDER_ORD", w.neworder)
 		w.ordCustOrders = db.AddOrderedIndex("ORDERS_CUST", w.orders)
 		w.ordLines = db.AddOrderedIndex("ORDER_LINE_ORD", w.orderline)
+		w.idxNewOrder, w.idxOrderLine = w.ordNewOrder, w.ordLines
+	} else {
+		w.idxNewOrder = db.AddIndex("NEW_ORDER_PK", w.neworder, n*ins)
+		w.idxOrderLine = db.AddIndex("ORDER_LINE_PK", w.orderline, n*ins*15)
 	}
 
 	w.populate()

@@ -41,8 +41,8 @@ var loadedDigests = []struct {
 	{
 		"tpcc", func(p *abyss.WorkloadParams) { p.Warehouses, p.Mix = 2, "full" },
 		[]string{"WAREHOUSE_PK", "DISTRICT_PK", "CUSTOMER_PK", "ITEM_PK", "STOCK_PK",
-			"HISTORY_PK", "ORDERS_PK", "NEW_ORDER_PK", "ORDER_LINE_PK"},
-		"b3f8271e8175a871f0ad0e5f4ae8a219591e9a6ba68f8d0f00307db30ae7ff85",
+			"HISTORY_PK", "ORDERS_PK"},
+		"374feb6a22c4c6430feb44b47c0ff002c9d328a9d5fc90d18021ded35052f226",
 	},
 	{
 		"tatp", func(p *abyss.WorkloadParams) { p.Subscribers = 1000 },
