@@ -45,11 +45,13 @@
 //
 // Beyond point accesses, CreateOrderedIndex builds a latched B+tree
 // index whose TxnCtx.RangeScan returns the entries in [lo, hi] in key
-// order. TxnCtx.InsertRow stages a row into one index of either kind, so a
-// table whose only index is ordered needs no hash index, and
-// TxnCtx.InsertRowOrdered stages a row into a hash index and an ordered
-// index atomically at commit (a nil ordered index stages the hash entry
-// alone). Underneath those typed entry points an
+// order. TxnCtx.InsertRow returns a new row, reserved in its table for the
+// caller to fill in place, and publishes it into one index of either kind
+// at the scheme's commit point, so a table whose only index is ordered
+// needs no hash index; TxnCtx.InsertRowOrdered publishes the row into a
+// hash index and an ordered index at once (a nil ordered index publishes
+// the hash entry alone). An aborted insert's row is cleared and its slot
+// reused. Underneath those typed entry points an
 // index is one concept: both kinds are registered, published into, logged
 // (format ABYWAL03, one ordinal space), checkpointed and recovered through
 // the same interface and code path. CompositeKey packs

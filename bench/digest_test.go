@@ -53,18 +53,18 @@ var figureDigests = map[string]string{
 	"15/jobs/tiny":              "0ae5b78101098f0ac13128270bd2e9e4576134a86f04fffebfebada30dc517a3",
 	"15/json":                   "b3b2711b2c13650490caf7aff0e9dc289ea7925a5520bc40eec1333226bf4ecc",
 	"15/text":                   "de094baf3d16ba786e59988040ca53ff8c635b7701cf067861e58396104d2975",
-	"16/csv":                    "4a6fbd8c425d075b102fec5d6c916bf9d8b634023256648ac45be6aaf7258c9d",
+	"16/csv":                    "ca683dcafa3ddbc8a1ece9a706b805c0f880f12db8a05f0ee1e9b04418c2e242",
 	"16/jobs/full":              "409a49ab09e53353cc3907f2fac08c9bbfbcea549384f1d84fbf1ef1bdaaacaf",
 	"16/jobs/quick":             "b188b4b55561b9c8838b66509493666ab2d31143abadbf0127b1870cd11881d8",
 	"16/jobs/tiny":              "f3d6ef9559287a9026f890c7aa20884c8719bbd66211bede0aff3f9b2391374e",
-	"16/json":                   "2083a23b210a9e38cd464b7d4988922cd4b57a5f20438d5ed202df7cdc494414",
-	"16/text":                   "5602264745ea7c262deebb1a38a8dae74b84a4267e1016fa7dffa8d4b56c34c8",
-	"17/csv":                    "d892b6d55c15fe4a84762e54f5aaed59084331a388e0e408b77e9acfa64588d5",
+	"16/json":                   "dcd05a9aee240a162b5098424664f3b488cd109ed9f7855fbe47ad5734702cac",
+	"16/text":                   "32b2623746d0d5d61db6d9ac4bf8b542a07f280b4d362d8069e30464bcf499e5",
+	"17/csv":                    "d5e3ae831184e725eb33e54a68e56e7a45cda91f198c45b8e65847fbd4fbd21c",
 	"17/jobs/full":              "1a2afd5b24597d9f9dd5d0ffdadc64a5b4381d09fefac63d8e8df66ebd64cc0e",
 	"17/jobs/quick":             "ae7792483412af316f72aa0ce77c6583edaeac451c1c86c0cd68cdd77ede64cf",
 	"17/jobs/tiny":              "e0b8974aa145384474fcadc50b094f3507f40bd81b33ddd375835a0fdb4d8062",
-	"17/json":                   "41061f44451636e65ad9e0ae6810ce60377a09f4c89782bf6a4dcd8589475267",
-	"17/text":                   "47792000c51048472f6908a91eda53fcfd8eb0ed516fac829eac27b1b1bbca63",
+	"17/json":                   "3ad4a0a5ba9044844ee9f102424d367de31ce5eac0d5a7c68d7b9be06f36d574",
+	"17/text":                   "2a55b98436cf99dbf4f6d674c17025e23d9d70776ad3133ce1d7c750dd9a6f9c",
 	"4/csv":                     "163159e496641c69e6e6c608d4134a81c1c0362603eeae7492de51045b3158d4",
 	"4/jobs/full":               "a107ababa0db258ace99a28e891cbda9baa311746ed51d1e606f4cf4acbcf516",
 	"4/jobs/quick":              "091cfc62f510c938ff346c74c560041bc8fa79818c2d0ff0e0efc7f0987c1adb",

@@ -110,8 +110,8 @@ func BenchmarkTxnYCSB(b *testing.B) {
 
 // BenchmarkTxnTPCC measures one completed TPC-C transaction (50/50
 // Payment/NewOrder, 1 warehouse) per iteration, per scheme. NewOrder
-// stages 7-17 inserts per commit, so this also covers the deferred-insert
-// path and index insertion. Insert segments are sized from b.N (at most
+// inserts 7-17 rows per commit, so this also covers building rows in
+// place and publishing them into indexes. Insert segments are sized from b.N (at most
 // one ORDERS/NEW_ORDER/HISTORY slot per completed transaction; Build
 // reserves 15x for ORDER_LINE), so any -benchtime works.
 //

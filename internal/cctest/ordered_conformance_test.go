@@ -97,9 +97,9 @@ func TestOrderedScanConformance(t *testing.T) {
 					t.Fatalf("committed scan shows %d at key 3, want 111", got)
 				}
 
-				// (b) A staged ordered insert is invisible to the
-				// transaction's own scan (the deferred-insert protocol
-				// publishes at commit) and visible to the next one.
+				// (b) An ordered insert is invisible to the
+				// transaction's own scan (entries are published at the
+				// commit point) and visible to the next one.
 				idx := db.Index("C_PK").(*index.Hash)
 				if err := exec(func(tx *core.TxnCtx) error {
 					row := tx.InsertRowOrdered(idx, 100, ord, 100)

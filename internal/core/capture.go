@@ -162,21 +162,21 @@ func (c *Capture) bump(t *storage.Table, s int) uint64 {
 	return *v
 }
 
-// captureInsert records a committed insert's write. Called from
-// applyInserts before the index entry is published, so no reader can
-// sample the slot's counter before the bump.
-func (c *Capture) captureInsert(tx *TxnCtx, t *storage.Table, slot int, buf []byte) {
+// captureInsert records a committed insert's write, the row built in
+// place at slot. Called from LogCommit before the index entry is
+// published, so no reader can sample the slot's counter before the bump.
+func (c *Capture) captureInsert(tx *TxnCtx, t *storage.Table, slot int) {
 	ver := tx.TS
 	if !tx.W.tsOrdered {
 		ver = c.bump(t, slot)
 	}
-	img := make([]byte, len(buf))
-	copy(img, buf)
+	img := make([]byte, t.Schema.RowSize())
+	copy(img, t.Row(slot))
 	tx.capWrites = append(tx.capWrites, capWrite{table: t.ID, slot: slot, ver: ver, image: img})
 }
 
 // captureFinish appends the completed transaction to its worker's log.
-// Called only on the committed path, after applyInserts; rolled-back
+// Called only on the committed path, after LogCommit; rolled-back
 // transactions leave nothing behind.
 func (tx *TxnCtx) captureFinish() {
 	c := tx.DB.Cap

@@ -78,8 +78,8 @@ func TestDeferredInsertVisibility(t *testing.T) {
 			row := tx.InsertRow(idx, 1000)
 			f.Table.Schema.PutU64(row, 0, 1000)
 			f.Table.Schema.PutU64(row, 1, 77)
-			// Invisible inside the transaction (deferred-insert
-			// protocol: no index entry yet).
+			// Invisible inside the transaction: no index entry
+			// until the commit point.
 			if _, ok := tx.Lookup(idx, 1000); ok {
 				t.Error("staged insert visible before commit")
 			}
@@ -107,7 +107,7 @@ func TestDeferredInsertVisibility(t *testing.T) {
 	})
 }
 
-// TestAbortedInsertNeverMaterializes: user aborts drop staged inserts.
+// TestAbortedInsertNeverMaterializes: a user abort drops its inserts.
 func TestAbortedInsertNeverMaterializes(t *testing.T) {
 	f := cctest.NewFixture(1, 4, 1)
 	scheme := twopl.New(twopl.NoWait, twopl.Options{})

@@ -99,18 +99,18 @@ func TestOpenLoopPinnedSchedules(t *testing.T) {
 		mmpp   bool
 		want   string
 	}{
-		{"NO_WAIT", false, `commits=143 aborts=177 tuples=4861 shed=199 deadlined=56
-useful=461824 abort=254838 ts_alloc=0 index=268257 wait=0 manager=205796 log=0 idle=0
-lat n=143 sum=6343654 max=68414 [14:1 15:29 16:112 17:1]
-qdepth n=403 sum=5032 max=16 [2:1 3:43 4:250 5:109]`},
+		{"NO_WAIT", false, `commits=140 aborts=181 tuples=5051 shed=190 deadlined=59
+useful=435016 abort=267524 ts_alloc=0 index=280379 wait=0 manager=214959 log=0 idle=0
+lat n=140 sum=6043606 max=67807 [15:34 16:103 17:3]
+qdepth n=407 sum=4903 max=16 [3:37 4:267 5:103]`},
 		{"NO_WAIT", true, `commits=128 aborts=112 tuples=1024 shed=0 deadlined=44
 useful=184176 abort=474795 ts_alloc=0 index=52636 wait=0 manager=131555 log=0 idle=304994
 lat n=128 sum=2451948 max=43115 [12:20 13:19 14:32 15:20 16:37]
 qdepth n=206 sum=1455 max=29 [1:53 2:40 3:40 4:44 5:29]`},
-		{"TIMESTAMP", false, `commits=155 aborts=8 tuples=5056 shed=212 deadlined=27
-useful=516778 abort=36128 ts_alloc=1192 index=283244 wait=151081 manager=227781 log=0 idle=0
-lat n=155 sum=7489362 max=69530 [15:26 16:120 17:9]
-qdepth n=410 sum=5454 max=16 [3:18 4:267 5:125]`},
+		{"TIMESTAMP", false, `commits=159 aborts=7 tuples=4967 shed=214 deadlined=14
+useful=455532 abort=41864 ts_alloc=1230 index=274310 wait=206472 manager=221661 log=0 idle=0
+lat n=159 sum=7319442 max=71602 [14:1 15:25 16:129 17:4]
+qdepth n=407 sum=5181 max=16 [3:15 4:275 5:117]`},
 		{"TIMESTAMP", true, `commits=162 aborts=28 tuples=1296 shed=0 deadlined=14
 useful=282428 abort=108114 ts_alloc=1450 index=67601 wait=80530 manager=261940 log=0 idle=347971
 lat n=162 sum=2830666 max=45078 [12:21 13:29 14:40 15:48 16:24]

@@ -26,9 +26,9 @@ func orderedFixture(rows int) (*sim.Engine, *core.DB, *storage.Table, *index.Ord
 	return eng, db, tab, ord
 }
 
-// TestOrderedInsertDeferredUntilCommit: an InsertRowOrdered entry obeys
-// the deferred-insert protocol — invisible to scans inside the inserting
-// transaction, published to both indexes at commit, dropped on abort.
+// TestOrderedInsertDeferredUntilCommit: an InsertRowOrdered entry is
+// invisible to scans inside the inserting transaction, published to both
+// indexes at commit, dropped on abort.
 func TestOrderedInsertDeferredUntilCommit(t *testing.T) {
 	eng, db, tab, ord := orderedFixture(64)
 	scheme := twopl.New(twopl.NoWait, twopl.Options{})

@@ -45,7 +45,9 @@ type Scheme interface {
 	WriteRow(tx *TxnCtx, t *storage.Table, slot int) ([]byte, error)
 
 	// Commit finalizes the transaction (validation, applying buffered
-	// writes, releasing locks). On error the engine calls Abort.
+	// writes, releasing locks). It calls tx.LogCommit at its commit point,
+	// which publishes the transaction's inserts, and must not fail after
+	// that call. On error the engine calls Abort.
 	Commit(tx *TxnCtx) error
 
 	// Abort rolls back (undo in-place writes, discard buffers, release
@@ -53,20 +55,22 @@ type Scheme interface {
 	// partial execution, including after a failed Commit.
 	Abort(tx *TxnCtx)
 
-	// InitTuple initializes CC metadata for a freshly inserted tuple
-	// (applied at commit by the engine's deferred-insert protocol).
+	// InitTuple initializes CC metadata for a freshly inserted tuple. The
+	// engine calls it from LogCommit, at the scheme's commit point, just
+	// before the tuple's index entries are published.
 	InitTuple(tx *TxnCtx, t *storage.Table, slot int)
 }
 
-// insertRec is a staged insert: the row image is buffered privately and
-// applied at commit, so uncommitted inserts are never visible and aborts
-// simply drop the staging (the engine's deferred-insert protocol).
-// ent[:n] are the index entries it is published under, in order; ent[0]'s
-// index names the table. Nothing past staging asks an entry's index kind.
+// insertRec is an insert in flight: its row is built in place at slot,
+// reserved from the worker's insert segment, and no index maps the slot
+// until LogCommit publishes ent[:n], in order, at the scheme's commit
+// point. ent[0]'s index names the table; nothing asks an entry's index
+// kind. A failed attempt clears the row and hands the slot back
+// (dropInserts).
 type insertRec struct {
-	buf []byte
-	n   int
-	ent [wal.MaxInsertEntries]indexKey
+	slot int
+	n    int
+	ent  [wal.MaxInsertEntries]indexKey
 }
 
 type indexKey struct {
@@ -121,11 +125,12 @@ type TxnCtx struct {
 	tuples  uint64
 
 	// walWrites collects write targets while the WAL or history capture
-	// is attached; logged flips when the commit record has been appended
-	// (schemes call LogCommit at their commit point; the worker's
-	// post-Commit call is a no-op fallback for schemes without a hook).
+	// is attached. committed flips at the commit point, when LogCommit has
+	// appended the commit record and published the inserts (schemes call
+	// LogCommit there; the worker's post-Commit call is a no-op fallback
+	// for schemes without a hook).
 	walWrites []walWrite
-	logged    bool
+	committed bool
 
 	// capReads/capWrites accumulate the transaction's history-capture
 	// record while DB.Cap is attached (see capture.go).
@@ -144,7 +149,7 @@ func (tx *TxnCtx) reset() {
 	tx.tuples = 0
 	tx.TS = 0
 	tx.walWrites = tx.walWrites[:0]
-	tx.logged = false
+	tx.committed = false
 	tx.capReads = tx.capReads[:0]
 	tx.capWrites = tx.capWrites[:0]
 	tx.scanBuf = tx.scanBuf[:0]
@@ -221,36 +226,39 @@ func (tx *TxnCtx) captureWrite(t *storage.Table, slot int, buf []byte) {
 	tx.walWrites = append(tx.walWrites, walWrite{t: t, slot: slot, buf: buf})
 }
 
-// LogCommit appends the transaction's commit record to the attached WAL.
-// Schemes call it at their commit point — the instant their locks,
-// latches or validation outcome fix the transaction's place in the
-// serialization order — so the log sees commits in an order consistent
-// with their effects. It is idempotent per transaction; the engine's
-// post-Commit fallback covers schemes without an explicit hook. Read-only
-// transactions append nothing.
+// LogCommit appends the transaction's commit record to the attached WAL
+// and then publishes its inserts. Schemes call it at their commit point —
+// the instant their locks, latches or validation outcome fix the
+// transaction's place in the serialization order — so the log sees
+// commits in an order consistent with their effects, and no reader can
+// see a committed write without the rows inserted beside it. It is
+// idempotent per transaction; the engine's post-Commit fallback covers
+// schemes without an explicit hook. Read-only transactions append
+// nothing.
 //
 // Log time is billed to the LOG component via Breakdown.Add, which never
 // advances the simulated clock: with accounting-only logging the
 // simulator's schedule — and therefore the golden signature — is
 // byte-identical to a run without durability.
 func (tx *TxnCtx) LogCommit() {
-	lw := tx.DB.Wal
-	if (lw == nil && tx.DB.Cap == nil) || tx.logged {
+	if tx.committed {
 		return
 	}
-	tx.logged = true
+	tx.committed = true
 	if c := tx.DB.Cap; c != nil {
 		// The history capture shares the commit point: write versions are
 		// assigned here, while the scheme's locks or latches still pin
 		// every written slot (see capture.go).
 		c.commitPoint(tx)
 	}
-	if lw == nil {
-		return
+	if lw := tx.DB.Wal; lw != nil && (len(tx.walWrites) > 0 || len(tx.inserts) > 0) {
+		tx.appendCommit(lw)
 	}
-	if len(tx.walWrites) == 0 && len(tx.inserts) == 0 {
-		return
-	}
+	tx.publishInserts()
+}
+
+// appendCommit appends the transaction's commit record to lw.
+func (tx *TxnCtx) appendCommit(lw *wal.Writer) {
 	w := tx.W
 	c := &w.walCommit
 	c.Worker = tx.P.ID()
@@ -266,7 +274,8 @@ func (tx *TxnCtx) LogCommit() {
 	c.Inserts = c.Inserts[:0]
 	for i := range tx.inserts {
 		in := &tx.inserts[i]
-		rec := wal.Insert{Table: in.ent[0].idx.Table().ID, Image: in.buf, N: in.n}
+		t := in.ent[0].idx.Table()
+		rec := wal.Insert{Table: t.ID, Image: t.Row(in.slot), N: in.n}
 		for j, e := range in.ent[:in.n] {
 			rec.Entries[j] = wal.InsertEntry{Index: e.idx.Ordinal(), Key: e.key}
 		}
@@ -282,54 +291,72 @@ func (tx *TxnCtx) LogCommit() {
 	tx.P.Stats().Add(stats.Log, cycles)
 }
 
-// InsertRow stages a new row for idx's table under key and returns the
-// private, zeroed staging buffer for the caller to populate. idx may be of
-// either kind: a table whose one index is ordered stages its rows straight
-// into it. The row becomes visible atomically at commit (deferred-insert
-// protocol).
+// InsertRow reserves a slot for a new row of idx's table, to be published
+// under key, and returns the slot's zeroed table row for the caller to
+// fill in place. idx may be of either kind: a table whose one index is
+// ordered is published straight into it. No index maps the slot until the
+// scheme's commit point (LogCommit); a failed attempt clears the row and
+// hands the slot back.
 func (tx *TxnCtx) InsertRow(idx index.Index, key uint64) []byte {
 	tx.tuples++
-	buf := tx.Alloc.Alloc(tx.P, stats.Useful, idx.Table().Schema.RowSize())
-	// The arena recycles memory across transactions; a fresh row must not
-	// inherit a predecessor's bytes in columns the caller leaves unset.
-	// The copy cost billed below covers the initialization.
-	clear(buf)
-	tx.P.Tick(stats.Useful, costs.UsefulPerRow+costs.CopyCost(uint64(len(buf))))
-	tx.inserts = append(tx.inserts, insertRec{buf: buf, n: 1, ent: [wal.MaxInsertEntries]indexKey{{idx, key}}})
-	return buf
+	t := idx.Table()
+	slot := t.AllocSlot(tx.P.ID())
+	if slot < 0 {
+		panic("core: table " + t.Schema.Name + " insert segment exhausted; raise capacity")
+	}
+	row := t.Row(slot)
+	tx.P.Tick(stats.Useful, costs.UsefulPerRow)
+	tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(len(row)))
+	tx.inserts = append(tx.inserts, insertRec{slot: slot, n: 1, ent: [wal.MaxInsertEntries]indexKey{{idx, key}}})
+	return row
 }
 
 // InsertRowOrdered is InsertRow for a row that is additionally published
-// into the ordered secondary index oidx under okey at commit (after the
-// hash entry, same deferred-insert protocol). A nil oidx stages the hash
-// entry alone, so workloads whose ordered indexes are optional make one
-// call either way.
+// into the ordered secondary index oidx under okey, after the hash entry.
+// A nil oidx publishes the hash entry alone, so workloads whose ordered
+// indexes are optional make one call either way.
 func (tx *TxnCtx) InsertRowOrdered(idx *index.Hash, key uint64, oidx *index.Ordered, okey uint64) []byte {
-	buf := tx.InsertRow(idx, key)
+	row := tx.InsertRow(idx, key)
 	if oidx != nil { // tested here: a nil *Ordered in an index.Index is non-nil
 		rec := &tx.inserts[len(tx.inserts)-1]
 		rec.n, rec.ent[1] = 2, indexKey{oidx, okey}
 	}
-	return buf
+	return row
 }
 
-// applyInserts materializes staged inserts after a successful Commit.
-func (tx *TxnCtx) applyInserts() {
+// publishInserts makes the transaction's rows visible, in insert order:
+// the scheme's tuple metadata, the capture's write, then the index
+// entries.
+func (tx *TxnCtx) publishInserts() {
 	for i := range tx.inserts {
 		rec := &tx.inserts[i]
 		t := rec.ent[0].idx.Table()
-		slot := t.AllocSlot(tx.P.ID())
-		if slot < 0 {
-			panic("core: table " + t.Schema.Name + " insert segment exhausted; raise capacity")
-		}
-		copy(t.Row(slot), rec.buf)
-		tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(len(rec.buf)))
-		tx.W.Scheme.InitTuple(tx, t, slot)
+		tx.W.Scheme.InitTuple(tx, t, rec.slot)
 		if c := tx.DB.Cap; c != nil {
-			c.captureInsert(tx, t, slot, rec.buf)
+			c.captureInsert(tx, t, rec.slot)
 		}
 		for _, e := range rec.ent[:rec.n] {
-			e.idx.Insert(tx.P, e.key, slot)
+			e.idx.Insert(tx.P, e.key, rec.slot)
 		}
 	}
+}
+
+// dropInserts rolls a failed attempt's inserts back: newest first, each
+// row is cleared and its slot handed back to the worker's segment, so the
+// slots past a segment's cursor stay all zero and the next insert reuses
+// them. The clearing is billed to ABORT.
+func (tx *TxnCtx) dropInserts() {
+	if tx.committed && len(tx.inserts) > 0 {
+		panic("core: a transaction failed after its commit point published its inserts")
+	}
+	for i := len(tx.inserts) - 1; i >= 0; i-- {
+		rec := &tx.inserts[i]
+		t := rec.ent[0].idx.Table()
+		row := t.Row(rec.slot)
+		clear(row)
+		tx.P.MemWrite(stats.Abort, t.MemKey(rec.slot), uint64(len(row)))
+		tx.P.Tick(stats.Abort, costs.CopyCost(uint64(len(row))))
+		t.FreeSlot(tx.P.ID(), rec.slot)
+	}
+	tx.inserts = tx.inserts[:0]
 }

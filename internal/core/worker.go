@@ -65,8 +65,8 @@ func (w *Worker) BindWorkload(wl Workload) {
 	}
 }
 
-// ExecOnce runs a single attempt of txn — Begin, body, Commit (applying
-// staged inserts) — and returns ErrAbort without retrying, rolling the
+// ExecOnce runs a single attempt of txn — Begin, body, Commit (publishing
+// its inserts) — and returns ErrAbort without retrying, rolling the
 // transaction back first. It gives tests and external drivers per-attempt
 // control that the engine's retry loop hides. Outcomes are recorded into
 // the worker's Count, latency histogram and per-type counters (no
@@ -77,7 +77,7 @@ func (w *Worker) ExecOnce(txn Txn) error {
 	w.Ctx.Txn = txn
 	err := w.attempt(txn)
 	if err != nil {
-		w.Scheme.Abort(&w.Ctx)
+		w.rollback()
 	}
 	if err == nil || err == ErrUserAbort {
 		// A program-logic rollback is completed work, as in the engine's loop.
@@ -90,8 +90,10 @@ func (w *Worker) ExecOnce(txn Txn) error {
 
 // attempt is the one attempt body ExecOnce and the retry loop share:
 // Begin, the transaction's logic, Commit and, once that succeeded, the
-// commit record, insert publication, durability wait and capture record.
-// The caller has reset the context; on error it rolls back.
+// durability wait and capture record. Commit has run LogCommit (commit
+// record, insert publication) at the scheme's commit point; the call here
+// is the no-op fallback for schemes without that hook. The caller has
+// reset the context; on error it rolls back.
 func (w *Worker) attempt(txn Txn) error {
 	w.Scheme.Begin(&w.Ctx)
 	err := txn.Run(&w.Ctx)
@@ -100,11 +102,17 @@ func (w *Worker) attempt(txn Txn) error {
 	}
 	if err == nil {
 		w.Ctx.LogCommit()
-		w.Ctx.applyInserts()
 		w.finishDurable()
 		w.Ctx.captureFinish()
 	}
 	return err
+}
+
+// rollback undoes a failed attempt: the scheme's Abort, then the rows the
+// attempt reserved for its inserts.
+func (w *Worker) rollback() {
+	w.Scheme.Abort(&w.Ctx)
+	w.Ctx.dropInserts()
 }
 
 // observeCommit counts a completed transaction (commit or program-logic
@@ -328,7 +336,7 @@ func (w *Worker) runTxn(wk *work, cfg *Config, warmEnd, end uint64) error {
 		now = p.Now()
 		inWindow := now >= warmEnd && now < end
 		if err != nil {
-			w.Scheme.Abort(&w.Ctx)
+			w.rollback()
 			p.Tick(stats.Abort, costs.AbortFixed)
 		}
 		switch err {

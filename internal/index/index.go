@@ -190,8 +190,8 @@ func (h *Hash) Lookup(p rt.Proc, key uint64) (int, bool) {
 // Insert adds a key→slot mapping. Duplicate keys (on distinct slots) are
 // allowed at this layer, and which of them a probe finds is unspecified:
 // chain order is not part of the contract. The workloads use unique keys;
-// the engine's deferred-insert protocol guarantees a slot becomes visible
-// exactly once.
+// the engine publishes an inserted slot once, at its transaction's commit
+// point.
 func (h *Hash) Insert(p rt.Proc, key uint64, slot int) {
 	i := h.bucket(key)
 	b := h.heads.At(i)

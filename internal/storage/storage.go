@@ -189,6 +189,18 @@ func (t *Table) AllocSlot(w int) int {
 	return s
 }
 
+// FreeSlot hands slot s back to worker w's insert segment. Only the
+// segment's last allocated slot can go back, so a worker that frees the
+// slots of a failed attempt newest first leaves its cursor where the
+// attempt found it. The caller clears the row first: a slot at or past the
+// cursor is all zero.
+func (t *Table) FreeSlot(w, s int) {
+	if s != t.segBase[w]-1 || s < t.segStart[w] {
+		panic(fmt.Sprintf("storage: table %s frees slot %d, but worker %d's last allocated slot is %d", t.Schema.Name, s, w, t.segBase[w]-1))
+	}
+	t.segBase[w] = s
+}
+
 // NumSegs returns the number of per-worker insert segments.
 func (t *Table) NumSegs() int { return len(t.segBase) }
 

@@ -136,6 +136,33 @@ func TestAllocSlotWorkersAreIndependent(t *testing.T) {
 	}
 }
 
+// TestFreeSlotReturnsOnlyTheLast: FreeSlot rewinds the cursor by one slot,
+// which must be the segment's last allocated one, and the next AllocSlot
+// hands that slot out again.
+func TestFreeSlotReturnsOnlyTheLast(t *testing.T) {
+	tab := NewTable(0, testSchema(), 40, 0, 4)
+	a, b := tab.AllocSlot(1), tab.AllocSlot(1)
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	mustPanic("freeing a slot below the last", func() { tab.FreeSlot(1, a) })
+	tab.FreeSlot(1, b)
+	tab.FreeSlot(1, a)
+	if start, next := tab.SegRange(1); next != start {
+		t.Fatalf("after freeing both slots the segment holds [%d, %d)", start, next)
+	}
+	mustPanic("freeing below the segment start", func() { tab.FreeSlot(1, a-1) })
+	if s := tab.AllocSlot(1); s != a {
+		t.Fatalf("AllocSlot after FreeSlot = %d, want %d", s, a)
+	}
+}
+
 func TestNewTablePanicsWhenLoadedExceedsCapacity(t *testing.T) {
 	defer func() {
 		if recover() == nil {

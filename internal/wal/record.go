@@ -19,7 +19,7 @@ import (
 // Record types. The type byte is part of the CRC-protected body.
 const (
 	// TypeCommit is one committed transaction's after-images: its
-	// in-place/buffered updates and its deferred inserts.
+	// in-place/buffered updates and its inserted rows.
 	TypeCommit byte = 1
 
 	// TypeEpoch marks the start of a measurement run. Version floors
@@ -87,10 +87,10 @@ type InsertEntry struct {
 	Key   uint64
 }
 
-// Insert is one deferred insert: replay allocates the slot from the
-// recorded worker's insert segment (reproducing the live allocation
-// order) unless the first entry's key is already present, in which case
-// the existing slot is overwritten — which makes replay idempotent.
+// Insert is one inserted row: replay allocates the slot from the recorded
+// worker's insert segment (reproducing the live allocation order) unless
+// the first entry's key is already present, in which case the existing
+// slot is overwritten — which makes replay idempotent.
 type Insert struct {
 	Table int    // storage table ordinal
 	Image []byte // full row image

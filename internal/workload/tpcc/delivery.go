@@ -16,12 +16,13 @@ import (
 // index delete path, so DISTRICT carries a delivery cursor (DDelivOID)
 // instead: orders at most the cursor are delivered. Committed order ids
 // are gap-free per district (D_NEXT_O_ID only advances on commit), so the
-// next undelivered order is exactly cursor+1 — but its NEW_ORDER index
-// entry may not be published yet, because the deferred-insert protocol
-// publishes a committed transaction's index entries after its locks
-// release. The cursor therefore advances only when the range scan finds
-// entry cursor+1 itself (the contiguous-advance rule); a district whose
-// next order is committed but unpublished is simply skipped this time.
+// next undelivered order is exactly cursor+1. A NewOrder publishes its
+// index entries at its scheme's commit point, before its D_NEXT_O_ID is
+// visible, so that order's NEW_ORDER entry is in the index. The cursor
+// still advances only when the range scan finds entry cursor+1 itself
+// (the contiguous-advance rule); a district whose next order has no entry
+// is skipped this time. The rule goes when Delivery deletes the NEW_ORDER
+// row instead.
 type deliveryTxn struct {
 	wl *Workload
 
@@ -64,8 +65,8 @@ func (t *deliveryTxn) Run(tx *core.TxnCtx) error {
 		found := tx.RangeScanLimit(w.ordNewOrder,
 			orderKey(t.wid, did, oid), orderKey(t.wid, did, next-1), 1)
 		if len(found) == 0 || found[0].Key != orderKey(t.wid, did, oid) {
-			// Order oid is committed but its index entry is not yet
-			// published; leave the cursor so it is delivered next time.
+			// Order oid has no NEW_ORDER entry; leave the cursor so it
+			// is delivered next time.
 			continue
 		}
 		dsc.PutU64(drow, DDelivOID, oid)
@@ -73,7 +74,7 @@ func (t *deliveryTxn) Run(tx *core.TxnCtx) error {
 		oslot, ok := tx.Lookup(w.idxOrders, orderKey(t.wid, did, oid))
 		if !ok {
 			// Published NEW_ORDER entry implies the ORDERS entry is
-			// published too (stage order); see neworder.go.
+			// published too (insert order); see neworder.go.
 			panic("tpcc: delivered order missing from ORDERS")
 		}
 		orow, err := tx.UpdateRow(w.orders, oslot)

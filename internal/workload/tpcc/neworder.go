@@ -221,10 +221,10 @@ func (t *newOrderTxn) Run(tx *core.TxnCtx) error {
 	osc.PutU64(orow, OOLCnt, nItems)
 	osc.PutU64(orow, OAllLocal, allLocal)
 	nosc := w.neworder.Schema
-	// NEW_ORDER is staged last: its ordered entry is the one Delivery
-	// probes for, and the deferred-insert protocol publishes entries in
-	// stage order — so when a scan finds an order's NEW_ORDER entry, the
-	// order's ORDERS and ORDER_LINE entries are already published.
+	// NEW_ORDER is inserted last: its ordered entry is the one Delivery
+	// probes for, and the commit point publishes entries in insert order
+	// — so when a scan finds an order's NEW_ORDER entry, the order's
+	// ORDERS and ORDER_LINE entries are already published.
 	norow := tx.InsertRow(w.idxNewOrder, oKey)
 	nosc.PutU64(norow, NOOID, oid)
 	nosc.PutU64(norow, NODID, t.did)

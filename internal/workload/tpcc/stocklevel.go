@@ -48,9 +48,9 @@ func (t *stockLevelTxn) Run(tx *core.TxnCtx) error {
 	if next <= 1 {
 		return nil // no orders in this district yet
 	}
-	lo := uint64(1)
-	if next > 21 {
-		lo = next - 21
+	lo := uint64(1) // spec §2.8.2.2: D_NEXT_O_ID-20 <= OL_O_ID < D_NEXT_O_ID
+	if next > 20 {
+		lo = next - 20
 	}
 
 	// All lines of the last 20 orders in one scan (order line numbers

@@ -12,30 +12,26 @@ import (
 	"abyss1000/internal/workload/tpcc"
 )
 
-// indexByType wraps a workload and bills each transaction the INDEX cycles
-// its worker's breakdown gained from the transaction's Next call to the
-// following one: the whole transaction, retries, commit and insert
-// publication included. A CC-aborted attempt's INDEX cycles move to ABORT,
-// so what stays is the work of attempts that completed. The limit'th Next
-// call interrupts the run.
-type indexByType struct {
+// cyclesByType wraps a workload and bills each transaction the cycles its
+// worker's breakdown gained, per component, from the transaction's Next
+// call to the following one: the whole transaction, retries, commit and
+// insert publication included. A CC-aborted attempt's USEFUL, INDEX and
+// MANAGER cycles move to ABORT, so what stays there is the work of
+// attempts that completed. The limit'th Next call interrupts the run.
+type cyclesByType struct {
 	inner abyss.Workload
 	typer abyss.TxnTyper
 
 	limit, n  int
 	interrupt func()
 
-	last   uint64 // INDEX cycles at the latest Next call
-	typ    int    // type of the transaction that call returned
-	cycles []uint64
+	last   [stats.NumComponents]uint64 // the breakdown at the latest Next call
+	typ    int                         // type of the transaction that call returned
+	cycles [][stats.NumComponents]uint64
 }
 
-func (o *indexByType) Next(p abyss.Proc) abyss.Txn {
-	idx := p.Stats().Get(stats.Index)
-	if o.n > 0 {
-		o.cycles[o.typ] += idx - o.last
-	}
-	o.last = idx
+func (o *cyclesByType) Next(p abyss.Proc) abyss.Txn {
+	o.bill(p.Stats())
 	o.n++
 	if o.n == o.limit {
 		o.interrupt()
@@ -45,12 +41,60 @@ func (o *indexByType) Next(p abyss.Proc) abyss.Txn {
 	return t
 }
 
-func (o *indexByType) TxnTypes() []string        { return o.typer.TxnTypes() }
-func (o *indexByType) TxnTypeOf(t abyss.Txn) int { return o.typer.TxnTypeOf(t) }
+// bill adds what b gained since the latest Next call to the current type.
+func (o *cyclesByType) bill(b *stats.Breakdown) {
+	for c := range o.last {
+		now := b.Get(stats.Component(c))
+		if o.n > 0 {
+			o.cycles[o.typ][c] += now - o.last[c]
+		}
+		o.last[c] = now
+	}
+}
 
-// close bills the run's last transaction, which no Next call follows.
-func (o *indexByType) close(res *abyss.Result) {
-	o.cycles[o.typ] += res.Breakdown.Get(stats.Index) - o.last
+func (o *cyclesByType) TxnTypes() []string        { return o.typer.TxnTypes() }
+func (o *cyclesByType) TxnTypeOf(t abyss.Txn) int { return o.typer.TxnTypeOf(t) }
+
+// fullMixCycles runs txns transactions of the full TPC-C mix on one native
+// worker under NO_WAIT at seed 42, as the native-tpcc benchmark runs it,
+// and returns each type's name, cycles per component and completed count.
+// One worker draws the same transactions every time and nothing conflicts,
+// so the numbers are exact.
+func fullMixCycles(t *testing.T, txns int) ([]string, [][stats.NumComponents]uint64, []uint64) {
+	t.Helper()
+	db, err := abyss.Open(abyss.Options{Runtime: abyss.RuntimeNative, Cores: 1, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := abyss.DefaultWorkloadParams("tpcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Mix, p.Warehouses, p.InsertsPerWorker = "full", 1, txns*55/100+64
+	wl, err := db.BuildWorkload("tpcc", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme, err := abyss.NewScheme("NO_WAIT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	typer := wl.(abyss.TxnTyper)
+	obs := &cyclesByType{inner: wl, typer: typer, limit: txns, interrupt: db.Interrupt,
+		cycles: make([][stats.NumComponents]uint64, len(typer.TxnTypes()))}
+	res, err := db.Run(scheme, obs, abyss.RunConfig{MeasureCycles: uint64(time.Hour), AbortBackoff: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !db.Interrupted() {
+		t.Fatalf("the run ended before %d transactions", txns)
+	}
+	obs.bill(&res.Breakdown) // the run's last transaction, which no Next call follows
+	commits := make([]uint64, len(res.PerTxn))
+	for i := range res.PerTxn {
+		commits[i] = res.PerTxn[i].Commits
+	}
+	return typer.TxnTypes(), obs.cycles, commits
 }
 
 // TestFullMixIndexCycles pins the INDEX cycles the cost model bills per
@@ -88,41 +132,53 @@ func TestFullMixIndexCycles(t *testing.T) {
 		}
 	}
 
-	db, err := abyss.Open(abyss.Options{Runtime: abyss.RuntimeNative, Cores: 1, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := abyss.DefaultWorkloadParams("tpcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Mix, p.Warehouses, p.InsertsPerWorker = "full", 1, txns*55/100+64
-	wl, err := db.BuildWorkload("tpcc", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheme, err := abyss.NewScheme("NO_WAIT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	typer := wl.(abyss.TxnTyper)
-	obs := &indexByType{inner: wl, typer: typer, limit: txns, interrupt: db.Interrupt,
-		cycles: make([]uint64, len(typer.TxnTypes()))}
-	res, err := db.Run(scheme, obs, abyss.RunConfig{MeasureCycles: uint64(time.Hour), AbortBackoff: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.Interrupted() {
-		t.Fatalf("the run ended before %d transactions", txns)
-	}
-	obs.close(&res)
-
-	for i, name := range typer.TxnTypes() {
-		got := [2]uint64{obs.cycles[i], res.PerTxn[i].Commits}
+	names, cycles, commits := fullMixCycles(t, txns)
+	for i, name := range names {
+		got := [2]uint64{cycles[i][stats.Index], commits[i]}
 		t.Logf("%-11s %6d completed  %9d INDEX cycles, %7.1f each", name, got[1], got[0], float64(got[0])/float64(got[1]))
 		if w, ok := want[name]; ok && got != w {
 			t.Errorf("%s: %d INDEX cycles over %d completed (%.1f each), want %d over %d (%.1f each)",
 				name, got[0], got[1], float64(got[0])/float64(got[1]), w[0], w[1], float64(w[0])/float64(w[1]))
+		}
+	}
+}
+
+// TestFullMixUsefulCycles pins what the cost model bills the full mix's
+// inserts and StockLevel, in the run TestFullMixIndexCycles makes: the
+// USEFUL cycles per completed NewOrder (7 to 17 rows inserted) and per
+// completed Payment (one HISTORY row), and StockLevel's cycles in each of
+// the four components a conflict-free run bills. A row inserted is built
+// in place in its table slot, billed one row write; StockLevel reads the
+// lines of the district's last 20 orders.
+func TestFullMixUsefulCycles(t *testing.T) {
+	const txns = 20_000
+	// USEFUL cycles billed to each type's completed transactions, and how
+	// many completed.
+	want := map[string][2]uint64{
+		"NewOrder": {25_028_334, 8_948},
+		"Payment":  {3_722_112, 8_616},
+	}
+	// StockLevel's USEFUL, ABORT, INDEX and MANAGER cycles.
+	wantStockLevel := [4]uint64{22_117_481, 0, 6_131_515, 11_928_100}
+
+	names, cycles, commits := fullMixCycles(t, txns)
+	for i, name := range names {
+		c := &cycles[i]
+		four := [4]uint64{c[stats.Useful], c[stats.Abort], c[stats.Index], c[stats.Manager]}
+		total := four[0] + four[1] + four[2] + four[3]
+		t.Logf("%-11s %6d completed  USEFUL %9d (%7.1f each)  USEFUL+ABORT+INDEX+MANAGER %v = %9d (%8.1f each)",
+			name, commits[i], four[0], float64(four[0])/float64(commits[i]), four, total, float64(total)/float64(commits[i]))
+		if w, ok := want[name]; ok && (four[0] != w[0] || commits[i] != w[1]) {
+			t.Errorf("%s: %d USEFUL cycles over %d completed (%.1f each), want %d over %d (%.1f each)",
+				name, four[0], commits[i], float64(four[0])/float64(commits[i]), w[0], w[1], float64(w[0])/float64(w[1]))
+		}
+		if name == "StockLevel" && four != wantStockLevel {
+			t.Errorf("StockLevel: USEFUL, ABORT, INDEX and MANAGER cycles %v, want %v", four, wantStockLevel)
+		}
+		for _, comp := range []stats.Component{stats.TsAlloc, stats.Wait} {
+			if c[comp] != 0 {
+				t.Errorf("%s: %d %s cycles in a conflict-free run without timestamps", name, c[comp], comp)
+			}
 		}
 	}
 }

@@ -19,8 +19,8 @@
 //   - DeleteCallForwarding tombstones the row (ACTIVE = 0) instead of
 //     deleting it — the engine has no index delete path — and
 //     InsertCallForwarding reactivates a tombstone when one exists,
-//     staging a genuinely new row (deferred-insert protocol) only for a
-//     never-seen (subscriber, facility, start) combination.
+//     inserting a genuinely new row only for a never-seen (subscriber,
+//     facility, start) combination.
 //   - Each insert/delete first declares a write on the owning
 //     SPECIAL_FACILITY row. That write is the existence guard: two
 //     concurrent inserts of the same combination conflict on the parent
@@ -62,10 +62,10 @@ const (
 	// CALL_FORWARDING row for (subscriber, facility, start) is
 	// materialized (active or tombstoned). InsertCallForwarding reads
 	// and updates it under its write on this row, so the
-	// exists-or-stage decision commits atomically with the staged row —
-	// the index lookup alone cannot decide, because the deferred-insert
-	// protocol publishes a committed row's index entries only after its
-	// locks release.
+	// exists-or-insert decision commits atomically with the inserted row.
+	// It dates from when a committed row's index entries were published
+	// after its locks released, so a lookup alone could not decide; it
+	// goes with the tombstones, when the engine can delete.
 	colSFCFMask = 4
 )
 

@@ -231,12 +231,9 @@ func (t *insertCallForwardingTxn) Run(tx *abyss.TxnCtx) error {
 	sf := fe.Key & 0xff
 
 	// Existence guard: the facility row's CF mask decides exists vs
-	// stage, read and updated under this transaction's write on the
+	// insert, read and updated under this transaction's write on the
 	// row, so two concurrent inserts of the same combination conflict
-	// here and the mask bit commits atomically with the staged row. The
-	// index lookup alone cannot make the decision — a committed row's
-	// index entries publish only after its locks release, so a lookup
-	// can still miss a row the mask already records.
+	// here and the mask bit commits atomically with the inserted row.
 	sfRow, err := tx.UpdateRow(w.specialFacility, int(fe.Slot))
 	if err != nil {
 		return err
