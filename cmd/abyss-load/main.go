@@ -1,9 +1,10 @@
 // Command abyss-load is the remote load generator: it drives an
-// abyss-serve front door over the wire with open-loop Poisson or MMPP
-// arrivals across N connections, and reports offered-vs-goodput plus
-// wire-latency percentiles. Open loop means arrivals do not wait for
-// replies, so the server can be pushed past its knee: past saturation the
-// report shows goodput flattening while shed_server grows.
+// abyss-serve front door over the binary protocol (its -tcp address) with
+// open-loop Poisson or MMPP arrivals across N connections, and reports
+// offered-vs-goodput plus wire-latency percentiles. Open loop means
+// arrivals do not wait for replies, so the server can be pushed past its
+// knee: past saturation the report shows goodput flattening while
+// shed_server grows.
 //
 // The summary line's key=value fields are stable API for scripts:
 //
@@ -14,7 +15,7 @@
 // Examples:
 //
 //	abyss-load -addr 127.0.0.1:9090 -arrivals poisson:20000 -duration 5s
-//	abyss-load -addr 127.0.0.1:8080 -proto http -conns 4 -arrivals poisson:2000
+//	abyss-load -addr 127.0.0.1:9090 -conns 4 -arrivals poisson:2000
 //	abyss-load -addr 127.0.0.1:9090 -arrivals mmpp:5000:50000:200ms:50ms -deadline 10ms
 package main
 
@@ -31,8 +32,7 @@ import (
 
 func main() {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:9090", "server address")
-		proto      = flag.String("proto", "binary", "transport: binary|http")
+		addr       = flag.String("addr", "127.0.0.1:9090", "server binary-protocol address (abyss-serve -tcp)")
 		conns      = flag.Int("conns", 8, "connection count (arrival rate splits evenly)")
 		window     = flag.Int("window", 0, "per-connection client window; arrivals past it are shed_client (0 = default)")
 		arrivals   = flag.String("arrivals", "poisson:10000", "offered load: poisson:RATE or mmpp:CALMRATE:BURSTRATE[:CALMDWELL:BURSTDWELL], dwells as durations like 200ms or in nanoseconds")
@@ -62,7 +62,6 @@ func main() {
 
 	rep, err := client.Run(client.LoadConfig{
 		Addr:       *addr,
-		Proto:      *proto,
 		Conns:      *conns,
 		Window:     *window,
 		Arrival:    spec,

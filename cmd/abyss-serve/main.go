@@ -1,7 +1,8 @@
 // Command abyss-serve is the networked front door: it opens the engine on
 // the native runtime, starts a serving session, and exposes stored-
-// procedure invocation over HTTP/1.1 JSON and the compact binary TCP
-// protocol. Backpressure is the engine's admission machinery — bounded
+// procedure invocation over the compact binary TCP protocol (-tcp), with
+// operations endpoints GET /stats and GET /healthz on HTTP (-http).
+// Backpressure is the engine's admission machinery — bounded
 // per-worker queues and request deadlines — with TCP flow control on
 // each connection past a fixed number of unanswered requests.
 //
@@ -34,7 +35,7 @@ import (
 
 func main() {
 	var (
-		httpAddr   = flag.String("http", "127.0.0.1:8080", "HTTP listen address (empty disables)")
+		httpAddr   = flag.String("http", "127.0.0.1:8080", "ops endpoints: /stats, /healthz (HTTP listen address; empty disables)")
 		tcpAddr    = flag.String("tcp", "127.0.0.1:9090", "binary-protocol listen address (empty disables)")
 		schemeName = flag.String("scheme", "NO_WAIT", "concurrency-control scheme")
 		workload   = flag.String("workload", "ycsb", "workload backing anonymous draws and named procedures")

@@ -68,7 +68,6 @@ func main() {
 	for _, rate := range []float64{2_000, 500_000} {
 		rep, err := client.Run(client.LoadConfig{
 			Addr:     srv.TCPAddr(),
-			Proto:    "binary",
 			Conns:    4,
 			Arrival:  abyss.Arrivals{Process: abyss.ArrivalPoisson, RateTPS: rate, Seed: 7},
 			Duration: time.Second,

@@ -20,11 +20,29 @@ import (
 // internals the public API deliberately does not expose, such as
 // ablation allocators. cmd/internal is the commands' own shared helper
 // space, not the engine's internal tree, so it stays under the rule.)
+//
+// One narrower rule rides the same walk: serve/client speaks only the
+// binary protocol, so it imports neither net/http nor encoding/json.
 func TestPublicSurfaceImportPurity(t *testing.T) {
-	clientDirs := []string{"cmd", "examples", "workloads", "serve", "query"}
+	internal := func(p string) bool {
+		return strings.HasPrefix(p, "abyss1000/internal/") || p == "abyss1000/internal"
+	}
+	rules := []struct {
+		dir    string
+		banned func(imp string) bool
+		why    string
+	}{
+		{"cmd", internal, "must use only the public abyss API"},
+		{"examples", internal, "must use only the public abyss API"},
+		{"workloads", internal, "must use only the public abyss API"},
+		{"serve", internal, "must use only the public abyss API"},
+		{"query", internal, "must use only the public abyss API"},
+		{"serve/client", func(p string) bool { return p == "net/http" || p == "encoding/json" },
+			"is a binary-protocol client only"},
+	}
 	fset := token.NewFileSet()
-	for _, dir := range clientDirs {
-		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+	for _, rule := range rules {
+		err := filepath.WalkDir(rule.dir, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
 			}
@@ -40,14 +58,14 @@ func TestPublicSurfaceImportPurity(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if strings.HasPrefix(p, "abyss1000/internal/") || p == "abyss1000/internal" {
-					t.Errorf("%s imports %s: cmd/, examples/, workloads/ and query/ must use only the public abyss API", path, p)
+				if rule.banned(p) {
+					t.Errorf("%s imports %s: %s %s", path, p, rule.dir, rule.why)
 				}
 			}
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("walking %s: %v", dir, err)
+			t.Fatalf("walking %s: %v", rule.dir, err)
 		}
 	}
 }

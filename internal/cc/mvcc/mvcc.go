@@ -399,7 +399,7 @@ func (s *MVCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error)
 		i := e.visible(tx.TS)
 		if i == -2 {
 			tl.latches.Release(tx.P, stats.Manager, slot)
-			return nil, core.ErrAbort
+			return nil, tx.AbortWith(core.CauseMVCCVersionGone)
 		}
 		v := &e.floor
 		if i >= 0 {
@@ -447,7 +447,7 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 		i := e.visible(tx.TS)
 		if i == -2 {
 			tl.latches.Release(tx.P, stats.Manager, slot)
-			return nil, core.ErrAbort
+			return nil, tx.AbortWith(core.CauseMVCCVersionGone)
 		}
 
 		prev := &e.floor // the preceding version
@@ -474,7 +474,7 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 		// the preceding version — writing at ts would invalidate it.
 		if prev.rts > tx.TS {
 			tl.latches.Release(tx.P, stats.Manager, slot)
-			return nil, core.ErrAbort
+			return nil, tx.AbortWith(core.CauseMVCCWriteTooLate)
 		}
 
 		// This update is a read-modify-write: it *reads* the

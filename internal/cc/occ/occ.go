@@ -251,7 +251,7 @@ func (s *OCC) Commit(tx *core.TxnCtx) error {
 			m.words.Store(tx.P, stats.Abort, w.slot, word&^1)
 			m.latches.Release(tx.P, stats.Abort, w.slot)
 		}
-		return core.ErrAbort
+		return tx.AbortWith(core.CauseOCCValidation)
 	}
 
 	// Commit point: validation succeeded and the write set is still

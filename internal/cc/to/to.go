@@ -156,7 +156,7 @@ func (s *TO) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
 		if tx.TS < e.wts {
 			tl.latches.Release(tx.P, stats.Manager, slot)
-			return nil, core.ErrAbort
+			return nil, tx.AbortWith(core.CauseTOReadTooLate)
 		}
 		if blockedBy(e, tx.TS) {
 			tl.awaitPend(tx, slot)
@@ -198,7 +198,7 @@ func (s *TO) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, erro
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
 		if tx.TS < e.wts || tx.TS < e.rts {
 			tl.latches.Release(tx.P, stats.Manager, slot)
-			return nil, core.ErrAbort
+			return nil, tx.AbortWith(core.CauseTOWriteTooLate)
 		}
 		if blockedBy(e, tx.TS) {
 			// Our RMW must observe the earlier pending write.

@@ -453,7 +453,7 @@ func (s *TwoPL) conflict(tx *core.TxnCtx, st *txnState, table, slot int, want lo
 	switch variant {
 	case NoWait:
 		tl.latches.Release(tx.P, stats.Manager, slot)
-		return core.ErrAbort
+		return tx.AbortWith(core.CauseNoWait)
 
 	case WaitDie:
 		// A lock upgrade with co-holders dies immediately: letting it
@@ -461,7 +461,7 @@ func (s *TwoPL) conflict(tx *core.TxnCtx, st *txnState, table, slot int, want lo
 		// makes WAIT_DIE deadlock-free.
 		if upgrade {
 			tl.latches.Release(tx.P, stats.Manager, slot)
-			return core.ErrAbort
+			return tx.AbortWith(core.CauseWaitDie)
 		}
 		// Wait only if strictly older (smaller timestamp) than every
 		// conflicting holder; otherwise die. Holder timestamps are
@@ -470,7 +470,7 @@ func (s *TwoPL) conflict(tx *core.TxnCtx, st *txnState, table, slot int, want lo
 		for _, h := range tl.entries.At(slot).holders() {
 			if tx.TS >= h.ts {
 				tl.latches.Release(tx.P, stats.Manager, slot)
-				return core.ErrAbort
+				return tx.AbortWith(core.CauseWaitDie)
 			}
 		}
 		return s.wait(tx, st, table, slot, want, upgrade, NoTimeout)
@@ -478,7 +478,7 @@ func (s *TwoPL) conflict(tx *core.TxnCtx, st *txnState, table, slot int, want lo
 	default: // DLDetect
 		if s.opts.Timeout == 0 {
 			tl.latches.Release(tx.P, stats.Manager, slot)
-			return core.ErrAbort
+			return tx.AbortWith(core.CauseLockTimeout)
 		}
 		return s.wait(tx, st, table, slot, want, upgrade, s.opts.Timeout)
 	}
@@ -545,7 +545,7 @@ func (s *TwoPL) wait(tx *core.TxnCtx, st *txnState, table, slot int, want lockMo
 	if s.graph != nil {
 		s.graph.SetEdges(p, st.edgeBuf)
 		if s.deadlockVictim(tx) {
-			return s.cancelWait(tx, st, table, slot)
+			return s.cancelWait(tx, st, table, slot, core.CauseDeadlock)
 		}
 	}
 
@@ -558,7 +558,7 @@ func (s *TwoPL) wait(tx *core.TxnCtx, st *txnState, table, slot int, want lockMo
 		if deadline != NoTimeout {
 			now := p.Now()
 			if now >= deadline {
-				return s.cancelWait(tx, st, table, slot)
+				return s.cancelWait(tx, st, table, slot, core.CauseLockTimeout)
 			}
 			if r := deadline - now; r < interval {
 				interval = r
@@ -580,7 +580,7 @@ func (s *TwoPL) wait(tx *core.TxnCtx, st *txnState, table, slot int, want lockMo
 		// waiting (the paper: a deadlock missed by one pass "is
 		// guaranteed to be found on subsequent passes").
 		if s.graph != nil && s.deadlockVictim(tx) {
-			return s.cancelWait(tx, st, table, slot)
+			return s.cancelWait(tx, st, table, slot, core.CauseDeadlock)
 		}
 	}
 }
@@ -604,10 +604,10 @@ func (s *TwoPL) deadlockVictim(tx *core.TxnCtx) bool {
 	return victim == tx.P.ID()
 }
 
-// cancelWait removes st from the tuple's wait queue and aborts. If the
-// grant raced ahead of the cancellation, the lock is accepted and released
-// by the abort path.
-func (s *TwoPL) cancelWait(tx *core.TxnCtx, st *txnState, table, slot int) error {
+// cancelWait removes st from the tuple's wait queue and aborts for cause,
+// a deadlock or a timeout. If the grant raced ahead of the cancellation,
+// the lock is accepted and released by the abort path.
+func (s *TwoPL) cancelWait(tx *core.TxnCtx, st *txnState, table, slot int, cause core.AbortCause) error {
 	p := tx.P
 	tl := &s.meta[table]
 	e := tl.entries.At(slot)
@@ -636,7 +636,7 @@ func (s *TwoPL) cancelWait(tx *core.TxnCtx, st *txnState, table, slot int) error
 			st.hold(table, slot, e.mode)
 		}
 	}
-	return core.ErrAbort
+	return tx.AbortWith(cause)
 }
 
 // grantLocked grants as many queued requests as compatibility allows.

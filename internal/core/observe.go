@@ -38,19 +38,22 @@ type TxnTyper interface {
 // TxnStats is one transaction type's sub-result: outcome counts and the
 // commit-latency histogram, measured over the same window as the
 // aggregate Result. Commits includes program-logic rollbacks (completed
-// work, per TPC-C); Aborts counts concurrency-control aborts. Latency is
-// first-attempt-start to commit, so it includes restart and backoff time.
+// work, per TPC-C); Aborts counts concurrency-control aborts, and
+// AbortCauses breaks them down by cause. Latency is first-attempt-start
+// to commit, so it includes restart and backoff time.
 type TxnStats struct {
-	Name    string          `json:"name"`
-	Commits uint64          `json:"commits"`
-	Aborts  uint64          `json:"aborts"`
-	Latency stats.Histogram `json:"latency"`
+	Name        string          `json:"name"`
+	Commits     uint64          `json:"commits"`
+	Aborts      uint64          `json:"aborts"`
+	AbortCauses AbortCauses     `json:"abort_causes"`
+	Latency     stats.Histogram `json:"latency"`
 }
 
 // merge adds other's counts into s (names are carried by position).
 func (s *TxnStats) merge(other *TxnStats) {
 	s.Commits += other.Commits
 	s.Aborts += other.Aborts
+	s.AbortCauses.merge(&other.AbortCauses)
 	s.Latency.Merge(&other.Latency)
 }
 

@@ -11,9 +11,9 @@ import (
 )
 
 // TestResultJSONRoundTrip pins the stable serialization of Result: every
-// field — including the six-component breakdown, the latency histogram
-// and the per-transaction-type sub-results — survives a marshal/
-// unmarshal cycle unchanged.
+// field — including the six-component breakdown, the abort causes, the
+// latency histogram and the per-transaction-type sub-results — survives a
+// marshal/unmarshal cycle unchanged.
 func TestResultJSONRoundTrip(t *testing.T) {
 	var bd stats.Breakdown
 	for c := stats.Component(0); c < stats.NumComponents; c++ {
@@ -35,6 +35,7 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		Workers:       64,
 		Commits:       123456,
 		Aborts:        789,
+		AbortCauses:   core.AbortCauses{core.CauseDeadlock: 500, core.CauseLockTimeout: 289},
 		Tuples:        1975296,
 		Offered:       130000,
 		Shed:          5000,
@@ -45,8 +46,10 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		Latency:       lat,
 		QueueDepth:    qd,
 		PerTxn: []core.TxnStats{
-			{Name: "Payment", Commits: 61728, Aborts: 400, Latency: payLat},
-			{Name: "NewOrder", Commits: 61728, Aborts: 389},
+			{Name: "Payment", Commits: 61728, Aborts: 400, Latency: payLat,
+				AbortCauses: core.AbortCauses{core.CauseDeadlock: 400}},
+			{Name: "NewOrder", Commits: 61728, Aborts: 389,
+				AbortCauses: core.AbortCauses{core.CauseDeadlock: 100, core.CauseLockTimeout: 289}},
 		},
 	}
 
@@ -87,11 +90,34 @@ func TestResultJSONStableKeys(t *testing.T) {
 		`"measure_cycles"`, `"frequency_hz"`, `"breakdown"`,
 		`"useful"`, `"abort"`, `"ts_alloc"`, `"index"`, `"wait"`, `"manager"`,
 		`"latency"`, `"per_txn"`, `"name"`, `"count"`, `"sum"`, `"max"`, `"buckets"`,
-		`"offered"`, `"shed"`, `"deadlined"`, `"queue_depth"`,
+		`"offered"`, `"shed"`, `"deadlined"`, `"queue_depth"`, `"abort_causes"`,
 	} {
 		if !strings.Contains(string(b), key) {
 			t.Errorf("Result JSON missing key %s: %s", key, b)
 		}
+	}
+
+	// Abort causes are an object keyed by each cause's stable name, in
+	// cause order, with zero counts left out.
+	var all core.AbortCauses
+	for c := range all {
+		all[c] = uint64(c) + 1
+	}
+	b, err = json.Marshal(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"other":1,"no_wait_conflict":2,"wait_die":3,"deadlock":4,"lock_timeout":5,` +
+		`"to_read_too_late":6,"to_write_too_late":7,"mvcc_version_gone":8,"mvcc_write_too_late":9,` +
+		`"occ_validation":10}`
+	if string(b) != want {
+		t.Errorf("AbortCauses JSON = %s, want %s", b, want)
+	}
+	if b, _ := json.Marshal(core.AbortCauses{core.CauseWaitDie: 3}); string(b) != `{"wait_die":3}` {
+		t.Errorf("AbortCauses JSON = %s, want only the nonzero cause", b)
+	}
+	if err := json.Unmarshal([]byte(`{"no_such_cause":1}`), &all); err == nil {
+		t.Error("AbortCauses accepted an unknown cause name")
 	}
 
 	// A result without per-type attribution omits per_txn entirely

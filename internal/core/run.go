@@ -194,15 +194,16 @@ func (c Config) sampleIntervals() uint64 {
 	return (c.MeasureCycles + c.SampleEvery - 1) / c.SampleEvery
 }
 
-// Result aggregates one run. The json tags define the stable
-// machine-readable serialization emitted by `abyss-bench -json`/`-csv`
-// and round-tripped by encoding/json; renaming them is a breaking format
-// change.
+// Result aggregates one run; AbortCauses breaks Aborts down by the scheme
+// rule behind each. The json tags define the stable machine-readable
+// serialization emitted by `abyss-bench -json`/`-csv` and round-tripped
+// by encoding/json; renaming them is a breaking format change.
 type Result struct {
 	Scheme        string          `json:"scheme"`
 	Workers       int             `json:"workers"`
 	Commits       uint64          `json:"commits"`
 	Aborts        uint64          `json:"aborts"`
+	AbortCauses   AbortCauses     `json:"abort_causes"`
 	Tuples        uint64          `json:"tuples"`
 	MeasureCycles uint64          `json:"measure_cycles"`
 	Frequency     float64         `json:"frequency_hz"`
@@ -379,6 +380,7 @@ func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
 	for _, w := range workers {
 		res.Commits += w.Count.Commits
 		res.Aborts += w.Count.Aborts
+		res.AbortCauses.merge(&w.causes)
 		res.Tuples += w.Count.Tuples
 		res.Offered += w.Count.Offered
 		res.Shed += w.Count.Shed

@@ -124,6 +124,9 @@ type TxnCtx struct {
 	inserts []insertRec
 	tuples  uint64
 
+	// cause is why the scheme last aborted this attempt (AbortWith).
+	cause AbortCause
+
 	// walWrites collects write targets while the WAL or history capture
 	// is attached. committed flips at the commit point, when LogCommit has
 	// appended the commit record and published the inserts (schemes call
@@ -147,6 +150,7 @@ type TxnCtx struct {
 func (tx *TxnCtx) reset() {
 	tx.inserts = tx.inserts[:0]
 	tx.tuples = 0
+	tx.cause = CauseOther
 	tx.TS = 0
 	tx.walWrites = tx.walWrites[:0]
 	tx.committed = false
@@ -154,6 +158,13 @@ func (tx *TxnCtx) reset() {
 	tx.capWrites = tx.capWrites[:0]
 	tx.scanBuf = tx.scanBuf[:0]
 	tx.Alloc.Reset()
+}
+
+// AbortWith records why the scheme aborts the attempt and returns
+// ErrAbort, for the scheme to return in turn. It allocates nothing.
+func (tx *TxnCtx) AbortWith(c AbortCause) error {
+	tx.cause = c
+	return ErrAbort
 }
 
 // Lookup probes idx for key. Index time (probe + bucket latch) is billed

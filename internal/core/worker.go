@@ -19,6 +19,9 @@ type Worker struct {
 	Ctx    TxnCtx
 	Count  stats.Counters
 
+	// causes breaks Count.Aborts down by AbortCause.
+	causes AbortCauses
+
 	// Lat is the commit-latency histogram over the measurement window,
 	// from the work's origin to commit: restarts and backoff count, and
 	// for open-loop and served work, whose origin is the arrival time, so
@@ -136,12 +139,16 @@ func (w *Worker) observeCommit(txn Txn, now, start uint64) {
 	}
 }
 
-// observeAbort counts a concurrency-control abort at time now.
+// observeAbort counts a concurrency-control abort at time now, by the
+// cause the scheme recorded.
 func (w *Worker) observeAbort(txn Txn, now uint64) {
+	c := w.Ctx.cause
 	w.Count.Aborts++
+	w.causes[c]++
 	if w.typer != nil {
 		if k := w.typer.TxnTypeOf(txn); k >= 0 && k < len(w.perTxn) {
 			w.perTxn[k].Aborts++
+			w.perTxn[k].AbortCauses[c]++
 		}
 	}
 	if w.smp != nil {
@@ -274,6 +281,7 @@ func (w *Worker) loop(src source, cfg *Config, warmEnd, end uint64) {
 		if !warmed && now >= warmEnd {
 			p.Stats().Reset()
 			w.Count = stats.Counters{}
+			w.causes = AbortCauses{}
 			w.Lat.Reset()
 			w.QDepth.Reset()
 			clear(w.perTxn)

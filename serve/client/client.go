@@ -1,91 +1,31 @@
 // Package client is the Go client for an abyss-serve front door: single
-// connections over either transport (Dial), and an open-loop remote load
-// generator (Run) that offers Poisson/MMPP arrivals over the wire and
-// reports offered-vs-goodput with wire-latency histograms.
+// pipelined binary-protocol connections (DialBinary), and an open-loop
+// remote load generator (Run) that offers Poisson/MMPP arrivals over the
+// wire and reports offered-vs-goodput with wire-latency histograms.
 package client
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"abyss1000/serve"
 )
 
-// Conn is one client connection to a server, over either transport.
-// Invoke blocks until the reply arrives; binary connections multiplex, so
-// many goroutines may Invoke concurrently on one Conn.
+// Conn is one client connection to a server. Invoke blocks until the
+// reply arrives; a connection multiplexes, so many goroutines may Invoke
+// concurrently on one Conn.
 type Conn interface {
 	// Invoke sends one request and waits for its reply. The error is
 	// transport-level only — backpressure outcomes (shed, closed,
 	// rejected) come back in the reply.
 	Invoke(req serve.InvokeRequest) (serve.InvokeReply, error)
 
-	// Close releases the connection; pending binary invocations fail.
+	// Close releases the connection; pending invocations fail.
 	Close() error
-}
-
-// Dial opens one connection: proto is "http" or "binary".
-func Dial(proto, addr string) (Conn, error) {
-	switch proto {
-	case "http":
-		return DialHTTP(addr), nil
-	case "binary":
-		return DialBinary(addr)
-	default:
-		return nil, fmt.Errorf("client: unknown protocol %q (want \"http\" or \"binary\")", proto)
-	}
-}
-
-// httpConn serves invocations over HTTP/1.1 JSON. Each httpConn owns its
-// transport, capped at one TCP connection, so N httpConns model N real
-// connections.
-type httpConn struct {
-	url    string
-	client *http.Client
-}
-
-// DialHTTP prepares an HTTP connection to addr (host:port). The TCP
-// connection itself is established lazily by the first Invoke.
-func DialHTTP(addr string) Conn {
-	t := &http.Transport{
-		MaxConnsPerHost:     1,
-		MaxIdleConnsPerHost: 1,
-		IdleConnTimeout:     90 * time.Second,
-	}
-	return &httpConn{
-		url:    "http://" + addr + "/invoke",
-		client: &http.Client{Transport: t},
-	}
-}
-
-func (c *httpConn) Invoke(req serve.InvokeRequest) (serve.InvokeReply, error) {
-	body, err := serve.EncodeHTTPRequest(req)
-	if err != nil {
-		return serve.InvokeReply{}, err
-	}
-	resp, err := c.client.Post(c.url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return serve.InvokeReply{}, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxFrame))
-	if err != nil {
-		return serve.InvokeReply{}, err
-	}
-	return serve.DecodeHTTPReply(data)
-}
-
-func (c *httpConn) Close() error {
-	c.client.CloseIdleConnections()
-	return nil
 }
 
 // binConn is one pipelined binary connection: requests carry ids, a

@@ -25,10 +25,8 @@ const defaultWindow = 64
 
 // LoadConfig configures one load run.
 type LoadConfig struct {
-	// Addr is the server address (host:port) for Proto ("http" or
-	// "binary").
-	Addr  string
-	Proto string
+	// Addr is the server's binary-protocol address (host:port).
+	Addr string
 
 	// Conns is the connection count; the aggregate arrival rate is
 	// split evenly across them.
@@ -66,9 +64,6 @@ type LoadConfig struct {
 func (c LoadConfig) validate() error {
 	if c.Addr == "" {
 		return fmt.Errorf("client: LoadConfig.Addr is required")
-	}
-	if c.Proto != "http" && c.Proto != "binary" {
-		return fmt.Errorf("client: LoadConfig.Proto must be \"http\" or \"binary\", got %q", c.Proto)
 	}
 	if c.Conns <= 0 {
 		return fmt.Errorf("client: LoadConfig.Conns must be positive, got %d", c.Conns)
@@ -164,7 +159,7 @@ func Run(cfg LoadConfig) (Report, error) {
 
 	conns := make([]Conn, cfg.Conns)
 	for i := range conns {
-		c, err := Dial(cfg.Proto, cfg.Addr)
+		c, err := DialBinary(cfg.Addr)
 		if err != nil {
 			for _, open := range conns[:i] {
 				open.Close()

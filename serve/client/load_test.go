@@ -88,7 +88,6 @@ func TestLoadRunLedger(t *testing.T) {
 	}
 	rep, err := Run(LoadConfig{
 		Addr:     srv.TCPAddr(),
-		Proto:    "binary",
 		Conns:    2,
 		Window:   32,
 		Arrival:  abyss.Arrivals{Process: abyss.ArrivalPoisson, RateTPS: 2000, Seed: 7},
@@ -139,11 +138,11 @@ func TestLoadRunValidation(t *testing.T) {
 	poisson := abyss.Arrivals{Process: abyss.ArrivalPoisson, RateTPS: 1}
 	bad := []LoadConfig{
 		{},
-		{Addr: "x", Proto: "udp", Conns: 1, Duration: time.Second, Arrival: poisson},
-		{Addr: "x", Proto: "http", Conns: 0, Duration: time.Second, Arrival: poisson},
-		{Addr: "x", Proto: "http", Conns: 1, Duration: 0, Arrival: poisson},
-		{Addr: "x", Proto: "http", Conns: 1, Duration: time.Second, Arrival: abyss.Arrivals{Process: abyss.ArrivalPoisson}},
-		{Addr: "x", Proto: "http", Conns: 1, Duration: time.Second}, // closed loop offers nothing
+		{Addr: "x", Conns: 0, Duration: time.Second, Arrival: poisson},
+		{Addr: "x", Conns: 1, Window: -1, Duration: time.Second, Arrival: poisson},
+		{Addr: "x", Conns: 1, Duration: 0, Arrival: poisson},
+		{Addr: "x", Conns: 1, Duration: time.Second}, // closed loop offers nothing
+		{Addr: "x", Conns: 1, Duration: time.Second, Arrival: abyss.Arrivals{Process: abyss.ArrivalPoisson}},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

@@ -7,12 +7,9 @@ package serve_test
 // TestSlowReader, over a pipe.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"runtime"
 	"testing"
 	"time"
@@ -122,8 +119,8 @@ func TestMidFrameDisconnect(t *testing.T) {
 	}
 }
 
-// TestPartitionRule sends partitions -2, -1 and 0 over both transports:
-// -1 is unrouted and 0 routes, both commit; -2 is rejected on each.
+// TestPartitionRule sends partitions -2, -1 and 0: -1 is unrouted and 0
+// routes, both commit; -2 is rejected.
 func TestPartitionRule(t *testing.T) {
 	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16})
 	defer srv.Shutdown()
@@ -150,28 +147,12 @@ func TestPartitionRule(t *testing.T) {
 		}
 		return rep.Outcome
 	}
-	viaHTTP := func(part int) byte {
-		body := fmt.Sprintf(`{"partition":%d}`, part)
-		resp, err := http.Post("http://"+srv.HTTPAddr()+"/invoke", "application/json", bytes.NewReader([]byte(body)))
-		if err != nil {
-			t.Fatalf("POST: %v", err)
-		}
-		defer resp.Body.Close()
-		data, _ := io.ReadAll(resp.Body)
-		rep, err := serve.DecodeHTTPReply(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Outcome
-	}
 	for _, tc := range []struct {
 		part int
 		want byte
 	}{{-2, serve.WireRejected}, {-1, serve.WireCommitted}, {0, serve.WireCommitted}} {
-		for name, send := range map[string]func(int) byte{"binary": viaBinary, "http": viaHTTP} {
-			if got := send(tc.part); got != tc.want {
-				t.Errorf("%s partition %d: %s, want %s", name, tc.part, serve.OutcomeName(got), serve.OutcomeName(tc.want))
-			}
+		if got := viaBinary(tc.part); got != tc.want {
+			t.Errorf("partition %d: %s, want %s", tc.part, serve.OutcomeName(got), serve.OutcomeName(tc.want))
 		}
 	}
 }

@@ -1,21 +1,10 @@
 package serve
 
-// The HTTP/1.1 JSON transport.
+// The HTTP/1.1 operations listener. It invokes nothing: transactions
+// arrive only over the binary protocol (tcp.go).
 //
-//	POST /invoke   — one invocation; JSON body (proc, args, partition,
-//	                 deadline_ns), deadline also accepted as an
-//	                 Abyss-Deadline header (Go duration string, wins
-//	                 over the body). Every response, success or not,
-//	                 carries the JSON reply shape {outcome, elapsed_ns,
-//	                 error?}; backpressure maps to status codes: 429
-//	                 shed, 503 draining, 400 rejected.
-//	GET  /stats    — session-side admission counters and identity.
-//	GET  /healthz  — liveness (200 "ok", 503 once draining).
-//
-// net/http serves one request per HTTP/1.1 connection at a time,
-// pipelined requests included, so a connection never has more than one
-// request in flight; each handler blocks in Session.Invoke. Admission
-// queues and deadlines apply as on the binary transport.
+//	GET /stats    — session-side admission counters and identity.
+//	GET /healthz  — liveness (200 "ok", 503 once draining).
 
 import (
 	"context"
@@ -31,7 +20,6 @@ func (s *Server) startHTTP(addr string) error {
 		return err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /invoke", s.handleInvoke)
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.httpLn = ln
@@ -51,58 +39,6 @@ func (s *Server) stopHTTP() {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	s.httpSrv.Shutdown(ctx)
-}
-
-// writeReply renders the uniform JSON reply with the outcome-derived
-// status code.
-func writeReply(w http.ResponseWriter, rep InvokeReply) {
-	status := http.StatusOK
-	switch rep.Outcome {
-	case WireShed:
-		status = http.StatusTooManyRequests
-	case WireClosed:
-		status = http.StatusServiceUnavailable
-	case WireRejected:
-		status = http.StatusBadRequest
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(httpReply{
-		Outcome:   OutcomeName(rep.Outcome),
-		ElapsedNS: max(int64(rep.Elapsed), 0),
-		Error:     rep.Err,
-	})
-}
-
-func (s *Server) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	var body httpRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxFrame)).Decode(&body); err != nil {
-		writeReply(w, InvokeReply{Outcome: WireRejected, Err: "bad JSON body: " + err.Error()})
-		return
-	}
-	req := InvokeRequest{
-		Proc:      body.Proc,
-		Args:      body.Args,
-		Partition: -1,
-		Deadline:  time.Duration(body.DeadlineNS),
-	}
-	if body.Partition != nil {
-		req.Partition = *body.Partition
-	}
-	if h := r.Header.Get("Abyss-Deadline"); h != "" {
-		d, err := time.ParseDuration(h)
-		if err != nil {
-			writeReply(w, InvokeReply{Outcome: WireRejected, Err: "bad Abyss-Deadline header: " + err.Error()})
-			return
-		}
-		req.Deadline = d
-	}
-	inv, err := invocation(req)
-	if err != nil {
-		writeReply(w, reply(0, err))
-		return
-	}
-	writeReply(w, reply(s.session.Invoke(inv)))
 }
 
 // statsReply is the GET /stats body.

@@ -1,14 +1,9 @@
 package serve
 
-// The wire protocol, shared by the server and the serve/client library.
-//
-// Two transports carry the same request/reply shapes:
-//
-//   - HTTP/1.1 JSON on POST /invoke — ergonomic, curl-able, one request
-//     per round trip.
-//   - A compact length-prefixed binary protocol on a raw TCP listener —
-//     pipelined (many requests in flight per connection, correlated by
-//     id), built for the load generator.
+// The wire protocol, shared by the server and the serve/client library:
+// a compact length-prefixed binary protocol on a raw TCP listener,
+// pipelined (many requests in flight per connection, correlated by id).
+// It is the only way to invoke a transaction over the network.
 //
 // Binary framing, all fields big-endian:
 //
@@ -24,7 +19,6 @@ package serve
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -35,8 +29,7 @@ import (
 // server cannot correlate a reply, so it drops the connection.
 var errShortHeader = errors.New("serve: request payload shorter than the fixed header")
 
-// Wire outcome codes. HTTP carries the same outcomes as strings (see
-// OutcomeName); the binary reply carries the byte.
+// Wire outcome codes: the binary reply's outcome byte.
 const (
 	// WireCommitted: the transaction committed.
 	WireCommitted byte = iota
@@ -60,8 +53,8 @@ const (
 	WireClosed
 )
 
-// OutcomeName returns the stable string form of a wire outcome code —
-// the HTTP reply's "outcome" field.
+// OutcomeName returns the stable string form of a wire outcome code, as
+// logs and reports print it.
 func OutcomeName(b byte) string {
 	switch b {
 	case WireCommitted:
@@ -81,27 +74,6 @@ func OutcomeName(b byte) string {
 	}
 }
 
-// OutcomeCode is the inverse of OutcomeName: it maps an HTTP reply's
-// outcome string back to the wire code.
-func OutcomeCode(name string) (byte, bool) {
-	switch name {
-	case "committed":
-		return WireCommitted, true
-	case "user_abort":
-		return WireUserAbort, true
-	case "deadlined":
-		return WireDeadlined, true
-	case "shed":
-		return WireShed, true
-	case "rejected":
-		return WireRejected, true
-	case "closed":
-		return WireClosed, true
-	default:
-		return 0, false
-	}
-}
-
 // MaxFrame bounds a binary frame's payload; oversized frames poison the
 // connection (the reader cannot resynchronize), so both ends enforce it.
 const MaxFrame = 1 << 16
@@ -109,10 +81,9 @@ const MaxFrame = 1 << 16
 // MaxArgs bounds a request's argument list.
 const MaxArgs = 1024
 
-// InvokeRequest is the transport-independent request: invoke Proc (empty
-// = an anonymous workload draw) with Args, optionally routed to
-// Partition (-1 = unrouted), abandoned after Deadline (zero = server
-// default).
+// InvokeRequest is a decoded request: invoke Proc (empty = an anonymous
+// workload draw) with Args, optionally routed to Partition (-1 =
+// unrouted), abandoned after Deadline (zero = server default).
 type InvokeRequest struct {
 	Proc      string
 	Args      []int64
@@ -120,58 +91,11 @@ type InvokeRequest struct {
 	Deadline  time.Duration
 }
 
-// InvokeReply is the transport-independent reply: the outcome code and
-// the server-side latency from arrival to completion. Err carries the
-// server's explanation for WireRejected.
+// InvokeReply is a decoded reply: the outcome code and the server-side
+// latency from arrival to completion.
 type InvokeReply struct {
 	Outcome byte
 	Elapsed time.Duration
-	Err     string
-}
-
-// httpRequest is the JSON body of POST /invoke. Partition is a pointer
-// so an absent field means "unrouted" rather than partition 0.
-type httpRequest struct {
-	Proc       string  `json:"proc,omitempty"`
-	Args       []int64 `json:"args,omitempty"`
-	Partition  *int    `json:"partition,omitempty"`
-	DeadlineNS int64   `json:"deadline_ns,omitempty"`
-}
-
-// httpReply is the JSON body of every /invoke response, success or not.
-type httpReply struct {
-	Outcome   string `json:"outcome"`
-	ElapsedNS int64  `json:"elapsed_ns"`
-	Error     string `json:"error,omitempty"`
-}
-
-// EncodeHTTPRequest renders the JSON body of POST /invoke. A negative
-// partition is omitted (unrouted).
-func EncodeHTTPRequest(req InvokeRequest) ([]byte, error) {
-	body := httpRequest{
-		Proc:       req.Proc,
-		Args:       req.Args,
-		DeadlineNS: int64(req.Deadline),
-	}
-	if req.Partition >= 0 {
-		p := req.Partition
-		body.Partition = &p
-	}
-	return json.Marshal(body)
-}
-
-// DecodeHTTPReply parses an /invoke response body back into the
-// transport-independent reply.
-func DecodeHTTPReply(data []byte) (InvokeReply, error) {
-	var body httpReply
-	if err := json.Unmarshal(data, &body); err != nil {
-		return InvokeReply{}, fmt.Errorf("serve: bad /invoke reply body: %w", err)
-	}
-	code, ok := OutcomeCode(body.Outcome)
-	if !ok {
-		return InvokeReply{}, fmt.Errorf("serve: unknown outcome %q in /invoke reply", body.Outcome)
-	}
-	return InvokeReply{Outcome: code, Elapsed: time.Duration(body.ElapsedNS), Err: body.Error}, nil
 }
 
 // AppendRequest encodes one binary request payload (without the length
@@ -242,8 +166,8 @@ func ParseRequest(payload []byte) (id uint64, req InvokeRequest, err error) {
 }
 
 // AppendReply encodes one binary reply payload (without the length
-// prefix) onto buf. Binary replies do not carry the rejection text — the
-// outcome byte is the whole story.
+// prefix) onto buf. A reply carries no rejection text: the outcome byte
+// is the whole story.
 func AppendReply(buf []byte, id uint64, outcome byte, elapsed time.Duration) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, id)
 	buf = append(buf, outcome)

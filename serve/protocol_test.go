@@ -81,6 +81,15 @@ func TestReplyRoundTrip(t *testing.T) {
 	if _, _, err := ParseReply(payload[:10]); err == nil {
 		t.Fatal("ParseReply accepted a short payload")
 	}
+	// Every outcome a reply can carry has its own printable name.
+	seen := map[string]byte{}
+	for code := WireCommitted; code <= WireClosed; code++ {
+		name := OutcomeName(code)
+		if prev, dup := seen[name]; name == "" || dup {
+			t.Fatalf("OutcomeName(%d) = %q, also the name of %d", code, name, prev)
+		}
+		seen[name] = code
+	}
 }
 
 // appendRequestFrame frames one request as a client sends it: the
@@ -113,33 +122,5 @@ func TestFrameRoundTrip(t *testing.T) {
 	oversized := binary.BigEndian.AppendUint32(nil, MaxFrame+1)
 	if _, _, err := ReadFrame(bytes.NewReader(oversized), nil); err == nil {
 		t.Fatal("ReadFrame accepted an oversized length prefix")
-	}
-}
-
-func TestHTTPEncodingRoundTrip(t *testing.T) {
-	body, err := EncodeHTTPRequest(InvokeRequest{Proc: "touch", Args: []int64{1}, Partition: 3, Deadline: time.Millisecond})
-	if err != nil {
-		t.Fatalf("EncodeHTTPRequest: %v", err)
-	}
-	if !bytes.Contains(body, []byte(`"partition":3`)) {
-		t.Fatalf("routed body missing partition: %s", body)
-	}
-	body, _ = EncodeHTTPRequest(InvokeRequest{Partition: -1})
-	if bytes.Contains(body, []byte("partition")) {
-		t.Fatalf("unrouted body carries a partition: %s", body)
-	}
-	for code := WireCommitted; code <= WireClosed; code++ {
-		name := OutcomeName(code)
-		back, ok := OutcomeCode(name)
-		if !ok || back != code {
-			t.Fatalf("OutcomeCode(OutcomeName(%d)) = %d, %v", code, back, ok)
-		}
-	}
-	rep, err := DecodeHTTPReply([]byte(`{"outcome":"shed","elapsed_ns":12}`))
-	if err != nil || rep.Outcome != WireShed || rep.Elapsed != 12 {
-		t.Fatalf("DecodeHTTPReply = %+v, %v", rep, err)
-	}
-	if _, err := DecodeHTTPReply([]byte(`{"outcome":"wat"}`)); err == nil {
-		t.Fatal("DecodeHTTPReply accepted an unknown outcome")
 	}
 }

@@ -1,19 +1,18 @@
 // Package serve is the networked front door to the abyss engine: it
 // exposes a Session (stored-procedure invocation on the native runtime)
-// over HTTP/1.1 JSON and a compact binary TCP protocol.
+// over a compact binary TCP protocol, and serves operations endpoints
+// (GET /stats, GET /healthz) on an optional HTTP listener.
 //
 // Backpressure is the engine's own admission machinery, reached through
 // the network:
 //
 //   - per-worker admission queues (Config.Session.QueueDepth): requests
-//     routed to a full queue are shed by the session (WireShed, HTTP
-//     429);
-//   - per-request deadlines, propagated from client headers/fields to
-//     the engine's deadline semantics — a request that cannot commit in
+//     routed to a full queue are shed by the session (WireShed);
+//   - per-request deadlines, carried in each request frame to the
+//     engine's deadline semantics — a request that cannot commit in
 //     budget comes back "deadlined", even if it never executed;
-//   - TCP flow control: a binary connection stops being read while it
-//     has a fixed number of requests unanswered or unflushed, and an
-//     HTTP connection serves one request at a time.
+//   - TCP flow control: a connection stops being read while it has a
+//     fixed number of requests unanswered or unflushed.
 //
 // Every shed is the session's, so the drained Result satisfies offered =
 // commits + shed + deadlined across the whole serving stack.
@@ -66,7 +65,7 @@ type Config struct {
 }
 
 // Server is one serving instance: an engine session plus up to two
-// listeners (HTTP and binary TCP).
+// listeners (binary TCP for invocations, HTTP for operations).
 type Server struct {
 	cfg     Config
 	db      *abyss.DB
@@ -186,12 +185,12 @@ func reply(elapsed time.Duration, err error) InvokeReply {
 	case abyss.ErrSessionClosed:
 		return InvokeReply{Outcome: WireClosed}
 	default:
-		return InvokeReply{Outcome: WireRejected, Err: err.Error()}
+		return InvokeReply{Outcome: WireRejected}
 	}
 }
 
-// invocation maps a wire request of either transport onto the session's
-// Invocation: partition -1 is unrouted, and one below it is refused.
+// invocation maps a wire request onto the session's Invocation:
+// partition -1 is unrouted, and one below it is refused.
 func invocation(req InvokeRequest) (abyss.Invocation, error) {
 	inv := abyss.Invocation{Proc: req.Proc, Args: req.Args, Deadline: req.Deadline}
 	switch {

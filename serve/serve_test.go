@@ -1,15 +1,13 @@
 package serve_test
 
-// Wire-level conformance: mixed HTTP + binary clients against every paper
-// scheme on the native runtime, asserting the serving ledger closes —
-// per-connection response counts sum exactly to the drained
-// Result.Commits + Shed + Deadlined. Run under -race in CI.
+// Wire-level conformance: binary clients against every paper scheme on the
+// native runtime, asserting the serving ledger closes — per-connection
+// response counts sum exactly to the drained Result.Commits + Shed +
+// Deadlined. Run under -race in CI.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -67,7 +65,7 @@ func (a *tally) observe(rep serve.InvokeReply) {
 	}
 }
 
-func TestMixedTransportsAllSchemes(t *testing.T) {
+func TestBinaryClientsAllSchemes(t *testing.T) {
 	const conns, per = 4, 25
 	for _, scheme := range abyss.PaperSchemes() {
 		t.Run(scheme, func(t *testing.T) {
@@ -81,11 +79,7 @@ func TestMixedTransportsAllSchemes(t *testing.T) {
 				wg.Add(1)
 				go func(i int) {
 					defer wg.Done()
-					proto, addr := "http", srv.HTTPAddr()
-					if i%2 == 1 {
-						proto, addr = "binary", srv.TCPAddr()
-					}
-					c, err := client.Dial(proto, addr)
+					c, err := client.DialBinary(srv.TCPAddr())
 					if err != nil {
 						t.Errorf("conn %d: %v", i, err)
 						return
@@ -157,67 +151,29 @@ func TestMixedTransportsAllSchemes(t *testing.T) {
 func TestWireDeadlinePropagates(t *testing.T) {
 	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16})
 	defer srv.Shutdown()
-	for _, proto := range []string{"http", "binary"} {
-		addr := srv.HTTPAddr()
-		if proto == "binary" {
-			addr = srv.TCPAddr()
-		}
-		c, err := client.Dial(proto, addr)
-		if err != nil {
-			t.Fatalf("%s dial: %v", proto, err)
-		}
-		rep, err := c.Invoke(serve.InvokeRequest{Partition: -1, Deadline: time.Nanosecond})
-		c.Close()
-		if err != nil {
-			t.Fatalf("%s invoke: %v", proto, err)
-		}
-		if rep.Outcome != serve.WireDeadlined {
-			t.Fatalf("%s: 1ns-deadline outcome = %s, want deadlined", proto, serve.OutcomeName(rep.Outcome))
-		}
-	}
-}
-
-// TestHTTPPipelinedOneConnection pins that net/http answers pipelined
-// requests on one connection one at a time: every request is served and
-// none is shed.
-func TestHTTPPipelinedOneConnection(t *testing.T) {
-	const n = 8
-	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16})
-	defer srv.Shutdown()
-	conn, err := net.Dial("tcp", srv.HTTPAddr())
+	c, err := client.DialBinary(srv.TCPAddr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
-	const body = `{"partition":0}`
-	req := fmt.Sprintf("POST /invoke HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
-	if _, err := conn.Write([]byte(strings.Repeat(req, n))); err != nil {
-		t.Fatalf("write: %v", err)
+	rep, err := c.Invoke(serve.InvokeRequest{Partition: -1, Deadline: time.Nanosecond})
+	c.Close()
+	if err != nil {
+		t.Fatalf("invoke: %v", err)
 	}
-	r := bufio.NewReader(conn)
-	for i := 0; i < n; i++ {
-		resp, err := http.ReadResponse(r, nil)
-		if err != nil {
-			t.Fatalf("reply %d: %v", i, err)
-		}
-		var rep struct {
-			Outcome string `json:"outcome"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&rep)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK || rep.Outcome != "committed" {
-			t.Fatalf("reply %d = %d %q (%v), want 200 committed", i, resp.StatusCode, rep.Outcome, err)
-		}
-	}
-	if c := srv.Session().Counters(); c.Offered != n || c.Shed != 0 {
-		t.Fatalf("counters %+v, want %d offered and none shed", c, n)
+	if rep.Outcome != serve.WireDeadlined {
+		t.Fatalf("1ns-deadline outcome = %s, want deadlined", serve.OutcomeName(rep.Outcome))
 	}
 }
 
+// TestStatsAndHealth checks the HTTP listener's two ops endpoints, and
+// that it serves nothing else: invocations go over the binary protocol.
 func TestStatsAndHealth(t *testing.T) {
 	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16})
 	defer srv.Shutdown()
-	c := client.DialHTTP(srv.HTTPAddr())
+	c, err := client.DialBinary(srv.TCPAddr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
 	if rep, err := c.Invoke(serve.InvokeRequest{Partition: -1}); err != nil || rep.Outcome != serve.WireCommitted {
 		t.Fatalf("invoke = %+v, %v", rep, err)
 	}
@@ -245,6 +201,18 @@ func TestStatsAndHealth(t *testing.T) {
 		t.Fatalf("GET /healthz = %v, %v", resp, err)
 	}
 	resp.Body.Close()
+
+	resp, err = http.Post(fmt.Sprintf("http://%s/invoke", srv.HTTPAddr()), "application/json", strings.NewReader(`{"partition":-1}`))
+	if err != nil {
+		t.Fatalf("POST /invoke: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /invoke = %d, want 404 or 405", resp.StatusCode)
+	}
+	if got := srv.Session().Counters(); got.Offered != 1 {
+		t.Fatalf("offered = %d after one binary invoke, want 1", got.Offered)
+	}
 }
 
 func TestBadRequestsRejected(t *testing.T) {
