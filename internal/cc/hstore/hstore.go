@@ -42,19 +42,10 @@ type partition struct {
 	waiters []waiter // kept sorted ascending by ts
 }
 
-// undoRec is a before-image (needed for program-logic rollbacks; H-STORE
-// has no CC-induced aborts).
-type undoRec struct {
-	t    *storage.Table
-	slot int
-	img  []byte
-}
-
 // txnState is the reusable per-worker transaction state.
 type txnState struct {
 	w       *core.Worker
 	held    []int
-	undo    []undoRec
 	granted bool
 }
 
@@ -92,7 +83,6 @@ func (s *HStore) NewTxnState(w *core.Worker) interface{} {
 func (s *HStore) Begin(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
 	st.held = st.held[:0]
-	st.undo = st.undo[:0]
 	tx.TS = s.alloc.Next(tx.P)
 	parts := tx.Txn.Partitions()
 	if len(parts) == 0 {
@@ -177,20 +167,12 @@ func (s *HStore) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, 
 	// History capture: a write is a read-modify-write of the current
 	// committed version.
 	tx.CaptureRead(t, slot)
-	st := tx.State.(*txnState)
 	row := t.Row(slot)
-	have := false
-	for i := range st.undo {
-		if st.undo[i].t == t && st.undo[i].slot == slot {
-			have = true
-			break
-		}
-	}
-	if !have {
+	if tx.Written(t, slot) == nil {
 		img := tx.Alloc.Alloc(tx.P, stats.Manager, len(row))
 		copy(img, row)
 		tx.P.Tick(stats.Manager, costs.CopyCost(uint64(len(row))))
-		st.undo = append(st.undo, undoRec{t: t, slot: slot, img: img})
+		tx.AddWrite(t, slot, row, img)
 	}
 	tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(len(row)))
 	return row, nil
@@ -206,7 +188,6 @@ func (s *HStore) Commit(tx *core.TxnCtx) error {
 		s.unlockPartition(tx, pid)
 	}
 	st.held = st.held[:0]
-	st.undo = st.undo[:0]
 	return nil
 }
 
@@ -214,12 +195,12 @@ func (s *HStore) Commit(tx *core.TxnCtx) error {
 // Only program logic aborts H-STORE transactions.
 func (s *HStore) Abort(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
-	for i := len(st.undo) - 1; i >= 0; i-- {
-		u := &st.undo[i]
-		copy(u.t.Row(u.slot), u.img)
-		tx.P.MemWrite(stats.Abort, u.t.MemKey(u.slot), uint64(len(u.img)))
+	ws := tx.Writes()
+	for i := len(ws) - 1; i >= 0; i-- {
+		u := &ws[i]
+		copy(u.Buf, u.Undo)
+		tx.P.MemWrite(stats.Abort, u.T.MemKey(u.Slot), uint64(len(u.Undo)))
 	}
-	st.undo = st.undo[:0]
 	for _, pid := range st.held {
 		s.unlockPartition(tx, pid)
 	}

@@ -120,9 +120,8 @@ type tableVersions struct {
 	latches rt.Latches
 }
 
-// tupleRef names a tuple, and for a retire queue the version of it to fold:
-// a transaction's pending writes carry wts 0, a worker's retire queue the
-// timestamp it committed them at.
+// tupleRef is a retire-queue entry: a tuple and the version of it to fold,
+// stamped with the timestamp its writer committed at.
 type tupleRef struct {
 	t    *storage.Table
 	slot int
@@ -138,11 +137,11 @@ type limboBuf struct {
 	stamp uint64
 }
 
-// txnState is the reusable per-worker transaction state.
+// txnState is the reusable per-worker transaction state. Its pending
+// versions are the engine's write set.
 type txnState struct {
-	pending []tupleRef
-	ntxn    uint64
-	minTS   uint64 // cached GC watermark
+	ntxn  uint64
+	minTS uint64 // cached GC watermark
 }
 
 // pool is one worker's private memory (the paper's per-thread memory
@@ -280,7 +279,6 @@ func (s *MVCC) NewTxnState(w *core.Worker) interface{} {
 // Begin implements core.Scheme.
 func (s *MVCC) Begin(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
-	st.pending = st.pending[:0]
 	tx.TS = s.alloc.Next(tx.P)
 	s.active[tx.P.ID()].Store(tx.P, stats.Manager, tx.TS)
 	st.ntxn++
@@ -510,7 +508,7 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 			pl.fold(e, st.minTS, t, slot)
 		}
 		tl.latches.Release(tx.P, stats.Manager, slot)
-		st.pending = append(st.pending, tupleRef{t: t, slot: slot})
+		tx.AddWrite(t, slot, buf, nil)
 		return buf, nil
 	}
 }
@@ -552,10 +550,10 @@ func (s *MVCC) Commit(tx *core.TxnCtx) error {
 	// Commit point: like TIMESTAMP, the version order is the timestamp
 	// order, carried in the record's replay version.
 	tx.LogCommit()
-	for _, pr := range st.pending {
-		tl := &s.meta[pr.t.ID]
-		e := tl.entries.At(pr.slot)
-		tl.latches.Acquire(tx.P, stats.Manager, pr.slot)
+	for _, w := range tx.Writes() {
+		tl := &s.meta[w.T.ID]
+		e := tl.entries.At(w.Slot)
+		tl.latches.Acquire(tx.P, stats.Manager, w.Slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
 		for i := range e.hot.versions {
 			if e.hot.versions[i].owner == st {
@@ -568,13 +566,12 @@ func (s *MVCC) Commit(tx *core.TxnCtx) error {
 		// cost model). The cached watermark is rarely past the version
 		// just committed; the worker's next collect pass comes back for
 		// it.
-		pl.fold(e, st.minTS, pr.t, pr.slot)
+		pl.fold(e, st.minTS, w.T, w.Slot)
 		if e.floor.wts < tx.TS {
-			pl.retire = append(pl.retire, tupleRef{t: pr.t, slot: pr.slot, wts: tx.TS})
+			pl.retire = append(pl.retire, tupleRef{t: w.T, slot: w.Slot, wts: tx.TS})
 		}
-		tl.latches.Release(tx.P, stats.Manager, pr.slot)
+		tl.latches.Release(tx.P, stats.Manager, w.Slot)
 	}
-	st.pending = st.pending[:0]
 	s.active[tx.P.ID()].Store(tx.P, stats.Manager, idleTS)
 	return nil
 }
@@ -585,15 +582,15 @@ func (s *MVCC) Commit(tx *core.TxnCtx) error {
 func (s *MVCC) Abort(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
 	pl := &s.pools[tx.P.ID()]
-	for _, pr := range st.pending {
-		tl := &s.meta[pr.t.ID]
-		e := tl.entries.At(pr.slot)
-		tl.latches.Acquire(tx.P, stats.Abort, pr.slot)
+	for _, w := range tx.Writes() {
+		tl := &s.meta[w.T.ID]
+		e := tl.entries.At(w.Slot)
+		tl.latches.Acquire(tx.P, stats.Abort, w.Slot)
 		tx.P.Tick(stats.Abort, costs.ManagerOp)
 		h := e.hot
 		for i := 0; i < len(h.versions); {
 			if h.versions[i].owner == st {
-				pl.putBuf(pr.t.ID, h.versions[i].data)
+				pl.putBuf(w.T.ID, h.versions[i].data)
 				h.versions = append(h.versions[:i], h.versions[i+1:]...)
 				continue
 			}
@@ -601,9 +598,8 @@ func (s *MVCC) Abort(tx *core.TxnCtx) {
 		}
 		s.wakeAll(tx.P, e)
 		pl.cool(e)
-		tl.latches.Release(tx.P, stats.Abort, pr.slot)
+		tl.latches.Release(tx.P, stats.Abort, w.Slot)
 	}
-	st.pending = st.pending[:0]
 	s.active[tx.P.ID()].Store(tx.P, stats.Abort, idleTS)
 }
 

@@ -1,10 +1,10 @@
 // Package occ implements optimistic concurrency control (OCC in the paper,
-// §2.2): transactions track read/write sets, buffer all writes in a
-// private workspace, and validate at commit. Following the paper's design
-// — "our algorithm is similar to Hekaton in that we parallelize the
-// validation phase" (§4.3 "Distributed Validation") — there is no global
-// critical section: validation uses per-tuple latches and version words
-// only.
+// §2.2): transactions keep a read set, buffer every write in a private
+// workspace held by the engine's write set (TxnCtx), and validate at
+// commit. Following the paper's design — "our algorithm is similar to
+// Hekaton in that we parallelize the validation phase" (§4.3 "Distributed
+// Validation") — there is no global critical section: validation uses
+// per-tuple latches and version words only.
 //
 // Per-tuple metadata is a version word (wts<<1 | lockbit) published
 // through a runtime counter, plus a latch that serializes writers during
@@ -25,7 +25,6 @@ package occ
 import (
 	"slices"
 
-	"abyss1000/internal/cc/kit"
 	"abyss1000/internal/core"
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
@@ -49,17 +48,10 @@ type readRec struct {
 	buf  []byte // private copy (repeatable reads without locks)
 }
 
-// writeRec is one buffered write.
-type writeRec struct {
-	t    *storage.Table
-	slot int
-	buf  []byte
-}
-
-// txnState is the reusable per-worker transaction state.
+// txnState is the reusable per-worker transaction state: the read set.
+// The buffered writes are the engine's write set.
 type txnState struct {
-	reads  []readRec
-	writes []writeRec
+	reads []readRec
 }
 
 // OCC is the optimistic scheme.
@@ -122,7 +114,6 @@ func (s *OCC) NewTxnState(w *core.Worker) interface{} { return &txnState{} }
 func (s *OCC) Begin(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
 	st.reads = st.reads[:0]
-	st.writes = st.writes[:0]
 	tx.TS = s.alloc.Next(tx.P)
 	tx.P.Tick(stats.Manager, costs.ManagerOp)
 }
@@ -131,17 +122,24 @@ func (s *OCC) Begin(tx *core.TxnCtx) {
 // latch-acquisition order that makes the install phase deadlock-free.
 // slices.SortFunc is generic — no interface boxing, no reflection, no
 // allocation — unlike sort.Slice, which would allocate on every commit.
-func sortWrites(w []writeRec) {
-	slices.SortFunc(w, func(a, b writeRec) int {
-		if a.t.ID != b.t.ID {
-			return a.t.ID - b.t.ID
+func sortWrites(w []core.WriteEntry) {
+	slices.SortFunc(w, func(a, b core.WriteEntry) int {
+		if a.T.ID != b.T.ID {
+			return a.T.ID - b.T.ID
 		}
-		return a.slot - b.slot
+		return a.Slot - b.Slot
 	})
 }
 
-func writeKey(w *writeRec) (*storage.Table, int) { return w.t, w.slot }
-func readKey(r *readRec) (*storage.Table, int)   { return r.t, r.slot }
+// read returns st's read-set record of (t, slot), or nil.
+func (st *txnState) read(t *storage.Table, slot int) *readRec {
+	for i := range st.reads {
+		if r := &st.reads[i]; r.t == t && r.slot == slot {
+			return r
+		}
+	}
+	return nil
+}
 
 // snapshot copies (t, slot) into a private buffer under the tuple latch
 // and records the version word observed.
@@ -167,10 +165,10 @@ func (s *OCC) snapshot(tx *core.TxnCtx, t *storage.Table, slot int) readRec {
 // validation.
 func (s *OCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 	st := tx.State.(*txnState)
-	if w := kit.Find(st.writes, writeKey, t, slot); w != nil {
-		return w.buf, nil
+	if w := tx.Written(t, slot); w != nil {
+		return w.Buf, nil
 	}
-	if r := kit.Find(st.reads, readKey, t, slot); r != nil {
+	if r := st.read(t, slot); r != nil {
 		return r.buf, nil
 	}
 	rec := s.snapshot(tx, t, slot)
@@ -182,20 +180,20 @@ func (s *OCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) 
 // for the caller to mutate. The implicit read (callers may RMW the
 // returned image) joins the read set so validation catches conflicts.
 func (s *OCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
-	st := tx.State.(*txnState)
-	if w := kit.Find(st.writes, writeKey, t, slot); w != nil {
-		tx.P.Tick(stats.Useful, costs.CopyCost(uint64(len(w.buf))))
-		return w.buf, nil
+	if w := tx.Written(t, slot); w != nil {
+		tx.P.Tick(stats.Useful, costs.CopyCost(uint64(len(w.Buf))))
+		return w.Buf, nil
 	}
+	st := tx.State.(*txnState)
 	var buf []byte
-	if r := kit.Find(st.reads, readKey, t, slot); r != nil {
+	if r := st.read(t, slot); r != nil {
 		buf = r.buf // promote: the read copy becomes the write buffer
 	} else {
 		rec := s.snapshot(tx, t, slot)
 		st.reads = append(st.reads, rec)
 		buf = rec.buf
 	}
-	st.writes = append(st.writes, writeRec{t: t, slot: slot, buf: buf})
+	tx.AddWrite(t, slot, buf, nil)
 	return buf, nil
 }
 
@@ -204,7 +202,11 @@ func (s *OCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, err
 // section).
 func (s *OCC) Commit(tx *core.TxnCtx) error {
 	st := tx.State.(*txnState)
-	if len(st.writes) == 0 && len(st.reads) == 0 {
+	ws := tx.Writes()
+	if len(ws) == 0 && len(st.reads) == 0 {
+		// Nothing to validate: the commit point is now (an insert-only
+		// transaction publishes its rows here).
+		tx.LogCommit()
 		return nil
 	}
 	if s.central != nil {
@@ -213,13 +215,13 @@ func (s *OCC) Commit(tx *core.TxnCtx) error {
 	}
 
 	// Phase 1: lock the write set in canonical order.
-	sortWrites(st.writes)
-	for i := range st.writes {
-		w := &st.writes[i]
-		m := &s.meta[w.t.ID]
-		m.latches.Acquire(tx.P, stats.Manager, w.slot)
-		word := m.words.Load(tx.P, stats.Manager, w.slot)
-		m.words.Store(tx.P, stats.Manager, w.slot, word|1)
+	sortWrites(ws)
+	for i := range ws {
+		w := &ws[i]
+		m := &s.meta[w.T.ID]
+		m.latches.Acquire(tx.P, stats.Manager, w.Slot)
+		word := m.words.Load(tx.P, stats.Manager, w.Slot)
+		m.words.Store(tx.P, stats.Manager, w.Slot, word|1)
 	}
 
 	// Phase 2: validate the read set against current version words.
@@ -227,7 +229,7 @@ func (s *OCC) Commit(tx *core.TxnCtx) error {
 	for i := range st.reads {
 		r := &st.reads[i]
 		cur := s.meta[r.t.ID].words.Load(tx.P, stats.Manager, r.slot)
-		if kit.Find(st.writes, writeKey, r.t, r.slot) != nil {
+		if tx.Written(r.t, r.slot) != nil {
 			// We hold this tuple's latch; valid iff unchanged since
 			// our read (modulo our own lock bit).
 			if cur != r.word|1 {
@@ -244,12 +246,12 @@ func (s *OCC) Commit(tx *core.TxnCtx) error {
 
 	if !ok {
 		// Unlock and fail; Abort discards the workspace.
-		for i := range st.writes {
-			w := &st.writes[i]
-			m := &s.meta[w.t.ID]
-			word := m.words.Load(tx.P, stats.Abort, w.slot)
-			m.words.Store(tx.P, stats.Abort, w.slot, word&^1)
-			m.latches.Release(tx.P, stats.Abort, w.slot)
+		for i := range ws {
+			w := &ws[i]
+			m := &s.meta[w.T.ID]
+			word := m.words.Load(tx.P, stats.Abort, w.Slot)
+			m.words.Store(tx.P, stats.Abort, w.Slot, word&^1)
+			m.latches.Release(tx.P, stats.Abort, w.Slot)
 		}
 		return tx.AbortWith(core.CauseOCCValidation)
 	}
@@ -261,13 +263,13 @@ func (s *OCC) Commit(tx *core.TxnCtx) error {
 	// Phase 3: the second timestamp allocation (the paper charges OCC
 	// two per transaction), then install.
 	commitTS := s.alloc.Next(tx.P)
-	for i := range st.writes {
-		w := &st.writes[i]
-		m := &s.meta[w.t.ID]
-		copy(w.t.Row(w.slot), w.buf)
-		tx.P.MemWrite(stats.Useful, w.t.MemKey(w.slot), uint64(len(w.buf)))
-		m.words.Store(tx.P, stats.Manager, w.slot, commitTS<<1)
-		m.latches.Release(tx.P, stats.Manager, w.slot)
+	for i := range ws {
+		w := &ws[i]
+		m := &s.meta[w.T.ID]
+		copy(w.T.Row(w.Slot), w.Buf)
+		tx.P.MemWrite(stats.Useful, w.T.MemKey(w.Slot), uint64(len(w.Buf)))
+		m.words.Store(tx.P, stats.Manager, w.Slot, commitTS<<1)
+		m.latches.Release(tx.P, stats.Manager, w.Slot)
 	}
 	return nil
 }
@@ -276,7 +278,6 @@ func (s *OCC) Commit(tx *core.TxnCtx) error {
 func (s *OCC) Abort(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
 	st.reads = st.reads[:0]
-	st.writes = st.writes[:0]
 	tx.P.Tick(stats.Abort, costs.ManagerOp)
 }
 

@@ -21,7 +21,6 @@
 package to
 
 import (
-	"abyss1000/internal/cc/kit"
 	"abyss1000/internal/core"
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
@@ -31,10 +30,10 @@ import (
 	"abyss1000/internal/tsalloc"
 )
 
-// pend is a pending prewrite: a reservation of the tuple at ts.
+// pend is a pending prewrite: a reservation of the tuple at ts by tx.
 type pend struct {
 	ts uint64
-	st *txnState
+	tx *core.TxnCtx
 }
 
 // tupleTS is the per-tuple timestamp metadata: 40 bytes, plus the 8 of the
@@ -47,7 +46,7 @@ type pend struct {
 type tupleTS struct {
 	wts     uint64 // timestamp of the last installed write
 	rts     uint64 // timestamp of the last read
-	pend    pend   // the outstanding prewrite; st == nil is none
+	pend    pend   // the outstanding prewrite; tx == nil is none
 	waiters *[]rt.Proc
 }
 
@@ -56,18 +55,6 @@ type tupleTS struct {
 type tableTS struct {
 	entries slot.Array[tupleTS]
 	latches rt.Latches
-}
-
-// writeRec tracks one of the transaction's prewrites.
-type writeRec struct {
-	t    *storage.Table
-	slot int
-	buf  []byte
-}
-
-// txnState is the reusable per-worker transaction state.
-type txnState struct {
-	writes []writeRec
 }
 
 // TO is the TIMESTAMP scheme.
@@ -98,24 +85,21 @@ func (s *TO) Setup(db *core.DB) {
 	}
 }
 
-// NewTxnState implements core.Scheme.
-func (s *TO) NewTxnState(w *core.Worker) interface{} { return &txnState{} }
+// NewTxnState implements core.Scheme: TIMESTAMP keeps no state of its
+// own, its prewrites being the engine's write set.
+func (s *TO) NewTxnState(w *core.Worker) interface{} { return nil }
 
 // Begin implements core.Scheme.
 func (s *TO) Begin(tx *core.TxnCtx) {
-	st := tx.State.(*txnState)
-	st.writes = st.writes[:0]
 	tx.TS = s.alloc.Next(tx.P)
 	tx.P.Tick(stats.Manager, costs.ManagerOp)
 }
-
-func writeKey(w *writeRec) (*storage.Table, int) { return w.t, w.slot }
 
 // blockedBy reports whether e has a pending prewrite from another
 // transaction that precedes ts in the serialization order. Caller holds
 // the tuple latch.
 func blockedBy(e *tupleTS, ts uint64) bool {
-	return e.pend.st != nil && e.pend.ts < ts
+	return e.pend.tx != nil && e.pend.ts < ts
 }
 
 // awaitPend parks tx behind e's earlier prewrite: it enqueues the worker,
@@ -145,9 +129,8 @@ func (s *TO) wakeAll(p rt.Proc, e *tupleTS) {
 // Read implements core.Scheme. Basic T/O read rule: reject if ts < wts;
 // wait behind earlier pending writes; otherwise bump rts and copy.
 func (s *TO) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
-	st := tx.State.(*txnState)
-	if w := kit.Find(st.writes, writeKey, t, slot); w != nil {
-		return w.buf, nil // read own prewrite
+	if w := tx.Written(t, slot); w != nil {
+		return w.Buf, nil // read own prewrite
 	}
 	tl := &s.meta[t.ID]
 	e := tl.entries.At(slot)
@@ -186,10 +169,9 @@ func (s *TO) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 // can observe the buffer before then — readers and writers ordered after
 // this prewrite wait for its resolution, earlier ones read older state.
 func (s *TO) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
-	st := tx.State.(*txnState)
-	if w := kit.Find(st.writes, writeKey, t, slot); w != nil {
-		tx.P.Tick(stats.Useful, costs.CopyCost(uint64(len(w.buf))))
-		return w.buf, nil
+	if w := tx.Written(t, slot); w != nil {
+		tx.P.Tick(stats.Useful, costs.CopyCost(uint64(len(w.Buf))))
+		return w.Buf, nil
 	}
 	tl := &s.meta[t.ID]
 	e := tl.entries.At(slot)
@@ -217,12 +199,12 @@ func (s *TO) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, erro
 		tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(n))
 		copy(buf, t.Row(slot))
 		tx.P.Tick(stats.Manager, costs.CopyCost(uint64(n)))
-		if e.pend.st != nil {
+		if e.pend.tx != nil {
 			panic("to: second prewrite on a tuple: rts must reject a writer older than the outstanding prewrite and a younger one must wait for it")
 		}
-		e.pend = pend{ts: tx.TS, st: st}
+		e.pend = pend{ts: tx.TS, tx: tx}
 		tl.latches.Release(tx.P, stats.Manager, slot)
-		st.writes = append(st.writes, writeRec{t: t, slot: slot, buf: buf})
+		tx.AddWrite(t, slot, buf, nil)
 		return buf, nil
 	}
 }
@@ -231,45 +213,39 @@ func (s *TO) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, erro
 // neither fail nor wait — each prewrite reserved its tuple, and is the only
 // one outstanding on it.
 func (s *TO) Commit(tx *core.TxnCtx) error {
-	st := tx.State.(*txnState)
 	// Commit point: under T/O the serialization order IS the timestamp
 	// order, so the record (which carries tx.TS as its replay version)
 	// can be appended before the installs below; replay keeps the
 	// highest-timestamp image per slot regardless of append interleaving.
 	tx.LogCommit()
-	for i := range st.writes {
-		w := &st.writes[i]
-		tl := &s.meta[w.t.ID]
-		e := tl.entries.At(w.slot)
-		tl.latches.Acquire(tx.P, stats.Manager, w.slot)
+	for _, w := range tx.Writes() {
+		tl := &s.meta[w.T.ID]
+		e := tl.entries.At(w.Slot)
+		tl.latches.Acquire(tx.P, stats.Manager, w.Slot)
 		tx.P.Tick(stats.Manager, costs.ManagerOp)
-		copy(w.t.Row(w.slot), w.buf)
-		tx.P.MemWrite(stats.Useful, w.t.MemKey(w.slot), uint64(len(w.buf)))
+		copy(w.T.Row(w.Slot), w.Buf)
+		tx.P.MemWrite(stats.Useful, w.T.MemKey(w.Slot), uint64(len(w.Buf)))
 		if e.wts < tx.TS {
 			e.wts = tx.TS
 		}
 		e.pend = pend{}
 		s.wakeAll(tx.P, e)
-		tl.latches.Release(tx.P, stats.Manager, w.slot)
+		tl.latches.Release(tx.P, stats.Manager, w.Slot)
 	}
-	st.writes = st.writes[:0]
 	return nil
 }
 
 // Abort implements core.Scheme: withdraw prewrites, wake waiters.
 func (s *TO) Abort(tx *core.TxnCtx) {
-	st := tx.State.(*txnState)
-	for i := range st.writes {
-		w := &st.writes[i]
-		tl := &s.meta[w.t.ID]
-		e := tl.entries.At(w.slot)
-		tl.latches.Acquire(tx.P, stats.Abort, w.slot)
+	for _, w := range tx.Writes() {
+		tl := &s.meta[w.T.ID]
+		e := tl.entries.At(w.Slot)
+		tl.latches.Acquire(tx.P, stats.Abort, w.Slot)
 		tx.P.Tick(stats.Abort, costs.ManagerOp)
 		e.pend = pend{}
 		s.wakeAll(tx.P, e)
-		tl.latches.Release(tx.P, stats.Abort, w.slot)
+		tl.latches.Release(tx.P, stats.Abort, w.Slot)
 	}
-	st.writes = st.writes[:0]
 }
 
 // InitTuple implements core.Scheme: a fresh tuple is born with the

@@ -204,13 +204,6 @@ type heldLock struct {
 	mode  lockMode
 }
 
-// undoRec is a before-image for in-place writes.
-type undoRec struct {
-	t    *storage.Table
-	slot int
-	img  []byte
-}
-
 // txnState is the reusable per-worker transaction state.
 type txnState struct {
 	w   *core.Worker
@@ -218,7 +211,6 @@ type txnState struct {
 	ts  uint64 // WAIT_DIE age (stable for the transaction's lifetime)
 
 	held []heldLock
-	undo []undoRec
 
 	// Wait handshake: set by a granter under the tuple latch.
 	granted bool
@@ -290,7 +282,6 @@ func (s *TwoPL) NewTxnState(w *core.Worker) interface{} {
 func (s *TwoPL) Begin(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
 	st.held = st.held[:0]
-	st.undo = st.undo[:0]
 	st.granted = false
 	if s.graph != nil {
 		st.seq = s.graph.BeginTxn(tx.P)
@@ -357,22 +348,14 @@ func (s *TwoPL) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, e
 	// History capture: a write is a read-modify-write of the current
 	// committed version (first declaration only; see captureRead).
 	tx.CaptureRead(t, slot)
-	st := tx.State.(*txnState)
 	row := t.Row(slot)
 	// One undo image per (table, slot) suffices; repeated writes by the
 	// same transaction keep the oldest image.
-	have := false
-	for i := range st.undo {
-		if st.undo[i].t == t && st.undo[i].slot == slot {
-			have = true
-			break
-		}
-	}
-	if !have {
+	if tx.Written(t, slot) == nil {
 		img := tx.Alloc.Alloc(tx.P, stats.Manager, len(row))
 		copy(img, row)
 		tx.P.Tick(stats.Manager, costs.CopyCost(uint64(len(row))))
-		st.undo = append(st.undo, undoRec{t: t, slot: slot, img: img})
+		tx.AddWrite(t, slot, row, img)
 	}
 	tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(len(row)))
 	return row, nil
@@ -710,21 +693,19 @@ func (s *TwoPL) Commit(tx *core.TxnCtx) error {
 	// still held, so log order is consistent with lock order.
 	tx.LogCommit()
 	s.releaseAll(tx, st)
-	st.undo = st.undo[:0]
 	return nil
 }
 
 // Abort implements core.Scheme: restore undo images, then release.
 func (s *TwoPL) Abort(tx *core.TxnCtx) {
-	st := tx.State.(*txnState)
-	for i := len(st.undo) - 1; i >= 0; i-- {
-		u := &st.undo[i]
-		copy(u.t.Row(u.slot), u.img)
-		tx.P.MemWrite(stats.Abort, u.t.MemKey(u.slot), uint64(len(u.img)))
-		tx.P.Tick(stats.Abort, costs.CopyCost(uint64(len(u.img))))
+	ws := tx.Writes()
+	for i := len(ws) - 1; i >= 0; i-- {
+		u := &ws[i]
+		copy(u.Buf, u.Undo)
+		tx.P.MemWrite(stats.Abort, u.T.MemKey(u.Slot), uint64(len(u.Undo)))
+		tx.P.Tick(stats.Abort, costs.CopyCost(uint64(len(u.Undo))))
 	}
-	st.undo = st.undo[:0]
-	s.releaseAll(tx, st)
+	s.releaseAll(tx, tx.State.(*txnState))
 }
 
 // InitTuple implements core.Scheme: fresh tuples start unlocked, which is

@@ -4,7 +4,9 @@
 // transaction's own earlier writes on repeated calls, (c) are not retained
 // by the scheme past Commit/Abort — a later transaction's buffer always
 // starts from committed state, and its writes never leak through a stale
-// reference — and (d) leave the pre-image bytes intact after an abort.
+// reference — and (d) leave the pre-image bytes intact after an abort. A
+// WAL is attached throughout, and (b)'s commit record must carry the
+// repeatedly written tuple once, with its final image.
 package cctest_test
 
 import (
@@ -19,6 +21,7 @@ import (
 	"abyss1000/internal/core"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/tsalloc"
+	"abyss1000/internal/wal"
 )
 
 // conformanceSchemes covers all six scheme implementations (all three 2PL
@@ -47,6 +50,8 @@ func TestWriteRowConformance(t *testing.T) {
 		s := s
 		t.Run(s.name, func(t *testing.T) {
 			f := cctest.NewFixture(1, 8, 1)
+			sink := wal.NewMemSink()
+			f.DB.Wal = wal.NewWriter(sink, wal.Config{})
 			scheme := s.mk()
 			scheme.Setup(f.DB)
 			f.Engine.Run(func(p rt.Proc) {
@@ -108,6 +113,21 @@ func TestWriteRowConformance(t *testing.T) {
 				}
 				if got := readVal(0); got != 10 {
 					t.Fatalf("committed RMW value = %d, want 10", got)
+				}
+				// The RMW transaction's commit record, the log's last (the
+				// reads append none), holds slot 0 once, at its final value.
+				recs, _, err := wal.Scan(sink.Bytes())
+				if err != nil || len(recs) == 0 || recs[len(recs)-1].Commit == nil {
+					t.Fatalf("log holds no commit record after the RMW transaction (%d records, err %v)", len(recs), err)
+				}
+				var images [][]byte
+				for _, u := range recs[len(recs)-1].Commit.Updates {
+					if u.Table == f.Table.ID && u.Slot == 0 {
+						images = append(images, u.Image)
+					}
+				}
+				if len(images) != 1 || sc.GetU64(images[0], 1) != 10 {
+					t.Fatalf("RMW commit record carries slot 0 %d times (images %x), want once with value 10", len(images), images)
 				}
 
 				// (c)+(d) A later transaction's buffer starts from the

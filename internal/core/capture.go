@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+
 	"abyss1000/internal/sercheck"
 	"abyss1000/internal/slot"
 	"abyss1000/internal/storage"
@@ -74,24 +76,21 @@ func newCapture(db *DB) *Capture {
 	}
 	for _, t := range tables {
 		c.vers[t.ID] = slot.Make[uint64](t.Layout())
-		m := make(map[int][]byte, t.Loaded())
-		snap := func(slot int) {
-			img := make([]byte, t.Schema.RowSize())
-			copy(img, t.Row(slot))
-			m[slot] = img
-		}
-		for s := 0; s < t.Loaded(); s++ {
-			snap(s)
-		}
-		for seg := 0; seg < t.NumSegs(); seg++ {
-			start, next := t.SegRange(seg)
-			for s := start; s < next; s++ {
-				snap(s)
-			}
-		}
-		c.init[t.ID] = m
+		c.init[t.ID] = snapshotRows(t, (*storage.Table).Row)
 	}
 	return c
+}
+
+// snapshotRows copies row(t, s) for every populated slot s of t, keyed
+// by slot.
+func snapshotRows(t *storage.Table, row func(*storage.Table, int) []byte) map[int][]byte {
+	m := make(map[int][]byte, t.Loaded())
+	t.Populated(func(_, start, end int) {
+		for s := start; s < end; s++ {
+			m[s] = bytes.Clone(row(t, s))
+		}
+	})
+	return m
 }
 
 // CaptureRead records that the transaction observed the current
@@ -120,11 +119,8 @@ func (tx *TxnCtx) CaptureReadVer(t *storage.Table, slot int, ver uint64) {
 
 func (tx *TxnCtx) captureRead(t *storage.Table, slot int, ver uint64) {
 	// A read of our own pending write carries no dependency.
-	for i := range tx.walWrites {
-		w := &tx.walWrites[i]
-		if w.t == t && w.slot == slot {
-			return
-		}
+	if tx.Written(t, slot) != nil {
+		return
 	}
 	// Every scheme gives repeatable reads within one transaction, so the
 	// first record of a slot is THE version this transaction saw.
@@ -142,15 +138,15 @@ func (tx *TxnCtx) captureRead(t *storage.Table, slot int, ver uint64) {
 // hold their write locks/latches here, so the bump is exclusive per
 // slot and ordered against every reader's sample.
 func (c *Capture) commitPoint(tx *TxnCtx) {
-	for i := range tx.walWrites {
-		w := &tx.walWrites[i]
+	for i := range tx.writes {
+		w := &tx.writes[i]
 		ver := tx.TS
 		if !tx.W.tsOrdered {
-			ver = c.bump(w.t, w.slot)
+			ver = c.bump(w.T, w.Slot)
 		}
-		img := make([]byte, len(w.buf))
-		copy(img, w.buf)
-		tx.capWrites = append(tx.capWrites, capWrite{table: w.t.ID, slot: w.slot, ver: ver, image: img})
+		img := make([]byte, len(w.Buf))
+		copy(img, w.Buf)
+		tx.capWrites = append(tx.capWrites, capWrite{table: w.T.ID, slot: w.Slot, ver: ver, image: img})
 	}
 }
 
@@ -216,42 +212,16 @@ func BuildHistory(db *DB, scheme Scheme) *sercheck.History {
 	if c == nil {
 		panic("core: BuildHistory without Config.Check")
 	}
-	var cr CommittedRower
-	if scheme != nil {
-		cr, _ = scheme.(CommittedRower)
-	}
-	row := func(t *storage.Table, slot int) []byte {
-		if cr != nil {
-			if img := cr.LatestCommitted(t, slot); img != nil {
-				return img
-			}
-		}
-		return t.Row(slot)
-	}
+	row, _ := committedRow(scheme)
 	h := &sercheck.History{}
 	_, h.TSOrdered = scheme.(TSOrderedScheme)
 	for _, t := range db.Catalog.Tables() {
-		final := make(map[int][]byte, t.Loaded())
-		dump := func(slot int) {
-			img := make([]byte, t.Schema.RowSize())
-			copy(img, row(t, slot))
-			final[slot] = img
-		}
-		for s := 0; s < t.Loaded(); s++ {
-			dump(s)
-		}
-		for seg := 0; seg < t.NumSegs(); seg++ {
-			start, next := t.SegRange(seg)
-			for s := start; s < next; s++ {
-				dump(s)
-			}
-		}
 		h.Tables = append(h.Tables, sercheck.Table{
 			ID:      t.ID,
 			Name:    t.Schema.Name,
 			RowSize: t.Schema.RowSize(),
 			Init:    c.init[t.ID],
-			Final:   final,
+			Final:   snapshotRows(t, row),
 		})
 	}
 	id := 0

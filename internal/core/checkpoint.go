@@ -38,7 +38,7 @@ func Checkpoint(db *DB, scheme Scheme) error {
 	if w == nil {
 		return ErrNoWAL
 	}
-	cr, _ := scheme.(CommittedRower) // nil for a nil scheme too
+	row, live := committedRow(scheme)
 	db.walEpoch++
 	id := db.walEpoch
 	w.Append(wal.AppendMarker(nil, wal.TypeCkptBegin, id))
@@ -49,20 +49,17 @@ func Checkpoint(db *DB, scheme Scheme) error {
 		// 0 < k <= n: the live rows a page at a time (see Table.Rows), or
 		// all n committed images.
 		chunk := func(start, n int) []byte {
-			if cr == nil {
+			if live {
 				return t.Rows(start, n)
 			}
 			rowBuf = rowBuf[:0]
 			for s := start; s < start+n; s++ {
-				img := cr.LatestCommitted(t, s)
-				if img == nil {
-					img = t.Row(s)
-				}
-				rowBuf = append(rowBuf, img...)
+				rowBuf = append(rowBuf, row(t, s)...)
 			}
 			return rowBuf
 		}
-		emit := func(start, end int) {
+		alloc := wal.CkptAlloc{Table: t.ID, Next: make([]int, t.NumSegs())}
+		t.Populated(func(seg, start, end int) {
 			for s := start; s < end; {
 				rows := chunk(s, min(end-s, ckptRowChunk))
 				n := len(rows) / rs
@@ -72,14 +69,10 @@ func Checkpoint(db *DB, scheme Scheme) error {
 				w.Append(buf)
 				s += n
 			}
-		}
-		emit(0, t.Loaded())
-		alloc := wal.CkptAlloc{Table: t.ID, Next: make([]int, t.NumSegs())}
-		for seg := 0; seg < t.NumSegs(); seg++ {
-			start, next := t.SegRange(seg)
-			emit(start, next)
-			alloc.Next[seg] = next
-		}
+			if seg >= 0 {
+				alloc.Next[seg] = end
+			}
+		})
 		buf = wal.AppendCkptAlloc(buf[:0], &alloc)
 		w.Append(buf)
 	}

@@ -15,6 +15,23 @@ type CommittedRower interface {
 	LatestCommitted(t *storage.Table, slot int) []byte
 }
 
+// committedRow returns the reader of a quiesced database's committed row
+// images after a run of scheme (nil for none), and whether that reader is
+// the live row: the table slab holds the committed state for every scheme
+// but a CommittedRower.
+func committedRow(scheme Scheme) (row func(t *storage.Table, slot int) []byte, live bool) {
+	cr, _ := scheme.(CommittedRower) // nil for a nil scheme too
+	if cr == nil {
+		return (*storage.Table).Row, true
+	}
+	return func(t *storage.Table, slot int) []byte {
+		if img := cr.LatestCommitted(t, slot); img != nil {
+			return img
+		}
+		return t.Row(slot)
+	}, false
+}
+
 // DumpState serializes db's committed user-visible state — every
 // populated row of every table (setup rows plus runtime inserts),
 // per-worker allocation cursors, and the indexes' runtime-inserted
@@ -25,31 +42,18 @@ type CommittedRower interface {
 //
 // Quiesced use only: it reads rows and walks indexes with no latches.
 func DumpState(db *DB, scheme Scheme) string {
-	cr, _ := scheme.(CommittedRower) // nil for a nil scheme too
-	row := func(t *storage.Table, slot int) []byte {
-		if cr != nil {
-			if img := cr.LatestCommitted(t, slot); img != nil {
-				return img
-			}
-		}
-		return t.Row(slot)
-	}
+	row, _ := committedRow(scheme)
 	var b strings.Builder
 	for _, t := range db.Catalog.Tables() {
 		fmt.Fprintf(&b, "table %d %s loaded=%d\n", t.ID, t.Schema.Name, t.Loaded())
-		dump := func(slot int) {
-			fmt.Fprintf(&b, "  %d %x\n", slot, row(t, slot))
-		}
-		for s := 0; s < t.Loaded(); s++ {
-			dump(s)
-		}
-		for seg := 0; seg < t.NumSegs(); seg++ {
-			start, next := t.SegRange(seg)
-			fmt.Fprintf(&b, " seg %d next=%d\n", seg, next)
-			for s := start; s < next; s++ {
-				dump(s)
+		t.Populated(func(seg, start, end int) {
+			if seg >= 0 {
+				fmt.Fprintf(&b, " seg %d next=%d\n", seg, end)
 			}
-		}
+			for s := start; s < end; s++ {
+				fmt.Fprintf(&b, "  %d %x\n", s, row(t, s))
+			}
+		})
 	}
 	for ord, x := range db.indexes {
 		fmt.Fprintf(&b, "index %d\n", ord)

@@ -41,7 +41,10 @@ type Scheme interface {
 	// schemes). The buffer holds the row's current image, so
 	// read-modify-write needs no separate lock upgrade and no closure —
 	// the access path stays allocation-free. The buffer is valid until
-	// Commit/Abort; callers must not retain it past transaction end.
+	// Commit/Abort; callers must not retain it past transaction end. The
+	// scheme records its first write of a slot in tx's write set
+	// (AddWrite), which is the one list of the attempt's writes: Commit,
+	// Abort, the WAL and the history capture all walk it.
 	WriteRow(tx *TxnCtx, t *storage.Table, slot int) ([]byte, error)
 
 	// Commit finalizes the transaction (validation, applying buffered
@@ -78,15 +81,18 @@ type indexKey struct {
 	key uint64
 }
 
-// walWrite is one captured write target for the commit record: buf is the
-// scheme's write buffer for (t, slot), which holds the final after-image
-// by the time the scheme reaches its commit point (in-place row under 2PL
-// and H-STORE, private workspace under T/O and OCC, pending version under
-// MVCC) — so LogCommit reads images without knowing the scheme.
-type walWrite struct {
-	t    *storage.Table
-	slot int
-	buf  []byte
+// WriteEntry is one slot of a transaction's write set. Buf is the buffer
+// the scheme handed back for (T, Slot), which holds the final after-image
+// by the time the scheme reaches its commit point (the live row under 2PL
+// and H-STORE, the private workspace under T/O and OCC, the pending
+// version under MVCC), so LogCommit and the capture read images without
+// knowing the scheme. Undo is the before-image, kept only by the schemes
+// that write in place.
+type WriteEntry struct {
+	T    *storage.Table
+	Slot int
+	Buf  []byte
+	Undo []byte
 }
 
 // TSOrderedScheme marks schemes whose same-slot final value is decided by
@@ -127,12 +133,11 @@ type TxnCtx struct {
 	// cause is why the scheme last aborted this attempt (AbortWith).
 	cause AbortCause
 
-	// walWrites collects write targets while the WAL or history capture
-	// is attached. committed flips at the commit point, when LogCommit has
-	// appended the commit record and published the inserts (schemes call
-	// LogCommit there; the worker's post-Commit call is a no-op fallback
-	// for schemes without a hook).
-	walWrites []walWrite
+	// writes is the attempt's write set, one entry per written slot, kept
+	// by the scheme (Written, AddWrite, Writes). committed flips at the
+	// commit point, when LogCommit has appended the commit record and
+	// published the inserts.
+	writes    []WriteEntry
 	committed bool
 
 	// capReads/capWrites accumulate the transaction's history-capture
@@ -152,13 +157,36 @@ func (tx *TxnCtx) reset() {
 	tx.tuples = 0
 	tx.cause = CauseOther
 	tx.TS = 0
-	tx.walWrites = tx.walWrites[:0]
+	tx.writes = tx.writes[:0]
 	tx.committed = false
 	tx.capReads = tx.capReads[:0]
 	tx.capWrites = tx.capWrites[:0]
 	tx.scanBuf = tx.scanBuf[:0]
 	tx.Alloc.Reset()
 }
+
+// Written returns the write-set entry of (t, slot), or nil if the attempt
+// has not written the slot.
+func (tx *TxnCtx) Written(t *storage.Table, slot int) *WriteEntry {
+	for i := range tx.writes {
+		if w := &tx.writes[i]; w.T == t && w.Slot == slot {
+			return w
+		}
+	}
+	return nil
+}
+
+// AddWrite records the scheme's first write of (t, slot), for which
+// Written found no entry: buf is the buffer the scheme hands back, undo
+// the before-image of an in-place write (nil otherwise).
+func (tx *TxnCtx) AddWrite(t *storage.Table, slot int, buf, undo []byte) {
+	tx.writes = append(tx.writes, WriteEntry{T: t, Slot: slot, Buf: buf, Undo: undo})
+}
+
+// Writes returns the write set in the order the slots were first written,
+// for the scheme's Commit and Abort to walk. A scheme may reorder it in
+// place.
+func (tx *TxnCtx) Writes() []WriteEntry { return tx.writes }
 
 // AbortWith records why the scheme aborts the attempt and returns
 // ErrAbort, for the scheme to return in turn. It allocates nothing.
@@ -216,25 +244,8 @@ func (tx *TxnCtx) UpdateRow(t *storage.Table, slot int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tx.DB.Wal != nil || tx.DB.Cap != nil {
-		tx.captureWrite(t, slot, row)
-	}
 	tx.P.Tick(stats.Useful, costs.UsefulPerRow)
 	return row, nil
-}
-
-// captureWrite stages (t, slot, buf) for the commit record, deduplicating
-// repeat declarations of the same slot (schemes hand back the same buffer,
-// so one capture carries the final image).
-func (tx *TxnCtx) captureWrite(t *storage.Table, slot int, buf []byte) {
-	for i := range tx.walWrites {
-		w := &tx.walWrites[i]
-		if w.t == t && w.slot == slot {
-			w.buf = buf
-			return
-		}
-	}
-	tx.walWrites = append(tx.walWrites, walWrite{t: t, slot: slot, buf: buf})
 }
 
 // LogCommit appends the transaction's commit record to the attached WAL
@@ -242,19 +253,15 @@ func (tx *TxnCtx) captureWrite(t *storage.Table, slot int, buf []byte) {
 // the instant their locks, latches or validation outcome fix the
 // transaction's place in the serialization order — so the log sees
 // commits in an order consistent with their effects, and no reader can
-// see a committed write without the rows inserted beside it. It is
-// idempotent per transaction; the engine's post-Commit fallback covers
-// schemes without an explicit hook. Read-only transactions append
-// nothing.
+// see a committed write without the rows inserted beside it. Every
+// scheme's successful Commit calls it exactly once. Read-only
+// transactions append nothing.
 //
 // Log time is billed to the LOG component via Breakdown.Add, which never
 // advances the simulated clock: with accounting-only logging the
 // simulator's schedule — and therefore the golden signature — is
 // byte-identical to a run without durability.
 func (tx *TxnCtx) LogCommit() {
-	if tx.committed {
-		return
-	}
 	tx.committed = true
 	if c := tx.DB.Cap; c != nil {
 		// The history capture shares the commit point: write versions are
@@ -262,7 +269,7 @@ func (tx *TxnCtx) LogCommit() {
 		// every written slot (see capture.go).
 		c.commitPoint(tx)
 	}
-	if lw := tx.DB.Wal; lw != nil && (len(tx.walWrites) > 0 || len(tx.inserts) > 0) {
+	if lw := tx.DB.Wal; lw != nil && (len(tx.writes) > 0 || len(tx.inserts) > 0) {
 		tx.appendCommit(lw)
 	}
 	tx.publishInserts()
@@ -278,9 +285,9 @@ func (tx *TxnCtx) appendCommit(lw *wal.Writer) {
 		c.Ver = tx.TS
 	}
 	c.Updates = c.Updates[:0]
-	for i := range tx.walWrites {
-		wr := &tx.walWrites[i]
-		c.Updates = append(c.Updates, wal.Update{Table: wr.t.ID, Slot: wr.slot, Image: wr.buf})
+	for i := range tx.writes {
+		wr := &tx.writes[i]
+		c.Updates = append(c.Updates, wal.Update{Table: wr.T.ID, Slot: wr.Slot, Image: wr.Buf})
 	}
 	c.Inserts = c.Inserts[:0]
 	for i := range tx.inserts {

@@ -94,8 +94,7 @@ func (w *Worker) ExecOnce(txn Txn) error {
 // attempt is the one attempt body ExecOnce and the retry loop share:
 // Begin, the transaction's logic, Commit and, once that succeeded, the
 // durability wait and capture record. Commit has run LogCommit (commit
-// record, insert publication) at the scheme's commit point; the call here
-// is the no-op fallback for schemes without that hook. The caller has
+// record, insert publication) at the scheme's commit point. The caller has
 // reset the context; on error it rolls back.
 func (w *Worker) attempt(txn Txn) error {
 	w.Scheme.Begin(&w.Ctx)
@@ -104,7 +103,6 @@ func (w *Worker) attempt(txn Txn) error {
 		err = w.Scheme.Commit(&w.Ctx)
 	}
 	if err == nil {
-		w.Ctx.LogCommit()
 		w.finishDurable()
 		w.Ctx.captureFinish()
 	}

@@ -205,10 +205,20 @@ func (t *Table) FreeSlot(w, s int) {
 func (t *Table) NumSegs() int { return len(t.segBase) }
 
 // SegRange returns worker w's allocated insert range [start, next): the
-// slots handed out by AllocSlot so far. Recovery and checkpointing walk
-// these to enumerate every populated slot beyond the setup rows.
+// slots handed out by AllocSlot so far.
 func (t *Table) SegRange(w int) (start, next int) {
 	return t.segStart[w], t.segBase[w]
+}
+
+// Populated calls f for each populated range [start, end) of t's slots:
+// the setup rows as seg -1, then each worker seg's SegRange. State dumps,
+// checkpoints and the history capture enumerate every populated slot
+// this way.
+func (t *Table) Populated(f func(seg, start, end int)) {
+	f(-1, 0, t.loaded)
+	for w := range t.segBase {
+		f(w, t.segStart[w], t.segBase[w])
+	}
 }
 
 // RestoreSegNext advances worker w's allocation cursor to next (clamped to
