@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"abyss1000/internal/core"
+	"abyss1000/internal/costs"
 	"abyss1000/internal/index"
 	"abyss1000/internal/native"
 	"abyss1000/internal/rt"
@@ -415,7 +416,7 @@ type RunConfig = core.Config
 // of measurement after warmup.
 func (db *DB) DefaultRunConfig() RunConfig {
 	if db.opts.Runtime == RuntimeNative {
-		return RunConfig{WarmupCycles: 5_000_000, MeasureCycles: 50_000_000, AbortBackoff: 1000}
+		return RunConfig{WarmupCycles: 5_000_000, MeasureCycles: 50_000_000, AbortBackoff: costs.BackoffBase}
 	}
 	return core.DefaultConfig()
 }

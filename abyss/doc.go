@@ -92,10 +92,10 @@
 // whose LoadConfig.Arrival is an Arrivals) draw from.
 //
 // Durability is configured once, at Open: Options.Durability names the
-// sink, the mode (Async: real group commit, each group being the commits
-// that arrived during the previous group's fsync) and the simulator's
-// modeled group size (GroupTxns). A DB runs once, so RunConfig carries
-// no log-grouping override.
+// sink and the mode (Async: real group commit, each group being the
+// commits that arrived during the previous group's fsync; otherwise the
+// simulator's accounting-only log, one modeled fsync per 8 commits). A DB
+// runs once, so RunConfig carries no log override.
 //
 // Correctness is checkable, not assumed: set RunConfig.Check and the run
 // captures every committed transaction's reads and writes as versions

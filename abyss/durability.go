@@ -66,14 +66,10 @@ type Durability struct {
 	// Meant for RuntimeNative. When false (the default, and the only
 	// sensible choice under RuntimeSim) the log is synchronous and
 	// accounting-only: every record reaches the sink at commit, the
-	// group fsync is charged to the LOG breakdown component every
-	// GroupTxns commits, and the simulated schedule is byte-identical
-	// to a run without durability.
+	// group fsync is charged to the LOG breakdown component every 8
+	// commits, and the simulated schedule is byte-identical to a run
+	// without durability.
 	Async bool
-
-	// GroupTxns is the synchronous mode's modeled group-commit size
-	// (records per fsync). Zero means the default (8).
-	GroupTxns int
 }
 
 // attachWAL builds the writer from opts.Durability and hangs it on the
@@ -84,7 +80,7 @@ func (db *DB) attachWAL(d *Durability) {
 		sink = wal.NewMemSink()
 	}
 	db.logSink = sink
-	db.wal = wal.NewWriter(sink, wal.Config{Async: d.Async, GroupTxns: d.GroupTxns})
+	db.wal = wal.NewWriter(sink, wal.Config{Async: d.Async})
 	db.inner.Wal = db.wal
 }
 

@@ -31,6 +31,7 @@ import (
 
 	"abyss1000/abyss"
 	"abyss1000/internal/core"
+	"abyss1000/internal/costs"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/tsalloc"
 )
@@ -129,7 +130,7 @@ func (p Params) coreConfig() core.Config {
 	return core.Config{
 		WarmupCycles:  p.WarmupCycles,
 		MeasureCycles: p.MeasureCycles,
-		AbortBackoff:  1000,
+		AbortBackoff:  costs.BackoffBase,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"abyss1000/internal/core"
+	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/sim"
 	"abyss1000/internal/slot"
@@ -95,7 +96,7 @@ func (q quietFault) Delay(worker int, _ uint64) uint64 {
 func GoldenSignature(f GoldenFeatures) string {
 	var b strings.Builder
 	cfg := core.Config{
-		WarmupCycles: 50_000, MeasureCycles: 200_000, AbortBackoff: 1000,
+		WarmupCycles: 50_000, MeasureCycles: 200_000, AbortBackoff: costs.BackoffBase,
 		SampleEvery: f.SampleEvery, Observer: f.Observer, Check: f.Check,
 	}
 	if f.OverloadOff {

@@ -5,6 +5,7 @@ import (
 
 	"abyss1000/internal/cc/twopl"
 	"abyss1000/internal/core"
+	"abyss1000/internal/costs"
 	"abyss1000/internal/mem"
 	"abyss1000/internal/native"
 	"abyss1000/internal/rt"
@@ -244,7 +245,7 @@ func (p Params) nativeJob(scheme string, cores int, ycfg ycsb.Config) Job {
 		Cfg: core.Config{
 			WarmupCycles:  p.NativeWarmupNS,
 			MeasureCycles: p.NativeMeasureNS,
-			AbortBackoff:  1000,
+			AbortBackoff:  costs.BackoffBase,
 		},
 		YCSB: ycfg,
 	}

@@ -86,7 +86,6 @@ func main() {
 
 		// Durability knobs.
 		walDest    = flag.String("wal", "", "write-ahead log destination: 'mem' or a file path (empty disables durability)")
-		walGroup   = flag.Int("wal-group", 0, "group-commit size in records per fsync (0 keeps the default)")
 		walAsync   = flag.Bool("wal-async", false, "real background group commit with durability waits (meant for -runtime native; default is accounting-only logging)")
 		crashAfter = flag.Int64("crash-after", -1, "inject a crash: tear the log at this byte offset and fail it thereafter (negative disables)")
 		doRecover  = flag.Bool("recover", false, "after the run, replay the log onto a fresh DB and verify the recovered state")
@@ -138,7 +137,7 @@ func main() {
 		if *crashAfter >= 0 {
 			sink = abyss.NewFaultLogSink(sink, *crashAfter)
 		}
-		dur = &abyss.Durability{Sink: sink, Async: *walAsync, GroupTxns: *walGroup}
+		dur = &abyss.Durability{Sink: sink, Async: *walAsync}
 	}
 
 	db, err := abyss.Open(abyss.Options{Runtime: *runtimeSel, Cores: *cores, Seed: *seed, Durability: dur})

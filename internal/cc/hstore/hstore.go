@@ -24,6 +24,7 @@ import (
 	"abyss1000/internal/core"
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/storage"
 	"abyss1000/internal/tsalloc"
@@ -37,7 +38,6 @@ type waiter struct {
 
 // partition is one coarse lock with a timestamp-ordered wait queue.
 type partition struct {
-	latch   rt.Latch
 	locked  bool
 	waiters []waiter // kept sorted ascending by ts
 }
@@ -51,10 +51,11 @@ type txnState struct {
 
 // HStore is the partition-locking scheme.
 type HStore struct {
-	method tsalloc.Method
-	db     *core.DB
-	alloc  tsalloc.Allocator
-	parts  []partition
+	method  tsalloc.Method
+	db      *core.DB
+	alloc   tsalloc.Allocator
+	parts   []partition
+	latches rt.Latches // latch i guards parts[i]
 }
 
 // New creates an H-STORE scheme drawing timestamps via method m.
@@ -68,9 +69,7 @@ func (s *HStore) Setup(db *core.DB) {
 	s.db = db
 	s.alloc = tsalloc.New(s.method, db.RT)
 	s.parts = make([]partition, db.NParts)
-	for i := range s.parts {
-		s.parts[i].latch = db.RT.NewLatch(0x45<<40 | uint64(i))
-	}
+	s.latches = db.RT.NewLatches(0x45<<40, slot.Fixed(db.NParts))
 }
 
 // NewTxnState implements core.Scheme.
@@ -98,11 +97,11 @@ func (s *HStore) Begin(tx *core.TxnCtx) {
 func (s *HStore) lockPartition(tx *core.TxnCtx, st *txnState, pid int) {
 	p := tx.P
 	pt := &s.parts[pid]
-	pt.latch.Acquire(p, stats.Manager)
+	s.latches.Acquire(p, stats.Manager, pid)
 	p.Tick(stats.Manager, costs.ManagerOp)
 	if !pt.locked && (len(pt.waiters) == 0 || tx.TS <= pt.waiters[0].ts) {
 		pt.locked = true
-		pt.latch.Release(p, stats.Manager)
+		s.latches.Release(p, stats.Manager, pid)
 		return
 	}
 	// Enqueue in timestamp order.
@@ -117,17 +116,17 @@ func (s *HStore) lockPartition(tx *core.TxnCtx, st *txnState, pid int) {
 	pt.waiters = append(pt.waiters, waiter{})
 	copy(pt.waiters[pos+1:], pt.waiters[pos:])
 	pt.waiters[pos] = waiter{ts: tx.TS, st: st}
-	pt.latch.Release(p, stats.Manager)
+	s.latches.Release(p, stats.Manager, pid)
 
 	for {
 		p.ParkTimeout(stats.Wait, costs.WaitCheckInterval)
-		pt.latch.Acquire(p, stats.Manager)
+		s.latches.Acquire(p, stats.Manager, pid)
 		if st.granted {
 			st.granted = false
-			pt.latch.Release(p, stats.Manager)
+			s.latches.Release(p, stats.Manager, pid)
 			return
 		}
-		pt.latch.Release(p, stats.Manager)
+		s.latches.Release(p, stats.Manager, pid)
 	}
 }
 
@@ -135,7 +134,7 @@ func (s *HStore) lockPartition(tx *core.TxnCtx, st *txnState, pid int) {
 func (s *HStore) unlockPartition(tx *core.TxnCtx, pid int) {
 	p := tx.P
 	pt := &s.parts[pid]
-	pt.latch.Acquire(p, stats.Manager)
+	s.latches.Acquire(p, stats.Manager, pid)
 	p.Tick(stats.Manager, costs.ManagerOp)
 	if len(pt.waiters) > 0 {
 		next := pt.waiters[0]
@@ -147,7 +146,7 @@ func (s *HStore) unlockPartition(tx *core.TxnCtx, pid int) {
 	} else {
 		pt.locked = false
 	}
-	pt.latch.Release(p, stats.Manager)
+	s.latches.Release(p, stats.Manager, pid)
 }
 
 // Read implements core.Scheme: with partition locks held, read in place

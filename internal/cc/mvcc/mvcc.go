@@ -188,7 +188,7 @@ type MVCC struct {
 	db     *core.DB
 	alloc  tsalloc.Allocator
 	meta   []tableVersions // [table id]
-	active []rt.Counter    // per-worker active transaction timestamp
+	active rt.Counters     // [worker id] active transaction timestamp
 	pools  []pool          // [worker id]
 }
 
@@ -211,10 +211,7 @@ func (s *MVCC) Setup(db *core.DB) {
 		}
 	}
 	n := db.RT.NumProcs()
-	s.active = make([]rt.Counter, n)
-	for i := range s.active {
-		s.active[i] = db.RT.NewCounter(0xAC<<40 | uint64(i))
-	}
+	s.active = db.RT.NewCounters(0xAC<<40, slot.Fixed(n))
 	s.pools = make([]pool, n)
 	stacks := make([][][]byte, n*len(tables))
 	for i := range s.pools {
@@ -280,7 +277,7 @@ func (s *MVCC) NewTxnState(w *core.Worker) interface{} {
 func (s *MVCC) Begin(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
 	tx.TS = s.alloc.Next(tx.P)
-	s.active[tx.P.ID()].Store(tx.P, stats.Manager, tx.TS)
+	s.active.Store(tx.P, stats.Manager, tx.P.ID(), tx.TS)
 	st.ntxn++
 	if st.ntxn%gcEvery == 0 {
 		st.minTS = s.watermark(tx.P)
@@ -297,8 +294,8 @@ func (s *MVCC) Begin(tx *core.TxnCtx) {
 // comment's two rules are for.
 func (s *MVCC) watermark(p rt.Proc) uint64 {
 	min := idleTS
-	for _, c := range s.active {
-		if v := c.Load(p, stats.Manager); v < min {
+	for i := range s.db.RT.NumProcs() {
+		if v := s.active.Load(p, stats.Manager, i); v < min {
 			min = v
 		}
 	}
@@ -572,7 +569,7 @@ func (s *MVCC) Commit(tx *core.TxnCtx) error {
 		}
 		tl.latches.Release(tx.P, stats.Manager, w.Slot)
 	}
-	s.active[tx.P.ID()].Store(tx.P, stats.Manager, idleTS)
+	s.active.Store(tx.P, stats.Manager, tx.P.ID(), idleTS)
 	return nil
 }
 
@@ -600,7 +597,7 @@ func (s *MVCC) Abort(tx *core.TxnCtx) {
 		pl.cool(e)
 		tl.latches.Release(tx.P, stats.Abort, w.Slot)
 	}
-	s.active[tx.P.ID()].Store(tx.P, stats.Abort, idleTS)
+	s.active.Store(tx.P, stats.Abort, tx.P.ID(), idleTS)
 }
 
 // InitTuple implements core.Scheme: the inserted tuple's floor version is

@@ -28,6 +28,7 @@ import (
 	"abyss1000/internal/core"
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/storage"
 	"abyss1000/internal/tsalloc"
@@ -68,7 +69,7 @@ type OCC struct {
 	// ("any mutex-protected critical section severely hurts
 	// scalability", §4.3). Used by the validation ablation benchmark.
 	centralWanted bool
-	central       rt.Latch
+	central       rt.Latches // a slab of one
 }
 
 // New creates an OCC scheme with parallel per-tuple validation (the
@@ -93,7 +94,7 @@ func (s *OCC) Setup(db *core.DB) {
 	s.db = db
 	s.alloc = tsalloc.New(s.method, db.RT)
 	if s.centralWanted {
-		s.central = db.RT.NewLatch(0x0CC_CE117A1)
+		s.central = db.RT.NewLatches(0x0CC_CE117A1, slot.Fixed(1))
 	}
 	tables := db.Catalog.Tables()
 	s.meta = make([]tableWords, len(tables))
@@ -210,8 +211,8 @@ func (s *OCC) Commit(tx *core.TxnCtx) error {
 		return nil
 	}
 	if s.central != nil {
-		s.central.Acquire(tx.P, stats.Manager)
-		defer s.central.Release(tx.P, stats.Manager)
+		s.central.Acquire(tx.P, stats.Manager, 0)
+		defer s.central.Release(tx.P, stats.Manager, 0)
 	}
 
 	// Phase 1: lock the write set in canonical order.

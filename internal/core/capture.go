@@ -39,30 +39,11 @@ type Capture struct {
 	// init[tableID][slot] holds the post-population row images.
 	init []map[int][]byte
 
-	// logs[worker] collects that worker's committed transactions; workers
-	// only touch their own slice, and the runtime's Run join publishes
-	// them to the verifier.
-	logs [][]capTxn
-}
-
-type capAccess struct {
-	table int
-	slot  int
-	ver   uint64
-}
-
-type capWrite struct {
-	table int
-	slot  int
-	ver   uint64
-	image []byte // private copy, taken at the commit point
-}
-
-type capTxn struct {
-	worker int
-	ts     uint64
-	reads  []capAccess
-	writes []capWrite
+	// logs[worker] collects that worker's committed transactions, in the
+	// checker's own types but with no ID yet (BuildHistory assigns them);
+	// workers only touch their own slice, and the runtime's Run join
+	// publishes them to the verifier.
+	logs [][]sercheck.Txn
 }
 
 // newCapture snapshots db's populated state (setup rows plus any slots
@@ -72,7 +53,7 @@ func newCapture(db *DB) *Capture {
 	c := &Capture{
 		vers: make([]slot.Array[uint64], len(tables)),
 		init: make([]map[int][]byte, len(tables)),
-		logs: make([][]capTxn, db.RT.NumProcs()),
+		logs: make([][]sercheck.Txn, db.RT.NumProcs()),
 	}
 	for _, t := range tables {
 		c.vers[t.ID] = slot.Make[uint64](t.Layout())
@@ -126,11 +107,11 @@ func (tx *TxnCtx) captureRead(t *storage.Table, slot int, ver uint64) {
 	// first record of a slot is THE version this transaction saw.
 	for i := range tx.capReads {
 		r := &tx.capReads[i]
-		if r.table == t.ID && r.slot == slot {
+		if r.Table == t.ID && r.Slot == slot {
 			return
 		}
 	}
-	tx.capReads = append(tx.capReads, capAccess{table: t.ID, slot: slot, ver: ver})
+	tx.capReads = append(tx.capReads, sercheck.Access{Table: t.ID, Slot: slot, Ver: ver})
 }
 
 // commitPoint assigns this transaction's write versions. Called from
@@ -140,35 +121,29 @@ func (tx *TxnCtx) captureRead(t *storage.Table, slot int, ver uint64) {
 func (c *Capture) commitPoint(tx *TxnCtx) {
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		ver := tx.TS
-		if !tx.W.tsOrdered {
-			ver = c.bump(w.T, w.Slot)
-		}
-		img := make([]byte, len(w.Buf))
-		copy(img, w.Buf)
-		tx.capWrites = append(tx.capWrites, capWrite{table: w.T.ID, slot: w.Slot, ver: ver, image: img})
+		c.recordWrite(tx, w.T, w.Slot, w.Buf)
 	}
 }
 
-// bump advances (t, s)'s committed-write counter and returns the new
-// version.
-func (c *Capture) bump(t *storage.Table, s int) uint64 {
-	v := c.vers[t.ID].At(s)
-	*v++
-	return *v
+// recordWrite records the transaction's committed write of image at
+// (t, s): its version is the transaction timestamp under a
+// timestamp-ordered scheme and otherwise the slot's advanced
+// committed-write counter, and the image is copied.
+func (c *Capture) recordWrite(tx *TxnCtx, t *storage.Table, s int, image []byte) {
+	ver := tx.TS
+	if !tx.W.tsOrdered {
+		v := c.vers[t.ID].At(s)
+		*v++
+		ver = *v
+	}
+	tx.capWrites = append(tx.capWrites, sercheck.Write{Table: t.ID, Slot: s, Ver: ver, Image: bytes.Clone(image)})
 }
 
 // captureInsert records a committed insert's write, the row built in
 // place at slot. Called from LogCommit before the index entry is
 // published, so no reader can sample the slot's counter before the bump.
 func (c *Capture) captureInsert(tx *TxnCtx, t *storage.Table, slot int) {
-	ver := tx.TS
-	if !tx.W.tsOrdered {
-		ver = c.bump(t, slot)
-	}
-	img := make([]byte, t.Schema.RowSize())
-	copy(img, t.Row(slot))
-	tx.capWrites = append(tx.capWrites, capWrite{table: t.ID, slot: slot, ver: ver, image: img})
+	c.recordWrite(tx, t, slot, t.Row(slot))
 }
 
 // captureFinish appends the completed transaction to its worker's log.
@@ -183,11 +158,11 @@ func (tx *TxnCtx) captureFinish() {
 		return
 	}
 	id := tx.P.ID()
-	c.logs[id] = append(c.logs[id], capTxn{
-		worker: id,
-		ts:     tx.TS,
-		reads:  append([]capAccess(nil), tx.capReads...),
-		writes: append([]capWrite(nil), tx.capWrites...),
+	c.logs[id] = append(c.logs[id], sercheck.Txn{
+		Worker: id,
+		TS:     tx.TS,
+		Reads:  append([]sercheck.Access(nil), tx.capReads...),
+		Writes: append([]sercheck.Write(nil), tx.capWrites...),
 	})
 }
 
@@ -226,16 +201,9 @@ func BuildHistory(db *DB, scheme Scheme) *sercheck.History {
 	}
 	id := 0
 	for _, l := range c.logs {
-		for i := range l {
-			ct := &l[i]
+		for _, txn := range l {
 			id++
-			txn := sercheck.Txn{ID: id, Worker: ct.worker, TS: ct.ts}
-			for _, r := range ct.reads {
-				txn.Reads = append(txn.Reads, sercheck.Access{Table: r.table, Slot: r.slot, Ver: r.ver})
-			}
-			for _, w := range ct.writes {
-				txn.Writes = append(txn.Writes, sercheck.Write{Table: w.table, Slot: w.slot, Ver: w.ver, Image: w.image})
-			}
+			txn.ID = id
 			h.Txns = append(h.Txns, txn)
 		}
 	}

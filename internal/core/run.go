@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/wal"
@@ -130,7 +131,7 @@ func DefaultConfig() Config {
 	return Config{
 		WarmupCycles:  400_000,
 		MeasureCycles: 1_600_000,
-		AbortBackoff:  1000,
+		AbortBackoff:  costs.BackoffBase,
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"abyss1000/internal/index"
 	"abyss1000/internal/mem"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/sercheck"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/storage"
 	"abyss1000/internal/wal"
@@ -142,8 +143,8 @@ type TxnCtx struct {
 
 	// capReads/capWrites accumulate the transaction's history-capture
 	// record while DB.Cap is attached (see capture.go).
-	capReads  []capAccess
-	capWrites []capWrite
+	capReads  []sercheck.Access
+	capWrites []sercheck.Write
 
 	// scanBuf backs RangeScan results for the transaction's lifetime: each
 	// scan appends its entries and returns its own window, so nested scans

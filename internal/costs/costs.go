@@ -50,9 +50,9 @@ const (
 	// of restoring undo images (which pay copy costs).
 	AbortFixed = 80
 
-	// BackoffBase is the mean restart backoff after an abort. DBx1000
-	// restarts aborted transactions after a short randomized penalty so
-	// the restarted transaction does not instantly re-collide.
+	// BackoffBase is the default mean restart backoff after an abort.
+	// DBx1000 restarts aborted transactions after a short randomized
+	// penalty so the restarted transaction does not instantly re-collide.
 	BackoffBase = 1000
 
 	// WaitCheckInterval is how long a waiting transaction parks before
@@ -80,11 +80,6 @@ const (
 	// over the group by billing it to the append that seals the group.
 	// ~10 µs at the 1 GHz target clock: the order of a fast NVMe flush.
 	LogFsync = 10_000
-
-	// LogGroupTxns is the default group-commit size used by the modeled
-	// (accounting-only) fsync charge: one LogFsync per this many commit
-	// records.
-	LogGroupTxns = 8
 )
 
 // CopyCost returns the cycles to copy n bytes through the core.

@@ -3,6 +3,7 @@ package index
 import (
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/storage"
 )
@@ -62,7 +63,7 @@ const leafChunk = 64
 // relative order); the workloads use unique keys.
 type Ordered struct {
 	meta
-	latch  rt.Latch
+	latch  rt.Latches // a slab of one
 	root   *onode
 	count  int
 	nextID uint64
@@ -72,7 +73,7 @@ type Ordered struct {
 // NewOrdered creates an empty ordered index over table.
 func NewOrdered(r rt.Runtime, table *storage.Table) *Ordered {
 	o := &Ordered{meta: meta{table: table}}
-	o.latch = r.NewLatch(uint64(table.ID)<<48 | 0xB3<<40)
+	o.latch = r.NewLatches(uint64(table.ID)<<48|0xB3<<40, slot.Fixed(1))
 	o.root = o.newNode(true)
 	return o
 }
@@ -231,21 +232,21 @@ func (o *Ordered) findLeafLow(key uint64) *onode {
 // Insert adds a key→slot mapping under the index latch, billing latch and
 // traversal time to the INDEX component like the hash index does.
 func (o *Ordered) Insert(p rt.Proc, key uint64, slot int) {
-	o.latch.Acquire(p, stats.Index)
+	o.latch.Acquire(p, stats.Index, 0)
 	p.MemWrite(stats.Index, o.memKey(o.findLeaf(key).id), 16)
 	p.Tick(stats.Index, costs.IndexInsert+o.depth())
 	o.insertRoot(key, int32(slot))
-	o.latch.Release(p, stats.Index)
+	o.latch.Release(p, stats.Index, 0)
 }
 
 // Remove deletes the key→slot mapping if present (lazy: leaves are never
 // merged) and reports whether it removed anything.
 func (o *Ordered) Remove(p rt.Proc, key uint64, slot int) bool {
-	o.latch.Acquire(p, stats.Index)
+	o.latch.Acquire(p, stats.Index, 0)
 	p.MemWrite(stats.Index, o.memKey(o.findLeaf(key).id), 16)
 	p.Tick(stats.Index, costs.IndexProbe+o.depth())
 	removed := o.remove(key, int32(slot))
-	o.latch.Release(p, stats.Index)
+	o.latch.Release(p, stats.Index, 0)
 	return removed
 }
 
@@ -287,11 +288,11 @@ func (o *Ordered) find(key uint64) (*onode, int, bool) {
 
 // Lookup probes for the first entry with the given key.
 func (o *Ordered) Lookup(p rt.Proc, key uint64) (int, bool) {
-	o.latch.Acquire(p, stats.Index)
+	o.latch.Acquire(p, stats.Index, 0)
 	p.Tick(stats.Index, costs.IndexProbe+o.depth())
 	n, slot, ok := o.find(key)
 	p.MemRead(stats.Index, o.memKey(n.id), 16)
-	o.latch.Release(p, stats.Index)
+	o.latch.Release(p, stats.Index, 0)
 	return slot, ok
 }
 
@@ -316,7 +317,7 @@ func (o *Ordered) RangeScanLimit(p rt.Proc, lo, hi uint64, max int, out []Entry)
 	if max == 0 || hi < lo {
 		return out
 	}
-	o.latch.Acquire(p, stats.Index)
+	o.latch.Acquire(p, stats.Index, 0)
 	found := 0
 	n := o.findLeafLow(lo)
 scan:
@@ -334,7 +335,7 @@ scan:
 		}
 	}
 	p.Tick(stats.Index, costs.IndexProbe+o.depth()+uint64(found))
-	o.latch.Release(p, stats.Index)
+	o.latch.Release(p, stats.Index, 0)
 	return out
 }
 

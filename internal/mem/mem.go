@@ -15,6 +15,7 @@ package mem
 import (
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 )
 
@@ -73,12 +74,12 @@ func (a *Arena) Reset() { a.off = 0 }
 // observation that stock malloc dominates execution time at high core
 // counts; the DBMS proper always uses Arena.
 type GlobalPool struct {
-	latch rt.Latch
+	latch rt.Latches // a slab of one
 }
 
 // NewGlobalPool creates the centralized allocator on runtime r.
 func NewGlobalPool(r rt.Runtime) *GlobalPool {
-	return &GlobalPool{latch: r.NewLatch(0xA110C)}
+	return &GlobalPool{latch: r.NewLatches(0xA110C, slot.Fixed(1))}
 }
 
 // Bound returns a per-worker view of the pool implementing Allocator.
@@ -91,9 +92,9 @@ type globalAlloc struct {
 // Alloc implements Allocator: serialize on the global latch, pay the
 // centralized allocator's longer instruction path, and hand back a buffer.
 func (ga *globalAlloc) Alloc(p rt.Proc, c stats.Component, n int) []byte {
-	ga.pool.latch.Acquire(p, c)
+	ga.pool.latch.Acquire(p, c, 0)
 	p.Sync(c, costs.GlobalAllocBase+costs.CopyCost(uint64(n))/8)
-	ga.pool.latch.Release(p, c)
+	ga.pool.latch.Release(p, c, 0)
 	return make([]byte, n)
 }
 

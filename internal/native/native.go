@@ -84,12 +84,6 @@ func (r *Runtime) Unpark(waker rt.Proc, target rt.Proc) {
 	}
 }
 
-// NewLatch implements rt.Runtime.
-func (r *Runtime) NewLatch(key uint64) rt.Latch { return &latch{} }
-
-// NewCounter implements rt.Runtime.
-func (r *Runtime) NewCounter(key uint64) rt.Counter { return &counter{} }
-
 // NewLatches implements rt.Runtime.
 func (r *Runtime) NewLatches(base uint64, l slot.Layout) rt.Latches {
 	return &latches{slot.Make[latch](l)}
@@ -102,8 +96,10 @@ func (r *Runtime) NewCounters(base uint64, l slot.Layout) rt.Counters {
 
 // NewHardwareCounter implements rt.Runtime. Real CPUs have no center-of-chip
 // fetch-add unit (the paper's point); the closest native equivalent is the
-// same atomic counter.
-func (r *Runtime) NewHardwareCounter(key uint64) rt.Counter { return &counter{} }
+// same atomic counter, in a slab of one.
+func (r *Runtime) NewHardwareCounter(key uint64) rt.Counters {
+	return r.NewCounters(key, slot.Fixed(1))
+}
 
 // Proc is one native worker. It implements rt.Proc.
 type Proc struct {
@@ -192,43 +188,20 @@ func (p *Proc) ParkTimeout(c stats.Component, cycles uint64) bool {
 	return woken
 }
 
-type latch struct{ mu sync.Mutex }
-
-// Acquire implements rt.Latch.
-func (l *latch) Acquire(p rt.Proc, c stats.Component) { l.mu.Lock() }
-
-// Release implements rt.Latch.
-func (l *latch) Release(p rt.Proc, c stats.Component) { l.mu.Unlock() }
-
-type counter struct{ v atomic.Uint64 }
-
-// Add implements rt.Counter.
-func (c *counter) Add(p rt.Proc, comp stats.Component, delta uint64) uint64 {
-	return c.v.Add(delta)
-}
-
-// Load implements rt.Counter.
-func (c *counter) Load(p rt.Proc, comp stats.Component) uint64 {
-	return c.v.Load()
-}
-
-// Store implements rt.Counter.
-func (c *counter) Store(p rt.Proc, comp stats.Component, v uint64) {
-	c.v.Store(v)
-}
-
-// latches and counters are the slab forms: element i is the same latch or
-// counter value the singular constructors return a pointer to.
+// latches and counters are the slabs: a latch is a sync.Mutex and a counter
+// an atomic word. Placement keys mean nothing on real hardware.
 type (
 	latches  struct{ slot.Array[latch] }
 	counters struct{ slot.Array[counter] }
+	latch    struct{ mu sync.Mutex }
+	counter  struct{ v atomic.Uint64 }
 )
 
 // Acquire implements rt.Latches.
-func (s *latches) Acquire(p rt.Proc, c stats.Component, i int) { s.At(i).Acquire(p, c) }
+func (s *latches) Acquire(p rt.Proc, c stats.Component, i int) { s.At(i).mu.Lock() }
 
 // Release implements rt.Latches.
-func (s *latches) Release(p rt.Proc, c stats.Component, i int) { s.At(i).Release(p, c) }
+func (s *latches) Release(p rt.Proc, c stats.Component, i int) { s.At(i).mu.Unlock() }
 
 // TryAcquireQuiet implements rt.Latches.
 func (s *latches) TryAcquireQuiet(p rt.Proc, i int) bool { return s.At(i).mu.TryLock() }
@@ -238,13 +211,13 @@ func (s *latches) ReleaseQuiet(p rt.Proc, i int) { s.At(i).mu.Unlock() }
 
 // Add implements rt.Counters.
 func (s *counters) Add(p rt.Proc, c stats.Component, i int, delta uint64) uint64 {
-	return s.At(i).Add(p, c, delta)
+	return s.At(i).v.Add(delta)
 }
 
 // Load implements rt.Counters.
-func (s *counters) Load(p rt.Proc, c stats.Component, i int) uint64 { return s.At(i).Load(p, c) }
+func (s *counters) Load(p rt.Proc, c stats.Component, i int) uint64 { return s.At(i).v.Load() }
 
 // Store implements rt.Counters.
-func (s *counters) Store(p rt.Proc, c stats.Component, i int, v uint64) { s.At(i).Store(p, c, v) }
+func (s *counters) Store(p rt.Proc, c stats.Component, i int, v uint64) { s.At(i).v.Store(v) }
 
 var _ rt.Runtime = (*Runtime)(nil)

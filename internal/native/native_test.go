@@ -41,13 +41,13 @@ func TestNowAdvances(t *testing.T) {
 
 func TestLatchMutualExclusion(t *testing.T) {
 	r := native.New(8, 1)
-	l := r.NewLatch(1)
+	l := r.NewLatches(1, slot.Fixed(1))
 	counter := 0
 	r.Run(func(p rt.Proc) {
 		for i := 0; i < 1000; i++ {
-			l.Acquire(p, stats.Manager)
+			l.Acquire(p, stats.Manager, 0)
 			counter++
-			l.Release(p, stats.Manager)
+			l.Release(p, stats.Manager, 0)
 		}
 	})
 	if counter != 8000 {
@@ -111,32 +111,41 @@ func TestQuietLatch(t *testing.T) {
 	}
 }
 
+// TestCounterAtomic: a counter slab's element and the hardware counter (a
+// slab of one) are both atomic fetch-adds natively.
 func TestCounterAtomic(t *testing.T) {
-	r := native.New(8, 1)
-	c := r.NewCounter(1)
-	seen := make([]map[uint64]bool, 8)
-	r.Run(func(p rt.Proc) {
-		m := map[uint64]bool{}
-		for i := 0; i < 1000; i++ {
-			m[c.Add(p, stats.TsAlloc, 1)] = true
-		}
-		seen[p.ID()] = m
-	})
-	all := map[uint64]bool{}
-	for _, m := range seen {
-		for v := range m {
-			if all[v] {
-				t.Fatalf("duplicate counter value %d", v)
+	for name, mk := range map[string]func(r *native.Runtime) rt.Counters{
+		"atomic":   func(r *native.Runtime) rt.Counters { return r.NewCounters(1, slot.Fixed(1)) },
+		"hardware": func(r *native.Runtime) rt.Counters { return r.NewHardwareCounter(1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := native.New(8, 1)
+			c := mk(r)
+			seen := make([]map[uint64]bool, 8)
+			r.Run(func(p rt.Proc) {
+				m := map[uint64]bool{}
+				for i := 0; i < 1000; i++ {
+					m[c.Add(p, stats.TsAlloc, 0, 1)] = true
+				}
+				seen[p.ID()] = m
+			})
+			all := map[uint64]bool{}
+			for _, m := range seen {
+				for v := range m {
+					if all[v] {
+						t.Fatalf("duplicate counter value %d", v)
+					}
+					all[v] = true
+				}
 			}
-			all[v] = true
-		}
-	}
-	if c.Load(r.Proc(0), stats.TsAlloc) != 8000 {
-		t.Fatal("final value wrong")
-	}
-	c.Store(r.Proc(0), stats.TsAlloc, 5)
-	if c.Load(r.Proc(0), stats.TsAlloc) != 5 {
-		t.Fatal("store failed")
+			if c.Load(r.Proc(0), stats.TsAlloc, 0) != 8000 {
+				t.Fatal("final value wrong")
+			}
+			c.Store(r.Proc(0), stats.TsAlloc, 0, 5)
+			if c.Load(r.Proc(0), stats.TsAlloc, 0) != 5 {
+				t.Fatal("store failed")
+			}
+		})
 	}
 }
 

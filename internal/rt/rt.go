@@ -8,9 +8,10 @@
 //     the paper's Fig. 3 "simulator vs. real hardware" comparison.
 //
 // The contract: DBMS code never uses sync/atomic directly. All shared
-// mutable state is accessed only while holding an rt.Latch, all shared
-// monotonic counters are rt.Counter, and blocking uses Park/Unpark with
-// binary-permit semantics (an Unpark delivered before Park is not lost).
+// mutable state is accessed only while holding a latch of an rt.Latches
+// slab, all shared monotonic counters are elements of an rt.Counters slab
+// (a lone latch or counter is a slab of one), and blocking uses Park/Unpark
+// with binary-permit semantics (an Unpark delivered before Park is not lost).
 // Under the simulator these primitives advance a simulated cycle clock and
 // enforce a global simulated-time order; under the native runtime they map
 // to sync.Mutex, atomic.AddUint64 and channel-based parking.
@@ -30,9 +31,9 @@ import (
 // clock. The difference matters only under simulation: Sync additionally
 // establishes a global ordering point, guaranteeing that any shared-state
 // access performed after Sync returns happens in simulated-time order with
-// respect to all other cores' Sync'd accesses. Latch/Counter operations Sync
-// internally, so plain DBMS code only needs explicit Sync when it touches
-// shared state outside a latch (which it should not).
+// respect to all other cores' Sync'd accesses. Latch and counter operations
+// Sync internally, so plain DBMS code only needs explicit Sync when it
+// touches shared state outside a latch (which it should not).
 type Proc interface {
 	// ID returns the core/worker id in [0, Runtime.NumProcs()).
 	ID() int
@@ -94,39 +95,19 @@ type Proc interface {
 	MemWrite(c stats.Component, key uint64, bytes uint64)
 }
 
-// Latch is a short-duration mutual-exclusion lock protecting shared state
-// (per-tuple CC metadata, index buckets, partition queues). Latches are not
-// reentrant. Holders must not Park while holding a latch.
-type Latch interface {
-	// Acquire blocks until the latch is held, billing acquisition cost
-	// and any contention stall to c.
-	Acquire(p Proc, c stats.Component)
-	// Release releases the latch. The billed cost is implementation
-	// defined (typically a store + line transfer on the simulator).
-	Release(p Proc, c stats.Component)
-}
-
-// Counter is a shared word supporting atomic fetch-add, the primitive
-// behind the "atomic addition" timestamp allocator and the paper's Fig. 6
-// micro-benchmark. It also supports plain stores (used for per-worker
-// published values such as MVCC's active-transaction timestamps).
-type Counter interface {
-	// Add atomically adds delta and returns the new value, billing the
-	// operation (including coherence stalls under simulation) to c.
-	Add(p Proc, c stats.Component, delta uint64) uint64
-	// Load returns the current value. Under simulation this is a read of
-	// a (possibly remote) cache line.
-	Load(p Proc, c stats.Component) uint64
-	// Store overwrites the value.
-	Store(p Proc, c stats.Component, v uint64)
-}
-
-// Latches is a slab of latches made by one Runtime.NewLatches call and
-// addressed by index: what a table-sized structure (per-tuple CC metadata,
-// hash buckets) uses in place of one Latch object per element, so that its
-// resident cost is a few bytes per element and one allocation per table
-// (plus one per insert page reached). Latch i behaves exactly as a Latch
-// created with key base|i.
+// Latches is a slab of short-duration mutual-exclusion locks made by one
+// Runtime.NewLatches call and addressed by index. A latch protects shared
+// state (per-tuple CC metadata, index buckets, partition queues, a central
+// validation section); latches are not reentrant, and a holder must not
+// Park. A table-sized structure holds one slab rather than one object per
+// element, so that its resident cost is a few bytes per element and one
+// allocation per table (plus one per insert page reached); a lone latch is
+// a slab of one, used at index 0.
+//
+// Acquire blocks until latch i is held, billing acquisition cost and any
+// contention stall to c. Release gives it back; its billed cost is
+// implementation defined (typically a store + line transfer on the
+// simulator).
 //
 // TryAcquireQuiet and ReleaseQuiet are the unmodelled pair, for housekeeping
 // that is not part of the paper's cost model (MVCC's garbage collection):
@@ -134,7 +115,7 @@ type Counter interface {
 // whether it did; the second gives it back. Neither bills a component,
 // advances a clock, moves a simulated cache line or is an ordering point,
 // so a simulated schedule cannot tell that they ran. In exchange the holder
-// may call no Proc method — and so no other Latch, Counter or Unpark
+// may call no Proc method — and so no other latch, counter or Unpark
 // operation either — before ReleaseQuiet: under simulation that is what
 // keeps every other core from ever seeing the latch held.
 type Latches interface {
@@ -144,8 +125,16 @@ type Latches interface {
 	ReleaseQuiet(p Proc, i int)
 }
 
-// Counters is the slab form of Counter; counter i behaves exactly as a
-// Counter created with key base|i.
+// Counters is a slab of shared words supporting atomic fetch-add, the
+// primitive behind the "atomic addition" timestamp allocator and the
+// paper's Fig. 6 micro-benchmark, addressed by index like Latches. A
+// counter also supports plain stores (used for per-worker published values
+// such as MVCC's active-transaction timestamps).
+//
+// Add atomically adds delta to counter i and returns the new value,
+// billing the operation (including coherence stalls under simulation) to
+// c. Load returns its current value; under simulation that is a read of a
+// (possibly remote) cache line. Store overwrites it.
 type Counters interface {
 	Add(p Proc, c stats.Component, i int, delta uint64) uint64
 	Load(p Proc, c stats.Component, i int) uint64
@@ -157,26 +146,20 @@ type Runtime interface {
 	// NumProcs returns the number of logical cores.
 	NumProcs() int
 
-	// NewLatch allocates a latch. key identifies the protected object
-	// (the simulator uses it to place the latch's cache line on a home
-	// tile deterministically).
-	NewLatch(key uint64) Latch
-
-	// NewCounter allocates a shared counter placed by key.
-	NewCounter(key uint64) Counter
-
 	// NewLatches and NewCounters make l.Cap latches or counters laid out
 	// as a slot.Array: the first l.Dense as one slab, the rest a page at a
 	// time on first use. Element i is placed by key base|i (base must
-	// leave the bits of i clear), whenever it is allocated.
+	// leave the bits of i clear), whenever it is allocated: the key
+	// identifies the protected object, and the simulator uses it to place
+	// the element's cache line on a home tile deterministically.
 	NewLatches(base uint64, l slot.Layout) Latches
 	NewCounters(base uint64, l slot.Layout) Counters
 
 	// NewHardwareCounter allocates the paper's proposed center-of-chip
 	// hardware counter: a fetch-add that serializes for a single cycle at
-	// a central location (§4.3). Under the native runtime this is an
-	// ordinary atomic counter.
-	NewHardwareCounter(key uint64) Counter
+	// a central location (§4.3). It is a slab of one, used at index 0.
+	// Under the native runtime this is an ordinary atomic counter.
+	NewHardwareCounter(key uint64) Counters
 
 	// Unpark delivers a wakeup permit to target. waker is the Proc on
 	// whose behalf the wake occurs (it pays the signalling cost); it may

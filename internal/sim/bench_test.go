@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 )
 
@@ -72,12 +73,12 @@ func BenchmarkLatchContended(b *testing.B) {
 	const cores, ops = 32, 200
 	for i := 0; i < b.N; i++ {
 		e := New(cores, 1)
-		l := e.NewLatch(1)
+		l := e.NewLatches(1, slot.Fixed(1))
 		e.Run(func(p rt.Proc) {
 			for k := 0; k < ops; k++ {
-				l.Acquire(p, stats.Manager)
+				l.Acquire(p, stats.Manager, 0)
 				p.Sync(stats.Useful, 20)
-				l.Release(p, stats.Manager)
+				l.Release(p, stats.Manager, 0)
 			}
 		})
 	}
@@ -92,10 +93,10 @@ func BenchmarkCounterContended(b *testing.B) {
 	const cores, ops = 64, 300
 	for i := 0; i < b.N; i++ {
 		e := New(cores, 1)
-		c := e.NewCounter(2)
+		c := e.NewCounters(2, slot.Fixed(1))
 		e.Run(func(p rt.Proc) {
 			for k := 0; k < ops; k++ {
-				c.Add(p, stats.TsAlloc, 1)
+				c.Add(p, stats.TsAlloc, 0, 1)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 )
 
@@ -38,12 +39,12 @@ func TestBodyPanicSurfacesInRun(t *testing.T) {
 func TestRunLeavesNoGoroutine(t *testing.T) {
 	before := settledGoroutines()
 	e := New(64, 1)
-	l := e.NewLatch(1)
+	l := e.NewLatches(1, slot.Fixed(1))
 	e.Run(func(p rt.Proc) {
 		for k := 0; k < 20; k++ {
-			l.Acquire(p, stats.Manager)
+			l.Acquire(p, stats.Manager, 0)
 			p.Sync(stats.Useful, 10)
-			l.Release(p, stats.Manager)
+			l.Release(p, stats.Manager, 0)
 			p.ParkTimeout(stats.Wait, 5)
 		}
 	})

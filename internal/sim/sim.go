@@ -296,106 +296,31 @@ func (e *Engine) Unpark(waker rt.Proc, target rt.Proc) {
 	e.queue.schedule(t, wakeAt)
 }
 
-// latch is the simulated rt.Latch: a test-and-set word on a shared cache
-// line with a FIFO waiter queue. Contended acquisition parks the caller;
-// release hands the latch directly to the head waiter (no thundering herd).
-// It is 48 bytes with its line inside it and names no engine — the calling
-// Proc knows its own — so a table's worth is one slab (latches).
+// latch is one element of the simulated rt.Latches: a test-and-set word on
+// a shared cache line with a FIFO waiter queue. Contended acquisition parks
+// the caller; release hands the latch directly to the head waiter (no
+// thundering herd). It is 48 bytes with its line inside it and names no
+// engine — the calling Proc knows its own — so a table's worth is one slab.
 type latch struct {
 	line    mesh.Line
 	holder  *Proc
 	waiters []*Proc
 }
 
-// NewLatch implements rt.Runtime.
-func (e *Engine) NewLatch(key uint64) rt.Latch {
-	return &latch{line: mesh.NewLine(e.chip, key)}
-}
-
-// Acquire implements rt.Latch.
-func (l *latch) Acquire(p rt.Proc, c stats.Component) {
-	sp := p.(*Proc)
-	sp.Sync(c, 0) // ordering point: run any core whose clock is behind
-	done := l.line.Exclusive(sp.eng.chip, sp.id, sp.now)
-	sp.Tick(c, done-sp.now)
-	if l.holder == nil {
-		l.holder = sp
-		return
-	}
-	if l.holder == sp {
-		panic("sim: latch is not reentrant")
-	}
-	l.waiters = append(l.waiters, sp)
-	sp.Park(c)
-	// The releaser made us the holder before unparking us.
-}
-
-// Release implements rt.Latch.
-func (l *latch) Release(p rt.Proc, c stats.Component) {
-	sp := p.(*Proc)
-	if l.holder != sp {
-		panic("sim: latch released by non-holder")
-	}
-	done := l.line.Exclusive(sp.eng.chip, sp.id, sp.now)
-	sp.Tick(c, done-sp.now)
-	if len(l.waiters) == 0 {
-		l.holder = nil
-		return
-	}
-	next := l.waiters[0]
-	copy(l.waiters, l.waiters[1:])
-	l.waiters = l.waiters[:len(l.waiters)-1]
-	l.holder = next
-	sp.eng.Unpark(sp, next)
-}
-
-// counter is the simulated rt.Counter: an atomic fetch-add word on a shared
-// cache line. Every Add pays the coherence transfer from the previous owner
-// tile and serializes through the line's occupancy window — with 1024 cores
-// the cross-chip round trip caps throughput near 10M ops/s at 1 GHz,
-// reproducing the paper's Fig. 6 arithmetic.
+// counter is one element of the simulated rt.Counters: an atomic fetch-add
+// word on a shared cache line. Every Add pays the coherence transfer from
+// the previous owner tile and serializes through the line's occupancy
+// window — with 1024 cores the cross-chip round trip caps throughput near
+// 10M ops/s at 1 GHz, reproducing the paper's Fig. 6 arithmetic.
 type counter struct {
 	line  mesh.Line
 	value uint64
 }
 
-// NewCounter implements rt.Runtime.
-func (e *Engine) NewCounter(key uint64) rt.Counter {
-	return &counter{line: mesh.NewLine(e.chip, key)}
-}
-
-// Add implements rt.Counter.
-func (c *counter) Add(p rt.Proc, comp stats.Component, delta uint64) uint64 {
-	sp := p.(*Proc)
-	sp.Sync(comp, 0)
-	done := c.line.Exclusive(sp.eng.chip, sp.id, sp.now)
-	sp.Tick(comp, done-sp.now)
-	c.value += delta
-	return c.value
-}
-
-// Load implements rt.Counter.
-func (c *counter) Load(p rt.Proc, comp stats.Component) uint64 {
-	sp := p.(*Proc)
-	sp.Sync(comp, 0)
-	done := c.line.Read(sp.eng.chip, sp.id, sp.now)
-	sp.Tick(comp, done-sp.now)
-	return c.value
-}
-
-// Store implements rt.Counter.
-func (c *counter) Store(p rt.Proc, comp stats.Component, v uint64) {
-	sp := p.(*Proc)
-	sp.Sync(comp, 0)
-	done := c.line.Exclusive(sp.eng.chip, sp.id, sp.now)
-	sp.Tick(comp, done-sp.now)
-	c.value = v
-}
-
-// latches and counters are the slab forms: element i is the same latch or
-// counter value the singular constructors return a pointer to, on the line
-// key base|i places. Placement is a pure function of the key, so an element
-// paged in mid-run is the element an up-front slab would have held.
+// latches and counters are the slabs: element i sits on the line key base|i
+// places. Placement is a pure function of the key, so an element paged in
+// mid-run is the element an up-front slab would have held, and element 0 of
+// a slab of one made at base|i is element i of a slab made at base.
 type (
 	latches  struct{ slot.Array[latch] }
 	counters struct{ slot.Array[counter] }
@@ -420,10 +345,41 @@ func (e *Engine) NewCounters(base uint64, l slot.Layout) rt.Counters {
 }
 
 // Acquire implements rt.Latches.
-func (s *latches) Acquire(p rt.Proc, c stats.Component, i int) { s.At(i).Acquire(p, c) }
+func (s *latches) Acquire(p rt.Proc, c stats.Component, i int) {
+	l, sp := s.At(i), p.(*Proc)
+	sp.Sync(c, 0) // ordering point: run any core whose clock is behind
+	done := l.line.Exclusive(sp.eng.chip, sp.id, sp.now)
+	sp.Tick(c, done-sp.now)
+	if l.holder == nil {
+		l.holder = sp
+		return
+	}
+	if l.holder == sp {
+		panic("sim: latch is not reentrant")
+	}
+	l.waiters = append(l.waiters, sp)
+	sp.Park(c)
+	// The releaser made us the holder before unparking us.
+}
 
 // Release implements rt.Latches.
-func (s *latches) Release(p rt.Proc, c stats.Component, i int) { s.At(i).Release(p, c) }
+func (s *latches) Release(p rt.Proc, c stats.Component, i int) {
+	l, sp := s.At(i), p.(*Proc)
+	if l.holder != sp {
+		panic("sim: latch released by non-holder")
+	}
+	done := l.line.Exclusive(sp.eng.chip, sp.id, sp.now)
+	sp.Tick(c, done-sp.now)
+	if len(l.waiters) == 0 {
+		l.holder = nil
+		return
+	}
+	next := l.waiters[0]
+	copy(l.waiters, l.waiters[1:])
+	l.waiters = l.waiters[:len(l.waiters)-1]
+	l.holder = next
+	sp.eng.Unpark(sp, next)
+}
 
 // TryAcquireQuiet implements rt.Latches: a latch is free exactly when it has
 // no holder, and taking it touches neither its line nor the caller's clock.
@@ -441,55 +397,72 @@ func (s *latches) TryAcquireQuiet(p rt.Proc, i int) bool {
 func (s *latches) ReleaseQuiet(p rt.Proc, i int) { s.At(i).holder = nil }
 
 // Add implements rt.Counters.
-func (s *counters) Add(p rt.Proc, c stats.Component, i int, delta uint64) uint64 {
-	return s.At(i).Add(p, c, delta)
-}
-
-// Load implements rt.Counters.
-func (s *counters) Load(p rt.Proc, c stats.Component, i int) uint64 { return s.At(i).Load(p, c) }
-
-// Store implements rt.Counters.
-func (s *counters) Store(p rt.Proc, c stats.Component, i int, v uint64) { s.At(i).Store(p, c, v) }
-
-// hwCounter is the paper's proposed hardware fetch-add unit at the chip
-// center (§4.3): requests travel the mesh, are serviced in one cycle, and
-// return. No cache line ping-pongs, so throughput reaches ~1 ts/cycle.
-type hwCounter struct {
-	svc   *mesh.CenterService
-	value uint64
-}
-
-// NewHardwareCounter implements rt.Runtime.
-func (e *Engine) NewHardwareCounter(key uint64) rt.Counter {
-	return &hwCounter{svc: mesh.NewCenterService(e.chip)}
-}
-
-// Add implements rt.Counter.
-func (c *hwCounter) Add(p rt.Proc, comp stats.Component, delta uint64) uint64 {
-	sp := p.(*Proc)
+func (s *counters) Add(p rt.Proc, comp stats.Component, i int, delta uint64) uint64 {
+	c, sp := s.At(i), p.(*Proc)
 	sp.Sync(comp, 0)
-	done := c.svc.Request(sp.id, sp.now)
+	done := c.line.Exclusive(sp.eng.chip, sp.id, sp.now)
 	sp.Tick(comp, done-sp.now)
 	c.value += delta
 	return c.value
 }
 
-// Load implements rt.Counter.
-func (c *hwCounter) Load(p rt.Proc, comp stats.Component) uint64 {
-	sp := p.(*Proc)
+// Load implements rt.Counters.
+func (s *counters) Load(p rt.Proc, comp stats.Component, i int) uint64 {
+	c, sp := s.At(i), p.(*Proc)
 	sp.Sync(comp, 0)
-	done := c.svc.Request(sp.id, sp.now)
+	done := c.line.Read(sp.eng.chip, sp.id, sp.now)
 	sp.Tick(comp, done-sp.now)
 	return c.value
 }
 
-// Store implements rt.Counter.
-func (c *hwCounter) Store(p rt.Proc, comp stats.Component, v uint64) {
+// Store implements rt.Counters.
+func (s *counters) Store(p rt.Proc, comp stats.Component, i int, v uint64) {
+	c, sp := s.At(i), p.(*Proc)
+	sp.Sync(comp, 0)
+	done := c.line.Exclusive(sp.eng.chip, sp.id, sp.now)
+	sp.Tick(comp, done-sp.now)
+	c.value = v
+}
+
+// hwCounter is the paper's proposed hardware fetch-add unit at the chip
+// center (§4.3): requests travel the mesh, are serviced in one cycle, and
+// return. No cache line ping-pongs, so throughput reaches ~1 ts/cycle. It
+// is a slab of one counter: index 0 is its only valid element.
+type hwCounter struct {
+	svc   *mesh.CenterService
+	value [1]uint64
+}
+
+// NewHardwareCounter implements rt.Runtime.
+func (e *Engine) NewHardwareCounter(key uint64) rt.Counters {
+	return &hwCounter{svc: mesh.NewCenterService(e.chip)}
+}
+
+// request bills one round trip to the center unit.
+func (c *hwCounter) request(p rt.Proc, comp stats.Component) {
 	sp := p.(*Proc)
 	sp.Sync(comp, 0)
 	done := c.svc.Request(sp.id, sp.now)
 	sp.Tick(comp, done-sp.now)
-	c.value = v
+}
+
+// Add implements rt.Counters.
+func (c *hwCounter) Add(p rt.Proc, comp stats.Component, i int, delta uint64) uint64 {
+	c.request(p, comp)
+	c.value[i] += delta
+	return c.value[i]
+}
+
+// Load implements rt.Counters.
+func (c *hwCounter) Load(p rt.Proc, comp stats.Component, i int) uint64 {
+	c.request(p, comp)
+	return c.value[i]
+}
+
+// Store implements rt.Counters.
+func (c *hwCounter) Store(p rt.Proc, comp stats.Component, i int, v uint64) {
+	c.request(p, comp)
+	c.value[i] = v
 }
 
 var _ rt.Runtime = (*Engine)(nil)

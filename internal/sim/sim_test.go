@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 )
 
@@ -147,12 +148,12 @@ func TestParkTimeoutWokenEarly(t *testing.T) {
 
 func TestLatchMutualExclusionAndFIFO(t *testing.T) {
 	e := New(8, 1)
-	l := e.NewLatch(1)
+	l := e.NewLatches(1, slot.Fixed(1))
 	depth := 0
 	var grants []int
 	e.Run(func(p rt.Proc) {
 		p.Tick(stats.Useful, uint64(p.ID())) // stagger arrival
-		l.Acquire(p, stats.Manager)
+		l.Acquire(p, stats.Manager, 0)
 		depth++
 		if depth != 1 {
 			t.Errorf("latch held by %d procs simultaneously", depth)
@@ -160,7 +161,7 @@ func TestLatchMutualExclusionAndFIFO(t *testing.T) {
 		grants = append(grants, p.ID())
 		p.Sync(stats.Useful, 100) // hold across a yield
 		depth--
-		l.Release(p, stats.Manager)
+		l.Release(p, stats.Manager, 0)
 	})
 	if len(grants) != 8 {
 		t.Fatalf("grants = %v", grants)
@@ -174,11 +175,11 @@ func TestLatchMutualExclusionAndFIFO(t *testing.T) {
 
 func TestCounterAtomicity(t *testing.T) {
 	e := New(16, 1)
-	c := e.NewCounter(2)
+	c := e.NewCounters(2, slot.Fixed(1))
 	seen := make(map[uint64]bool)
 	e.Run(func(p rt.Proc) {
 		for i := 0; i < 10; i++ {
-			v := c.Add(p, stats.TsAlloc, 1)
+			v := c.Add(p, stats.TsAlloc, 0, 1)
 			if seen[v] {
 				t.Errorf("duplicate counter value %d", v)
 			}
@@ -188,7 +189,7 @@ func TestCounterAtomicity(t *testing.T) {
 	if len(seen) != 160 {
 		t.Fatalf("got %d unique values, want 160", len(seen))
 	}
-	if got := c.(*counter).value; got != 160 {
+	if got := c.(*counters).At(0).value; got != 160 {
 		t.Fatalf("final counter value = %d, want 160", got)
 	}
 }
@@ -198,11 +199,11 @@ func TestCounterAtomicity(t *testing.T) {
 func TestCounterSerializationThroughput(t *testing.T) {
 	const n, ops = 64, 50
 	e := New(n, 1)
-	c := e.NewCounter(3)
+	c := e.NewCounters(3, slot.Fixed(1))
 	var maxEnd uint64
 	e.Run(func(p rt.Proc) {
 		for i := 0; i < ops; i++ {
-			c.Add(p, stats.TsAlloc, 1)
+			c.Add(p, stats.TsAlloc, 0, 1)
 		}
 		if p.Now() > maxEnd {
 			maxEnd = p.Now()
@@ -218,13 +219,13 @@ func TestCounterSerializationThroughput(t *testing.T) {
 
 func TestHardwareCounterFasterThanAtomicUnderContention(t *testing.T) {
 	const n, ops = 256, 20
-	run := func(mk func(e *Engine) rt.Counter) uint64 {
+	run := func(mk func(e *Engine) rt.Counters) uint64 {
 		e := New(n, 1)
 		c := mk(e)
 		var maxEnd uint64
 		e.Run(func(p rt.Proc) {
 			for i := 0; i < ops; i++ {
-				c.Add(p, stats.TsAlloc, 1)
+				c.Add(p, stats.TsAlloc, 0, 1)
 			}
 			if p.Now() > maxEnd {
 				maxEnd = p.Now()
@@ -232,8 +233,8 @@ func TestHardwareCounterFasterThanAtomicUnderContention(t *testing.T) {
 		})
 		return maxEnd
 	}
-	atomicEnd := run(func(e *Engine) rt.Counter { return e.NewCounter(4) })
-	hwEnd := run(func(e *Engine) rt.Counter { return e.NewHardwareCounter(5) })
+	atomicEnd := run(func(e *Engine) rt.Counters { return e.NewCounters(4, slot.Fixed(1)) })
+	hwEnd := run(func(e *Engine) rt.Counters { return e.NewHardwareCounter(5) })
 	if hwEnd >= atomicEnd {
 		t.Fatalf("hardware counter (%d cycles) not faster than atomic (%d cycles) at %d cores", hwEnd, atomicEnd, n)
 	}
@@ -242,16 +243,16 @@ func TestHardwareCounterFasterThanAtomicUnderContention(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []uint64 {
 		e := New(32, 42)
-		c := e.NewCounter(6)
-		l := e.NewLatch(7)
+		c := e.NewCounters(6, slot.Fixed(1))
+		l := e.NewLatches(7, slot.Fixed(1))
 		ends := make([]uint64, 32)
 		e.Run(func(p rt.Proc) {
 			for i := 0; i < 20; i++ {
 				p.Tick(stats.Useful, uint64(p.Rand().Intn(50)))
-				c.Add(p, stats.TsAlloc, 1)
-				l.Acquire(p, stats.Manager)
+				c.Add(p, stats.TsAlloc, 0, 1)
+				l.Acquire(p, stats.Manager, 0)
 				p.Sync(stats.Useful, 10)
-				l.Release(p, stats.Manager)
+				l.Release(p, stats.Manager, 0)
 			}
 			ends[p.ID()] = p.Now()
 		})

@@ -23,13 +23,14 @@ func TestLatchAndCounterSize(t *testing.T) {
 	}
 }
 
-// TestSlabElementIsTheSingularPrimitive: element i of a latch or counter
-// slab and a singular latch or counter created with key base|i are the same
-// thing — same home tile, same billed cycles, same FIFO hand-off — so a
-// scheme that moved from one object per tuple to one slab per table cannot
-// have moved the model. The workload is contended on purpose: 16 cores on
-// one latch and one counter, so waiter order and line ownership matter.
-func TestSlabElementIsTheSingularPrimitive(t *testing.T) {
+// TestSlabPlacementIsByKey: a latch or counter is placed by its key alone,
+// element i of a slab made at base sitting where element 0 of a slab made
+// at base|i sits — same home tile, same billed cycles, same FIFO hand-off —
+// so a structure that holds one slab where it once held one slab per
+// element cannot have moved the model. The workload is contended on
+// purpose: 16 cores on one latch and one counter, so waiter order and line
+// ownership matter.
+func TestSlabPlacementIsByKey(t *testing.T) {
 	const (
 		base  = uint64(3)<<44 | 0x2B<<36
 		elem  = 5
@@ -41,45 +42,36 @@ func TestSlabElementIsTheSingularPrimitive(t *testing.T) {
 		ends   []uint64 // every core's final clock
 		wait   []uint64 // every core's cycles billed to MANAGER
 	}
-	run := func(mk func(e *Engine) (acquire, release func(rt.Proc), add func(rt.Proc) uint64)) trace {
+	// run makes a latch and a counter slab at base and base|1<<35, each of
+	// n elements, and contends on element i of both.
+	run := func(base uint64, n, i int) trace {
 		e := New(cores, 9)
-		acquire, release, add := mk(e)
+		ls, cs := e.NewLatches(base, slot.Fixed(n)), e.NewCounters(base|1<<35, slot.Fixed(n))
 		tr := trace{ends: make([]uint64, cores), wait: make([]uint64, cores)}
 		e.Run(func(p rt.Proc) {
-			for i := 0; i < 10; i++ {
+			for k := 0; k < 10; k++ {
 				p.Tick(stats.Useful, uint64(p.Rand().Intn(40)))
-				acquire(p)
+				ls.Acquire(p, stats.Manager, i)
 				tr.grants = append(tr.grants, p.ID())
-				tr.values = append(tr.values, add(p))
+				tr.values = append(tr.values, cs.Add(p, stats.Manager, i, 1))
 				p.Sync(stats.Useful, 25) // hold across a yield so waiters queue
-				release(p)
+				ls.Release(p, stats.Manager, i)
 			}
 			tr.ends[p.ID()] = p.Now()
 			tr.wait[p.ID()] = p.Stats().Get(stats.Manager)
 		})
 		return tr
 	}
-	singular := run(func(e *Engine) (func(rt.Proc), func(rt.Proc), func(rt.Proc) uint64) {
-		l, c := e.NewLatch(base|elem), e.NewCounter(base|1<<35|elem)
-		return func(p rt.Proc) { l.Acquire(p, stats.Manager) },
-			func(p rt.Proc) { l.Release(p, stats.Manager) },
-			func(p rt.Proc) uint64 { return c.Add(p, stats.Manager, 1) }
-	})
-	slab := run(func(e *Engine) (func(rt.Proc), func(rt.Proc), func(rt.Proc) uint64) {
-		ls, cs := e.NewLatches(base, slot.Fixed(8)), e.NewCounters(base|1<<35, slot.Fixed(8))
-		return func(p rt.Proc) { ls.Acquire(p, stats.Manager, elem) },
-			func(p rt.Proc) { ls.Release(p, stats.Manager, elem) },
-			func(p rt.Proc) uint64 { return cs.Add(p, stats.Manager, elem, 1) }
-	})
-	if !slices.Equal(singular.grants, slab.grants) {
-		t.Errorf("hand-off order differs:\nsingular %v\nslab     %v", singular.grants, slab.grants)
+	one, slab := run(base|elem, 1, 0), run(base, 8, elem)
+	if !slices.Equal(one.grants, slab.grants) {
+		t.Errorf("hand-off order differs:\nslab of one %v\nslab        %v", one.grants, slab.grants)
 	}
-	if !slices.Equal(singular.values, slab.values) {
-		t.Errorf("counter values differ:\nsingular %v\nslab     %v", singular.values, slab.values)
+	if !slices.Equal(one.values, slab.values) {
+		t.Errorf("counter values differ:\nslab of one %v\nslab        %v", one.values, slab.values)
 	}
-	if !slices.Equal(singular.ends, slab.ends) || !slices.Equal(singular.wait, slab.wait) {
-		t.Errorf("billed cycles differ:\nsingular ends %v manager %v\nslab     ends %v manager %v",
-			singular.ends, singular.wait, slab.ends, slab.wait)
+	if !slices.Equal(one.ends, slab.ends) || !slices.Equal(one.wait, slab.wait) {
+		t.Errorf("billed cycles differ:\nslab of one ends %v manager %v\nslab        ends %v manager %v",
+			one.ends, one.wait, slab.ends, slab.wait)
 	}
 	if len(slab.grants) != cores*10 {
 		t.Fatalf("%d grants, want %d", len(slab.grants), cores*10)

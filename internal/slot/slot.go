@@ -53,13 +53,21 @@ func (l Layout) Pages() int { return (l.Cap - l.Dense + PageSlots - 1) >> pageSh
 // Array is a slot-indexed array of T with width elements per slot. The zero
 // Array has no slots.
 type Array[T any] struct {
-	dense []T                 // extent 0: slots [0, n)
+	dense []T // extent 0: slots [0, n)
+	n     int // slots in dense
+	width int
+	more  *more[T] // nil if dense is every slot
+}
+
+// more is what an Array has beyond its first extent: the other extents of
+// a split dense region and the paged region. A small fixed array — a slab
+// of one latch, a counter per worker — has neither, and so is its header
+// and its elements alone.
+type more[T any] struct {
 	ext   [][]T               // a split dense region's extents of n slots each, dense first; nil if unsplit
 	pages []atomic.Pointer[T] // first element of page k, nil until first use
-	n     int                 // slots in dense
 	base  int                 // Dense: the paged region's first slot
 	cap   int
-	width int
 	init  func(s []T, first int)
 }
 
@@ -76,16 +84,13 @@ func MakeWith[T any](l Layout, width int, init func(s []T, first int)) Array[T] 
 	if l.Dense < 0 || l.Dense > l.Cap || width <= 0 {
 		panic(fmt.Sprintf("slot: bad layout %+v or width %d", l, width))
 	}
-	a := Array[T]{
-		pages: make([]atomic.Pointer[T], l.Pages()),
-		n:     l.Dense,
-		base:  l.Dense,
-		cap:   l.Cap,
-		width: width,
-		init:  init,
-	}
+	a := Array[T]{n: l.Dense, width: width}
 	procs := runtime.GOMAXPROCS(0)
-	if procs == 1 || uintptr(l.Dense*width)*unsafe.Sizeof(*new(T)) < splitBytes {
+	split := procs > 1 && uintptr(l.Dense*width)*unsafe.Sizeof(*new(T)) >= splitBytes
+	if split || l.Cap > l.Dense {
+		a.more = &more[T]{pages: make([]atomic.Pointer[T], l.Pages()), base: l.Dense, cap: l.Cap, init: init}
+	}
+	if !split {
 		a.dense = make([]T, l.Dense*width)
 		if init != nil && l.Dense > 0 {
 			init(a.dense, 0)
@@ -93,8 +98,8 @@ func MakeWith[T any](l Layout, width int, init func(s []T, first int)) Array[T] 
 		return a
 	}
 	a.n = (l.Dense + procs - 1) / procs
-	a.ext = makeExtents(l.Dense, a.n, width, init)
-	a.dense = a.ext[0]
+	a.more.ext = makeExtents(l.Dense, a.n, width, init)
+	a.dense = a.more.ext[0]
 	return a
 }
 
@@ -124,7 +129,12 @@ func makeExtents[T any](dense, n, width int, init func(s []T, first int)) [][]T 
 }
 
 // Len returns the number of slots.
-func (a *Array[T]) Len() int { return a.cap }
+func (a *Array[T]) Len() int {
+	if a.more == nil {
+		return a.n
+	}
+	return a.more.cap
+}
 
 // At returns slot i's element; the array has one element per slot, so the
 // first extent is exactly len(a.dense) slots.
@@ -153,12 +163,16 @@ func (a *Array[T]) Chunk(i, n int) []T {
 		e := min(i+n, a.n) * w
 		return a.dense[i*w : e : e]
 	}
-	if i < a.base {
+	m := a.more
+	if m == nil {
+		return unsafe.Slice(a.pageIn(i), 0) // outside the array: pageIn panics
+	}
+	if i < m.base {
 		s, first := a.extent(i)
 		e := min(i-first+n, len(s)/w) * w
 		return s[(i-first)*w : e : e]
 	}
-	k := min(n, PageSlots-((i-a.base)&(PageSlots-1)), a.cap-i)
+	k := min(n, PageSlots-((i-m.base)&(PageSlots-1)), m.cap-i)
 	return unsafe.Slice(a.paged(i), k*w)
 }
 
@@ -166,8 +180,10 @@ func (a *Array[T]) Chunk(i, n int) []T {
 // lies in a page no slot of which has been reached it returns nil, and it
 // never allocates.
 func (a *Array[T]) Peek(i, n int) []T {
-	if j := i - a.base; j >= 0 && i < a.cap && a.pages[j>>pageShift].Load() == nil {
-		return nil
+	if m := a.more; m != nil {
+		if j := i - m.base; j >= 0 && i < m.cap && m.pages[j>>pageShift].Load() == nil {
+			return nil
+		}
 	}
 	return a.Chunk(i, n)
 }
@@ -176,7 +192,7 @@ func (a *Array[T]) Peek(i, n int) []T {
 // the extent's first slot.
 func (a *Array[T]) extent(i int) ([]T, int) {
 	k := i / a.n
-	return a.ext[k], k * a.n
+	return a.more.ext[k], k * a.n
 }
 
 // paged returns the first element of slot i beyond the first extent: in a
@@ -184,13 +200,17 @@ func (a *Array[T]) extent(i int) ([]T, int) {
 // its page pointer and an offset. A page not yet allocated, and any slot
 // outside the array, go to pageIn, which keeps this path short.
 func (a *Array[T]) paged(i int) *T {
-	if uint(i) < uint(a.base) {
+	m := a.more
+	if m == nil {
+		return a.pageIn(i)
+	}
+	if uint(i) < uint(m.base) {
 		s, first := a.extent(i)
 		return &s[(i-first)*a.width]
 	}
-	j := i - a.base
-	if k := j >> pageShift; uint(k) < uint(len(a.pages)) && i < a.cap {
-		if p := a.pages[k].Load(); p != nil {
+	j := i - m.base
+	if k := j >> pageShift; uint(k) < uint(len(m.pages)) && i < m.cap {
+		if p := m.pages[k].Load(); p != nil {
 			return (*T)(unsafe.Add(unsafe.Pointer(p), uintptr((j&(PageSlots-1))*a.width)*unsafe.Sizeof(*p)))
 		}
 	}
@@ -201,17 +221,18 @@ func (a *Array[T]) paged(i int) *T {
 // or takes the page a concurrent first touch published before it, and
 // returns slot i's first element; a slot outside the paged region panics.
 func (a *Array[T]) pageIn(i int) *T {
-	if i < a.base || i >= a.cap {
-		panic(fmt.Sprintf("slot: slot %d outside [0, %d)", i, a.cap))
+	m := a.more
+	if m == nil || i < m.base || i >= m.cap {
+		panic(fmt.Sprintf("slot: slot %d outside [0, %d)", i, a.Len()))
 	}
-	k := (i - a.base) >> pageShift
-	first := a.base + k<<pageShift
-	s := make([]T, min(PageSlots, a.cap-first)*a.width)
-	if a.init != nil {
-		a.init(s, first)
+	k := (i - m.base) >> pageShift
+	first := m.base + k<<pageShift
+	s := make([]T, min(PageSlots, m.cap-first)*a.width)
+	if m.init != nil {
+		m.init(s, first)
 	}
-	if !a.pages[k].CompareAndSwap(nil, &s[0]) {
-		s = unsafe.Slice(a.pages[k].Load(), len(s))
+	if !m.pages[k].CompareAndSwap(nil, &s[0]) {
+		s = unsafe.Slice(m.pages[k].Load(), len(s))
 	}
 	return &s[(i-first)*a.width]
 }

@@ -21,20 +21,20 @@ func TestPagedOnFirstUse(t *testing.T) {
 			s[j] = 1000 + first + j
 		}
 	})
-	if len(a.pages) != l.Pages() || l.Pages() != 3 {
-		t.Fatalf("%d pages, want 3", len(a.pages))
+	if len(a.more.pages) != l.Pages() || l.Pages() != 3 {
+		t.Fatalf("%d pages, want 3", len(a.more.pages))
 	}
 	if inits != 1 {
 		t.Fatalf("init ran %d times for the dense region", inits)
 	}
-	for k := range a.pages {
-		if a.pages[k].Load() != nil {
+	for k := range a.more.pages {
+		if a.more.pages[k].Load() != nil {
 			t.Fatalf("page %d allocated before use", k)
 		}
 	}
 	last := l.Cap - 1
 	p := a.At(last)
-	if *p != 1000+last || inits != 2 || a.pages[2].Load() == nil || a.pages[0].Load() != nil {
+	if *p != 1000+last || inits != 2 || a.more.pages[2].Load() == nil || a.more.pages[0].Load() != nil {
 		t.Fatalf("At(%d) = %d after %d inits; want %d from exactly the last page", last, *p, inits, 1000+last)
 	}
 	if a.At(last) != p {
@@ -103,7 +103,7 @@ func TestPeekNeverPagesIn(t *testing.T) {
 			t.Fatalf("Peek(%d, %d) = %d slots, want %d of slot %d's memory", c.i, c.n, len(got), c.want, c.i)
 		}
 	}
-	if a.pages[0].Load() != nil {
+	if a.more.pages[0].Load() != nil {
 		t.Fatal("Peek paged in the first page")
 	}
 }
@@ -172,8 +172,8 @@ func TestSplitDenseRegion(t *testing.T) {
 				want = append(want, first)
 			}
 			slices.Sort(firsts)
-			if len(a.ext) != procs || !slices.Equal(firsts, want) {
-				t.Fatalf("%d extents with init at slots %v, want %d at %v", len(a.ext), firsts, procs, want)
+			if len(a.more.ext) != procs || !slices.Equal(firsts, want) {
+				t.Fatalf("%d extents with init at slots %v, want %d at %v", len(a.more.ext), firsts, procs, want)
 			}
 			ends := append(want[1:len(want):len(want)], dense) // where each extent stops
 			var probes []int
@@ -211,8 +211,8 @@ func TestSplitAtMatchesSlice(t *testing.T) {
 			}
 		})
 	})
-	if len(a.ext) != 2 {
-		t.Fatalf("%d extents, want 2", len(a.ext))
+	if len(a.more.ext) != 2 {
+		t.Fatalf("%d extents, want 2", len(a.more.ext))
 	}
 	for _, i := range []int{0, a.n - 1, a.n, a.n + 1, dense - 1} {
 		if got := *a.At(i); got != int64(i) {

@@ -26,6 +26,7 @@ import (
 
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 )
 
@@ -110,9 +111,9 @@ const tsBits = 10
 func New(m Method, r rt.Runtime) Allocator {
 	switch m {
 	case Mutex:
-		return &mutexAlloc{latch: r.NewLatch(0x75A110C)}
+		return &mutexAlloc{latch: r.NewLatches(0x75A110C, slot.Fixed(1))}
 	case Atomic:
-		return &atomicAlloc{ctr: r.NewCounter(0x75A110C)}
+		return &counterAlloc{ctr: r.NewCounters(0x75A110C, slot.Fixed(1)), method: Atomic}
 	case Batch8:
 		return newBatchAlloc(r, 8)
 	case Batch16:
@@ -120,7 +121,7 @@ func New(m Method, r rt.Runtime) Allocator {
 	case Clock:
 		return &clockAlloc{last: make([]uint64, r.NumProcs())}
 	case Hardware:
-		return &hwAlloc{ctr: r.NewHardwareCounter(0x75A110C)}
+		return &counterAlloc{ctr: r.NewHardwareCounter(0x75A110C), method: Hardware}
 	default:
 		panic(fmt.Sprintf("tsalloc: unknown method %d", int(m)))
 	}
@@ -128,30 +129,32 @@ func New(m Method, r rt.Runtime) Allocator {
 
 // mutexAlloc serializes every allocation through one latch.
 type mutexAlloc struct {
-	latch rt.Latch
+	latch rt.Latches // a slab of one
 	next  uint64
 }
 
 func (a *mutexAlloc) Method() Method { return Mutex }
 
 func (a *mutexAlloc) Next(p rt.Proc) uint64 {
-	a.latch.Acquire(p, stats.TsAlloc)
+	a.latch.Acquire(p, stats.TsAlloc, 0)
 	p.Sync(stats.TsAlloc, costs.TsMutexHold)
 	a.next++
 	ts := a.next
-	a.latch.Release(p, stats.TsAlloc)
+	a.latch.Release(p, stats.TsAlloc, 0)
 	return ts
 }
 
-// atomicAlloc is one fetch-add on a shared line.
-type atomicAlloc struct {
-	ctr rt.Counter
+// counterAlloc is one fetch-add per timestamp: on a shared line (atomic)
+// or at the center-of-chip hardware unit (hardware).
+type counterAlloc struct {
+	ctr    rt.Counters // a slab of one
+	method Method
 }
 
-func (a *atomicAlloc) Method() Method { return Atomic }
+func (a *counterAlloc) Method() Method { return a.method }
 
-func (a *atomicAlloc) Next(p rt.Proc) uint64 {
-	return a.ctr.Add(p, stats.TsAlloc, 1)
+func (a *counterAlloc) Next(p rt.Proc) uint64 {
+	return a.ctr.Add(p, stats.TsAlloc, 0, 1)
 }
 
 // batchAlloc performs one fetch-add per `size` timestamps. Per-worker
@@ -159,7 +162,7 @@ func (a *atomicAlloc) Next(p rt.Proc) uint64 {
 // stale batch*, which stays smaller than the conflicting transaction's
 // timestamp — the starvation loop of Fig. 7b.
 type batchAlloc struct {
-	ctr  rt.Counter
+	ctr  rt.Counters // a slab of one
 	size uint64
 	cur  []batchState
 }
@@ -171,7 +174,7 @@ type batchState struct {
 
 func newBatchAlloc(r rt.Runtime, size uint64) *batchAlloc {
 	return &batchAlloc{
-		ctr:  r.NewCounter(0x75A110C),
+		ctr:  r.NewCounters(0x75A110C, slot.Fixed(1)),
 		size: size,
 		cur:  make([]batchState, r.NumProcs()),
 	}
@@ -188,7 +191,7 @@ func (a *batchAlloc) Next(p rt.Proc) uint64 {
 	st := &a.cur[p.ID()]
 	p.Tick(stats.TsAlloc, 2) // local batch bookkeeping
 	if st.next >= st.end {
-		end := a.ctr.Add(p, stats.TsAlloc, a.size)
+		end := a.ctr.Add(p, stats.TsAlloc, 0, a.size)
 		st.end = end
 		st.next = end - a.size
 	}
@@ -214,15 +217,4 @@ func (a *clockAlloc) Next(p rt.Proc) uint64 {
 	}
 	a.last[p.ID()] = t
 	return t<<tsBits | uint64(p.ID())
-}
-
-// hwAlloc uses the center-of-chip hardware fetch-add unit.
-type hwAlloc struct {
-	ctr rt.Counter
-}
-
-func (a *hwAlloc) Method() Method { return Hardware }
-
-func (a *hwAlloc) Next(p rt.Proc) uint64 {
-	return a.ctr.Add(p, stats.TsAlloc, 1)
 }

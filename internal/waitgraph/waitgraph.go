@@ -16,6 +16,7 @@ package waitgraph
 import (
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
+	"abyss1000/internal/slot"
 	"abyss1000/internal/stats"
 )
 
@@ -26,16 +27,16 @@ type Edge struct {
 	Seq    uint64
 }
 
-// slot is one worker's partition of the graph.
-type slot struct {
-	latch rt.Latch
+// part is one worker's partition of the graph.
+type part struct {
 	seq   uint64 // current transaction sequence of this worker
 	edges []Edge // transactions this worker's current txn waits for
 }
 
 // Graph is the partitioned waits-for graph.
 type Graph struct {
-	slots []slot
+	slots   []part
+	latches rt.Latches // latch i guards slots[i]
 
 	// scratch per worker for cycle search (visited stamps), sized once.
 	visited [][]uint64
@@ -47,13 +48,13 @@ type Graph struct {
 func New(r rt.Runtime) *Graph {
 	n := r.NumProcs()
 	g := &Graph{
-		slots:   make([]slot, n),
+		slots:   make([]part, n),
+		latches: r.NewLatches(0xD1<<40, slot.Fixed(n)),
 		visited: make([][]uint64, n),
 		stamp:   make([]uint64, n),
 		buf:     make([][]Edge, n),
 	}
 	for i := range g.slots {
-		g.slots[i].latch = r.NewLatch(0xD1<<40 | uint64(i))
 		g.visited[i] = make([]uint64, n)
 	}
 	return g
@@ -63,38 +64,38 @@ func New(r rt.Runtime) *Graph {
 // that point at its previous transaction) and returns the new sequence.
 func (g *Graph) BeginTxn(p rt.Proc) uint64 {
 	s := &g.slots[p.ID()]
-	s.latch.Acquire(p, stats.Manager)
+	g.latches.Acquire(p, stats.Manager, p.ID())
 	s.seq++
 	seq := s.seq
 	s.edges = s.edges[:0]
-	s.latch.Release(p, stats.Manager)
+	g.latches.Release(p, stats.Manager, p.ID())
 	return seq
 }
 
 // SetEdges publishes the set of transactions worker p currently waits for.
 func (g *Graph) SetEdges(p rt.Proc, edges []Edge) {
 	s := &g.slots[p.ID()]
-	s.latch.Acquire(p, stats.Manager)
+	g.latches.Acquire(p, stats.Manager, p.ID())
 	s.edges = append(s.edges[:0], edges...)
-	s.latch.Release(p, stats.Manager)
+	g.latches.Release(p, stats.Manager, p.ID())
 }
 
 // ClearEdges removes worker p's outgoing edges (it stopped waiting).
 func (g *Graph) ClearEdges(p rt.Proc) {
 	s := &g.slots[p.ID()]
-	s.latch.Acquire(p, stats.Manager)
+	g.latches.Acquire(p, stats.Manager, p.ID())
 	s.edges = s.edges[:0]
-	s.latch.Release(p, stats.Manager)
+	g.latches.Release(p, stats.Manager, p.ID())
 }
 
 // readEdges appends a snapshot of worker w's live edges to into and returns
 // it with w's sequence.
 func (g *Graph) readEdges(p rt.Proc, w int, into []Edge) ([]Edge, uint64) {
 	s := &g.slots[w]
-	s.latch.Acquire(p, stats.Manager)
+	g.latches.Acquire(p, stats.Manager, w)
 	into = append(into, s.edges...)
 	seq := s.seq
-	s.latch.Release(p, stats.Manager)
+	g.latches.Release(p, stats.Manager, w)
 	return into, seq
 }
 

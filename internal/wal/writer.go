@@ -9,18 +9,15 @@ type Config struct {
 	// runtime's mode). A group is whatever was appended while the
 	// previous group's Sync ran, so there is no window to tune. When
 	// false the writer is synchronous: every append reaches the sink
-	// immediately and "group commit" is only modeled, via the GroupTxns
-	// fsync cadence — the simulator's accounting-only mode, which keeps
-	// the log content deterministic.
+	// immediately and "group commit" is only modeled, one Sync per
+	// groupTxns records — the simulator's accounting-only mode, which
+	// keeps the log content deterministic.
 	Async bool
-
-	// GroupTxns is the synchronous mode's modeled group size: one Sync
-	// per this many appended records. Zero means DefaultGroupTxns.
-	GroupTxns int
 }
 
-// DefaultGroupTxns is GroupTxns' zero value.
-const DefaultGroupTxns = 8
+// groupTxns is the synchronous mode's modeled group size: one Sync per
+// this many appended records.
+const groupTxns = 8
 
 // Writer appends framed records to a Sink with group commit. All methods
 // are safe for concurrent use. Errors are sticky: after a sink failure
@@ -58,9 +55,6 @@ type Writer struct {
 // NewWriter wraps sink. The sink must already contain the stream magic
 // (CreateFile and NewMemSink both prime it).
 func NewWriter(sink Sink, cfg Config) *Writer {
-	if cfg.GroupTxns <= 0 {
-		cfg.GroupTxns = DefaultGroupTxns
-	}
 	w := &Writer{sink: sink, cfg: cfg}
 	w.cond = sync.NewCond(&w.mu)
 	if cfg.Async {
@@ -103,7 +97,7 @@ func (w *Writer) Append(frame []byte) (lsn uint64, sealed bool) {
 	w.bytes += uint64(len(frame))
 	w.durable = w.seq
 	w.sinceSync++
-	if w.sinceSync >= w.cfg.GroupTxns {
+	if w.sinceSync >= groupTxns {
 		w.sinceSync = 0
 		w.syncs++
 		sealed = true

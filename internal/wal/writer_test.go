@@ -12,17 +12,17 @@ func commitFrame(worker int, n int) []byte {
 
 func TestSyncWriterGroupCadence(t *testing.T) {
 	sink := NewMemSink()
-	w := NewWriter(sink, Config{GroupTxns: 4})
+	w := NewWriter(sink, Config{})
 	var sealed int
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 2*groupTxns+2; i++ {
 		lsn, s := w.Append(commitFrame(0, i))
 		if lsn != uint64(i+1) {
 			t.Fatalf("lsn = %d, want %d", lsn, i+1)
 		}
 		if s {
 			sealed++
-			if (i+1)%4 != 0 {
-				t.Fatalf("append %d sealed a group, cadence is 4", i+1)
+			if (i+1)%groupTxns != 0 {
+				t.Fatalf("append %d sealed a group, cadence is %d", i+1, groupTxns)
 			}
 		}
 		w.WaitDurable(lsn) // must not block in sync mode
@@ -37,7 +37,7 @@ func TestSyncWriterGroupCadence(t *testing.T) {
 		t.Fatalf("syncs after close = %d, want 3", sink.Syncs())
 	}
 	recs, info, err := Scan(sink.Bytes())
-	if err != nil || info.TornBytes != 0 || len(recs) != 10 {
+	if err != nil || info.TornBytes != 0 || len(recs) != 2*groupTxns+2 {
 		t.Fatalf("scan: %d recs, info %+v, err %v", len(recs), info, err)
 	}
 }
@@ -136,7 +136,7 @@ func TestWriterFaultIsSticky(t *testing.T) {
 	mem := NewMemSink()
 	// Fail ~60 bytes into the record stream (magic already written by mem).
 	fault := NewFaultSink(mem, 60)
-	w := NewWriter(fault, Config{GroupTxns: 2})
+	w := NewWriter(fault, Config{})
 	var firstErrAt uint64
 	for i := 0; i < 20; i++ {
 		lsn, _ := w.Append(commitFrame(0, i))
@@ -196,7 +196,7 @@ func TestAsyncWriterFaultUnblocksWaiters(t *testing.T) {
 
 func TestWriterFlushIdempotent(t *testing.T) {
 	sink := NewMemSink()
-	w := NewWriter(sink, Config{GroupTxns: 100})
+	w := NewWriter(sink, Config{})
 	w.Append(commitFrame(0, 0))
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)

@@ -564,35 +564,3 @@ func TestCheckpointedRecovery(t *testing.T) {
 		})
 	}
 }
-
-// TestLogGroupingKnob pins that Durability.GroupTxns reaches the writer:
-// finer groups mean more modeled syncs.
-func TestLogGroupingKnob(t *testing.T) {
-	syncsWith := func(group int) uint64 {
-		db, err := abyss.Open(abyss.Options{
-			Runtime: abyss.RuntimeSim, Cores: 4, Seed: 42,
-			Durability: &abyss.Durability{Sink: abyss.NewMemLogSink(), GroupTxns: group},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wl, err := db.BuildWorkload("ycsb", recoveryParams(t, "ycsb", "NO_WAIT"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := abyss.NewScheme("NO_WAIT")
-		if err != nil {
-			t.Fatal(err)
-		}
-		rc := abyss.RunConfig{WarmupCycles: 20_000, MeasureCycles: 150_000, AbortBackoff: 500}
-		if _, err := db.Run(s, wl, rc); err != nil {
-			t.Fatal(err)
-		}
-		_, _, syncs := db.LogStats()
-		return syncs
-	}
-	coarse, fine := syncsWith(16), syncsWith(2)
-	if fine <= coarse {
-		t.Fatalf("GroupTxns=2 should sync more than =16: %d <= %d", fine, coarse)
-	}
-}
