@@ -2,159 +2,34 @@ package abyss
 
 import (
 	"fmt"
-	"reflect"
+
+	"abyss1000/internal/core"
 )
 
-// Generator is an optional interface for Txn. When a transaction returned
-// by a Mix implements it, Generate is called with the drawing worker's
-// Proc before each execution so the transaction can draw fresh inputs
-// from the worker's deterministic RNG (p.Rand()). Transactions without it
-// must be self-generating inside Run.
-type Generator interface {
-	Generate(p Proc)
-}
+type (
+	// Generator is an optional interface for Txn: a transaction a Mix
+	// draws that implements it gets Generate(p) before each execution,
+	// to draw fresh inputs from the worker's deterministic RNG.
+	Generator = core.Generator
 
-// TxnSpec registers one stored procedure in a Mix.
-type TxnSpec struct {
-	// Name identifies the procedure in errors and tooling.
-	Name string
+	// TxnSpec registers one stored procedure in a Mix: its Name, its
+	// relative Weight and the per-worker constructor New.
+	TxnSpec = core.TxnSpec
 
-	// Weight is the procedure's relative draw frequency (any positive
-	// scale; weights are normalized over the Mix).
-	Weight float64
-
-	// New constructs the per-worker transaction instance. It is called
-	// once per worker at Mix build time; the instance is reused for every
-	// draw on that worker (the engine's zero-allocation convention), with
-	// Generate refreshing its inputs per execution.
-	New func(worker int) Txn
-}
-
-// Mix is a Workload drawing weighted stored procedures: the declarative
-// way to define a custom workload against the public API (see
-// abyss1000/workloads/smallbank for a complete client). Draws use the
-// worker's own RNG, so a Mix is deterministic per (seed, worker) like the
-// built-in workloads.
-type Mix struct {
-	names []string
-	cum   []float64   // cumulative normalized weights
-	txns  [][]Txn     // [worker][spec]
-	kinds map[Txn]int // instance -> spec index, for TxnTypeOf
-}
+	// Mix is a Workload drawing weighted stored procedures: the
+	// declarative way to define a custom workload against the public
+	// API (see abyss1000/workloads/smallbank for a complete client).
+	// Draws use the worker's own RNG, so a Mix is deterministic per
+	// (seed, worker) like the built-in workloads.
+	Mix = core.Mix
+)
 
 // NewMix validates specs and instantiates every procedure once per
 // worker.
 func (db *DB) NewMix(specs ...TxnSpec) (*Mix, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("abyss: a Mix needs at least one TxnSpec")
-	}
-	total := 0.0
-	for i, s := range specs {
-		if s.Name == "" {
-			return nil, fmt.Errorf("abyss: TxnSpec %d needs a name", i)
-		}
-		if s.New == nil {
-			return nil, fmt.Errorf("abyss: TxnSpec %q needs a constructor", s.Name)
-		}
-		if s.Weight < 0 {
-			return nil, fmt.Errorf("abyss: TxnSpec %q weight must be non-negative, got %g", s.Name, s.Weight)
-		}
-		total += s.Weight
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("abyss: a Mix needs at least one positive weight")
-	}
-	m := &Mix{
-		names: make([]string, len(specs)),
-		cum:   make([]float64, len(specs)),
-		txns:  make([][]Txn, db.Cores()),
-		kinds: make(map[Txn]int, len(specs)*db.Cores()),
-	}
-	acc := 0.0
-	for i, s := range specs {
-		m.names[i] = s.Name
-		acc += s.Weight / total
-		m.cum[i] = acc
-	}
-	m.cum[len(specs)-1] = 1 // immune to rounding
-	for w := range m.txns {
-		m.txns[w] = make([]Txn, len(specs))
-		for i, s := range specs {
-			t := s.New(w)
-			if t == nil {
-				return nil, fmt.Errorf("abyss: TxnSpec %q constructor returned nil for worker %d", s.Name, w)
-			}
-			m.txns[w][i] = t
-			// Per-type attribution needs to recognise instances at
-			// commit time. Pointer transactions (the documented
-			// reuse-one-object-per-worker pattern) always work; value
-			// types work as long as no two specs produce equal values.
-			// Where identity is unknowable — non-comparable types, or
-			// the same value registered under two specs — attribution
-			// degrades to none rather than rejecting a workload that
-			// ran fine before per-type results existed.
-			if m.kinds != nil {
-				if !reflect.TypeOf(t).Comparable() {
-					m.kinds = nil
-				} else if prev, dup := m.kinds[t]; dup && prev != i {
-					m.kinds = nil
-				} else {
-					m.kinds[t] = i
-				}
-			}
-		}
+	m, err := core.NewMix(db.Cores(), specs...)
+	if err != nil {
+		return nil, fmt.Errorf("abyss: %w", err)
 	}
 	return m, nil
 }
-
-// Procedures returns the registered procedure names in spec order.
-func (m *Mix) Procedures() []string {
-	return append([]string(nil), m.names...)
-}
-
-// TxnTypes implements TxnTyper: the spec names, in spec order. The
-// returned slice is shared; callers must not mutate it. It returns nil —
-// no per-type attribution, so Result.PerTxn stays empty rather than
-// misleadingly zero — when transaction instances cannot be told apart
-// (non-comparable Txn types, or equal values registered under two
-// specs); the reusable-pointer-per-worker pattern always attributes.
-func (m *Mix) TxnTypes() []string {
-	if m.kinds == nil {
-		return nil
-	}
-	return m.names
-}
-
-// TxnTypeOf implements TxnTyper: the spec index of a transaction
-// instance this Mix created, or -1 for a foreign transaction.
-func (m *Mix) TxnTypeOf(t Txn) int {
-	if m.kinds == nil {
-		return -1
-	}
-	if k, ok := m.kinds[t]; ok {
-		return k
-	}
-	return -1
-}
-
-// Next implements Workload: draw a procedure by weight with p's RNG,
-// refresh its inputs via Generate when implemented, and hand it to the
-// engine.
-func (m *Mix) Next(p Proc) Txn {
-	r := p.Rand().Float64()
-	row := m.txns[p.ID()]
-	i := 0
-	for i < len(m.cum)-1 && r >= m.cum[i] {
-		i++
-	}
-	t := row[i]
-	if g, ok := t.(Generator); ok {
-		g.Generate(p)
-	}
-	return t
-}
-
-var (
-	_ Workload = (*Mix)(nil)
-	_ TxnTyper = (*Mix)(nil)
-)

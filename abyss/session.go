@@ -46,23 +46,11 @@ var (
 // just a slower crash.
 const DefaultServeQueueDepth = 1024
 
-// ArgBinder is an optional interface for Mix transactions invoked
-// through a Session: BindArgs receives the invocation's arguments after
-// Generate has refreshed the instance, replacing the generated inputs.
-// A transaction without it rejects invocations that carry arguments.
-type ArgBinder interface {
-	BindArgs(args []int64) error
-}
-
 // Invocation is one request submitted to a Session.
 type Invocation struct {
 	// Proc names a Mix procedure to invoke; empty draws an anonymous
 	// transaction from the session's workload (the paper-workload form).
 	Proc string
-
-	// Args are optional procedure arguments, bound via ArgBinder on the
-	// serving worker. Only named procedures accept arguments.
-	Args []int64
 
 	// Routed and Partition select H-STORE-aware routing: when Routed is
 	// set, the invocation is dispatched to the worker owning partition
@@ -168,8 +156,9 @@ func (db *DB) Serve(scheme Scheme, wl Workload, cfg RunConfig) (*Session, error)
 	}
 	if m, ok := wl.(*Mix); ok {
 		s.mix = m
-		s.procs = make(map[string]int, len(m.names))
-		for i, name := range m.names {
+		names := m.Procedures()
+		s.procs = make(map[string]int, len(names))
+		for i, name := range names {
 			s.procs[name] = i
 		}
 	}
@@ -240,11 +229,8 @@ func (s *Session) Counters() ServeCounters {
 
 // prepare builds the worker-side transaction constructor for inv, or
 // nil for the anonymous-draw fast path.
-func (s *Session) prepare(inv Invocation) (func(p Proc) (Txn, error), error) {
+func (s *Session) prepare(inv Invocation) (func(p Proc) Txn, error) {
 	if inv.Proc == "" {
-		if len(inv.Args) > 0 {
-			return nil, fmt.Errorf("abyss: an anonymous draw takes no arguments; name a procedure")
-		}
 		return nil, nil
 	}
 	if s.mix == nil {
@@ -254,24 +240,8 @@ func (s *Session) prepare(inv Invocation) (func(p Proc) (Txn, error), error) {
 	if !ok {
 		return nil, fmt.Errorf("abyss: no procedure %q (have: %s)", inv.Proc, joinNames(s.mix.Procedures()))
 	}
-	name, args := inv.Proc, inv.Args
 	mix := s.mix
-	return func(p Proc) (Txn, error) {
-		t := mix.txns[p.ID()][k]
-		if g, ok := t.(Generator); ok {
-			g.Generate(p)
-		}
-		if len(args) > 0 {
-			b, ok := t.(ArgBinder)
-			if !ok {
-				return nil, fmt.Errorf("abyss: procedure %q does not accept arguments (no ArgBinder)", name)
-			}
-			if err := b.BindArgs(args); err != nil {
-				return nil, fmt.Errorf("abyss: procedure %q rejected arguments: %w", name, err)
-			}
-		}
-		return t, nil
-	}, nil
+	return func(p Proc) Txn { return mix.Instance(p, k) }, nil
 }
 
 // Submit routes one invocation into its worker's admission queue and
@@ -330,7 +300,7 @@ func (s *Session) Submit(inv Invocation, done func(elapsed time.Duration, err er
 // engine's outcome — nil for a commit, ErrUserAbort or ErrDeadline —
 // with elapsed, the server-side latency from submission to completion,
 // including queueing, retries and backoff. ErrShed, ErrSessionClosed
-// and validation or binding errors return no elapsed time.
+// and validation errors return no elapsed time.
 func (s *Session) Invoke(inv Invocation) (elapsed time.Duration, err error) {
 	ch := make(chan error, 1)
 	err = s.Submit(inv, func(d time.Duration, err error) {

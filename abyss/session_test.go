@@ -112,8 +112,8 @@ func TestSessionInvokeDrain(t *testing.T) {
 	}
 }
 
-// slowTxn sleeps in its body — real wall time on the native runtime —
-// and binds its sleep via ArgBinder so tests can park a worker.
+// slowTxn sleeps for sleep in its body — real wall time on the native
+// runtime — so tests can park a worker with it.
 type slowTxn struct {
 	table *abyss.Table
 	idx   *abyss.Index
@@ -121,19 +121,7 @@ type slowTxn struct {
 	sleep time.Duration
 }
 
-func (s *slowTxn) Generate(p abyss.Proc) { s.key = uint64(p.Rand().Intn(64)); s.sleep = 0 }
-
-func (s *slowTxn) BindArgs(args []int64) error {
-	if len(args) != 2 {
-		return fmt.Errorf("want [key, sleepNs], got %d args", len(args))
-	}
-	if args[0] < 0 || args[0] >= 64 {
-		return fmt.Errorf("key %d out of range", args[0])
-	}
-	s.key = uint64(args[0])
-	s.sleep = time.Duration(args[1])
-	return nil
-}
+func (s *slowTxn) Generate(p abyss.Proc) { s.key = uint64(p.Rand().Intn(64)) }
 
 func (s *slowTxn) Run(tx *abyss.TxnCtx) error {
 	if s.sleep > 0 {
@@ -153,7 +141,7 @@ func (s *slowTxn) Run(tx *abyss.TxnCtx) error {
 
 func (s *slowTxn) Partitions() []int { return nil }
 
-// plainTxn has no ArgBinder, to pin the rejection path.
+// plainTxn reads one random row and returns.
 type plainTxn struct {
 	table *abyss.Table
 	idx   *abyss.Index
@@ -173,7 +161,9 @@ func (t *plainTxn) Run(tx *abyss.TxnCtx) error {
 
 func (t *plainTxn) Partitions() []int { return nil }
 
-func serveMix(t *testing.T, cores int) (*abyss.DB, *abyss.Mix) {
+// serveMix builds a Mix of two procedures over a 64-row table: "touch",
+// a slowTxn that sleeps for sleep, and "plain", a plainTxn.
+func serveMix(t *testing.T, cores int, sleep time.Duration) (*abyss.DB, *abyss.Mix) {
 	t.Helper()
 	db, err := abyss.Open(abyss.Options{Runtime: abyss.RuntimeNative, Cores: cores, Seed: 11})
 	if err != nil {
@@ -197,7 +187,7 @@ func serveMix(t *testing.T, cores int) (*abyss.DB, *abyss.Mix) {
 		idx.LoadInsert(uint64(i), i)
 	}
 	mix, err := db.NewMix(
-		abyss.TxnSpec{Name: "touch", Weight: 1, New: func(int) abyss.Txn { return &slowTxn{table: table, idx: idx} }},
+		abyss.TxnSpec{Name: "touch", Weight: 1, New: func(int) abyss.Txn { return &slowTxn{table: table, idx: idx, sleep: sleep} }},
 		abyss.TxnSpec{Name: "plain", Weight: 1, New: func(int) abyss.Txn { return &plainTxn{table: table, idx: idx} }},
 	)
 	if err != nil {
@@ -206,11 +196,11 @@ func serveMix(t *testing.T, cores int) (*abyss.DB, *abyss.Mix) {
 	return db, mix
 }
 
-// TestSessionProceduresAndArgs pins the stored-procedure surface: named
-// invocation, ArgBinder binding, and the rejection paths (unknown
-// procedure, args on an anonymous draw, args without a binder).
-func TestSessionProceduresAndArgs(t *testing.T) {
-	db, mix := serveMix(t, 2)
+// TestSessionProcedures pins the stored-procedure surface: named
+// invocation and the rejection paths (unknown procedure, negative
+// partition).
+func TestSessionProcedures(t *testing.T) {
+	db, mix := serveMix(t, 2, 0)
 	scheme, err := abyss.NewScheme("DL_DETECT")
 	if err != nil {
 		t.Fatal(err)
@@ -224,20 +214,11 @@ func TestSessionProceduresAndArgs(t *testing.T) {
 	if got := s.Procedures(); len(got) != 2 || got[0] != "touch" {
 		t.Fatalf("Procedures = %v", got)
 	}
-	if elapsed, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{5, 0}, Routed: true, Partition: 1}); err != nil || elapsed <= 0 {
-		t.Fatalf("touch(5) = (%v, %v), want committed", elapsed, err)
+	if elapsed, err := s.Invoke(abyss.Invocation{Proc: "touch", Routed: true, Partition: 1}); err != nil || elapsed <= 0 {
+		t.Fatalf("touch = (%v, %v), want committed", elapsed, err)
 	}
 	if _, err := s.Invoke(abyss.Invocation{Proc: "nope"}); err == nil || !strings.Contains(err.Error(), "no procedure") {
 		t.Fatalf("unknown proc err = %v", err)
-	}
-	if _, err := s.Invoke(abyss.Invocation{Args: []int64{1}}); err == nil || !strings.Contains(err.Error(), "anonymous") {
-		t.Fatalf("anonymous-with-args err = %v", err)
-	}
-	if _, err := s.Invoke(abyss.Invocation{Proc: "plain", Args: []int64{1, 2}}); err == nil || !strings.Contains(err.Error(), "ArgBinder") {
-		t.Fatalf("no-binder err = %v", err)
-	}
-	if elapsed, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{999, 0}}); err == nil || !strings.Contains(err.Error(), "rejected") || elapsed != 0 {
-		t.Fatalf("bad-args = (%v, %v), want a rejection without elapsed time", elapsed, err)
 	}
 	if _, err := s.Invoke(abyss.Invocation{Routed: true, Partition: -1}); err == nil {
 		t.Fatal("negative partition accepted")
@@ -249,7 +230,7 @@ func TestSessionProceduresAndArgs(t *testing.T) {
 // a queued invocation whose deadline lapses comes back ErrDeadline
 // without executing.
 func TestSessionShedAndDeadline(t *testing.T) {
-	db, mix := serveMix(t, 1)
+	db, mix := serveMix(t, 1, 100*time.Millisecond)
 	scheme, err := abyss.NewScheme("NO_WAIT")
 	if err != nil {
 		t.Fatal(err)
@@ -264,7 +245,7 @@ func TestSessionShedAndDeadline(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{1, int64(100 * time.Millisecond)}}); err != nil {
+		if _, err := s.Invoke(abyss.Invocation{Proc: "touch"}); err != nil {
 			t.Errorf("parked invoke: %v", err)
 		}
 	}()
@@ -274,7 +255,7 @@ func TestSessionShedAndDeadline(t *testing.T) {
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{2, 0}, Deadline: time.Nanosecond})
+			_, err := s.Invoke(abyss.Invocation{Proc: "plain", Deadline: time.Nanosecond})
 			done <- err
 		}()
 	}
@@ -314,7 +295,7 @@ func TestSessionShedAndDeadline(t *testing.T) {
 // behind a parked worker past that budget, it comes back ErrDeadline
 // without executing.
 func TestSessionDefaultDeadline(t *testing.T) {
-	db, mix := serveMix(t, 1)
+	db, mix := serveMix(t, 1, 100*time.Millisecond)
 	scheme, err := abyss.NewScheme("NO_WAIT")
 	if err != nil {
 		t.Fatal(err)
@@ -329,12 +310,12 @@ func TestSessionDefaultDeadline(t *testing.T) {
 	// it clear of the default.
 	parked := make(chan error, 1)
 	go func() {
-		_, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{1, int64(100 * time.Millisecond)}, Deadline: time.Hour})
+		_, err := s.Invoke(abyss.Invocation{Proc: "touch", Deadline: time.Hour})
 		parked <- err
 	}()
 	time.Sleep(20 * time.Millisecond) // let the worker pick it up
 
-	elapsed, err := s.Invoke(abyss.Invocation{Proc: "touch", Args: []int64{2, 0}})
+	elapsed, err := s.Invoke(abyss.Invocation{Proc: "plain"})
 	if err != abyss.ErrDeadline {
 		t.Fatalf("queued invoke = %v, want ErrDeadline from RunConfig.Deadline", err)
 	}

@@ -23,8 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"abyss1000/abyss"
 	"abyss1000/serve/client"
@@ -38,7 +36,6 @@ func main() {
 		arrivals   = flag.String("arrivals", "poisson:10000", "offered load: poisson:RATE or mmpp:CALMRATE:BURSTRATE[:CALMDWELL:BURSTDWELL], dwells as durations like 200ms or in nanoseconds")
 		duration   = flag.Duration("duration", 5e9, "how long to offer arrivals")
 		proc       = flag.String("proc", "", "procedure to invoke (empty = anonymous workload draw)")
-		args       = flag.String("args", "", "comma-separated int64 procedure arguments")
 		partitions = flag.Int("partitions", 0, "route round-robin across this many partitions (0 = unrouted)")
 		deadline   = flag.Duration("deadline", 0, "per-request deadline (0 = server default)")
 		seed       = flag.Int64("seed", 42, "arrival-stream seed")
@@ -49,16 +46,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var argv []int64
-	if *args != "" {
-		for _, f := range strings.Split(*args, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-			if err != nil {
-				fail(fmt.Errorf("bad -args: %w", err))
-			}
-			argv = append(argv, v)
-		}
-	}
 
 	rep, err := client.Run(client.LoadConfig{
 		Addr:       *addr,
@@ -67,7 +54,6 @@ func main() {
 		Arrival:    spec,
 		Duration:   *duration,
 		Proc:       *proc,
-		Args:       argv,
 		Partitions: *partitions,
 		Deadline:   *deadline,
 	})

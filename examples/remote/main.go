@@ -1,11 +1,11 @@
 // Remote: the serve tier end to end, in process. The example embeds an
 // abyss-serve front door (serve.New + Start on loopback), talks to it
-// first as an application would — one connection, named invocations with
-// arguments, per-request deadlines — and then as an operator would,
-// driving the open-loop load generator at two offered loads to find the
-// goodput knee over the wire. The same thing works across machines with
-// the cmd/abyss-serve and cmd/abyss-load binaries; this example is the
-// library form of that walkthrough.
+// first as an application would — one connection, routed requests,
+// per-request deadlines, an unknown procedure — and then as an operator
+// would, driving the open-loop load generator at two offered loads to
+// find the goodput knee over the wire. The same thing works across
+// machines with the cmd/abyss-serve and cmd/abyss-load binaries; this
+// example is the library form of that walkthrough.
 package main
 
 import (

@@ -20,9 +20,9 @@ import (
 // TxnTyper is an optional interface for Workload enabling per-transaction-
 // type sub-results. When the workload implements it, Run attributes every
 // completed transaction to a type and Result.PerTxn reports one TxnStats
-// per type, in TxnTypes order. The built-in workloads, abyss.Mix, and any
-// workload built from registered TxnSpecs implement it; a workload that
-// does not simply gets no PerTxn breakdown.
+// per type, in TxnTypes order. Mix, and so every workload built from
+// TxnSpecs (TPC-C's included), implements it, and so does YCSB; a
+// workload that does not simply gets no PerTxn breakdown.
 type TxnTyper interface {
 	// TxnTypes returns the stable list of transaction type names. It
 	// must return the same list on every call (callers may cache or

@@ -21,10 +21,8 @@ type Request struct {
 	// Prepare materializes the transaction on the serving worker's
 	// goroutine (so per-worker instance reuse and RNG determinism are
 	// preserved). A nil Prepare means "draw from the run's workload" —
-	// the zero-allocation fast path for anonymous invocations. A
-	// Prepare error rejects the request: Done receives the error and
-	// nothing is executed or counted.
-	Prepare func(p rt.Proc) (Txn, error)
+	// the zero-allocation fast path for anonymous invocations.
+	Prepare func(p rt.Proc) Txn
 
 	// Arrival is the request's arrival timestamp on the runtime clock —
 	// the latency origin, so time spent queued counts against the
@@ -40,9 +38,8 @@ type Request struct {
 	// Done, when non-nil, is invoked exactly once on the worker
 	// goroutine with the outcome: nil for a commit, ErrUserAbort for a
 	// program-logic rollback (completed work), ErrDeadline for an
-	// abandoned transaction, or the Prepare error (elapsed zero) for a
-	// rejection; elapsed runs from Arrival on the runtime clock. Done
-	// must never block — it runs inside the worker loop.
+	// abandoned transaction; elapsed runs from Arrival on the runtime
+	// clock. Done must never block — it runs inside the worker loop.
 	Done func(elapsed time.Duration, err error)
 }
 
@@ -78,14 +75,10 @@ func (s served) next(now uint64) (work, bool) {
 	// clock; clamp the skew so latency arithmetic stays non-negative.
 	req.Arrival = min(req.Arrival, waited)
 	var txn Txn
-	var err error
 	if req.Prepare == nil {
 		txn = s.wl.Next(p)
-	} else if txn, err = req.Prepare(p); err != nil {
-		if req.Done != nil {
-			req.Done(0, err)
-		}
-		return work{}, true
+	} else {
+		txn = req.Prepare(p)
 	}
 	return work{txn: txn, origin: req.Arrival, deadline: req.Deadline, done: req.Done}, true
 }

@@ -12,11 +12,13 @@ import (
 // order's lines come from one range scan of ORDER_LINE_ORD, the table's
 // only index under the full mix, over line numbers 1 to O_OL_CNT.
 //
-// The spec's implementation deletes the NEW_ORDER row; this engine has no
-// index delete path, so DISTRICT carries a delivery cursor (DDelivOID)
-// instead: orders at most the cursor are delivered. Committed order ids
-// are gap-free per district (D_NEXT_O_ID only advances on commit), so the
-// next undelivered order is exactly cursor+1. A NewOrder publishes its
+// The spec's implementation deletes the NEW_ORDER row; a transaction in
+// this engine cannot delete a row (its indexes can remove an entry, but
+// no TxnCtx operation deletes), so DISTRICT carries a delivery cursor
+// (DDelivOID) instead: orders at most the cursor are delivered.
+// Committed order ids are gap-free per district (D_NEXT_O_ID only
+// advances on commit), so the next undelivered order is exactly
+// cursor+1. A NewOrder publishes its
 // index entries at its scheme's commit point, before its D_NEXT_O_ID is
 // visible, so that order's NEW_ORDER entry is in the index. The cursor
 // still advances only when the range scan finds entry cursor+1 itself
@@ -31,8 +33,8 @@ type deliveryTxn struct {
 	parts   []int
 }
 
-// generate draws the inputs (spec §2.7.1).
-func (t *deliveryTxn) generate(p rt.Proc) {
+// Generate draws the inputs (spec §2.7.1).
+func (t *deliveryTxn) Generate(p rt.Proc) {
 	t.wid = t.wl.homeWarehouse(p)
 	t.carrier = uint64(p.Rand().Intn(10)) + 1
 	t.parts = t.parts[:0]

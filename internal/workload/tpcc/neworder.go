@@ -30,8 +30,8 @@ type newOrderTxn struct {
 	parts     []int
 }
 
-// generate draws the inputs (spec §2.4.1, scaled).
-func (t *newOrderTxn) generate(p rt.Proc) {
+// Generate draws the inputs (spec §2.4.1, scaled).
+func (t *newOrderTxn) Generate(p rt.Proc) {
 	cfg := &t.wl.cfg
 	rng := p.Rand()
 	t.wid = t.wl.homeWarehouse(p)

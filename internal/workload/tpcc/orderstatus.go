@@ -17,10 +17,10 @@ type orderStatusTxn struct {
 	parts         []int
 }
 
-// generate draws the inputs (spec §2.6.1; customers are drawn by id —
+// Generate draws the inputs (spec §2.6.1; customers are drawn by id —
 // the spec's 60% by-last-name path needs the name index the engine
 // doesn't model).
-func (t *orderStatusTxn) generate(p rt.Proc) {
+func (t *orderStatusTxn) Generate(p rt.Proc) {
 	cfg := &t.wl.cfg
 	rng := p.Rand()
 	t.wid = t.wl.homeWarehouse(p)

@@ -21,8 +21,8 @@ type paymentTxn struct {
 	worker     int
 }
 
-// generate draws the transaction inputs (spec §2.5.1, scaled).
-func (t *paymentTxn) generate(p rt.Proc) {
+// Generate draws the transaction inputs (spec §2.5.1, scaled).
+func (t *paymentTxn) Generate(p rt.Proc) {
 	cfg := &t.wl.cfg
 	rng := p.Rand()
 	t.worker = p.ID()

@@ -41,9 +41,9 @@ const (
 // DDelivOID is the delivery cursor DISTRICT carries under the full mix
 // only (districtSchemaFull): the highest order id Delivery has delivered
 // in this district. It replaces the spec's NEW_ORDER deletes — orders at
-// most DDelivOID are delivered, orders above it are pending — so the
-// engine needs no index delete path. It aliases DPad's position in the
-// paper-mix schema; never use it there.
+// most DDelivOID are delivered, orders above it are pending — so Delivery
+// needs no delete inside a transaction, which the engine lacks. It
+// aliases DPad's position in the paper-mix schema; never use it there.
 const DDelivOID = DNextOID + 1
 
 // CUSTOMER columns.

@@ -20,8 +20,8 @@ type stockLevelTxn struct {
 	parts     []int
 }
 
-// generate draws the inputs (spec §2.8.1: threshold uniform in [10, 20]).
-func (t *stockLevelTxn) generate(p rt.Proc) {
+// Generate draws the inputs (spec §2.8.1: threshold uniform in [10, 20]).
+func (t *stockLevelTxn) Generate(p rt.Proc) {
 	cfg := &t.wl.cfg
 	rng := p.Rand()
 	t.wid = t.wl.homeWarehouse(p)

@@ -49,14 +49,14 @@ func TestStockLevelScansLastTwentyOrders(t *testing.T) {
 
 	eng.Run(func(p rt.Proc) {
 		wk := core.NewWorker(p, db, scheme)
-		no, sl := &w.neworders[0], &w.stocklevels[0]
+		no, sl := &newOrderTxn{wl: w, items: make([]olInput, 0, 15)}, &stockLevelTxn{wl: w}
 		for orders := 0; orders < 30; {
-			no.generate(p)
+			no.Generate(p)
 			no.did = did
 			if err := wk.ExecOnce(no); err == nil {
 				orders++
 			}
-			sl.generate(p)
+			sl.Generate(p)
 			sl.did = did
 			before := wk.Count.Tuples
 			if err := wk.ExecOnce(sl); err != nil {

@@ -115,12 +115,12 @@ type Workload struct {
 	ordCustOrders *index.Ordered // ORDERS by (wid, did, cid, oid): OrderStatus's last-order scan
 	ordLines      *index.Ordered // ORDER_LINE by orderLineKey: Delivery's per-order and StockLevel's recent-lines scans
 
-	payments      []paymentTxn
-	neworders     []newOrderTxn
-	orderstatuses []orderStatusTxn
-	deliveries    []deliveryTxn
-	stocklevels   []stockLevelTxn
-	hseq          []uint64 // per-worker history key counter
+	hseq []uint64 // per-worker history key counter
+
+	// The transaction mix: Payment and NewOrder drawn per PaymentPct, or
+	// the specification's five transactions (core.Mix implements Next,
+	// TxnTypes and TxnTypeOf).
+	*core.Mix
 }
 
 // Build creates, populates and indexes the TPC-C database on db.
@@ -179,24 +179,12 @@ func Build(db *core.DB, cfg Config) *Workload {
 
 	w.populate()
 
-	w.payments = make([]paymentTxn, n)
-	w.neworders = make([]newOrderTxn, n)
 	w.hseq = make([]uint64, n)
-	for i := 0; i < n; i++ {
-		w.payments[i].wl = w
-		w.neworders[i].wl = w
-		w.neworders[i].items = make([]olInput, 0, 15)
+	mix, err := core.NewMix(n, w.specs()...)
+	if err != nil {
+		panic("tpcc: " + err.Error())
 	}
-	if w.full {
-		w.orderstatuses = make([]orderStatusTxn, n)
-		w.deliveries = make([]deliveryTxn, n)
-		w.stocklevels = make([]stockLevelTxn, n)
-		for i := 0; i < n; i++ {
-			w.orderstatuses[i].wl = w
-			w.deliveries[i].wl = w
-			w.stocklevels[i].wl = w
-		}
-	}
+	w.Mix = mix
 	return w
 }
 
@@ -323,84 +311,25 @@ func (w *Workload) partitionOf(wid uint64) int {
 	return int((wid - 1)) % w.db.NParts
 }
 
-// Next implements core.Workload.
-func (w *Workload) Next(p rt.Proc) core.Txn {
-	if w.full {
-		return w.nextFull(p)
-	}
-	if p.Rand().Float64() < w.cfg.PaymentPct {
-		t := &w.payments[p.ID()]
-		t.generate(p)
-		return t
-	}
-	t := &w.neworders[p.ID()]
-	t.generate(p)
-	return t
-}
-
-// nextFull draws from the specification's five-transaction mix:
-// NewOrder 45%, Payment 43%, OrderStatus 4%, Delivery 4%, StockLevel 4%
+// specs lists the transactions of the configured mix with their weights,
+// in TxnTypes order. The paper's mix (§3.3) is Payment at PaymentPct and
+// NewOrder at the rest; the full mix is the specification's five:
+// Payment 43%, NewOrder 45%, OrderStatus 4%, Delivery 4%, StockLevel 4%
 // (§5.2.3 minimums, with NewOrder absorbing the remainder).
-func (w *Workload) nextFull(p rt.Proc) core.Txn {
-	r := p.Rand().Float64() * 100
-	switch {
-	case r < 43:
-		t := &w.payments[p.ID()]
-		t.generate(p)
-		return t
-	case r < 88:
-		t := &w.neworders[p.ID()]
-		t.generate(p)
-		return t
-	case r < 92:
-		t := &w.orderstatuses[p.ID()]
-		t.generate(p)
-		return t
-	case r < 96:
-		t := &w.deliveries[p.ID()]
-		t.generate(p)
-		return t
-	default:
-		t := &w.stocklevels[p.ID()]
-		t.generate(p)
-		return t
+func (w *Workload) specs() []core.TxnSpec {
+	payment := func(int) core.Txn { return &paymentTxn{wl: w} }
+	newOrder := func(int) core.Txn { return &newOrderTxn{wl: w, items: make([]olInput, 0, 15)} }
+	if !w.full {
+		return []core.TxnSpec{
+			{Name: "Payment", Weight: w.cfg.PaymentPct, New: payment},
+			{Name: "NewOrder", Weight: 1 - w.cfg.PaymentPct, New: newOrder},
+		}
+	}
+	return []core.TxnSpec{
+		{Name: "Payment", Weight: 43, New: payment},
+		{Name: "NewOrder", Weight: 45, New: newOrder},
+		{Name: "OrderStatus", Weight: 4, New: func(int) core.Txn { return &orderStatusTxn{wl: w} }},
+		{Name: "Delivery", Weight: 4, New: func(int) core.Txn { return &deliveryTxn{wl: w} }},
+		{Name: "StockLevel", Weight: 4, New: func(int) core.Txn { return &stockLevelTxn{wl: w} }},
 	}
 }
-
-// txnTypeNames lists the two TPC-C transaction types the paper's mix
-// runs (§3.3), in TxnTypeOf index order; the full mix appends the
-// remaining three spec transactions.
-var (
-	txnTypeNames     = []string{"Payment", "NewOrder"}
-	txnTypeNamesFull = []string{"Payment", "NewOrder", "OrderStatus", "Delivery", "StockLevel"}
-)
-
-// TxnTypes implements core.TxnTyper.
-func (w *Workload) TxnTypes() []string {
-	if w.full {
-		return txnTypeNamesFull
-	}
-	return txnTypeNames
-}
-
-// TxnTypeOf implements core.TxnTyper.
-func (w *Workload) TxnTypeOf(t core.Txn) int {
-	switch t.(type) {
-	case *paymentTxn:
-		return 0
-	case *newOrderTxn:
-		return 1
-	case *orderStatusTxn:
-		return 2
-	case *deliveryTxn:
-		return 3
-	case *stockLevelTxn:
-		return 4
-	}
-	return -1
-}
-
-var (
-	_ core.Workload = (*Workload)(nil)
-	_ core.TxnTyper = (*Workload)(nil)
-)

@@ -48,10 +48,9 @@ type LoadConfig struct {
 	// outstanding replies.
 	Duration time.Duration
 
-	// Proc and Args select the invocation ("" = anonymous workload
+	// Proc names the procedure to invoke ("" = anonymous workload
 	// draw).
 	Proc string
-	Args []int64
 
 	// Partitions, when positive, routes requests round-robin across
 	// partitions [0, Partitions); otherwise requests are unrouted.
@@ -231,7 +230,6 @@ func driveConn(cfg LoadConfig, conn Conn, idx, window int, start time.Time) conn
 		}
 		req := serve.InvokeRequest{
 			Proc:      cfg.Proc,
-			Args:      cfg.Args,
 			Partition: -1,
 			Deadline:  cfg.Deadline,
 		}

@@ -156,3 +156,42 @@ func TestPartitionRule(t *testing.T) {
 		}
 	}
 }
+
+// TestTrailingBytesRejected sends a request framed as the protocol once
+// framed it, with an argument count (zero) after the procedure name, and
+// then a well-formed one on the same connection: the first is rejected
+// without executing, the second commits.
+func TestTrailingBytesRejected(t *testing.T) {
+	srv := startServer(t, "NO_WAIT", 1, abyss.RunConfig{QueueDepth: 16})
+	defer srv.Shutdown()
+	conn, err := net.Dial("tcp", srv.TCPAddr())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	old := append(requestFrames(t, 1), 0, 0) // u16 nargs = 0
+	binary.BigEndian.PutUint32(old, uint32(len(old)-4))
+	for _, tc := range []struct {
+		frame []byte
+		want  byte
+	}{{old, serve.WireRejected}, {requestFrames(t, 1), serve.WireCommitted}} {
+		if _, err := conn.Write(tc.frame); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		payload, _, err := serve.ReadFrame(conn, nil)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		_, rep, err := serve.ParseReply(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Outcome != tc.want {
+			t.Errorf("%d-byte frame: %s, want %s", len(tc.frame), serve.OutcomeName(rep.Outcome), serve.OutcomeName(tc.want))
+		}
+	}
+	if res := shutdownWithin(t, srv, 10*time.Second); res.Offered != 1 || res.Commits != 1 {
+		t.Fatalf("offered %d, committed %d; want the one well-formed request alone", res.Offered, res.Commits)
+	}
+}

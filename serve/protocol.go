@@ -9,7 +9,7 @@ package serve
 //
 //	frame   := u32 payloadLen | payload          (payloadLen ≤ MaxFrame)
 //	request := u64 id | i32 partition | u64 deadlineNs
-//	           | u16 procLen | proc bytes | u16 nargs | nargs × i64
+//	           | u16 procLen | proc bytes
 //	reply   := u64 id | u8 outcome | u64 elapsedNs
 //
 // Partition -1 means "unrouted" (the server spreads the request
@@ -46,7 +46,7 @@ const (
 	WireShed
 
 	// WireRejected: malformed request (unknown procedure, bad
-	// arguments). Never executed.
+	// partition, bytes after the procedure name). Never executed.
 	WireRejected
 
 	// WireClosed: refused because the server is draining.
@@ -78,15 +78,11 @@ func OutcomeName(b byte) string {
 // connection (the reader cannot resynchronize), so both ends enforce it.
 const MaxFrame = 1 << 16
 
-// MaxArgs bounds a request's argument list.
-const MaxArgs = 1024
-
 // InvokeRequest is a decoded request: invoke Proc (empty = an anonymous
-// workload draw) with Args, optionally routed to Partition (-1 =
-// unrouted), abandoned after Deadline (zero = server default).
+// workload draw), optionally routed to Partition (-1 = unrouted),
+// abandoned after Deadline (zero = server default).
 type InvokeRequest struct {
 	Proc      string
-	Args      []int64
 	Partition int
 	Deadline  time.Duration
 }
@@ -104,9 +100,6 @@ func AppendRequest(buf []byte, id uint64, req InvokeRequest) ([]byte, error) {
 	if len(req.Proc) > MaxFrame/2 {
 		return buf, fmt.Errorf("serve: procedure name of %d bytes exceeds the frame bound", len(req.Proc))
 	}
-	if len(req.Args) > MaxArgs {
-		return buf, fmt.Errorf("serve: %d arguments exceed the bound of %d", len(req.Args), MaxArgs)
-	}
 	part := int32(-1)
 	if req.Partition >= 0 {
 		if req.Partition > 1<<30 {
@@ -122,12 +115,7 @@ func AppendRequest(buf []byte, id uint64, req InvokeRequest) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(part))
 	buf = binary.BigEndian.AppendUint64(buf, dl)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(req.Proc)))
-	buf = append(buf, req.Proc...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(req.Args)))
-	for _, a := range req.Args {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(a))
-	}
-	return buf, nil
+	return append(buf, req.Proc...), nil
 }
 
 // ParseRequest decodes a binary request payload.
@@ -140,26 +128,10 @@ func ParseRequest(payload []byte) (id uint64, req InvokeRequest, err error) {
 	part := int32(binary.BigEndian.Uint32(payload[8:]))
 	dl := binary.BigEndian.Uint64(payload[12:])
 	procLen := int(binary.BigEndian.Uint16(payload[20:]))
-	p := fixed
-	if len(payload) < p+procLen+2 {
-		return 0, req, fmt.Errorf("serve: truncated request (procedure name)")
+	if len(payload) != fixed+procLen {
+		return 0, req, fmt.Errorf("serve: request payload is %d bytes, want %d for a %d-byte procedure name", len(payload), fixed+procLen, procLen)
 	}
-	req.Proc = string(payload[p : p+procLen])
-	p += procLen
-	nargs := int(binary.BigEndian.Uint16(payload[p:]))
-	p += 2
-	if nargs > MaxArgs {
-		return 0, req, fmt.Errorf("serve: %d arguments exceed the bound of %d", nargs, MaxArgs)
-	}
-	if len(payload) != p+8*nargs {
-		return 0, req, fmt.Errorf("serve: request payload is %d bytes, want %d for %d arguments", len(payload), p+8*nargs, nargs)
-	}
-	if nargs > 0 {
-		req.Args = make([]int64, nargs)
-		for i := range req.Args {
-			req.Args[i] = int64(binary.BigEndian.Uint64(payload[p+8*i:]))
-		}
-	}
+	req.Proc = string(payload[fixed:])
 	req.Partition = int(part)
 	req.Deadline = time.Duration(dl)
 	return id, req, nil

@@ -16,8 +16,8 @@ func TestRequestRoundTrip(t *testing.T) {
 		req  InvokeRequest
 	}{
 		{"anonymous", 1, InvokeRequest{Partition: -1}},
-		{"routed", 7, InvokeRequest{Proc: "touch", Args: []int64{3, -9, 1 << 40}, Partition: 2, Deadline: 50 * time.Millisecond}},
-		{"no-args", 1 << 60, InvokeRequest{Proc: "plain", Partition: -1, Deadline: time.Second}},
+		{"routed", 7, InvokeRequest{Proc: "touch", Partition: 2, Deadline: 50 * time.Millisecond}},
+		{"named", 1 << 60, InvokeRequest{Proc: "plain", Partition: -1, Deadline: time.Second}},
 		{"negative-partition-normalized", 9, InvokeRequest{Partition: -5}},
 	}
 	for _, tc := range cases {
@@ -37,35 +37,28 @@ func TestRequestRoundTrip(t *testing.T) {
 			if want.Partition < 0 {
 				want.Partition = -1 // any negative encodes as unrouted
 			}
-			if got.Proc != want.Proc || got.Partition != want.Partition || got.Deadline != want.Deadline {
+			if got != want {
 				t.Fatalf("round trip = %+v, want %+v", got, want)
-			}
-			if len(got.Args) != len(want.Args) {
-				t.Fatalf("args = %v, want %v", got.Args, want.Args)
-			}
-			for i := range got.Args {
-				if got.Args[i] != want.Args[i] {
-					t.Fatalf("args = %v, want %v", got.Args, want.Args)
-				}
 			}
 		})
 	}
 }
 
 func TestRequestBounds(t *testing.T) {
-	if _, err := AppendRequest(nil, 1, InvokeRequest{Args: make([]int64, MaxArgs+1)}); err == nil {
-		t.Fatal("AppendRequest accepted too many args")
-	}
 	if _, err := AppendRequest(nil, 1, InvokeRequest{Proc: strings.Repeat("x", MaxFrame)}); err == nil {
 		t.Fatal("AppendRequest accepted an oversized procedure name")
 	}
 	if _, _, err := ParseRequest(make([]byte, 5)); !errors.Is(err, errShortHeader) {
 		t.Fatalf("short payload error = %v, want errShortHeader", err)
 	}
-	// A valid header claiming more args than the payload carries.
-	payload, _ := AppendRequest(nil, 1, InvokeRequest{Partition: -1, Args: []int64{1, 2}})
-	if _, _, err := ParseRequest(payload[:len(payload)-8]); err == nil {
-		t.Fatal("ParseRequest accepted a truncated argument list")
+	// A name shorter than its length field claims, and bytes after the
+	// name: the request ends where the name does.
+	payload, _ := AppendRequest(nil, 1, InvokeRequest{Proc: "touch", Partition: -1})
+	if _, _, err := ParseRequest(payload[:len(payload)-1]); err == nil {
+		t.Fatal("ParseRequest accepted a truncated procedure name")
+	}
+	if _, _, err := ParseRequest(append(payload, 0, 0)); err == nil {
+		t.Fatal("ParseRequest accepted bytes after the procedure name")
 	}
 }
 

@@ -192,7 +192,7 @@ func reply(elapsed time.Duration, err error) InvokeReply {
 // invocation maps a wire request onto the session's Invocation:
 // partition -1 is unrouted, and one below it is refused.
 func invocation(req InvokeRequest) (abyss.Invocation, error) {
-	inv := abyss.Invocation{Proc: req.Proc, Args: req.Args, Deadline: req.Deadline}
+	inv := abyss.Invocation{Proc: req.Proc, Deadline: req.Deadline}
 	switch {
 	case req.Partition >= 0:
 		inv.Routed = true

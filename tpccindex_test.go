@@ -1,6 +1,9 @@
 package abyss1000_test
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"hash"
 	"testing"
 	"time"
 
@@ -179,6 +182,62 @@ func TestFullMixUsefulCycles(t *testing.T) {
 			if c[comp] != 0 {
 				t.Errorf("%s: %d %s cycles in a conflict-free run without timestamps", name, c[comp], comp)
 			}
+		}
+	}
+}
+
+// drawsByWorker wraps a workload and hashes, per worker, the type of every
+// transaction its Next hands out, in order.
+type drawsByWorker struct {
+	inner abyss.Workload
+	typer abyss.TxnTyper
+	h     []hash.Hash
+	n     []int
+}
+
+func (d *drawsByWorker) Next(p abyss.Proc) abyss.Txn {
+	t := d.inner.Next(p)
+	d.h[p.ID()].Write([]byte{byte(d.typer.TxnTypeOf(t))})
+	d.n[p.ID()]++
+	return t
+}
+
+// TestFullMixDrawPerWorker pins the sequence of transaction types the full
+// TPC-C mix draws on each of 4 simulated workers at seed 42: a digest of
+// each worker's sequence and its length. Every worker draws from its own
+// random stream, so a change to the weights, their order or the draw
+// itself changes the digests.
+func TestFullMixDrawPerWorker(t *testing.T) {
+	want := []string{"861:3f7c5a983a38af85", "856:bbbc1a200c4d66ad", "823:8cbc0c0e17c5cc0b", "955:75b1b8fe71dd5be1"}
+
+	db, err := abyss.Open(abyss.Options{Runtime: abyss.RuntimeSim, Cores: 4, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := abyss.DefaultWorkloadParams("tpcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Mix, p.Warehouses = "full", 4
+	wl, err := db.BuildWorkload("tpcc", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheme, err := abyss.NewScheme("NO_WAIT")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &drawsByWorker{inner: wl, typer: wl.(abyss.TxnTyper), h: make([]hash.Hash, 4), n: make([]int, 4)}
+	for i := range d.h {
+		d.h[i] = sha256.New()
+	}
+	if _, err := db.Run(scheme, d, abyss.RunConfig{MeasureCycles: 5_000_000, AbortBackoff: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	for w := range d.h {
+		got := fmt.Sprintf("%d:%x", d.n[w], d.h[w].Sum(nil)[:8])
+		if got != want[w] {
+			t.Errorf("worker %d drew %s, want %s", w, got, want[w])
 		}
 	}
 }

@@ -214,7 +214,8 @@ func Build(db *abyss.DB, cfg Config) (*Workload, error) {
 		{Name: ProcWriteCheck, Weight: cfg.Weights[4], New: func(int) abyss.Txn { return &writeCheckTxn{wl: w} }},
 		{Name: ProcSendPayment, Weight: cfg.Weights[5], New: func(int) abyss.Txn { return &sendPaymentTxn{wl: w} }},
 	}
-	// Drop zero-weight procedures so the Mix validates the remainder.
+	// Drop zero-weight procedures, so TxnTypes (and Result.PerTxn) lists
+	// only the procedures this mix draws.
 	active := specs[:0]
 	for _, s := range specs {
 		if s.Weight > 0 {
