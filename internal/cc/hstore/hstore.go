@@ -199,6 +199,7 @@ func (s *HStore) Abort(tx *core.TxnCtx) {
 		u := &ws[i]
 		copy(u.Buf, u.Undo)
 		tx.P.MemWrite(stats.Abort, u.T.MemKey(u.Slot), uint64(len(u.Undo)))
+		tx.P.Tick(stats.Abort, costs.CopyCost(uint64(len(u.Undo))))
 	}
 	for _, pid := range st.held {
 		s.unlockPartition(tx, pid)

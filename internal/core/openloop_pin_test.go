@@ -99,22 +99,22 @@ func TestOpenLoopPinnedSchedules(t *testing.T) {
 		mmpp   bool
 		want   string
 	}{
-		{"NO_WAIT", false, `commits=140 aborts=181 tuples=5051 shed=190 deadlined=59
-useful=435016 abort=267524 ts_alloc=0 index=280379 wait=0 manager=214959 log=0 idle=0
-lat n=140 sum=6043606 max=67807 [15:34 16:103 17:3]
-qdepth n=407 sum=4903 max=16 [3:37 4:267 5:103]`},
-		{"NO_WAIT", true, `commits=128 aborts=112 tuples=1024 shed=0 deadlined=44
-useful=184176 abort=474795 ts_alloc=0 index=52636 wait=0 manager=131555 log=0 idle=304994
-lat n=128 sum=2451948 max=43115 [12:20 13:19 14:32 15:20 16:37]
-qdepth n=206 sum=1455 max=29 [1:53 2:40 3:40 4:44 5:29]`},
-		{"TIMESTAMP", false, `commits=159 aborts=7 tuples=4967 shed=214 deadlined=14
-useful=455532 abort=41864 ts_alloc=1230 index=274310 wait=206472 manager=221661 log=0 idle=0
-lat n=159 sum=7319442 max=71602 [14:1 15:25 16:129 17:4]
-qdepth n=407 sum=5181 max=16 [3:15 4:275 5:117]`},
-		{"TIMESTAMP", true, `commits=162 aborts=28 tuples=1296 shed=0 deadlined=14
-useful=282428 abort=108114 ts_alloc=1450 index=67601 wait=80530 manager=261940 log=0 idle=347971
-lat n=162 sum=2830666 max=45078 [12:21 13:29 14:40 15:48 16:24]
-qdepth n=212 sum=1222 max=25 [1:63 2:39 3:46 4:50 5:14]`},
+		{"NO_WAIT", false, `commits=142 aborts=350 tuples=4746 shed=147 deadlined=114
+useful=405777 abort=350691 ts_alloc=0 index=241195 wait=0 manager=200451 log=0 idle=0
+lat n=142 sum=4892159 max=67378 [14:9 15:58 16:73 17:2]
+qdepth n=405 sum=4024 max=16 [1:2 2:22 3:79 4:245 5:57]`},
+		{"NO_WAIT", true, `commits=125 aborts=129 tuples=1000 shed=0 deadlined=50
+useful=181089 abort=553319 ts_alloc=0 index=45312 wait=0 manager=131329 log=0 idle=238453
+lat n=125 sum=2474754 max=42336 [12:11 13:19 14:33 15:30 16:32]
+qdepth n=211 sum=1503 max=28 [1:48 2:38 3:47 4:49 5:29]`},
+		{"TIMESTAMP", false, `commits=167 aborts=8 tuples=5103 shed=204 deadlined=16
+useful=475080 abort=48168 ts_alloc=1300 index=262541 wait=198197 manager=230990 log=0 idle=0
+lat n=167 sum=7005876 max=71604 [14:4 15:40 16:119 17:4]
+qdepth n=404 sum=5008 max=16 [3:20 4:289 5:95]`},
+		{"TIMESTAMP", true, `commits=155 aborts=29 tuples=1240 shed=0 deadlined=22
+useful=274420 abort=103465 ts_alloc=1420 index=56801 wait=72209 manager=254007 log=0 idle=389781
+lat n=155 sum=2829606 max=44749 [12:28 13:22 14:36 15:36 16:33]
+qdepth n=212 sum=1289 max=21 [1:65 2:35 3:39 4:56 5:17]`},
 	} {
 		got := openSig(pinnedOpenRun(c.scheme, c.mmpp))
 		if got != c.want {

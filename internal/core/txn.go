@@ -196,8 +196,9 @@ func (tx *TxnCtx) AbortWith(c AbortCause) error {
 	return ErrAbort
 }
 
-// Lookup probes idx for key. Index time (probe + bucket latch) is billed
-// to the INDEX component.
+// Lookup probes idx for key. Index time (the bucket's line and its chain,
+// read in a read section on the bucket latch) is billed to the INDEX
+// component.
 func (tx *TxnCtx) Lookup(idx *index.Hash, key uint64) (int, bool) {
 	return idx.Lookup(tx.P, key)
 }

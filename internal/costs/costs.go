@@ -22,8 +22,8 @@ const (
 	UsefulPerRow = 60
 
 	// IndexProbe is the instruction cost of hashing a key and scanning a
-	// bucket, on top of the NUCA access to the bucket's cache line and
-	// its latch.
+	// bucket, on top of the NUCA access to the bucket's cache line (a
+	// probe is a read section, so it moves no latch line).
 	IndexProbe = 30
 
 	// IndexInsert is the instruction cost of adding an entry to a bucket.

@@ -1,9 +1,10 @@
 // Package index implements the DBMS's indexes: the paper's hash index
 // (§3.2: "the system supports basic hash table indexes") and an ordered
-// B+tree, both behind the Index interface. Their latches' cost — like the
-// paper's — is billed to the INDEX component, and their cache lines are
-// placed across the chip's L2 slices so probes pay realistic NUCA latency
-// under simulation.
+// B+tree, both behind the Index interface. Their cost — like the paper's —
+// is billed to the INDEX component: an insert or remove takes its latch's
+// line, while a probe or scan is a read section on the latch (rt.Latches)
+// that pays only for the lines it reads. Those lines are placed across the
+// chip's L2 slices so probes pay realistic NUCA latency under simulation.
 //
 // Neither structure calls the allocator per insert or holds a pointer per
 // key. A hash index threads its chains through two arrays indexed by table
@@ -67,8 +68,9 @@ type head struct {
 }
 
 // Hash is a fixed-bucket-count hash index from uint64 keys to row slots.
-// All mutation happens under per-bucket latches, so the index is safe on
-// both the simulated and native runtimes.
+// All mutation happens under per-bucket latches and every probe is a read
+// section on its bucket's latch, so the index is safe on both the simulated
+// and native runtimes.
 //
 // The buckets and their latches are two slot arrays of one layout. Over a
 // table with loaded rows both are allocated in New; over an insert-only
@@ -175,15 +177,17 @@ func (h *Hash) find(b *head, key uint64) (int, bool) {
 }
 
 // Lookup probes for key, returning the row slot and whether it was found.
-// The probe latches the bucket (the paper bills bucket latching to INDEX).
+// The probe is a read section on the bucket's latch (rt.Latches): it bills
+// INDEX for the bucket's line and the chain it walks, and, as in DBx1000,
+// not for taking the latch's line from the last inserter.
 func (h *Hash) Lookup(p rt.Proc, key uint64) (int, bool) {
 	i := h.bucket(key)
 	b := h.heads.At(i)
-	h.latches.Acquire(p, stats.Index, i)
+	h.latches.AcquireRead(p, stats.Index, i)
 	p.MemRead(stats.Index, h.memKey(i), 16)
 	p.Tick(stats.Index, costs.IndexProbe+uint64(b.n))
 	slot, ok := h.find(b, key)
-	h.latches.Release(p, stats.Index, i)
+	h.latches.ReleaseRead(p, stats.Index, i)
 	return slot, ok
 }
 

@@ -57,7 +57,9 @@ const leafChunk = 64
 // workload pays for its index contention in the paper's breakdown. The
 // coarse latch is deliberate: ordered indexes are secondary structures on
 // the scan-bearing transactions' path, and serializing their maintenance
-// makes the contention visible rather than hidden.
+// makes the contention visible rather than hidden. Lookups and scans are
+// read sections on it (rt.Latches): they exclude inserts and removes, and
+// pay for the nodes they read rather than for the latch's line.
 //
 // Duplicate keys are allowed (entries with equal keys have no defined
 // relative order); the workloads use unique keys.
@@ -286,20 +288,22 @@ func (o *Ordered) find(key uint64) (*onode, int, bool) {
 	return n, -1, false
 }
 
-// Lookup probes for the first entry with the given key.
+// Lookup probes for the first entry with the given key, in a read section
+// on the index latch that bills the descent and the leaf's line to INDEX.
 func (o *Ordered) Lookup(p rt.Proc, key uint64) (int, bool) {
-	o.latch.Acquire(p, stats.Index, 0)
+	o.latch.AcquireRead(p, stats.Index, 0)
 	p.Tick(stats.Index, costs.IndexProbe+o.depth())
 	n, slot, ok := o.find(key)
 	p.MemRead(stats.Index, o.memKey(n.id), 16)
-	o.latch.Release(p, stats.Index, 0)
+	o.latch.ReleaseRead(p, stats.Index, 0)
 	return slot, ok
 }
 
 // RangeScan appends every entry with lo <= key <= hi to out, in ascending
-// key order, and returns the extended slice. The whole scan holds the
-// index latch, and its cost — the descent plus one probe unit per entry
-// returned and one cache line per leaf visited — is billed to INDEX.
+// key order, and returns the extended slice. The whole scan is one read
+// section on the index latch, and its cost — the descent plus one probe
+// unit per entry returned and one cache line per leaf visited — is billed
+// to INDEX.
 //
 // The scan returns the key→slot pairs only; the caller reads the rows
 // through the concurrency-control scheme afterwards. Entries inserted
@@ -317,7 +321,7 @@ func (o *Ordered) RangeScanLimit(p rt.Proc, lo, hi uint64, max int, out []Entry)
 	if max == 0 || hi < lo {
 		return out
 	}
-	o.latch.Acquire(p, stats.Index, 0)
+	o.latch.AcquireRead(p, stats.Index, 0)
 	found := 0
 	n := o.findLeafLow(lo)
 scan:
@@ -335,7 +339,7 @@ scan:
 		}
 	}
 	p.Tick(stats.Index, costs.IndexProbe+o.depth()+uint64(found))
-	o.latch.Release(p, stats.Index, 0)
+	o.latch.ReleaseRead(p, stats.Index, 0)
 	return out
 }
 

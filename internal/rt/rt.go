@@ -109,6 +109,20 @@ type Proc interface {
 // implementation defined (typically a store + line transfer on the
 // simulator).
 //
+// AcquireRead and ReleaseRead bracket a read section on latch i: a body
+// that only reads the state the latch guards, and that reaches no ordering
+// point — no Sync, Park or ParkTimeout, and so no latch Acquire and no
+// counter operation — before ReleaseRead. A read section excludes exclusive
+// holders of the latch. Under simulation it is an ordering point at entry
+// and nothing else: it moves no line ownership and bills no transfer, so
+// the section pays only for the lines its own MemReads name (DBx1000 and
+// Silo probe their indexes without taking the bucket latch's line). That
+// is exact only if no exclusive section of the latch reaches an ordering
+// point either, so that a reader can never find the latch held: the
+// simulator panics if one does, and if a read section's body reaches an
+// ordering point. Natively a read section is Acquire and Release of the
+// same mutex, which bill nothing either way.
+//
 // TryAcquireQuiet and ReleaseQuiet are the unmodelled pair, for housekeeping
 // that is not part of the paper's cost model (MVCC's garbage collection):
 // the first takes latch i only if it is free, never waits and reports
@@ -121,6 +135,8 @@ type Proc interface {
 type Latches interface {
 	Acquire(p Proc, c stats.Component, i int)
 	Release(p Proc, c stats.Component, i int)
+	AcquireRead(p Proc, c stats.Component, i int)
+	ReleaseRead(p Proc, c stats.Component, i int)
 	TryAcquireQuiet(p Proc, i int) bool
 	ReleaseQuiet(p Proc, i int)
 }

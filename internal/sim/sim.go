@@ -157,6 +157,10 @@ type Proc struct {
 	eventAt uint64
 	heapIdx int32
 
+	// reading counts the read sections the core is inside (rt.Latches):
+	// while it is non-zero the core may reach no ordering point.
+	reading int
+
 	// Parking state (permit semantics, see rt.Proc).
 	parked      bool
 	parkedAt    uint64
@@ -205,6 +209,9 @@ func (p *Proc) Backoff(c stats.Component, cycles uint64) { p.Tick(c, cycles) }
 // comparison against its head decides precisely what the push-then-pop
 // engine would have decided.
 func (p *Proc) Sync(c stats.Component, cycles uint64) {
+	if p.reading != 0 {
+		panic("sim: ordering point inside a read section")
+	}
 	p.now += cycles
 	p.pend[c] += cycles
 	e := p.eng
@@ -234,6 +241,9 @@ func (p *Proc) MemWrite(c stats.Component, key uint64, bytes uint64) {
 
 // Park implements rt.Proc.
 func (p *Proc) Park(c stats.Component) {
+	if p.reading != 0 {
+		panic("sim: Park inside a read section")
+	}
 	if p.permit {
 		p.permit = false
 		p.Tick(c, mesh.L1Cycles)
@@ -252,6 +262,9 @@ func (p *Proc) Park(c stats.Component) {
 
 // ParkTimeout implements rt.Proc.
 func (p *Proc) ParkTimeout(c stats.Component, cycles uint64) bool {
+	if p.reading != 0 {
+		panic("sim: ParkTimeout inside a read section")
+	}
 	if p.permit {
 		p.permit = false
 		p.Tick(c, mesh.L1Cycles)
@@ -380,6 +393,21 @@ func (s *latches) Release(p rt.Proc, c stats.Component, i int) {
 	l.holder = next
 	sp.eng.Unpark(sp, next)
 }
+
+// AcquireRead implements rt.Latches: an ordering point and nothing else.
+// The latch's line keeps its owner and occupancy window; the section's own
+// MemReads bill what it reads.
+func (s *latches) AcquireRead(p rt.Proc, c stats.Component, i int) {
+	sp := p.(*Proc)
+	sp.Sync(c, 0)
+	if s.At(i).holder != nil {
+		panic("sim: read section on a held latch (an exclusive section of it reached an ordering point)")
+	}
+	sp.reading++
+}
+
+// ReleaseRead implements rt.Latches.
+func (s *latches) ReleaseRead(p rt.Proc, c stats.Component, i int) { p.(*Proc).reading-- }
 
 // TryAcquireQuiet implements rt.Latches: a latch is free exactly when it has
 // no holder, and taking it touches neither its line nor the caller's clock.

@@ -28,8 +28,8 @@ const (
 	// TsAlloc is time spent acquiring a unique timestamp from the
 	// allocator ("TS ALLOCATION").
 	TsAlloc
-	// Index is time spent in hash indexes, including bucket latching
-	// ("INDEX").
+	// Index is time spent in hash and ordered indexes ("INDEX"): the lines
+	// a probe or scan reads, and an insert's or remove's latch.
 	Index
 	// Wait is the total time a transaction waits, either for a lock (2PL)
 	// or for a tuple version that is not ready yet (T/O) ("WAIT").
