@@ -36,6 +36,11 @@ type (
 
 	// TxnCtx is the per-worker transaction context handed to Txn.Run:
 	// Lookup/Read/UpdateRow/InsertRow are the whole data access surface.
+	// Read and UpdateRow take the ordinals of the columns the access
+	// touches (Read(t, slot, cols...)); naming none means the whole row.
+	// An in-place access is billed for the named columns' bytes only, so
+	// a body names every column it reads or stores whenever it touches
+	// fewer than all of them.
 	TxnCtx = core.TxnCtx
 
 	// Result aggregates one experiment run (commits, aborts, tuple

@@ -17,66 +17,66 @@ import (
 // A change that moves, drops, reorders or re-labels a job, a point, a
 // series or a breakdown row changes at least one entry.
 var figureDigests = map[string]string{
-	"10/csv":                    "ac0330719ad1a5f159a51cd2bd9bca938b168c9455177a64dfaebda32fa9b23e",
+	"10/csv":                    "a45263a36e5980c2abf17b55e3f068cda8d8ff86d8f5bf2b3f7d185e745f2607",
 	"10/jobs/full":              "8c01a2f4834c5bcf458985c42beae9dbf51939c97dbd81c73d477dd8d7f4709b",
 	"10/jobs/quick":             "db8a0cb78c3bc77bfa7315e9084a0cb92da87b4060490410bde18f8fc0ad5905",
 	"10/jobs/tiny":              "88bc8fe5052f72052675629f7d7785c11fc914f431dae1c21138cf974065967e",
-	"10/json":                   "511b2c188bab3f464b9af09f75ab7b008970322daeef6e120f332a0d939304c0",
-	"10/text":                   "0dc499498236cf14a73602fafdaa04aa4b87c2c156f9324bb1d1740024f7cd3d",
-	"11/csv":                    "e49223d3191ece0ffe7e4779ff02e22a296c5d68a7e94ce662125f72e0eaf2f6",
+	"10/json":                   "696785660d41fc849dbbcd3a5cf120a7d241e6cedbc5091df3645ca96d4fadfd",
+	"10/text":                   "3b400c7b71140cfcfa747b1654d065d05943d3a513b2b42efeb936c6dc197669",
+	"11/csv":                    "9780dea0f724cdf77264588c56501fed0a99fb97e6bb97d9248a0892eba81a06",
 	"11/jobs/full":              "a6705ff368871b82b8588a17e9d0f73c32d15df5d8b7210c2a075f82ec5ec4d7",
 	"11/jobs/quick":             "6840c2e7491d30ca20c65d453d52384fee88aae6efb52ba51966a36b6293688c",
 	"11/jobs/tiny":              "4cf4006ceb3fecc21043e263ed7f347628870ec4611d603bf52bd25facdcb5e0",
-	"11/json":                   "41daf42bba6061f7982a0a2427d3d5568aea63f387f077fad3607455fcc07e2a",
-	"11/text":                   "e57092e17e8cc0082ace179f48bf01a0546f3b3ff504f3f7d1c25cc0481c0236",
-	"12/csv":                    "aa0ffae4d5ea00064e1588d6c1171c354b75418ca795cb45a5398ff575595fb3",
+	"11/json":                   "1f9b284026242a42fdbb1ebe472fb159d9396673f3e7494e7f61d828e0c59b5d",
+	"11/text":                   "a3dccac4de55d049a0e047cbf0bcd5332e9ed889a0a54db829acf9a67d00e941",
+	"12/csv":                    "4e5e48f06a1615c89cc3ddec2de116cd0122948263cb0c197aad1bdcc974c224",
 	"12/jobs/full":              "9c11a617c46b0723a2400a73df6a3bdbf1fd5180beb66f7421a5101f94dceeaa",
 	"12/jobs/quick":             "2feb86f92588d470f2d627d1b35be20fcb8786b0910f4f6720ac29168a1d3a7f",
 	"12/jobs/tiny":              "9d427104e0a3cf58546278dee7a173bd05521177f766267899db3adeb3374c4d",
-	"12/json":                   "81f3beb7d8aa7558afec129f7d5a76d6ca297fd01aab4f24f04a56e496cc4bdb",
-	"12/text":                   "463e47f4916c1c74de5bbf3d7bb8fff5103738aa13c71976e688ae1855d01481",
-	"13/csv":                    "e255f2fa55b1107e8aa878adc11c5ed2bd038a241096c0eee941f23d832569ed",
+	"12/json":                   "c9bc8954a4a6e002bdd9819a8edcca7159695d4572c46853f1ab615a27a65691",
+	"12/text":                   "51a76598005b98c3ac14f75ec85ca0bfd7f49a09af981fece6656f3bc8a95ec1",
+	"13/csv":                    "d0f730a06dd4da16c13cfe7a984c6f5fa7b61fe682580a6a93f9c0257a023651",
 	"13/jobs/full":              "c33fd30315b2713dd1d2e37bd7264b82230275ef5af14e551f622d2bd89966a9",
 	"13/jobs/quick":             "2ef9658466816107132ac10b12d703cd90294879fb5305512b36f5e2e91c793e",
 	"13/jobs/tiny":              "280fac145f802c7743dd908f36210749f20e56616ff9e0e2b18c0f93ff8a1a66",
-	"13/json":                   "0a9cd047ac06f8768c59eaf5034e26a860f8ff1119163372e4268d9101ba1c36",
-	"13/text":                   "1cfb5cd60a78ce1c00912f18d476a3cc3c788d1392a1d8259949fbc74b6a0cf6",
-	"14/csv":                    "80a0f6278de655d0b350f0226c23bd4e56f0480c1a06b11ce40506a53a783281",
+	"13/json":                   "a2b67098641dbda2e4566308cd9862bffe9ad33ddf1caddcb370d3001da63f47",
+	"13/text":                   "5aa7dd30a31b5c561097083835dda2b1abc53fc73938bd621d0c78a1180ec7f5",
+	"14/csv":                    "dbfa2e251d40c5f7f72b8e0fb9643536cd58ea05dad43d748112583f7c50ce60",
 	"14/jobs/full":              "b0fa071f82253002bd64285109b1202c4616c2c3cbd566637c211636755cddc9",
 	"14/jobs/quick":             "98f5c544bad4e52cc565e4eaddc911ddd893634d7960aa1bc794bbf25b41f8a0",
 	"14/jobs/tiny":              "5ab3832e56876591664a96b6b9a7964b269101ed268d12bc54d22faab985e496",
-	"14/json":                   "7e3311a8369403dbf5e16e1adbff43a8311c96a687bd9fbe8425342fccbe35d2",
-	"14/text":                   "729128d906d76a639d799894e8922fc0ecd90214cc88a4cd7fd5cf9cea6ad790",
-	"15/csv":                    "03ff0eb033a16990959d7f5004e83fe016bfe5cd15f53333c743ae173f495312",
+	"14/json":                   "0c24057ee10aef75913e4afcdd05cc740e0588720761e7943e3d8412ec0b4029",
+	"14/text":                   "8a04e4122ec517101b8b52434d5bb3b776605ba6a78cd3b62d094d89dbad62d8",
+	"15/csv":                    "17b3fa74c26cebff6050be475c11d756f2c30352f5aa55df97f046a82fc55e61",
 	"15/jobs/full":              "ea8978d00cb6156f160e64bf631b3b4d9bafb82c8deaf2ab179376247b115e12",
 	"15/jobs/quick":             "8e5a5e4469990dca94e492319c540b1f130b37de254a5862fbd93503d58b1ac8",
 	"15/jobs/tiny":              "0ae5b78101098f0ac13128270bd2e9e4576134a86f04fffebfebada30dc517a3",
-	"15/json":                   "2a375dcfcc67bb92be90e5627065522a1c3b3b3415755cbd2801e3f590ada91b",
-	"15/text":                   "51a691bd05578541c584901ace5b11e49766c935cf0b5774790cc12d67d85ae8",
-	"16/csv":                    "2640183b98049abdbbf20b3fef11a8f3fbf75130b64bdc41100fe60cad0cddab",
+	"15/json":                   "77b49ae94167f0cd9abb5d81b9a05e47c231ce86cfc3ba8df94bfaf00f78be57",
+	"15/text":                   "9236391cb4ed7f5b4831db684074a4958e6934cdc8b2e5a0e41adea54f011356",
+	"16/csv":                    "a20670f6373d472c3960118b10b47fc4ec0e532037d43d75e22b9c78a0714347",
 	"16/jobs/full":              "409a49ab09e53353cc3907f2fac08c9bbfbcea549384f1d84fbf1ef1bdaaacaf",
 	"16/jobs/quick":             "b188b4b55561b9c8838b66509493666ab2d31143abadbf0127b1870cd11881d8",
 	"16/jobs/tiny":              "f3d6ef9559287a9026f890c7aa20884c8719bbd66211bede0aff3f9b2391374e",
-	"16/json":                   "782c1d942304eab21463c88f431efa34a1d1f8229ec3928b807ad3a5f97c05a2",
-	"16/text":                   "01fa05fcbcd79526531bfca8b800138286009a29bf33f62c7822e5896b8d62be",
-	"17/csv":                    "db00773f314a381f96568080cbc467a6b194ee7c2577c5fc249921bbe270446c",
+	"16/json":                   "8c9c113b1a5a8f1c71b4fd9b28fa74d938dee227281357aefef8cb64e1993add",
+	"16/text":                   "b9c7d0027f9ed82680a5016fbb4c64b4b11c08954ab58ee0d122966c9f2a41f0",
+	"17/csv":                    "649b4c8d910685494e726606ff9dac75e27093dae78569c2d6eca7f540f4a64b",
 	"17/jobs/full":              "1a2afd5b24597d9f9dd5d0ffdadc64a5b4381d09fefac63d8e8df66ebd64cc0e",
 	"17/jobs/quick":             "ae7792483412af316f72aa0ce77c6583edaeac451c1c86c0cd68cdd77ede64cf",
 	"17/jobs/tiny":              "e0b8974aa145384474fcadc50b094f3507f40bd81b33ddd375835a0fdb4d8062",
-	"17/json":                   "95bff6ea2447350a66cb745edc8356d484185c7c48c3a01e9c92df18423f1db5",
-	"17/text":                   "87676475ec109cb0c03e73a5b53a7ad21493ce972708c41878e89cd78e280510",
-	"4/csv":                     "8588766e129f646dc85394e289e81ec22001c4a15fa5c5f0e17dcf5650caed9d",
+	"17/json":                   "221cee045f45a74afb4cf6b5fb362f319f30da83e4b925a0eecb0d463d8447ee",
+	"17/text":                   "6e32714da744bb29edbd43b4245f9963c9ad15afe2ab3f705fd3dcb9fb561e64",
+	"4/csv":                     "bac3a12420f5cef2e1638965e9d06d9c2e26572a85b97d833996f2daf4acbc60",
 	"4/jobs/full":               "a107ababa0db258ace99a28e891cbda9baa311746ed51d1e606f4cf4acbcf516",
 	"4/jobs/quick":              "091cfc62f510c938ff346c74c560041bc8fa79818c2d0ff0e0efc7f0987c1adb",
 	"4/jobs/tiny":               "9051eea9748cce2091a34e0c40ff81e66050a493f293813e361d042681937def",
-	"4/json":                    "0f9054d04a09b28aecb7d93a15f83d18a72d817d84ef52db67e9fb9bd831c29a",
-	"4/text":                    "bd0e88aa41984c218ffef821d95a05a2e0f6f12c95d5163fc76c0a9e974a248c",
-	"5/csv":                     "56988d0cd24eb1932314b2db6534bd6896c43e3f7b8c89c19fe6567c27344755",
+	"4/json":                    "16d9e2cdc7e23ffde8957777b1fed2b1711bdca2f2dbb6fe851e72268a499700",
+	"4/text":                    "981ddc72eabf6b18c76a4ded67bbadd190e308a2cf6d4e8957fb5603f081adf6",
+	"5/csv":                     "8e976c14636355e499cda7aeaa1957171894110543a48816ad4c91b7b8edc108",
 	"5/jobs/full":               "c28be073b0572886c6f7fc3dccd605fd6b9526850f2e08eb99945b2239eeb3d0",
 	"5/jobs/quick":              "93964360b3694312cb5dbe91cba67b89706266397bf12c20652ecf57572d9352",
 	"5/jobs/tiny":               "9517de7da416c5ff212748dd0c7ce965bf9792d21b2d7b9d3309031b520f305b",
-	"5/json":                    "d190e4c7dc4552a2b92a35b3cd2f811f46a8f4f9e6cecf92b637a8e6666ab33e",
-	"5/text":                    "1006c3283710594776c2c0be521683debfeeeea8adff5ded3a62ce1857735647",
+	"5/json":                    "23077e0c16f31c6939ef3853be6a3c9c0b1da4d1af9adf9267aec7f4219d7875",
+	"5/text":                    "47b81bea977c0f0a2b95417eed0f14ef5bbc87b5f04510bc9dc8aea9719aa54f",
 	"6/csv":                     "9a134c6e330dc43a30d2c1f1494155cb768bc2ac2341284247293fd9020bb685",
 	"6/jobs/full":               "b09dc685517b5f67dfa29ad4598a6c104e819509612ed4e2afbe74b969e9fc6d",
 	"6/jobs/quick":              "46d09ef7969be8092bc15c6594b3b7fd3aae7dee169ec52719fdbd9a9d2a3b9f",
@@ -89,30 +89,30 @@ var figureDigests = map[string]string{
 	"7/jobs/tiny":               "4046a8899ff1f2eb50ca8bf808f15b7ef7758c588e7b0ea6cf784860a6d25c2c",
 	"7/json":                    "b5901c9ecabef50c2c673451ceabd589c7fa5db20bd1bddacf604114f98d3852",
 	"7/text":                    "19616157d02bcf00518dbf46b2ab744819d6ca2f9bfa9a891cb61fb29c930ba5",
-	"8/csv":                     "c3a029fe9d81a8b6d4a2b0a21ac944d07bd47ee4ee7fd1328bfc2daa784ac392",
+	"8/csv":                     "fc30d595a7eeadc34999073e7f3903c3dce1ad447688b64fec361dee8cf7fd84",
 	"8/jobs/full":               "006ffdc377233d139b9542415e474fbefc01a89b5beaeaa3a36f19befb03f36d",
 	"8/jobs/quick":              "853ecd34ed618b3aaf2d979132c89a193d53868f2f50ddac72c5826e35080428",
 	"8/jobs/tiny":               "22e5e3bbd7f046e786e05e50fa188d9ef26082d4a31d2edf8af7e191b2c19a20",
-	"8/json":                    "db30446e025d38c14b78325c3c91b87ca7a22bb33502d69137dc71b4201efe46",
-	"8/text":                    "9af55cb3cdc2a7639442d35d4c11bb673e5d5230fc2047c9428b8e3b09c5bb67",
-	"9/csv":                     "a5d5a3dd0efedefc6eafaf6aaf213466bc21fcd6c54613c1ad92926cfa51f2aa",
+	"8/json":                    "93e04a50fa446358f314665b3f9117706a71b75a164142e74b9e256111a0529f",
+	"8/text":                    "5d46c8d9da07cd3ca2d287579b0ad89288bf5f411aadf8f074885c0e31aa3cbd",
+	"9/csv":                     "66680ebb20ebc29fc3fe32b33316afa0ee05f74ce07b265c48021969a149e2dc",
 	"9/jobs/full":               "c5ea5c29800d6f65cffd5a9e1730c7f10076bf7b70640ba8520bed23edfcefb9",
 	"9/jobs/quick":              "f387561db31461024b53b3241b58a7ee39bc716add112e13ea144e50dc4a62cd",
 	"9/jobs/tiny":               "ffc7732bf57e245a1f325aba8f5c31a0ebd7036e0369bb3133058c09fadec1b4",
-	"9/json":                    "13835bf5afeb7b6076b0c4d7d332ce65ebace2a46bb9a737441d421d606b4fbd",
-	"9/text":                    "70d0bd26940cc4f6057ced152c8236bb067133c19fd1d9d614af04be11edc900",
-	"adaptive/csv":              "78bb7eadfdd158a55315ccbfb5792f0f9dc686204d5fe3c790c677cac8546cbc",
+	"9/json":                    "3088e41f4df608c6c765d1d820ced7d5befb55e5306afb2c4ad5c1768aaa499a",
+	"9/text":                    "5a9cbd73a25c4f1b296be55b11425cd2a2d1699f50482b192fbf79f336531f4e",
+	"adaptive/csv":              "38c74e99d2ba76f0c4e3666092d9ea6f56f4bb3c78998004bb84082faba00e57",
 	"adaptive/jobs/full":        "bd015cc9dca798d59b8e8285783de8425642dc47cbd8d414678e3229f8234ca3",
 	"adaptive/jobs/quick":       "da843b3519d56783601d924c0be25e071f965cf980c7e0d459ba244a84683836",
 	"adaptive/jobs/tiny":        "77a6c2b39659965490986a56a44a1c37ff7b0171041dcb77b59ffdc09db63d72",
-	"adaptive/json":             "7e1d63814f72639fb14ad6f40a8df06e3afa26b3d9d29a764062b606fb19c60e",
-	"adaptive/text":             "18e341ea402f96551ab1cdc09161ce15e38deeaeaa1a7d1f920dca807a91b3df",
-	"knee/csv":                  "219ff4a6b620f180336d7f6032ca52a04a49ff816f430481c53b885a251e3b2b",
+	"adaptive/json":             "cc1d0506e5e4cb4bf121eaab86f55bf1113e51fddf8f513e11a349043cae7f05",
+	"adaptive/text":             "a5f46c33115863fc9e42fd090d3063b6f9b15f1c05b33ea77c1054d05b29ad68",
+	"knee/csv":                  "f2aa1d9f9be112550c74a5acb9d1e629e2829d0fd212cedff5cda373432840db",
 	"knee/jobs/full":            "8149534c2acf7fe4c5069e099c3575a824bcbe480707121f492a3eb1360aa3b5",
 	"knee/jobs/quick":           "04c6aefcba83ad3d227561a0e357d80515609b192ceaf65e5b7af1c0211fc388",
 	"knee/jobs/tiny":            "51e223545f0e43fdf092c5aac1c63c435f7aef3c84dada8a4dcc8243babac13a",
-	"knee/json":                 "8f1e1e9a226f62e7bed4487fa382718a7c4ae387cda763310ae65c954d4ab851",
-	"knee/text":                 "9bc0686317d70dddd556ac6fd8dd282f5e3999f94de4be4740797dcd125fdbd1",
+	"knee/json":                 "c7257a17a74ff9f85b15dcdac8c9c72217c272d8157fd2cf1c1bb4351eecc427",
+	"knee/text":                 "9467b938ce832b40c25b179002daa5aeddbb7b738fcecb89e70efe0f0c36a617",
 	"malloc/csv":                "facb29237a35903b29fefee08f26928a312924610dc3daf0dbb05d81a75ab466",
 	"malloc/jobs/full":          "167eea2b4ebe8e77d38576385bdf00821a97778e1847fc72cedbfcea0b6e4379",
 	"malloc/jobs/quick":         "de9beb5e79e949d5953121ec001ab11a7cd876d53e653c4c3fb073db2d9e65d0",

@@ -52,7 +52,7 @@ func main() {
 		qdepth   = flag.Int("qdepth", 0, "per-worker admission queue depth (0 = default)")
 		deadline = flag.Duration("deadline", 0, "default per-request deadline (0 = none; clients override per request)")
 		retry    = flag.Int("retry", 0, "abandon a request after this many failed attempts (0 = unlimited)")
-		backoff  = flag.Duration("backoff", 0, "mean randomized restart penalty after an abort (0 = none)")
+		backoff  = flag.Duration("backoff", 0, "mean randomized restart penalty after an abort (0 = none until a transaction aborts 8 times in a row)")
 		bcap     = flag.Duration("backoff-cap", 0, "cap for exponential abort backoff (0 = fixed mean)")
 
 		// Durability knob.

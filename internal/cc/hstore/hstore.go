@@ -149,20 +149,20 @@ func (s *HStore) unlockPartition(tx *core.TxnCtx, pid int) {
 	s.latches.Release(p, stats.Manager, pid)
 }
 
-// Read implements core.Scheme: with partition locks held, read in place
-// with no per-tuple work at all.
-func (s *HStore) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
+// Read implements core.Scheme: with partition locks held, read the named
+// columns in place with no per-tuple work at all.
+func (s *HStore) Read(tx *core.TxnCtx, t *storage.Table, slot int, cols uint64) ([]byte, error) {
 	// History capture: the partition lock excludes every writer of this
 	// slot (same partition), fixing the version this read observes.
 	tx.CaptureRead(t, slot)
-	tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(t.Schema.RowSize()))
+	tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(t.Schema.Width(cols)))
 	return t.Row(slot), nil
 }
 
 // WriteRow implements core.Scheme: hand back the live row for in-place
-// mutation under the partition lock, with an undo image for program-logic
-// rollbacks.
-func (s *HStore) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
+// mutation of the named columns under the partition lock, with an undo
+// image of the whole row for program-logic rollbacks.
+func (s *HStore) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int, cols uint64) ([]byte, error) {
 	// History capture: a write is a read-modify-write of the current
 	// committed version.
 	tx.CaptureRead(t, slot)
@@ -173,7 +173,7 @@ func (s *HStore) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, 
 		tx.P.Tick(stats.Manager, costs.CopyCost(uint64(len(row))))
 		tx.AddWrite(t, slot, row, img)
 	}
-	tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(len(row)))
+	tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(t.Schema.Width(cols)))
 	return row, nil
 }
 

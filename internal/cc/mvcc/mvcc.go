@@ -383,8 +383,9 @@ func (s *MVCC) wakeAll(p rt.Proc, e *entry) {
 	h.waiters = h.waiters[:0]
 }
 
-// Read implements core.Scheme.
-func (s *MVCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
+// Read implements core.Scheme: the visible version is read in place, and
+// only the named columns are billed.
+func (s *MVCC) Read(tx *core.TxnCtx, t *storage.Table, slot int, cols uint64) ([]byte, error) {
 	st := tx.State.(*txnState)
 	tl := &s.meta[t.ID]
 	e := tl.entries.At(slot)
@@ -417,7 +418,7 @@ func (s *MVCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error)
 		// History capture: this read observes the version stamped v.wts (0
 		// for a loaded row, the inserter's TS for a runtime insert).
 		tx.CaptureReadVer(t, slot, v.wts)
-		tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(t.Schema.RowSize()))
+		tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(t.Schema.Width(cols)))
 		data := v.row(t, slot)
 		tl.latches.Release(tx.P, stats.Manager, slot)
 		return data, nil
@@ -429,8 +430,10 @@ func (s *MVCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error)
 // caller to mutate in place. The buffer stays private until Commit
 // resolves the pending version — readers ordered after it wait, earlier
 // ones are served older versions — so caller writes after return are
-// isolated.
-func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
+// isolated. The caller's stores land in that private buffer, whose copy
+// is the billed store, so the named columns bill nothing more: the shared
+// row is never written.
+func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int, _ uint64) ([]byte, error) {
 	st := tx.State.(*txnState)
 	pl := &s.pools[tx.P.ID()]
 	tl := &s.meta[t.ID]
@@ -452,7 +455,6 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 				// Second write by the same transaction:
 				// hand back the pending version again.
 				data := hv.data
-				tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(n))
 				tl.latches.Release(tx.P, stats.Manager, slot)
 				return data, nil
 			}
@@ -490,7 +492,6 @@ func (s *MVCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, er
 		buf := pl.getBuf(t.ID, n)
 		copy(buf, prev.row(t, slot))
 		tx.P.Tick(stats.Manager, costs.CopyCost(uint64(n))+costs.AllocBase)
-		tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(n))
 		h := e.hot
 		if h == nil {
 			h = pl.getHot()

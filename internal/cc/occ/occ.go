@@ -161,10 +161,10 @@ func (s *OCC) snapshot(tx *core.TxnCtx, t *storage.Table, slot int) readRec {
 	return readRec{t: t, slot: slot, word: word, buf: buf}
 }
 
-// Read implements core.Scheme: copy into the private workspace, record the
-// read set entry. Never blocks, never aborts — conflicts surface at
-// validation.
-func (s *OCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
+// Read implements core.Scheme: copy the whole row into the private
+// workspace, whatever columns the access names, and record the read set
+// entry. Never blocks, never aborts — conflicts surface at validation.
+func (s *OCC) Read(tx *core.TxnCtx, t *storage.Table, slot int, _ uint64) ([]byte, error) {
 	st := tx.State.(*txnState)
 	if w := tx.Written(t, slot); w != nil {
 		return w.Buf, nil
@@ -180,7 +180,7 @@ func (s *OCC) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) 
 // WriteRow implements core.Scheme: return the private workspace buffer
 // for the caller to mutate. The implicit read (callers may RMW the
 // returned image) joins the read set so validation catches conflicts.
-func (s *OCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
+func (s *OCC) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int, _ uint64) ([]byte, error) {
 	if w := tx.Written(t, slot); w != nil {
 		tx.P.Tick(stats.Useful, costs.CopyCost(uint64(len(w.Buf))))
 		return w.Buf, nil

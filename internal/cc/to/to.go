@@ -127,8 +127,9 @@ func (s *TO) wakeAll(p rt.Proc, e *tupleTS) {
 }
 
 // Read implements core.Scheme. Basic T/O read rule: reject if ts < wts;
-// wait behind earlier pending writes; otherwise bump rts and copy.
-func (s *TO) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
+// wait behind earlier pending writes; otherwise bump rts and copy the
+// whole row, whatever columns the access names.
+func (s *TO) Read(tx *core.TxnCtx, t *storage.Table, slot int, _ uint64) ([]byte, error) {
 	if w := tx.Written(t, slot); w != nil {
 		return w.Buf, nil // read own prewrite
 	}
@@ -168,7 +169,7 @@ func (s *TO) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
 // caller mutates it in place and Commit installs it. No other transaction
 // can observe the buffer before then — readers and writers ordered after
 // this prewrite wait for its resolution, earlier ones read older state.
-func (s *TO) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
+func (s *TO) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int, _ uint64) ([]byte, error) {
 	if w := tx.Written(t, slot); w != nil {
 		tx.P.Tick(stats.Useful, costs.CopyCost(uint64(len(w.Buf))))
 		return w.Buf, nil

@@ -325,23 +325,24 @@ func (st *txnState) hold(table, slot int, mode lockMode) {
 	st.held = append(st.held, heldLock{table: int32(table), slot: int32(slot), mode: mode})
 }
 
-// Read implements core.Scheme: acquire a shared lock and read in place.
-func (s *TwoPL) Read(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
+// Read implements core.Scheme: acquire a shared lock and read the named
+// columns in place.
+func (s *TwoPL) Read(tx *core.TxnCtx, t *storage.Table, slot int, cols uint64) ([]byte, error) {
 	if err := s.lock(tx, t, slot, modeShared); err != nil {
 		return nil, err
 	}
 	// History capture: the shared lock excludes committers, fixing the
 	// version this read observes.
 	tx.CaptureRead(t, slot)
-	tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(t.Schema.RowSize()))
+	tx.P.MemRead(stats.Useful, t.MemKey(slot), uint64(t.Schema.Width(cols)))
 	return t.Row(slot), nil
 }
 
 // WriteRow implements core.Scheme: acquire an exclusive lock, capture an
-// undo image, and hand back the live row for in-place mutation. The row
-// stays exclusively locked until transaction end, so the caller's writes
-// after return are isolated.
-func (s *TwoPL) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, error) {
+// undo image of the whole row, and hand back the live row for in-place
+// mutation of the named columns. The row stays exclusively locked until
+// transaction end, so the caller's writes after return are isolated.
+func (s *TwoPL) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int, cols uint64) ([]byte, error) {
 	if err := s.lock(tx, t, slot, modeExcl); err != nil {
 		return nil, err
 	}
@@ -357,7 +358,7 @@ func (s *TwoPL) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int) ([]byte, e
 		tx.P.Tick(stats.Manager, costs.CopyCost(uint64(len(row))))
 		tx.AddWrite(t, slot, row, img)
 	}
-	tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(len(row)))
+	tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(t.Schema.Width(cols)))
 	return row, nil
 }
 

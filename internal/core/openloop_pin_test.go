@@ -99,14 +99,14 @@ func TestOpenLoopPinnedSchedules(t *testing.T) {
 		mmpp   bool
 		want   string
 	}{
-		{"NO_WAIT", false, `commits=142 aborts=350 tuples=4746 shed=147 deadlined=114
-useful=405777 abort=350691 ts_alloc=0 index=241195 wait=0 manager=200451 log=0 idle=0
-lat n=142 sum=4892159 max=67378 [14:9 15:58 16:73 17:2]
-qdepth n=405 sum=4024 max=16 [1:2 2:22 3:79 4:245 5:57]`},
-		{"NO_WAIT", true, `commits=125 aborts=129 tuples=1000 shed=0 deadlined=50
-useful=181089 abort=553319 ts_alloc=0 index=45312 wait=0 manager=131329 log=0 idle=238453
-lat n=125 sum=2474754 max=42336 [12:11 13:19 14:33 15:30 16:32]
-qdepth n=211 sum=1503 max=28 [1:48 2:38 3:47 4:49 5:29]`},
+		{"NO_WAIT", false, `commits=147 aborts=213 tuples=4991 shed=176 deadlined=66
+useful=405379 abort=322036 ts_alloc=0 index=254203 wait=0 manager=210980 log=0 idle=4160
+lat n=147 sum=6275985 max=67515 [13:3 14:7 15:27 16:108 17:2]
+qdepth n=407 sum=4797 max=16 [1:10 2:13 3:24 4:260 5:100]`},
+		{"NO_WAIT", true, `commits=151 aborts=117 tuples=1208 shed=0 deadlined=25
+useful=113870 abort=447002 ts_alloc=0 index=54574 wait=0 manager=156560 log=0 idle=376282
+lat n=151 sum=2421943 max=41714 [11:7 12:27 13:29 14:27 15:38 16:23]
+qdepth n=212 sum=1236 max=26 [1:67 2:37 3:40 4:52 5:16]`},
 		{"TIMESTAMP", false, `commits=167 aborts=8 tuples=5103 shed=204 deadlined=16
 useful=475080 abort=48168 ts_alloc=1300 index=262541 wait=198197 manager=230990 log=0 idle=0
 lat n=167 sum=7005876 max=71604 [14:4 15:40 16:119 17:4]

@@ -28,6 +28,7 @@ import (
 	"slices"
 	"strings"
 
+	"abyss1000/internal/costs"
 	"abyss1000/internal/stats"
 )
 
@@ -145,13 +146,29 @@ type FaultInjector interface {
 	Delay(worker int, now uint64) uint64
 }
 
+// A restart loop with no configured backoff (base 0) restarts at once
+// until a transaction has aborted livelockAborts times in a row; from
+// then on it backs off from costs.BackoffBase, doubling per failure up to
+// livelockCap. Nothing else perturbs a simulated schedule, so two NO_WAIT
+// transactions that lock each other's rows in opposite orders and restart
+// at once would collide the same way for ever; a randomized penalty that
+// grows past the length of their conflict breaks the tie.
+const (
+	livelockAborts = 8
+	livelockCap    = 64 * costs.BackoffBase
+)
+
 // backoffMean returns the mean randomized backoff after the attempt-th
 // consecutive failure (attempt ≥ 1): base doubling per failure, capped at
 // cap. A zero cap disables growth — the mean stays base forever, which
-// reproduces the historical fixed-backoff restart loop draw-for-draw.
+// reproduces the historical fixed-backoff restart loop draw-for-draw. A
+// zero base means no backoff until the livelock guard above.
 func backoffMean(base, cap uint64, attempt int) uint64 {
 	if base == 0 {
-		return 0
+		if attempt < livelockAborts {
+			return 0
+		}
+		base, cap, attempt = costs.BackoffBase, livelockCap, attempt-livelockAborts+1
 	}
 	if cap == 0 {
 		return base

@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"abyss1000/internal/costs"
 )
 
 func TestBackoffMean(t *testing.T) {
@@ -12,8 +14,12 @@ func TestBackoffMean(t *testing.T) {
 		attempt   int
 		want      uint64
 	}{
-		{0, 0, 1, 0},       // backoff disabled
-		{1000, 0, 1, 1000}, // no cap: mean stays base forever
+		{0, 0, 1, 0}, // backoff disabled
+		{0, 0, livelockAborts - 1, 0},
+		{0, 0, livelockAborts, costs.BackoffBase}, // the livelock guard
+		{0, 0, livelockAborts + 2, 4 * costs.BackoffBase},
+		{0, 16000, livelockAborts + 20, livelockCap}, // the guard keeps its own cap
+		{1000, 0, 1, 1000},                           // no cap: mean stays base forever
 		{1000, 0, 7, 1000},
 		{1000, 16000, 1, 1000}, // exponential: base << (attempt-1)
 		{1000, 16000, 2, 2000},

@@ -31,7 +31,10 @@ type Config struct {
 
 	// AbortBackoff is the mean randomized restart penalty after a CC
 	// abort, in cycles (natively: billed, plus one yield of the worker's
-	// OS thread). Zero disables backoff.
+	// OS thread). Zero restarts at once until a transaction has aborted
+	// eight times in a row, then backs off from costs.BackoffBase,
+	// doubling per failure up to 64 times that, so two transactions that
+	// abort each other cannot restart in step for ever.
 	AbortBackoff uint64
 
 	// SampleEvery divides the measurement window into intervals of this

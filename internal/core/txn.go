@@ -33,8 +33,12 @@ type Scheme interface {
 
 	// Read returns a readable image of (t, slot): the live row for
 	// locking schemes, a private copy for T/O and OCC, a version for
-	// MVCC. It may return ErrAbort.
-	Read(tx *TxnCtx, t *storage.Table, slot int) ([]byte, error)
+	// MVCC. It may return ErrAbort. cols is the mask of the columns the
+	// access names (storage.AllCols when it names none): a scheme that
+	// reads the shared row in place bills MemRead for their bytes
+	// (t.Schema.Width), and one that copies the row bills the whole row,
+	// whatever cols says.
+	Read(tx *TxnCtx, t *storage.Table, slot int, cols uint64) ([]byte, error)
 
 	// WriteRow declares a write of (t, slot) and returns the target
 	// buffer for the caller to mutate in place (the live row under 2PL
@@ -45,8 +49,12 @@ type Scheme interface {
 	// Commit/Abort; callers must not retain it past transaction end. The
 	// scheme records its first write of a slot in tx's write set
 	// (AddWrite), which is the one list of the attempt's writes: Commit,
-	// Abort, the WAL and the history capture all walk it.
-	WriteRow(tx *TxnCtx, t *storage.Table, slot int) ([]byte, error)
+	// Abort, the WAL and the history capture all walk it. cols is the
+	// mask of the columns the access names (storage.AllCols when it names
+	// none): a scheme that writes the shared row in place bills MemWrite
+	// for their bytes (t.Schema.Width). Undo images, versions and
+	// workspaces are whole-row copies and are billed whole.
+	WriteRow(tx *TxnCtx, t *storage.Table, slot int, cols uint64) ([]byte, error)
 
 	// Commit finalizes the transaction (validation, applying buffered
 	// writes, releasing locks). It calls tx.LogCommit at its commit point,
@@ -225,10 +233,14 @@ func (tx *TxnCtx) RangeScanLimit(o *index.Ordered, lo, hi uint64, max int) []ind
 	return tx.scanBuf[start:end:end]
 }
 
-// Read returns a readable row image for (t, slot) via the scheme.
-func (tx *TxnCtx) Read(t *storage.Table, slot int) ([]byte, error) {
+// Read returns a readable row image for (t, slot) via the scheme. cols
+// names the columns the access reads; naming none names the whole row. A
+// scheme that reads the row in place bills only the named columns' bytes,
+// so the caller names every column it reads. The image holds the whole
+// row either way.
+func (tx *TxnCtx) Read(t *storage.Table, slot int, cols ...int) ([]byte, error) {
 	tx.tuples++
-	row, err := tx.W.Scheme.Read(tx, t, slot)
+	row, err := tx.W.Scheme.Read(tx, t, slot, t.Schema.Mask(cols))
 	if err != nil {
 		return nil, err
 	}
@@ -239,10 +251,13 @@ func (tx *TxnCtx) Read(t *storage.Table, slot int) ([]byte, error) {
 // UpdateRow declares a write on (t, slot) and returns the scheme's target
 // buffer, which holds the row's current image; the caller mutates it in
 // place (read-modify-write needs no second call). The buffer is valid
-// until Commit/Abort.
-func (tx *TxnCtx) UpdateRow(t *storage.Table, slot int) ([]byte, error) {
+// until Commit/Abort. cols names the columns the access reads or stores;
+// naming none names the whole row. A scheme that writes the row in place
+// bills only the named columns' bytes, so the caller names every column it
+// touches and stores into no other.
+func (tx *TxnCtx) UpdateRow(t *storage.Table, slot int, cols ...int) ([]byte, error) {
 	tx.tuples++
-	row, err := tx.W.Scheme.WriteRow(tx, t, slot)
+	row, err := tx.W.Scheme.WriteRow(tx, t, slot, t.Schema.Mask(cols))
 	if err != nil {
 		return nil, err
 	}

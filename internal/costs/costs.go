@@ -3,6 +3,12 @@
 // traversal, line transfers) are charged by the runtime primitives; these
 // constants cover the instruction-path lengths of the engine itself.
 //
+// A memory access is billed for the bytes it moves (rt.Proc's MemRead and
+// MemWrite): an in-place row read or write names the columns it touches
+// and pays for those, while a copy — an undo image, a T/O or OCC read
+// copy, an MVCC version, a log record — moves and pays for whole rows
+// (CopyCost).
+//
 // The absolute values are calibrated to place single-core YCSB throughput
 // in the tens of thousands of transactions per second at the 1 GHz target
 // clock, the same order as the paper's engine; the experiments depend on

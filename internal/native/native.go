@@ -149,7 +149,7 @@ func (p *Proc) Backoff(c stats.Component, cycles uint64) {
 // primitives, so Sync is just accounting.
 func (p *Proc) Sync(c stats.Component, cycles uint64) { p.pend[c] += cycles }
 
-// MemRead implements rt.Proc.
+// MemRead implements rt.Proc: a fixed access cost plus the bytes moved.
 func (p *Proc) MemRead(c stats.Component, key uint64, bytes uint64) {
 	p.pend[c] += 8 + bytes/16
 }

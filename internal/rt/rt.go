@@ -86,12 +86,16 @@ type Proc interface {
 	Stats() *stats.Breakdown
 
 	// MemRead models reading bytes of shared data homed at key (a NUCA
-	// L2 access whose latency grows with mesh distance under simulation;
-	// negligible under the native runtime). It never blocks: correctness
-	// of the data read is the concurrency-control scheme's business.
+	// L2 access whose latency grows with mesh distance under simulation,
+	// plus a bandwidth term in bytes; a fixed-formula bill under the
+	// native runtime). bytes is what the access moves, not the size of
+	// the object at key: a read of one column of a row names that
+	// column's width. It never blocks: correctness of the data read is the
+	// concurrency-control scheme's business.
 	MemRead(c stats.Component, key uint64, bytes uint64)
 
-	// MemWrite models writing bytes of shared data homed at key.
+	// MemWrite models writing bytes of shared data homed at key; as for
+	// MemRead, bytes is what the store moves.
 	MemWrite(c stats.Component, key uint64, bytes uint64)
 }
 

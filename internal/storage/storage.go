@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"abyss1000/internal/slot"
 )
@@ -97,6 +98,38 @@ func (s *Schema) PutI64(row []byte, col int, v int64) {
 func (s *Schema) Bytes(row []byte, col int) []byte {
 	off := s.offsets[col]
 	return row[off : off+s.Cols[col].Width]
+}
+
+// AllCols is the column mask of a whole row: what an access that names no
+// columns touches.
+const AllCols = ^uint64(0)
+
+// Mask returns the mask of the columns cols names; naming none names the
+// whole row (AllCols). Only the first 64 columns can be named.
+func (s *Schema) Mask(cols []int) uint64 {
+	if len(cols) == 0 {
+		return AllCols
+	}
+	var mask uint64
+	for _, c := range cols {
+		if c < 0 || c >= 64 || c >= len(s.Cols) {
+			panic(fmt.Sprintf("storage: table %s has no nameable column %d", s.Name, c))
+		}
+		mask |= 1 << c
+	}
+	return mask
+}
+
+// Width returns the bytes of the columns in mask (RowSize for AllCols).
+func (s *Schema) Width(mask uint64) int {
+	if mask == AllCols {
+		return s.rowSize
+	}
+	width := 0
+	for ; mask != 0; mask &= mask - 1 {
+		width += s.Cols[bits.TrailingZeros64(mask)].Width
+	}
+	return width
 }
 
 // MaxCapacity is the largest slot count a table may have: hash indexes

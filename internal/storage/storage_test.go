@@ -48,6 +48,32 @@ func TestColIndex(t *testing.T) {
 	s.ColIndex("NOPE")
 }
 
+func TestMaskWidth(t *testing.T) {
+	s := testSchema()
+	for _, c := range []struct {
+		cols  []int
+		mask  uint64
+		width int
+	}{
+		{nil, AllCols, 36},
+		{[]int{1}, 0b010, 8},
+		{[]int{2, 0}, 0b101, 28},
+		{[]int{1, 1}, 0b010, 8}, // a column named twice counts once
+		{[]int{0, 1, 2}, 0b111, 36},
+	} {
+		mask := s.Mask(c.cols)
+		if width := s.Width(mask); mask != c.mask || width != c.width {
+			t.Errorf("Mask(%v) = %#b with width %d; want %#b, %d", c.cols, mask, width, c.mask, c.width)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a column the schema lacks")
+		}
+	}()
+	s.Mask([]int{3})
+}
+
 func TestU64RoundTrip(t *testing.T) {
 	s := testSchema()
 	row := make([]byte, s.RowSize())

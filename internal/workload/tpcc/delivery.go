@@ -54,7 +54,7 @@ func (t *deliveryTxn) Run(tx *core.TxnCtx) error {
 		if !ok {
 			panic("tpcc: district missing")
 		}
-		drow, err := tx.UpdateRow(w.district, dslot)
+		drow, err := tx.UpdateRow(w.district, dslot, DNextOID, DDelivOID)
 		if err != nil {
 			return err
 		}
@@ -79,7 +79,7 @@ func (t *deliveryTxn) Run(tx *core.TxnCtx) error {
 			// published too (insert order); see neworder.go.
 			panic("tpcc: delivered order missing from ORDERS")
 		}
-		orow, err := tx.UpdateRow(w.orders, oslot)
+		orow, err := tx.UpdateRow(w.orders, oslot, OCID, OCarrierID, OOLCnt)
 		if err != nil {
 			return err
 		}
@@ -93,7 +93,7 @@ func (t *deliveryTxn) Run(tx *core.TxnCtx) error {
 		}
 		var total int64
 		for _, e := range lines {
-			olrow, err := tx.UpdateRow(w.orderline, int(e.Slot))
+			olrow, err := tx.UpdateRow(w.orderline, int(e.Slot), OLDeliveryD, OLAmount)
 			if err != nil {
 				return err
 			}
@@ -105,7 +105,7 @@ func (t *deliveryTxn) Run(tx *core.TxnCtx) error {
 		if !ok {
 			panic("tpcc: delivered order's customer missing")
 		}
-		crow, err := tx.UpdateRow(w.customer, cslot)
+		crow, err := tx.UpdateRow(w.customer, cslot, CBalance, CDeliveryCnt)
 		if err != nil {
 			return err
 		}

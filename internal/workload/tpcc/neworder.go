@@ -108,7 +108,7 @@ func (t *newOrderTxn) Run(tx *core.TxnCtx) error {
 	if !ok {
 		panic("tpcc: warehouse missing")
 	}
-	wrow, err := tx.Read(w.warehouse, wslot)
+	wrow, err := tx.Read(w.warehouse, wslot, WTax)
 	if err != nil {
 		return err
 	}
@@ -120,7 +120,7 @@ func (t *newOrderTxn) Run(tx *core.TxnCtx) error {
 		panic("tpcc: district missing")
 	}
 	dsc := w.district.Schema
-	drow, err := tx.UpdateRow(w.district, dslot)
+	drow, err := tx.UpdateRow(w.district, dslot, DTax, DNextOID)
 	if err != nil {
 		return err
 	}
@@ -133,7 +133,7 @@ func (t *newOrderTxn) Run(tx *core.TxnCtx) error {
 	if !ok {
 		panic("tpcc: customer missing")
 	}
-	crow, err := tx.Read(w.customer, cslot)
+	crow, err := tx.Read(w.customer, cslot, CDiscount)
 	if err != nil {
 		return err
 	}
@@ -155,7 +155,7 @@ func (t *newOrderTxn) Run(tx *core.TxnCtx) error {
 		if !ok {
 			panic("tpcc: item missing")
 		}
-		irow, err := tx.Read(w.item, islot)
+		irow, err := tx.Read(w.item, islot, IPrice)
 		if err != nil {
 			return err
 		}
@@ -167,7 +167,7 @@ func (t *newOrderTxn) Run(tx *core.TxnCtx) error {
 		}
 		remote := in.supply != t.wid
 		qty := in.qty
-		srow, err := tx.UpdateRow(w.stock, sslot)
+		srow, err := tx.UpdateRow(w.stock, sslot, SQuantity, SYTD, SOrderCnt, SRemoteCnt)
 		if err != nil {
 			return err
 		}

@@ -34,12 +34,13 @@ func (t *orderStatusTxn) Generate(p rt.Proc) {
 func (t *orderStatusTxn) Run(tx *core.TxnCtx) error {
 	w := t.wl
 
-	// Customer balance (spec returns name/balance with the order).
+	// Customer balance (spec returns name/balance with the order; the
+	// names are part of C_PAD, which this port does not read).
 	cslot, ok := tx.Lookup(w.idxCustomer, customerKey(t.wid, t.did, t.cid))
 	if !ok {
 		panic("tpcc: customer missing")
 	}
-	if _, err := tx.Read(w.customer, cslot); err != nil {
+	if _, err := tx.Read(w.customer, cslot, CBalance); err != nil {
 		return err
 	}
 
@@ -52,7 +53,7 @@ func (t *orderStatusTxn) Run(tx *core.TxnCtx) error {
 	}
 	last := orders[len(orders)-1]
 	osc := w.orders.Schema
-	orow, err := tx.Read(w.orders, int(last.Slot))
+	orow, err := tx.Read(w.orders, int(last.Slot), OID, OEntryD, OCarrierID, OOLCnt)
 	if err != nil {
 		return err
 	}
@@ -64,7 +65,8 @@ func (t *orderStatusTxn) Run(tx *core.TxnCtx) error {
 		orderLineKey(t.wid, t.did, oid, 1),
 		orderLineKey(t.wid, t.did, oid, olCnt))
 	for _, e := range lines {
-		if _, err := tx.Read(w.orderline, int(e.Slot)); err != nil {
+		// The columns the spec returns per line.
+		if _, err := tx.Read(w.orderline, int(e.Slot), OLIID, OLSupplyWID, OLDeliveryD, OLQuantity, OLAmount); err != nil {
 			return err
 		}
 	}

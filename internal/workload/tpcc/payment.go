@@ -61,7 +61,7 @@ func (t *paymentTxn) Run(tx *core.TxnCtx) error {
 		panic("tpcc: warehouse missing")
 	}
 	sc := w.warehouse.Schema
-	wrow, err := tx.UpdateRow(w.warehouse, wslot)
+	wrow, err := tx.UpdateRow(w.warehouse, wslot, WYTD)
 	if err != nil {
 		return err
 	}
@@ -73,7 +73,7 @@ func (t *paymentTxn) Run(tx *core.TxnCtx) error {
 		panic("tpcc: district missing")
 	}
 	dsc := w.district.Schema
-	drow, err := tx.UpdateRow(w.district, dslot)
+	drow, err := tx.UpdateRow(w.district, dslot, DYTD)
 	if err != nil {
 		return err
 	}
@@ -85,7 +85,7 @@ func (t *paymentTxn) Run(tx *core.TxnCtx) error {
 		panic("tpcc: customer missing")
 	}
 	csc := w.customer.Schema
-	crow, err := tx.UpdateRow(w.customer, cslot)
+	crow, err := tx.UpdateRow(w.customer, cslot, CBalance, CYTDPayment, CPaymentCnt)
 	if err != nil {
 		return err
 	}

@@ -40,7 +40,7 @@ func (t *stockLevelTxn) Run(tx *core.TxnCtx) error {
 		panic("tpcc: district missing")
 	}
 	dsc := w.district.Schema
-	drow, err := tx.Read(w.district, dslot)
+	drow, err := tx.Read(w.district, dslot, DNextOID)
 	if err != nil {
 		return err
 	}
@@ -70,7 +70,7 @@ func (t *stockLevelTxn) Run(tx *core.TxnCtx) error {
 	ssc := w.stock.Schema
 	low := 0
 	for _, e := range lines {
-		olrow, err := tx.Read(w.orderline, int(e.Slot))
+		olrow, err := tx.Read(w.orderline, int(e.Slot), OLIID)
 		if err != nil {
 			return err
 		}
@@ -83,7 +83,7 @@ func (t *stockLevelTxn) Run(tx *core.TxnCtx) error {
 		if !ok {
 			panic("tpcc: stock missing")
 		}
-		srow, err := tx.Read(w.stock, sslot)
+		srow, err := tx.Read(w.stock, sslot, SQuantity)
 		if err != nil {
 			return err
 		}

@@ -280,18 +280,18 @@ func (t *txn) Run(tx *core.TxnCtx) error {
 		if t.isWr[i] {
 			f := w.fcol[i%len(w.fcol)]
 			val := tx.P.Rand().Uint64()
-			row, err := tx.UpdateRow(w.table, slot)
+			row, err := tx.UpdateRow(w.table, slot, f)
 			if err != nil {
 				return err
 			}
 			b := w.table.Schema.Bytes(row, f)
 			b[0], b[1], b[2], b[3] = byte(val), byte(val>>8), byte(val>>16), byte(val>>24)
 		} else {
-			row, err := tx.Read(w.table, slot)
+			row, err := tx.Read(w.table, slot, 1)
 			if err != nil {
 				return err
 			}
-			sink ^= row[8] // consume the read
+			sink ^= row[8] // consume the read: row[8] is column 1's first byte
 		}
 	}
 	_ = sink

@@ -3,7 +3,6 @@ package abyss1000_test
 import (
 	"crypto/sha256"
 	"fmt"
-	"hash"
 	"testing"
 	"time"
 
@@ -11,6 +10,7 @@ import (
 	"abyss1000/internal/core"
 	"abyss1000/internal/index"
 	"abyss1000/internal/native"
+	"abyss1000/internal/sim"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/workload/tpcc"
 )
@@ -158,11 +158,11 @@ func TestFullMixUsefulCycles(t *testing.T) {
 	// USEFUL cycles billed to each type's completed transactions, and how
 	// many completed.
 	want := map[string][2]uint64{
-		"NewOrder": {25_028_334, 8_948},
-		"Payment":  {3_722_112, 8_616},
+		"NewOrder": {23_696_702, 8_948},
+		"Payment":  {3_334_392, 8_616},
 	}
 	// StockLevel's USEFUL, ABORT, INDEX and MANAGER cycles.
-	wantStockLevel := [4]uint64{22_117_481, 0, 6_131_515, 11_928_100}
+	wantStockLevel := [4]uint64{20_329_844, 0, 6_131_515, 11_928_100}
 
 	names, cycles, commits := fullMixCycles(t, txns)
 	for i, name := range names {
@@ -186,59 +186,30 @@ func TestFullMixUsefulCycles(t *testing.T) {
 	}
 }
 
-// drawsByWorker wraps a workload and hashes, per worker, the type of every
-// transaction its Next hands out, in order.
-type drawsByWorker struct {
-	inner abyss.Workload
-	typer abyss.TxnTyper
-	h     []hash.Hash
-	n     []int
-}
-
-func (d *drawsByWorker) Next(p abyss.Proc) abyss.Txn {
-	t := d.inner.Next(p)
-	d.h[p.ID()].Write([]byte{byte(d.typer.TxnTypeOf(t))})
-	d.n[p.ID()]++
-	return t
-}
-
 // TestFullMixDrawPerWorker pins the sequence of transaction types the full
 // TPC-C mix draws on each of 4 simulated workers at seed 42: a digest of
-// each worker's sequence and its length. Every worker draws from its own
-// random stream, so a change to the weights, their order or the draw
-// itself changes the digests. So does a change to the timing model: the
-// length is what fits the window, and an abort's randomized backoff draws
-// from the same stream.
+// the names of each worker's first fullMixDraws types. The draws are made
+// on the simulator's procs outside a run, so they are the Mix's alone: a
+// change to the weights, their order, the draw or a Generate's use of the
+// stream moves the digests, and a change to the timing model cannot (a
+// NO_WAIT abort's randomized backoff draws from the same stream in a run).
 func TestFullMixDrawPerWorker(t *testing.T) {
-	want := []string{"887:7c3fc57aa514e5a5", "866:d61c28039e889b86", "845:c6d8dd7d2a5b8381", "956:4f59980de0311143"}
+	const fullMixDraws = 1000
+	want := []string{"08e9a0e3bfb292db", "6ed3a39d84862149", "5c8d4172a79e1557", "7852c808f60c1d7f"}
 
-	db, err := abyss.Open(abyss.Options{Runtime: abyss.RuntimeSim, Cores: 4, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := abyss.DefaultWorkloadParams("tpcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Mix, p.Warehouses = "full", 4
-	wl, err := db.BuildWorkload("tpcc", p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scheme, err := abyss.NewScheme("NO_WAIT")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &drawsByWorker{inner: wl, typer: wl.(abyss.TxnTyper), h: make([]hash.Hash, 4), n: make([]int, 4)}
-	for i := range d.h {
-		d.h[i] = sha256.New()
-	}
-	if _, err := db.Run(scheme, d, abyss.RunConfig{MeasureCycles: 5_000_000, AbortBackoff: 1000}); err != nil {
-		t.Fatal(err)
-	}
-	for w := range d.h {
-		got := fmt.Sprintf("%d:%x", d.n[w], d.h[w].Sum(nil)[:8])
-		if got != want[w] {
+	eng := sim.New(len(want), 42)
+	cfg := tpcc.DefaultConfig(len(want))
+	cfg.Mix = tpcc.MixFull
+	wl := tpcc.Build(core.NewDB(eng), cfg)
+	names := wl.TxnTypes()
+	for w := range want {
+		p := eng.Proc(w)
+		h := sha256.New()
+		for range fullMixDraws {
+			h.Write([]byte(names[wl.TxnTypeOf(wl.Next(p))]))
+			h.Write([]byte{0})
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:8]); got != want[w] {
 			t.Errorf("worker %d drew %s, want %s", w, got, want[w])
 		}
 	}

@@ -25,7 +25,7 @@ func lookupSlot(tx *abyss.TxnCtx, idx *abyss.Index, cust uint64) int {
 
 // readBal returns the balance of cust in (idx, t).
 func readBal(tx *abyss.TxnCtx, t *abyss.Table, idx *abyss.Index, cust uint64) (int64, error) {
-	row, err := tx.Read(t, lookupSlot(tx, idx, cust))
+	row, err := tx.Read(t, lookupSlot(tx, idx, cust), colBalance)
 	if err != nil {
 		return 0, err
 	}
@@ -35,7 +35,7 @@ func readBal(tx *abyss.TxnCtx, t *abyss.Table, idx *abyss.Index, cust uint64) (i
 // addBal adds delta to cust's balance in (idx, t) and returns the new
 // balance.
 func addBal(tx *abyss.TxnCtx, t *abyss.Table, idx *abyss.Index, cust uint64, delta int64) (int64, error) {
-	row, err := tx.UpdateRow(t, lookupSlot(tx, idx, cust))
+	row, err := tx.UpdateRow(t, lookupSlot(tx, idx, cust), colBalance)
 	if err != nil {
 		return 0, err
 	}
@@ -47,7 +47,7 @@ func addBal(tx *abyss.TxnCtx, t *abyss.Table, idx *abyss.Index, cust uint64, del
 // setBal overwrites cust's balance in (idx, t) and returns the previous
 // balance.
 func setBal(tx *abyss.TxnCtx, t *abyss.Table, idx *abyss.Index, cust uint64, bal int64) (int64, error) {
-	row, err := tx.UpdateRow(t, lookupSlot(tx, idx, cust))
+	row, err := tx.UpdateRow(t, lookupSlot(tx, idx, cust), colBalance)
 	if err != nil {
 		return 0, err
 	}
@@ -210,7 +210,7 @@ func (t *writeCheckTxn) Run(tx *abyss.TxnCtx) error {
 	if err != nil {
 		return err
 	}
-	row, err := tx.UpdateRow(w.checking, lookupSlot(tx, w.idxChecking, t.cust))
+	row, err := tx.UpdateRow(w.checking, lookupSlot(tx, w.idxChecking, t.cust), colBalance)
 	if err != nil {
 		return err
 	}

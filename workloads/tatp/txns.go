@@ -67,7 +67,7 @@ func (t *getNewDestinationTxn) Run(tx *abyss.TxnCtx) error {
 	if !ok {
 		return nil // failure outcome: no such facility
 	}
-	sfRow, err := tx.Read(w.specialFacility, sfSlot)
+	sfRow, err := tx.Read(w.specialFacility, sfSlot, colSFActive)
 	if err != nil {
 		return err
 	}
@@ -111,7 +111,7 @@ func (t *getAccessDataTxn) Run(tx *abyss.TxnCtx) error {
 	if !ok {
 		return nil // failure outcome
 	}
-	_, err := tx.Read(w.accessInfo, slot)
+	_, err := tx.Read(w.accessInfo, slot, colAIData) // the spec's DATA1..DATA4
 	return err
 }
 
@@ -143,7 +143,7 @@ func (t *updateSubscriberDataTxn) Run(tx *abyss.TxnCtx) error {
 	if !ok {
 		panic("tatp: subscriber missing")
 	}
-	row, err := tx.UpdateRow(w.subscriber, slot)
+	row, err := tx.UpdateRow(w.subscriber, slot, colBit1)
 	if err != nil {
 		return err
 	}
@@ -153,7 +153,7 @@ func (t *updateSubscriberDataTxn) Run(tx *abyss.TxnCtx) error {
 	if !ok {
 		return nil // failure outcome: subscriber update still commits
 	}
-	sfRow, err := tx.UpdateRow(w.specialFacility, sfSlot)
+	sfRow, err := tx.UpdateRow(w.specialFacility, sfSlot, colSFData)
 	if err != nil {
 		return err
 	}
@@ -183,7 +183,7 @@ func (t *updateLocationTxn) Run(tx *abyss.TxnCtx) error {
 	if !ok {
 		panic("tatp: subscriber missing")
 	}
-	row, err := tx.UpdateRow(w.subscriber, slot)
+	row, err := tx.UpdateRow(w.subscriber, slot, colVlrLoc)
 	if err != nil {
 		return err
 	}
@@ -234,7 +234,7 @@ func (t *insertCallForwardingTxn) Run(tx *abyss.TxnCtx) error {
 	// insert, read and updated under this transaction's write on the
 	// row, so two concurrent inserts of the same combination conflict
 	// here and the mask bit commits atomically with the inserted row.
-	sfRow, err := tx.UpdateRow(w.specialFacility, int(fe.Slot))
+	sfRow, err := tx.UpdateRow(w.specialFacility, int(fe.Slot), colSFCFMask)
 	if err != nil {
 		return err
 	}
@@ -249,7 +249,7 @@ func (t *insertCallForwardingTxn) Run(tx *abyss.TxnCtx) error {
 			// active forwarding this is the failure outcome.
 			return nil
 		}
-		row, err := tx.Read(w.callForwarding, slot)
+		row, err := tx.Read(w.callForwarding, slot, colCFActive)
 		if err != nil {
 			return err
 		}
@@ -257,7 +257,7 @@ func (t *insertCallForwardingTxn) Run(tx *abyss.TxnCtx) error {
 			return nil // failure outcome: forwarding already exists
 		}
 		// Reactivate the tombstone.
-		wrow, err := tx.UpdateRow(w.callForwarding, slot)
+		wrow, err := tx.UpdateRow(w.callForwarding, slot, colCFEnd, colCFActive, colCFNumberX)
 		if err != nil {
 			return err
 		}
@@ -309,14 +309,14 @@ func (t *deleteCallForwardingTxn) Run(tx *abyss.TxnCtx) error {
 	if !ok {
 		return nil // failure outcome
 	}
-	row, err := tx.Read(w.callForwarding, slot)
+	row, err := tx.Read(w.callForwarding, slot, colCFActive)
 	if err != nil {
 		return err
 	}
 	if csc.GetU64(row, colCFActive) == 0 {
 		return nil // failure outcome: already deleted
 	}
-	wrow, err := tx.UpdateRow(w.callForwarding, slot)
+	wrow, err := tx.UpdateRow(w.callForwarding, slot, colCFActive)
 	if err != nil {
 		return err
 	}
