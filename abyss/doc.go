@@ -32,10 +32,14 @@
 // Custom workloads implement the Workload and Txn interfaces against the
 // declarative surface on DB: CreateTable builds fixed-width tables,
 // CreateIndex hashes them, and NewMix turns a set of weighted
-// stored-procedure factories into a Workload. Transaction bodies read and
-// write rows through TxnCtx exactly like the built-in workloads do; the
-// access path is steady-state allocation-free regardless of which scheme
-// is plugged in.
+// stored-procedure factories into a Workload. A workload that embeds its
+// *Mix (SmallBank, TATP, chaos and TPC-C do) is that Workload and
+// TxnTyper, and a Session invokes its procedures by name. Transaction
+// bodies read and write rows through TxnCtx exactly like the built-in
+// workloads do; the access path is steady-state allocation-free
+// regardless of which scheme is plugged in. Txn.Partitions names the
+// partitions a transaction touches, in any order, repeats allowed:
+// H-STORE sorts and dedups the set itself before it locks.
 //
 // A DB has one catalogue, the engine's own: DB.Table, DB.Index and
 // DB.OrderedIndex see the tables and indexes BuildWorkload built as well

@@ -48,8 +48,9 @@ const DefaultServeQueueDepth = 1024
 
 // Invocation is one request submitted to a Session.
 type Invocation struct {
-	// Proc names a Mix procedure to invoke; empty draws an anonymous
-	// transaction from the session's workload (the paper-workload form).
+	// Proc names one of the session's Procedures to invoke; empty draws
+	// an anonymous transaction from the session's workload (the
+	// paper-workload form).
 	Proc string
 
 	// Routed and Partition select H-STORE-aware routing: when Routed is
@@ -80,8 +81,8 @@ type ServeCounters struct {
 type Session struct {
 	db      *DB
 	wl      Workload
-	mix     *Mix
-	procs   map[string]int // Mix procedure name -> spec index
+	named   procedures     // nil when wl offers no named procedures
+	procs   map[string]int // procedure name -> index for named.Instance
 	workers int
 
 	qs      []chan core.Request
@@ -103,6 +104,15 @@ type Session struct {
 	runErr    error
 	mergeOnce sync.Once
 	final     Result
+}
+
+// procedures is what a workload offers to be invoked by name: a Mix, or
+// any workload that embeds one (SmallBank, TATP, chaos, TPC-C).
+// Instance(p, k) is worker p's instance of Procedures()[k], its inputs
+// drawn.
+type procedures interface {
+	Procedures() []string
+	Instance(p Proc, k int) Txn
 }
 
 // sessionSource adapts the session's queues to core.RequestSource. The
@@ -154,9 +164,9 @@ func (db *DB) Serve(scheme Scheme, wl Workload, cfg RunConfig) (*Session, error)
 	for i := range s.qs {
 		s.qs[i] = make(chan core.Request, depth)
 	}
-	if m, ok := wl.(*Mix); ok {
-		s.mix = m
-		names := m.Procedures()
+	if named, ok := wl.(procedures); ok {
+		s.named = named
+		names := named.Procedures()
 		s.procs = make(map[string]int, len(names))
 		for i, name := range names {
 			s.procs[name] = i
@@ -213,13 +223,17 @@ func (s *Session) nowCycles() uint64 {
 // number of partitions an Invocation can route to.
 func (s *Session) Workers() int { return s.workers }
 
-// Procedures returns the invokable procedure names (nil when the
-// session's workload is not a Mix and only anonymous draws are valid).
+// Procedures returns the names an Invocation.Proc may take, in the
+// workload's mix order: those of a Mix, or of any workload that embeds
+// one, as every built-in procedure workload does (TPC-C, SmallBank,
+// TATP, chaos). It is nil when the workload has no named procedures
+// (YCSB, or a custom Workload without a Mix) and only anonymous draws
+// are valid.
 func (s *Session) Procedures() []string {
-	if s.mix == nil {
+	if s.named == nil {
 		return nil
 	}
-	return s.mix.Procedures()
+	return s.named.Procedures()
 }
 
 // Counters snapshots the session-side admission accounting.
@@ -233,15 +247,15 @@ func (s *Session) prepare(inv Invocation) (func(p Proc) Txn, error) {
 	if inv.Proc == "" {
 		return nil, nil
 	}
-	if s.mix == nil {
-		return nil, fmt.Errorf("abyss: workload has no named procedures (not a Mix); invoke with an empty Proc")
+	if s.named == nil {
+		return nil, fmt.Errorf("abyss: workload has no named procedures (no Mix); invoke with an empty Proc")
 	}
 	k, ok := s.procs[inv.Proc]
 	if !ok {
-		return nil, fmt.Errorf("abyss: no procedure %q (have: %s)", inv.Proc, joinNames(s.mix.Procedures()))
+		return nil, fmt.Errorf("abyss: no procedure %q (have: %s)", inv.Proc, joinNames(s.named.Procedures()))
 	}
-	mix := s.mix
-	return func(p Proc) Txn { return mix.Instance(p, k) }, nil
+	named := s.named
+	return func(p Proc) Txn { return named.Instance(p, k) }, nil
 }
 
 // Submit routes one invocation into its worker's admission queue and

@@ -15,6 +15,7 @@
 //	abyss-serve -scheme NO_WAIT -cores 8
 //	abyss-serve -scheme HSTORE -cores 4 -qdepth 256 -deadline 5ms
 //	abyss-serve -scheme MVCC -cores 8 -wal /tmp/abyss.wal
+//	abyss-serve -workload smallbank -cores 4   (then abyss-load -proc Balance)
 package main
 
 import (
@@ -28,9 +29,11 @@ import (
 	"abyss1000/cmd/internal/cli"
 	"abyss1000/serve"
 
-	// Register the chaos fuzz workload and the SmallBank extension.
+	// Register the chaos fuzz workload and the SmallBank and TATP
+	// extensions.
 	_ "abyss1000/workloads/chaos"
 	_ "abyss1000/workloads/smallbank"
+	_ "abyss1000/workloads/tatp"
 )
 
 func main() {
@@ -38,7 +41,7 @@ func main() {
 		httpAddr   = flag.String("http", "127.0.0.1:8080", "ops endpoints: /stats, /healthz (HTTP listen address; empty disables)")
 		tcpAddr    = flag.String("tcp", "127.0.0.1:9090", "binary-protocol listen address (empty disables)")
 		schemeName = flag.String("scheme", "NO_WAIT", "concurrency-control scheme")
-		workload   = flag.String("workload", "ycsb", "workload backing anonymous draws and named procedures")
+		workload   = flag.String("workload", "ycsb", "workload backing anonymous draws and named procedures (ycsb, tpcc, smallbank, tatp, chaos)")
 		cores      = flag.Int("cores", 4, "native worker threads (= routable partitions)")
 		seed       = flag.Int64("seed", 42, "determinism seed")
 

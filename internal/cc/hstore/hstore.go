@@ -11,8 +11,9 @@
 // As in the paper's optimized implementation (§4.3 "Local Partitions"),
 // partitions are logical: multi-partition transactions access remote
 // partitions' tuples directly through shared memory once they hold the
-// locks, instead of shipping query requests. Locks are acquired in
-// ascending partition order, which makes the protocol deadlock-free.
+// locks, instead of shipping query requests. Begin sorts and dedups the
+// declared set and acquires the locks in ascending partition order, which
+// makes the protocol deadlock-free whatever order a workload declares.
 //
 // With partition locks held there is no per-tuple concurrency control at
 // all — no tuple latches, no copies — which is why H-STORE's overhead is
@@ -21,6 +22,8 @@
 package hstore
 
 import (
+	"slices"
+
 	"abyss1000/internal/core"
 	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
@@ -45,7 +48,7 @@ type partition struct {
 // txnState is the reusable per-worker transaction state.
 type txnState struct {
 	w       *core.Worker
-	held    []int
+	held    []int // the declared partitions, sorted and distinct: the lock order
 	granted bool
 }
 
@@ -78,18 +81,19 @@ func (s *HStore) NewTxnState(w *core.Worker) interface{} {
 }
 
 // Begin implements core.Scheme: allocate the scheduling timestamp and lock
-// every partition the transaction declared, in ascending order.
+// every partition the transaction declared, once each and in ascending
+// order, whatever order and repeats it declared them in.
 func (s *HStore) Begin(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
-	st.held = st.held[:0]
 	tx.TS = s.alloc.Next(tx.P)
-	parts := tx.Txn.Partitions()
-	if len(parts) == 0 {
+	st.held = append(st.held[:0], tx.Txn.Partitions()...)
+	if len(st.held) == 0 {
 		panic("hstore: transaction did not declare its partitions")
 	}
-	for _, pid := range parts {
+	slices.Sort(st.held)
+	st.held = slices.Compact(st.held)
+	for _, pid := range st.held {
 		s.lockPartition(tx, st, pid)
-		st.held = append(st.held, pid)
 	}
 }
 

@@ -8,7 +8,6 @@
 package cctest_test
 
 import (
-	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -64,19 +63,11 @@ func (w *rmwWorkload) Next(p rt.Proc) core.Txn {
 	for i := range t.slots {
 		t.slots[i] = int(r.Int63n(int64(w.rows)))
 	}
-	// H-STORE needs the partition set up front: sorted, deduplicated.
+	// H-STORE needs the partition set up front, in any order.
 	t.parts = t.parts[:0]
 	for _, s := range t.slots {
 		t.parts = append(t.parts, s%w.nparts)
 	}
-	sort.Ints(t.parts)
-	uniq := t.parts[:0]
-	for i, p := range t.parts {
-		if i == 0 || p != t.parts[i-1] {
-			uniq = append(uniq, p)
-		}
-	}
-	t.parts = uniq
 	return t
 }
 

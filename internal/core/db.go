@@ -135,10 +135,11 @@ type Txn interface {
 	// scheme.
 	Run(tx *TxnCtx) error
 
-	// Partitions returns the sorted set of partitions the transaction
-	// will access, which H-STORE requires to be known up front (§2.2).
-	// Schemes other than H-STORE ignore it; implementations may return
-	// nil for them.
+	// Partitions returns the partitions the transaction will touch, in
+	// any order, repeats allowed, which H-STORE requires to be known up
+	// front (§2.2); H-STORE sorts and dedups the set itself. Schemes
+	// other than H-STORE ignore it; implementations may return nil for
+	// them.
 	Partitions() []int
 }
 

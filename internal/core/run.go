@@ -34,7 +34,11 @@ type Config struct {
 	// OS thread). Zero restarts at once until a transaction has aborted
 	// eight times in a row, then backs off from costs.BackoffBase,
 	// doubling per failure up to 64 times that, so two transactions that
-	// abort each other cannot restart in step for ever.
+	// abort each other cannot restart in step for ever. That guard covers
+	// a zero base only: on the simulator a small positive mean (1 to 10
+	// cycles) can still livelock NO_WAIT, its randomized penalty far
+	// shorter than the conflict it should break; set BackoffCap to let
+	// the mean grow with consecutive failures.
 	AbortBackoff uint64
 
 	// SampleEvery divides the measurement window into intervals of this

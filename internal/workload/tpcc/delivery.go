@@ -37,8 +37,7 @@ type deliveryTxn struct {
 func (t *deliveryTxn) Generate(p rt.Proc) {
 	t.wid = t.wl.homeWarehouse(p)
 	t.carrier = uint64(p.Rand().Intn(10)) + 1
-	t.parts = t.parts[:0]
-	t.parts = append(t.parts, t.wl.partitionOf(t.wid))
+	t.parts = append(t.parts[:0], t.wl.partitionOf(t.wid))
 }
 
 // Run implements core.Txn.

@@ -42,8 +42,7 @@ func (t *newOrderTxn) Generate(p rt.Proc) {
 	t.allLocal = true
 	t.userAbort = rng.Float64() < cfg.UserAbortPct
 
-	t.parts = t.parts[:0]
-	t.parts = append(t.parts, t.wl.partitionOf(t.wid))
+	t.parts = append(t.parts[:0], t.wl.partitionOf(t.wid))
 	for i := 0; i < olCnt; i++ {
 		var in olInput
 		// Distinct item ids within the order keep lock acquisition
@@ -71,30 +70,10 @@ func (t *newOrderTxn) Generate(p rt.Proc) {
 				}
 			}
 			t.allLocal = false
-			if pp := t.wl.partitionOf(in.supply); !containsInt(t.parts, pp) {
-				t.parts = append(t.parts, pp)
-			}
+			t.parts = append(t.parts, t.wl.partitionOf(in.supply))
 		}
 		in.qty = int64(rng.Intn(10)) + 1
 		t.items = append(t.items, in)
-	}
-	sortInts(t.parts)
-}
-
-func containsInt(a []int, v int) bool {
-	for _, e := range a {
-		if e == v {
-			return true
-		}
-	}
-	return false
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
 	}
 }
 

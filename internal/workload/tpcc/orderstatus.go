@@ -26,8 +26,7 @@ func (t *orderStatusTxn) Generate(p rt.Proc) {
 	t.wid = t.wl.homeWarehouse(p)
 	t.did = uint64(rng.Intn(cfg.DistrictsPerWarehouse)) + 1
 	t.cid = uint64(rng.Intn(cfg.CustomersPerDistrict)) + 1
-	t.parts = t.parts[:0]
-	t.parts = append(t.parts, t.wl.partitionOf(t.wid))
+	t.parts = append(t.parts[:0], t.wl.partitionOf(t.wid))
 }
 
 // Run implements core.Txn.

@@ -41,14 +41,7 @@ func (t *paymentTxn) Generate(p rt.Proc) {
 	t.cid = uint64(rng.Intn(cfg.CustomersPerDistrict)) + 1
 	t.amount = int64(rng.Intn(499901) + 100) // $1.00 - $5,000.00
 
-	t.parts = t.parts[:0]
-	t.parts = append(t.parts, t.wl.partitionOf(t.wid))
-	if cp := t.wl.partitionOf(t.cwid); cp != t.parts[0] {
-		t.parts = append(t.parts, cp)
-	}
-	if len(t.parts) == 2 && t.parts[0] > t.parts[1] {
-		t.parts[0], t.parts[1] = t.parts[1], t.parts[0]
-	}
+	t.parts = append(t.parts[:0], t.wl.partitionOf(t.wid), t.wl.partitionOf(t.cwid))
 }
 
 // Run implements core.Txn.

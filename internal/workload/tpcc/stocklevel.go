@@ -27,8 +27,7 @@ func (t *stockLevelTxn) Generate(p rt.Proc) {
 	t.wid = t.wl.homeWarehouse(p)
 	t.did = uint64(rng.Intn(cfg.DistrictsPerWarehouse)) + 1
 	t.threshold = int64(rng.Intn(11)) + 10
-	t.parts = t.parts[:0]
-	t.parts = append(t.parts, t.wl.partitionOf(t.wid))
+	t.parts = append(t.parts[:0], t.wl.partitionOf(t.wid))
 }
 
 // Run implements core.Txn.

@@ -151,10 +151,15 @@ func TestPartitionedMultiPartitionTxns(t *testing.T) {
 			t.Errorf("MP txn declared %d partitions, want 3", len(parts))
 			return
 		}
-		for i := 1; i < len(parts); i++ {
-			if parts[i] <= parts[i-1] {
-				t.Errorf("partitions not sorted/distinct: %v", parts)
-				return
+		// Distinct partitions are MPParts' meaning; their order is not
+		// part of the Txn contract (H-STORE orders its own locks, see
+		// internal/cc/hstore's TestDeclaredOrderIsNormalized).
+		for i := range parts {
+			for j := range i {
+				if parts[i] == parts[j] {
+					t.Errorf("partitions not distinct: %v", parts)
+					return
+				}
 			}
 		}
 	})

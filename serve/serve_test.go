@@ -17,6 +17,8 @@ import (
 	"abyss1000/abyss"
 	"abyss1000/serve"
 	"abyss1000/serve/client"
+	"abyss1000/workloads/smallbank"
+	"abyss1000/workloads/tatp"
 )
 
 func startServer(t *testing.T, scheme string, cores int, sc abyss.RunConfig) *serve.Server {
@@ -233,5 +235,47 @@ func TestBadRequestsRejected(t *testing.T) {
 	// Rejections never reach the engine: the ledger stays clean.
 	if got := srv.Session().Counters(); got.Offered != 0 {
 		t.Fatalf("rejected request counted as offered: %+v", got)
+	}
+}
+
+// TestNamedProceduresOverTheWire: a binary client names every SmallBank
+// and TATP procedure, and each comes back committed or user-aborted,
+// never rejected.
+func TestNamedProceduresOverTheWire(t *testing.T) {
+	for _, tc := range []struct {
+		workload string
+		params   abyss.WorkloadParams
+		procs    []string
+	}{
+		{"smallbank", abyss.WorkloadParams{Accounts: 1024, HotAccounts: 16, HotPct: 0.5}, smallbank.Procedures},
+		{"tatp", abyss.WorkloadParams{Subscribers: 1000, InsertsPerWorker: 64}, tatp.Procedures},
+	} {
+		t.Run(tc.workload, func(t *testing.T) {
+			srv, err := serve.New(serve.Config{
+				Scheme: "NO_WAIT", Workload: tc.workload, Params: &tc.params,
+				Cores: 2, Seed: 3, Session: abyss.RunConfig{QueueDepth: 16},
+			})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			if err := srv.Start("", "127.0.0.1:0"); err != nil {
+				t.Fatalf("Start: %v", err)
+			}
+			defer srv.Shutdown()
+			c, err := client.DialBinary(srv.TCPAddr())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer c.Close()
+			for _, proc := range tc.procs {
+				rep, err := c.Invoke(serve.InvokeRequest{Proc: proc, Partition: -1})
+				if err != nil {
+					t.Fatalf("invoke %s: %v", proc, err)
+				}
+				if rep.Outcome != serve.WireCommitted && rep.Outcome != serve.WireUserAbort {
+					t.Errorf("%s outcome = %s, want committed or user_abort", proc, serve.OutcomeName(rep.Outcome))
+				}
+			}
+		})
 	}
 }

@@ -89,14 +89,16 @@ type chaosTable struct {
 	hotPct float64 // probability a draw lands in the hot set
 }
 
-// Workload is a generated chaos workload ready for Run.
+// Workload is a generated chaos workload ready for Run. The embedded Mix
+// is its Next, its TxnTypes and its Procedures: the active procedure
+// names in mix order (seeds differ: the optional procedures are drawn per
+// seed).
 type Workload struct {
+	*abyss.Mix
 	cfg    Config
-	mix    *abyss.Mix
 	tables []chaosTable
 	rows   int // loaded rows over all tables: the distinct (table, slot) pairs a transaction can draw
 	nparts int
-	names  []string // active procedure names, mix order
 }
 
 // Build draws the workload shape from cfg.Seed, creates and populates
@@ -169,7 +171,6 @@ func Build(db *abyss.DB, cfg Config) (*Workload, error) {
 	specs := make([]abyss.TxnSpec, len(draws))
 	for i, d := range draws {
 		d := d
-		w.names = append(w.names, d.name)
 		specs[i] = abyss.TxnSpec{
 			Name:   d.name,
 			Weight: 0.5 + rng.Float64()*2,
@@ -178,27 +179,11 @@ func Build(db *abyss.DB, cfg Config) (*Workload, error) {
 			},
 		}
 	}
-	mix, err := db.NewMix(specs...)
-	if err != nil {
+	var err error
+	if w.Mix, err = db.NewMix(specs...); err != nil {
 		return nil, err
 	}
-	w.mix = mix
 	return w, nil
-}
-
-// Next implements abyss.Workload.
-func (w *Workload) Next(p abyss.Proc) abyss.Txn { return w.mix.Next(p) }
-
-// TxnTypes implements abyss.TxnTyper.
-func (w *Workload) TxnTypes() []string { return w.mix.TxnTypes() }
-
-// TxnTypeOf implements abyss.TxnTyper.
-func (w *Workload) TxnTypeOf(t abyss.Txn) int { return w.mix.TxnTypeOf(t) }
-
-// Procedures returns the active procedure names in mix order (seeds
-// differ: the optional procedures are drawn per seed).
-func (w *Workload) Procedures() []string {
-	return append([]string(nil), w.names...)
 }
 
 // Transaction modes.
@@ -311,7 +296,7 @@ func (t *chaosTxn) Generate(p abyss.Proc) {
 		t.insKey = 1<<40 | uint64(t.worker)<<20 | uint64(t.inserted)
 	}
 
-	// H-STORE needs the partition set up front: sorted, deduplicated.
+	// H-STORE needs the partition set up front, in any order.
 	// Insert-bearing executions declare every partition — the slot an
 	// insert lands in (the worker's segment) is unknown until commit.
 	t.parts = t.parts[:0]
@@ -322,22 +307,7 @@ func (t *chaosTxn) Generate(p abyss.Proc) {
 		return
 	}
 	for _, o := range t.ops {
-		pid := o.slot % t.wl.nparts
-		dup := false
-		for _, e := range t.parts {
-			if e == pid {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			t.parts = append(t.parts, pid)
-		}
-	}
-	for i := 1; i < len(t.parts); i++ {
-		for j := i; j > 0 && t.parts[j] < t.parts[j-1]; j-- {
-			t.parts[j], t.parts[j-1] = t.parts[j-1], t.parts[j]
-		}
+		t.parts = append(t.parts, o.slot%t.wl.nparts)
 	}
 }
 

@@ -100,10 +100,13 @@ func InitialTotal(accounts int) int64 {
 	return int64(accounts) * (initSavings + initChecking)
 }
 
-// Workload is a populated SmallBank database plus the procedure mix.
+// Workload is a populated SmallBank database plus the procedure mix: the
+// embedded Mix is its Next, its TxnTypes (the active procedure names in
+// mix order, so Result.PerTxn attributes commits, aborts and latency to
+// each banking transaction) and its named procedures.
 type Workload struct {
+	*abyss.Mix
 	cfg Config
-	mix *abyss.Mix
 
 	accounts, savings, checking *abyss.Table
 	idxSavings, idxChecking     *abyss.Index
@@ -222,24 +225,11 @@ func Build(db *abyss.DB, cfg Config) (*Workload, error) {
 			active = append(active, s)
 		}
 	}
-	mix, err := db.NewMix(active...)
-	if err != nil {
+	if w.Mix, err = db.NewMix(active...); err != nil {
 		return nil, err
 	}
-	w.mix = mix
 	return w, nil
 }
-
-// Next implements abyss.Workload.
-func (w *Workload) Next(p abyss.Proc) abyss.Txn { return w.mix.Next(p) }
-
-// TxnTypes implements abyss.TxnTyper: the active procedure names in mix
-// order, so Result.PerTxn attributes commits, aborts and latency to each
-// of the six banking transactions.
-func (w *Workload) TxnTypes() []string { return w.mix.TxnTypes() }
-
-// TxnTypeOf implements abyss.TxnTyper.
-func (w *Workload) TxnTypeOf(t abyss.Txn) int { return w.mix.TxnTypeOf(t) }
 
 // Savings and Checking return the balance tables (for checkers).
 func (w *Workload) Savings() *abyss.Table { return w.savings }

@@ -56,26 +56,6 @@ func setBal(tx *abyss.TxnCtx, t *abyss.Table, idx *abyss.Index, cust uint64, bal
 	return old, nil
 }
 
-// onePart fills parts with the partition of a single customer.
-func onePart(w *Workload, parts []int, c uint64) []int {
-	return append(parts[:0], w.partition(c))
-}
-
-// twoParts fills parts with the sorted distinct partitions of two
-// customers.
-func twoParts(w *Workload, parts []int, a, b uint64) []int {
-	pa, pb := w.partition(a), w.partition(b)
-	parts = append(parts[:0], pa)
-	if pb != pa {
-		if pb < pa {
-			parts[0] = pb
-			pb = pa
-		}
-		parts = append(parts, pb)
-	}
-	return parts
-}
-
 // balanceTxn reads one customer's savings and checking balances
 // (read-only).
 type balanceTxn struct {
@@ -89,7 +69,7 @@ type balanceTxn struct {
 
 func (t *balanceTxn) Generate(p abyss.Proc) {
 	t.cust = t.wl.customer(p)
-	t.parts = onePart(t.wl, t.parts, t.cust)
+	t.parts = append(t.parts[:0], t.wl.partition(t.cust))
 }
 
 func (t *balanceTxn) Run(tx *abyss.TxnCtx) error {
@@ -119,7 +99,7 @@ type depositCheckingTxn struct {
 func (t *depositCheckingTxn) Generate(p abyss.Proc) {
 	t.cust = t.wl.customer(p)
 	t.amount = int64(p.Rand().Intn(200_00)) + 1 // $0.01 - $200.00
-	t.parts = onePart(t.wl, t.parts, t.cust)
+	t.parts = append(t.parts[:0], t.wl.partition(t.cust))
 }
 
 func (t *depositCheckingTxn) Run(tx *abyss.TxnCtx) error {
@@ -142,7 +122,7 @@ type transactSavingsTxn struct {
 func (t *transactSavingsTxn) Generate(p abyss.Proc) {
 	t.cust = t.wl.customer(p)
 	t.amount = int64(p.Rand().Intn(350_00)) - 150_00 // -$150.00 - +$200.00
-	t.parts = onePart(t.wl, t.parts, t.cust)
+	t.parts = append(t.parts[:0], t.wl.partition(t.cust))
 }
 
 func (t *transactSavingsTxn) Run(tx *abyss.TxnCtx) error {
@@ -168,7 +148,7 @@ type amalgamateTxn struct {
 
 func (t *amalgamateTxn) Generate(p abyss.Proc) {
 	t.from, t.to = t.wl.customerPair(p)
-	t.parts = twoParts(t.wl, t.parts, t.from, t.to)
+	t.parts = append(t.parts[:0], t.wl.partition(t.from), t.wl.partition(t.to))
 }
 
 func (t *amalgamateTxn) Run(tx *abyss.TxnCtx) error {
@@ -201,7 +181,7 @@ type writeCheckTxn struct {
 func (t *writeCheckTxn) Generate(p abyss.Proc) {
 	t.cust = t.wl.customer(p)
 	t.amount = int64(p.Rand().Intn(500_00)) + 1 // $0.01 - $500.00
-	t.parts = onePart(t.wl, t.parts, t.cust)
+	t.parts = append(t.parts[:0], t.wl.partition(t.cust))
 }
 
 func (t *writeCheckTxn) Run(tx *abyss.TxnCtx) error {
@@ -237,7 +217,7 @@ type sendPaymentTxn struct {
 func (t *sendPaymentTxn) Generate(p abyss.Proc) {
 	t.from, t.to = t.wl.customerPair(p)
 	t.amount = int64(p.Rand().Intn(100_00)) + 1 // $0.01 - $100.00
-	t.parts = twoParts(t.wl, t.parts, t.from, t.to)
+	t.parts = append(t.parts[:0], t.wl.partition(t.from), t.wl.partition(t.to))
 }
 
 func (t *sendPaymentTxn) Run(tx *abyss.TxnCtx) error {

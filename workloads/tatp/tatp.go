@@ -158,10 +158,11 @@ func (p population) cfCount(sf uint64) int { return int(p.h >> (10 + 3*sf) & 3) 
 // cfStarts enumerates the benchmark's three start times.
 var cfStarts = [3]uint64{0, 8, 16}
 
-// Workload is a populated TATP database plus the procedure mix.
+// Workload is a populated TATP database plus the procedure mix; the
+// embedded Mix is its Next, its TxnTypes and its named procedures.
 type Workload struct {
+	*abyss.Mix
 	cfg Config
-	mix *abyss.Mix
 
 	subscriber, accessInfo, specialFacility, callForwarding *abyss.Table
 
@@ -341,22 +342,11 @@ func Build(db *abyss.DB, cfg Config) (*Workload, error) {
 		}},
 		{Name: ProcDeleteCallForwarding, Weight: weights[6], New: func(int) abyss.Txn { return &deleteCallForwardingTxn{wl: w} }},
 	}
-	mix, err := db.NewMix(specs...)
-	if err != nil {
+	if w.Mix, err = db.NewMix(specs...); err != nil {
 		return nil, err
 	}
-	w.mix = mix
 	return w, nil
 }
-
-// Next implements abyss.Workload.
-func (w *Workload) Next(p abyss.Proc) abyss.Txn { return w.mix.Next(p) }
-
-// TxnTypes implements abyss.TxnTyper.
-func (w *Workload) TxnTypes() []string { return w.mix.TxnTypes() }
-
-// TxnTypeOf implements abyss.TxnTyper.
-func (w *Workload) TxnTypeOf(t abyss.Txn) int { return w.mix.TxnTypeOf(t) }
 
 // CallForwarding returns the CALL_FORWARDING table (for checkers).
 func (w *Workload) CallForwarding() *abyss.Table { return w.callForwarding }
