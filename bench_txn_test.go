@@ -101,7 +101,7 @@ func BenchmarkTxnYCSB(b *testing.B) {
 			b.ResetTimer()
 			driveTxns(b, w, wl, b.N)
 			b.StopTimer()
-			if w.Lat.Count() == 0 {
+			if w.Tally.Latency.Count() == 0 {
 				b.Fatal("latency histogram recorded nothing; observability path not exercised")
 			}
 		})
@@ -150,7 +150,7 @@ func benchTxnTPCC(b *testing.B, scheme core.Scheme, mix string) {
 		b.StopTimer()
 	})
 	b.ReportMetric(float64(mallocs)/float64(b.N), "allocs/txn")
-	if w.Lat.Count() == 0 {
+	if w.Tally.Latency.Count() == 0 {
 		b.Fatal("latency histogram recorded nothing; observability path not exercised")
 	}
 }

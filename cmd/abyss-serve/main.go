@@ -49,7 +49,7 @@ func main() {
 		rows    = flag.Int("rows", 0, "YCSB table size")
 		theta   = flag.Float64("theta", -1, "YCSB zipf skew, in [0, 1)")
 		readPct = flag.Float64("readpct", -1, "fraction of reads, in [0, 1]")
-		part    = flag.Bool("partitioned", false, "partitioned YCSB layout (forced under HSTORE)")
+		part    = flag.Bool("partitioned", false, "partitioned YCSB layout (always on under HSTORE, whatever the other workload flags)")
 
 		// Admission knobs.
 		qdepth   = flag.Int("qdepth", 0, "per-worker admission queue depth (0 = default)")

@@ -1,5 +1,11 @@
-// Observability: per-transaction-type attribution, commit-latency
-// histograms, and in-flight interval sampling.
+// Observability: what a run counts, per-transaction-type attribution,
+// commit-latency histograms, and in-flight interval sampling.
+//
+// A run counts each outcome once: a worker records it into the Tally of
+// its current sampling interval (and its type's TxnStats row), and the
+// sampler, the only place workers' counts are combined, builds the
+// Result from the merge of every interval. Without SampleEvery the window
+// is one interval; with it, the Samples are the intervals the Result sums.
 //
 // Everything in this file is accounting-only. Recording an observation
 // never calls Tick/Sync/Mem* — it reads the worker's clock and increments
@@ -12,6 +18,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 
 	"abyss1000/internal/stats"
@@ -58,10 +65,10 @@ func (s *TxnStats) merge(other *TxnStats) {
 }
 
 // Sample is one interval's snapshot of a run in flight. Intervals
-// partition the measurement window: every committed transaction and every
-// CC abort inside the window lands in exactly one sample, so the samples
-// sum to the final Result's counts and their latency histograms merge to
-// Result.Latency.
+// partition the measurement window: every outcome inside the window lands
+// in exactly one interval, and Run builds the final Result from the same
+// intervals, so the samples sum to the Result's counts and their
+// histograms merge to its histograms by construction.
 type Sample struct {
 	// Interval is the 0-based interval index.
 	Interval int `json:"interval"`
@@ -83,8 +90,7 @@ type Sample struct {
 	// Shed and Deadlined count overload outcomes discovered inside this
 	// interval (open-loop runs only): arrivals rejected by admission
 	// control and transactions abandoned past their deadline or retry
-	// budget. Like Commits/Aborts they tile the window, so the samples'
-	// sums equal the final Result's counters.
+	// budget. Like Commits/Aborts they tile the window.
 	Shed      uint64 `json:"shed"`
 	Deadlined uint64 `json:"deadlined"`
 
@@ -135,41 +141,58 @@ type ObserverFunc func(Sample)
 func (f ObserverFunc) OnSample(s Sample) { f(s) }
 
 // MaxSampleIntervals bounds MeasureCycles / SampleEvery; Config.Validate
-// enforces it. The sampler preallocates one interval aggregate (~0.5 KB:
-// a latency histogram plus counters) per interval, and RunStream buffers
-// one Sample per interval, so an unbounded ratio would let a tiny
-// sampling period allocate gigabytes before the run starts. 100k
-// intervals (~50 MB) is far beyond any useful sampling resolution.
+// enforces it. The sampler preallocates one Tally (~1.2 KB: two histograms
+// plus counters) per interval, and RunStream buffers one Sample per
+// interval, so an unbounded ratio would let a tiny sampling period
+// allocate gigabytes before the run starts. 100k intervals (~120 MB) is
+// far beyond any useful sampling resolution.
 const MaxSampleIntervals = 100_000
 
-// intervalAgg accumulates one interval's contribution (per worker while
-// pending, per interval once flushed).
-type intervalAgg struct {
-	commits, aborts uint64
-	shed, deadlined uint64
-	lat             stats.Histogram
-	qdepth          stats.Histogram
+// Tally is what a run counts. A Worker records every outcome into its
+// own: inside Run it holds the worker's current sampling interval only
+// and is drained into the sampler at each interval boundary; a
+// hand-built worker's accumulates everything the worker has run.
+type Tally struct {
+	Commits     uint64      // completed transactions: commits and program-logic rollbacks
+	Aborts      uint64      // concurrency-control aborts
+	AbortCauses AbortCauses // Aborts by cause
+	Tuples      uint64      // tuple accesses by completed transactions (Fig. 12)
+	Offered     uint64      // open-loop arrivals inside the measurement window
+	Shed        uint64      // arrivals rejected by admission control
+	Deadlined   uint64      // transactions abandoned past their deadline or retry budget
+
+	// Latency is the commit-latency histogram, from the work's origin to
+	// commit: restarts and backoff count, and for open-loop and served
+	// work, whose origin is the arrival time, so does queueing delay.
+	Latency stats.Histogram
+
+	// QueueDepth is the admission-queue depth each ingested arrival saw
+	// (open loop only).
+	QueueDepth stats.Histogram
 }
 
-// merge drains other into a.
-func (a *intervalAgg) merge(other *intervalAgg) {
-	a.commits += other.commits
-	a.aborts += other.aborts
-	a.shed += other.shed
-	a.deadlined += other.deadlined
-	a.lat.Merge(&other.lat)
-	a.qdepth.Merge(&other.qdepth)
-	*other = intervalAgg{}
+// merge adds other's counts into t.
+func (t *Tally) merge(other *Tally) {
+	t.Commits += other.Commits
+	t.Aborts += other.Aborts
+	t.AbortCauses.merge(&other.AbortCauses)
+	t.Tuples += other.Tuples
+	t.Offered += other.Offered
+	t.Shed += other.Shed
+	t.Deadlined += other.Deadlined
+	t.Latency.Merge(&other.Latency)
+	t.QueueDepth.Merge(&other.QueueDepth)
 }
 
-// sampler coordinates interval emission across workers. Each worker
-// accumulates its current interval's counts privately (no sharing on the
-// per-transaction path) and flushes under the mutex only when its clock
-// crosses into a new interval; interval i is emitted once every worker
-// has flushed past it, so samples are complete, in order, and identical
-// between runtimes modulo the runtimes' own schedules. Under the
-// simulator exactly one worker goroutine runs at a time, so the mutex is
-// uncontended and emission order is deterministic.
+// sampler is the run's one aggregator. Each worker accumulates its
+// current interval's tally privately (no sharing on the per-transaction
+// path) and flushes it under the mutex only when its clock crosses into a
+// new interval; interval i is handed to the Observer, if any, once every
+// worker has flushed past it, so samples are complete, in order, and
+// identical between runtimes modulo the runtimes' own schedules. A
+// finishing worker also hands over its per-type rows and breakdown.
+// Under the simulator exactly one worker goroutine runs at a time, so the
+// mutex is uncontended and emission order is deterministic.
 type sampler struct {
 	every      uint64
 	warmEnd    uint64
@@ -178,29 +201,44 @@ type sampler struct {
 	obs        Observer
 	nIntervals int64
 
-	mu      sync.Mutex
-	flushed []int64 // per worker: highest interval flushed, -1 for none
-	emitted int64   // last interval handed to the observer
-	agg     []intervalAgg
+	mu        sync.Mutex
+	flushed   []int64 // per worker: highest interval flushed, -1 for none
+	emitted   int64   // last interval handed to the observer
+	agg       []Tally
+	perTxn    []TxnStats // named rows when the workload is a TxnTyper
+	breakdown stats.Breakdown
 }
 
-// newSampler sizes the interval table for cfg's window. All allocation
-// happens here, before workers start.
-func newSampler(cfg Config, workers int, freq float64) *sampler {
-	n := int64(cfg.sampleIntervals())
+// newSampler sizes the interval table for cfg's window: SampleEvery-wide
+// intervals, or without SampleEvery one interval covering the window
+// (unbounded for a serving run). All allocation happens here, before
+// workers start.
+func newSampler(cfg Config, workers int, freq float64, typer TxnTyper) *sampler {
 	s := &sampler{
 		every:      cfg.SampleEvery,
 		warmEnd:    cfg.WarmupCycles,
 		measure:    cfg.MeasureCycles,
 		freq:       freq,
 		obs:        cfg.Observer,
-		nIntervals: n,
+		nIntervals: 1,
 		flushed:    make([]int64, workers),
 		emitted:    -1,
-		agg:        make([]intervalAgg, n),
 	}
+	if s.every > 0 {
+		s.nIntervals = int64(cfg.sampleIntervals())
+	} else {
+		s.every = math.MaxUint64
+	}
+	s.agg = make([]Tally, s.nIntervals)
 	for i := range s.flushed {
 		s.flushed[i] = -1
+	}
+	if typer != nil {
+		names := typer.TxnTypes()
+		s.perTxn = make([]TxnStats, len(names))
+		for i, name := range names {
+			s.perTxn[i].Name = name
+		}
 	}
 	return s
 }
@@ -218,30 +256,38 @@ func (s *sampler) intervalOf(now uint64) int64 {
 	return idx
 }
 
-// advance flushes worker's pending counts for interval cur and marks
-// intervals cur..next-1 complete for that worker (a worker that skipped
-// intervals simply contributed nothing to them).
-func (s *sampler) advance(worker int, cur, next int64, pend *intervalAgg) {
+// advance drains w's tally into its current interval as w's clock
+// enters interval next, marking the intervals before next complete for w
+// (a worker that skipped intervals simply contributed nothing to them).
+func (s *sampler) advance(w *Worker, next int64) {
 	s.mu.Lock()
-	s.agg[cur].merge(pend)
-	s.flushed[worker] = next - 1
+	s.agg[w.scur].merge(&w.Tally)
+	w.Tally = Tally{}
+	s.flushed[w.P.ID()] = next - 1
 	s.emitReady()
 	s.mu.Unlock()
+	w.scur = next
 }
 
-// finish flushes worker's final pending counts and marks every interval
-// complete for it; called once when the worker's run loop exits.
-func (s *sampler) finish(worker int, cur int64, pend *intervalAgg) {
+// finish hands over w's per-type rows, breakdown and last interval, and
+// marks every interval complete for it; called once when the worker's
+// run loop exits.
+func (s *sampler) finish(w *Worker) {
 	s.mu.Lock()
-	s.agg[cur].merge(pend)
-	s.flushed[worker] = s.nIntervals - 1
-	s.emitReady()
+	for i := range w.perTxn {
+		s.perTxn[i].merge(&w.perTxn[i])
+	}
+	s.breakdown.Merge(w.P.Stats())
 	s.mu.Unlock()
+	s.advance(w, s.nIntervals)
 }
 
 // emitReady hands every interval all workers have flushed past to the
 // observer, in order. Called with mu held.
 func (s *sampler) emitReady() {
+	if s.obs == nil {
+		return
+	}
 	ready := s.nIntervals - 1
 	for _, f := range s.flushed {
 		if f < ready {
@@ -258,13 +304,13 @@ func (s *sampler) emitReady() {
 			Interval:   int(i),
 			EndCycle:   end,
 			Cycles:     end - uint64(i)*s.every,
-			Commits:    a.commits,
-			Aborts:     a.aborts,
-			Shed:       a.shed,
-			Deadlined:  a.deadlined,
+			Commits:    a.Commits,
+			Aborts:     a.Aborts,
+			Shed:       a.Shed,
+			Deadlined:  a.Deadlined,
 			Frequency:  s.freq,
-			Latency:    a.lat,
-			QueueDepth: a.qdepth,
+			Latency:    a.Latency,
+			QueueDepth: a.QueueDepth,
 		})
 		s.emitted = i
 	}

@@ -55,8 +55,9 @@ func openSig(r core.Result) string {
 // pinnedOpenRun is one of the four pinned configurations: a Poisson run on
 // TPC-C with a bounded queue, priority shedding of Payment, a deadline and
 // a retry budget, and an MMPP run on YCSB with an unbounded queue, capped
-// exponential backoff, a deadline and a periodic latency spike.
-func pinnedOpenRun(scheme string, mmpp bool) core.Result {
+// exponential backoff, a deadline and a periodic latency spike. A positive
+// sampleEvery attaches an observer that discards the samples.
+func pinnedOpenRun(scheme string, mmpp bool, sampleEvery uint64) core.Result {
 	var sch core.Scheme
 	if scheme == "NO_WAIT" {
 		sch = noWait()
@@ -64,6 +65,9 @@ func pinnedOpenRun(scheme string, mmpp bool) core.Result {
 		sch = to.New(tsalloc.Atomic)
 	}
 	cfg := core.Config{WarmupCycles: 50_000, MeasureCycles: 300_000, AbortBackoff: 1000}
+	if sampleEvery > 0 {
+		cfg.SampleEvery, cfg.Observer = sampleEvery, core.ObserverFunc(func(core.Sample) {})
+	}
 	if !mmpp {
 		eng := sim.New(overloadCores, 21)
 		db := core.NewDB(eng)
@@ -116,7 +120,7 @@ useful=274420 abort=103465 ts_alloc=1420 index=56801 wait=72209 manager=254007 l
 lat n=155 sum=2829606 max=44749 [12:28 13:22 14:36 15:36 16:33]
 qdepth n=212 sum=1289 max=21 [1:65 2:35 3:39 4:56 5:17]`},
 	} {
-		got := openSig(pinnedOpenRun(c.scheme, c.mmpp))
+		got := openSig(pinnedOpenRun(c.scheme, c.mmpp, 0))
 		if got != c.want {
 			t.Errorf("%s mmpp=%v: open-loop schedule moved\ngot:\n%s\nwant:\n%s", c.scheme, c.mmpp, got, c.want)
 		}

@@ -360,11 +360,12 @@ type openLoop struct {
 	warmEnd, end uint64
 }
 
-// take consumes the stream's next arrival, counting it if it is in-window.
-func (o *openLoop) take() uint64 {
+// take consumes the stream's next arrival at time now, counting it if it
+// is in-window.
+func (o *openLoop) take(now uint64) uint64 {
 	t := o.gen.Take()
 	if t >= o.warmEnd && t < o.end {
-		o.w.Count.Offered++
+		o.w.tally(now).Offered++
 	}
 	return t
 }
@@ -373,11 +374,11 @@ func (o *openLoop) next(now uint64) (work, bool) {
 	w, p := o.w, o.w.P
 	inWin := now >= o.warmEnd // and now < end: the loop has checked
 	for o.gen.Peek() <= now {
-		if !o.q.push(o.take()) && inWin {
-			w.observeShed(now)
+		if !o.q.push(o.take(now)) && inWin {
+			w.tally(now).Shed++
 		}
 		if inWin {
-			w.observeDepth(now, o.q.depth())
+			w.tally(now).QueueDepth.Record(uint64(o.q.depth()))
 		}
 	}
 	t, ok := o.q.pop()
@@ -391,7 +392,7 @@ func (o *openLoop) next(now uint64) (work, bool) {
 	// TxnTypeOf's -1 for an undeclared type shifts past bit 63: no bit.
 	if o.shedMask != 0 && o.q.depth() >= o.high && o.shedMask&(1<<uint(w.typer.TxnTypeOf(txn))) != 0 {
 		if inWin {
-			w.observeShed(now)
+			w.tally(now).Shed++
 		}
 		return work{}, true
 	}
@@ -400,6 +401,6 @@ func (o *openLoop) next(now uint64) (work, bool) {
 
 func (o *openLoop) close(now uint64) {
 	for t := o.gen.Peek(); t <= now && t < o.end; t = o.gen.Peek() {
-		o.take()
+		o.take(now)
 	}
 }

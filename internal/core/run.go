@@ -45,8 +45,9 @@ type Config struct {
 	// many cycles; one Sample per interval is delivered to Observer (or
 	// the abyss.DB.RunStream channel) while the run is in flight.
 	// Sampling is accounting-only: it never perturbs the schedule or the
-	// final Result. Zero disables sampling; a positive value requires a
-	// sink (an Observer, or RunStream, which installs its own).
+	// final Result, which is the sum of the same intervals. Zero leaves
+	// the window one interval and delivers no Sample; a positive value
+	// requires a sink (an Observer, or RunStream, which installs its own).
 	SampleEvery uint64
 
 	// Observer receives the interval Samples during the run. OnSample
@@ -202,8 +203,9 @@ func (c Config) sampleIntervals() uint64 {
 	return (c.MeasureCycles + c.SampleEvery - 1) / c.SampleEvery
 }
 
-// Result aggregates one run; AbortCauses breaks Aborts down by the scheme
-// rule behind each. The json tags define the stable machine-readable
+// Result aggregates one run: its counts are the merge of the run's
+// sampling intervals (see Sample), and AbortCauses breaks Aborts down by
+// the scheme rule behind each. The json tags define the stable machine-readable
 // serialization emitted by `abyss-bench -json`/`-csv` and round-tripped
 // by encoding/json; renaming them is a breaking format change.
 type Result struct {
@@ -314,10 +316,12 @@ func (r Result) String() string {
 // and returns the aggregated result. The database must already be
 // populated; Run calls scheme.Setup, spawns one worker per core, and drives
 // each worker's transaction stream until the simulated (or wall-clock)
-// deadline passes. With cfg.SampleEvery and cfg.Observer set, one Sample
-// per interval of the measurement window is delivered during the run;
-// sampling is accounting-only — the returned Result, and under the
-// simulator the entire schedule, are identical to an unobserved Run.
+// deadline passes. Workers' counts are combined only by the run's
+// sampler, and the Result is the merge of its intervals. With
+// cfg.SampleEvery and cfg.Observer set, one Sample per interval of the
+// measurement window is delivered during the run; sampling is
+// accounting-only — the returned Result, and under the simulator the
+// entire schedule, are identical to an unobserved Run.
 func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
 	if err := cfg.Validate(); err != nil {
 		// Inside the engine an invalid config is a programming error;
@@ -346,21 +350,16 @@ func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
 		db.Wal.Append(wal.AppendMarker(nil, wal.TypeEpoch, db.walEpoch))
 	}
 	n := db.RT.NumProcs()
-	var smp *sampler
-	if cfg.Observer != nil {
-		smp = newSampler(cfg, n, db.RT.Frequency())
-	}
+	smp := newSampler(cfg, n, db.RT.Frequency(), typer)
 	warmEnd := cfg.WarmupCycles
 	end := warmEnd + cfg.MeasureCycles
 	if cfg.source != nil {
 		end = math.MaxUint64 // a serving run measures until its source drains
 	}
-	workers := make([]*Worker, n)
 	db.RT.Run(func(p rt.Proc) {
 		w := NewWorker(p, db, scheme)
 		w.BindWorkload(wl)
 		w.smp = smp
-		workers[p.ID()] = w
 		var src source = closedLoop{p, wl}
 		if cfg.source != nil {
 			src = served{p, wl, cfg.source}
@@ -372,33 +371,25 @@ func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
 		w.loop(src, &cfg, warmEnd, end)
 	})
 
-	res := Result{
+	var t Tally
+	for i := range smp.agg {
+		t.merge(&smp.agg[i])
+	}
+	return Result{
 		Scheme:        scheme.Name(),
 		Workers:       n,
+		Commits:       t.Commits,
+		Aborts:        t.Aborts,
+		AbortCauses:   t.AbortCauses,
+		Tuples:        t.Tuples,
 		MeasureCycles: cfg.MeasureCycles,
 		Frequency:     db.RT.Frequency(),
+		Breakdown:     smp.breakdown,
+		Latency:       t.Latency,
+		Offered:       t.Offered,
+		Shed:          t.Shed,
+		Deadlined:     t.Deadlined,
+		QueueDepth:    t.QueueDepth,
+		PerTxn:        smp.perTxn,
 	}
-	if typer != nil {
-		names := typer.TxnTypes()
-		res.PerTxn = make([]TxnStats, len(names))
-		for i, name := range names {
-			res.PerTxn[i].Name = name
-		}
-	}
-	for _, w := range workers {
-		res.Commits += w.Count.Commits
-		res.Aborts += w.Count.Aborts
-		res.AbortCauses.merge(&w.causes)
-		res.Tuples += w.Count.Tuples
-		res.Offered += w.Count.Offered
-		res.Shed += w.Count.Shed
-		res.Deadlined += w.Count.Deadlined
-		res.Breakdown.Merge(w.P.Stats())
-		res.Latency.Merge(&w.Lat)
-		res.QueueDepth.Merge(&w.QDepth)
-		for i := range w.perTxn {
-			res.PerTxn[i].merge(&w.perTxn[i])
-		}
-	}
-	return res
 }

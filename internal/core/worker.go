@@ -17,34 +17,23 @@ type Worker struct {
 	DB     *DB
 	Scheme Scheme
 	Ctx    TxnCtx
-	Count  stats.Counters
 
-	// causes breaks Count.Aborts down by AbortCause.
-	causes AbortCauses
-
-	// Lat is the commit-latency histogram over the measurement window,
-	// from the work's origin to commit: restarts and backoff count, and
-	// for open-loop and served work, whose origin is the arrival time, so
-	// does queueing delay.
-	Lat stats.Histogram
-
-	// QDepth is the admission-queue-depth histogram, recorded at every
-	// arrival ingested inside the measurement window. Only the open loop
-	// records it.
-	QDepth stats.Histogram
+	// Tally counts the worker's outcomes: inside Run, those of sampling
+	// interval scur only, drained into the run's sampler smp as the
+	// worker's clock leaves it. Nothing is drained before warmed, set at
+	// the worker's first transaction boundary past warm-up, which discards
+	// what was counted until then. A hand-built worker, never warmed,
+	// accumulates here everything it runs.
+	Tally  Tally
+	smp    *sampler
+	scur   int64
+	warmed bool
 
 	// typer/perTxn hold the per-transaction-type attribution when the
-	// bound workload implements TxnTyper (Names stay empty here; Run
-	// fills them when merging workers into the Result).
+	// bound workload implements TxnTyper (Names stay empty here; the
+	// sampler's rows carry them).
 	typer  TxnTyper
 	perTxn []TxnStats
-
-	// smp/scur/spend are the interval-sampling state: spend accumulates
-	// the current interval scur privately and is flushed to smp when the
-	// worker's clock crosses an interval boundary.
-	smp   *sampler
-	scur  int64
-	spend intervalAgg
 
 	// WAL state: reusable commit-record scratch (walCommit's slices and
 	// walBuf grow once and are reused, keeping the logging path
@@ -60,7 +49,7 @@ type Worker struct {
 // BindWorkload attaches per-transaction-type attribution to the worker
 // when wl implements TxnTyper. The engine's Run binds automatically;
 // hand-built workers (scheme tests, benchmarks) call it themselves when
-// they want Lat and the per-type counters populated.
+// they want the per-type rows populated.
 func (w *Worker) BindWorkload(wl Workload) {
 	if t, ok := wl.(TxnTyper); ok {
 		w.typer = t
@@ -72,8 +61,8 @@ func (w *Worker) BindWorkload(wl Workload) {
 // its inserts) — and returns ErrAbort without retrying, rolling the
 // transaction back first. It gives tests and external drivers per-attempt
 // control that the engine's retry loop hides. Outcomes are recorded into
-// the worker's Count, latency histogram and per-type counters (no
-// measurement window applies outside Run).
+// the worker's Tally and per-type rows (no measurement window applies
+// outside Run).
 func (w *Worker) ExecOnce(txn Txn) error {
 	start := w.P.Now()
 	w.Ctx.reset()
@@ -120,20 +109,14 @@ func (w *Worker) rollback() {
 // rollback) at time now for a transaction whose latency runs from start.
 // Accounting only: no simulated time is billed.
 func (w *Worker) observeCommit(txn Txn, now, start uint64) {
-	w.Count.Commits++
-	w.Count.Tuples += w.Ctx.tuples
 	lat := now - start
-	w.Lat.Record(lat)
-	if w.typer != nil {
-		if k := w.typer.TxnTypeOf(txn); k >= 0 && k < len(w.perTxn) {
-			w.perTxn[k].Commits++
-			w.perTxn[k].Latency.Record(lat)
-		}
-	}
-	if w.smp != nil {
-		w.sampleRoll(now)
-		w.spend.commits++
-		w.spend.lat.Record(lat)
+	t := w.tally(now)
+	t.Commits++
+	t.Tuples += w.Ctx.tuples
+	t.Latency.Record(lat)
+	if row := w.row(txn); row != nil {
+		row.Commits++
+		row.Latency.Record(lat)
 	}
 }
 
@@ -141,56 +124,36 @@ func (w *Worker) observeCommit(txn Txn, now, start uint64) {
 // cause the scheme recorded.
 func (w *Worker) observeAbort(txn Txn, now uint64) {
 	c := w.Ctx.cause
-	w.Count.Aborts++
-	w.causes[c]++
+	t := w.tally(now)
+	t.Aborts++
+	t.AbortCauses[c]++
+	if row := w.row(txn); row != nil {
+		row.Aborts++
+		row.AbortCauses[c]++
+	}
+}
+
+// row is txn's per-type row, or nil when the workload names no types or
+// not this one.
+func (w *Worker) row(txn Txn) *TxnStats {
 	if w.typer != nil {
 		if k := w.typer.TxnTypeOf(txn); k >= 0 && k < len(w.perTxn) {
-			w.perTxn[k].Aborts++
-			w.perTxn[k].AbortCauses[c]++
+			return &w.perTxn[k]
 		}
 	}
-	if w.smp != nil {
-		w.sampleRoll(now)
-		w.spend.aborts++
-	}
+	return nil
 }
 
-// observeShed counts an arrival rejected by admission control at time
-// now (discovery time, which keeps per-worker sampling monotone).
-func (w *Worker) observeShed(now uint64) {
-	w.Count.Shed++
-	if w.smp != nil {
-		w.sampleRoll(now)
-		w.spend.shed++
+// tally returns the tally that outcomes discovered at time now belong in,
+// first flushing the current one to the sampler when the worker is warmed
+// and now has crossed into a later interval.
+func (w *Worker) tally(now uint64) *Tally {
+	if w.warmed {
+		if idx := w.smp.intervalOf(now); idx != w.scur {
+			w.smp.advance(w, idx)
+		}
 	}
-}
-
-// observeDeadlined counts a transaction abandoned past its deadline or
-// retry budget at time now.
-func (w *Worker) observeDeadlined(now uint64) {
-	w.Count.Deadlined++
-	if w.smp != nil {
-		w.sampleRoll(now)
-		w.spend.deadlined++
-	}
-}
-
-// observeDepth records the admission-queue depth seen by an arrival.
-func (w *Worker) observeDepth(now uint64, depth int) {
-	w.QDepth.Record(uint64(depth))
-	if w.smp != nil {
-		w.sampleRoll(now)
-		w.spend.qdepth.Record(uint64(depth))
-	}
-}
-
-// sampleRoll flushes the pending interval counts when now has crossed
-// into a later interval than the one being accumulated.
-func (w *Worker) sampleRoll(now uint64) {
-	if idx := w.smp.intervalOf(now); idx != w.scur {
-		w.smp.advance(w.P.ID(), w.scur, idx, &w.spend)
-		w.scur = idx
-	}
+	return &w.Tally
 }
 
 // NewWorker constructs a worker bound to proc p. The engine's Run builds
@@ -270,21 +233,17 @@ func (closedLoop) close(uint64) {}
 // work from src and hands its outcome and latency to the work's done. With
 // stop and Fault nil both are only nil-checked, so the closed loop keeps
 // the paper's schedule (the golden signature pins that). On exit it
-// closes src and flushes the last sampling interval.
+// closes src and hands the last sampling interval, the per-type rows and
+// the breakdown to the run's sampler.
 func (w *Worker) loop(src source, cfg *Config, warmEnd, end uint64) {
 	p := w.P
-	warmed := false
 	now := p.Now()
 	for ; now < end && (cfg.stop == nil || !cfg.stop.Load()); now = p.Now() {
-		if !warmed && now >= warmEnd {
+		if !w.warmed && now >= warmEnd {
 			p.Stats().Reset()
-			w.Count = stats.Counters{}
-			w.causes = AbortCauses{}
-			w.Lat.Reset()
-			w.QDepth.Reset()
+			w.Tally = Tally{}
 			clear(w.perTxn)
-			w.spend = intervalAgg{}
-			warmed = true
+			w.warmed = true
 		}
 		if cfg.Fault != nil {
 			if d := cfg.Fault.Delay(p.ID(), now); d > 0 {
@@ -308,9 +267,7 @@ func (w *Worker) loop(src source, cfg *Config, warmEnd, end uint64) {
 		}
 	}
 	src.close(now)
-	if w.smp != nil {
-		w.smp.finish(p.ID(), w.scur, &w.spend)
-	}
+	w.smp.finish(w)
 }
 
 // runTxn runs wk's transaction to commit or user-abort, restarting on CC
@@ -329,7 +286,7 @@ func (w *Worker) runTxn(wk *work, cfg *Config, warmEnd, end uint64) error {
 		}
 		if wk.deadline > 0 && now >= wk.deadline {
 			if now >= warmEnd {
-				w.observeDeadlined(now)
+				w.tally(now).Deadlined++
 			}
 			return ErrDeadline
 		}
@@ -360,7 +317,7 @@ func (w *Worker) runTxn(wk *work, cfg *Config, warmEnd, end uint64) error {
 			}
 			if cfg.RetryLimit > 0 && attempt >= cfg.RetryLimit {
 				if inWindow {
-					w.observeDeadlined(now)
+					w.tally(now).Deadlined++
 				}
 				return ErrDeadline
 			}

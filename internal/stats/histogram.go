@@ -90,9 +90,6 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Reset empties the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // Quantile returns an estimate of the q'th quantile (q in [0, 1]) by
 // linear interpolation within the containing log2 bucket, clamped to the
 // observed maximum. An empty histogram returns 0; q >= 1 returns Max.

@@ -240,42 +240,6 @@ func (b *Breakdown) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Counters tracks transaction outcomes for a single worker. Offered counts
-// every open-loop arrival inside the measurement window, Shed counts
-// arrivals rejected by admission control before execution, and Deadlined
-// counts transactions abandoned past their deadline or retry budget. A
-// closed-loop run has Offered == Shed == 0.
-type Counters struct {
-	Commits   uint64 // committed transactions inside the measurement window
-	Aborts    uint64 // aborted attempts inside the measurement window
-	Tuples    uint64 // tuple accesses by committed transactions (Fig. 12)
-	Offered   uint64 // open-loop arrivals inside the measurement window
-	Shed      uint64 // arrivals rejected by admission control
-	Deadlined uint64 // transactions abandoned past deadline/retry budget
-}
-
-// Merge adds other's counts into c.
-func (c *Counters) Merge(other *Counters) {
-	c.Commits += other.Commits
-	c.Aborts += other.Aborts
-	c.Tuples += other.Tuples
-	c.Offered += other.Offered
-	c.Shed += other.Shed
-	c.Deadlined += other.Deadlined
-}
-
-// AbortRate returns aborts per commit (the paper's Fig. 5 right axis reports
-// aborts relative to committed work).
-func (c *Counters) AbortRate() float64 {
-	if c.Commits == 0 {
-		if c.Aborts == 0 {
-			return 0
-		}
-		return float64(c.Aborts)
-	}
-	return float64(c.Aborts) / float64(c.Commits)
-}
-
 // FormatBreakdown renders a breakdown as a one-line percentage summary, e.g.
 // "Useful Work 42.0% | Abort 10.0% | ...". The six paper components are
 // always printed; the Log extension appears only when a WAL actually

@@ -147,29 +147,6 @@ func TestFractionsSumToOne(t *testing.T) {
 	}
 }
 
-func TestCountersMergeAndRate(t *testing.T) {
-	a := Counters{Commits: 10, Aborts: 5, Tuples: 160, Offered: 20, Shed: 3, Deadlined: 2}
-	b := Counters{Commits: 2, Aborts: 1, Tuples: 32, Offered: 4, Shed: 1, Deadlined: 1}
-	a.Merge(&b)
-	if a.Commits != 12 || a.Aborts != 6 || a.Tuples != 192 {
-		t.Fatalf("merge wrong: %+v", a)
-	}
-	if a.Offered != 24 || a.Shed != 4 || a.Deadlined != 3 {
-		t.Fatalf("overload counters merge wrong: %+v", a)
-	}
-	if got := a.AbortRate(); got != 0.5 {
-		t.Fatalf("abort rate = %v, want 0.5", got)
-	}
-	empty := Counters{}
-	if empty.AbortRate() != 0 {
-		t.Fatal("empty counters should have zero rate")
-	}
-	onlyAborts := Counters{Aborts: 3}
-	if onlyAborts.AbortRate() != 3 {
-		t.Fatal("zero-commit abort rate should return the raw abort count")
-	}
-}
-
 func TestFormatBreakdownMentionsAllComponents(t *testing.T) {
 	var b Breakdown
 	b.Add(Useful, 50)

@@ -58,12 +58,12 @@ func TestStockLevelScansLastTwentyOrders(t *testing.T) {
 			}
 			sl.Generate(p)
 			sl.did = did
-			before := wk.Count.Tuples
+			before := wk.Tally.Tuples
 			if err := wk.ExecOnce(sl); err != nil {
 				t.Errorf("StockLevel: %v", err)
 				return
 			}
-			if got, exp := wk.Count.Tuples-before, want(); got != exp {
+			if got, exp := wk.Tally.Tuples-before, want(); got != exp {
 				t.Errorf("after %d orders StockLevel made %d reads, want %d", orders, got, exp)
 				return
 			}

@@ -36,11 +36,17 @@ func (c *collectObserver) OnSample(s core.Sample) {
 // ycsbRun executes one small simulated YCSB measurement, optionally
 // observed, and returns the result.
 func ycsbRun(scheme string, cfg core.Config) core.Result {
+	return ycsbRunTheta(scheme, ycsb.DefaultConfig().Theta, cfg)
+}
+
+// ycsbRunTheta is ycsbRun at zipf skew theta.
+func ycsbRunTheta(scheme string, theta float64, cfg core.Config) core.Result {
 	eng := sim.New(8, 42)
 	db := core.NewDB(eng)
 	ycfg := ycsb.DefaultConfig()
 	ycfg.Rows = 4096
 	ycfg.ReqPerTxn = 8
+	ycfg.Theta = theta
 	wl := ycsb.Build(db, ycfg)
 	return core.Run(db, bench.MakeScheme(scheme, tsalloc.Atomic), wl, cfg)
 }
@@ -60,54 +66,93 @@ func TestRunObservedResultIdentical(t *testing.T) {
 
 // TestSamplesPartitionWindow pins the sampler's central invariant: the
 // intervals tile the measurement window exactly, and every in-window
-// commit and abort lands in exactly one sample — so the samples sum to
-// the final Result and their latency histograms merge to Result.Latency.
+// outcome lands in exactly one sample — so the samples sum to the final
+// Result and their histograms merge to the Result's. The closed loop
+// checks commits, aborts and latency; an open loop with a bounded queue,
+// a deadline and a retry budget adds shed, deadlined and queue depth. The
+// contended closed loop has transactions that straddle the end of
+// warm-up and abort across intervals before their worker's first
+// boundary past it: their outcomes are discarded with the warm-up, and
+// must not reach a sample either.
 func TestSamplesPartitionWindow(t *testing.T) {
 	const (
 		measure = 200_000
 		every   = 30_000 // deliberately not a divisor: the last interval is partial
 	)
-	obs := &collectObserver{}
-	cfg := core.Config{WarmupCycles: 50_000, MeasureCycles: measure, AbortBackoff: 1000, SampleEvery: every, Observer: obs}
-	res := ycsbRun("NO_WAIT", cfg)
+	for _, c := range []struct {
+		name  string
+		theta float64
+		open  func(*core.Config)
+	}{
+		{"closed", ycsb.DefaultConfig().Theta, nil},
+		{"closed-contended", 0.9, nil},
+		{"open", ycsb.DefaultConfig().Theta, func(cfg *core.Config) {
 
-	wantIntervals := (measure + every - 1) / every
-	if len(obs.samples) != wantIntervals {
-		t.Fatalf("got %d samples, want %d", len(obs.samples), wantIntervals)
-	}
-	var commits, aborts uint64
-	var lat core.Result // reuse its Latency field as a merge target
-	for i, s := range obs.samples {
-		if s.Interval != i {
-			t.Fatalf("sample %d has interval %d; samples must arrive in order", i, s.Interval)
-		}
-		wantEnd := uint64(i+1) * every
-		wantWidth := uint64(every)
-		if wantEnd > measure {
-			wantWidth -= wantEnd - measure
-			wantEnd = measure
-		}
-		if s.EndCycle != wantEnd || s.Cycles != wantWidth {
-			t.Fatalf("sample %d covers (end %d, width %d), want (end %d, width %d)", i, s.EndCycle, s.Cycles, wantEnd, wantWidth)
-		}
-		if s.Frequency != 1e9 {
-			t.Fatalf("sample %d frequency = %g, want 1e9", i, s.Frequency)
-		}
-		if s.Latency.Count() != s.Commits {
-			t.Fatalf("sample %d: latency count %d != commits %d", i, s.Latency.Count(), s.Commits)
-		}
-		commits += s.Commits
-		aborts += s.Aborts
-		lat.Latency.Merge(&s.Latency)
-	}
-	if commits != res.Commits || aborts != res.Aborts {
-		t.Fatalf("samples sum to %d commits / %d aborts, result has %d / %d", commits, aborts, res.Commits, res.Aborts)
-	}
-	if lat.Latency != res.Latency {
-		t.Fatalf("merged sample latency %+v != result latency %+v", lat.Latency, res.Latency)
-	}
-	if res.Latency.Count() != res.Commits {
-		t.Fatalf("result latency count %d != commits %d", res.Latency.Count(), res.Commits)
+			cfg.Arrivals = core.Arrivals{Process: core.ArrivalPoisson, RateTPS: 20_000_000, Seed: 3}
+			cfg.QueueDepth = 8
+			cfg.Deadline = 20_000
+			cfg.RetryLimit = 2
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			obs := &collectObserver{}
+			cfg := core.Config{WarmupCycles: 50_000, MeasureCycles: measure, AbortBackoff: 1000, SampleEvery: every, Observer: obs}
+			if c.open != nil {
+				c.open(&cfg)
+			}
+			res := ycsbRunTheta("NO_WAIT", c.theta, cfg)
+
+			wantIntervals := (measure + every - 1) / every
+			if len(obs.samples) != wantIntervals {
+				t.Fatalf("got %d samples, want %d", len(obs.samples), wantIntervals)
+			}
+			var sum core.Sample // the samples' counts summed, histograms merged
+			for i, s := range obs.samples {
+				if s.Interval != i {
+					t.Fatalf("sample %d has interval %d; samples must arrive in order", i, s.Interval)
+				}
+				wantEnd := uint64(i+1) * every
+				wantWidth := uint64(every)
+				if wantEnd > measure {
+					wantWidth -= wantEnd - measure
+					wantEnd = measure
+				}
+				if s.EndCycle != wantEnd || s.Cycles != wantWidth {
+					t.Fatalf("sample %d covers (end %d, width %d), want (end %d, width %d)", i, s.EndCycle, s.Cycles, wantEnd, wantWidth)
+				}
+				if s.Frequency != 1e9 {
+					t.Fatalf("sample %d frequency = %g, want 1e9", i, s.Frequency)
+				}
+				if s.Latency.Count() != s.Commits {
+					t.Fatalf("sample %d: latency count %d != commits %d", i, s.Latency.Count(), s.Commits)
+				}
+				sum.Commits += s.Commits
+				sum.Aborts += s.Aborts
+				sum.Shed += s.Shed
+				sum.Deadlined += s.Deadlined
+				sum.Latency.Merge(&s.Latency)
+				sum.QueueDepth.Merge(&s.QueueDepth)
+			}
+			if sum.Commits != res.Commits || sum.Aborts != res.Aborts {
+				t.Fatalf("samples sum to %d commits / %d aborts, result has %d / %d", sum.Commits, sum.Aborts, res.Commits, res.Aborts)
+			}
+			if sum.Shed != res.Shed || sum.Deadlined != res.Deadlined {
+				t.Fatalf("samples sum to %d shed / %d deadlined, result has %d / %d", sum.Shed, sum.Deadlined, res.Shed, res.Deadlined)
+			}
+			if sum.Latency != res.Latency {
+				t.Fatalf("merged sample latency %+v != result latency %+v", sum.Latency, res.Latency)
+			}
+			if sum.QueueDepth != res.QueueDepth {
+				t.Fatalf("merged sample queue depth %+v != result queue depth %+v", sum.QueueDepth, res.QueueDepth)
+			}
+			if res.Latency.Count() != res.Commits {
+				t.Fatalf("result latency count %d != commits %d", res.Latency.Count(), res.Commits)
+			}
+			if c.open != nil && (res.Shed == 0 || res.Deadlined == 0 || res.QueueDepth.Count() == 0) {
+				t.Fatalf("open loop should shed, abandon and record queue depth: shed %d deadlined %d depth observations %d",
+					res.Shed, res.Deadlined, res.QueueDepth.Count())
+			}
+		})
 	}
 }
 

@@ -42,8 +42,8 @@ type Config struct {
 	Scheme string
 
 	// Workload names the registered workload; Params overrides its
-	// knobs (nil means registry defaults, with YCSB forced to its
-	// partitioned layout under HSTORE).
+	// knobs (nil means registry defaults). Under HSTORE, YCSB is forced
+	// to its partitioned layout either way.
 	Workload string
 	Params   *abyss.WorkloadParams
 
@@ -97,19 +97,16 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := abyss.WorkloadParams{}
+	var params abyss.WorkloadParams
 	if cfg.Params != nil {
 		params = *cfg.Params
-	} else {
-		params, err = abyss.DefaultWorkloadParams(cfg.Workload)
-		if err != nil {
-			return nil, err
-		}
-		if strings.EqualFold(cfg.Scheme, "HSTORE") && cfg.Workload == "ycsb" {
-			// H-STORE requires the partitioned YCSB layout, exactly as
-			// the paper's harness configures it.
-			params.Partitioned = true
-		}
+	} else if params, err = abyss.DefaultWorkloadParams(cfg.Workload); err != nil {
+		return nil, err
+	}
+	if strings.EqualFold(cfg.Scheme, "HSTORE") && cfg.Workload == "ycsb" {
+		// H-STORE requires the partitioned YCSB layout, exactly as the
+		// paper's harness configures it, with or without explicit Params.
+		params.Partitioned = true
 	}
 	wl, err := db.BuildWorkload(cfg.Workload, params)
 	if err != nil {

@@ -279,3 +279,51 @@ func TestNamedProceduresOverTheWire(t *testing.T) {
 		})
 	}
 }
+
+// TestHSTOREWithExplicitParams builds H-STORE on YCSB with explicit
+// Params, as abyss-serve does once -rows is given: the partitioned layout
+// H-STORE needs must be forced whether or not Params are supplied, so
+// every invocation commits.
+func TestHSTOREWithExplicitParams(t *testing.T) {
+	const n = 40
+	params, err := abyss.DefaultWorkloadParams("ycsb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params.Rows = 4096
+	srv, err := serve.New(serve.Config{
+		Scheme:   "HSTORE",
+		Workload: "ycsb",
+		Params:   &params,
+		Cores:    2,
+		Seed:     11,
+		Session:  abyss.RunConfig{QueueDepth: 64},
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := srv.Start("", "127.0.0.1:0"); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	c, err := client.DialBinary(srv.TCPAddr())
+	if err != nil {
+		srv.Shutdown()
+		t.Fatalf("dial: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		rep, err := c.Invoke(serve.InvokeRequest{Partition: i%3 - 1})
+		if err != nil || rep.Outcome != serve.WireCommitted {
+			c.Close()
+			srv.Shutdown()
+			t.Fatalf("invoke %d: outcome %s, err %v; want committed", i, serve.OutcomeName(rep.Outcome), err)
+		}
+	}
+	c.Close()
+	res, err := srv.Shutdown()
+	if err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	if res.Commits != n {
+		t.Fatalf("Result.Commits = %d, want %d", res.Commits, n)
+	}
+}
