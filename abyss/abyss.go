@@ -34,6 +34,13 @@ type (
 	// Txn is one transaction: program logic intermixed with row accesses.
 	Txn = core.Txn
 
+	// RollbackDeclarer is an optional interface for Txn: MayRollBack says
+	// whether this execution may return ErrUserAbort. H-STORE takes no
+	// before-image for a transaction that says false, and panics if it
+	// rolls back after writing anyway. Without the method a transaction
+	// may roll back.
+	RollbackDeclarer = core.RollbackDeclarer
+
 	// TxnCtx is the per-worker transaction context handed to Txn.Run:
 	// Lookup/Read/UpdateRow/InsertRow are the whole data access surface.
 	// Read and UpdateRow take the ordinals of the columns the access

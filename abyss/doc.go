@@ -39,7 +39,12 @@
 // workloads do; the access path is steady-state allocation-free
 // regardless of which scheme is plugged in. Txn.Partitions names the
 // partitions a transaction touches, in any order, repeats allowed:
-// H-STORE sorts and dedups the set itself before it locks.
+// H-STORE sorts and dedups the set itself before it locks. A transaction
+// that can never return ErrUserAbort says so with MayRollBack() false
+// (RollbackDeclarer), read at Begin after Generate: H-STORE, which
+// nothing else can abort, then takes no before-image of the rows it
+// writes, and panics if it rolls back after writing after all. Without
+// the method a transaction may roll back, and pays for the images.
 //
 // A DB has one catalogue, the engine's own: DB.Table, DB.Index and
 // DB.OrderedIndex see the tables and indexes BuildWorkload built as well

@@ -47,24 +47,24 @@ var figureDigests = map[string]string{
 	"14/jobs/tiny":              "5ab3832e56876591664a96b6b9a7964b269101ed268d12bc54d22faab985e496",
 	"14/json":                   "0c24057ee10aef75913e4afcdd05cc740e0588720761e7943e3d8412ec0b4029",
 	"14/text":                   "8a04e4122ec517101b8b52434d5bb3b776605ba6a78cd3b62d094d89dbad62d8",
-	"15/csv":                    "17b3fa74c26cebff6050be475c11d756f2c30352f5aa55df97f046a82fc55e61",
+	"15/csv":                    "e407641bd5cbab06884fb471fbbdc5437c93990d863e8be91f73351813bdda2d",
 	"15/jobs/full":              "ea8978d00cb6156f160e64bf631b3b4d9bafb82c8deaf2ab179376247b115e12",
 	"15/jobs/quick":             "8e5a5e4469990dca94e492319c540b1f130b37de254a5862fbd93503d58b1ac8",
 	"15/jobs/tiny":              "0ae5b78101098f0ac13128270bd2e9e4576134a86f04fffebfebada30dc517a3",
-	"15/json":                   "77b49ae94167f0cd9abb5d81b9a05e47c231ce86cfc3ba8df94bfaf00f78be57",
-	"15/text":                   "9236391cb4ed7f5b4831db684074a4958e6934cdc8b2e5a0e41adea54f011356",
-	"16/csv":                    "a20670f6373d472c3960118b10b47fc4ec0e532037d43d75e22b9c78a0714347",
-	"16/jobs/full":              "409a49ab09e53353cc3907f2fac08c9bbfbcea549384f1d84fbf1ef1bdaaacaf",
-	"16/jobs/quick":             "b188b4b55561b9c8838b66509493666ab2d31143abadbf0127b1870cd11881d8",
-	"16/jobs/tiny":              "f3d6ef9559287a9026f890c7aa20884c8719bbd66211bede0aff3f9b2391374e",
-	"16/json":                   "8c9c113b1a5a8f1c71b4fd9b28fa74d938dee227281357aefef8cb64e1993add",
-	"16/text":                   "b9c7d0027f9ed82680a5016fbb4c64b4b11c08954ab58ee0d122966c9f2a41f0",
-	"17/csv":                    "649b4c8d910685494e726606ff9dac75e27093dae78569c2d6eca7f540f4a64b",
-	"17/jobs/full":              "1a2afd5b24597d9f9dd5d0ffdadc64a5b4381d09fefac63d8e8df66ebd64cc0e",
-	"17/jobs/quick":             "ae7792483412af316f72aa0ce77c6583edaeac451c1c86c0cd68cdd77ede64cf",
-	"17/jobs/tiny":              "e0b8974aa145384474fcadc50b094f3507f40bd81b33ddd375835a0fdb4d8062",
-	"17/json":                   "221cee045f45a74afb4cf6b5fb362f319f30da83e4b925a0eecb0d463d8447ee",
-	"17/text":                   "6e32714da744bb29edbd43b4245f9963c9ad15afe2ab3f705fd3dcb9fb561e64",
+	"15/json":                   "5b250aa7dc33de5dabce2870544fd97ee359fdf0d0cec4012d02b05c0cc809d3",
+	"15/text":                   "1adc68c2e921108e5f9a53d5f1a6e4be212e172fe0eec7f4a6f14492e1e69150",
+	"16/csv":                    "395b055d3f66beb780fff34d5b9c881c055b02ecf9872783970757b98ee32164",
+	"16/jobs/full":              "a55d949d55252038405069743db2b0b261cabc5e73089500b58ede34d4dd4b22",
+	"16/jobs/quick":             "d6bf62e2418c95a0bc7ec129f190be961a8e0174f5a9f4775ef99504c8e9d58a",
+	"16/jobs/tiny":              "000b1d2758b8cc1871d42dbfcafc6b285f5b392f8950aceb67723cac32d8485e",
+	"16/json":                   "6f82b7507d7558eb1c1b2b8fc4519578b016e20ffc80f454898333d65e39059b",
+	"16/text":                   "1e9cb9994d50925a893bb4804fd8a7394d287759dda52c380615391904d2edd3",
+	"17/csv":                    "3fec2110d1fb989a62c2e3ee585e1b7457e49c45cf5dfd397b8fd7cb341f1022",
+	"17/jobs/full":              "1aa2ef391b7f9f227eab7c39310168891569d50bf57af612a3cdbfebc461638d",
+	"17/jobs/quick":             "b2427a516e456f8c0802fb5b5e5ffe837bd9083cd6d2ad509193344b7092efa1",
+	"17/jobs/tiny":              "44806349696b97e90845e403834fb41c0ecb8c98a847039a2564edcc73d28632",
+	"17/json":                   "8612ca98e01372e39d23fbad4fe7c16d8a2c1ad2ce86cf4e9873f181615152c5",
+	"17/text":                   "c68e2a4836c50c69a5bbad4c5561f8de4c52821d32098509d78cabd396417803",
 	"4/csv":                     "bac3a12420f5cef2e1638965e9d06d9c2e26572a85b97d833996f2daf4acbc60",
 	"4/jobs/full":               "a107ababa0db258ace99a28e891cbda9baa311746ed51d1e606f4cf4acbcf516",
 	"4/jobs/quick":              "091cfc62f510c938ff346c74c560041bc8fa79818c2d0ff0e0efc7f0987c1adb",

@@ -21,13 +21,33 @@ func fig14(p Params) *spec {
 	}}
 	cfg := p.ycsb(1.0, 0)
 	cfg.Partitioned = true
+	ladder := floats(p.Ladder())
 	for _, name := range AllSchemeNames {
-		s.sweep(name, throughputM, floats(p.Ladder()), func(c float64) Job {
+		s.sweep(name, throughputM, ladder, func(c float64) Job {
 			return p.ycsbJob(name, tsalloc.Atomic, int(c), cfg)
 		})
 	}
+	// "Expect HSTORE on top through most of the ladder with its curve
+	// bending where timestamp allocation saturates, and the tuple-level
+	// schemes below it."
+	s.claims = []Claim{
+		{Name: "hstore-on-top", Kind: Dominates, Series: leading("HSTORE", AllSchemeNames), At: ladder},
+		{Name: "hstore-bends", Kind: Growth, Series: []string{"HSTORE"}, At: lastStep(ladder), Max: bend},
+	}
 	return s
 }
+
+// bend is the Growth bound of a curve that bends over a 4x step in
+// cores: it gains less than three quarters of linear.
+const bend = 3
+
+// flat is the Growth bound of a curve that is flat or collapsing over a
+// 4x step in cores (it gains under 25 %), and the floor of one that
+// climbs.
+const flat = 1.25
+
+// lastStep returns the last two values of xs (fewer on a shorter ladder).
+func lastStep(xs []float64) []float64 { return xs[max(0, len(xs)-2):] }
 
 // fig15 reproduces "Multi-Partition Transactions": (a) H-STORE's
 // throughput versus the fraction of multi-partition transactions, for a
@@ -42,6 +62,7 @@ func fig15(p Params) *spec {
 		YLabel: "Mtxn/s",
 		Notes:  fmt.Sprintf("(a) at %d cores; (b) series sweep partitions/txn with 10%% MP transactions", cores),
 	}}
+	mps := []float64{0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0}
 	for _, mix := range []struct {
 		name    string
 		readPct float64
@@ -49,7 +70,7 @@ func fig15(p Params) *spec {
 		{"(a) readonly", 1.0},
 		{"(a) readwrite", 0.5},
 	} {
-		s.sweep(mix.name, throughputM, []float64{0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0}, func(mp float64) Job {
+		s.sweep(mix.name, throughputM, mps, func(mp float64) Job {
 			cfg := p.ycsb(mix.readPct, 0)
 			cfg.Partitioned = true
 			cfg.MPFraction = mp
@@ -59,6 +80,8 @@ func fig15(p Params) *spec {
 	}
 
 	// (b): partitions-per-transaction sweep across the ladder.
+	var stack []string
+	ladder := floats(p.ladderFrom(16))
 	for _, parts := range []int{1, 2, 4, 8, 16} {
 		cfg := p.ycsb(0.5, 0)
 		cfg.Partitioned = true
@@ -66,9 +89,21 @@ func fig15(p Params) *spec {
 			cfg.MPFraction = 0.1
 			cfg.MPParts = parts
 		}
-		s.sweep(fmt.Sprintf("(b) part=%d", parts), throughputM, floats(p.ladderFrom(16)), func(c float64) Job {
+		stack = append(stack, fmt.Sprintf("(b) part=%d", parts))
+		s.sweep(stack[len(stack)-1], throughputM, ladder, func(c float64) Job {
 			return p.ycsbJob("HSTORE", tsalloc.Atomic, int(c), cfg)
 		})
+	}
+	// "The (a) series should fall steeply as the MP fraction grows from
+	// 0; the (b) part=N series should stack in decreasing-N order, each
+	// flattening as partition locks serialize more of the machine."
+	// Steeply: they lose more than half by an all-MP mix.
+	a := []string{"(a) readonly", "(a) readwrite"}
+	s.claims = []Claim{
+		{Name: "(a) falls", Kind: Growth, Series: a, At: mps, Max: 1},
+		{Name: "(a) falls-steeply", Kind: Growth, Series: a, At: []float64{mps[0], mps[len(mps)-1]}, Max: 0.5},
+		{Name: "(b) stacks", Kind: Ordering, Series: stack, At: ladder},
+		{Name: "(b) flattens", Kind: Growth, Series: stack[1:], At: ladder, Max: bend},
 	}
 	return s
 }
@@ -82,23 +117,35 @@ func (p Params) tpccConfig(warehouses int) tpcc.Config {
 		cfg.CustomersPerDistrict = 60
 		cfg.Items = 200
 	}
-	cfg.InsertsPerWorker = int(p.MeasureCycles/2000) + 1024
+	cfg.InsertsPerWorker = int((p.WarmupCycles + p.MeasureCycles) / minTxnCycles)
 	return cfg
 }
 
+// minTxnCycles is the floor, in simulated cycles, of one transaction on
+// one core, which sizes TPC-C's insert segments for the whole window,
+// warm-up included: a transaction inserts at most one row into each of
+// HISTORY, ORDERS and NEW_ORDER. The cheapest in any figure, Payment
+// under H-STORE on one core, takes about 600.
+const minTxnCycles = 500
+
+// tpccMixes are the three TPC-C sub-figures: each one's title prefixes
+// its series' names.
+var tpccMixes = []struct {
+	title      string
+	paymentPct float64
+}{
+	{"(a) Payment+NewOrder", 0.5},
+	{"(b) Payment only", 1.0},
+	{"(c) NewOrder only", 0.0},
+}
+
 // tpccAcrossLadder sweeps every scheme across the ladder, up to maxCores,
-// for each of the three TPC-C mixes.
-func (p Params) tpccAcrossLadder(id, title string, warehouses, maxCores int) *spec {
+// for each of the three TPC-C mixes, and returns the spec with the cores
+// swept.
+func (p Params) tpccAcrossLadder(id, title string, warehouses, maxCores int) (*spec, []float64) {
 	s := &spec{head: Figure{ID: id, Title: title, XLabel: "cores", YLabel: "Mtxn/s"}}
 	cores := floats(slices.DeleteFunc(p.Ladder(), func(c int) bool { return c > maxCores }))
-	for _, sub := range []struct {
-		title      string
-		paymentPct float64
-	}{
-		{"(a) Payment+NewOrder", 0.5},
-		{"(b) Payment only", 1.0},
-		{"(c) NewOrder only", 0.0},
-	} {
+	for _, sub := range tpccMixes {
 		cfg := p.tpccConfig(warehouses)
 		cfg.PaymentPct = sub.paymentPct
 		for _, name := range AllSchemeNames {
@@ -107,13 +154,24 @@ func (p Params) tpccAcrossLadder(id, title string, warehouses, maxCores int) *sp
 			})
 		}
 	}
-	return s
+	return s, cores
+}
+
+// fromCores returns the x-values of cores from lo up.
+func fromCores(cores []float64, lo float64) []float64 {
+	return slices.DeleteFunc(slices.Clone(cores), func(c float64) bool { return c < lo })
 }
 
 // fig16 reproduces "TPC-C (4 warehouses)": more workers than warehouses,
 // so Payment's W_YTD update serializes everything.
 func fig16(p Params) *spec {
-	return p.tpccAcrossLadder("Fig 16", "TPC-C, 4 warehouses", 4, p.capCores(256))
+	s, cores := p.tpccAcrossLadder("Fig 16", "TPC-C, 4 warehouses", 4, p.capCores(256))
+	// "Expect all three sub-figures flat or collapsing early."
+	for _, sub := range tpccMixes {
+		s.claims = append(s.claims, Claim{Name: sub.title[:3] + " flat", Kind: Growth,
+			Series: prefixed(sub.title, AllSchemeNames), At: fromCores(cores, 16), Max: flat})
+	}
+	return s
 }
 
 // fig17 reproduces "TPC-C (1024 warehouses)": warehouses >= workers
@@ -122,7 +180,18 @@ func fig16(p Params) *spec {
 func fig17(p Params) *spec {
 	warehouses := max(p.MaxCores, 64)
 	title := fmt.Sprintf("TPC-C, %d warehouses (>= workers, as the paper's 1024)", warehouses)
-	return p.tpccAcrossLadder("Fig 17", title, warehouses, p.MaxCores)
+	s, cores := p.tpccAcrossLadder("Fig 17", title, warehouses, p.MaxCores)
+	// "Expect the inverse of Fig 16: curves keep climbing, with HSTORE at
+	// or near the top and the T/O schemes bending where timestamp
+	// allocation saturates." Near: within 5 % of the leader.
+	for _, sub := range tpccMixes {
+		id := sub.title[:3]
+		s.claims = append(s.claims,
+			Claim{Name: id + " climbs", Kind: Growth, Series: prefixed(sub.title, AllSchemeNames), At: fromCores(cores, 16), Min: flat},
+			Claim{Name: id + " hstore-near-top", Kind: Within, Series: prefixed(sub.title, leading("HSTORE", AllSchemeNames)), At: cores[len(cores)-1:], Tol: 0.05},
+			Claim{Name: id + " to-bends", Kind: Growth, Series: prefixed(sub.title, []string{"TIMESTAMP", "MVCC", "OCC"}), At: lastStep(cores), Max: bend})
+	}
+	return s
 }
 
 // Table2 renders the paper's bottleneck summary beside this

@@ -27,13 +27,15 @@ import (
 )
 
 // spec lays out one experiment as data: the figure header, the jobs it
-// runs, and where each job's result lands. Several points or breakdown
-// rows may name the same job; it still runs once.
+// runs, where each job's result lands, and the claims its figure should
+// bear out (claims.go). Several points or breakdown rows may name the same
+// job; it still runs once.
 type spec struct {
 	head       Figure
 	jobs       []Job
 	series     []seriesSpec
 	breakdowns []breakdownSpec
+	claims     []Claim
 }
 
 // seriesSpec is one series: point i plots y of result jobs[i] at xs[i].

@@ -9,6 +9,7 @@
 //	abyss-bench -fig 11 -csv > f11.csv  # one experiment, flat CSV points
 //	abyss-bench -table 2                # the bottleneck-summary table
 //	abyss-bench -list                   # enumerate experiments
+//	abyss-bench -fig 17 -verify         # ... then one verdict per claim
 //	abyss-bench -fig 6 -cpuprofile cpu.out -memprofile mem.out
 //	                                    # ... with pprof profiles of the run
 //
@@ -54,6 +55,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit the run as JSON on stdout (suppresses figure text)")
 		csvOut   = flag.Bool("csv", false, "emit every data point as a CSV row on stdout (suppresses figure text)")
 		quiet    = flag.Bool("quiet", false, "suppress progress reporting on stderr")
+		verify   = flag.Bool("verify", false, "after the figures, print one verdict per claim the experiments make (text output only)")
 		sample   = flag.Uint64("sample", 0, "run every data point with interval sampling enabled at this cycle period (accounting-only: output is byte-identical to an unsampled run; 0 disables)")
 		logAcc   = flag.Bool("log", false, "attach an accounting-only write-ahead log to every data point: throughput/abort series stay byte-identical to an unlogged run (the schedule is unchanged); breakdown tables gain the Log component's share")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to `file`")
@@ -63,6 +65,10 @@ func main() {
 
 	if *jsonOut && *csvOut {
 		fmt.Fprintln(os.Stderr, "abyss-bench: -json and -csv are mutually exclusive")
+		os.Exit(2)
+	}
+	if *verify && (*jsonOut || *csvOut) {
+		fmt.Fprintln(os.Stderr, "abyss-bench: -verify prints text; it does not combine with -json or -csv")
 		os.Exit(2)
 	}
 	if (*jsonOut || *csvOut) && (*list || *tableID != 0) {
@@ -119,7 +125,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "abyss-bench:", err)
 			os.Exit(1)
 		}
-		interrupted, err := runExperiments(experiments, params, scale, *parallel, *sample, *jsonOut, *csvOut, *quiet, *all)
+		interrupted, err := runExperiments(experiments, params, scale, *parallel, *sample, *jsonOut, *csvOut, *quiet, *all, *verify)
 		stopProfiles()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "abyss-bench:", err)
@@ -174,7 +180,7 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 // writes the requested output format to stdout. A SIGINT mid-sweep stops
 // dispatching data points: in-flight points drain, the figures (with the
 // remaining points zeroed) are still rendered, and the caller exits 130.
-func runExperiments(experiments []bench.Experiment, params bench.Params, scale string, parallel int, sample uint64, jsonOut, csvOut, quiet, withTable2 bool) (interrupted bool, err error) {
+func runExperiments(experiments []bench.Experiment, params bench.Params, scale string, parallel int, sample uint64, jsonOut, csvOut, quiet, withTable2, verify bool) (interrupted bool, err error) {
 	var stop atomic.Bool
 	runner := &bench.Runner{Workers: parallel, SampleEvery: sample, Stop: &stop}
 	if !quiet {
@@ -215,6 +221,13 @@ func runExperiments(experiments []bench.Experiment, params bench.Params, scale s
 		}
 		if withTable2 {
 			fmt.Print(rep.Table2)
+		}
+		if verify {
+			for i, e := range experiments {
+				for _, v := range e.Check(params, figs[i]) {
+					fmt.Println(v)
+				}
+			}
 		}
 	}
 	if stop.Load() {

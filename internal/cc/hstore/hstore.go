@@ -18,10 +18,15 @@
 // With partition locks held there is no per-tuple concurrency control at
 // all — no tuple latches, no copies — which is why H-STORE's overhead is
 // so low on perfectly partitionable workloads (Fig. 14) and why a single
-// multi-partition transaction stalls whole partitions (Fig. 15).
+// multi-partition transaction stalls whole partitions (Fig. 15). Nothing
+// but the transaction's own program logic (ErrUserAbort) can abort it, so
+// a before-image is taken only for a transaction that declares it may
+// roll back (core.MayRollBack); as in H-Store itself, one that cannot
+// roll back keeps no undo log, and Abort panics if it rolls back anyway.
 package hstore
 
 import (
+	"fmt"
 	"slices"
 
 	"abyss1000/internal/core"
@@ -50,6 +55,7 @@ type txnState struct {
 	w       *core.Worker
 	held    []int // the declared partitions, sorted and distinct: the lock order
 	granted bool
+	undo    bool // the transaction may roll back: WriteRow keeps before-images
 }
 
 // HStore is the partition-locking scheme.
@@ -80,12 +86,14 @@ func (s *HStore) NewTxnState(w *core.Worker) interface{} {
 	return &txnState{w: w}
 }
 
-// Begin implements core.Scheme: allocate the scheduling timestamp and lock
-// every partition the transaction declared, once each and in ascending
-// order, whatever order and repeats it declared them in.
+// Begin implements core.Scheme: allocate the scheduling timestamp, read
+// whether the transaction may roll back, and lock every partition it
+// declared, once each and in ascending order, whatever order and repeats
+// it declared them in.
 func (s *HStore) Begin(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
 	tx.TS = s.alloc.Next(tx.P)
+	st.undo = core.MayRollBack(tx.Txn)
 	st.held = append(st.held[:0], tx.Txn.Partitions()...)
 	if len(st.held) == 0 {
 		panic("hstore: transaction did not declare its partitions")
@@ -164,17 +172,22 @@ func (s *HStore) Read(tx *core.TxnCtx, t *storage.Table, slot int, cols uint64) 
 }
 
 // WriteRow implements core.Scheme: hand back the live row for in-place
-// mutation of the named columns under the partition lock, with an undo
-// image of the whole row for program-logic rollbacks.
+// mutation of the named columns under the partition lock. The first write
+// of a slot by a transaction that may roll back takes an undo image of
+// the whole row; one that cannot roll back records the write with no
+// image, and allocates and copies nothing.
 func (s *HStore) WriteRow(tx *core.TxnCtx, t *storage.Table, slot int, cols uint64) ([]byte, error) {
 	// History capture: a write is a read-modify-write of the current
 	// committed version.
 	tx.CaptureRead(t, slot)
 	row := t.Row(slot)
 	if tx.Written(t, slot) == nil {
-		img := tx.Alloc.Alloc(tx.P, stats.Manager, len(row))
-		copy(img, row)
-		tx.P.Tick(stats.Manager, costs.CopyCost(uint64(len(row))))
+		var img []byte
+		if tx.State.(*txnState).undo {
+			img = tx.Alloc.Alloc(tx.P, stats.Manager, len(row))
+			copy(img, row)
+			tx.P.Tick(stats.Manager, costs.CopyCost(uint64(len(row))))
+		}
 		tx.AddWrite(t, slot, row, img)
 	}
 	tx.P.MemWrite(stats.Useful, t.MemKey(slot), uint64(t.Schema.Width(cols)))
@@ -195,12 +208,17 @@ func (s *HStore) Commit(tx *core.TxnCtx) error {
 }
 
 // Abort implements core.Scheme: restore undo images, release partitions.
-// Only program logic aborts H-STORE transactions.
+// Only program logic aborts H-STORE transactions, so a write without an
+// image is a transaction that declared it could not roll back and did:
+// Abort panics rather than leave its writes in place.
 func (s *HStore) Abort(tx *core.TxnCtx) {
 	st := tx.State.(*txnState)
 	ws := tx.Writes()
 	for i := len(ws) - 1; i >= 0; i-- {
 		u := &ws[i]
+		if u.Undo == nil {
+			panic(fmt.Sprintf("hstore: a transaction whose MayRollBack() is false rolled back after writing %s slot %d", u.T.Schema.Name, u.Slot))
+		}
 		copy(u.Buf, u.Undo)
 		tx.P.MemWrite(stats.Abort, u.T.MemKey(u.Slot), uint64(len(u.Undo)))
 		tx.P.Tick(stats.Abort, costs.CopyCost(uint64(len(u.Undo))))

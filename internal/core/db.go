@@ -128,7 +128,8 @@ func (db *DB) Index(name string) index.Index {
 func (db *DB) IndexNames() []string { return slices.Sorted(maps.Keys(db.indexByName)) }
 
 // Txn is one transaction: program logic intermixed with query invocations
-// (§3.2), executed serially by its worker.
+// (§3.2), executed serially by its worker. It may also implement
+// Generator (mix.go) and RollbackDeclarer.
 type Txn interface {
 	// Run executes the transaction body against tx. It returns nil to
 	// commit, ErrUserAbort to roll back, or propagates ErrAbort from the
@@ -141,6 +142,27 @@ type Txn interface {
 	// other than H-STORE ignore it; implementations may return nil for
 	// them.
 	Partitions() []int
+}
+
+// RollbackDeclarer is an optional interface for Txn: MayRollBack reports
+// whether Run may return ErrUserAbort in this execution. It is read at
+// Begin, after Generate has drawn the inputs. H-STORE, which nothing but
+// program logic can abort, takes no before-image of a row written by a
+// transaction that says false, and panics if that transaction rolls back
+// after writing; the other schemes ignore it, because a concurrency-control
+// abort can undo any of their writes. A transaction without the method
+// may roll back.
+type RollbackDeclarer interface {
+	MayRollBack() bool
+}
+
+// MayRollBack reports whether t may roll itself back: its RollbackDeclarer
+// answer, or true when it declares nothing.
+func MayRollBack(t Txn) bool {
+	if d, ok := t.(RollbackDeclarer); ok {
+		return d.MayRollBack()
+	}
+	return true
 }
 
 // Workload generates each worker's transaction stream. Implementations

@@ -96,7 +96,8 @@ type indexKey struct {
 // and H-STORE, the private workspace under T/O and OCC, the pending
 // version under MVCC), so LogCommit and the capture read images without
 // knowing the scheme. Undo is the before-image, kept only by the schemes
-// that write in place.
+// that write in place: always under 2PL, and under H-STORE only for a
+// transaction that may roll back (MayRollBack); nil otherwise.
 type WriteEntry struct {
 	T    *storage.Table
 	Slot int

@@ -117,4 +117,7 @@ func (t *deliveryTxn) Run(tx *core.TxnCtx) error {
 // Partitions implements core.Txn.
 func (t *deliveryTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements core.RollbackDeclarer: it never rolls back.
+func (t *deliveryTxn) MayRollBack() bool { return false }
+
 var _ core.Txn = (*deliveryTxn)(nil)

@@ -214,4 +214,8 @@ func (t *newOrderTxn) Run(tx *core.TxnCtx) error {
 // Partitions implements core.Txn.
 func (t *newOrderTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements core.RollbackDeclarer: the unused item id is in
+// the terminal's input (spec §2.4.1.4), so Generate knows it.
+func (t *newOrderTxn) MayRollBack() bool { return t.userAbort }
+
 var _ core.Txn = (*newOrderTxn)(nil)

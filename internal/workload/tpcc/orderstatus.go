@@ -75,4 +75,7 @@ func (t *orderStatusTxn) Run(tx *core.TxnCtx) error {
 // Partitions implements core.Txn.
 func (t *orderStatusTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements core.RollbackDeclarer: it never rolls back.
+func (t *orderStatusTxn) MayRollBack() bool { return false }
+
 var _ core.Txn = (*orderStatusTxn)(nil)

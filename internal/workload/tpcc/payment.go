@@ -104,4 +104,7 @@ func (t *paymentTxn) Run(tx *core.TxnCtx) error {
 // Partitions implements core.Txn.
 func (t *paymentTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements core.RollbackDeclarer: it never rolls back.
+func (t *paymentTxn) MayRollBack() bool { return false }
+
 var _ core.Txn = (*paymentTxn)(nil)

@@ -97,4 +97,7 @@ func (t *stockLevelTxn) Run(tx *core.TxnCtx) error {
 // Partitions implements core.Txn.
 func (t *stockLevelTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements core.RollbackDeclarer: it never rolls back.
+func (t *stockLevelTxn) MayRollBack() bool { return false }
+
 var _ core.Txn = (*stockLevelTxn)(nil)

@@ -298,6 +298,10 @@ func (t *txn) Run(tx *core.TxnCtx) error {
 // Partitions implements core.Txn.
 func (t *txn) Partitions() []int { return t.parts }
 
+// MayRollBack implements core.RollbackDeclarer: a YCSB transaction never
+// rolls back.
+func (t *txn) MayRollBack() bool { return false }
+
 var _ core.Workload = (*Workload)(nil)
 var _ core.TxnTyper = (*Workload)(nil)
 var _ core.Txn = (*txn)(nil)

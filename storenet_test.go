@@ -18,13 +18,17 @@ type rowKey struct {
 	slot int
 }
 
-// columnNet wraps a scheme that reads and writes rows in place and keeps
-// undo images (NO_WAIT, H-STORE) and holds each access to the columns it
-// names. WriteRow records the mask of every write, per transaction and
-// row (a second write of a row adds its columns); at every Commit, before
-// the scheme's own, each write-set entry must still equal its undo image
-// byte for byte outside those columns. A workload that bills a write for
-// fewer columns than it stores into fails there. With garble set, Read
+// columnNet wraps a scheme that reads and writes rows in place (NO_WAIT,
+// H-STORE) and holds each access to the columns it names. WriteRow
+// records the mask of every write, per transaction and row (a second write
+// of a row adds its columns), and clones the row the scheme hands back at
+// the transaction's first write of it, before the body stores anything; at
+// every Commit, before the scheme's own, each write-set entry must still
+// equal that clone byte for byte outside those columns. The clone is the
+// net's own, so the check does not depend on the scheme keeping an undo
+// image (H-STORE keeps none for a transaction that cannot roll back). A
+// workload that bills a write for fewer columns than it stores into fails
+// there. With garble set, Read
 // hands back a copy of the row whose unnamed columns are overwritten with
 // garbage, so a body that uses a column its Read did not name computes
 // something else than it does on the live row.
@@ -33,15 +37,22 @@ type columnNet struct {
 	garble bool
 
 	mu      sync.Mutex // native workers run concurrently
-	written map[*abyss.TxnCtx]map[rowKey]uint64
+	written map[*abyss.TxnCtx]map[rowKey]*netWrite
 	entries int      // write-set entries checked
 	named   int      // of which named fewer than all columns
 	reads   int      // reads that named fewer than all columns
 	errs    []string // the first few violations
 }
 
+// netWrite is one row a transaction wrote: the columns its writes named
+// and the row as it was before the first of them.
+type netWrite struct {
+	cols   uint64
+	before []byte
+}
+
 func newColumnNet(inner abyss.Scheme, garble bool) *columnNet {
-	return &columnNet{Scheme: inner, garble: garble, written: map[*abyss.TxnCtx]map[rowKey]uint64{}}
+	return &columnNet{Scheme: inner, garble: garble, written: map[*abyss.TxnCtx]map[rowKey]*netWrite{}}
 }
 
 func (s *columnNet) Begin(tx *abyss.TxnCtx) {
@@ -83,10 +94,15 @@ func (s *columnNet) WriteRow(tx *abyss.TxnCtx, t *storage.Table, slot int, cols 
 	s.mu.Lock()
 	m := s.written[tx]
 	if m == nil {
-		m = map[rowKey]uint64{}
+		m = map[rowKey]*netWrite{}
 		s.written[tx] = m
 	}
-	m[rowKey{t, slot}] |= cols
+	w := m[rowKey{t, slot}]
+	if w == nil {
+		w = &netWrite{before: bytes.Clone(row)}
+		m[rowKey{t, slot}] = w
+	}
+	w.cols |= cols
 	s.mu.Unlock()
 	return row, nil
 }
@@ -98,21 +114,20 @@ func (s *columnNet) Commit(tx *abyss.TxnCtx) error {
 	ws := tx.Writes()
 	for i := range ws {
 		w := &ws[i]
-		cols, ok := m[rowKey{w.T, w.Slot}]
+		nw := m[rowKey{w.T, w.Slot}]
 		var bad []string
-		switch {
-		case !ok:
+		var cols uint64
+		if nw == nil {
 			bad = append(bad, "no WriteRow")
-		case w.Undo == nil:
-			bad = append(bad, "no undo image")
-		default:
+		} else {
+			cols = nw.cols
 			sc := w.T.Schema
 			for c, col := range sc.Cols {
 				if c < 64 && cols&(1<<c) != 0 {
 					continue
 				}
 				off := sc.Offset(c)
-				if !bytes.Equal(w.Buf[off:off+col.Width], w.Undo[off:off+col.Width]) {
+				if !bytes.Equal(w.Buf[off:off+col.Width], nw.before[off:off+col.Width]) {
 					bad = append(bad, col.Name)
 				}
 			}

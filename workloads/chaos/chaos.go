@@ -314,6 +314,10 @@ func (t *chaosTxn) Generate(p abyss.Proc) {
 // Partitions implements abyss.Txn.
 func (t *chaosTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements abyss.RollbackDeclarer: only an AbortProne draw
+// rolls back, so the sweep runs H-STORE with and without before-images.
+func (t *chaosTxn) MayRollBack() bool { return t.abort }
+
 // Run implements abyss.Txn.
 func (t *chaosTxn) Run(tx *abyss.TxnCtx) error {
 	if t.mode == modeRangeScan {

@@ -88,6 +88,9 @@ func (t *balanceTxn) Run(tx *abyss.TxnCtx) error {
 
 func (t *balanceTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements abyss.RollbackDeclarer: it never rolls back.
+func (t *balanceTxn) MayRollBack() bool { return false }
+
 // depositCheckingTxn credits a customer's checking account.
 type depositCheckingTxn struct {
 	wl     *Workload
@@ -108,6 +111,9 @@ func (t *depositCheckingTxn) Run(tx *abyss.TxnCtx) error {
 }
 
 func (t *depositCheckingTxn) Partitions() []int { return t.parts }
+
+// MayRollBack implements abyss.RollbackDeclarer: it never rolls back.
+func (t *depositCheckingTxn) MayRollBack() bool { return false }
 
 // transactSavingsTxn applies a deposit or withdrawal to savings; a
 // withdrawal that would overdraw rolls back (ErrUserAbort — completed
@@ -138,6 +144,9 @@ func (t *transactSavingsTxn) Run(tx *abyss.TxnCtx) error {
 
 func (t *transactSavingsTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements abyss.RollbackDeclarer: a withdrawal may overdraw.
+func (t *transactSavingsTxn) MayRollBack() bool { return true }
+
 // amalgamateTxn moves all funds of one customer into another's checking
 // account.
 type amalgamateTxn struct {
@@ -166,6 +175,9 @@ func (t *amalgamateTxn) Run(tx *abyss.TxnCtx) error {
 }
 
 func (t *amalgamateTxn) Partitions() []int { return t.parts }
+
+// MayRollBack implements abyss.RollbackDeclarer: it never rolls back.
+func (t *amalgamateTxn) MayRollBack() bool { return false }
 
 // writeCheckTxn cashes a check against the combined balance, charging a
 // $1 overdraft penalty when it exceeds the funds (the SmallBank anomaly
@@ -205,6 +217,9 @@ func (t *writeCheckTxn) Run(tx *abyss.TxnCtx) error {
 
 func (t *writeCheckTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements abyss.RollbackDeclarer: it never rolls back.
+func (t *writeCheckTxn) MayRollBack() bool { return false }
+
 // sendPaymentTxn transfers between two checking accounts; insufficient
 // funds roll back (ErrUserAbort).
 type sendPaymentTxn struct {
@@ -234,6 +249,9 @@ func (t *sendPaymentTxn) Run(tx *abyss.TxnCtx) error {
 }
 
 func (t *sendPaymentTxn) Partitions() []int { return t.parts }
+
+// MayRollBack implements abyss.RollbackDeclarer: the payer may lack the funds.
+func (t *sendPaymentTxn) MayRollBack() bool { return true }
 
 var (
 	_ abyss.Workload  = (*Workload)(nil)

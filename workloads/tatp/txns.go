@@ -34,6 +34,9 @@ func (t *getSubscriberDataTxn) Run(tx *abyss.TxnCtx) error {
 
 func (t *getSubscriberDataTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements abyss.RollbackDeclarer: it never rolls back.
+func (t *getSubscriberDataTxn) MayRollBack() bool { return false }
+
 // getNewDestinationTxn (10%) finds the active forwarding number for a
 // (subscriber, facility) at a query time: the benchmark's one range
 // query, executed as an abyss1000/query plan over the CALL_FORWARDING
@@ -90,6 +93,9 @@ func (t *getNewDestinationTxn) Run(tx *abyss.TxnCtx) error {
 
 func (t *getNewDestinationTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements abyss.RollbackDeclarer: it never rolls back.
+func (t *getNewDestinationTxn) MayRollBack() bool { return false }
+
 // getAccessDataTxn reads one ACCESS_INFO row (35%); about half the
 // (subscriber, type) pairs exist.
 type getAccessDataTxn struct {
@@ -116,6 +122,9 @@ func (t *getAccessDataTxn) Run(tx *abyss.TxnCtx) error {
 }
 
 func (t *getAccessDataTxn) Partitions() []int { return t.parts }
+
+// MayRollBack implements abyss.RollbackDeclarer: it never rolls back.
+func (t *getAccessDataTxn) MayRollBack() bool { return false }
 
 // updateSubscriberDataTxn (2%) toggles SUBSCRIBER.BIT_1 and overwrites
 // the facility's DATA_A; the facility may not exist.
@@ -163,6 +172,9 @@ func (t *updateSubscriberDataTxn) Run(tx *abyss.TxnCtx) error {
 
 func (t *updateSubscriberDataTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements abyss.RollbackDeclarer: it never rolls back.
+func (t *updateSubscriberDataTxn) MayRollBack() bool { return false }
+
 // updateLocationTxn (14%) overwrites SUBSCRIBER.VLR_LOCATION.
 type updateLocationTxn struct {
 	wl    *Workload
@@ -192,6 +204,9 @@ func (t *updateLocationTxn) Run(tx *abyss.TxnCtx) error {
 }
 
 func (t *updateLocationTxn) Partitions() []int { return t.parts }
+
+// MayRollBack implements abyss.RollbackDeclarer: it never rolls back.
+func (t *updateLocationTxn) MayRollBack() bool { return false }
 
 // insertCallForwardingTxn (2%) adds a forwarding for one of the
 // subscriber's facilities. The facility list comes from a range scan
@@ -285,6 +300,9 @@ func (t *insertCallForwardingTxn) Run(tx *abyss.TxnCtx) error {
 
 func (t *insertCallForwardingTxn) Partitions() []int { return t.parts }
 
+// MayRollBack implements abyss.RollbackDeclarer: it never rolls back.
+func (t *insertCallForwardingTxn) MayRollBack() bool { return false }
+
 // deleteCallForwardingTxn (2%) tombstones a forwarding (ACTIVE = 0).
 type deleteCallForwardingTxn struct {
 	wl    *Workload
@@ -325,6 +343,9 @@ func (t *deleteCallForwardingTxn) Run(tx *abyss.TxnCtx) error {
 }
 
 func (t *deleteCallForwardingTxn) Partitions() []int { return t.parts }
+
+// MayRollBack implements abyss.RollbackDeclarer: it never rolls back.
+func (t *deleteCallForwardingTxn) MayRollBack() bool { return false }
 
 var (
 	_ abyss.Generator = (*getSubscriberDataTxn)(nil)
