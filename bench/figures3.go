@@ -117,15 +117,19 @@ func (p Params) tpccConfig(warehouses int) tpcc.Config {
 		cfg.CustomersPerDistrict = 60
 		cfg.Items = 200
 	}
-	cfg.InsertsPerWorker = int((p.WarmupCycles + p.MeasureCycles) / minTxnCycles)
+	cfg.InsertsPerWorker = TPCCInsertsPerWorker(p.WarmupCycles + p.MeasureCycles)
 	return cfg
 }
 
-// minTxnCycles is the floor, in simulated cycles, of one transaction on
-// one core, which sizes TPC-C's insert segments for the whole window,
-// warm-up included: a transaction inserts at most one row into each of
-// HISTORY, ORDERS and NEW_ORDER. The cheapest in any figure, Payment
-// under H-STORE on one core, takes about 600.
+// TPCCInsertsPerWorker sizes TPC-C's insert segments for a run of window
+// simulated cycles (nanoseconds on the native runtime), warm-up included:
+// a transaction inserts at most one row into each of HISTORY, ORDERS and
+// NEW_ORDER, and takes at least minTxnCycles on one core.
+func TPCCInsertsPerWorker(window uint64) int { return int(window / minTxnCycles) }
+
+// minTxnCycles is the floor, in simulated cycles, of one TPC-C transaction
+// on one core. The cheapest in any figure, Payment under H-STORE on one
+// core, takes about 600.
 const minTxnCycles = 500
 
 // tpccMixes are the three TPC-C sub-figures: each one's title prefixes

@@ -1,6 +1,7 @@
 package abyss1000_test
 
 import (
+	"math"
 	"testing"
 
 	"abyss1000/internal/cc/hstore"
@@ -22,9 +23,8 @@ import (
 // paper's §4.1 finding is that per-access memory allocation is the first
 // scalability wall of a main-memory DBMS, and the access path is designed
 // to be steady-state allocation-free (closure-free scheme API, arena
-// buffers, reused read/write sets, preallocated index storage). CI runs
-// these with -benchtime=1x and fails if allocs/op exceeds a small budget
-// (see .github/workflows/ci.yml).
+// buffers, reused read/write sets, preallocated index storage).
+// TestTxnAllocBudget holds the same workers to txnAllocBudget.
 //
 // One worker keeps the measurement free of contention effects: aborts and
 // waits are concurrency-control behaviour, not access-path cost. txnWarmup
@@ -39,6 +39,21 @@ import (
 // allocations.
 
 const txnWarmup = 500
+
+// txnAllocBudget is the most a completed transaction may allocate after
+// warm-up. It is 3, not 0, only for MVCC's amortized pool refills and the
+// growth of a hot part's version array on a tuple written many times
+// between two watermark refreshes (it keeps what it grew to); every other
+// scheme measures 0. TestContendedNativeAllocBudget holds the contended
+// path to it too. fullMixAllocBudget is the full TPC-C mix's, per
+// transaction over fullMixTxns: its inserts go through ordered indexes,
+// and a B+tree that allocated per insert read 1.7 where fixed-capacity
+// nodes read 0.02.
+const (
+	txnAllocBudget     = 3
+	fullMixAllocBudget = 0.1
+	fullMixTxns        = 2000
+)
 
 // txnSchemes returns one instance of each of the six concurrency-control
 // implementations (2PL here represented by DL_DETECT; the three 2PL
@@ -63,7 +78,7 @@ func txnSchemes() []struct {
 
 // driveTxns completes n transactions (commit or program-logic rollback;
 // CC aborts retry, though a single worker never conflicts).
-func driveTxns(b *testing.B, w *core.Worker, wl core.Workload, n int) {
+func driveTxns(b testing.TB, w *core.Worker, wl core.Workload, n int) {
 	b.Helper()
 	p := w.P
 	for i := 0; i < n; i++ {
@@ -85,18 +100,7 @@ func BenchmarkTxnYCSB(b *testing.B) {
 	for _, s := range txnSchemes() {
 		s := s
 		b.Run(s.name, func(b *testing.B) {
-			rt := native.New(1, 42)
-			db := core.NewDB(rt)
-			cfg := ycsb.DefaultConfig()
-			cfg.Rows = 16384
-			cfg.Partitioned = s.name == "HSTORE" // H-STORE needs declared partitions
-			wl := ycsb.Build(db, cfg)
-			scheme := s.mk()
-			scheme.Setup(db)
-			w := core.NewWorker(rt.Proc(0), db, scheme)
-			w.BindWorkload(wl)
-
-			driveTxns(b, w, wl, txnWarmup)
+			w, wl := txnYCSBWorker(b, s.name, s.mk())
 			b.ReportAllocs()
 			b.ResetTimer()
 			driveTxns(b, w, wl, b.N)
@@ -119,8 +123,7 @@ func BenchmarkTxnYCSB(b *testing.B) {
 // one whose inserts also go through ordered indexes (and whose Delivery,
 // OrderStatus and StockLevel range-scan them). Its allocs/txn metric is the
 // unrounded allocs/op: B+tree growth is a fraction of an allocation per
-// transaction, which allocs/op floors to 0 — CI reads both, at a fixed
-// iteration count.
+// transaction, which allocs/op floors to 0.
 func BenchmarkTxnTPCC(b *testing.B) {
 	for _, s := range txnSchemes() {
 		s := s
@@ -132,17 +135,7 @@ func BenchmarkTxnTPCC(b *testing.B) {
 }
 
 func benchTxnTPCC(b *testing.B, scheme core.Scheme, mix string) {
-	rt := native.New(1, 42)
-	db := core.NewDB(rt)
-	cfg := tpcc.DefaultConfig(1)
-	cfg.Mix = mix
-	cfg.InsertsPerWorker = txnWarmup + b.N + 64
-	wl := tpcc.Build(db, cfg)
-	scheme.Setup(db)
-	w := core.NewWorker(rt.Proc(0), db, scheme)
-	w.BindWorkload(wl)
-
-	driveTxns(b, w, wl, txnWarmup)
+	w, wl := txnTPCCWorker(b, scheme, mix, b.N)
 	b.ReportAllocs()
 	_, mallocs := allocated(func() {
 		b.ResetTimer()
@@ -153,4 +146,60 @@ func benchTxnTPCC(b *testing.B, scheme core.Scheme, mix string) {
 	if w.Tally.Latency.Count() == 0 {
 		b.Fatal("latency histogram recorded nothing; observability path not exercised")
 	}
+}
+
+// txnYCSBWorker returns one native worker, warmed up, bound to a 16 384-row
+// YCSB database under scheme.
+func txnYCSBWorker(tb testing.TB, name string, scheme core.Scheme) (*core.Worker, core.Workload) {
+	rt := native.New(1, 42)
+	db := core.NewDB(rt)
+	cfg := ycsb.DefaultConfig()
+	cfg.Rows = 16384
+	cfg.Partitioned = name == "HSTORE" // H-STORE needs declared partitions
+	return txnWorker(tb, rt, db, scheme, ycsb.Build(db, cfg))
+}
+
+// txnTPCCWorker returns one native worker, warmed up, bound to a
+// one-warehouse TPC-C database under scheme with room for n more inserts.
+func txnTPCCWorker(tb testing.TB, scheme core.Scheme, mix string, n int) (*core.Worker, core.Workload) {
+	rt := native.New(1, 42)
+	db := core.NewDB(rt)
+	cfg := tpcc.DefaultConfig(1)
+	cfg.Mix = mix
+	cfg.InsertsPerWorker = txnWarmup + n + 64
+	return txnWorker(tb, rt, db, scheme, tpcc.Build(db, cfg))
+}
+
+// txnWorker sets scheme up on db and returns worker 0, bound to wl, after
+// txnWarmup transactions.
+func txnWorker(tb testing.TB, rt *native.Runtime, db *core.DB, scheme core.Scheme, wl core.Workload) (*core.Worker, core.Workload) {
+	scheme.Setup(db)
+	w := core.NewWorker(rt.Proc(0), db, scheme)
+	w.BindWorkload(wl)
+	driveTxns(tb, w, wl, txnWarmup)
+	return w, wl
+}
+
+// TestTxnAllocBudget: after warm-up, a completed YCSB or TPC-C transaction
+// allocates at most txnAllocBudget times under every scheme (allocs/op as
+// -benchmem floors it, over txnAllocRuns transactions), and the full TPC-C
+// mix at most fullMixAllocBudget times per transaction.
+func TestTxnAllocBudget(t *testing.T) {
+	const txnAllocRuns = 100
+	check := func(what string, n int, most float64, round func(float64) float64, w *core.Worker, wl core.Workload) {
+		_, mallocs := allocated(func() { driveTxns(t, w, wl, n) })
+		a := float64(mallocs) / float64(n)
+		if round(a) > most {
+			t.Errorf("%s: %.3f allocs/txn over %d transactions, budget %g", what, a, n, most)
+		}
+		t.Logf("%-16s %6.3f allocs/txn over %d transactions", what, a, n)
+	}
+	for _, s := range txnSchemes() {
+		w, wl := txnYCSBWorker(t, s.name, s.mk())
+		check("YCSB "+s.name, txnAllocRuns, txnAllocBudget, math.Floor, w, wl)
+		w, wl = txnTPCCWorker(t, s.mk(), tpcc.MixPaper, txnAllocRuns)
+		check("TPC-C "+s.name, txnAllocRuns, txnAllocBudget, math.Floor, w, wl)
+	}
+	w, wl := txnTPCCWorker(t, twopl.New(twopl.DLDetect, twopl.Options{}), tpcc.MixFull, fullMixTxns)
+	check("full TPC-C mix", fullMixTxns, fullMixAllocBudget, func(a float64) float64 { return a }, w, wl)
 }

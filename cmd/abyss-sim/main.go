@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"abyss1000/abyss"
+	"abyss1000/bench"
 	"abyss1000/cmd/internal/cli"
 
 	// Register the chaos fuzz workload and the SmallBank and TATP
@@ -64,8 +65,8 @@ func main() {
 		hot      = flag.Int("hot", 0, "SmallBank hotspot size (customers)")
 		hotPct   = flag.Float64("hotpct", -1, "fraction of accesses hitting the hotspot, in [0, 1]")
 
-		warmup  = flag.Uint64("warmup", 300_000, "warmup cycles (ns if native)")
-		measure = flag.Uint64("measure", 1_500_000, "measurement cycles (ns if native)")
+		warmup  = flag.Uint64("warmup", 300_000, "warmup cycles (ns if native; 5 ms if native and neither window flag is given)")
+		measure = flag.Uint64("measure", 1_500_000, "measurement cycles (ns if native; 50 ms if native and neither window flag is given)")
 
 		// Correctness knobs.
 		check = flag.Bool("check", false, "capture the run's transaction history and verify serializability plus final-state equivalence; non-zero exit and a repro line on failure")
@@ -104,7 +105,7 @@ func main() {
 		fail(err)
 	}
 
-	if *runtimeSel == abyss.RuntimeNative && *measure < 10_000_000 {
+	if *runtimeSel == abyss.RuntimeNative && !flagGiven("warmup") && !flagGiven("measure") {
 		*warmup, *measure = 5_000_000, 50_000_000 // sensible wall-clock window
 	}
 
@@ -198,7 +199,7 @@ func main() {
 		params.MPParts = 2
 	}
 	if *workload == "tpcc" {
-		params.InsertsPerWorker = int(*measure/1000) + 1024
+		params.InsertsPerWorker = bench.TPCCInsertsPerWorker(*warmup + *measure)
 	}
 
 	if flagGiven("interval") && *interval == 0 {

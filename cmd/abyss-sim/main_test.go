@@ -171,3 +171,28 @@ func TestFullMixAndTATPCLI(t *testing.T) {
 		t.Fatalf("-list does not mention tatp:\n%s", list)
 	}
 }
+
+// TestExplicitWindow: the window a command line gives is the window the run
+// takes. TPC-C's insert segments are sized for warm-up and measurement
+// together, so a long warm-up before a short measurement does not exhaust
+// HISTORY's; and a native run keeps an explicit -warmup and -measure,
+// whatever their size, instead of the 5 ms + 50 ms default it takes when
+// neither is given.
+func TestExplicitWindow(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary twice")
+	}
+	bin := buildSim(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workload", "tpcc", "-scheme", "HSTORE", "-cores", "1", "-warmup", "8000000", "-measure", "200000"}, "HSTORE"},
+		{[]string{"-runtime", "native", "-cores", "2", "-rows", "4096", "-warmup", "1000", "-measure", "2000000", "-interval", "1000000"}, "[2000000/2000000]"},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		if err != nil || !strings.Contains(string(out), tc.want) {
+			t.Errorf("abyss-sim %s: %v, want %q in:\n%s", strings.Join(tc.args, " "), err, tc.want, out)
+		}
+	}
+}

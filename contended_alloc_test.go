@@ -17,7 +17,8 @@ import (
 // timer are live. Once the hot tuples have spilled and the lists have grown
 // (the first interval is the warm-up), a completed transaction must allocate
 // nothing but MVCC's amortized version-pool refills and chain growth — the
-// budget CI applies to BenchmarkTxn*, 3 for MVCC and 0 for everyone else.
+// budget TestTxnAllocBudget applies to one worker, 3 for MVCC and 0 for
+// everyone else.
 //
 // Zero is stated as a rate, because a wait is rare next to a commit: with a
 // heap timer per wait the parent of this change measured 0.06-0.09 mallocs

@@ -2,6 +2,7 @@ package abyss1000_test
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -88,6 +89,24 @@ var (
 	}
 )
 
+// checkFootprintMatrix fails t unless both footprint tests cover seven
+// schemes on two runtimes: fourteen cases, each at both table sizes, and
+// the insert-only index on both runtimes.
+func checkFootprintMatrix(t *testing.T) {
+	if len(footprintSchemes) != 7 || len(footprintRuntimes) != 2 {
+		t.Fatalf("footprint matrix: %d schemes on %d runtimes, want 7 on 2", len(footprintSchemes), len(footprintRuntimes))
+	}
+}
+
+// pinMVCC fails t unless MVCC's bytes per tuple, rounded by round, are its
+// budget exactly: at rest a tuple is its floor version and a latch,
+// whatever was written to it.
+func pinMVCC(t *testing.T, scheme, what string, perTuple, budget float64, round func(float64) float64) {
+	if scheme == "MVCC" && round(perTuple) != budget {
+		t.Errorf("MVCC %s: %.1f B/tuple, want %.0f B exactly: the floor version and its latch", what, perTuple, budget)
+	}
+}
+
 func footprintSchema() *storage.Schema {
 	return storage.NewSchema("T", storage.Col{Name: "K", Width: 8}, storage.Col{Name: "V", Width: 8})
 }
@@ -102,6 +121,7 @@ func footprintSchema() *storage.Schema {
 // The log lines are the source of the "resident bytes per tuple" tables in
 // README.md and EXPERIMENTS.md.
 func TestResidentFootprint(t *testing.T) {
+	checkFootprintMatrix(t)
 	for ri, r := range footprintRuntimes {
 		for _, s := range footprintSchemes {
 			t.Run(s.name+"/"+r.name, func(t *testing.T) {
@@ -133,6 +153,7 @@ func TestResidentFootprint(t *testing.T) {
 							s.name, rows, perSlot, objects, s.budget[ri], setupBudget)
 					}
 					runtime.KeepAlive(scheme)
+					pinMVCC(t, s.name, "Setup", perSlot, s.budget[ri], func(x float64) float64 { return math.Round(x*10) / 10 })
 					if rows == footprintRows {
 						idxSmall, setupSmall = idxObjects, objects
 						t.Logf("footprint %-9s %-6s  %6.1f B/tuple in %d objects  %5.1f B/bucket in %d objects",
@@ -202,6 +223,7 @@ func TestReservedCapacityIsFree(t *testing.T) {
 	schema := footprintSchema()
 	rowBytes := float64(schema.RowSize())
 	pages := float64((inserts + slot.PageSlots - 1) / slot.PageSlots * slot.PageSlots)
+	checkFootprintMatrix(t)
 	for ri, r := range footprintRuntimes {
 		for _, s := range footprintSchemes {
 			t.Run(s.name+"/"+r.name, func(t *testing.T) {
@@ -268,6 +290,7 @@ func TestReservedCapacityIsFree(t *testing.T) {
 							inserts, rows, grown, budget, budget/pages, pages)
 					}
 					runtime.KeepAlive(scheme)
+					pinMVCC(t, s.name, "Setup with reserved slots", perTuple, s.budget[ri], math.Floor)
 					t.Logf("reserved %-9s %-6s  %6.1f B/tuple with %d slots reserved  %5.1f B/slot over %d inserts",
 						s.name, r.name, perTuple, l.Cap-rows, float64(grown)/inserts, inserts)
 				}

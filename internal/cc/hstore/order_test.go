@@ -4,12 +4,12 @@ package hstore
 // touches in any order, repeats allowed, and Begin locks each once, in
 // ascending order. A scheme that trusted the declared set would wait on
 // its own lock for [0, 0] and deadlock [1, 0] beside [0, 1]; on the
-// simulator both spin in ParkTimeout for ever, so run these tests under
-// -timeout.
+// simulator both spin in ParkTimeout for ever, so each run is bounded.
 
 import (
 	"slices"
 	"testing"
+	"time"
 
 	"abyss1000/internal/cctest"
 	"abyss1000/internal/core"
@@ -17,6 +17,26 @@ import (
 	"abyss1000/internal/stats"
 	"abyss1000/internal/tsalloc"
 )
+
+// orderBound is the wall clock a run of these tests may take; a normal one
+// takes milliseconds.
+const orderBound = 5 * time.Second
+
+// bounded runs f.Engine.Run(body) and fails t if it has not returned
+// within orderBound. A hung run keeps spinning until the test binary exits.
+func bounded(t *testing.T, f *cctest.Fixture, body func(p rt.Proc)) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.Engine.Run(body)
+	}()
+	select {
+	case <-done:
+	case <-time.After(orderBound):
+		t.Fatalf("the run did not end within %v: a transaction waits for a partition it holds, or two for each other's", orderBound)
+	}
+}
 
 // lockOrder is the order Begin locked tx's partitions in.
 func lockOrder(tx *core.TxnCtx) []int {
@@ -37,7 +57,7 @@ func TestDeclaredOrderIsNormalized(t *testing.T) {
 		scheme := New(tsalloc.Atomic)
 		scheme.Setup(f.DB)
 		var got []int
-		f.Engine.Run(func(p rt.Proc) {
+		bounded(t, f, func(p rt.Proc) {
 			if p.ID() != 0 {
 				return
 			}
@@ -76,7 +96,7 @@ func TestOppositeDeclarationsBothCommit(t *testing.T) {
 	scheme.Setup(f.DB)
 	declared := [][]int{{1, 0}, {0, 1}}
 	orders := make([][]int, 2)
-	f.Engine.Run(func(p rt.Proc) {
+	bounded(t, f, func(p rt.Proc) {
 		w := core.NewWorker(p, f.DB, scheme)
 		id := p.ID()
 		err := w.ExecOnce(&cctest.Txn{
@@ -115,7 +135,7 @@ func TestBeginAllocatesNothing(t *testing.T) {
 		Parts: []int{3, 1, 3, 0},
 		Body:  func(*core.TxnCtx) error { return nil },
 	}
-	f.Engine.Run(func(p rt.Proc) {
+	bounded(t, f, func(p rt.Proc) {
 		if p.ID() != 0 {
 			return
 		}

@@ -7,16 +7,17 @@ import (
 
 	"abyss1000/internal/index"
 	"abyss1000/internal/native"
+	"abyss1000/internal/rt"
 	"abyss1000/internal/storage"
 )
 
 // Index-layer microbenchmarks: one operation per iteration on the native
 // runtime (a latch is a mutex, Tick a counter bump), one worker, so the
 // numbers are the structure's own cost. Run with -benchmem: B/op and
-// allocs/op are exact and are the gated part — the hash index must read 0
-// allocs/op and an ordered insert must stay far below one allocation (a leaf
-// chunk per 64 leaf splits, an inner node per inner split); ns/op on a shared
-// host is advisory. BENCH_index.json records the trajectory.
+// allocs/op are exact — the hash index allocates nothing (TestHashAllocFree)
+// and an ordered insert stays far below one allocation (a leaf chunk per 64
+// leaf splits, an inner node per inner split); ns/op on a shared host is
+// advisory. BENCH_index.json records the trajectory.
 
 var benchSink int
 
@@ -29,35 +30,79 @@ func benchTable(capacity int) (*native.Runtime, *storage.Table) {
 // composite keys do, so chains are not artificially perfect.
 func benchKey(slot int) uint64 { return uint64(slot) * 0x9e3779b1 }
 
-// BenchmarkHashLookup probes a 64 Ki-row index sized like the workloads
-// size theirs (one bucket per key), hits only.
-func BenchmarkHashLookup(b *testing.B) {
-	const rows = 1 << 16
-	run, tab := benchTable(rows)
-	idx := index.New(run, tab, rows)
-	for s := 0; s < rows; s++ {
+// hashRows is the size of BenchmarkHashLookup's index.
+const hashRows = 1 << 16
+
+// lookupIndex returns a hashRows-row index sized like the workloads size
+// theirs (one bucket per key), and its worker.
+func lookupIndex() (*index.Hash, rt.Proc) {
+	run, tab := benchTable(hashRows)
+	idx := index.New(run, tab, hashRows)
+	for s := 0; s < hashRows; s++ {
 		idx.LoadInsert(benchKey(s), s)
 	}
-	p := run.Proc(0)
+	return idx, run.Proc(0)
+}
+
+// insertIndex returns an empty index over n slots, one bucket per slot, and
+// its worker.
+func insertIndex(n int) (*index.Hash, rt.Proc) {
+	run, tab := benchTable(n)
+	return index.New(run, tab, n), run.Proc(0)
+}
+
+// BenchmarkHashLookup probes a lookupIndex, hits only.
+func BenchmarkHashLookup(b *testing.B) {
+	idx, p := lookupIndex()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slot, _ := idx.Lookup(p, benchKey(i&(rows-1)))
+		slot, _ := idx.Lookup(p, benchKey(i&(hashRows-1)))
 		benchSink += slot
 	}
 }
 
-// BenchmarkHashInsert publishes b.N fresh slots into an index with one
-// bucket per slot: the runtime insert path of TPC-C's ORDERS, ORDER_LINE and
-// HISTORY appends, chains of three and more included.
+// BenchmarkHashInsert publishes b.N fresh slots into an insertIndex: the
+// runtime insert path of TPC-C's ORDERS, ORDER_LINE and HISTORY appends,
+// chains of three and more included.
 func BenchmarkHashInsert(b *testing.B) {
-	run, tab := benchTable(b.N)
-	idx := index.New(run, tab, b.N)
-	p := run.Proc(0)
+	idx, p := insertIndex(b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.Insert(p, benchKey(i), i)
+	}
+}
+
+// TestHashAllocFree: a hash probe and a hash insert allocate nothing. Over
+// 100 000 of each, B/op reads 0 as -benchmem floors it, and the heap gains
+// at most 100 objects: what the Go runtime and the test framework allocate
+// now and then (up to 5 objects and 5 KiB seen), where one allocation per
+// operation would be 100 000.
+func TestHashAllocFree(t *testing.T) {
+	const ops, strayObjects, strayBytes = 100_000, 100, 100_000 - 1
+	look, lp := lookupIndex()
+	ins, ip := insertIndex(ops)
+	for name, op := range map[string]func(){
+		"Lookup": func() {
+			for i := 0; i < ops; i++ {
+				slot, _ := look.Lookup(lp, benchKey(i&(hashRows-1)))
+				benchSink += slot
+			}
+		},
+		"Insert": func() {
+			for i := 0; i < ops; i++ {
+				ins.Insert(ip, benchKey(i), i)
+			}
+		},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		op()
+		runtime.ReadMemStats(&after)
+		if b, n := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs; b > strayBytes || n > strayObjects {
+			t.Errorf("%d hash %ss allocated %d B in %d objects, want none", ops, name, b, n)
+		}
 	}
 }
 
