@@ -424,13 +424,14 @@ func (db *DB) Go(body func(p Proc)) error {
 type RunConfig = core.Config
 
 // DefaultRunConfig returns a window sized for quick experiments on this
-// DB's runtime: ~0.4 ms simulated (sim) or ~50 ms wall-clock (native)
-// of measurement after warmup.
+// DB's runtime, with the engine's base abort backoff: 0.3 ms of simulated
+// warmup and 1.5 ms of measurement (sim), or 5 ms and 50 ms wall-clock
+// (native).
 func (db *DB) DefaultRunConfig() RunConfig {
 	if db.opts.Runtime == RuntimeNative {
 		return RunConfig{WarmupCycles: 5_000_000, MeasureCycles: 50_000_000, AbortBackoff: costs.BackoffBase}
 	}
-	return core.DefaultConfig()
+	return RunConfig{WarmupCycles: 300_000, MeasureCycles: 1_500_000, AbortBackoff: costs.BackoffBase}
 }
 
 // prepareRun validates one measurement's arguments and claims the DB's

@@ -247,6 +247,9 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if rc := db.DefaultRunConfig(); rc.Validate() != nil || rc.WarmupCycles == 0 {
+		t.Fatalf("default run config %+v: want a valid window after a warm-up", rc)
+	}
 	if _, err := db.Run(nil, wl, db.DefaultRunConfig()); err == nil {
 		t.Fatal("nil scheme accepted")
 	}

@@ -25,9 +25,8 @@ func (p Params) ycsb(readPct, theta float64) ycsb.Config {
 // medium-contention YCSB workload under every scheme, once on the
 // simulator and once on real goroutines, up to the host's core count. The
 // claim under test is trend agreement, not absolute speed. The native
-// points are wall-clock measurements, so their jobs are Exclusive (the
-// runner never overlaps them with other work) and their values vary
-// run-to-run even at a fixed seed.
+// points are wall-clock measurements, so the runner never overlaps them
+// with other work, and their values vary run-to-run even at a fixed seed.
 func fig3(p Params) *spec {
 	cfg := p.ycsb(0.9, 0.6)
 	var cores []float64

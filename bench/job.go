@@ -26,8 +26,8 @@ const (
 	JobTPCC
 	// JobNativeYCSB runs a YCSB configuration on real goroutines (the
 	// Fig. 3 hardware-validation runs). Its Cfg windows are wall-clock
-	// nanoseconds, its results are wall-clock dependent, and it is
-	// always Exclusive so concurrent jobs cannot distort its timing.
+	// nanoseconds, its results are wall-clock dependent, and the Runner
+	// executes it alone so concurrent jobs cannot distort its timing.
 	JobNativeYCSB
 	// JobTsAlloc runs the Fig. 6 timestamp-allocation micro-benchmark:
 	// every simulated core draws timestamps back-to-back for
@@ -80,11 +80,6 @@ type Job struct {
 	// unchanged.
 	LogAccounting bool
 
-	// Exclusive marks jobs that must not run concurrently with any
-	// other job (native wall-clock runs). The Runner executes them one
-	// at a time after the parallel jobs drain.
-	Exclusive bool
-
 	// Cfg is the measurement window. Simulated cycles for sim kinds,
 	// wall-clock nanoseconds for JobNativeYCSB.
 	Cfg core.Config
@@ -118,22 +113,10 @@ func (j Job) scheme() core.Scheme {
 // Run executes the job and returns its result. Run is pure with respect
 // to the job description: same Job, same Result (except JobNativeYCSB,
 // whose results depend on real time), and it touches no shared state, so
-// any number of Runs may proceed concurrently.
+// any number of Runs may proceed concurrently. Cfg reaches the engine
+// unchanged; JobTsAlloc drives its own measurement loop and reads only
+// Cfg.MeasureCycles.
 func (j Job) Run() core.Result {
-	return j.RunSampled(0, nil)
-}
-
-// RunSampled is Run with interval sampling enabled for the engine-backed
-// job kinds: every `every` cycles of the measurement window one
-// core.Sample is delivered to obs (both set, or neither). Sampling is
-// accounting-only, so the returned Result is identical to Run's — the
-// property the CI smoke step pins by comparing sampled and unsampled
-// report JSON. JobTsAlloc drives its own measurement loop and ignores
-// sampling. The observer rides a local copy of Cfg, so the Job itself
-// stays comparable.
-func (j Job) RunSampled(every uint64, obs core.Observer) core.Result {
-	cfg := j.Cfg
-	cfg.SampleEvery, cfg.Observer = every, obs
 	var db *core.DB
 	var wl core.Workload
 	switch j.Kind {
@@ -157,7 +140,7 @@ func (j Job) RunSampled(every uint64, obs core.Observer) core.Result {
 		// Accounting-only WAL: in-memory sink, synchronous group commit.
 		db.Wal = wal.NewWriter(wal.NewMemSink(), wal.Config{})
 	}
-	return core.Run(db, j.scheme(), wl, cfg)
+	return core.Run(db, j.scheme(), wl, j.Cfg)
 }
 
 // runTsAlloc is the Fig. 6 micro-benchmark: timestamps drawn back-to-back
@@ -232,7 +215,7 @@ func (p Params) timeoutJob(timeout uint64, disableDetect bool, cores int, ycfg y
 }
 
 // nativeJob describes one Fig. 3 native-hardware point; its windows are
-// wall-clock nanoseconds and it runs exclusively.
+// wall-clock nanoseconds.
 func (p Params) nativeJob(scheme string, cores int, ycfg ycsb.Config) Job {
 	return Job{
 		Kind:          JobNativeYCSB,
@@ -241,7 +224,6 @@ func (p Params) nativeJob(scheme string, cores int, ycfg ycsb.Config) Job {
 		Scheme:        scheme,
 		TsMethod:      tsalloc.Atomic,
 		LogAccounting: p.LogAccounting,
-		Exclusive:     true,
 		Cfg: core.Config{
 			WarmupCycles:  p.NativeWarmupNS,
 			MeasureCycles: p.NativeMeasureNS,

@@ -96,38 +96,6 @@ func floats(ints []int) []float64 {
 	return out
 }
 
-// discardSamples is the sink for harness-level sampling: the smoke runs
-// only verify that sampling does not change results, so the samples
-// themselves are dropped.
-type discardSamples struct{}
-
-// OnSample implements core.Observer.
-func (discardSamples) OnSample(core.Sample) {}
-
-// sampleSink returns the discarding observer when sampling is on, nil
-// otherwise (core skips the sampler entirely for a nil observer).
-func sampleSink(every uint64) core.Observer {
-	if every == 0 {
-		return nil
-	}
-	return discardSamples{}
-}
-
-// ValidateSampling reports whether every data point at scale p can run
-// with Runner.SampleEvery set to every: the period must suit both the
-// simulated window and the native Fig. 3 window (wall-clock nanoseconds).
-// Run it before building figures — an unsuitable period would otherwise
-// surface as the engine's invalid-config panic on a pool worker.
-func (p Params) ValidateSampling(every uint64) error {
-	for _, window := range []uint64{p.MeasureCycles, p.NativeMeasureNS} {
-		cfg := core.Config{MeasureCycles: window, SampleEvery: every, Observer: sampleSink(every)}
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Progress reports worker-pool completion to Runner.OnProgress.
 type Progress struct {
 	// Done and Total count completed and enumerated jobs.
@@ -154,13 +122,6 @@ type Runner struct {
 	// Calls are serialized; the callback must not block for long.
 	OnProgress func(Progress)
 
-	// SampleEvery, when positive, runs every engine-backed job with
-	// interval sampling enabled at this period (samples are discarded).
-	// Sampling is accounting-only, so results — and the rendered
-	// figures, JSON and CSV — are byte-identical to an unsampled run;
-	// the CI smoke step exercises exactly that equivalence.
-	SampleEvery uint64
-
 	// Stop, when non-nil and set, makes the runner stop dispatching new
 	// jobs: in-flight jobs drain normally and every undispatched job
 	// yields a zero Result, so a figure can still be assembled from the
@@ -179,8 +140,8 @@ func (r *Runner) workers() int {
 	return r.Workers
 }
 
-// Execute runs every job and returns results in job order. Jobs marked
-// Exclusive (native wall-clock runs) execute one at a time after the
+// Execute runs every job and returns results in job order. Native
+// wall-clock jobs (JobNativeYCSB) execute one at a time after the
 // parallel jobs drain, so pool contention cannot distort their timing.
 func (r *Runner) Execute(jobs []Job) []core.Result {
 	if r == nil {
@@ -189,7 +150,7 @@ func (r *Runner) Execute(jobs []Job) []core.Result {
 	results := make([]core.Result, len(jobs))
 	var pool, exclusive []int
 	for i, j := range jobs {
-		if j.Exclusive {
+		if j.Kind == JobNativeYCSB {
 			exclusive = append(exclusive, i)
 		} else {
 			pool = append(pool, i)
@@ -214,7 +175,6 @@ func (r *Runner) Execute(jobs []Job) []core.Result {
 		r.OnProgress(Progress{Done: done, Total: len(jobs), Elapsed: elapsed, Remaining: remaining, Last: jobs[i]})
 	}
 
-	every := r.SampleEvery
 	ch := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < r.workers(); w++ {
@@ -222,7 +182,7 @@ func (r *Runner) Execute(jobs []Job) []core.Result {
 		go func() {
 			defer wg.Done()
 			for i := range ch {
-				results[i] = jobs[i].RunSampled(every, sampleSink(every))
+				results[i] = jobs[i].Run()
 				complete(i)
 			}
 		}()
@@ -240,7 +200,7 @@ func (r *Runner) Execute(jobs []Job) []core.Result {
 		if r.stopped() {
 			break
 		}
-		results[i] = jobs[i].RunSampled(every, sampleSink(every))
+		results[i] = jobs[i].Run()
 		complete(i)
 	}
 	return results

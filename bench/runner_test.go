@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"abyss1000/internal/core"
 	"abyss1000/internal/tsalloc"
 )
 
@@ -79,56 +78,6 @@ func TestSerialParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestSampledUnsampledEquivalence pins that Runner.SampleEvery is
-// accounting-only: a run with interval sampling enabled produces
-// byte-identical figure text, JSON and CSV to a run without — the same
-// equivalence the CI smoke step checks end-to-end through abyss-bench
-// -sample. Both a wide pool and the serial pool of one are covered.
-func TestSampledUnsampledEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs ~40 small simulations twice")
-	}
-	p := tinyParams()
-	es := equivalenceExperiments(t)
-	meta := RunMeta{Paper: "test", Scale: "tiny", Params: p}
-
-	for _, workers := range []int{1, 4} {
-		plain := NewReport(meta, es, BuildAll(es, p, &Runner{Workers: workers}))
-		sampled := NewReport(meta, es, BuildAll(es, p, &Runner{Workers: workers, SampleEvery: p.MeasureCycles / 8}))
-		pj, err := plain.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sj, err := sampled.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(pj) != string(sj) {
-			t.Errorf("workers=%d: sampling changed the JSON report", workers)
-		}
-		if plain.CSV() != sampled.CSV() {
-			t.Errorf("workers=%d: sampling changed the CSV report", workers)
-		}
-	}
-}
-
-// TestValidateSampling pins abyss-bench's -sample gate: the period must
-// suit both windows of the scale, and zero (sampling off) always does.
-func TestValidateSampling(t *testing.T) {
-	p := Quick()
-	for _, ok := range []uint64{0, p.MeasureCycles / 8, p.MeasureCycles} {
-		if err := p.ValidateSampling(ok); err != nil {
-			t.Errorf("ValidateSampling(%d) = %v, want nil", ok, err)
-		}
-	}
-	if err := p.ValidateSampling(p.MeasureCycles + 1); err == nil || !strings.Contains(err.Error(), "MeasureCycles") {
-		t.Errorf("a period longer than the simulated window: got %v", err)
-	}
-	if err := p.ValidateSampling(1); err == nil || !strings.Contains(err.Error(), "coarser") {
-		t.Errorf("a period beyond the interval cap: got %v", err)
-	}
-}
-
 // TestJobsEnumerate checks that every registered experiment enumerates a
 // non-empty, fully-described job list without running any simulation.
 func TestJobsEnumerate(t *testing.T) {
@@ -147,9 +96,6 @@ func TestJobsEnumerate(t *testing.T) {
 			}
 			if j.Seed != p.Seed {
 				t.Errorf("experiment %s job %d has seed %d, want %d", e.ID, i, j.Seed, p.Seed)
-			}
-			if j.Kind == JobNativeYCSB && !j.Exclusive {
-				t.Errorf("experiment %s job %d: native jobs must be exclusive", e.ID, i)
 			}
 			if j.Label() == "" {
 				t.Errorf("experiment %s job %d has no label", e.ID, i)
@@ -208,17 +154,21 @@ func TestRunnerProgress(t *testing.T) {
 	}
 }
 
-// TestRunnerExclusiveOrdering checks exclusive jobs still return results
-// in job order.
+// TestRunnerExclusiveOrdering checks that a native job runs alone after
+// the pool's jobs drain and that its result still lands at its own index.
 func TestRunnerExclusiveOrdering(t *testing.T) {
 	p := tinyParams()
+	p.NativeWarmupNS, p.NativeMeasureNS = 100_000, 1_000_000
 	jobs := []Job{
 		p.tsallocJob(tsalloc.Atomic, 2),
-		{Kind: JobTsAlloc, Cores: 3, Seed: p.Seed, TsMethod: tsalloc.Atomic, Exclusive: true,
-			Cfg: core.Config{MeasureCycles: p.MeasureCycles}},
+		p.nativeJob("NO_WAIT", 3, p.ycsb(0.9, 0.6)),
 		p.tsallocJob(tsalloc.Atomic, 4),
 	}
-	results := (&Runner{Workers: 2}).Execute(jobs)
+	var last Job
+	results := (&Runner{Workers: 2, OnProgress: func(pr Progress) { last = pr.Last }}).Execute(jobs)
+	if last != jobs[1] {
+		t.Errorf("last job to complete was %s, want the native job", last.Label())
+	}
 	for i, want := range []int{2, 3, 4} {
 		if results[i].Workers != want {
 			t.Errorf("result %d has %d workers, want %d", i, results[i].Workers, want)

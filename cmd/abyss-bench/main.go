@@ -56,7 +56,6 @@ func main() {
 		csvOut   = flag.Bool("csv", false, "emit every data point as a CSV row on stdout (suppresses figure text)")
 		quiet    = flag.Bool("quiet", false, "suppress progress reporting on stderr")
 		verify   = flag.Bool("verify", false, "after the figures, print one verdict per claim the experiments make (text output only)")
-		sample   = flag.Uint64("sample", 0, "run every data point with interval sampling enabled at this cycle period (accounting-only: output is byte-identical to an unsampled run; 0 disables)")
 		logAcc   = flag.Bool("log", false, "attach an accounting-only write-ahead log to every data point: throughput/abort series stay byte-identical to an unlogged run (the schedule is unchanged); breakdown tables gain the Log component's share")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to `file`")
 		memProf  = flag.String("memprofile", "", "write a heap profile to `file` at exit")
@@ -87,10 +86,6 @@ func main() {
 	if *cores > 0 {
 		params.MaxCores = *cores
 		scale = "custom"
-	}
-	if err := params.ValidateSampling(*sample); err != nil {
-		fmt.Fprintf(os.Stderr, "abyss-bench: -sample %d: %v\n", *sample, err)
-		os.Exit(2)
 	}
 
 	switch {
@@ -125,7 +120,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "abyss-bench:", err)
 			os.Exit(1)
 		}
-		interrupted, err := runExperiments(experiments, params, scale, *parallel, *sample, *jsonOut, *csvOut, *quiet, *all, *verify)
+		interrupted, err := runExperiments(experiments, params, scale, *parallel, *jsonOut, *csvOut, *quiet, *all, *verify)
 		stopProfiles()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "abyss-bench:", err)
@@ -180,9 +175,9 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 // writes the requested output format to stdout. A SIGINT mid-sweep stops
 // dispatching data points: in-flight points drain, the figures (with the
 // remaining points zeroed) are still rendered, and the caller exits 130.
-func runExperiments(experiments []bench.Experiment, params bench.Params, scale string, parallel int, sample uint64, jsonOut, csvOut, quiet, withTable2, verify bool) (interrupted bool, err error) {
+func runExperiments(experiments []bench.Experiment, params bench.Params, scale string, parallel int, jsonOut, csvOut, quiet, withTable2, verify bool) (interrupted bool, err error) {
 	var stop atomic.Bool
-	runner := &bench.Runner{Workers: parallel, SampleEvery: sample, Stop: &stop}
+	runner := &bench.Runner{Workers: parallel, Stop: &stop}
 	if !quiet {
 		runner.OnProgress = progressPrinter()
 	}

@@ -65,8 +65,8 @@ func main() {
 		hot      = flag.Int("hot", 0, "SmallBank hotspot size (customers)")
 		hotPct   = flag.Float64("hotpct", -1, "fraction of accesses hitting the hotspot, in [0, 1]")
 
-		warmup  = flag.Uint64("warmup", 300_000, "warmup cycles (ns if native; 5 ms if native and neither window flag is given)")
-		measure = flag.Uint64("measure", 1_500_000, "measurement cycles (ns if native; 50 ms if native and neither window flag is given)")
+		warmup  = flag.Uint64("warmup", 0, "warmup cycles, ns if native (default 300000 cycles, or 5 ms if native: the DB's DefaultRunConfig)")
+		measure = flag.Uint64("measure", 0, "measurement cycles, ns if native (default 1500000 cycles, or 50 ms if native: the DB's DefaultRunConfig)")
 
 		// Correctness knobs.
 		check = flag.Bool("check", false, "capture the run's transaction history and verify serializability plus final-state equivalence; non-zero exit and a repro line on failure")
@@ -87,7 +87,6 @@ func main() {
 
 		// Durability knobs.
 		walDest    = flag.String("wal", "", "write-ahead log destination: 'mem' or a file path (empty disables durability)")
-		walAsync   = flag.Bool("wal-async", false, "real background group commit with durability waits (meant for -runtime native; default is accounting-only logging)")
 		crashAfter = flag.Int64("crash-after", -1, "inject a crash: tear the log at this byte offset and fail it thereafter (negative disables)")
 		doRecover  = flag.Bool("recover", false, "after the run, replay the log onto a fresh DB and verify the recovered state")
 		doCkpt     = flag.Bool("checkpoint", false, "append a checkpoint to the log after the run (recovery then starts from it)")
@@ -105,12 +104,10 @@ func main() {
 		fail(err)
 	}
 
-	if *runtimeSel == abyss.RuntimeNative && !flagGiven("warmup") && !flagGiven("measure") {
-		*warmup, *measure = 5_000_000, 50_000_000 // sensible wall-clock window
-	}
-
 	// Durability setup: pick the sink, optionally wrapped with a byte-
-	// offset fault point that tears the stream like a machine crash.
+	// offset fault point that tears the stream like a machine crash. The
+	// log mode follows the runtime: native workers wait for their group's
+	// fsync; simulated ones log for accounting only.
 	var (
 		dur     *abyss.Durability
 		memSink *abyss.MemLogSink
@@ -138,12 +135,19 @@ func main() {
 		if *crashAfter >= 0 {
 			sink = abyss.NewFaultLogSink(sink, *crashAfter)
 		}
-		dur = &abyss.Durability{Sink: sink, Async: *walAsync}
+		dur = &abyss.Durability{Sink: sink, Async: *runtimeSel == abyss.RuntimeNative}
 	}
 
 	db, err := abyss.Open(abyss.Options{Runtime: *runtimeSel, Cores: *cores, Seed: *seed, Durability: dur})
 	if err != nil {
 		fail(err)
+	}
+	rc := db.DefaultRunConfig()
+	if flagGiven("warmup") {
+		rc.WarmupCycles = *warmup
+	}
+	if flagGiven("measure") {
+		rc.MeasureCycles = *measure
 	}
 
 	params, err := abyss.DefaultWorkloadParams(*workload)
@@ -195,11 +199,8 @@ func main() {
 		params.HotAccounts = *hot
 	}
 	params.Partitioned = *part || *schemeName == "HSTORE"
-	if params.MPParts < 2 {
-		params.MPParts = 2
-	}
 	if *workload == "tpcc" {
-		params.InsertsPerWorker = bench.TPCCInsertsPerWorker(*warmup + *measure)
+		params.InsertsPerWorker = bench.TPCCInsertsPerWorker(rc.WarmupCycles + rc.MeasureCycles)
 	}
 
 	if flagGiven("interval") && *interval == 0 {
@@ -226,25 +227,20 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	rc := abyss.RunConfig{
-		WarmupCycles:  *warmup,
-		MeasureCycles: *measure,
-		AbortBackoff:  1000,
-		SampleEvery:   *interval,
-		Check:         *check,
-		Arrivals:      arr,
-		QueueDepth:    *qdepth,
-		ShedTypes:     *shedTypes,
-		Deadline:      *deadline,
-		RetryLimit:    *retryLimit,
-		BackoffCap:    *backoffCap,
-		Fault:         fault,
-	}
+	rc.SampleEvery = *interval
+	rc.Check = *check
+	rc.Arrivals = arr
+	rc.QueueDepth = *qdepth
+	rc.ShedTypes = *shedTypes
+	rc.Deadline = *deadline
+	rc.RetryLimit = *retryLimit
+	rc.BackoffCap = *backoffCap
+	rc.Fault = fault
 
 	var res abyss.Result
 	if *interval > 0 {
 		samples, wait := db.RunStream(scheme, wl, rc)
-		if streamSamples(samples, *measure, db) {
+		if streamSamples(samples, rc.MeasureCycles, db) {
 			// Interrupted: the workers were asked to drain; partial
 			// results were printed. Exit non-zero so scripts can tell a
 			// cut-short run from a completed one.
@@ -282,7 +278,7 @@ func main() {
 		if !rep.OK() {
 			fmt.Printf("serializability check: FAIL\n%s\n", rep)
 			fmt.Printf("repro: abyss-sim -check -workload %s -scheme %s -runtime %s -cores %d -seed %d -warmup %d -measure %d\n",
-				*workload, *schemeName, *runtimeSel, *cores, *seed, *warmup, *measure)
+				*workload, *schemeName, *runtimeSel, *cores, *seed, rc.WarmupCycles, rc.MeasureCycles)
 			os.Exit(1)
 		}
 		fmt.Printf("serializability check: PASS (%d txns, %d edges)\n", rep.Txns, rep.Edges)

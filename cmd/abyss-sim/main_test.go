@@ -175,12 +175,12 @@ func TestFullMixAndTATPCLI(t *testing.T) {
 // TestExplicitWindow: the window a command line gives is the window the run
 // takes. TPC-C's insert segments are sized for warm-up and measurement
 // together, so a long warm-up before a short measurement does not exhaust
-// HISTORY's; and a native run keeps an explicit -warmup and -measure,
-// whatever their size, instead of the 5 ms + 50 ms default it takes when
-// neither is given.
+// HISTORY's; a native run keeps an explicit -warmup and -measure, whatever
+// their size; and a flag not given leaves the DB's DefaultRunConfig window
+// (1.5 M cycles simulated, 50 ms native).
 func TestExplicitWindow(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs the binary twice")
+		t.Skip("builds and runs the binary four times")
 	}
 	bin := buildSim(t)
 	for _, tc := range []struct {
@@ -189,6 +189,8 @@ func TestExplicitWindow(t *testing.T) {
 	}{
 		{[]string{"-workload", "tpcc", "-scheme", "HSTORE", "-cores", "1", "-warmup", "8000000", "-measure", "200000"}, "HSTORE"},
 		{[]string{"-runtime", "native", "-cores", "2", "-rows", "4096", "-warmup", "1000", "-measure", "2000000", "-interval", "1000000"}, "[2000000/2000000]"},
+		{[]string{"-cores", "4", "-rows", "4096", "-interval", "750000"}, "[1500000/1500000]"},
+		{[]string{"-runtime", "native", "-cores", "2", "-rows", "4096", "-warmup", "1000", "-interval", "25000000"}, "[50000000/50000000]"},
 	} {
 		out, err := exec.Command(bin, tc.args...).CombinedOutput()
 		if err != nil || !strings.Contains(string(out), tc.want) {

@@ -71,7 +71,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 
 	good := map[string]Config{
-		"default":        DefaultConfig(),
+		"windowed":       {WarmupCycles: 300_000, MeasureCycles: 1_500_000, AbortBackoff: 1000},
 		"minimal window": {MeasureCycles: 1},
 		"sampled":        {MeasureCycles: 300_000, SampleEvery: 50_000, Observer: obs},
 		"at the cap":     {MeasureCycles: MaxSampleIntervals, SampleEvery: 1, Observer: obs},

@@ -48,13 +48,6 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestDefaultConfigSane(t *testing.T) {
-	cfg := core.DefaultConfig()
-	if cfg.MeasureCycles == 0 || cfg.WarmupCycles == 0 {
-		t.Fatal("default config has zero windows")
-	}
-}
-
 func TestDBIndexPanicsOnMissing(t *testing.T) {
 	f := cctest.NewFixture(1, 4, 1)
 	defer func() {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync/atomic"
 
-	"abyss1000/internal/costs"
 	"abyss1000/internal/rt"
 	"abyss1000/internal/stats"
 	"abyss1000/internal/wal"
@@ -131,16 +130,6 @@ func (c Config) WithStop(stop *atomic.Bool) Config {
 func (c Config) WithSource(src RequestSource) Config {
 	c.source = src
 	return c
-}
-
-// DefaultConfig returns a window sized for quick experiments: 0.4 ms of
-// simulated warmup and 1.6 ms of measurement.
-func DefaultConfig() Config {
-	return Config{
-		WarmupCycles:  400_000,
-		MeasureCycles: 1_600_000,
-		AbortBackoff:  costs.BackoffBase,
-	}
 }
 
 // Validate is the one statement of what makes a run configuration

@@ -53,14 +53,58 @@ func ycsbRunTheta(scheme string, theta float64, cfg core.Config) core.Result {
 
 // TestRunObservedResultIdentical pins that the complete Result — the
 // counters and breakdown and the new latency histogram and per-type
-// sub-results — is deep-equal with and without an observer attached.
+// sub-results — is deep-equal with and without an observer attached, on
+// every engine path a figure takes: plain YCSB, DL_DETECT with a zero
+// timeout (Fig 5), the global allocator (malloc ablation), TPC-C, and the
+// knee's open loop at its highest offered load.
 func TestRunObservedResultIdentical(t *testing.T) {
-	cfg := core.Config{WarmupCycles: 50_000, MeasureCycles: 200_000, AbortBackoff: 1000}
-	plain := ycsbRun("NO_WAIT", cfg)
-	cfg.SampleEvery, cfg.Observer = 30_000, &collectObserver{}
-	observed := ycsbRun("NO_WAIT", cfg)
-	if !reflect.DeepEqual(plain, observed) {
-		t.Fatalf("observer changed the result:\nplain    %+v\nobserved %+v", plain, observed)
+	ycfg := ycsb.DefaultConfig()
+	ycfg.Rows, ycfg.ReqPerTxn = 4096, 8
+	type job struct {
+		name string
+		bench.Job
+	}
+	cases := []job{{"ycsb", bench.Job{Kind: bench.JobYCSB, Cores: 8, Seed: 42, Scheme: "NO_WAIT", YCSB: ycfg,
+		Cfg: core.Config{WarmupCycles: 50_000, MeasureCycles: 200_000, AbortBackoff: 1000}}}}
+	p := bench.Params{MaxCores: 4, WarmupCycles: 20_000, MeasureCycles: 100_000, Rows: 1024, FieldSize: 20, Seed: 7}
+	for _, c := range []struct {
+		name, fig string
+		pick      func(bench.Job) bool
+	}{
+		{"fig5-timeout0", "5", func(j bench.Job) bool { return j.UseTimeout && j.Timeout == 0 }},
+		{"global-malloc", "malloc", func(j bench.Job) bool { return j.GlobalMalloc }},
+		{"tpcc", "16", func(j bench.Job) bool { return j.Kind == bench.JobTPCC }},
+		{"knee", "knee", func(j bench.Job) bool { return j.Cfg.Arrivals.Open() }},
+	} {
+		e, err := bench.Lookup(c.fig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last *bench.Job // the most cores, or the knee's highest load
+		for _, j := range e.Jobs(p) {
+			if c.pick(j) {
+				last = &j
+			}
+		}
+		if last == nil {
+			t.Fatalf("%s: Fig %s has no such job", c.name, c.fig)
+		}
+		cases = append(cases, job{c.name, *last})
+	}
+	for _, c := range cases {
+		j := c.Job
+		t.Run(c.name, func(t *testing.T) {
+			plain := j.Run()
+			obs := &collectObserver{}
+			j.Cfg.SampleEvery, j.Cfg.Observer = 30_000, obs
+			observed := j.Run()
+			if len(obs.samples) == 0 {
+				t.Fatal("the observer saw no samples")
+			}
+			if !reflect.DeepEqual(plain, observed) {
+				t.Fatalf("observer changed the result:\nplain    %+v\nobserved %+v", plain, observed)
+			}
+		})
 	}
 }
 
