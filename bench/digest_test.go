@@ -17,114 +17,114 @@ import (
 // A change that moves, drops, reorders or re-labels a job, a point, a
 // series or a breakdown row changes at least one entry.
 var figureDigests = map[string]string{
-	"10/csv":                    "a45263a36e5980c2abf17b55e3f068cda8d8ff86d8f5bf2b3f7d185e745f2607",
+	"10/csv":                    "ba2fcbe82e8ebab5495c4c5ad42af74581224399432efd57169a8988fb97f7c8",
 	"10/jobs/full":              "0571ad4bcd511c49b2a8b4f946f33afe6907ba9b36262c94811fcbd38ef383d4",
 	"10/jobs/quick":             "8229f6fb84e1e062dda557e334bc7e7bfa92b6559b90171325ce1fe9511c8a66",
 	"10/jobs/tiny":              "8f7c329185d2a596755f46df4a98d278e8f61270e9792fd64f9324097315d249",
-	"10/json":                   "696785660d41fc849dbbcd3a5cf120a7d241e6cedbc5091df3645ca96d4fadfd",
-	"10/text":                   "3b400c7b71140cfcfa747b1654d065d05943d3a513b2b42efeb936c6dc197669",
-	"11/csv":                    "9780dea0f724cdf77264588c56501fed0a99fb97e6bb97d9248a0892eba81a06",
+	"10/json":                   "33521d77bfee6031943a80735efc20df15710c4ce8722e8cab7484370a450b92",
+	"10/text":                   "138a92247b80bfee82d9ebb70f78d30c9f2bb6a368e6058665db4a700ecdad2c",
+	"11/csv":                    "4ca5c91ece7f29acc6180900c87d339408ae2b60c7ffa01bb992b91d096b4322",
 	"11/jobs/full":              "1e2762a92853d96911612d4854a68025bd96a15d6fb1d26894183b8b165da7fa",
 	"11/jobs/quick":             "0203d535de8407f3923aadeb9920f7d99824d7f15a7d65e527abda3d68feffb9",
 	"11/jobs/tiny":              "52ab224c7f7aae908f72fbcd528e56fde27f3540fb9c30d9d3c7d5025688a117",
-	"11/json":                   "1f9b284026242a42fdbb1ebe472fb159d9396673f3e7494e7f61d828e0c59b5d",
-	"11/text":                   "a3dccac4de55d049a0e047cbf0bcd5332e9ed889a0a54db829acf9a67d00e941",
-	"12/csv":                    "4e5e48f06a1615c89cc3ddec2de116cd0122948263cb0c197aad1bdcc974c224",
+	"11/json":                   "e874857f3f9a0511ea362544c20d8c2085c86c2dd734ee0428eac28b13a927b2",
+	"11/text":                   "b5c97d3d5f4063be11768ecf2ee401fb6154209c410b78ad6f041882c73678fa",
+	"12/csv":                    "45071bd8ab573d71775a6653dcb1ba4d0b110e75aa7035a72e52a621c1e3ce0b",
 	"12/jobs/full":              "27030d5eada2c942bff37e18d2983af747a4a9e9f593821aea77ba8d271c8cc5",
 	"12/jobs/quick":             "2870e2d482bec62ae4d2627a82c7f95fe8115bb76af4ef37fa8e88677cd4c891",
 	"12/jobs/tiny":              "6c9c9ddee5ff9d67f4bce9a785b4a97875b8325bebbb84007968b5a78b3a8262",
-	"12/json":                   "c9bc8954a4a6e002bdd9819a8edcca7159695d4572c46853f1ab615a27a65691",
-	"12/text":                   "51a76598005b98c3ac14f75ec85ca0bfd7f49a09af981fece6656f3bc8a95ec1",
-	"13/csv":                    "d0f730a06dd4da16c13cfe7a984c6f5fa7b61fe682580a6a93f9c0257a023651",
+	"12/json":                   "7f6b24ef7c99bf606701e1575285a6418068cf1eaffa414fc308cedde08f87cf",
+	"12/text":                   "5cdf73075dbd2d586eb9963275dca1e330090c035048fad4c697c3e8a3d5156e",
+	"13/csv":                    "a3b2c9839cc341cbec769404a053bded3a837046210500875a1c915672e1914c",
 	"13/jobs/full":              "2ef5048168c4d1ca083d610824435cb52c6fda42efd8336ef3d2d9b4470db0b2",
 	"13/jobs/quick":             "8d1ab8e6bbbc2d83f549d1f92162b4f2ea7b861a05ce4850b92b9e4c52c25221",
 	"13/jobs/tiny":              "dd70eca8dac4ab153ad2e6123d917e07f7caef6704214a0b724aa2cd1cead89a",
-	"13/json":                   "a2b67098641dbda2e4566308cd9862bffe9ad33ddf1caddcb370d3001da63f47",
-	"13/text":                   "5aa7dd30a31b5c561097083835dda2b1abc53fc73938bd621d0c78a1180ec7f5",
-	"14/csv":                    "dbfa2e251d40c5f7f72b8e0fb9643536cd58ea05dad43d748112583f7c50ce60",
+	"13/json":                   "8c755092c326941b4932b2e0eaa7af69359cfa2f936b2b610a3c44e5cc1498c6",
+	"13/text":                   "04da6aff9fc4182898915ebe4bc61eb5bde620523d05ea582a27f2776e1cb4b4",
+	"14/csv":                    "85274b72218c8ff2e5e6fda4f93a457d47573f5c78fbfbd0471013885e658464",
 	"14/jobs/full":              "06843be7569e36d67676ea447eab0667da3b3a2bf3f4ba8cf4ce1bde51ff65ef",
 	"14/jobs/quick":             "49177fd1acc5c99958b8f366e4a55e0b0c6c78231dd2bf9ecc883d11f057660b",
 	"14/jobs/tiny":              "62073d9035c320309cda9287f42e6c2483b37d6cff139e7385c194446bd93f91",
-	"14/json":                   "0c24057ee10aef75913e4afcdd05cc740e0588720761e7943e3d8412ec0b4029",
-	"14/text":                   "8a04e4122ec517101b8b52434d5bb3b776605ba6a78cd3b62d094d89dbad62d8",
-	"15/csv":                    "e407641bd5cbab06884fb471fbbdc5437c93990d863e8be91f73351813bdda2d",
+	"14/json":                   "3d58ded54147d21c1fab480367544d055471566ee93ab118c1a91ebbc652331e",
+	"14/text":                   "da1006afe0910746c2c5e07b0271c5048276c24cea0798f362a4b78537cff63b",
+	"15/csv":                    "ad14a907a5902568de27e3352962ce0850356946f7dc6119bfa87462f0761792",
 	"15/jobs/full":              "4cd1614f7f3652f9c5631f6c4ec1d515196235ced4e8f4440ee8ef3af124ae84",
 	"15/jobs/quick":             "5e3d69ffeb9e816e5f42adb755f66af4adbc24701fab5a4676ebe369ac4ecad3",
 	"15/jobs/tiny":              "2b6025adfd8c746b7c407e3dec4f7f12166be11043122dc83be1beea4dc91d6d",
-	"15/json":                   "5b250aa7dc33de5dabce2870544fd97ee359fdf0d0cec4012d02b05c0cc809d3",
-	"15/text":                   "1adc68c2e921108e5f9a53d5f1a6e4be212e172fe0eec7f4a6f14492e1e69150",
-	"16/csv":                    "395b055d3f66beb780fff34d5b9c881c055b02ecf9872783970757b98ee32164",
+	"15/json":                   "523e28ce074441f1cdf74771c7852929ee3054c47f9cacd1bf5dc77d0f1738cf",
+	"15/text":                   "1eb361bac6eeb193371d2b66205bd34730bcd535c6548612cb14b67a5969fe60",
+	"16/csv":                    "c805e5ef3abcd15fbccfd76e13db6942f125dd5dd362d54ac23ffa68ecfb3994",
 	"16/jobs/full":              "bd9e9067bf649274fdadd9d9aa167466c7099a265bf61f0b6b5c1cd989867926",
 	"16/jobs/quick":             "3cefc916bd72e645b60083ef927f67f5a11bc8c4071a4f9eacdaa426f27332ba",
 	"16/jobs/tiny":              "26897f29949a753f21638589a4ab0bef14cc6aa41c1526a18480cc03922c1895",
-	"16/json":                   "6f82b7507d7558eb1c1b2b8fc4519578b016e20ffc80f454898333d65e39059b",
-	"16/text":                   "1e9cb9994d50925a893bb4804fd8a7394d287759dda52c380615391904d2edd3",
-	"17/csv":                    "3fec2110d1fb989a62c2e3ee585e1b7457e49c45cf5dfd397b8fd7cb341f1022",
+	"16/json":                   "2324864be1383dc39b4571a220ee0b4226da2924a220f8e14ae1a44ea7a6a6d6",
+	"16/text":                   "e1bf8d24c68a11d9cc6f465a3fb7659373ae27769661a5070852cf6872996174",
+	"17/csv":                    "c594fc24a43871a7279232a25d49cca1eacad8ccaf7f2c681651e8e307ef553c",
 	"17/jobs/full":              "f3e9a60562c92f6c4a671464f11c4a47032ce16b0ee127e6f60cf6d20f73a4bc",
 	"17/jobs/quick":             "5ca96931a6b27eba34665b04f5ce67b1ab6e2d5fb799fc460a3d060ada3eac59",
 	"17/jobs/tiny":              "29409012fb3c71af9a60b47774a5fd2ff326dc47ff58205c9701f657982ef561",
-	"17/json":                   "8612ca98e01372e39d23fbad4fe7c16d8a2c1ad2ce86cf4e9873f181615152c5",
-	"17/text":                   "c68e2a4836c50c69a5bbad4c5561f8de4c52821d32098509d78cabd396417803",
-	"4/csv":                     "bac3a12420f5cef2e1638965e9d06d9c2e26572a85b97d833996f2daf4acbc60",
+	"17/json":                   "27886a14aa1c9ae7cc28ff4828398551afcc0bd64e0460cb6f7db86a7bff2aaf",
+	"17/text":                   "5b34c340f0cfae5355a8241b741c6449385210298487d9c90395817e7d31ef63",
+	"4/csv":                     "3b2b4162fb0edd9aaf3752c95e9fcc46a86d05f31a2dc19c3492324f409faa13",
 	"4/jobs/full":               "f95041214b7134c1902d7765450a5351cf793b2d6ee41967911d392925d96b82",
 	"4/jobs/quick":              "388495b890ff91bec68893f51144cac4deb391540f410ade59a796481bf76aa0",
 	"4/jobs/tiny":               "b81e6d2221ad911284ea7727a74d2424935271ab1a7afa2110bab32ce26e11cf",
-	"4/json":                    "16d9e2cdc7e23ffde8957777b1fed2b1711bdca2f2dbb6fe851e72268a499700",
-	"4/text":                    "981ddc72eabf6b18c76a4ded67bbadd190e308a2cf6d4e8957fb5603f081adf6",
-	"5/csv":                     "8e976c14636355e499cda7aeaa1957171894110543a48816ad4c91b7b8edc108",
+	"4/json":                    "0ad0fbea33c799a23a680cb5697409097ce71bcbb1d665b69b3b6d1bf986ab07",
+	"4/text":                    "de6fb4a6eb4e5730674f5517a9873d28e49183b2b5e9523b0e87d3f207f7ef12",
+	"5/csv":                     "f62e992ce710b82975e7bb819d29a4f82b002b2f48f3147978952ce6760c1bf3",
 	"5/jobs/full":               "3e177803cfb6c069b7d9681dc999e2e81a9c0882fac0fad346e7af5be1358f5a",
 	"5/jobs/quick":              "05c31e32f2df466f313db77164d05a642425f4ccef4242d5f065c131cb5e6480",
 	"5/jobs/tiny":               "a87926572e58d042d50c9e4db0c55464fe9ee1948ce8046d66f1ab28f614810b",
-	"5/json":                    "23077e0c16f31c6939ef3853be6a3c9c0b1da4d1af9adf9267aec7f4219d7875",
-	"5/text":                    "47b81bea977c0f0a2b95417eed0f14ef5bbc87b5f04510bc9dc8aea9719aa54f",
+	"5/json":                    "6435b5f324ee3ffe088693060232ddefbd2dac75308d9c6e5bc112f1a271012b",
+	"5/text":                    "ac73de8d08868cdef9adfe10dc95468d2c3eb3914f677cdcec668aadf8189117",
 	"6/csv":                     "9a134c6e330dc43a30d2c1f1494155cb768bc2ac2341284247293fd9020bb685",
 	"6/jobs/full":               "f91865b84ee8a9003262b11fae19f429220cfd17cf635e8134d01bc28d925f37",
 	"6/jobs/quick":              "bfce8e03dc2d5ec878f4d884cdbb98c73031962d1c60c9c32aafbdddec36b32b",
 	"6/jobs/tiny":               "281333a6a639593e19ea77cb28a96eb74d956959eb6b67eef069ccfd586c7b02",
 	"6/json":                    "dfe122652a5c4516284fa751da5324ff3a82e5cba9ac8f45860641c4e05d17fe",
 	"6/text":                    "0fa005b353821c3982823274140e1585ddf95535f4f35b47b38f3d0c942f3909",
-	"7/csv":                     "db70057780808d1547fa20583bc7cb528746d679ac062b3f5cd3dfd64db1a697",
+	"7/csv":                     "2cfff5780bf1f2511366e0fabc3da50e3fccfe7d4ce637ad6effcd3870499275",
 	"7/jobs/full":               "ef593999188f72e62e5c7c202343bd84114556062695083450297ffd0d333fc0",
 	"7/jobs/quick":              "1820a8e782d8af6869ca3d4c9c5d2b985a71bc8fd1dfacd96ce7185019001acf",
 	"7/jobs/tiny":               "4aa730f0abc7e69eba02a9fa0d34c4807efad6591f900d37ec908ddcff0ea023",
-	"7/json":                    "b5901c9ecabef50c2c673451ceabd589c7fa5db20bd1bddacf604114f98d3852",
-	"7/text":                    "19616157d02bcf00518dbf46b2ab744819d6ca2f9bfa9a891cb61fb29c930ba5",
-	"8/csv":                     "fc30d595a7eeadc34999073e7f3903c3dce1ad447688b64fec361dee8cf7fd84",
+	"7/json":                    "d765dc1b602a44caa0ba69562341b8237a7f3f40ceb633f623f683465a586d6c",
+	"7/text":                    "98520795dcd1143524431456aba0b9af46c08f7977ef66cc9435f1666119d680",
+	"8/csv":                     "3a1f4ea54dd9ab1e692d0c61095864622e0008ecaec368129a711f0e9f514651",
 	"8/jobs/full":               "5f6aa114b5e0e96e0529526b1f1629fb8d53a9ee683fecf3579c9b601de288dd",
 	"8/jobs/quick":              "ea2da1ba7e0547a7fa87ac7d2d1cd5a476a38d21156ce80d0b72c00a2b8e9ea8",
 	"8/jobs/tiny":               "98ba12b1ae1daede6d2f813edb455c50df867240bc3e849e04841772af63fdd4",
-	"8/json":                    "93e04a50fa446358f314665b3f9117706a71b75a164142e74b9e256111a0529f",
-	"8/text":                    "5d46c8d9da07cd3ca2d287579b0ad89288bf5f411aadf8f074885c0e31aa3cbd",
-	"9/csv":                     "66680ebb20ebc29fc3fe32b33316afa0ee05f74ce07b265c48021969a149e2dc",
+	"8/json":                    "44f5bf57e1ca41b5fd7c8b1b1db1092a88a6c396bf3e728e89ea09f0b02ff9b4",
+	"8/text":                    "77149ed301ea846794ff6ef831bde901ddb6105689a48142f747b73033f11e8b",
+	"9/csv":                     "3bf6625f485b4877247a3572439296117660a812afb4838b35f6b1542a78566f",
 	"9/jobs/full":               "c65e0173be592e85b91731fea9ed286b38892b982ca7a4aba2ba7b5f3ddd08a0",
 	"9/jobs/quick":              "bc02fdc4f50f797fb4b2b758f86adf35ab532260fc739b686349a043b776d15f",
 	"9/jobs/tiny":               "06468b25b475b2f4e3dffe3cc63fa47f9fd92590a5cfd833c36598f1d02d215b",
-	"9/json":                    "3088e41f4df608c6c765d1d820ced7d5befb55e5306afb2c4ad5c1768aaa499a",
-	"9/text":                    "5a9cbd73a25c4f1b296be55b11425cd2a2d1699f50482b192fbf79f336531f4e",
-	"adaptive/csv":              "38c74e99d2ba76f0c4e3666092d9ea6f56f4bb3c78998004bb84082faba00e57",
+	"9/json":                    "b7b7d4a37f7600aa49f352db56f448ae6752353db103913bf4db87adc021790a",
+	"9/text":                    "667798ade8153a9fb0edb7510cbf372de5cd2777e914dfbb46587ab9ebbd2c37",
+	"adaptive/csv":              "b4ef35400b0676c9c74240f035167e2d10354722d7ca00cebb3b8eb90397b488",
 	"adaptive/jobs/full":        "bafe335c49f5f58181131ae6f87fbae5e4e8f5199be5058bfbe90f6eccf6347d",
 	"adaptive/jobs/quick":       "7e3abb59593bff5fc0347fc2b35b08a722b2587c0a6032c7adf13ceb50723de5",
 	"adaptive/jobs/tiny":        "200c47fe9441cc8f2794f667177ca4320b86636f65128e48f7aeea21edf315cc",
-	"adaptive/json":             "cc1d0506e5e4cb4bf121eaab86f55bf1113e51fddf8f513e11a349043cae7f05",
-	"adaptive/text":             "a5f46c33115863fc9e42fd090d3063b6f9b15f1c05b33ea77c1054d05b29ad68",
-	"knee/csv":                  "f2aa1d9f9be112550c74a5acb9d1e629e2829d0fd212cedff5cda373432840db",
+	"adaptive/json":             "e8653f4b129ded1570fb4eed97aa3234eca272554a88c7696e9233e2166043c1",
+	"adaptive/text":             "be267fb262eb5953395a1be7ec55558853730677599f7981a1ef2a5ece154f22",
+	"knee/csv":                  "61c988c9c2c4abd00d97ac672455789a8d7055a59af99a304b0921bcf4240229",
 	"knee/jobs/full":            "9db2527cf96c9019306edf67929950777a8d38ed88d86d9ba52b096426bad55b",
 	"knee/jobs/quick":           "dfdb939fb91cad6bb464bc6e136edff230da0bcbe5d85da7300f4c42088eacdb",
 	"knee/jobs/tiny":            "a77b962ec21e5047553f8a6f3080f2ec42849d73d858bed84f7ce96b16794933",
-	"knee/json":                 "c7257a17a74ff9f85b15dcdac8c9c72217c272d8157fd2cf1c1bb4351eecc427",
-	"knee/text":                 "9467b938ce832b40c25b179002daa5aeddbb7b738fcecb89e70efe0f0c36a617",
-	"malloc/csv":                "facb29237a35903b29fefee08f26928a312924610dc3daf0dbb05d81a75ab466",
+	"knee/json":                 "8d5abe1f80c6e5e4ee81e5fd3fe57880a97474bb2ef554e99cb31c62dc3841b4",
+	"knee/text":                 "f6580299ff316319aadba787a982787d5ea90ac3d084aa30115caaf5830d25bc",
+	"malloc/csv":                "95eace3280d7f9ba6e32d52ead3d638df0357146504d97712e1c900bb9ddb15f",
 	"malloc/jobs/full":          "cad76b7e8b97885d88c68cccefd02e9ba77c55aa1af03e4e6eea8c894d3cb557",
 	"malloc/jobs/quick":         "7861943474fcfca876de498f0386f884dd102e8fbac9b597c034bce4c804f45c",
 	"malloc/jobs/tiny":          "c609a943352338361e65ce9f6efce53bcb25cede39238dbef025ab6eea0a0b3a",
-	"malloc/json":               "c68648954bd78f3624aadc2ac86a20e72a0cc90a0c24c797becd840a06517c84",
-	"malloc/text":               "8e049306e5157d180f7721e81d7157e2d1484eb4759fe7aec6b907918845f13b",
-	"occ-validation/csv":        "7d502b7551702568fa4956504590422ec7916da36dad1a14e2ff4fa3e00c86b6",
+	"malloc/json":               "8c1f27ee935bd5946b53b5efbf12e5a49299b9191ffe5496d99c568a7956dcb4",
+	"malloc/text":               "2cc482d66cc0b8afbdd19adb137c915037646f5750ef5c4516138f67019eb16c",
+	"occ-validation/csv":        "737ef25cd25bb20ef0fe28c0b9ae769e454c6fc24389212b2d1ef50f884d897a",
 	"occ-validation/jobs/full":  "3c0f4aeb5637a6010da8fbeb1cf953c2a26a532108a1fe9b180b07893f2ec234",
 	"occ-validation/jobs/quick": "48d113dbdbba1669c33fc0afee854db9536c1ca9dc7db02f4410496d364161ef",
 	"occ-validation/jobs/tiny":  "d448b2dec1341ad638908d98a37d66f432c05f0014276fcc3bca60573632593f",
-	"occ-validation/json":       "4951dd06eb21be63c52b9504c938a132757d4c430ac9bfa050e371145fe8f277",
-	"occ-validation/text":       "048554c44deb2803de3f043783afa4c6d0caefa073463b55c7477afb9ca40d80",
+	"occ-validation/json":       "f72577adc9d286fdb59083a9168981f75477c39a50f082c2769f38c05e22514f",
+	"occ-validation/text":       "2cc3ea9259538336e94434942344f774ae33de25d30e75b8e46a148aef4bac32",
 }
 
 // TestFigureDigests is the net under the figure definitions: see

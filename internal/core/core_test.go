@@ -142,6 +142,22 @@ func TestRunCountsOnlyMeasurementWindow(t *testing.T) {
 	}
 }
 
+// TestRunCountsWarmupStraddler: a transaction that begins in warm-up and
+// commits inside the window counts, like any other in-window outcome. The
+// only worker's first transaction ticks across the end of warm-up; its
+// second commits after the window has closed.
+func TestRunCountsWarmupStraddler(t *testing.T) {
+	f := cctest.NewFixture(1, 4, 1)
+	wl := &hotRowWorkload{txns: []cctest.Txn{{Body: func(tx *core.TxnCtx) error {
+		tx.P.Tick(stats.Useful, 1_500)
+		return nil
+	}}}}
+	res := core.Run(f.DB, twopl.New(twopl.NoWait, twopl.Options{}), wl, core.Config{WarmupCycles: 1_000, MeasureCycles: 1_000})
+	if res.Commits != 1 || res.Latency.Count() != 1 {
+		t.Fatalf("got %d commits and %d latencies, want the straddler's 1", res.Commits, res.Latency.Count())
+	}
+}
+
 type tinyWorkload struct {
 	f     *cctest.Fixture
 	total uint64

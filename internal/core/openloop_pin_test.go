@@ -4,8 +4,9 @@ package core_test
 // compare two fresh runs of one binary, so a rewrite of the worker loop
 // that moved a single Tick, Park, clock read or RNG draw would pass them;
 // these literal signatures were recorded before such a rewrite and must
-// not change without a deliberate timing-model change. Offered is left
-// out: it counts arrivals independently of the schedule.
+// not change without a deliberate timing-model or counting change (the
+// last: a transaction that straddles the end of warm-up counts). Offered
+// is left out: it counts arrivals independently of the schedule.
 
 import (
 	"fmt"
@@ -103,21 +104,21 @@ func TestOpenLoopPinnedSchedules(t *testing.T) {
 		mmpp   bool
 		want   string
 	}{
-		{"NO_WAIT", false, `commits=147 aborts=213 tuples=4991 shed=176 deadlined=66
+		{"NO_WAIT", false, `commits=150 aborts=215 tuples=5114 shed=176 deadlined=67
 useful=405379 abort=322036 ts_alloc=0 index=254203 wait=0 manager=210980 log=0 idle=4160
-lat n=147 sum=6275985 max=67515 [13:3 14:7 15:27 16:108 17:2]
+lat n=150 sum=6359281 max=67515 [13:3 14:8 15:27 16:110 17:2]
 qdepth n=407 sum=4797 max=16 [1:10 2:13 3:24 4:260 5:100]`},
-		{"NO_WAIT", true, `commits=151 aborts=117 tuples=1208 shed=0 deadlined=25
+		{"NO_WAIT", true, `commits=153 aborts=117 tuples=1224 shed=0 deadlined=25
 useful=113870 abort=447002 ts_alloc=0 index=54574 wait=0 manager=156560 log=0 idle=376282
-lat n=151 sum=2421943 max=41714 [11:7 12:27 13:29 14:27 15:38 16:23]
+lat n=153 sum=2439421 max=41714 [11:7 12:27 13:29 14:29 15:38 16:23]
 qdepth n=212 sum=1236 max=26 [1:67 2:37 3:40 4:52 5:16]`},
-		{"TIMESTAMP", false, `commits=167 aborts=8 tuples=5103 shed=204 deadlined=16
+		{"TIMESTAMP", false, `commits=171 aborts=9 tuples=5219 shed=204 deadlined=16
 useful=475080 abort=48168 ts_alloc=1300 index=262541 wait=198197 manager=230990 log=0 idle=0
-lat n=167 sum=7005876 max=71604 [14:4 15:40 16:119 17:4]
+lat n=171 sum=7109410 max=71604 [14:5 15:43 16:119 17:4]
 qdepth n=404 sum=5008 max=16 [3:20 4:289 5:95]`},
-		{"TIMESTAMP", true, `commits=155 aborts=29 tuples=1240 shed=0 deadlined=22
+		{"TIMESTAMP", true, `commits=157 aborts=29 tuples=1256 shed=0 deadlined=22
 useful=274420 abort=103465 ts_alloc=1420 index=56801 wait=72209 manager=254007 log=0 idle=389781
-lat n=155 sum=2829606 max=44749 [12:28 13:22 14:36 15:36 16:33]
+lat n=157 sum=2849932 max=44749 [12:28 13:23 14:37 15:36 16:33]
 qdepth n=212 sum=1289 max=21 [1:65 2:35 3:39 4:56 5:17]`},
 	} {
 		got := openSig(pinnedOpenRun(c.scheme, c.mmpp, 0))

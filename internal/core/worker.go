@@ -20,10 +20,12 @@ type Worker struct {
 
 	// Tally counts the worker's outcomes: inside Run, those of sampling
 	// interval scur only, drained into the run's sampler smp as the
-	// worker's clock leaves it. Nothing is drained before warmed, set at
-	// the worker's first transaction boundary past warm-up, which discards
-	// what was counted until then. A hand-built worker, never warmed,
-	// accumulates here everything it runs.
+	// worker's clock leaves it. Run counts only what completes inside the
+	// measurement window, so a transaction that straddles the end of
+	// warm-up lands in the first interval. A hand-built worker, with no
+	// sampler, accumulates here everything it runs. warmed is set at the
+	// worker's first transaction boundary past warm-up, where the
+	// breakdown is reset.
 	Tally  Tally
 	smp    *sampler
 	scur   int64
@@ -145,10 +147,10 @@ func (w *Worker) row(txn Txn) *TxnStats {
 }
 
 // tally returns the tally that outcomes discovered at time now belong in,
-// first flushing the current one to the sampler when the worker is warmed
-// and now has crossed into a later interval.
+// first flushing the current one to the run's sampler when now has crossed
+// into a later interval.
 func (w *Worker) tally(now uint64) *Tally {
-	if w.warmed {
+	if w.smp != nil {
 		if idx := w.smp.intervalOf(now); idx != w.scur {
 			w.smp.advance(w, idx)
 		}
@@ -227,8 +229,8 @@ func (closedLoop) close(uint64) {}
 
 // loop is the worker loop (§3.2: run one transaction to completion, then
 // take the next). At each transaction boundary it exits once the window
-// has ended or the stop flag is set, discards what was observed before
-// warmEnd when the clock first passes it, and serves injected fault
+// has ended or the stop flag is set, resets the breakdown when the clock
+// first passes warmEnd, and serves injected fault
 // stalls (billed to Idle, re-checking after each); then it runs the next
 // work from src and hands its outcome and latency to the work's done. With
 // stop and Fault nil both are only nil-checked, so the closed loop keeps
@@ -241,8 +243,6 @@ func (w *Worker) loop(src source, cfg *Config, warmEnd, end uint64) {
 	for ; now < end && (cfg.stop == nil || !cfg.stop.Load()); now = p.Now() {
 		if !w.warmed && now >= warmEnd {
 			p.Stats().Reset()
-			w.Tally = Tally{}
-			clear(w.perTxn)
 			w.warmed = true
 		}
 		if cfg.Fault != nil {

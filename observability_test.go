@@ -116,8 +116,8 @@ func TestRunObservedResultIdentical(t *testing.T) {
 // a deadline and a retry budget adds shed, deadlined and queue depth. The
 // contended closed loop has transactions that straddle the end of
 // warm-up and abort across intervals before their worker's first
-// boundary past it: their outcomes are discarded with the warm-up, and
-// must not reach a sample either.
+// boundary past it: each in-window outcome of theirs lands in the
+// interval it happened in, like any other.
 func TestSamplesPartitionWindow(t *testing.T) {
 	const (
 		measure = 200_000
