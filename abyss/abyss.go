@@ -50,10 +50,16 @@ type (
 	// fewer than all of them.
 	TxnCtx = core.TxnCtx
 
-	// Result aggregates one experiment run (commits, aborts, tuple
-	// accesses, the six-component time breakdown, the commit-latency
-	// Histogram, per-transaction-type TxnStats, and derived rates).
+	// Result aggregates one experiment run: its Tally, the
+	// six-component time breakdown, per-transaction-type TxnStats, and
+	// derived rates.
 	Result = core.Result
+
+	// Tally is what a run counts: commits, aborts by cause, tuple
+	// accesses, offered, shed and deadlined work, and the commit-latency
+	// and queue-depth Histograms. Result and Sample embed one, and
+	// Session.Counters returns the session's admission Tally.
+	Tally = core.Tally
 
 	// TxnStats is one transaction type's sub-result within a Result:
 	// commits, aborts and the type's own latency histogram.
@@ -64,10 +70,10 @@ type (
 	// TxnStats.Latency and Sample.Latency are Histograms.
 	Histogram = stats.Histogram
 
-	// Sample is one interval's in-flight snapshot of a run: commits,
-	// aborts and latency for that interval, with Throughput and
-	// AbortFraction accessors. Delivered via RunConfig.Observer or the
-	// RunStream channel.
+	// Sample is one interval's in-flight snapshot of a run: the Tally
+	// of that interval (commits, aborts by cause, latency and the
+	// rest), with Throughput and AbortFraction accessors. Delivered via
+	// RunConfig.Observer or the RunStream channel.
 	Sample = core.Sample
 
 	// Observer receives interval Samples during a run. OnSample is

@@ -120,9 +120,9 @@ func TestOpenLoopRunDeterminism(t *testing.T) {
 	if a.Shed == 0 {
 		t.Fatal("2.5x+ overload with a bounded queue should shed")
 	}
-	if a.OfferedTPS() <= a.GoodputTPS() {
+	if a.OfferedTPS() <= a.Throughput() {
 		t.Fatalf("offered %.0f tps should exceed goodput %.0f tps under overload",
-			a.OfferedTPS(), a.GoodputTPS())
+			a.OfferedTPS(), a.Throughput())
 	}
 	if a.QueueDepth.Count() == 0 || a.QueueDepth.Max() > 8 {
 		t.Fatalf("queue depth histogram out of bounds: count %d max %d",

@@ -66,16 +66,6 @@ type Invocation struct {
 	Deadline time.Duration
 }
 
-// ServeCounters is a snapshot of session-side admission accounting.
-type ServeCounters struct {
-	// Offered counts every submitted invocation, admitted or not.
-	Offered uint64 `json:"offered"`
-
-	// Shed counts invocations rejected by admission control: those
-	// routed to a full worker queue.
-	Shed uint64 `json:"shed"`
-}
-
 // Session is a live serving run: submit with Submit or Invoke, end the
 // run with Drain. Safe for concurrent use by any number of goroutines.
 type Session struct {
@@ -90,10 +80,13 @@ type Session struct {
 	qclosed bool
 	rr      atomic.Uint64
 
-	offered atomic.Uint64
-	shed    atomic.Uint64
-	hmu     sync.Mutex // guards depth
-	depth   Histogram
+	// adm is the session's admission accounting: Offered counts every
+	// invocation that reached a queue, admitted or not, Shed those that
+	// found it full, and QueueDepth the depth each admitted one saw.
+	// Submit records into it under qmu's read lock, so once
+	// closeQueues holds the write lock every count has landed.
+	amu sync.Mutex // guards adm
+	adm Tally
 
 	epoch     time.Time // wall-clock instant of runtime cycle 0
 	epochOnce sync.Once
@@ -236,9 +229,12 @@ func (s *Session) Procedures() []string {
 	return s.named.Procedures()
 }
 
-// Counters snapshots the session-side admission accounting.
-func (s *Session) Counters() ServeCounters {
-	return ServeCounters{Offered: s.offered.Load(), Shed: s.shed.Load()}
+// Counters snapshots the session-side admission accounting: Offered,
+// Shed and QueueDepth; the engine's counts are the drained Result's.
+func (s *Session) Counters() Tally {
+	s.amu.Lock()
+	defer s.amu.Unlock()
+	return s.adm
 }
 
 // prepare builds the worker-side transaction constructor for inv, or
@@ -289,22 +285,19 @@ func (s *Session) Submit(inv Invocation, done func(elapsed time.Duration, err er
 	req := core.Request{Prepare: prepare, Arrival: arrival, Deadline: deadline, Done: done}
 
 	s.qmu.RLock()
+	defer s.qmu.RUnlock()
 	if s.qclosed {
-		s.qmu.RUnlock()
 		return ErrSessionClosed
 	}
-	s.offered.Add(1)
+	s.amu.Lock()
+	defer s.amu.Unlock()
+	s.adm.Offered++
 	select {
 	case s.qs[worker] <- req:
-		depth := len(s.qs[worker])
-		s.qmu.RUnlock()
-		s.hmu.Lock()
-		s.depth.Record(uint64(depth))
-		s.hmu.Unlock()
+		s.adm.QueueDepth.Record(uint64(len(s.qs[worker])))
 		return nil
 	default:
-		s.qmu.RUnlock()
-		s.shed.Add(1)
+		s.adm.Shed++
 		return ErrShed
 	}
 }
@@ -345,11 +338,8 @@ func (s *Session) Drain() (Result, error) {
 	s.mergeOnce.Do(func() {
 		res := s.res
 		res.MeasureCycles = s.nowCycles()
-		res.Offered += s.offered.Load()
-		res.Shed += s.shed.Load()
-		s.hmu.Lock()
-		res.QueueDepth.Merge(&s.depth)
-		s.hmu.Unlock()
+		adm := s.Counters()
+		res.Merge(&adm)
 		s.final = res
 	})
 	return s.final, nil

@@ -92,14 +92,18 @@ func TestSessionInvokeDrain(t *testing.T) {
 	if res.Shed != 0 {
 		t.Fatalf("Result.Shed = %d, want 0", res.Shed)
 	}
+	if res.QueueDepth.Count() != res.Offered {
+		t.Fatalf("queue depth observations %d != offered %d", res.QueueDepth.Count(), res.Offered)
+	}
+	assertCountersMatch(t, s, res)
 	if res.MeasureCycles == 0 || res.MeasureCycles >= uint64(1)<<62 {
 		t.Fatalf("MeasureCycles = %d, want the actual serving span", res.MeasureCycles)
 	}
 	if res.Latency.Count() != res.Commits {
 		t.Fatalf("latency count %d != commits %d", res.Latency.Count(), res.Commits)
 	}
-	if res.GoodputTPS() <= 0 {
-		t.Fatalf("GoodputTPS = %g, want > 0", res.GoodputTPS())
+	if res.Throughput() <= 0 {
+		t.Fatalf("Throughput = %g, want > 0", res.Throughput())
 	}
 
 	// Drain is idempotent and the session refuses new work.
@@ -285,8 +289,19 @@ func TestSessionShedAndDeadline(t *testing.T) {
 	if res.Deadlined != 1 {
 		t.Fatalf("Result.Deadlined = %d, want 1 (queued past its 1ns deadline)", res.Deadlined)
 	}
-	if c := s.Counters(); c.Offered != res.Offered || c.Shed != res.Shed {
-		t.Fatalf("Counters %+v disagree with Result (offered %d, shed %d)", c, res.Offered, res.Shed)
+	assertCountersMatch(t, s, res)
+}
+
+// assertCountersMatch checks that a drained session's admission tally
+// is exactly the drained Result's offered, shed and queue depths: every
+// Submit's count landed before Drain merged it, and the engine added
+// none of its own.
+func assertCountersMatch(t *testing.T, s *abyss.Session, res abyss.Result) {
+	t.Helper()
+	c := s.Counters()
+	if c.Offered != res.Offered || c.Shed != res.Shed || c.QueueDepth != res.QueueDepth {
+		t.Fatalf("Counters (offered %d, shed %d, queue depth %+v) disagree with Result (offered %d, shed %d, queue depth %+v)",
+			c.Offered, c.Shed, c.QueueDepth, res.Offered, res.Shed, res.QueueDepth)
 	}
 }
 

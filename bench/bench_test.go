@@ -83,7 +83,7 @@ func TestFigureFormat(t *testing.T) {
 		Notes:  "a note",
 	}
 	s := Series{Name: "S1"}
-	res := core.Result{Commits: 1000, MeasureCycles: 1_000_000, Frequency: 1e9}
+	res := core.Result{Tally: core.Tally{Commits: 1000}, MeasureCycles: 1_000_000, Frequency: 1e9}
 	s.Points = append(s.Points, Point{X: 4, Y: throughputM(res), Res: res})
 	fig.Series = append(fig.Series, s)
 	fig.Breakdowns = append(fig.Breakdowns, Breakdown{
@@ -100,7 +100,7 @@ func TestFigureFormat(t *testing.T) {
 }
 
 func TestThroughputExtract(t *testing.T) {
-	r := core.Result{Commits: 2_000_000, MeasureCycles: 1_000_000, Frequency: 1e9}
+	r := core.Result{Tally: core.Tally{Commits: 2_000_000}, MeasureCycles: 1_000_000, Frequency: 1e9}
 	// 2M commits in 1 ms = 2000 Mtxn/s.
 	if got := throughputM(r); got != 2000 {
 		t.Fatalf("throughputM = %v", got)

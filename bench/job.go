@@ -163,7 +163,7 @@ func (j Job) runTsAlloc() core.Result {
 	return core.Result{
 		Scheme:        j.TsMethod.String(),
 		Workers:       j.Cores,
-		Commits:       total,
+		Tally:         core.Tally{Commits: total},
 		MeasureCycles: end,
 		Frequency:     eng.Frequency(),
 	}

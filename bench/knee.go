@@ -66,7 +66,7 @@ func extensionKnee(p Params) *spec {
 	for i, rate := range kneeOffered {
 		offered[i] = rate / 1e3
 	}
-	goodput := func(r core.Result) float64 { return r.GoodputTPS() / 1e3 }
+	goodput := func(r core.Result) float64 { return r.Throughput() / 1e3 }
 	p50 := func(r core.Result) float64 { return float64(r.Latency.P50()) / 1e3 }
 	p99 := func(r core.Result) float64 { return float64(r.Latency.P99()) / 1e3 }
 	runs := make([][]int, len(SchemeNames))

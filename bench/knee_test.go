@@ -42,9 +42,9 @@ func TestKneeExperiment(t *testing.T) {
 		if hi.Shed == 0 {
 			t.Errorf("series %s sheds nothing at %.0f offered txn/s", s.Name, kneeOffered[len(kneeOffered)-1])
 		}
-		if hi.GoodputTPS() >= kneeOffered[len(kneeOffered)-1]/2 {
+		if hi.Throughput() >= kneeOffered[len(kneeOffered)-1]/2 {
 			t.Errorf("series %s goodput %.0f did not fall below half the offered %.0f",
-				s.Name, hi.GoodputTPS(), kneeOffered[len(kneeOffered)-1])
+				s.Name, hi.Throughput(), kneeOffered[len(kneeOffered)-1])
 		}
 		if hi.QueueDepth.Max() > kneeQueueDepth {
 			t.Errorf("series %s queue depth %d exceeds the %d bound", s.Name, hi.QueueDepth.Max(), kneeQueueDepth)

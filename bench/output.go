@@ -129,7 +129,7 @@ func (rep *Report) CSV() string {
 					formatFloat(finite(r.Throughput())),
 					formatFloat(finite(r.AbortFraction())),
 					formatFloat(finite(r.OfferedTPS())),
-					formatFloat(finite(r.GoodputTPS())),
+					formatFloat(finite(r.Throughput())),
 					strconv.FormatUint(r.Shed, 10),
 					strconv.FormatUint(r.Deadlined, 10),
 					strconv.FormatUint(r.QueueDepth.P50(), 10),
@@ -192,7 +192,7 @@ func (pt Point) MarshalJSON() ([]byte, error) {
 		Throughput:    finite(pt.Res.Throughput()),
 		AbortFraction: finite(pt.Res.AbortFraction()),
 		OfferedTPS:    finite(pt.Res.OfferedTPS()),
-		GoodputTPS:    finite(pt.Res.GoodputTPS()),
+		GoodputTPS:    finite(pt.Res.Throughput()),
 		LatP50:        pt.Res.Latency.P50(),
 		LatP95:        pt.Res.Latency.P95(),
 		LatP99:        pt.Res.Latency.P99(),

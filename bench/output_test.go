@@ -25,9 +25,10 @@ func testReport() (*Report, int) {
 		qd.Record(i % 8)
 	}
 	res := core.Result{
-		Scheme: "NO_WAIT", Workers: 4, Commits: 2000, Aborts: 500, Tuples: 32000,
-		Offered: 3000, Shed: 400, Deadlined: 100, QueueDepth: qd,
-		MeasureCycles: 1_000_000, Frequency: 1e9, Breakdown: bd, Latency: lat,
+		Scheme: "NO_WAIT", Workers: 4,
+		Tally: core.Tally{Commits: 2000, Aborts: 500, Tuples: 32000,
+			Offered: 3000, Shed: 400, Deadlined: 100, QueueDepth: qd, Latency: lat},
+		MeasureCycles: 1_000_000, Frequency: 1e9, Breakdown: bd,
 		PerTxn: []core.TxnStats{
 			{Name: "read", Commits: 1200, Aborts: 300, Latency: lat},
 			{Name: "update", Commits: 800, Aborts: 200},

@@ -146,7 +146,7 @@ func main() {
 
 	fmt.Printf("served offered=%d commits=%d shed=%d deadlined=%d span=%s goodput_tps=%.1f\n",
 		res.Offered, res.Commits, res.Shed, res.Deadlined,
-		time.Duration(res.MeasureCycles), res.GoodputTPS())
+		time.Duration(res.MeasureCycles), res.Throughput())
 }
 
 // cycles converts a duration flag to native-runtime cycles (one per

@@ -482,7 +482,7 @@ func parseFaults(spec string) (abyss.FaultInjector, error) {
 // depth distribution.
 func printOverload(res *abyss.Result) {
 	fmt.Printf("overload: offered %.0f txn/s  goodput %.0f txn/s  shed %d (%.1f%%)  deadlined %d  qdepth p50 %d max %d\n",
-		res.OfferedTPS(), res.GoodputTPS(), res.Shed, res.ShedFraction()*100,
+		res.OfferedTPS(), res.Throughput(), res.Shed, res.ShedFraction()*100,
 		res.Deadlined, res.QueueDepth.P50(), res.QueueDepth.Max())
 }
 

@@ -86,5 +86,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("drained: offered=%d commits=%d shed=%d deadlined=%d goodput=%.0f tps\n",
-		res.Offered, res.Commits, res.Shed, res.Deadlined, res.GoodputTPS())
+		res.Offered, res.Commits, res.Shed, res.Deadlined, res.Throughput())
 }

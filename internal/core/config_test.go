@@ -109,15 +109,15 @@ func TestRunPanicsWithValidateText(t *testing.T) {
 // JSON/CSV reports where NaN is not even representable.
 func TestResultRateGuards(t *testing.T) {
 	for _, r := range []Result{
-		{},                                  // zero window and frequency
-		{Commits: 10, Aborts: 3, Tuples: 7}, // counts without a window
-		{Commits: 10, MeasureCycles: 1000},  // window without a frequency
-		{Commits: 10, Frequency: 1e9},       // frequency without a window
+		{}, // zero window and frequency
+		{Tally: Tally{Commits: 10, Aborts: 3, Tuples: 7, Offered: 12}}, // counts without a window
+		{Tally: Tally{Commits: 10}, MeasureCycles: 1000},               // window without a frequency
+		{Tally: Tally{Commits: 10}, Frequency: 1e9},                    // frequency without a window
 	} {
 		for name, v := range map[string]float64{
 			"Throughput":   r.Throughput(),
 			"TuplesPerSec": r.TuplesPerSec(),
-			"AbortsPerSec": r.AbortsPerSec(),
+			"OfferedTPS":   r.OfferedTPS(),
 		} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("%s of %+v = %v, want 0", name, r, v)
@@ -131,14 +131,14 @@ func TestResultRateGuards(t *testing.T) {
 		_ = r.String()
 	}
 
-	r := Result{Commits: 1000, Tuples: 8000, Aborts: 500, MeasureCycles: 1_000_000, Frequency: 1e9}
+	r := Result{Tally: Tally{Commits: 1000, Tuples: 8000, Offered: 2000}, MeasureCycles: 1_000_000, Frequency: 1e9}
 	if got := r.Throughput(); got != 1e6 {
 		t.Fatalf("Throughput = %v, want 1e6", got)
 	}
 	if got := r.TuplesPerSec(); got != 8e6 {
 		t.Fatalf("TuplesPerSec = %v, want 8e6", got)
 	}
-	if got := r.AbortsPerSec(); got != 5e5 {
-		t.Fatalf("AbortsPerSec = %v, want 5e5", got)
+	if got := r.OfferedTPS(); got != 2e6 {
+		t.Fatalf("OfferedTPS = %v, want 2e6", got)
 	}
 }

@@ -14,9 +14,7 @@ import (
 
 func TestResultMath(t *testing.T) {
 	r := core.Result{
-		Commits:       1500,
-		Aborts:        500,
-		Tuples:        24_000,
+		Tally:         core.Tally{Commits: 1500, Aborts: 500, Tuples: 24_000},
 		MeasureCycles: 1_000_000,
 		Frequency:     1e9,
 	}
@@ -29,9 +27,6 @@ func TestResultMath(t *testing.T) {
 	if got := r.AbortFraction(); got != 0.25 {
 		t.Fatalf("abort fraction = %v", got)
 	}
-	if got := r.AbortsPerSec(); got != 5e8/1e3 {
-		t.Fatalf("aborts/s = %v", got)
-	}
 	empty := core.Result{MeasureCycles: 1, Frequency: 1}
 	if empty.AbortFraction() != 0 {
 		t.Fatal("empty abort fraction")
@@ -39,7 +34,7 @@ func TestResultMath(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	r := core.Result{Scheme: "NO_WAIT", Workers: 8, Commits: 100, MeasureCycles: 1_000_000, Frequency: 1e9}
+	r := core.Result{Scheme: "NO_WAIT", Workers: 8, Tally: core.Tally{Commits: 100}, MeasureCycles: 1_000_000, Frequency: 1e9}
 	s := r.String()
 	for _, want := range []string{"NO_WAIT", "8 cores", "txn/s", "abort"} {
 		if !strings.Contains(s, want) {

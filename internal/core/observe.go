@@ -67,8 +67,8 @@ func (s *TxnStats) merge(other *TxnStats) {
 // Sample is one interval's snapshot of a run in flight. Intervals
 // partition the measurement window: every outcome inside the window lands
 // in exactly one interval, and Run builds the final Result from the same
-// intervals, so the samples sum to the Result's counts and their
-// histograms merge to its histograms by construction.
+// intervals, so the samples' tallies merge to the Result's by
+// construction.
 type Sample struct {
 	// Interval is the 0-based interval index.
 	Interval int `json:"interval"`
@@ -82,45 +82,18 @@ type Sample struct {
 	// every interval except possibly the last, which may be partial.
 	Cycles uint64 `json:"cycles"`
 
-	// Commits and Aborts count transaction outcomes whose completion
-	// fell inside this interval.
-	Commits uint64 `json:"commits"`
-	Aborts  uint64 `json:"aborts"`
-
-	// Shed and Deadlined count overload outcomes discovered inside this
-	// interval (open-loop runs only): arrivals rejected by admission
-	// control and transactions abandoned past their deadline or retry
-	// budget. Like Commits/Aborts they tile the window.
-	Shed      uint64 `json:"shed"`
-	Deadlined uint64 `json:"deadlined"`
-
 	// Frequency is the runtime's cycle frequency in Hz, carried so the
 	// rate accessors need no external context.
 	Frequency float64 `json:"frequency_hz"`
 
-	// Latency is the commit-latency histogram of this interval alone.
-	Latency stats.Histogram `json:"latency"`
-
-	// QueueDepth is the admission-queue-depth histogram of arrivals
-	// ingested inside this interval (open-loop runs only).
-	QueueDepth stats.Histogram `json:"queue_depth"`
+	// Tally counts the outcomes whose completion (or, for overload
+	// outcomes, discovery) fell inside this interval.
+	Tally
 }
 
 // Throughput returns the interval's committed transactions per second.
 func (s Sample) Throughput() float64 {
-	if s.Cycles == 0 || s.Frequency <= 0 {
-		return 0
-	}
-	return float64(s.Commits) / (float64(s.Cycles) / s.Frequency)
-}
-
-// AbortFraction returns aborted attempts / all attempts in the interval.
-func (s Sample) AbortFraction() float64 {
-	total := s.Commits + s.Aborts
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Aborts) / float64(total)
+	return perSec(s.Commits, s.Cycles, s.Frequency)
 }
 
 // Observer receives interval samples during a run. OnSample is called
@@ -151,28 +124,37 @@ const MaxSampleIntervals = 100_000
 // Tally is what a run counts. A Worker records every outcome into its
 // own: inside Run it holds the worker's current sampling interval only
 // and is drained into the sampler at each interval boundary; a
-// hand-built worker's accumulates everything the worker has run.
+// hand-built worker's accumulates everything the worker has run. Result
+// and Sample embed it, so its json tags are their keys too.
 type Tally struct {
-	Commits     uint64      // completed transactions: commits and program-logic rollbacks
-	Aborts      uint64      // concurrency-control aborts
-	AbortCauses AbortCauses // Aborts by cause
-	Tuples      uint64      // tuple accesses by completed transactions (Fig. 12)
-	Offered     uint64      // open-loop arrivals inside the measurement window
-	Shed        uint64      // arrivals rejected by admission control
-	Deadlined   uint64      // transactions abandoned past their deadline or retry budget
+	Commits     uint64      `json:"commits"`      // completed transactions: commits and program-logic rollbacks
+	Aborts      uint64      `json:"aborts"`       // concurrency-control aborts
+	AbortCauses AbortCauses `json:"abort_causes"` // Aborts by cause
+	Tuples      uint64      `json:"tuples"`       // tuple accesses by completed transactions (Fig. 12)
+
+	// Offered, Shed and Deadlined are the overload counters: arrivals
+	// offered inside the measurement window (in the open loop, every one
+	// its streams place there, whether or not a worker reached it before
+	// the window closed; zero in closed-loop runs), arrivals rejected by
+	// admission control, and transactions abandoned past their deadline
+	// or retry budget.
+	Offered   uint64 `json:"offered"`
+	Shed      uint64 `json:"shed"`
+	Deadlined uint64 `json:"deadlined"`
 
 	// Latency is the commit-latency histogram, from the work's origin to
 	// commit: restarts and backoff count, and for open-loop and served
 	// work, whose origin is the arrival time, so does queueing delay.
-	Latency stats.Histogram
+	// Latency.Count() equals Commits.
+	Latency stats.Histogram `json:"latency"`
 
 	// QueueDepth is the admission-queue depth each ingested arrival saw
-	// (open loop only).
-	QueueDepth stats.Histogram
+	// (open loop and serving sessions only).
+	QueueDepth stats.Histogram `json:"queue_depth"`
 }
 
-// merge adds other's counts into t.
-func (t *Tally) merge(other *Tally) {
+// Merge adds other's counts into t.
+func (t *Tally) Merge(other *Tally) {
 	t.Commits += other.Commits
 	t.Aborts += other.Aborts
 	t.AbortCauses.merge(&other.AbortCauses)
@@ -182,6 +164,26 @@ func (t *Tally) merge(other *Tally) {
 	t.Deadlined += other.Deadlined
 	t.Latency.Merge(&other.Latency)
 	t.QueueDepth.Merge(&other.QueueDepth)
+}
+
+// AbortFraction returns aborted attempts / all attempts.
+func (t Tally) AbortFraction() float64 {
+	total := t.Commits + t.Aborts
+	if total == 0 {
+		return 0
+	}
+	return float64(t.Aborts) / float64(total)
+}
+
+// perSec converts an event count over a window of cycles at freq Hz into
+// a rate. A zero window or frequency (a zero-value or hand-built Result
+// or Sample) yields 0 rather than NaN/Inf, so rates stay safe to print
+// and serialize.
+func perSec(events, cycles uint64, freq float64) float64 {
+	if cycles == 0 || freq <= 0 {
+		return 0
+	}
+	return float64(events) / (float64(cycles) / freq)
 }
 
 // sampler is the run's one aggregator. Each worker accumulates its
@@ -261,7 +263,7 @@ func (s *sampler) intervalOf(now uint64) int64 {
 // (a worker that skipped intervals simply contributed nothing to them).
 func (s *sampler) advance(w *Worker, next int64) {
 	s.mu.Lock()
-	s.agg[w.scur].merge(&w.Tally)
+	s.agg[w.scur].Merge(&w.Tally)
 	w.Tally = Tally{}
 	s.flushed[w.P.ID()] = next - 1
 	s.emitReady()
@@ -295,22 +297,16 @@ func (s *sampler) emitReady() {
 		}
 	}
 	for i := s.emitted + 1; i <= ready; i++ {
-		a := &s.agg[i]
 		end := uint64(i+1) * s.every
 		if end > s.measure {
 			end = s.measure
 		}
 		s.obs.OnSample(Sample{
-			Interval:   int(i),
-			EndCycle:   end,
-			Cycles:     end - uint64(i)*s.every,
-			Commits:    a.Commits,
-			Aborts:     a.Aborts,
-			Shed:       a.Shed,
-			Deadlined:  a.Deadlined,
-			Frequency:  s.freq,
-			Latency:    a.Latency,
-			QueueDepth: a.QueueDepth,
+			Interval:  int(i),
+			EndCycle:  end,
+			Cycles:    end - uint64(i)*s.every,
+			Frequency: s.freq,
+			Tally:     s.agg[i],
 		})
 		s.emitted = i
 	}

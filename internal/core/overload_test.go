@@ -111,7 +111,7 @@ func TestOverloadAdmissionControlBoundsQueueAndTail(t *testing.T) {
 		t.Fatalf("admission control did not bound tail latency: AC P99 %d vs unbounded %d",
 			ac.Latency.P99(), unbounded.Latency.P99())
 	}
-	if ac.GoodputTPS() <= 0 {
+	if ac.Throughput() <= 0 {
 		t.Fatal("no goodput under admission control")
 	}
 	if ac.OfferedTPS() < 1.5*sat {

@@ -43,11 +43,11 @@ func TestResultJSONDigests(t *testing.T) {
 		run  func(sampleEvery uint64) core.Result
 		want string
 	}{
-		{"open/NO_WAIT/poisson", func(e uint64) core.Result { return pinnedOpenRun("NO_WAIT", false, e) }, "76f1e17dd6635bebe33c2a0dbeb033ebf2828c3fa543e27746061e139cb5ee06"},
-		{"open/NO_WAIT/mmpp", func(e uint64) core.Result { return pinnedOpenRun("NO_WAIT", true, e) }, "b912271f4aae96f0e9367f9d89e96b64866e77c5594a6aafc56c493fb92b7343"},
-		{"open/TIMESTAMP/poisson", func(e uint64) core.Result { return pinnedOpenRun("TIMESTAMP", false, e) }, "ab22099b8b19b77a68cddde66a3a3b5d32a7ece1be7f755f1a65d761b8e95dc9"},
-		{"open/TIMESTAMP/mmpp", func(e uint64) core.Result { return pinnedOpenRun("TIMESTAMP", true, e) }, "5d0fe0604886edbcfd900d0a7bd0f1363aaa7353af2e80475c1a29b1bf7865ca"},
-		{"closed/NO_WAIT/tpcc-full", fullMixRun, "b5a7e25d5edae32a7a0e98cd731a8cfd300d9ae3094f2d0d97637fe34dfcb9b7"},
+		{"open/NO_WAIT/poisson", func(e uint64) core.Result { return pinnedOpenRun("NO_WAIT", false, e) }, "a11653567ec427d7e78ba2e5480b40c9b3dfc00003c9813573cd8b3562dba4f7"},
+		{"open/NO_WAIT/mmpp", func(e uint64) core.Result { return pinnedOpenRun("NO_WAIT", true, e) }, "234765130b9e55a03ebd89ca167a625d8f782970c942fea834a8716fd372d643"},
+		{"open/TIMESTAMP/poisson", func(e uint64) core.Result { return pinnedOpenRun("TIMESTAMP", false, e) }, "476c8b7a58cab1d40c626402bd837cffa6d7789e7b612ac8c5771f4940ff0f0a"},
+		{"open/TIMESTAMP/mmpp", func(e uint64) core.Result { return pinnedOpenRun("TIMESTAMP", true, e) }, "f3007596eb9440df817b7c8052bcec2228881d39a66b05b6e91435b94bc6b7b5"},
+		{"closed/NO_WAIT/tpcc-full", fullMixRun, "eceb19143ec63ac1fbfa866feae448d96c468a61f1cdfeb8ae3df633daa69b09"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, e := range []uint64{0, every} {

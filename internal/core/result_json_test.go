@@ -31,20 +31,22 @@ func TestResultJSONRoundTrip(t *testing.T) {
 		qd.Record(v)
 	}
 	orig := core.Result{
-		Scheme:        "MVCC",
-		Workers:       64,
-		Commits:       123456,
-		Aborts:        789,
-		AbortCauses:   core.AbortCauses{core.CauseDeadlock: 500, core.CauseLockTimeout: 289},
-		Tuples:        1975296,
-		Offered:       130000,
-		Shed:          5000,
-		Deadlined:     755,
+		Scheme:  "MVCC",
+		Workers: 64,
+		Tally: core.Tally{
+			Commits:     123456,
+			Aborts:      789,
+			AbortCauses: core.AbortCauses{core.CauseDeadlock: 500, core.CauseLockTimeout: 289},
+			Tuples:      1975296,
+			Offered:     130000,
+			Shed:        5000,
+			Deadlined:   755,
+			Latency:     lat,
+			QueueDepth:  qd,
+		},
 		MeasureCycles: 800_000,
 		Frequency:     1e9,
 		Breakdown:     bd,
-		Latency:       lat,
-		QueueDepth:    qd,
 		PerTxn: []core.TxnStats{
 			{Name: "Payment", Commits: 61728, Aborts: 400, Latency: payLat,
 				AbortCauses: core.AbortCauses{core.CauseDeadlock: 400}},
@@ -70,8 +72,8 @@ func TestResultJSONRoundTrip(t *testing.T) {
 	if back.Latency.P99() != orig.Latency.P99() || back.Latency.Max() != orig.Latency.Max() {
 		t.Fatal("latency percentiles changed across round trip")
 	}
-	if back.OfferedTPS() != orig.OfferedTPS() || back.GoodputTPS() != orig.GoodputTPS() ||
-		back.ShedFraction() != orig.ShedFraction() || back.QueueDepth.Max() != orig.QueueDepth.Max() {
+	if back.OfferedTPS() != orig.OfferedTPS() || back.ShedFraction() != orig.ShedFraction() ||
+		back.QueueDepth.Max() != orig.QueueDepth.Max() {
 		t.Fatal("overload metrics changed across round trip")
 	}
 }
@@ -134,7 +136,7 @@ func TestResultJSONStableKeys(t *testing.T) {
 // TestSampleRates pins Sample's derived rate accessors, including the
 // zero-value guards.
 func TestSampleRates(t *testing.T) {
-	s := core.Sample{Cycles: 1_000_000, Commits: 1000, Aborts: 1000, Frequency: 1e9}
+	s := core.Sample{Cycles: 1_000_000, Frequency: 1e9, Tally: core.Tally{Commits: 1000, Aborts: 1000}}
 	if got := s.Throughput(); got != 1e6 {
 		t.Fatalf("Throughput = %v, want 1e6", got)
 	}

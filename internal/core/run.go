@@ -192,43 +192,21 @@ func (c Config) sampleIntervals() uint64 {
 	return (c.MeasureCycles + c.SampleEvery - 1) / c.SampleEvery
 }
 
-// Result aggregates one run: its counts are the merge of the run's
+// Result aggregates one run: its Tally is the merge of the run's
 // sampling intervals (see Sample), and AbortCauses breaks Aborts down by
 // the scheme rule behind each. The json tags define the stable machine-readable
 // serialization emitted by `abyss-bench -json`/`-csv` and round-tripped
 // by encoding/json; renaming them is a breaking format change.
 type Result struct {
-	Scheme        string          `json:"scheme"`
-	Workers       int             `json:"workers"`
-	Commits       uint64          `json:"commits"`
-	Aborts        uint64          `json:"aborts"`
-	AbortCauses   AbortCauses     `json:"abort_causes"`
-	Tuples        uint64          `json:"tuples"`
+	Scheme  string `json:"scheme"`
+	Workers int    `json:"workers"`
+
+	// Tally holds the run's counts over the measurement window.
+	Tally
+
 	MeasureCycles uint64          `json:"measure_cycles"`
 	Frequency     float64         `json:"frequency_hz"`
 	Breakdown     stats.Breakdown `json:"breakdown"`
-
-	// Latency is the commit-latency histogram over the measurement
-	// window (cycles from first-attempt start to commit, including
-	// restarts and backoff; in open-loop runs the origin is the arrival
-	// time, so queueing delay counts too). Latency.Count() equals
-	// Commits.
-	Latency stats.Histogram `json:"latency"`
-
-	// Offered, Shed and Deadlined are the overload counters: arrivals
-	// offered inside the measurement window (in the open loop, every one
-	// its streams place there, whether or not a worker reached it before
-	// the window closed; zero in closed-loop runs), arrivals rejected by
-	// admission control, and transactions abandoned past their deadline
-	// or retry budget.
-	Offered   uint64 `json:"offered"`
-	Shed      uint64 `json:"shed"`
-	Deadlined uint64 `json:"deadlined"`
-
-	// QueueDepth is the admission-queue-depth histogram, one observation
-	// per arrival ingested inside the measurement window. Empty in
-	// closed-loop runs.
-	QueueDepth stats.Histogram `json:"queue_depth"`
 
 	// PerTxn breaks the run down by transaction type when the workload
 	// implements TxnTyper, in TxnTypes order; nil otherwise. Commits and
@@ -237,53 +215,22 @@ type Result struct {
 	PerTxn []TxnStats `json:"per_txn,omitempty"`
 }
 
-// perSec converts an event count over the measurement window into a rate.
-// A zero window or frequency (a zero-value or hand-built Result) yields 0
-// rather than NaN/Inf, so rates stay safe to print and serialize.
-func (r Result) perSec(events uint64) float64 {
-	if r.MeasureCycles == 0 || r.Frequency <= 0 {
-		return 0
-	}
-	return float64(events) / (float64(r.MeasureCycles) / r.Frequency)
-}
-
-// Throughput returns committed transactions per second.
+// Throughput returns committed transactions per second: under offered
+// load, the goodput.
 func (r Result) Throughput() float64 {
-	return r.perSec(r.Commits)
+	return perSec(r.Commits, r.MeasureCycles, r.Frequency)
 }
 
 // TuplesPerSec returns committed tuple accesses per second (Fig. 12's
 // y-axis: "the number of tuples accessed per second").
 func (r Result) TuplesPerSec() float64 {
-	return r.perSec(r.Tuples)
-}
-
-// AbortFraction returns aborted attempts / all attempts.
-func (r Result) AbortFraction() float64 {
-	total := r.Commits + r.Aborts
-	if total == 0 {
-		return 0
-	}
-	return float64(r.Aborts) / float64(total)
-}
-
-// AbortsPerSec returns the abort rate as events per second (Fig. 5's right
-// axis reports an absolute abort rate).
-func (r Result) AbortsPerSec() float64 {
-	return r.perSec(r.Aborts)
+	return perSec(r.Tuples, r.MeasureCycles, r.Frequency)
 }
 
 // OfferedTPS returns the offered load in transactions per second (zero
 // for closed-loop runs, where load is not externally offered).
 func (r Result) OfferedTPS() float64 {
-	return r.perSec(r.Offered)
-}
-
-// GoodputTPS returns committed transactions per second — the useful
-// output under offered load. Numerically equal to Throughput; the
-// distinct name keeps knee charts (goodput vs offered) self-describing.
-func (r Result) GoodputTPS() float64 {
-	return r.perSec(r.Commits)
+	return perSec(r.Offered, r.MeasureCycles, r.Frequency)
 }
 
 // ShedFraction returns the fraction of offered arrivals rejected by
@@ -362,23 +309,15 @@ func Run(db *DB, scheme Scheme, wl Workload, cfg Config) Result {
 
 	var t Tally
 	for i := range smp.agg {
-		t.merge(&smp.agg[i])
+		t.Merge(&smp.agg[i])
 	}
 	return Result{
 		Scheme:        scheme.Name(),
 		Workers:       n,
-		Commits:       t.Commits,
-		Aborts:        t.Aborts,
-		AbortCauses:   t.AbortCauses,
-		Tuples:        t.Tuples,
+		Tally:         t,
 		MeasureCycles: cfg.MeasureCycles,
 		Frequency:     db.RT.Frequency(),
 		Breakdown:     smp.breakdown,
-		Latency:       t.Latency,
-		Offered:       t.Offered,
-		Shed:          t.Shed,
-		Deadlined:     t.Deadlined,
-		QueueDepth:    t.QueueDepth,
 		PerTxn:        smp.perTxn,
 	}
 }

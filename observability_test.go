@@ -110,10 +110,11 @@ func TestRunObservedResultIdentical(t *testing.T) {
 
 // TestSamplesPartitionWindow pins the sampler's central invariant: the
 // intervals tile the measurement window exactly, and every in-window
-// outcome lands in exactly one sample — so the samples sum to the final
-// Result and their histograms merge to the Result's. The closed loop
-// checks commits, aborts and latency; an open loop with a bounded queue,
-// a deadline and a retry budget adds shed, deadlined and queue depth. The
+// outcome lands in exactly one sample — so the samples' tallies merge to
+// the Result's, every count, abort cause and histogram of it. The closed
+// loop exercises commits, aborts, causes, tuples and latency; an open
+// loop with a bounded queue, a deadline and a retry budget adds offered,
+// shed, deadlined and queue depth. The
 // contended closed loop has transactions that straddle the end of
 // warm-up and abort across intervals before their worker's first
 // boundary past it: each in-window outcome of theirs lands in the
@@ -150,7 +151,7 @@ func TestSamplesPartitionWindow(t *testing.T) {
 			if len(obs.samples) != wantIntervals {
 				t.Fatalf("got %d samples, want %d", len(obs.samples), wantIntervals)
 			}
-			var sum core.Sample // the samples' counts summed, histograms merged
+			var sum core.Tally // the samples' tallies merged
 			for i, s := range obs.samples {
 				if s.Interval != i {
 					t.Fatalf("sample %d has interval %d; samples must arrive in order", i, s.Interval)
@@ -170,24 +171,10 @@ func TestSamplesPartitionWindow(t *testing.T) {
 				if s.Latency.Count() != s.Commits {
 					t.Fatalf("sample %d: latency count %d != commits %d", i, s.Latency.Count(), s.Commits)
 				}
-				sum.Commits += s.Commits
-				sum.Aborts += s.Aborts
-				sum.Shed += s.Shed
-				sum.Deadlined += s.Deadlined
-				sum.Latency.Merge(&s.Latency)
-				sum.QueueDepth.Merge(&s.QueueDepth)
+				sum.Merge(&s.Tally)
 			}
-			if sum.Commits != res.Commits || sum.Aborts != res.Aborts {
-				t.Fatalf("samples sum to %d commits / %d aborts, result has %d / %d", sum.Commits, sum.Aborts, res.Commits, res.Aborts)
-			}
-			if sum.Shed != res.Shed || sum.Deadlined != res.Deadlined {
-				t.Fatalf("samples sum to %d shed / %d deadlined, result has %d / %d", sum.Shed, sum.Deadlined, res.Shed, res.Deadlined)
-			}
-			if sum.Latency != res.Latency {
-				t.Fatalf("merged sample latency %+v != result latency %+v", sum.Latency, res.Latency)
-			}
-			if sum.QueueDepth != res.QueueDepth {
-				t.Fatalf("merged sample queue depth %+v != result queue depth %+v", sum.QueueDepth, res.QueueDepth)
+			if !reflect.DeepEqual(sum, res.Tally) {
+				t.Fatalf("samples merge to\n%+v\nresult has\n%+v", sum, res.Tally)
 			}
 			if res.Latency.Count() != res.Commits {
 				t.Fatalf("result latency count %d != commits %d", res.Latency.Count(), res.Commits)

@@ -41,26 +41,19 @@ func (s *Server) stopHTTP() {
 	s.httpSrv.Shutdown(ctx)
 }
 
-// statsReply is the GET /stats body.
-type statsReply struct {
-	Scheme   string `json:"scheme"`
-	Workload string `json:"workload"`
-	Cores    int    `json:"cores"`
-	Offered  uint64 `json:"offered"`
-	Shed     uint64 `json:"shed"`
-	Draining bool   `json:"draining"`
-}
-
+// handleStats writes the GET /stats body: the server's identity, the
+// session's admission counts (its Counters tally) and whether it is
+// draining.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	c := s.session.Counters()
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(statsReply{
-		Scheme:   s.cfg.Scheme,
-		Workload: s.cfg.Workload,
-		Cores:    s.cfg.Cores,
-		Offered:  c.Offered,
-		Shed:     c.Shed,
-		Draining: s.draining.Load(),
+	json.NewEncoder(w).Encode(map[string]any{
+		"scheme":   s.cfg.Scheme,
+		"workload": s.cfg.Workload,
+		"cores":    s.cfg.Cores,
+		"offered":  c.Offered,
+		"shed":     c.Shed,
+		"draining": s.draining.Load(),
 	})
 }
 

@@ -349,18 +349,28 @@ func TestStructure(t *testing.T) {
 
 	// A run counts once: a worker records each outcome into a core.Tally,
 	// the sampler is the only place workers' tallies meet, and the Result
-	// is the merge of its intervals. These four are the count lists; a
-	// fifth type with commits and aborts would be a second tally.
+	// is the merge of its intervals. Result and Sample embed the Tally
+	// and a session's admission counts are one, so Tally alone declares
+	// commits and aborts (TxnStats being a type's subset of them) and
+	// offered and shed; another type declaring either pair would be a
+	// second tally.
 	t.Run("ARunCountsOnce", func(t *testing.T) {
-		var tallies []string
-		for _, d := range decls {
-			if names, _ := d.fields(); slices.Contains(names, "Commits") && slices.Contains(names, "Aborts") {
-				tallies = append(tallies, d.dir+"."+d.name())
+		for _, rule := range []struct {
+			pair [2]string
+			want []string
+		}{
+			{[2]string{"Commits", "Aborts"}, []string{"internal/core.Tally", "internal/core.TxnStats"}},
+			{[2]string{"Offered", "Shed"}, []string{"internal/core.Tally"}},
+		} {
+			var got []string
+			for _, d := range decls {
+				if names, _ := d.fields(); slices.Contains(names, rule.pair[0]) && slices.Contains(names, rule.pair[1]) {
+					got = append(got, d.dir+"."+d.name())
+				}
 			}
-		}
-		want := []string{"internal/core.Result", "internal/core.Sample", "internal/core.Tally", "internal/core.TxnStats"}
-		if !sortedEqual(tallies, want) {
-			t.Errorf("structs with Commits and Aborts fields: %v, want %v", tallies, want)
+			if !sortedEqual(got, rule.want) {
+				t.Errorf("structs with %s and %s fields: %v, want %v", rule.pair[0], rule.pair[1], got, rule.want)
+			}
 		}
 	})
 
