@@ -90,7 +90,7 @@
 // RetryLimit, failing as ErrDeadline into Result.Deadlined), capped
 // exponential backoff (BackoffCap), and fault injection (Fault; see
 // StalledWorkerFault and friends). Result then separates offered load
-// from goodput (OfferedTPS, GoodputTPS, Shed, QueueDepth), Interrupt
+// from goodput (OfferedTPS, Throughput, Shed, QueueDepth), Interrupt
 // ends an in-flight run gracefully with a partial Result, and with
 // every knob at zero the closed loop is byte-identical to previous
 // releases. The arrival model has one definition for every consumer:
