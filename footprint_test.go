@@ -73,12 +73,14 @@ func fixedFor(rows int) float64 {
 }
 
 // The runtimes and the budgets in bytes per slot, [native, sim], of the two
-// footprint tests. The native budgets are the interesting ones (a latch is 8
-// bytes there); a simulated latch carries its cache line's model and its
-// FIFO (48 bytes), so the simulator's budgets are the native entry plus
-// that. The index is sized one bucket per row, so its budget is a bucket (an
-// 8-byte head plus its latch, 8 bytes native and 48 simulated) and a table
-// slot's share of the chain arrays (an 8-byte key and a 4-byte link).
+// footprint tests. The native budgets are the interesting ones (a latch and
+// a counter are 8 bytes each there); a simulated latch is its cache line's
+// model, whose spare word holds the latch's holder and FIFO tail (16
+// bytes), and a simulated counter 24, so the simulator's budgets cover the
+// native entry plus 8 bytes per latch and 16 per counter. The index is
+// sized one bucket per row, so its budget is a bucket (an 8-byte head plus
+// its latch, 8 bytes native and 16 simulated) and a table slot's share of
+// the chain arrays (an 8-byte key and a 4-byte link).
 var (
 	footprintRuntimes = []struct {
 		name string
@@ -87,17 +89,17 @@ var (
 		{"native", func() rt.Runtime { return native.New(2, 1) }},
 		{"sim", func() rt.Runtime { return sim.New(2, 1) }},
 	}
-	bucketBudget     = [2]float64{16 + 12, 56 + 12}
+	bucketBudget     = [2]float64{16 + 12, 24 + 12}
 	footprintSchemes = []struct {
 		name   string
 		budget [2]float64
 	}{
-		{"DL_DETECT", [2]float64{40, 80}},
-		{"NO_WAIT", [2]float64{40, 80}},
-		{"WAIT_DIE", [2]float64{40, 80}},
-		{"TIMESTAMP", [2]float64{80, 96}},
-		{"MVCC", [2]float64{56, 96}}, // the floor version (48) and its latch: TIMESTAMP's entry plus a pointer
-		{"OCC", [2]float64{16, 80}},
+		{"DL_DETECT", [2]float64{40, 48}},
+		{"NO_WAIT", [2]float64{40, 48}},
+		{"WAIT_DIE", [2]float64{40, 48}},
+		{"TIMESTAMP", [2]float64{80, 64}},
+		{"MVCC", [2]float64{56, 64}}, // the floor version (48) and its latch: TIMESTAMP's entry plus a pointer
+		{"OCC", [2]float64{16, 48}},
 		{"HSTORE", [2]float64{1, 1}}, // partition locks only: nothing per tuple
 	}
 )

@@ -206,9 +206,11 @@ func (h *Hash) Insert(p rt.Proc, key uint64, slot int) {
 	h.latches.Release(p, stats.Index, i)
 }
 
-// Remove deletes the key→slot mapping if present (used when rolling back a
-// committed-insert is required, e.g. TPC-C NewOrder user aborts), and
-// reports whether it removed anything. The slot may be inserted again.
+// Remove deletes the key→slot mapping if present and reports whether it
+// removed anything. The slot may be inserted again. Nothing but tests
+// calls it: an insert reaches the index only at its transaction's commit
+// point, so no rollback has an entry to take back. It waits for a
+// transactional row delete (ROADMAP H3(b)'s DeleteRow) to call it.
 func (h *Hash) Remove(p rt.Proc, key uint64, slot int) bool {
 	i := h.bucket(key)
 	b := h.heads.At(i)

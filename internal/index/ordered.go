@@ -242,7 +242,9 @@ func (o *Ordered) Insert(p rt.Proc, key uint64, slot int) {
 }
 
 // Remove deletes the key→slot mapping if present (lazy: leaves are never
-// merged) and reports whether it removed anything.
+// merged) and reports whether it removed anything. Like Hash.Remove, it
+// has no caller but tests until a transactional row delete (ROADMAP
+// H3(b)'s DeleteRow) takes it.
 func (o *Ordered) Remove(p rt.Proc, key uint64, slot int) bool {
 	o.latch.Acquire(p, stats.Index, 0)
 	p.MemWrite(stats.Index, o.memKey(o.findLeaf(key).id), 16)

@@ -159,20 +159,26 @@ func (c *Chip) TransferCost(home, owner, to int) uint64 {
 // atomic timestamp allocation.
 //
 // Line is not itself synchronized; the simulator's cooperative scheduler
-// guarantees at most one core manipulates it at a time. It is 16 bytes and
-// holds no pointer — the simulator keeps one per latch and per counter, by
-// value, in slabs as large as the tables — so every operation takes the
-// chip the line sits on.
+// guarantees at most one core manipulates it at a time. It is 16 bytes, 12
+// of state and 4 spare, and holds no pointer — the simulator keeps one per
+// latch and per counter, by value, in slabs as large as the tables — so
+// every operation takes the chip the line sits on. Its tile ids are int16s,
+// so a chip with lines has at most 1<<15 tiles.
 type Line struct {
-	home      int32  // directory tile for this line
-	owner     int32  // tile currently owning the line exclusively
 	busyUntil uint64 // simulated time the line next becomes free
+	home      int16  // directory tile for this line
+	owner     int16  // tile currently owning the line exclusively
+
+	// Spare is the 4 bytes that alignment would pad the line's 12 to 16
+	// with, left to its embedder: no method of Line reads or writes them.
+	// The simulator's latch keeps its holder and its wait queue there.
+	Spare [2]uint16
 }
 
 // NewLine creates a line homed (by address hash) and initially owned at
 // its directory tile for key.
 func NewLine(chip *Chip, key uint64) Line {
-	home := int32(chip.HomeTile(key))
+	home := int16(chip.HomeTile(key))
 	return Line{home: home, owner: home}
 }
 
@@ -188,7 +194,7 @@ func (l *Line) Exclusive(chip *Chip, tile int, now uint64) uint64 {
 		start = l.busyUntil
 	}
 	done := start + chip.TransferCost(int(l.home), int(l.owner), tile)
-	l.owner = int32(tile)
+	l.owner = int16(tile)
 	l.busyUntil = done
 	return done
 }

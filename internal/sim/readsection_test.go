@@ -115,7 +115,7 @@ func TestReadSectionMovesNoLine(t *testing.T) {
 	if got := ls.At(0).line; got != before {
 		t.Fatalf("read section changed the latch's line: %+v, was %+v", got, before)
 	}
-	if ls.At(0).holder != nil {
+	if ls.At(0).line.Spare[holder] != 0 {
 		t.Fatalf("read section left a holder")
 	}
 }

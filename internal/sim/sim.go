@@ -31,6 +31,7 @@ package sim
 import (
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 
 	"abyss1000/internal/mesh"
@@ -54,8 +55,13 @@ type Engine struct {
 	started   bool
 }
 
-// New creates an engine simulating n cores with the given RNG seed.
+// New creates an engine simulating n cores with the given RNG seed. A
+// latch names procs, and a cache line tiles, in two bytes, so n is at most
+// math.MaxInt16.
 func New(n int, seed int64) *Engine {
+	if n > math.MaxInt16 {
+		panic(fmt.Sprintf("sim: %d cores: a latch and a cache line name at most math.MaxInt16 (%d) in two bytes", n, math.MaxInt16))
+	}
 	e := &Engine{
 		chip: mesh.NewChip(n),
 		seed: seed,
@@ -157,6 +163,11 @@ type Proc struct {
 	eventAt uint64
 	heapIdx int32
 
+	// waitNext links the proc into the circular FIFO of the one latch it
+	// waits on (see latch), as the next waiter's ref; it is meaningful
+	// only while the proc waits.
+	waitNext uint16
+
 	// reading counts the read sections the core is inside (rt.Latches):
 	// while it is non-zero the core may reach no ordering point.
 	reading int
@@ -172,6 +183,9 @@ var _ rt.Proc = (*Proc)(nil)
 
 // ID implements rt.Proc.
 func (p *Proc) ID() int { return p.id }
+
+// ref names p in two bytes: its id plus one, so that 0 names no proc.
+func (p *Proc) ref() uint16 { return uint16(p.id + 1) }
 
 // Now implements rt.Proc.
 func (p *Proc) Now() uint64 { return p.now }
@@ -312,12 +326,43 @@ func (e *Engine) Unpark(waker rt.Proc, target rt.Proc) {
 // latch is one element of the simulated rt.Latches: a test-and-set word on
 // a shared cache line with a FIFO waiter queue. Contended acquisition parks
 // the caller; release hands the latch directly to the head waiter (no
-// thundering herd). It is 48 bytes with its line inside it and names no
+// thundering herd). It is its line and nothing else, 16 bytes, and names no
 // engine — the calling Proc knows its own — so a table's worth is one slab.
-type latch struct {
-	line    mesh.Line
-	holder  *Proc
-	waiters []*Proc
+// The latch's state lives in the line's Spare words, each a Proc ref (0 =
+// none): the holder, and the tail of a circular singly linked FIFO of
+// waiters threaded through Proc.waitNext. A waiter is parked inside Acquire
+// until the releaser makes it the holder, so a proc waits on at most one
+// latch, its one link suffices, and contention allocates nothing.
+type latch struct{ line mesh.Line }
+
+// The latch's Spare words.
+const (
+	holder = iota
+	tail
+)
+
+// enqueue appends p to the FIFO whose tail is *t.
+func (e *Engine) enqueue(t *uint16, p *Proc) {
+	if *t == 0 {
+		p.waitNext = p.ref() // alone: its own successor
+	} else {
+		last := e.procs[*t-1]
+		p.waitNext, last.waitNext = last.waitNext, p.ref()
+	}
+	*t = p.ref()
+}
+
+// dequeue removes and returns the head of the non-empty FIFO whose tail is
+// *t: the tail's successor.
+func (e *Engine) dequeue(t *uint16) *Proc {
+	last := e.procs[*t-1]
+	head := e.procs[last.waitNext-1]
+	if head == last {
+		*t = 0
+	} else {
+		last.waitNext = head.waitNext
+	}
+	return head
 }
 
 // counter is one element of the simulated rt.Counters: an atomic fetch-add
@@ -363,14 +408,15 @@ func (s *latches) Acquire(p rt.Proc, c stats.Component, i int) {
 	sp.Sync(c, 0) // ordering point: run any core whose clock is behind
 	done := l.line.Exclusive(sp.eng.chip, sp.id, sp.now)
 	sp.Tick(c, done-sp.now)
-	if l.holder == nil {
-		l.holder = sp
+	w := &l.line.Spare
+	if w[holder] == 0 {
+		w[holder] = sp.ref()
 		return
 	}
-	if l.holder == sp {
+	if w[holder] == sp.ref() {
 		panic("sim: latch is not reentrant")
 	}
-	l.waiters = append(l.waiters, sp)
+	sp.eng.enqueue(&w[tail], sp)
 	sp.Park(c)
 	// The releaser made us the holder before unparking us.
 }
@@ -378,19 +424,18 @@ func (s *latches) Acquire(p rt.Proc, c stats.Component, i int) {
 // Release implements rt.Latches.
 func (s *latches) Release(p rt.Proc, c stats.Component, i int) {
 	l, sp := s.At(i), p.(*Proc)
-	if l.holder != sp {
+	w := &l.line.Spare
+	if w[holder] != sp.ref() {
 		panic("sim: latch released by non-holder")
 	}
 	done := l.line.Exclusive(sp.eng.chip, sp.id, sp.now)
 	sp.Tick(c, done-sp.now)
-	if len(l.waiters) == 0 {
-		l.holder = nil
+	if w[tail] == 0 {
+		w[holder] = 0
 		return
 	}
-	next := l.waiters[0]
-	copy(l.waiters, l.waiters[1:])
-	l.waiters = l.waiters[:len(l.waiters)-1]
-	l.holder = next
+	next := sp.eng.dequeue(&w[tail])
+	w[holder] = next.ref()
 	sp.eng.Unpark(sp, next)
 }
 
@@ -400,7 +445,7 @@ func (s *latches) Release(p rt.Proc, c stats.Component, i int) {
 func (s *latches) AcquireRead(p rt.Proc, c stats.Component, i int) {
 	sp := p.(*Proc)
 	sp.Sync(c, 0)
-	if s.At(i).holder != nil {
+	if s.At(i).line.Spare[holder] != 0 {
 		panic("sim: read section on a held latch (an exclusive section of it reached an ordering point)")
 	}
 	sp.reading++
@@ -412,17 +457,17 @@ func (s *latches) ReleaseRead(p rt.Proc, c stats.Component, i int) { p.(*Proc).r
 // TryAcquireQuiet implements rt.Latches: a latch is free exactly when it has
 // no holder, and taking it touches neither its line nor the caller's clock.
 func (s *latches) TryAcquireQuiet(p rt.Proc, i int) bool {
-	l := s.At(i)
-	if l.holder != nil {
+	w := &s.At(i).line.Spare
+	if w[holder] != 0 {
 		return false
 	}
-	l.holder = p.(*Proc)
+	w[holder] = p.(*Proc).ref()
 	return true
 }
 
 // ReleaseQuiet implements rt.Latches. The holder has not yielded since it
 // took the latch, so nobody can be queued behind it.
-func (s *latches) ReleaseQuiet(p rt.Proc, i int) { s.At(i).holder = nil }
+func (s *latches) ReleaseQuiet(p rt.Proc, i int) { s.At(i).line.Spare[holder] = 0 }
 
 // Add implements rt.Counters.
 func (s *counters) Add(p rt.Proc, comp stats.Component, i int, delta uint64) uint64 {

@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"math"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"abyss1000/internal/rt"
@@ -170,6 +174,109 @@ func TestLatchMutualExclusionAndFIFO(t *testing.T) {
 		if grants[i] != i {
 			t.Fatalf("grant order %v not FIFO by arrival", grants)
 		}
+	}
+}
+
+// TestLatchFIFOReusesTheLink: a proc has one wait link, which serves every
+// latch it waits on in turn. Four waiters queue on latch 0 in one order
+// and are granted in it; then they queue on latch 1 in the reverse order
+// and are granted in that.
+func TestLatchFIFOReusesTheLink(t *testing.T) {
+	const waiters = 4
+	e := New(1+waiters, 1)
+	ls := e.NewLatches(1, slot.Fixed(2))
+	var grants [2][]int
+	e.Run(func(p rt.Proc) {
+		for l, start := range []uint64{0, 100_000} {
+			p.Tick(stats.Useful, start-p.Now())
+			if p.ID() == 0 {
+				ls.Acquire(p, stats.Manager, l)
+				p.Sync(stats.Useful, 10_000) // hold while the others queue
+				ls.Release(p, stats.Manager, l)
+				continue
+			}
+			arrival := p.ID()
+			if l == 1 {
+				arrival = 1 + waiters - p.ID()
+			}
+			p.Tick(stats.Useful, uint64(100*arrival))
+			ls.Acquire(p, stats.Manager, l)
+			grants[l] = append(grants[l], p.ID())
+			p.Sync(stats.Useful, 100) // hold across a yield
+			ls.Release(p, stats.Manager, l)
+		}
+	})
+	want := [2][]int{{1, 2, 3, 4}, {4, 3, 2, 1}}
+	for l := range want {
+		if !slices.Equal(grants[l], want[l]) {
+			t.Errorf("latch %d granted in order %v, want arrival order %v", l, grants[l], want[l])
+		}
+	}
+}
+
+// TestContendedLatchesAllocateNothing: a latch's waiters queue through the
+// procs themselves, so every core contending on each of 64 latches of one
+// slab, each for the first time, allocates nothing. The count starts once
+// every core has started, since a coroutine's first resume allocates, and
+// the least of three runs counts, since another goroutine's allocation can
+// only add to a reading.
+func TestContendedLatchesAllocateNothing(t *testing.T) {
+	const cores, latches, round, hold = 4, 64, 100_000, 1_000
+	contend := func() (objects, bytes uint64) {
+		e := New(cores, 1)
+		ls := e.NewLatches(1, slot.Fixed(latches))
+		var before, after runtime.MemStats
+		started, waited, finished := 0, 0, 0
+		e.Run(func(p rt.Proc) {
+			if started++; started == cores {
+				runtime.ReadMemStats(&before)
+			}
+			for i := 0; i < latches; i++ {
+				arrive := uint64(i+1) * round
+				p.Tick(stats.Useful, arrive-p.Now()) // every core arrives at once
+				ls.Acquire(p, stats.Manager, i)
+				if p.Now() > arrive+hold {
+					waited++
+				}
+				p.Sync(stats.Useful, hold)
+				ls.Release(p, stats.Manager, i)
+			}
+			if finished++; finished == cores {
+				runtime.ReadMemStats(&after)
+			}
+		})
+		if want := latches * (cores - 1); waited != want {
+			t.Fatalf("%d acquisitions waited, want %d: the latches were not contended", waited, want)
+		}
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+	}
+	objects, bytes := contend()
+	for range 2 {
+		o, b := contend()
+		objects, bytes = min(objects, o), min(bytes, b)
+	}
+	if objects != 0 || bytes != 0 {
+		t.Fatalf("contending %d latches allocated %d objects, %d bytes; want none", latches, objects, bytes)
+	}
+}
+
+// TestNewRefusesUnnameableCores: a latch names a proc, and a cache line a
+// tile, in two bytes, so an engine of more than math.MaxInt16 cores is
+// refused, by name, before any core is made.
+func TestNewRefusesUnnameableCores(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		New(math.MaxInt16+1, 1)
+		return nil
+	}()
+	runtime.ReadMemStats(&after)
+	if msg, _ := got.(string); !strings.Contains(msg, "32768 cores") || !strings.Contains(msg, "MaxInt16") {
+		t.Fatalf("New(math.MaxInt16+1): recovered %#v, want a panic naming the core count and its limit", got)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<10 {
+		t.Fatalf("New allocated %d bytes before refusing", b)
 	}
 }
 

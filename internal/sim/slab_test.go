@@ -12,11 +12,11 @@ import (
 	"abyss1000/internal/stats"
 )
 
-// A simulated latch is 48 bytes and a counter 24, cache-line model included;
+// A simulated latch is 16 bytes and a counter 24, cache-line model included;
 // a stray field shows up here as a one-line diff.
 func TestLatchAndCounterSize(t *testing.T) {
-	if got := unsafe.Sizeof(latch{}); got != 48 {
-		t.Errorf("latch is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(latch{}); got != 16 {
+		t.Errorf("latch is %d bytes, want 16", got)
 	}
 	if got := unsafe.Sizeof(counter{}); got != 24 {
 		t.Errorf("counter is %d bytes, want 24", got)
@@ -103,7 +103,7 @@ func TestQuietLatchIsInvisibleToTheModel(t *testing.T) {
 			now, line, billed := p.Now(), ls.At(elem).line, *p.Stats()
 			got := ls.TryAcquireQuiet(p, elem)
 			if got {
-				if ls.At(elem).holder != p.(*Proc) {
+				if ls.At(elem).line.Spare[holder] != p.(*Proc).ref() {
 					t.Error("a successful quiet acquire left the latch without its holder")
 				}
 				ls.ReleaseQuiet(p, elem)
@@ -120,8 +120,8 @@ func TestQuietLatchIsInvisibleToTheModel(t *testing.T) {
 			}
 			p.Sync(stats.Useful, 1_000) // core 0 has released by the second pass
 		}
-		if h := ls.At(elem).holder; h != nil {
-			t.Errorf("latch still held by core %d after every release", h.id)
+		if h := ls.At(elem).line.Spare[holder]; h != 0 {
+			t.Errorf("latch still held by core %d after every release", h-1)
 		}
 	})
 	if seenHeld != 1 || seenFree != 1 {
@@ -178,7 +178,7 @@ func TestSplitSlabIsTheSlab(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	const (
 		base = uint64(3)<<44 | 0x2B<<36
-		n    = 700_000 // 16.8 MB of counters, past slot's 16 MiB split size
+		n    = 1_100_000 // 17.6 MB of latches, past slot's 16 MiB split size
 	)
 	e := New(4, 9)
 	ls := e.NewLatches(base, slot.Fixed(n)).(*latches)
